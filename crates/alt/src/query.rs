@@ -45,8 +45,8 @@ impl<'a> AltQuery<'a> {
 
     /// Installs the cancellation budget subsequent queries run under
     /// (one charge per settled vertex). The default is unlimited.
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether a query since the last [`AltQuery::set_budget`] was cut
@@ -141,7 +141,7 @@ impl spq_graph::backend::Session for AltQuery<'_> {
         AltQuery::shortest_path(self, s, t)
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
+    fn set_budget(&mut self, budget: &QueryBudget) {
         AltQuery::set_budget(self, budget);
     }
 

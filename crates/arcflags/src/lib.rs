@@ -198,8 +198,8 @@ impl<'a> ArcFlagsQuery<'a> {
 
     /// Installs the cancellation budget subsequent queries run under
     /// (one charge per settled vertex). The default is unlimited.
-    pub fn set_budget(&mut self, budget: spq_graph::backend::QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &spq_graph::backend::QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether a query since the last [`ArcFlagsQuery::set_budget`] was
@@ -292,7 +292,7 @@ impl spq_graph::backend::Session for ArcFlagsQuery<'_> {
         ArcFlagsQuery::shortest_path(self, s, t)
     }
 
-    fn set_budget(&mut self, budget: spq_graph::backend::QueryBudget) {
+    fn set_budget(&mut self, budget: &spq_graph::backend::QueryBudget) {
         ArcFlagsQuery::set_budget(self, budget);
     }
 

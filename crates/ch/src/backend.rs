@@ -68,7 +68,7 @@ impl Session for ChSession<'_> {
         let batch = self
             .batch
             .get_or_insert_with(|| BatchDistances::new(self.ch));
-        batch.set_budget(self.budget.clone());
+        batch.set_budget(&self.budget);
         out.clear();
         match batch.table(sources, targets) {
             Some(table) => {
@@ -85,12 +85,12 @@ impl Session for ChSession<'_> {
         }
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
-        self.query.set_budget(budget.clone());
+    fn set_budget(&mut self, budget: &QueryBudget) {
+        self.query.set_budget(budget);
         if let Some(batch) = &mut self.batch {
-            batch.set_budget(budget.clone());
+            batch.set_budget(budget);
         }
-        self.budget = budget;
+        self.budget.clone_from(budget);
     }
 
     fn interrupted(&self) -> bool {
@@ -132,7 +132,7 @@ mod tests {
         let g = figure1();
         let ch = ContractionHierarchy::build(&g);
         let mut session = ch.session(&g);
-        session.set_budget(QueryBudget::unlimited().with_node_cap(1));
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(1));
         let sources: Vec<NodeId> = (0..4).collect();
         let targets: Vec<NodeId> = (4..8).collect();
         let mut out = Vec::new();

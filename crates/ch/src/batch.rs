@@ -98,8 +98,8 @@ impl<'a> BatchDistances<'a> {
 
     /// Installs the budget charged by subsequent sweeps (one charge per
     /// settled rank, mirroring the pointwise kernel's per-pop charge).
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether the most recent table computation tripped its budget.
@@ -346,7 +346,7 @@ mod tests {
         let g = grid_graph(10, 10);
         let ch = ContractionHierarchy::build(&g);
         let mut batch = BatchDistances::new(&ch);
-        batch.set_budget(QueryBudget::unlimited().with_node_cap(3));
+        batch.set_budget(&QueryBudget::unlimited().with_node_cap(3));
         let mut out = vec![42; 4];
         let sources: Vec<u32> = (0..8).collect();
         let targets: Vec<u32> = (90..98).collect();
@@ -354,7 +354,7 @@ mod tests {
         assert!(batch.budget_exhausted());
         assert!(out.is_empty(), "a tripped batch must not fabricate entries");
         // A fresh budget restores full service on the same workspace.
-        batch.set_budget(QueryBudget::unlimited());
+        batch.set_budget(&QueryBudget::unlimited());
         let full = batch.table(&sources, &targets).unwrap();
         assert_eq!(full, ManyToMany::new(&ch).table(&sources, &targets));
     }

@@ -90,8 +90,8 @@ impl<'a> LegacyChQuery<'a> {
     }
 
     /// Installs the cancellation budget subsequent queries run under.
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether a query since the last [`LegacyChQuery::set_budget`] was

@@ -70,14 +70,14 @@ proptest! {
             return;
         }
         // A one-node cap trips inside the first sweep.
-        session.set_budget(QueryBudget::unlimited().with_node_cap(1));
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(1));
         let mut out = Vec::new();
         session.distances(&sources, &targets, &mut out);
         prop_assert!(session.interrupted());
         prop_assert_eq!(out.len(), sources.len() * targets.len());
         prop_assert!(out.iter().all(Option::is_none), "no fabricated entries");
         // A fresh budget fully recovers the same workspace.
-        session.set_budget(QueryBudget::unlimited());
+        session.set_budget(&QueryBudget::unlimited());
         session.distances(&sources, &targets, &mut out);
         prop_assert!(!session.interrupted());
         let mut oracle = Dijkstra::new(net.num_nodes());

@@ -110,8 +110,8 @@ impl Session for BaselineSession<'_> {
         true
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget.clone();
+    fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
         self.search.set_budget(budget);
     }
 
@@ -177,7 +177,7 @@ mod tests {
         let g = figure1();
         let backend = Baseline;
         let mut session = backend.session(&g);
-        session.set_budget(QueryBudget::unlimited().with_node_cap(2));
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(2));
         let mut out = Vec::new();
         assert!(session.range(2, 100, &mut out));
         assert!(session.interrupted(), "node cap must trip mid-search");

@@ -72,8 +72,8 @@ impl BiDijkstra {
 
     /// Installs the cancellation budget subsequent queries run under
     /// (one charge per settled vertex). The default is unlimited.
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether a query since the last [`BiDijkstra::set_budget`] was cut

@@ -48,13 +48,52 @@ const POLL_MASK: u64 = 0x3ff;
 /// The default budget is [`QueryBudget::unlimited`], whose `charge` is
 /// an increment and one predictable branch — workspaces embed a budget
 /// unconditionally and non-serving callers never notice it.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct QueryBudget {
     node_cap: Option<u64>,
     deadline: Option<Instant>,
     kill: Option<Arc<AtomicBool>>,
     spent: u64,
     tripped: bool,
+}
+
+impl Clone for QueryBudget {
+    fn clone(&self) -> Self {
+        QueryBudget {
+            node_cap: self.node_cap,
+            deadline: self.deadline,
+            kill: self.kill.clone(),
+            spent: self.spent,
+            tripped: self.tripped,
+        }
+    }
+
+    /// Copies `source`'s limits in place. A kill flag both sides already
+    /// share is kept as is, so a server re-installing its one budget
+    /// before every request (see [`Session::set_budget`]) causes no
+    /// reference-count traffic on the flag's `Arc`.
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so that a new field cannot be forgotten here.
+        let QueryBudget {
+            node_cap,
+            deadline,
+            kill,
+            spent,
+            tripped,
+        } = source;
+        self.node_cap = *node_cap;
+        self.deadline = *deadline;
+        self.spent = *spent;
+        self.tripped = *tripped;
+        let shared = match (&self.kill, kill) {
+            (Some(mine), Some(theirs)) => Arc::ptr_eq(mine, theirs),
+            (None, None) => true,
+            _ => false,
+        };
+        if !shared {
+            self.kill.clone_from(kill);
+        }
+    }
 }
 
 impl QueryBudget {
@@ -86,6 +125,13 @@ impl QueryBudget {
     pub fn reset(&mut self) {
         self.spent = 0;
         self.tripped = false;
+    }
+
+    /// Restarts the budget for a fresh query under a new deadline
+    /// (`None`: no deadline), keeping the node cap and kill flag.
+    pub fn rearm(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
+        self.reset();
     }
 
     /// Records one unit of work. Returns `false` once the budget is
@@ -165,6 +211,16 @@ pub trait Backend: Send + Sync {
     /// network it was built from. The session borrows both; workers keep
     /// one session per backend for their whole lifetime.
     fn session<'a>(&'a self, net: &'a RoadNetwork) -> Box<dyn Session + 'a>;
+
+    /// Whether [`Session::distance`] is a pure lookup: bounded cost, no
+    /// graph search it could fall into, nothing a budget would need to
+    /// cut short. A server may answer such queries on the thread that
+    /// parsed them instead of handing them to a worker. The default is
+    /// `false`; only an index whose distance path is a table or label
+    /// scan on *every* input may claim it.
+    fn point_lookup(&self) -> bool {
+        false
+    }
 }
 
 /// A reusable, single-threaded query workspace.
@@ -237,11 +293,13 @@ pub trait Session {
         false
     }
 
-    /// Installs the budget the next queries run under. The default does
+    /// Installs the budget the next queries run under (sessions copy
+    /// it with `clone_from`, so a caller re-installing one long-lived
+    /// budget per query pays a few word copies). The default does
     /// nothing — a workspace that ignores budgets simply cannot be
     /// cancelled (and [`Session::interrupted`] stays `false`, so its
     /// `None` answers keep meaning "unreachable").
-    fn set_budget(&mut self, _budget: QueryBudget) {}
+    fn set_budget(&mut self, _budget: &QueryBudget) {}
 
     /// Whether the most recent query was cut short by its budget rather
     /// than answered. Servers use this to distinguish a genuine
@@ -348,6 +406,32 @@ mod tests {
             }
         }
         assert!(tripped);
+    }
+
+    #[test]
+    fn reinstalling_a_budget_reuses_the_shared_kill_flag() {
+        let kill = Arc::new(AtomicBool::new(false));
+        let mut template = QueryBudget::unlimited().with_kill_flag(Arc::clone(&kill));
+        let mut installed = QueryBudget::unlimited();
+        installed.clone_from(&template);
+        assert_eq!(Arc::strong_count(&kill), 3, "first install shares the flag");
+        for _ in 0..5 {
+            assert!(installed.charge());
+        }
+        // Re-deadlined and re-installed: limits and accounting are
+        // copied, the flag's Arc is left alone.
+        let deadline = Instant::now();
+        template.rearm(Some(deadline));
+        installed.clone_from(&template);
+        assert_eq!(Arc::strong_count(&kill), 3);
+        assert_eq!(installed.deadline, Some(deadline));
+        assert_eq!(installed.spent(), 0);
+        template.rearm(None);
+        installed.clone_from(&template);
+        assert_eq!(installed.deadline, None);
+        // A different (or absent) flag is still replaced.
+        installed.clone_from(&QueryBudget::unlimited());
+        assert_eq!(Arc::strong_count(&kill), 2);
     }
 
     #[test]

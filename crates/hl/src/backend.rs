@@ -41,6 +41,12 @@ impl Backend for Hl {
             batch: None,
         })
     }
+
+    /// A distance query is one merge-scan over two labels: no search
+    /// state, no expansion, the same bounded cost on every pair.
+    fn point_lookup(&self) -> bool {
+        true
+    }
 }
 
 impl Session for HlSession<'_> {
@@ -80,9 +86,9 @@ impl Session for HlSession<'_> {
         batch.table_into(self.labels, sources, targets, &mut self.budget, out);
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
-        self.paths.set_budget(budget.clone());
-        self.budget = budget;
+    fn set_budget(&mut self, budget: &QueryBudget) {
+        self.paths.set_budget(budget);
+        self.budget.clone_from(budget);
     }
 
     fn interrupted(&self) -> bool {
@@ -103,6 +109,7 @@ mod tests {
         let hl = Hl::build(&g);
         let backend: &dyn Backend = &hl;
         assert_eq!(backend.backend_name(), "HL");
+        assert!(backend.point_lookup(), "a label scan is a pure lookup");
         let mut session = backend.session(&g);
         assert_eq!(session.distance(2, 6), Some(6));
         let (d, path) = session.shortest_path(2, 6).expect("connected");
@@ -127,14 +134,14 @@ mod tests {
         // A pre-set kill flag with a zero node cap trips on the first
         // charge; the None answer must be flagged as interrupted.
         session.set_budget(
-            QueryBudget::unlimited()
+            &QueryBudget::unlimited()
                 .with_node_cap(0)
                 .with_kill_flag(kill.clone()),
         );
         assert_eq!(session.distance(2, 6), None);
         assert!(session.interrupted());
         kill.store(false, Ordering::Relaxed);
-        session.set_budget(QueryBudget::unlimited());
+        session.set_budget(&QueryBudget::unlimited());
         assert_eq!(session.distance(2, 6), Some(6));
         assert!(!session.interrupted());
     }

@@ -49,7 +49,7 @@ proptest! {
         // HL charges once per pair, so a mid-table cap answers a prefix
         // exactly and the rest None — never a wrong distance.
         let cap = (sources.len() * targets.len() / 2) as u64;
-        session.set_budget(QueryBudget::unlimited().with_node_cap(cap));
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(cap));
         let mut out = Vec::new();
         session.distances(&sources, &targets, &mut out);
         prop_assert!(session.interrupted());

@@ -127,7 +127,7 @@ impl<'a> ManySession<'a> {
         let budget = &self.budget;
         self.o2m.get_or_insert_with(|| {
             let mut engine = OneToMany::new(ch);
-            engine.set_budget(budget.clone());
+            engine.set_budget(budget);
             engine
         })
     }
@@ -164,7 +164,7 @@ impl Session for ManySession<'_> {
         let batch = self
             .batch
             .get_or_insert_with(|| BatchDistances::new(self.ch));
-        batch.set_budget(self.budget.clone());
+        batch.set_budget(&self.budget);
         out.clear();
         match batch.table(sources, targets) {
             Some(table) => {
@@ -230,16 +230,16 @@ impl Session for ManySession<'_> {
         true
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
-        self.query.set_budget(budget.clone());
+    fn set_budget(&mut self, budget: &QueryBudget) {
+        self.query.set_budget(budget);
         if let Some(engine) = self.o2m.as_mut() {
-            engine.set_budget(budget.clone());
+            engine.set_budget(budget);
         }
         if let Some(batch) = self.batch.as_mut() {
-            batch.set_budget(budget.clone());
+            batch.set_budget(budget);
         }
-        self.knn_ws.set_budget(budget.clone());
-        self.budget = budget;
+        self.knn_ws.set_budget(budget);
+        self.budget.clone_from(budget);
     }
 
     fn interrupted(&self) -> bool {
@@ -362,13 +362,13 @@ mod tests {
         let g = grid_graph(10, 10);
         let (backend, set) = backend_with_pois(&g);
         let mut session = backend.session(&g);
-        session.set_budget(QueryBudget::unlimited().with_node_cap(1));
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(1));
         let targets: Vec<NodeId> = (0..100).collect();
         let mut row = Vec::new();
         session.one_to_many(0, &targets, &mut row);
         assert!(session.interrupted(), "o2m must trip");
 
-        session.set_budget(QueryBudget::unlimited().with_node_cap(1));
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(1));
         let mut hits = Vec::new();
         session.knn(
             0,
@@ -382,14 +382,14 @@ mod tests {
         assert!(session.interrupted(), "knn must trip");
         assert!(hits.is_empty());
 
-        session.set_budget(QueryBudget::unlimited().with_node_cap(1));
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(1));
         let mut out = Vec::new();
         assert!(session.range(0, 100, &mut out));
         assert!(session.interrupted(), "range must trip");
         assert!(out.is_empty());
 
         // Fresh budget -> everything recovers.
-        session.set_budget(QueryBudget::unlimited());
+        session.set_budget(&QueryBudget::unlimited());
         session.one_to_many(0, &targets, &mut row);
         assert!(!session.interrupted());
         assert_eq!(row[0], Some(0));

@@ -66,8 +66,8 @@ impl<'a> OneToMany<'a> {
     /// Installs the cancellation budget subsequent runs execute under:
     /// one charge per settled vertex in the upward phase, one per rank
     /// in the sweep.
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether the most recent run was cut short by its budget (its
@@ -305,7 +305,7 @@ mod tests {
         let g = grid_graph(10, 10);
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
-        o2m.set_budget(QueryBudget::unlimited().with_node_cap(5));
+        o2m.set_budget(&QueryBudget::unlimited().with_node_cap(5));
         assert!(!o2m.run(0), "5 charges cannot cover a 100-rank sweep");
         assert!(o2m.interrupted());
         assert_eq!(o2m.source(), None);
@@ -313,7 +313,7 @@ mod tests {
         assert!(!o2m.range(0, 50, &mut out));
         assert!(out.is_empty());
         // A fresh (unlimited) budget restores full service.
-        o2m.set_budget(QueryBudget::unlimited());
+        o2m.set_budget(&QueryBudget::unlimited());
         assert!(o2m.run(0));
         assert!(!o2m.interrupted());
         assert_eq!(o2m.distance(0), Some(0));

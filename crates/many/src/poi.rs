@@ -405,8 +405,8 @@ impl KnnWorkspace {
     }
 
     /// Installs the cancellation budget subsequent queries run under.
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether the most recent query was cut short by its budget.
@@ -481,7 +481,7 @@ mod tests {
         let set = PoiSet::new("p", 64, vec![0, 63]).unwrap();
         let idx = PoiIndex::build(&ch, &set).unwrap();
         let mut ws = KnnWorkspace::new();
-        ws.set_budget(QueryBudget::unlimited().with_node_cap(1));
+        ws.set_budget(&QueryBudget::unlimited().with_node_cap(1));
         let mut out = vec![(1u32, 1u64)];
         assert!(!idx.knn(ch.search_graph(), &mut ws, 30, 2, &mut out));
         assert!(ws.interrupted());

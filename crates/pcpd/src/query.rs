@@ -42,8 +42,8 @@ impl<'a> PcpdQuery<'a> {
 
     /// Installs the cancellation budget subsequent queries run under
     /// (one charge per ψ lookup). The default is unlimited.
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether a query since the last [`PcpdQuery::set_budget`] was cut
@@ -126,7 +126,7 @@ impl spq_graph::backend::Session for PcpdQuery<'_> {
         PcpdQuery::shortest_path(self, s, t)
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
+    fn set_budget(&mut self, budget: &QueryBudget) {
         PcpdQuery::set_budget(self, budget);
     }
 

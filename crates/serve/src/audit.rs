@@ -85,6 +85,7 @@ pub(crate) fn auditor_loop(
     // superseded epochs are dropped each round.
     let mut windows: HashMap<(u64, usize), Vec<Instant>> = HashMap::new();
     let mut round: u64 = 0;
+    let mut budget = QueryBudget::unlimited().with_kill_flag(Arc::clone(force_stop));
     loop {
         // Sleep in slices so shutdown is honoured promptly.
         let wake = Instant::now() + cfg.interval;
@@ -120,11 +121,8 @@ pub(crate) fn auditor_loop(
                 if shutdown.load(Ordering::SeqCst) || crate::server::signalled() {
                     return;
                 }
-                session.set_budget(
-                    QueryBudget::unlimited()
-                        .with_kill_flag(Arc::clone(force_stop))
-                        .with_deadline(Instant::now() + Duration::from_secs(2)),
-                );
+                budget.rearm(Some(Instant::now() + Duration::from_secs(2)));
+                session.set_budget(&budget);
                 let got = session.distance(s, t);
                 if session.interrupted() {
                     // An aborted audit query proves nothing either way.

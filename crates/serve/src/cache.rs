@@ -212,6 +212,8 @@ impl Shard {
 pub struct DistanceCache {
     shards: Vec<Mutex<Shard>>,
     shard_mask: u64,
+    /// Capacity > 0; a disabled cache answers without touching a shard.
+    enabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -234,6 +236,7 @@ impl DistanceCache {
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
             shard_mask: shards as u64 - 1,
+            enabled: capacity > 0,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -271,6 +274,11 @@ impl DistanceCache {
     /// unreachable".
     #[allow(clippy::option_option)]
     pub fn get(&self, epoch: u64, backend: u8, s: u32, t: u32) -> Option<Option<Dist>> {
+        if !self.enabled {
+            // Nothing is ever resident: count the miss, skip the lock.
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
         let key = Self::key(epoch, backend, s, t);
         let cached = lock_unpoisoned(self.shard_of(key)).get(key);
         match cached {
@@ -287,12 +295,12 @@ impl DistanceCache {
 
     /// Caches an answer (including "unreachable").
     pub fn insert(&self, epoch: u64, backend: u8, s: u32, t: u32, d: Option<Dist>) {
+        if !self.enabled {
+            return;
+        }
         let key = Self::key(epoch, backend, s, t);
         let shard = self.shard_of(key);
         let mut guard = lock_unpoisoned(shard);
-        if guard.capacity == 0 {
-            return;
-        }
         let evicted = guard.insert(key, d.unwrap_or(UNREACHABLE));
         drop(guard);
         self.insertions.fetch_add(1, Ordering::Relaxed);

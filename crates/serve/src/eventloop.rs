@@ -200,9 +200,14 @@ impl Waker {
     }
 
     /// Consumes pending wakes so level-triggered polling quiesces.
-    pub fn drain(&self) {
+    /// Returns how many [`Waker::wake`] calls it consumed (the eventfd
+    /// counter; 0 when none were pending).
+    pub fn drain(&self) -> u64 {
         let mut buf = [0u8; 8];
-        let _ = (&self.fd).read(&mut buf);
+        match (&self.fd).read(&mut buf) {
+            Ok(8) => u64::from_ne_bytes(buf),
+            _ => 0,
+        }
     }
 }
 

@@ -43,6 +43,7 @@ pub mod cache;
 pub mod client;
 pub mod epoch;
 pub mod eventloop;
+mod executor;
 pub mod fault;
 pub mod loadgen;
 pub mod protocol;

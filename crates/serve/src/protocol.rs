@@ -505,9 +505,15 @@ pub fn read_frame_limited(
 /// OK response carrying a UTF-8 body (PING, STATS).
 pub fn encode_text_response(text: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + text.len());
+    put_text_response(&mut out, text);
+    out
+}
+
+/// Appends [`encode_text_response`]'s payload to `out` (the event loop
+/// encodes straight into a connection's write buffer).
+pub fn put_text_response(out: &mut Vec<u8>, text: &str) {
     out.push(STATUS_OK);
     out.extend_from_slice(text.as_bytes());
-    out
 }
 
 /// OK response with no body (SHUTDOWN).
@@ -559,9 +565,14 @@ pub fn encode_quarantined(msg: &str) -> Vec<u8> {
 /// Encodes one distance (DISTANCE response body).
 pub fn encode_distance_response(d: Option<Dist>) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
+    put_distance_response(&mut out, d);
+    out
+}
+
+/// Appends [`encode_distance_response`]'s payload to `out`.
+pub fn put_distance_response(out: &mut Vec<u8>, d: Option<Dist>) {
     out.push(STATUS_OK);
     out.extend_from_slice(&d.unwrap_or(UNREACHABLE).to_le_bytes());
-    out
 }
 
 /// Encodes a shortest path (PATH response body).

@@ -1,7 +1,8 @@
-//! The TCP query server: sharded epoll event loop in front of a fixed
-//! worker pool, with bounded worst-case behavior under overload, slow
-//! clients, deadlines, forced shutdown, worker panics, and live index
-//! swaps.
+//! The TCP query server: sharded epoll event loops that answer
+//! bounded-cost requests themselves, in front of a fixed worker pool
+//! for everything else, with bounded worst-case behavior under
+//! overload, slow clients, deadlines, forced shutdown, worker panics,
+//! and live index swaps.
 //!
 //! Architecture (std-only, no async runtime; the epoll/eventfd shims
 //! live in [`crate::eventloop`]):
@@ -13,29 +14,43 @@
 //!   a few hundred bytes each.
 //! * [`ServerConfig::shards`] **shard** threads each run an epoll loop
 //!   over their connections: non-blocking reads into a growing buffer,
-//!   frame parsing, and a per-connection write queue. Clients may
-//!   **pipeline** requests (several frames in flight on one
+//!   frame parsing and decoding, and a per-connection write queue.
+//!   Clients may **pipeline** requests (several frames in flight on one
 //!   connection, up to [`ServerConfig::pipeline_depth`]); responses are
-//!   sequenced and flushed strictly in request order. Parsed frames are
-//!   dispatched to a **bounded** work queue; past the high-water mark
-//!   ([`ServerConfig::max_pending`]) a request is answered with one
-//!   `BUSY` frame in its response slot — load is shed per request
-//!   instead of growing an unbounded queue. A peer that stalls
+//!   sequenced and flushed strictly in request order. Each decoded
+//!   request is **routed by what it is**: `PING`, a `DISTANCE` the
+//!   cache answers, and a `DISTANCE` on a backend whose query is a pure
+//!   lookup ([`spq_graph::backend::Backend::point_lookup`] — hub
+//!   labels) are answered on the spot, encoded straight into the
+//!   connection's write queue — no queue, no wake-up, no second thread —
+//!   and written out every half pipeline window, so a peer keeping its
+//!   window full refills it while the rest of the pass is computed.
+//!   Everything else — cache misses on search backends, `PATH`, batch
+//!   and one-to-many ops, kNN, range, `STATS`, `RELOAD`, `SHUTDOWN`,
+//!   anything on a quarantined slot, anything carrying an injected
+//!   fault — goes, already decoded, to a **bounded** work queue; past
+//!   the high-water mark ([`ServerConfig::max_pending`]) a request is
+//!   answered with one `BUSY` frame in its response slot — load is shed
+//!   per request instead of growing an unbounded queue. Inline and
+//!   pooled requests interleave freely on one connection; the response
+//!   order is the request order either way. A peer that stalls
 //!   mid-frame past [`ServerConfig::stall_timeout`] or stops reading
 //!   its responses past [`ServerConfig::write_timeout`] is
 //!   disconnected; a quietly idle connection is never reaped.
 //! * `workers` **worker** threads pop requests from the work queue.
-//!   Each pins the current [`EpochState`](crate::epoch::EpochState) and
-//!   owns one reusable query session per backend — rebuilt when a
-//!   reload publishes a new epoch (checked before every request, so a
-//!   request arriving after a `RELOAD` acknowledgement is answered by
-//!   the new epoch) or when a panic forces a fresh start. Queries run
-//!   inside a `catch_unwind` supervision shell: a panicking query kills
-//!   only its own connection, the worker rebuilds its sessions and
-//!   keeps serving. Past [`ServerConfig::restart_cap`] panics within
-//!   [`ServerConfig::restart_window`] the worker retires; when the last
-//!   worker retires the server shuts down instead of lingering as a
-//!   zombie acceptor.
+//! * Shards and workers alike execute requests through a
+//!   [`crate::executor::Executor`]: it pins the current
+//!   [`EpochState`](crate::epoch::EpochState) and owns one reusable
+//!   query session per backend (a shard's: lookup backends only) —
+//!   rebuilt when a reload publishes a new epoch (checked before every
+//!   request, so a request arriving after a `RELOAD` acknowledgement is
+//!   answered by the new epoch) or when a panic forces a fresh start.
+//!   Queries run inside a `catch_unwind` supervision shell: a panicking
+//!   query kills only its own connection, its thread rebuilds its
+//!   sessions and keeps serving. Past [`ServerConfig::restart_cap`]
+//!   panics within [`ServerConfig::restart_window`] a worker retires;
+//!   when the last worker retires the server shuts down instead of
+//!   lingering as a zombie acceptor.
 //! * A **reloader** thread (present when a reload source is configured)
 //!   watches for `RELOAD` frames, `SIGHUP`, and content changes to the
 //!   reload file; it builds the replacement engine, self-checks it
@@ -44,10 +59,11 @@
 //! * An **auditor** thread (see [`crate::audit`]) replays a seeded
 //!   trickle of queries against the oracle and quarantines backends
 //!   that keep disagreeing.
-//! * Every query runs under a [`QueryBudget`]: the request's optional
-//!   deadline plus the server's force-stop kill flag. A tripped budget
-//!   yields a `DEADLINE_EXCEEDED` frame (never a cached or misreported
-//!   "unreachable").
+//! * Every query runs under a
+//!   [`QueryBudget`](spq_graph::backend::QueryBudget): the request's
+//!   optional deadline plus the server's force-stop kill flag. A
+//!   tripped budget yields a `DEADLINE_EXCEEDED` frame (never a cached
+//!   or misreported "unreachable").
 //! * **Resource exhaustion is survived, not crashed on.** Every
 //!   per-connection buffer is capped ([`ServerConfig::wbuf_cap`], one
 //!   max frame of unparsed bytes) and an optional global byte budget
@@ -70,17 +86,22 @@
 //!   a short hard-stop window, and [`Server::join`] returns with every
 //!   thread joined.
 //!
-//! Per-request flow: parse (shard) → dispatch → fault-injection hook
-//! (tests only) → resolve backend (wire id, degraded alias, or
-//! quarantine failover) → consult the sharded epoch-keyed distance
-//! cache (DISTANCE only) → run the session under its budget → cache +
-//! record latency → sequence the response back through the owning
-//! shard. Dense DISTANCES batches reach the CH batch kernel through the
-//! `Session::distances` override.
+//! Per-request flow: parse + decode (shard) → fault-injection hook
+//! (tests only; a hit forces the pooled path) → shard executor:
+//! resolve backend (wire id or degraded alias) → consult the sharded
+//! epoch-keyed distance cache (DISTANCE only, counted once) → answer,
+//! or hand the decoded request to the pool, whose executor resolves
+//! again (now including quarantine failover), runs the session under
+//! its budget, caches + records latency, and sequences the response
+//! back through the owning shard's ingress queue (one eventfd write
+//! per burst of completions, not per completion). Dense DISTANCES
+//! batches reach the CH batch kernel through the `Session::distances`
+//! override.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -89,18 +110,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spq_dijkstra::Baseline;
-use spq_graph::backend::{Backend, QueryBudget, Session};
-
 use crate::audit::{self, AuditConfig};
 use crate::cache::DistanceCache;
-use crate::epoch::{EpochRegistry, EpochState, ReloadFactory, ReloadSpec};
+use crate::epoch::{EpochRegistry, ReloadFactory, ReloadSpec};
 use crate::eventloop::{Event, Poller, Waker};
-use crate::fault::FaultInjector;
+use crate::executor::{render_status, run_pinned, Decoded, ExecCtx, Executor, Role, Verdict};
+use crate::fault::{FaultAction, FaultInjector};
 use crate::protocol::{self, Request};
-use crate::stats::{wire_slot, Op, ServerStats, WIRE_NAMES, WIRE_SLOTS};
+use crate::stats::{ServerStats, WIRE_SLOTS};
 use crate::sync::lock_unpoisoned;
-use crate::{BackendKind, Engine};
+use crate::Engine;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -121,10 +140,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Cache shards (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Legacy knob from the thread-per-connection server; the event
-    /// loop waits on readiness instead of read timeouts. Retained so
-    /// existing configs keep compiling.
-    pub read_timeout: Duration,
     /// Parsed requests waiting for a worker beyond which new ones are
     /// answered with BUSY.
     pub max_pending: usize,
@@ -198,7 +213,6 @@ impl Default for ServerConfig {
             pipeline_depth: 32,
             cache_capacity: 1 << 16,
             cache_shards: 16,
-            read_timeout: Duration::from_millis(50),
             max_pending: 64,
             write_timeout: Duration::from_secs(2),
             stall_timeout: Duration::from_secs(2),
@@ -273,7 +287,7 @@ pub fn take_sighup() -> bool {
     SIGHUP_RELOAD.swap(false, Ordering::SeqCst)
 }
 
-/// One parsed request travelling from a shard to a worker.
+/// One decoded request travelling from a shard to a worker.
 struct WorkItem {
     /// Index of the shard that owns the connection.
     shard: usize,
@@ -281,8 +295,13 @@ struct WorkItem {
     token: u64,
     /// Position of this request in its connection's response order.
     seq: u64,
-    /// The frame payload (without the length prefix).
-    payload: Vec<u8>,
+    /// The frame as the shard decoded it.
+    request: Decoded,
+    /// The injected fault, drawn by the shard when it parsed the frame.
+    action: FaultAction,
+    /// The shard already consulted the distance cache and counted the
+    /// miss; the worker must not look (or count) again.
+    cache_missed: bool,
 }
 
 /// What a worker hands back for one [`WorkItem`].
@@ -314,75 +333,103 @@ struct ShardHandle {
 }
 
 impl ShardHandle {
+    fn new() -> io::Result<ShardHandle> {
+        Ok(ShardHandle {
+            ingress: Mutex::new(VecDeque::new()),
+            waker: Waker::new()?,
+        })
+    }
+
+    /// Queues `msg`, writing the eventfd only when the queue goes from
+    /// empty to non-empty: whoever finds it non-empty knows an earlier
+    /// sender's wake is still ahead of the shard's next
+    /// [`ShardHandle::take_into`], which will collect both messages.
     fn send(&self, msg: ShardMsg) {
-        lock_unpoisoned(&self.ingress).push_back(msg);
-        self.waker.wake();
+        let was_empty = {
+            let mut q = lock_unpoisoned(&self.ingress);
+            let was_empty = q.is_empty();
+            q.push_back(msg);
+            was_empty
+        };
+        if was_empty {
+            self.waker.wake();
+        }
+    }
+
+    /// The shard's side: consumes pending wakes, then swaps everything
+    /// queued into `inbox` (which must be empty). Returns the wakes
+    /// consumed. Draining *before* taking is what makes the coalescing
+    /// in [`ShardHandle::send`] safe: a sender that finds the queue
+    /// empty after this take writes a wake this drain cannot have
+    /// eaten.
+    fn take_into(&self, inbox: &mut VecDeque<ShardMsg>) -> u64 {
+        debug_assert!(inbox.is_empty());
+        let wakes = self.waker.drain();
+        std::mem::swap(&mut *lock_unpoisoned(&self.ingress), inbox);
+        wakes
     }
 }
 
-/// The bounded queue of parsed requests awaiting a worker.
+/// The bounded queue of decoded requests awaiting a worker.
 struct WorkQueue {
-    q: Mutex<VecDeque<WorkItem>>,
+    state: Mutex<QueueState>,
     cv: Condvar,
     cap: usize,
+}
+
+struct QueueState {
+    items: VecDeque<WorkItem>,
+    /// Workers currently blocked in [`WorkQueue::pop`].
+    parked: usize,
 }
 
 impl WorkQueue {
     fn new(cap: usize) -> Self {
         WorkQueue {
-            q: Mutex::new(VecDeque::new()),
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                parked: 0,
+            }),
             cv: Condvar::new(),
             cap: cap.max(1),
         }
     }
 
-    /// Enqueues unless the high-water mark is reached (the caller sheds
-    /// with BUSY then).
-    fn try_push(&self, item: WorkItem) -> bool {
-        {
-            let mut q = lock_unpoisoned(&self.q);
-            if q.len() >= self.cap {
-                return false;
-            }
-            q.push_back(item);
+    /// Moves as many of `batch`'s items as fit under the high-water
+    /// mark into the queue, in order and under one lock; what is left
+    /// in `batch` is the caller's to shed with BUSY. Signals only
+    /// workers that are actually parked (one per queued item, at most)
+    /// and returns how many that was.
+    fn push_batch(&self, batch: &mut Vec<WorkItem>) -> usize {
+        let wake = {
+            let mut st = lock_unpoisoned(&self.state);
+            let room = self.cap.saturating_sub(st.items.len()).min(batch.len());
+            st.items.extend(batch.drain(..room));
+            room.min(st.parked)
+        };
+        for _ in 0..wake {
+            self.cv.notify_one();
         }
-        self.cv.notify_one();
-        true
+        wake
     }
 
     fn pop(&self, timeout: Duration) -> Option<WorkItem> {
-        let mut q = lock_unpoisoned(&self.q);
-        if let Some(item) = q.pop_front() {
+        let mut st = lock_unpoisoned(&self.state);
+        if let Some(item) = st.items.pop_front() {
             return Some(item);
         }
-        let (mut q, _timed_out) = self
+        st.parked += 1;
+        let (mut st, _timed_out) = self
             .cv
-            .wait_timeout(q, timeout)
+            .wait_timeout(st, timeout)
             .unwrap_or_else(|e| e.into_inner());
-        q.pop_front()
+        st.parked -= 1;
+        st.items.pop_front()
     }
 
     fn is_empty(&self) -> bool {
-        lock_unpoisoned(&self.q).is_empty()
+        lock_unpoisoned(&self.state).items.is_empty()
     }
-}
-
-/// Everything a worker needs beyond its sessions, bundled so the
-/// per-request call chain stays readable.
-struct WorkerCtx {
-    shutdown: Arc<AtomicBool>,
-    force_stop: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
-    cache: Arc<DistanceCache>,
-    registry: Arc<EpochRegistry>,
-    fault: Option<Arc<FaultInjector>>,
-    reload_timeout: Duration,
-    has_reload_source: bool,
-    /// Whether quarantined wire ids fail over down the degradation
-    /// chain (from the audit config; irrelevant without an auditor).
-    failover: bool,
-    restart_cap: usize,
-    restart_window: Duration,
 }
 
 /// A running server. Dropping it without [`Server::join`] detaches the
@@ -451,19 +498,27 @@ impl Server {
 
         let handles: Arc<Vec<ShardHandle>> = Arc::new(
             (0..num_shards)
-                .map(|_| {
-                    Ok(ShardHandle {
-                        ingress: Mutex::new(VecDeque::new()),
-                        waker: Waker::new()?,
-                    })
-                })
+                .map(|_| ShardHandle::new())
                 .collect::<io::Result<Vec<_>>>()?,
         );
         let work = Arc::new(WorkQueue::new(cfg.max_pending));
+        let exec_ctx = Arc::new(ExecCtx {
+            shutdown: Arc::clone(&shutdown),
+            force_stop: Arc::clone(&force_stop),
+            stats: Arc::clone(&stats),
+            cache: Arc::clone(&cache),
+            registry: Arc::clone(&registry),
+            reload_timeout: cfg.reload_timeout,
+            has_reload_source,
+            failover: cfg.audit.as_ref().map_or(true, |a| a.failover),
+        });
 
         let mut shard_threads = Vec::with_capacity(num_shards);
         for shard_id in 0..num_shards {
             let ctx = ShardCtx {
+                id: shard_id,
+                work: Arc::clone(&work),
+                fault: cfg.fault.clone(),
                 shutdown: Arc::clone(&shutdown),
                 force_stop: Arc::clone(&force_stop),
                 stats: Arc::clone(&stats),
@@ -476,35 +531,30 @@ impl Server {
                 mem_budget: cfg.mem_budget,
             };
             let handles = Arc::clone(&handles);
-            let work = Arc::clone(&work);
-            shard_threads.push(std::thread::spawn(move || {
-                match Shard::new(shard_id, handles, work, ctx) {
-                    Ok(mut shard) => shard.run(),
-                    Err(e) => eprintln!("[shard {shard_id}] failed to start epoll: {e}"),
-                }
+            let exec_ctx = Arc::clone(&exec_ctx);
+            shard_threads.push(std::thread::spawn(move || match Shard::new(handles, ctx) {
+                Ok(mut shard) => shard.run(&exec_ctx),
+                Err(e) => eprintln!("[shard {shard_id}] failed to start epoll: {e}"),
             }));
         }
 
+        let restart_cap = cfg.restart_cap.max(1);
+        let restart_window = cfg.restart_window;
         let mut workers = Vec::with_capacity(cfg.workers);
         for worker_id in 0..cfg.workers.max(1) {
             let work = Arc::clone(&work);
             let handles = Arc::clone(&handles);
             let active = Arc::clone(&active);
-            let ctx = WorkerCtx {
-                shutdown: Arc::clone(&shutdown),
-                force_stop: Arc::clone(&force_stop),
-                stats: Arc::clone(&stats),
-                cache: Arc::clone(&cache),
-                registry: Arc::clone(&registry),
-                fault: cfg.fault.clone(),
-                reload_timeout: cfg.reload_timeout,
-                has_reload_source,
-                failover: cfg.audit.as_ref().map_or(true, |a| a.failover),
-                restart_cap: cfg.restart_cap.max(1),
-                restart_window: cfg.restart_window,
-            };
+            let ctx = Arc::clone(&exec_ctx);
             workers.push(std::thread::spawn(move || {
-                worker_loop(&work, &handles, &ctx, worker_id);
+                worker_loop(
+                    &work,
+                    &handles,
+                    &ctx,
+                    restart_cap,
+                    restart_window,
+                    worker_id,
+                );
                 // The last worker to leave — retirement or shutdown —
                 // turns the lights off, so a fully retired pool shuts
                 // the server down instead of leaving a zombie acceptor.
@@ -655,25 +705,6 @@ impl Server {
         }
         self.stats_text()
     }
-}
-
-/// The STATS body: epoch, startup degradations, live quarantines, then
-/// the counter tables.
-fn render_status(state: &EpochState, stats: &ServerStats, cache: &DistanceCache) -> String {
-    let mut text = format!("epoch: {}\n", state.epoch);
-    for d in state.engine.degradations() {
-        text.push_str(&format!(
-            "degraded: {} -> {} ({})\n",
-            d.requested.name(),
-            d.served_by.name(),
-            d.reason
-        ));
-    }
-    for q in state.quarantine_lines() {
-        text.push_str(&format!("quarantined: {q}\n"));
-    }
-    text.push_str(&stats.render(&WIRE_NAMES, &cache.stats()));
-    text
 }
 
 fn stopping(flag: &AtomicBool) -> bool {
@@ -884,6 +915,12 @@ fn token_parts(token: u64) -> (u32, usize) {
 
 /// Immutable shard environment.
 struct ShardCtx {
+    /// This shard's index into the handle table.
+    id: usize,
+    /// Where requests the shard may not answer itself go.
+    work: Arc<WorkQueue>,
+    /// Fault-injection hook (tests only), consulted once per frame.
+    fault: Option<Arc<FaultInjector>>,
     shutdown: Arc<AtomicBool>,
     force_stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
@@ -987,16 +1024,43 @@ fn has_full_frame(conn: &Conn, max_frame: usize) -> bool {
     len > max_frame || avail.len() >= 4 + len
 }
 
-/// Appends one length-prefixed frame to the connection's write queue.
-fn enqueue_frame(conn: &mut Conn, payload: &[u8]) {
+/// Opens a length-prefixed frame in the connection's write queue and
+/// returns where its header sits; the caller appends the payload and
+/// calls [`end_frame`].
+fn begin_frame(conn: &mut Conn) -> usize {
     if conn.wstart == conn.wbuf.len() {
         // Transitioning from drained to pending restarts the
         // write-stall clock.
         conn.last_write_progress = Instant::now();
     }
-    conn.wbuf
-        .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let header = conn.wbuf.len();
+    conn.wbuf.extend_from_slice(&[0; 4]);
+    header
+}
+
+/// Closes the frame opened at `header` by filling in its length.
+fn end_frame(conn: &mut Conn, header: usize) {
+    let len = (conn.wbuf.len() - header - 4) as u32;
+    conn.wbuf[header..header + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends one length-prefixed frame to the connection's write queue.
+fn enqueue_frame(conn: &mut Conn, payload: &[u8]) {
+    let header = begin_frame(conn);
     conn.wbuf.extend_from_slice(payload);
+    end_frame(conn, header);
+}
+
+/// Hands the response for request `seq` to the connection: straight
+/// into the write queue when it is next in sequence, otherwise parked
+/// until its predecessors have been answered.
+fn deliver(conn: &mut Conn, seq: u64, payload: Vec<u8>) {
+    if seq == conn.next_flush {
+        enqueue_frame(conn, &payload);
+        conn.next_flush += 1;
+    } else {
+        conn.ready.insert(seq, payload);
+    }
 }
 
 /// Moves completed responses into the write queue, in sequence order.
@@ -1007,21 +1071,83 @@ fn flush_ready(conn: &mut Conn) {
     }
 }
 
-/// Parses complete frames out of the read buffer and dispatches them,
-/// shedding with BUSY when the work queue is full.
+/// Runs request `seq` on the shard's own executor. A finished response
+/// is encoded straight into the write queue when it is next in
+/// sequence (parked otherwise); on [`Verdict::Handoff`] the connection
+/// is left untouched. A panic is contained exactly as in a worker: it
+/// kills this connection only, is counted as a restart, and poisons
+/// the executor so the shard rebuilds its sessions.
+fn answer_inline(
+    conn: &mut Conn,
+    exec: &mut Executor<'_>,
+    request: &Decoded,
+    seq: u64,
+    stats: &ServerStats,
+) -> Verdict {
+    let direct = seq == conn.next_flush;
+    let mut parked = Vec::new();
+    let header = if direct { begin_frame(conn) } else { 0 };
+    let out = if direct { &mut conn.wbuf } else { &mut parked };
+    match catch_unwind(AssertUnwindSafe(|| exec.execute(request, false, out))) {
+        Ok(Verdict::Done) => {
+            if direct {
+                end_frame(conn, header);
+                conn.next_flush += 1;
+            } else {
+                conn.ready.insert(seq, parked);
+            }
+            Verdict::Done
+        }
+        Ok(handoff) => {
+            if direct {
+                conn.wbuf.truncate(header);
+            }
+            handoff
+        }
+        Err(_) => {
+            if direct {
+                conn.wbuf.truncate(header);
+            }
+            stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
+            exec.poison();
+            conn.dead = true;
+            eprintln!("[shard] recovered from a panic in an inline request; sessions rebuilt");
+            Verdict::Done
+        }
+    }
+}
+
+/// Parses complete frames out of the read buffer — at most
+/// `pipeline_depth` per call, so one connection cannot monopolise the
+/// shard — and routes each: bounded-cost requests are answered right
+/// here (see [`crate::executor`]), everything else goes to the worker
+/// pool in one batch, shedding with BUSY when the work queue is full.
+/// A request with an injected fault always takes the pooled path,
+/// carrying its action, so delays never sleep on the event loop.
+///
+/// Returns whether a complete frame was left behind for the next loop
+/// turn (the per-call bound was hit, or the executor needs re-pinning).
 fn parse_and_dispatch(
     conn: &mut Conn,
-    shard_id: usize,
-    work: &WorkQueue,
     ctx: &ShardCtx,
+    exec: &mut Executor<'_>,
+    batch: &mut Vec<WorkItem>,
     stopping_now: bool,
-) {
+) -> bool {
     // Once shutdown is requested no new work is started; buffered
     // bytes of unparsed frames are simply dropped at close.
     if stopping_now || conn.close_after_flush || conn.dead {
-        return;
+        return false;
     }
-    loop {
+    let stats = &ctx.stats;
+    let (mut parsed, mut pipelined, mut inline) = (0usize, 0u64, 0u64);
+    let mut more = false;
+    // Double-buffer the pipeline window: half a window of inline
+    // answers leaves while the other half is computed, so a peer that
+    // keeps the window full can refill it during the pass instead of
+    // waiting in lock-step for all of it.
+    let flush_every = (ctx.pipeline_depth as u64 / 2).max(1);
+    while !conn.dead {
         if conn.inflight + conn.ready.len() >= ctx.pipeline_depth {
             break; // backpressure: stop parsing, let TCP flow control push back
         }
@@ -1036,40 +1162,84 @@ fn parse_and_dispatch(
         if len > ctx.max_frame {
             // Unrecoverable: framing is lost. Answer in sequence and
             // drop the link without ever allocating the claimed length.
-            ctx.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
             let seq = conn.next_seq;
             conn.next_seq += 1;
-            conn.ready
-                .insert(seq, protocol::encode_error("frame exceeds the size limit"));
+            deliver(
+                conn,
+                seq,
+                protocol::encode_error("frame exceeds the size limit"),
+            );
             conn.close_after_flush = true;
             break;
         }
         if avail.len() < 4 + len {
             break;
         }
-        let payload = avail[4..4 + len].to_vec();
+        if parsed >= ctx.pipeline_depth || !exec.usable() {
+            more = true;
+            break;
+        }
+        let request = Request::decode(&avail[4..4 + len]);
         conn.rstart += 4 + len;
-        ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
+        parsed += 1;
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        if conn.inflight > 0 {
-            ctx.stats.pipelined_frames.fetch_add(1, Ordering::Relaxed);
+        // Pipelined: the peer sent this frame before it had read the
+        // answer to an earlier one.
+        if conn.inflight > 0 || !conn.ready.is_empty() || conn.wstart < conn.wbuf.len() {
+            pipelined += 1;
         }
-        let item = WorkItem {
-            shard: shard_id,
+        let action = ctx
+            .fault
+            .as_ref()
+            .map_or(FaultAction::NONE, |f| f.on_request());
+        let cache_missed = if action == FaultAction::NONE {
+            match answer_inline(conn, exec, &request, seq, stats) {
+                Verdict::Done => {
+                    inline += 1;
+                    if inline % flush_every == 0 {
+                        try_write(conn);
+                    }
+                    continue;
+                }
+                Verdict::Handoff { cache_missed } => cache_missed,
+            }
+        } else {
+            false
+        };
+        conn.inflight += 1;
+        batch.push(WorkItem {
+            shard: ctx.id,
             token: conn.token,
             seq,
-            payload,
-        };
-        if work.try_push(item) {
-            conn.inflight += 1;
-        } else {
-            // Per-request shedding: the BUSY frame takes this request's
-            // response slot so pipelined siblings stay correctly
-            // ordered.
-            ctx.stats.shed.fetch_add(1, Ordering::Relaxed);
-            conn.ready.insert(
-                seq,
+            request,
+            action,
+            cache_missed,
+        });
+    }
+    if parsed > 0 {
+        stats.requests.fetch_add(parsed as u64, Ordering::Relaxed);
+        stats
+            .pipelined_frames
+            .fetch_add(pipelined, Ordering::Relaxed);
+        stats.inline.fetch_add(inline, Ordering::Relaxed);
+    }
+    if !batch.is_empty() {
+        let offered = batch.len();
+        ctx.work.push_batch(batch);
+        stats
+            .handoff
+            .fetch_add((offered - batch.len()) as u64, Ordering::Relaxed);
+        // What did not fit is shed per request: the BUSY frame takes
+        // the request's response slot so pipelined siblings stay
+        // correctly ordered.
+        stats.shed.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        for item in batch.drain(..) {
+            conn.inflight -= 1;
+            deliver(
+                conn,
+                item.seq,
                 protocol::encode_busy("server overloaded; retry with exponential backoff"),
             );
         }
@@ -1086,6 +1256,7 @@ fn parse_and_dispatch(
         conn.rbuf.drain(..conn.rstart);
         conn.rstart = 0;
     }
+    more
 }
 
 /// Non-blocking read into the connection's buffer. Returns whether any
@@ -1154,17 +1325,24 @@ fn try_write(conn: &mut Conn) -> bool {
 }
 
 /// One event-loop shard: owns a set of connections, parses and
-/// sequences their frames, and exchanges work with the worker pool.
+/// sequences their frames, answers bounded-cost requests itself and
+/// exchanges the rest with the worker pool.
 struct Shard {
-    id: usize,
     poller: Poller,
     handles: Arc<Vec<ShardHandle>>,
-    work: Arc<WorkQueue>,
     ctx: ShardCtx,
     conns: Vec<Option<Conn>>,
     gens: Vec<u32>,
     free: Vec<usize>,
     open: usize,
+    /// Ingress messages being processed (kept for its allocation).
+    inbox: VecDeque<ShardMsg>,
+    /// Requests bound for the pool, pushed once per connection pass
+    /// (kept for its allocation).
+    batch: Vec<WorkItem>,
+    /// Some connection still holds a complete frame it may act on: the
+    /// next loop turn must not wait for the poll tick.
+    turn_again: bool,
     /// When the force-stop flag was first observed (bounds the hard
     /// shutdown window).
     force_seen: Option<Instant>,
@@ -1174,43 +1352,61 @@ struct Shard {
 /// whatever is left (covers responses produced by budgets tripping).
 const FORCE_STOP_LINGER: Duration = Duration::from_millis(400);
 
+/// What [`service_conn`] found.
+enum Serviced {
+    /// Nothing further to do until the next readiness event.
+    Idle,
+    /// A complete frame is waiting for the next loop turn.
+    More,
+    /// Hard failure: the connection must close.
+    Close,
+}
+
 impl Shard {
-    fn new(
-        id: usize,
-        handles: Arc<Vec<ShardHandle>>,
-        work: Arc<WorkQueue>,
-        ctx: ShardCtx,
-    ) -> io::Result<Shard> {
+    fn new(handles: Arc<Vec<ShardHandle>>, ctx: ShardCtx) -> io::Result<Shard> {
         let poller = Poller::new(256)?;
-        poller.add(handles[id].waker.raw_fd(), WAKER_TOKEN, false)?;
+        poller.add(handles[ctx.id].waker.raw_fd(), WAKER_TOKEN, false)?;
         Ok(Shard {
-            id,
             poller,
             handles,
-            work,
             ctx,
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
             open: 0,
+            inbox: VecDeque::new(),
+            batch: Vec::new(),
+            turn_again: false,
             force_seen: None,
         })
     }
 
-    fn run(&mut self) {
+    /// Serves until shutdown, re-pinning the shard's executor whenever
+    /// a reload publishes a new epoch or an inline request panicked.
+    fn run(&mut self, exec_ctx: &ExecCtx) {
+        run_pinned(exec_ctx, Role::Shard, |exec| self.serve(exec));
+    }
+
+    /// The event loop, for as long as `exec` stays usable.
+    fn serve(&mut self, exec: &mut Executor<'_>) -> ControlFlow<()> {
         let mut events: Vec<Event> = Vec::new();
         loop {
+            if !exec.usable() {
+                return ControlFlow::Continue(());
+            }
             events.clear();
-            let _ = self.poller.wait(&mut events, 25);
-            self.handles[self.id].waker.drain();
+            let timeout_ms = if std::mem::take(&mut self.turn_again) {
+                0
+            } else {
+                25
+            };
+            let _ = self.poller.wait(&mut events, timeout_ms);
             let stopping_now = stopping(&self.ctx.shutdown);
 
             // Ingress: adopted connections and finished requests.
-            let msgs: VecDeque<ShardMsg> = {
-                let mut q = lock_unpoisoned(&self.handles[self.id].ingress);
-                std::mem::take(&mut *q)
-            };
-            for msg in msgs {
+            let mut inbox = std::mem::take(&mut self.inbox);
+            self.handles[self.ctx.id].take_into(&mut inbox);
+            for msg in inbox.drain(..) {
                 match msg {
                     ShardMsg::Conn(stream) => self.register(stream, stopping_now),
                     ShardMsg::Done {
@@ -1220,10 +1416,10 @@ impl Shard {
                     } => self.complete(token, seq, completion),
                 }
             }
+            self.inbox = inbox;
 
             // Readiness: pull bytes in, note hangups; all the actual
             // frame work happens in the service pass below.
-            let mut any_read = false;
             for ev in &events {
                 if ev.token == WAKER_TOKEN {
                     continue;
@@ -1241,14 +1437,13 @@ impl Shard {
                     continue;
                 }
                 if ev.readable && on_read(conn) {
-                    any_read = true;
                     // New bytes restart the mid-frame stall clock.
                     conn.partial_since = None;
                 }
             }
-            let _ = any_read;
 
-            // Service pass: parse, dispatch, flush, sequence, reap.
+            // Service pass: parse, answer or dispatch, flush, sequence,
+            // reap.
             let now = Instant::now();
             let force = self.ctx.force_stop.load(Ordering::SeqCst);
             if force && self.force_seen.is_none() {
@@ -1262,7 +1457,10 @@ impl Shard {
                     let Some(conn) = self.conns[idx].as_mut() else {
                         continue;
                     };
-                    service_conn(conn, self.id, &self.poller, &self.work, &self.ctx, now)
+                    let serviced =
+                        service_conn(conn, &self.poller, &self.ctx, exec, &mut self.batch, now);
+                    self.turn_again |= matches!(serviced, Serviced::More);
+                    matches!(serviced, Serviced::Close)
                         || should_close(conn, &self.ctx, now, stopping_now)
                         || force_expired
                 };
@@ -1275,7 +1473,7 @@ impl Shard {
                 // Graceful exit: nothing left to serve. (Force-stop
                 // funnels here too once the linger window closes every
                 // remaining connection.)
-                return;
+                return ControlFlow::Break(());
             }
         }
     }
@@ -1313,9 +1511,7 @@ impl Shard {
         }
         conn.inflight = conn.inflight.saturating_sub(1);
         match completion {
-            Completion::Respond(payload) => {
-                conn.ready.insert(seq, payload);
-            }
+            Completion::Respond(payload) => deliver(conn, seq, payload),
             Completion::Close => {
                 // Injected drop or a panic: the request dies with its
                 // connection, pipelined siblings included.
@@ -1344,21 +1540,20 @@ impl Shard {
     }
 }
 
-/// One connection's service step. Returns true if the connection must
-/// close because of a hard failure.
+/// One connection's service step.
 fn service_conn(
     conn: &mut Conn,
-    shard_id: usize,
     poller: &Poller,
-    work: &WorkQueue,
     ctx: &ShardCtx,
+    exec: &mut Executor<'_>,
+    batch: &mut Vec<WorkItem>,
     now: Instant,
-) -> bool {
+) -> Serviced {
     let stopping_now = stopping(&ctx.shutdown);
-    parse_and_dispatch(conn, shard_id, work, ctx, stopping_now);
+    let more = parse_and_dispatch(conn, ctx, exec, batch, stopping_now);
     flush_ready(conn);
-    if !try_write(conn) || conn.dead {
-        return true;
+    if conn.dead || !try_write(conn) {
+        return Serviced::Close;
     }
     // Track the trailing partial frame for the stall timeout. A
     // complete frame waiting on pipeline backpressure is not a stall,
@@ -1411,7 +1606,11 @@ fn service_conn(
         conn.write_interest = want_write;
         conn.read_interest = want_read;
     }
-    false
+    if more {
+        Serviced::More
+    } else {
+        Serviced::Idle
+    }
 }
 
 /// Whether a connection should close now (orderly paths; hard failures
@@ -1455,470 +1654,227 @@ fn should_close(conn: &Conn, ctx: &ShardCtx, now: Instant, stopping_now: bool) -
 }
 
 fn worker_loop(
-    work: &Arc<WorkQueue>,
-    handles: &Arc<Vec<ShardHandle>>,
-    ctx: &WorkerCtx,
+    work: &WorkQueue,
+    handles: &[ShardHandle],
+    ctx: &ExecCtx,
+    restart_cap: usize,
+    restart_window: Duration,
     worker_id: usize,
 ) {
-    let mut scratch = Scratch::default();
     // Panic timestamps within the restart window (the supervision cap).
     let mut panics: Vec<Instant> = Vec::new();
-    // A request carried across an epoch swap, answered first thing on
-    // the new epoch's sessions — never dropped.
+    // A request carried across a re-pin, answered first thing by the
+    // fresh executor — never dropped.
     let mut carry: Option<WorkItem> = None;
-    'epochs: loop {
-        // Pin the current epoch: sessions borrow this state's engine,
-        // so every query this worker runs until the next swap (or
-        // panic) is answered by one consistent index set.
-        let state = ctx.registry.current();
-        let engine = &state.engine;
-        let baseline = Baseline;
-        let mut sessions: Vec<Box<dyn Session + '_>> = engine
-            .backends()
-            .iter()
-            .map(|b| b.backend.session(engine.net()))
-            .collect();
-        // The worker-local end of the quarantine failover chain: an
-        // index-free Dijkstra session that exists even when the engine
-        // serves no dijkstra slot.
-        sessions.push(baseline.session(engine.net()));
-        let fallback = sessions.len() - 1;
-        loop {
-            let item = match carry.take() {
+    run_pinned(ctx, Role::Worker, |exec| loop {
+        let item = match carry.take() {
+            Some(item) => item,
+            None => match work.pop(Duration::from_millis(50)) {
                 Some(item) => item,
-                None => match work.pop(Duration::from_millis(50)) {
-                    Some(item) => item,
-                    None => {
-                        if stopping(&ctx.shutdown) && work.is_empty() {
-                            return; // drained: queued requests were answered first
-                        }
-                        if ctx.registry.epoch() != state.epoch {
-                            continue 'epochs;
-                        }
-                        continue;
-                    }
-                },
-            };
-            // Re-pin before every request: a request dispatched after a
-            // reload acknowledgement must be answered by the new epoch.
-            if ctx.registry.epoch() != state.epoch {
-                carry = Some(item);
-                continue 'epochs;
-            }
-            let action = match &ctx.fault {
-                Some(f) => f.on_request(),
-                None => crate::fault::FaultAction::NONE,
-            };
-            if let Some(delay) = action.delay {
-                std::thread::sleep(delay);
-            }
-            // The supervision shell: a panic inside the request path —
-            // injected by the chaos suite or a real backend defect —
-            // kills only this request's connection. The worker records
-            // it, rebuilds its sessions (the panicking one may be
-            // mid-query garbage), and keeps serving.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if action.panic {
-                    // Stands in for a defect in a backend's query code.
-                    panic!("injected fault: panic while serving a request");
-                }
-                handle_request(
-                    &item.payload,
-                    &state,
-                    &mut sessions,
-                    fallback,
-                    &mut scratch,
-                    ctx,
-                )
-            }));
-            match outcome {
-                Ok(response) => {
-                    let completion = if action.drop_connection {
-                        // Injected mid-request connection loss: the
-                        // query ran (and possibly warmed the cache),
-                        // but the peer never hears back.
-                        Completion::Close
-                    } else {
-                        Completion::Respond(response)
-                    };
-                    handles[item.shard].send(ShardMsg::Done {
-                        token: item.token,
-                        seq: item.seq,
-                        completion,
-                    });
-                }
-                Err(_) => {
-                    ctx.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    handles[item.shard].send(ShardMsg::Done {
-                        token: item.token,
-                        seq: item.seq,
-                        completion: Completion::Close,
-                    });
-                    let now = Instant::now();
-                    panics.retain(|&at| now.duration_since(at) <= ctx.restart_window);
-                    panics.push(now);
-                    if panics.len() >= ctx.restart_cap {
-                        eprintln!(
-                            "[worker {worker_id}] RETIRED: {} panics within {:?} (cap {})",
-                            panics.len(),
-                            ctx.restart_window,
-                            ctx.restart_cap
-                        );
-                        return;
-                    }
-                    eprintln!(
-                        "[worker {worker_id}] recovered from a panic; sessions rebuilt \
-                         ({}/{} within {:?})",
-                        panics.len(),
-                        ctx.restart_cap,
-                        ctx.restart_window
-                    );
-                    continue 'epochs;
-                }
-            }
-        }
-    }
-}
-
-/// Reusable per-worker buffers.
-#[derive(Default)]
-struct Scratch {
-    batch: Vec<Option<spq_graph::types::Dist>>,
-    entries: Vec<(spq_graph::types::NodeId, spq_graph::types::Dist)>,
-}
-
-/// Builds the budget one query runs under: the request deadline (if
-/// any) plus the server's force-stop kill flag.
-fn request_budget(deadline_ms: u32, ctx: &WorkerCtx) -> QueryBudget {
-    let mut budget = QueryBudget::unlimited().with_kill_flag(Arc::clone(&ctx.force_stop));
-    if deadline_ms > 0 {
-        budget = budget.with_deadline(Instant::now() + Duration::from_millis(deadline_ms as u64));
-    }
-    budget
-}
-
-/// The response for a budget-tripped query: force-stop wins (the
-/// connection is about to die anyway), otherwise the deadline frame.
-fn interrupted_response(ctx: &WorkerCtx) -> Vec<u8> {
-    if ctx.force_stop.load(Ordering::SeqCst) {
-        ctx.stats.force_closed.fetch_add(1, Ordering::Relaxed);
-        protocol::encode_error("server shutting down")
-    } else {
-        ctx.stats.deadlines_exceeded.fetch_add(1, Ordering::Relaxed);
-        protocol::encode_deadline_exceeded("deadline exceeded before the query finished")
-    }
-}
-
-/// Resolves which session position actually answers `backend`:
-/// normally the engine position behind the wire id (or its degraded
-/// alias), but a quarantined position fails over down the degradation
-/// chain — CH, then Dijkstra, then the worker-local baseline at
-/// `fallback` — or, with failover disabled, gets the typed
-/// `QUARANTINED` response.
-fn resolve_serving(
-    backend: u8,
-    state: &EpochState,
-    fallback: usize,
-    ctx: &WorkerCtx,
-) -> Result<usize, Vec<u8>> {
-    let engine = &state.engine;
-    let pos = match engine.position_of_wire(backend) {
-        Some(pos) => pos,
-        None => {
-            ctx.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(protocol::encode_error(&format!(
-                "backend {backend} not served"
-            )));
-        }
-    };
-    if !state.is_quarantined(pos) {
-        return Ok(pos);
-    }
-    if !ctx.failover {
-        return Err(protocol::encode_quarantined(&format!(
-            "backend {backend} is quarantined by the oracle auditor and failover is disabled"
-        )));
-    }
-    let next = engine
-        .position_of_wire(BackendKind::Ch.wire_id())
-        .filter(|&p| p != pos && !state.is_quarantined(p))
-        .or_else(|| {
-            engine
-                .position_of_wire(BackendKind::Dijkstra.wire_id())
-                .filter(|&p| p != pos && !state.is_quarantined(p))
-        })
-        .unwrap_or(fallback);
-    ctx.stats
-        .quarantine_failovers
-        .fetch_add(1, Ordering::Relaxed);
-    Ok(next)
-}
-
-fn handle_request(
-    payload: &[u8],
-    state: &EpochState,
-    sessions: &mut [Box<dyn Session + '_>],
-    fallback: usize,
-    scratch: &mut Scratch,
-    ctx: &WorkerCtx,
-) -> Vec<u8> {
-    let stats = &ctx.stats;
-    let request = match Request::decode(payload) {
-        Ok(r) => r,
-        Err(msg) => {
-            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            // Undecodable frames land in the shared op-indexed tables
-            // (final wire slot, op "other") — the same accounting path
-            // as every real query, not a side channel.
-            stats.record(wire_slot(u8::MAX), Op::Other, 0, 0);
-            return protocol::encode_error(&msg);
-        }
-    };
-    let engine = &state.engine;
-    let n = engine.net().num_nodes() as u32;
-    let check_range = |vs: &mut dyn Iterator<Item = u32>| -> Result<(), Vec<u8>> {
-        for v in vs {
-            if v >= n {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(protocol::encode_error(&format!(
-                    "vertex out of range (network has {n} vertices)"
-                )));
-            }
-        }
-        Ok(())
-    };
-    let response = match request {
-        Request::Ping => protocol::encode_text_response("pong"),
-        Request::Stats => protocol::encode_text_response(&render_status(state, stats, &ctx.cache)),
-        Request::Shutdown => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            protocol::encode_empty_response()
-        }
-        Request::Reload => {
-            if !ctx.has_reload_source {
-                protocol::encode_reload_failed(
-                    "no reload source configured (start with --reload-file or a reload factory)",
-                )
-            } else {
-                // Blocks this worker until the attempt completes; the
-                // registry coalesces concurrent requests into one
-                // rebuild, and shutdown cancels the wait.
-                match ctx
-                    .registry
-                    .reload_and_wait(ctx.reload_timeout, &ctx.shutdown)
-                {
-                    Ok(epoch) => protocol::encode_text_response(&format!("epoch={epoch}")),
-                    Err(reason) => protocol::encode_reload_failed(&reason),
-                }
-            }
-        }
-        Request::Distance {
-            backend,
-            s,
-            t,
-            deadline_ms,
-        } => {
-            let pos = match resolve_serving(backend, state, fallback, ctx) {
-                Ok(pos) => pos,
-                Err(resp) => return resp,
-            };
-            if let Err(resp) = check_range(&mut [s, t].into_iter()) {
-                return resp;
-            }
-            let t0 = Instant::now();
-            let d = match ctx.cache.get(state.epoch, backend, s, t) {
-                Some(cached) => cached,
                 None => {
-                    sessions[pos].set_budget(request_budget(deadline_ms, ctx));
-                    let d = sessions[pos].distance(s, t);
-                    if sessions[pos].interrupted() {
-                        // An interrupted None is an abort, not an
-                        // answer: never cache it, never report it as
-                        // "unreachable".
-                        return interrupted_response(ctx);
+                    if stopping(&ctx.shutdown) && work.is_empty() {
+                        return ControlFlow::Break(()); // drained: queued requests were answered first
                     }
-                    // Re-checked at insert time: if the auditor
-                    // quarantined this position while the query ran,
-                    // its answer must not outlive the purge.
-                    if !state.is_quarantined(pos) {
-                        ctx.cache.insert(state.epoch, backend, s, t, d);
+                    if !exec.usable() {
+                        return ControlFlow::Continue(());
                     }
-                    d
+                    continue;
                 }
-            };
-            stats.record(
-                wire_slot(backend),
-                Op::Distance,
-                t0.elapsed().as_nanos() as u64,
-                1,
-            );
-            protocol::encode_distance_response(d)
+            },
+        };
+        if !exec.usable() {
+            carry = Some(item);
+            return ControlFlow::Continue(());
         }
-        Request::Path {
-            backend,
-            s,
-            t,
-            deadline_ms,
-        } => {
-            let pos = match resolve_serving(backend, state, fallback, ctx) {
-                Ok(pos) => pos,
-                Err(resp) => return resp,
-            };
-            if let Err(resp) = check_range(&mut [s, t].into_iter()) {
-                return resp;
-            }
-            let t0 = Instant::now();
-            sessions[pos].set_budget(request_budget(deadline_ms, ctx));
-            let p = sessions[pos].shortest_path(s, t);
-            if sessions[pos].interrupted() {
-                return interrupted_response(ctx);
-            }
-            stats.record(
-                wire_slot(backend),
-                Op::Path,
-                t0.elapsed().as_nanos() as u64,
-                1,
-            );
-            protocol::encode_path_response(p)
+        if let Some(delay) = item.action.delay {
+            std::thread::sleep(delay);
         }
-        Request::Distances {
-            backend,
-            sources,
-            targets,
-            deadline_ms,
-        } => {
-            let pos = match resolve_serving(backend, state, fallback, ctx) {
-                Ok(pos) => pos,
-                Err(resp) => return resp,
-            };
-            if let Err(resp) = check_range(&mut sources.iter().chain(targets.iter()).copied()) {
-                return resp;
+        // The supervision shell: a panic inside the request path —
+        // injected by the chaos suite or a real backend defect — kills
+        // only this request's connection. The worker records it,
+        // rebuilds its sessions (the panicking one may be mid-query
+        // garbage), and keeps serving.
+        let mut response = Vec::new();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if item.action.panic {
+                // Stands in for a defect in a backend's query code.
+                panic!("injected fault: panic while serving a request");
             }
-            let t0 = Instant::now();
-            sessions[pos].set_budget(request_budget(deadline_ms, ctx));
-            sessions[pos].distances(&sources, &targets, &mut scratch.batch);
-            if sessions[pos].interrupted() {
-                return interrupted_response(ctx);
+            exec.execute(&item.request, item.cache_missed, &mut response)
+        }));
+        debug_assert!(!matches!(outcome, Ok(Verdict::Handoff { .. })));
+        let completion = match outcome {
+            // Injected mid-request connection loss: the query ran (and
+            // possibly warmed the cache), but the peer never hears back.
+            Ok(_) if item.action.drop_connection => Completion::Close,
+            Ok(_) => Completion::Respond(response),
+            Err(_) => Completion::Close,
+        };
+        handles[item.shard].send(ShardMsg::Done {
+            token: item.token,
+            seq: item.seq,
+            completion,
+        });
+        if outcome.is_err() {
+            ctx.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
+            let now = Instant::now();
+            panics.retain(|&at| now.duration_since(at) <= restart_window);
+            panics.push(now);
+            if panics.len() >= restart_cap {
+                eprintln!(
+                    "[worker {worker_id}] RETIRED: {} panics within {:?} (cap {})",
+                    panics.len(),
+                    restart_window,
+                    restart_cap
+                );
+                return ControlFlow::Break(());
             }
-            let pairs = (sources.len() * targets.len()) as u64;
-            stats.record(
-                wire_slot(backend),
-                Op::Batch,
-                t0.elapsed().as_nanos() as u64,
-                pairs,
+            eprintln!(
+                "[worker {worker_id}] recovered from a panic; sessions rebuilt \
+                 ({}/{} within {:?})",
+                panics.len(),
+                restart_cap,
+                restart_window
             );
-            protocol::encode_distances_response(&scratch.batch)
+            return ControlFlow::Continue(());
         }
-        Request::OneToMany {
-            backend,
-            s,
-            targets,
-            deadline_ms,
-        } => {
-            let pos = match resolve_serving(backend, state, fallback, ctx) {
-                Ok(pos) => pos,
-                Err(resp) => return resp,
-            };
-            if let Err(resp) = check_range(&mut [s].into_iter().chain(targets.iter().copied())) {
-                return resp;
-            }
-            let t0 = Instant::now();
-            sessions[pos].set_budget(request_budget(deadline_ms, ctx));
-            sessions[pos].one_to_many(s, &targets, &mut scratch.batch);
-            if sessions[pos].interrupted() {
-                return interrupted_response(ctx);
-            }
-            stats.record(
-                wire_slot(backend),
-                Op::OneToMany,
-                t0.elapsed().as_nanos() as u64,
-                targets.len() as u64,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn done(seq: u64) -> ShardMsg {
+        ShardMsg::Done {
+            token: 0,
+            seq,
+            completion: Completion::Close,
+        }
+    }
+
+    fn seqs(inbox: &mut VecDeque<ShardMsg>) -> Vec<u64> {
+        inbox
+            .drain(..)
+            .map(|msg| match msg {
+                ShardMsg::Done { seq, .. } => seq,
+                ShardMsg::Conn(_) => panic!("no connections were sent"),
+            })
+            .collect()
+    }
+
+    fn item(seq: u64) -> WorkItem {
+        WorkItem {
+            shard: 0,
+            token: 0,
+            seq,
+            request: Ok(Request::Ping),
+            action: FaultAction::NONE,
+            cache_missed: false,
+        }
+    }
+
+    #[test]
+    fn completions_sent_while_the_shard_is_busy_share_one_wake() {
+        let handle = ShardHandle::new().unwrap();
+        let mut inbox = VecDeque::new();
+        assert_eq!(handle.take_into(&mut inbox), 0, "nothing sent, no wake");
+        // The shard is off in a service pass: N completions pile up.
+        for seq in 0..100 {
+            handle.send(done(seq));
+        }
+        assert_eq!(
+            handle.take_into(&mut inbox),
+            1,
+            "100 sends, one eventfd write"
+        );
+        assert_eq!(seqs(&mut inbox), (0..100).collect::<Vec<_>>());
+        // The queue is empty again, so the next send must wake again.
+        handle.send(done(100));
+        assert_eq!(handle.take_into(&mut inbox), 1);
+        assert_eq!(seqs(&mut inbox), [100]);
+        // A send landing between the shard's drain and its take finds
+        // the queue non-empty, writes no wake of its own, and is
+        // collected by that very take.
+        handle.send(done(101));
+        assert_eq!(handle.waker.drain(), 1);
+        handle.send(done(102));
+        assert_eq!(handle.take_into(&mut inbox), 0);
+        assert_eq!(seqs(&mut inbox), [101, 102]);
+    }
+
+    #[test]
+    fn no_completion_is_stranded_while_the_shard_sleeps_between_takes() {
+        // A real poller with a timeout far beyond the test's patience:
+        // the consumer only ever makes progress when a wake arrives, so
+        // a stranded message (queued, never signalled) hangs the loop
+        // until the assert on elapsed time fails it.
+        const TOTAL: u64 = 20_000;
+        let handle = Arc::new(ShardHandle::new().unwrap());
+        let mut poller = Poller::new(4).unwrap();
+        poller
+            .add(handle.waker.raw_fd(), WAKER_TOKEN, false)
+            .unwrap();
+        let producer = {
+            let handle = Arc::clone(&handle);
+            std::thread::spawn(move || {
+                for seq in 0..TOTAL {
+                    handle.send(done(seq));
+                    if seq % 64 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        let start = Instant::now();
+        let (mut inbox, mut events) = (VecDeque::new(), Vec::new());
+        let (mut received, mut wakes) = (Vec::new(), 0);
+        while (received.len() as u64) < TOTAL {
+            events.clear();
+            poller.wait(&mut events, 10_000).unwrap();
+            assert!(
+                start.elapsed() < Duration::from_secs(8),
+                "a completion was stranded: {} of {TOTAL} delivered",
+                received.len()
             );
-            protocol::encode_distances_response(&scratch.batch)
+            wakes += handle.take_into(&mut inbox);
+            received.extend(seqs(&mut inbox));
         }
-        Request::Knn {
-            backend,
-            s,
-            k,
-            poi,
-            deadline_ms,
-        } => {
-            let pos = match resolve_serving(backend, state, fallback, ctx) {
-                Ok(pos) => pos,
-                Err(resp) => return resp,
-            };
-            if let Err(resp) = check_range(&mut [s].into_iter()) {
-                return resp;
-            }
-            // The epoch's registry resolves the name so every session —
-            // including the index-free quarantine fallback, which
-            // brute-forces over the set — answers the same queries.
-            let Some(entry) = engine.poi_set(&poi) else {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return protocol::encode_error(&format!("unknown POI set '{poi}'"));
-            };
-            let poi_ref = spq_graph::backend::PoiRef {
-                name: entry.set.name(),
-                nodes: entry.set.nodes(),
-            };
-            if (k as usize).min(entry.set.len()) > protocol::MAX_RESULT_ENTRIES {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return protocol::encode_error(&format!(
-                    "kNN result of {k} entries exceeds the response limit"
-                ));
-            }
-            let t0 = Instant::now();
-            sessions[pos].set_budget(request_budget(deadline_ms, ctx));
-            sessions[pos].knn(s, k as usize, poi_ref, &mut scratch.entries);
-            if sessions[pos].interrupted() {
-                return interrupted_response(ctx);
-            }
-            stats.record(
-                wire_slot(backend),
-                Op::Knn,
-                t0.elapsed().as_nanos() as u64,
-                scratch.entries.len() as u64,
-            );
-            protocol::encode_nodes_dists_response(&scratch.entries)
+        producer.join().unwrap();
+        assert_eq!(
+            received,
+            (0..TOTAL).collect::<Vec<_>>(),
+            "in order, exactly once"
+        );
+        assert!(wakes <= TOTAL, "never more than one wake per message");
+    }
+
+    #[test]
+    fn the_work_queue_sheds_past_its_cap_and_signals_only_parked_workers() {
+        let queue = Arc::new(WorkQueue::new(3));
+        // Nobody is parked: a push signals no one.
+        let mut batch: Vec<WorkItem> = (0..5).map(item).collect();
+        assert_eq!(queue.push_batch(&mut batch), 0);
+        let shed: Vec<u64> = batch.drain(..).map(|i| i.seq).collect();
+        assert_eq!(shed, [3, 4], "the overflow stays with the caller, in order");
+        for seq in 0..3 {
+            assert_eq!(queue.pop(Duration::ZERO).map(|i| i.seq), Some(seq));
         }
-        Request::Range {
-            backend,
-            s,
-            limit,
-            deadline_ms,
-        } => {
-            let pos = match resolve_serving(backend, state, fallback, ctx) {
-                Ok(pos) => pos,
-                Err(resp) => return resp,
-            };
-            if let Err(resp) = check_range(&mut [s].into_iter()) {
-                return resp;
-            }
-            let t0 = Instant::now();
-            sessions[pos].set_budget(request_budget(deadline_ms, ctx));
-            let supported = sessions[pos].range(s, limit, &mut scratch.entries);
-            if sessions[pos].interrupted() {
-                return interrupted_response(ctx);
-            }
-            if !supported {
-                return protocol::encode_error(&format!(
-                    "backend {backend} does not serve range queries"
-                ));
-            }
-            if scratch.entries.len() > protocol::MAX_RESULT_ENTRIES {
-                return protocol::encode_error(&format!(
-                    "range result of {} vertices exceeds the response limit; lower the limit",
-                    scratch.entries.len()
-                ));
-            }
-            stats.record(
-                wire_slot(backend),
-                Op::Range,
-                t0.elapsed().as_nanos() as u64,
-                scratch.entries.len() as u64,
-            );
-            protocol::encode_nodes_dists_response(&scratch.entries)
+        assert!(queue.is_empty());
+
+        // One worker parks; one push of two items signals exactly it.
+        let worker = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || queue.pop(Duration::from_secs(10)).map(|i| i.seq))
+        };
+        while lock_unpoisoned(&queue.state).parked == 0 {
+            std::thread::yield_now();
         }
-    };
-    response
+        let mut batch: Vec<WorkItem> = (10..12).map(item).collect();
+        assert_eq!(queue.push_batch(&mut batch), 1);
+        assert!(batch.is_empty());
+        assert_eq!(worker.join().unwrap(), Some(10));
+        assert_eq!(lock_unpoisoned(&queue.state).parked, 0);
+        assert_eq!(queue.pop(Duration::ZERO).map(|i| i.seq), Some(11));
+    }
 }

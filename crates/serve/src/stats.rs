@@ -200,9 +200,16 @@ pub struct ServerStats {
     /// Currently open connections (gauge: incremented at registration,
     /// decremented at close).
     pub open_connections: AtomicU64,
-    /// Frames dispatched while the same connection already had at least
-    /// one request in flight — the wire-protocol pipelining counter.
+    /// Frames parsed while the same connection still had an earlier
+    /// request unanswered — in flight, or its response not yet written
+    /// to the socket. The wire-protocol pipelining counter.
     pub pipelined_frames: AtomicU64,
+    /// Requests answered on the shard that parsed them (PING, cache
+    /// hits, distance lookups) — no worker involved.
+    pub inline: AtomicU64,
+    /// Requests handed to the worker pool (shed requests are counted
+    /// under `shed`, not here).
+    pub handoff: AtomicU64,
     /// Requests answered with BUSY past the work-queue high-water mark.
     pub shed: AtomicU64,
     /// Connections dropped for stalling mid-frame or timing out a write.
@@ -266,6 +273,8 @@ impl ServerStats {
             shards: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             pipelined_frames: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
+            handoff: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             client_timeouts: AtomicU64::new(0),
             deadlines_exceeded: AtomicU64::new(0),
@@ -333,10 +342,12 @@ impl ServerStats {
         );
         let _ = writeln!(
             out,
-            "serve: shards={} open_connections={} pipelined_frames={}",
+            "serve: shards={} open_connections={} pipelined_frames={} inline={} handoff={}",
             self.shards.load(Ordering::Relaxed),
             self.open_connections.load(Ordering::Relaxed),
             self.pipelined_frames.load(Ordering::Relaxed),
+            self.inline.load(Ordering::Relaxed),
+            self.handoff.load(Ordering::Relaxed),
         );
         let _ = writeln!(
             out,
@@ -538,5 +549,33 @@ mod tests {
         assert!(text.contains("reload_error: RELOAD_FAILED"), "{text}");
         stats.clear_reload_error();
         assert_eq!(stats.reload_error(), None);
+    }
+
+    #[test]
+    fn serve_line_appends_the_routing_counters_after_the_existing_keys() {
+        let stats = ServerStats::new(1);
+        stats.shards.store(2, Ordering::Relaxed);
+        stats.pipelined_frames.fetch_add(5, Ordering::Relaxed);
+        stats.inline.fetch_add(11, Ordering::Relaxed);
+        stats.handoff.fetch_add(13, Ordering::Relaxed);
+        let cache = CacheStats {
+            hits: 0,
+            misses: 0,
+            insertions: 0,
+            evictions: 0,
+            purged: 0,
+            len: 0,
+            capacity: 0,
+        };
+        let text = stats.render(&["CH"], &cache);
+        let serve = text
+            .lines()
+            .find(|l| l.starts_with("serve:"))
+            .expect("serve: line");
+        // Parsers key on names and on order: new keys go last.
+        assert_eq!(
+            serve,
+            "serve: shards=2 open_connections=0 pipelined_frames=5 inline=11 handoff=13"
+        );
     }
 }

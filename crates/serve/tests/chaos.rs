@@ -137,8 +137,8 @@ impl Session for StuckSession {
     fn shortest_path(&mut self, s: NodeId, t: NodeId) -> Option<(Dist, Vec<NodeId>)> {
         self.distance(s, t).map(|d| (d, vec![s, t]))
     }
-    fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
     fn interrupted(&self) -> bool {
         self.tripped

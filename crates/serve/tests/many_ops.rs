@@ -218,8 +218,8 @@ impl Session for StallSession {
         self.stall();
         true
     }
-    fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
     fn interrupted(&self) -> bool {
         self.tripped

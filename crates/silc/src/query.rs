@@ -34,8 +34,8 @@ impl<'a> SilcQuery<'a> {
 
     /// Installs the cancellation budget subsequent queries run under
     /// (one charge per walk step). The default is unlimited.
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.budget.clone_from(budget);
     }
 
     /// Whether a query since the last [`SilcQuery::set_budget`] was cut
@@ -118,7 +118,7 @@ impl spq_graph::backend::Session for SilcQuery<'_> {
         SilcQuery::shortest_path(self, s, t)
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
+    fn set_budget(&mut self, budget: &QueryBudget) {
         SilcQuery::set_budget(self, budget);
     }
 

@@ -55,10 +55,10 @@ impl<'a> TnrQuery<'a> {
     /// Installs the cancellation budget subsequent queries run under.
     /// The fallback workspaces get their own copies (a clone shares the
     /// deadline and kill flag; only the node-cap accounting is local).
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.ch_query.set_budget(budget.clone());
-        self.bidi.set_budget(budget.clone());
-        self.budget = budget;
+    pub fn set_budget(&mut self, budget: &QueryBudget) {
+        self.ch_query.set_budget(budget);
+        self.bidi.set_budget(budget);
+        self.budget.clone_from(budget);
     }
 
     /// Whether a query since the last [`TnrQuery::set_budget`] was cut
@@ -245,7 +245,7 @@ impl spq_graph::backend::Session for TnrQuery<'_> {
         TnrQuery::shortest_path(self, s, t)
     }
 
-    fn set_budget(&mut self, budget: QueryBudget) {
+    fn set_budget(&mut self, budget: &QueryBudget) {
         TnrQuery::set_budget(self, budget);
     }
 
