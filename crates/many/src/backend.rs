@@ -1,9 +1,9 @@
 //! The serving face of the batched-query engines: a [`Backend`] that
 //! wraps a shared contraction hierarchy and answers every [`Session`]
-//! capability natively — point-to-point through `ChQuery`, dense
-//! batches through the bucket many-to-many, one-to-many through the
-//! PHAST sweep, kNN through registered POI buckets, and range through
-//! the truncated sweep.
+//! capability natively — point-to-point through `ChQuery`, one-to-many
+//! and tables with a short side through restricted sweeps, wide tables
+//! through the multi-source batch kernel, kNN through registered POI
+//! buckets, and range through the rank frontier.
 //!
 //! The hierarchy is held behind an `Arc` so the serving engine can keep
 //! one copy visible to this backend, the bench harness, and POI-index
@@ -22,11 +22,24 @@ use spq_graph::RoadNetwork;
 use crate::phast::OneToMany;
 use crate::poi::{KnnWorkspace, PoiIndex, PoiSet};
 
-/// Below this many targets a loop of point-to-point CH queries beats
-/// the O(n + m) sweep; at and above it the sweep wins on every network
-/// in the bench registry (the CI gate holds the line at exactly this
-/// boundary).
-pub const O2M_SWEEP_CUTOFF: usize = 64;
+/// Rows of at least this many targets are answered by a restricted
+/// sweep, shorter ones by point queries. One target costs the same
+/// either way (a sweep of one target's closure *is* a backward search);
+/// from two on, a sweep over a selection built for that one request
+/// already beats the point queries on all four full-mode bench proxies
+/// and on the 100k-vertex benchmark network, and the gap only widens
+/// (EXPERIMENTS.md, "Restricted sweeps", has the table).
+pub const O2M_SWEEP_CUTOFF: usize = 2;
+
+/// Tables whose shorter side is at most this are answered as that many
+/// restricted sweeps over the selection of the longer side; wider ones
+/// go to [`BatchDistances`]. A sweep pays for the whole selection once
+/// per row, the batch kernel one upward search per row *and* column: up
+/// to 64 rows the sweeps win on every measured shape and network, at
+/// 128 the two trade wins, and from 256 the batch kernel is ahead on the
+/// 100k-vertex network (1.8x at 512x512; same section of
+/// EXPERIMENTS.md).
+pub const TABLE_SWEEP_SIDE: usize = 64;
 
 /// One registered POI set plus its bucket index over the serving
 /// hierarchy.
@@ -103,6 +116,7 @@ impl Backend for ManyBackend {
             query: ChQuery::new(&self.ch),
             batch: None,
             o2m: None,
+            flipped: Vec::new(),
             knn_ws: KnnWorkspace::new(),
             budget: QueryBudget::unlimited(),
         })
@@ -117,6 +131,8 @@ pub struct ManySession<'a> {
     query: ChQuery<'a>,
     batch: Option<BatchDistances<'a>>,
     o2m: Option<OneToMany<'a>>,
+    /// A swept table before it is transposed into the caller's layout.
+    flipped: Vec<Option<Dist>>,
     knn_ws: KnnWorkspace,
     budget: QueryBudget,
 }
@@ -131,6 +147,16 @@ impl<'a> ManySession<'a> {
             engine
         })
     }
+
+    /// `rows` restricted sweeps over the selection of `cols`, row-major
+    /// into `out`.
+    fn swept(&mut self, rows: &[NodeId], cols: &[NodeId], out: &mut Vec<Option<Dist>>) {
+        if !self.o2m().table(rows, cols, out) {
+            // Interrupted: the caller sees it via `interrupted()` and
+            // must discard; fill the table so lengths still line up.
+            out.resize(rows.len() * cols.len(), None);
+        }
+    }
 }
 
 impl Session for ManySession<'_> {
@@ -142,59 +168,61 @@ impl Session for ManySession<'_> {
         self.query.shortest_path(s, t)
     }
 
-    /// Dense batches ride the multi-source SoA batch kernel; single-row
-    /// batches wide enough for the sweep ride the one-to-many kernel;
-    /// everything else loops point-to-point (same routing the plain CH
-    /// backend has, plus the sweep fast path).
+    /// Sweeps from the shorter side of the table over the selection of
+    /// the longer one (the network is undirected, so a column is its
+    /// target's row); tables wider than [`TABLE_SWEEP_SIDE`] both ways
+    /// ride the multi-source SoA batch kernel.
     fn distances(&mut self, sources: &[NodeId], targets: &[NodeId], out: &mut Vec<Option<Dist>>) {
-        if sources.len() == 1 && targets.len() >= O2M_SWEEP_CUTOFF {
-            self.one_to_many(sources[0], targets, out);
-            return;
-        }
-        if sources.len() < 2 || targets.len() < 2 {
+        let flip = targets.len() < sources.len();
+        let (rows, cols) = if flip {
+            (targets, sources)
+        } else {
+            (sources, targets)
+        };
+        if cols.len() < O2M_SWEEP_CUTOFF {
+            // At most one cell.
             out.clear();
             out.extend(
                 sources
                     .iter()
-                    .flat_map(|&s| targets.iter().map(move |&t| (s, t)))
-                    .map(|(s, t)| self.query.distance(s, t)),
+                    .zip(targets)
+                    .map(|(&s, &t)| self.query.distance(s, t)),
             );
-            return;
-        }
-        let batch = self
-            .batch
-            .get_or_insert_with(|| BatchDistances::new(self.ch));
-        batch.set_budget(&self.budget);
-        out.clear();
-        match batch.table(sources, targets) {
-            Some(table) => {
-                out.extend(
-                    table
-                        .into_iter()
-                        .map(|d| if d >= INFINITY { None } else { Some(d) }),
-                )
+        } else if rows.len() > TABLE_SWEEP_SIDE {
+            let batch = self
+                .batch
+                .get_or_insert_with(|| BatchDistances::new(self.ch));
+            batch.set_budget(&self.budget);
+            out.clear();
+            match batch.table(sources, targets) {
+                Some(table) => {
+                    out.extend(
+                        table
+                            .into_iter()
+                            .map(|d| if d >= INFINITY { None } else { Some(d) }),
+                    )
+                }
+                // Interrupted mid-table: report nothing rather than a
+                // mix of answered and fabricated cells.
+                None => out.resize(sources.len() * targets.len(), None),
             }
-            // Interrupted mid-table: report nothing rather than a mix
-            // of answered and fabricated cells.
-            None => out.resize(sources.len() * targets.len(), None),
+        } else if flip {
+            let mut flipped = std::mem::take(&mut self.flipped);
+            self.swept(rows, cols, &mut flipped);
+            out.clear();
+            out.extend(
+                (0..cols.len())
+                    .flat_map(|i| (0..rows.len()).map(move |j| j * cols.len() + i))
+                    .map(|at| flipped[at]),
+            );
+            self.flipped = flipped;
+        } else {
+            self.swept(rows, cols, out);
         }
     }
 
     fn one_to_many(&mut self, s: NodeId, targets: &[NodeId], out: &mut Vec<Option<Dist>>) {
-        if targets.len() < O2M_SWEEP_CUTOFF {
-            out.clear();
-            out.extend(targets.iter().map(|&t| self.query.distance(s, t)));
-            return;
-        }
-        let engine = self.o2m();
-        if engine.run(s) {
-            engine.distances_into(targets, out);
-        } else {
-            // Interrupted: the caller sees it via `interrupted()` and
-            // must discard; fill the row so lengths still line up.
-            out.clear();
-            out.resize(targets.len(), None);
-        }
+        self.distances(&[s], targets, out);
     }
 
     fn knn(&mut self, s: NodeId, k: usize, poi: PoiRef<'_>, out: &mut Vec<(NodeId, Dist)>) {
@@ -276,29 +304,76 @@ mod tests {
         let mut session = backend.session(&g);
         let mut d = Dijkstra::new(g.num_nodes());
         d.run(&g, 5);
-        // Below the cutoff (loop path) and above it (sweep path).
-        for m in [3usize, 100] {
+        // Below the cutoff (point queries) and from it on (sweep).
+        for m in [0, O2M_SWEEP_CUTOFF - 1, O2M_SWEEP_CUTOFF, 100] {
             let targets: Vec<NodeId> = (0..m as NodeId).collect();
-            let mut out = Vec::new();
+            let mut out = vec![Some(7)];
             session.one_to_many(5, &targets, &mut out);
             assert!(!session.interrupted());
+            assert_eq!(out.len(), m);
             for (j, &t) in targets.iter().enumerate() {
                 assert_eq!(out[j], d.distance(t), "m={m} t={t}");
             }
         }
     }
 
+    /// Every routing class of `distances` against the oracle: rows and
+    /// columns, sweeps from either side, the batch kernel, the empty
+    /// and one-cell tables.
     #[test]
-    fn session_batch_routes_single_row_to_sweep() {
+    fn session_tables_exact_in_every_shape() {
+        let g = grid_graph(12, 12);
+        let (backend, _) = backend_with_pois(&g);
+        let mut session = backend.session(&g);
+        let mut d = Dijkstra::new(g.num_nodes());
+        let wide = TABLE_SWEEP_SIDE as NodeId + 3;
+        let pick = |count: NodeId, stride: NodeId| -> Vec<NodeId> {
+            (0..count).map(|i| (i * stride + 5) % 144).collect()
+        };
+        for (rows, cols) in [
+            (0, 4),
+            (4, 0),
+            (1, 1),
+            (1, 50),
+            (50, 1),
+            (3, 40),
+            (40, 3),
+            (9, 9),
+            (wide, 2),
+            (wide, wide + 1),
+            (wide + 1, wide),
+        ] {
+            let (sources, targets) = (pick(rows, 7), pick(cols, 11));
+            let mut out = vec![Some(1)];
+            session.distances(&sources, &targets, &mut out);
+            assert!(!session.interrupted());
+            assert_eq!(out.len(), sources.len() * targets.len(), "{rows}x{cols}");
+            for (i, &s) in sources.iter().enumerate() {
+                d.run(&g, s);
+                for (j, &t) in targets.iter().enumerate() {
+                    assert_eq!(
+                        out[i * targets.len() + j],
+                        d.distance(t),
+                        "{rows}x{cols} ({s},{t})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn session_column_is_the_transpose_of_its_row() {
         let g = grid_graph(10, 10);
         let (backend, _) = backend_with_pois(&g);
         let mut session = backend.session(&g);
-        let targets: Vec<NodeId> = (0..100).collect();
-        let mut batch = Vec::new();
-        session.distances(&[7], &targets, &mut batch);
+        let many: Vec<NodeId> = (0..100).rev().collect();
+        let (mut row, mut column) = (Vec::new(), Vec::new());
+        session.distances(&[7], &many, &mut row);
+        session.distances(&many, &[7], &mut column);
+        assert_eq!(row, column, "undirected: N×1 is 1×N read downwards");
         let mut direct = Vec::new();
-        session.one_to_many(7, &targets, &mut direct);
-        assert_eq!(batch, direct);
+        session.one_to_many(7, &many, &mut direct);
+        assert_eq!(row, direct);
     }
 
     #[test]

@@ -1,53 +1,443 @@
-//! PHAST-style one-to-many distances over the flat CH search graph.
+//! Target-restricted PHAST (RPHAST) and frontier-driven range over the
+//! flat CH search graph.
 //!
 //! A point-to-point CH query explores two tiny upward cones; answering
 //! `dist(s, t)` for *many* targets that way repeats the forward cone and
 //! pays a heap-ordered backward cone per target. The PHAST observation
 //! (Delling et al.) is that after one upward Dijkstra from `s`, the
-//! downward half needs no priority queue at all: scanning vertices in
+//! downward half needs no priority queue: scanning vertices in
 //! **descending rank order** and relaxing each vertex's upward edges
-//! *backwards* (`dist[r] = min(dist[r], dist[head] + w)`) visits every
-//! edge once, in the exact layout order the flat search graph stores
-//! them — a branch-light linear sweep instead of n heap operations.
+//! *backwards* (`dist[r] = min(dist[r], dist[head] + w)`) finalises every
+//! vertex, because each shortest path in a CH is up-down — its apex is
+//! settled exactly by the upward search, and each vertex on the downward
+//! leg is reached from a strictly higher rank the scan has already
+//! finalised. On an undirected network the upward adjacency is its own
+//! transpose, so one CSR half serves both phases.
 //!
-//! The sweep is correct because every shortest path in a CH is up-down:
-//! its apex is settled exactly by the upward search, and each vertex on
-//! the downward leg is reached from a strictly higher rank, which the
-//! descending scan has already finalised. On an undirected network the
-//! upward adjacency is its own transpose (the up-edge `r → head` *is*
-//! the down-edge `head → r`), so one CSR half serves both phases.
+//! # Selections
 //!
-//! The same sweep with a distance cutoff answers network range queries
-//! ("every vertex within `d` of `s`"): values above the cutoff are
-//! clamped back to [`INFINITY`] as the scan passes them, which both
-//! prunes their descendants and makes collection a filter.
+//! A full scan finalises all `n` vertices whatever was asked. The value
+//! at a target depends only on the vertices that can reach it going
+//! *down* — its **reverse-upward closure**: the target, the heads of its
+//! upward edges, their heads, and so on. A **selection** is that closure
+//! for a whole target set, compacted into its own CSR: members in
+//! descending rank order (slot `i` ↔ `rank[i]`), each with its upward
+//! edges rewritten to *slots* (every head of a member is a member, and
+//! outranks it, so its slot is smaller), plus the slot of every target.
+//! A query is then
+//!
+//! 1. an upward Dijkstra from the source into an n-sized lane that is
+//!    all-`INFINITY` between queries — the search records what it
+//!    touches and exactly that is reset afterwards, so there is no O(n)
+//!    fill;
+//! 2. **one linear pass over the selection**: slot `i` takes the minimum
+//!    of the lane value at `rank[i]` and `local[head] + w` over its
+//!    edges — one budget charge per swept member.
+//!
+//! [`OneToMany::run`] is the degenerate case "select everything": the
+//! same compaction over all ranks, the same pass. There is one sweep
+//! loop in this crate.
+//!
+//! # The memo
+//!
+//! Building a selection costs about as much as sweeping it a few times,
+//! and callers repeat target sets (one depot list, many sources), so a
+//! workspace keeps its last [`MEMO_SLOTS`] selections in an LRU holding
+//! at most [`MEMO_BYTES`]. The key is the target **set**: the targets'
+//! ranks, sorted and deduplicated — request order, rotation and
+//! duplicates do not matter. A selection that alone exceeds the byte cap
+//! is used once and dropped. The memo lives in the workspace, the
+//! workspace in a serving session, and sessions are rebuilt at every
+//! epoch swap, so a selection can never outlive the hierarchy it was
+//! cut from.
+//!
+//! # Range
+//!
+//! [`OneToMany::range`] does not walk the hierarchy top to bottom at
+//! all. After an upward search pruned at `limit`, the settled vertices
+//! are marked in a rank bitset; marked ranks are then processed in
+//! descending order, each *pushing* `dist + w` along its downward edges
+//! and marking a lower vertex only when the pushed value is within
+//! `limit`. Every value ever written is the length of a real path, so
+//! every marked vertex lies in the ball and the work is proportional to
+//! the ball, not to `n`.
+//!
+//! Pruning at `limit` is exact: if `dist(s, v) ≤ limit`, every vertex on
+//! `v`'s shortest up-down path is at most that far from `s` (a prefix of
+//! a shortest path is shortest). The upward leg is therefore settled
+//! with exact labels before the search stops, and by induction down the
+//! other leg each vertex receives its exact distance from a predecessor
+//! that was marked, processed earlier (it outranks its successor) and
+//! pushed a value `≤ limit`. When a rank is popped every in-range head
+//! has already pushed into it, so its value is final and it is emitted
+//! on the spot.
 
 use spq_ch::{ContractionHierarchy, SearchGraph};
 use spq_graph::backend::QueryBudget;
 use spq_graph::heap::IndexedHeap;
-use spq_graph::types::{Dist, NodeId, INFINITY};
+use spq_graph::types::{Dist, NodeId, Weight, INFINITY};
 
-/// A reusable one-to-many / range workspace bound to one hierarchy.
+/// Selections a workspace remembers.
+pub const MEMO_SLOTS: usize = 8;
+
+/// Bytes of selections a workspace keeps between queries. On the
+/// 100k-vertex benchmark network the selection of 1 024 POIs takes
+/// 0.4 MB and the one of every vertex 6.1 MB; the cap leaves room for
+/// [`MEMO_SLOTS`] depot lists while bounding what one session can pin on
+/// a continental network.
+pub const MEMO_BYTES: usize = 8 << 20;
+
+/// A set of ranks that hands its members back in descending order: a
+/// bitset with a one-bit-per-word summary above it, so finding the next
+/// member skips 4 096 empty ranks per summary word.
+#[derive(Debug, Default)]
+struct RankSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    /// No summary word at or above this index is non-zero.
+    hi: usize,
+}
+
+impl RankSet {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        RankSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            hi: 0,
+        }
+    }
+
+    /// Adds `r`; `false` if it was already a member.
+    #[inline]
+    fn insert(&mut self, r: u32) -> bool {
+        let w = (r >> 6) as usize;
+        let bit = 1u64 << (r & 63);
+        let old = self.words[w];
+        if old & bit != 0 {
+            return false;
+        }
+        self.words[w] = old | bit;
+        if old == 0 {
+            self.summary[w >> 6] |= 1u64 << (w & 63);
+            self.hi = self.hi.max((w >> 6) + 1);
+        }
+        true
+    }
+
+    /// Removes and returns the largest member.
+    #[inline]
+    fn pop_max(&mut self) -> Option<u32> {
+        while self.hi > 0 {
+            let s = self.hi - 1;
+            let summary = self.summary[s];
+            if summary == 0 {
+                self.hi = s;
+                continue;
+            }
+            let w = (s << 6) + (63 - summary.leading_zeros() as usize);
+            let bit = 63 - self.words[w].leading_zeros();
+            self.words[w] &= !(1u64 << bit);
+            if self.words[w] == 0 {
+                self.summary[s] &= !(1u64 << (w & 63));
+            }
+            return Some(((w as u32) << 6) + bit);
+        }
+        None
+    }
+}
+
+/// One upward edge of a selection member, head rewritten to a slot.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct SlotEdge {
+    head: u32,
+    weight: Weight,
+}
+
+/// The reverse-upward closure of a target set as its own
+/// descending-rank CSR (module docs).
+#[derive(Debug, Default)]
+struct Selection {
+    /// The memo key: target ranks, descending, deduplicated.
+    key: Vec<u32>,
+    /// `key_slot[i]` is the slot of `key[i]`.
+    key_slot: Vec<u32>,
+    /// Member ranks, descending.
+    rank: Vec<u32>,
+    /// CSR offsets into `edges`, one per member plus the end.
+    first: Vec<u32>,
+    edges: Vec<SlotEdge>,
+}
+
+impl Selection {
+    fn clear(&mut self) {
+        self.key.clear();
+        self.key_slot.clear();
+        self.rank.clear();
+        self.first.clear();
+        self.edges.clear();
+    }
+
+    /// Heap bytes held (capacities, since that is what the process pays).
+    fn bytes(&self) -> usize {
+        4 * (self.key.capacity()
+            + self.key_slot.capacity()
+            + self.rank.capacity()
+            + self.first.capacity())
+            + std::mem::size_of::<SlotEdge>() * self.edges.capacity()
+    }
+}
+
+/// The per-workspace LRU of selections, most recently used first.
+#[derive(Debug)]
+struct Memo {
+    entries: Vec<Selection>,
+    /// Buffers of the last evicted selection, reused by the next build
+    /// so that a stream of one-off target sets does not churn the
+    /// allocator.
+    spare: Option<Selection>,
+    cap_bytes: usize,
+    built: u64,
+}
+
+impl Memo {
+    fn new() -> Self {
+        Memo {
+            entries: Vec::new(),
+            spare: None,
+            cap_bytes: MEMO_BYTES,
+            built: 0,
+        }
+    }
+
+    /// Moves the selection keyed `key` to the front; `false` on a miss.
+    fn find(&mut self, key: &[u32]) -> bool {
+        match self.entries.iter().position(|sel| sel.key == key) {
+            Some(at) => {
+                self.entries[..=at].rotate_right(1);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Empty buffers to build the next selection into.
+    fn blank(&mut self) -> Selection {
+        let mut sel = self.spare.take().unwrap_or_default();
+        sel.clear();
+        sel
+    }
+
+    fn recycle(&mut self, sel: Selection) {
+        if sel.bytes() <= self.cap_bytes {
+            self.spare = Some(sel);
+        }
+    }
+
+    /// Puts a freshly built selection at the front. The byte cap is
+    /// enforced by [`Memo::trim`] once the query that needed it is done.
+    fn admit(&mut self, sel: Selection) {
+        self.built += 1;
+        if self.entries.len() == MEMO_SLOTS {
+            let evicted = self.entries.pop().expect("MEMO_SLOTS > 0");
+            self.recycle(evicted);
+        }
+        self.entries.insert(0, sel);
+    }
+
+    fn bytes(&self) -> usize {
+        self.entries.iter().map(Selection::bytes).sum()
+    }
+
+    /// Evicts least-recently-used selections until the cap holds — the
+    /// front one too if it alone is over.
+    fn trim(&mut self) {
+        while self.bytes() > self.cap_bytes {
+            let evicted = self.entries.pop().expect("bytes() > 0 implies an entry");
+            self.recycle(evicted);
+        }
+    }
+}
+
+/// The distance lanes of one workspace and the two phases of a query.
+#[derive(Debug)]
+struct Lanes {
+    /// Rank-indexed upward-search labels; all `INFINITY` between
+    /// queries.
+    up: Vec<Dist>,
+    /// Ranks whose `up` entry the current search wrote.
+    touched: Vec<u32>,
+    heap: IndexedHeap,
+    /// Slot-indexed results of the last sweep.
+    local: Vec<Dist>,
+}
+
+impl Lanes {
+    /// Phase 1: upward Dijkstra from `root` (a rank), stopping once the
+    /// frontier passes `limit`. Afterwards `up[v] <= limit` holds
+    /// exactly for the settled vertices.
+    fn upward(
+        &mut self,
+        sg: &SearchGraph,
+        root: u32,
+        limit: Dist,
+        budget: &mut QueryBudget,
+    ) -> bool {
+        self.heap.clear();
+        self.up[root as usize] = 0;
+        self.touched.push(root);
+        self.heap.push_or_decrease(root, 0);
+        while let Some((d, u)) = self.heap.pop_min() {
+            if d > limit {
+                break;
+            }
+            if !budget.charge() {
+                return false;
+            }
+            for e in sg.up(u) {
+                let nd = d + e.weight as Dist;
+                let label = &mut self.up[e.target as usize];
+                if nd < *label {
+                    if *label == INFINITY {
+                        self.touched.push(e.target);
+                    }
+                    *label = nd;
+                    self.heap.push_or_decrease(e.target, nd);
+                }
+            }
+        }
+        true
+    }
+
+    /// Phase 2, the one sweep loop: a linear pass over `sel`, each slot
+    /// taking the minimum of its upward label and `local[head] + w` —
+    /// every head has a smaller slot, so it is already final.
+    fn sweep(&mut self, sel: &Selection, budget: &mut QueryBudget) -> bool {
+        let m = sel.rank.len();
+        if self.local.len() < m {
+            self.local.resize(m, INFINITY);
+        }
+        let local = &mut self.local[..m];
+        for i in 0..m {
+            if !budget.charge() {
+                return false;
+            }
+            let mut d = self.up[sel.rank[i] as usize];
+            for e in &sel.edges[sel.first[i] as usize..sel.first[i + 1] as usize] {
+                d = d.min(local[e.head as usize] + e.weight as Dist);
+            }
+            local[i] = d;
+        }
+        true
+    }
+
+    /// One query against `sel`: upward search from `s`, sweep, lane
+    /// reset.
+    fn query(
+        &mut self,
+        sg: &SearchGraph,
+        sel: &Selection,
+        s: NodeId,
+        budget: &mut QueryBudget,
+    ) -> bool {
+        let ok = self.upward(sg, sg.rank_of(s), INFINITY, budget) && self.sweep(sel, budget);
+        self.reset();
+        ok
+    }
+
+    /// Restores the all-`INFINITY` invariant of `up`.
+    fn reset(&mut self) {
+        for &r in &self.touched {
+            self.up[r as usize] = INFINITY;
+        }
+        self.touched.clear();
+    }
+}
+
+/// A reusable one-to-many / table / range workspace bound to one
+/// hierarchy.
 ///
-/// Like `ChQuery`, construction allocates nothing; the n-sized distance
-/// lane appears on the first run and is reused (refilled, never
-/// reallocated) afterwards. One workspace per worker thread.
+/// Like `ChQuery`, construction allocates nothing; the n-sized arrays
+/// appear on the first query and are reused afterwards. A repeated
+/// target set and a repeated range allocate nothing at all. One
+/// workspace per worker thread.
 #[derive(Debug)]
 pub struct OneToMany<'a> {
     sg: &'a SearchGraph,
-    /// Rank-indexed distance lane; `INFINITY` = unreached.
-    dist: Vec<Dist>,
-    heap: IndexedHeap,
+    lanes: Lanes,
+    /// Closure marks while compacting, frontier while ranging; empty
+    /// between queries.
+    marks: RankSet,
+    /// Rank → slot: for every member while a selection is compacted,
+    /// for the targets while a table is answered from it; stale
+    /// elsewhere and never read there.
+    slot_of: Vec<u32>,
+    /// The closure's DFS stack.
+    stack: Vec<u32>,
+    /// The memo key of the request being answered.
+    key: Vec<u32>,
+    memo: Memo,
+    /// The "select everything" selection behind [`OneToMany::run`]. Not
+    /// keyed and not counted against the memo: about the size of the
+    /// hierarchy's upward half, built on the first `run` only. No
+    /// serving path calls `run`.
+    full: Option<Selection>,
     budget: QueryBudget,
-    /// Source of the most recent *completed* full run (`run`); `None`
-    /// after an interrupted or range run, so stale lanes can never be
-    /// read as answers.
+    /// Source of the most recent *completed* [`OneToMany::run`]; `None`
+    /// after anything else, so a stale lane can never be read as an
+    /// answer.
     source: Option<NodeId>,
+}
+
+/// Reverse-upward closure of `seeds` (ranks), compacted into `sel`
+/// (whose `key` the caller has set). One budget charge per member;
+/// `false` — with `marks` emptied — if it tripped.
+fn compact(
+    sg: &SearchGraph,
+    seeds: impl IntoIterator<Item = u32>,
+    marks: &mut RankSet,
+    stack: &mut Vec<u32>,
+    slot_of: &mut [u32],
+    budget: &mut QueryBudget,
+    sel: &mut Selection,
+) -> bool {
+    stack.clear();
+    for seed in seeds {
+        if marks.insert(seed) {
+            stack.push(seed);
+        }
+        while let Some(r) = stack.pop() {
+            if !budget.charge() {
+                while marks.pop_max().is_some() {}
+                return false;
+            }
+            for e in sg.up(r) {
+                if marks.insert(e.target) {
+                    stack.push(e.target);
+                }
+            }
+        }
+    }
+    while let Some(r) = marks.pop_max() {
+        slot_of[r as usize] = sel.rank.len() as u32;
+        sel.rank.push(r);
+        sel.first.push(sel.edges.len() as u32);
+        // Heads outrank `r`, so their slots are already assigned.
+        sel.edges.extend(sg.up(r).iter().map(|e| SlotEdge {
+            head: slot_of[e.target as usize],
+            weight: e.weight,
+        }));
+    }
+    sel.first.push(sel.edges.len() as u32);
+    sel.key_slot
+        .extend(sel.key.iter().map(|&r| slot_of[r as usize]));
+    true
 }
 
 impl<'a> OneToMany<'a> {
     /// Creates a workspace over `ch`'s search graph. Allocation is
-    /// deferred to the first run.
+    /// deferred to the first query.
     pub fn new(ch: &'a ContractionHierarchy) -> Self {
         Self::over(ch.search_graph())
     }
@@ -56,94 +446,149 @@ impl<'a> OneToMany<'a> {
     pub fn over(sg: &'a SearchGraph) -> Self {
         OneToMany {
             sg,
-            dist: Vec::new(),
-            heap: IndexedHeap::new(0),
+            lanes: Lanes {
+                up: Vec::new(),
+                touched: Vec::new(),
+                heap: IndexedHeap::new(0),
+                local: Vec::new(),
+            },
+            marks: RankSet::default(),
+            slot_of: Vec::new(),
+            stack: Vec::new(),
+            key: Vec::new(),
+            memo: Memo::new(),
+            full: None,
             budget: QueryBudget::unlimited(),
             source: None,
         }
     }
 
-    /// Installs the cancellation budget subsequent runs execute under:
-    /// one charge per settled vertex in the upward phase, one per rank
-    /// in the sweep.
+    /// Installs the cancellation budget subsequent queries execute
+    /// under: one charge per closure member when a selection is built,
+    /// one per settled vertex in the upward phase, one per swept member
+    /// (per vertex of the ball, for a range).
     pub fn set_budget(&mut self, budget: &QueryBudget) {
         self.budget.clone_from(budget);
     }
 
-    /// Whether the most recent run was cut short by its budget (its
+    /// Whether the most recent query was cut short by its budget (its
     /// results were discarded, not partially exposed).
     pub fn interrupted(&self) -> bool {
         self.budget.exhausted()
     }
 
-    fn ensure(&mut self) {
-        let n = self.sg.num_nodes();
-        if self.dist.len() < n {
-            self.dist = vec![INFINITY; n];
-            self.heap = IndexedHeap::new(n);
-        }
+    /// Selections built so far — a query that found its target set in
+    /// the memo does not move this.
+    pub fn selections_built(&self) -> u64 {
+        self.memo.built
     }
 
-    /// Phase 1: plain upward Dijkstra from `root` (a rank). The lane
-    /// doubles as the tentative-distance array — it was just refilled
-    /// with `INFINITY`, so no stamp array is needed. Settles at most the
-    /// upward search space; stops early once the frontier passes
-    /// `limit`.
-    fn upward(&mut self, root: u32, limit: Dist) -> bool {
-        self.heap.clear();
-        self.dist[root as usize] = 0;
-        self.heap.push_or_decrease(root, 0);
-        while let Some((d, u)) = self.heap.pop_min() {
-            if d > limit {
-                break;
-            }
-            if !self.budget.charge() {
-                return false;
-            }
-            for e in self.sg.up(u) {
-                let nd = d + e.weight as Dist;
-                let hi = e.target as usize;
-                if nd < self.dist[hi] {
-                    self.dist[hi] = nd;
-                    self.heap.push_or_decrease(e.target, nd);
-                }
-            }
-        }
-        true
+    /// Bytes of memoised selections currently held (at most
+    /// [`MEMO_BYTES`] between queries).
+    pub fn memo_bytes(&self) -> usize {
+        self.memo.bytes()
     }
 
-    /// Phase 2: the rank-descending linear sweep. Each vertex takes the
-    /// minimum of its tentative label and `dist[head] + w` over its
-    /// upward edges — every head outranks it, so heads are already
-    /// final. Values above `limit` are clamped to `INFINITY`.
-    fn sweep(&mut self, limit: Dist) -> bool {
-        for r in (0..self.sg.num_nodes() as u32).rev() {
-            if !self.budget.charge() {
-                return false;
-            }
-            let mut d = self.dist[r as usize];
-            for e in self.sg.up(r) {
-                let cand = self.dist[e.target as usize] + e.weight as Dist;
-                if cand < d {
-                    d = cand;
-                }
-            }
-            self.dist[r as usize] = if d > limit { INFINITY } else { d };
-        }
-        true
-    }
-
-    /// Computes `dist(s, v)` for *every* vertex `v`. Returns `false`
-    /// (and invalidates the lane) if the budget tripped. On success the
-    /// answers are read through [`OneToMany::distance`] /
-    /// [`OneToMany::distances_into`].
-    pub fn run(&mut self, s: NodeId) -> bool {
-        self.ensure();
+    /// Starts a query: fresh budget, no readable `run` result, n-sized
+    /// arrays in place.
+    fn begin(&mut self) {
         self.budget.reset();
         self.source = None;
-        self.dist.fill(INFINITY);
-        let root = self.sg.rank_of(s);
-        if !self.upward(root, INFINITY) || !self.sweep(INFINITY) {
+        let n = self.sg.num_nodes();
+        if self.lanes.up.len() < n {
+            self.lanes.up = vec![INFINITY; n];
+            self.lanes.heap = IndexedHeap::new(n);
+            self.marks = RankSet::new(n);
+            self.slot_of = vec![0; n];
+        }
+    }
+
+    /// Fills `out` row-major with `dist(sources[i], targets[j])` — one
+    /// restricted sweep per source over the targets' selection, which is
+    /// fetched from the memo or built and memoised. Returns `false`
+    /// (with `out` cleared) if the budget tripped.
+    pub fn table(
+        &mut self,
+        sources: &[NodeId],
+        targets: &[NodeId],
+        out: &mut Vec<Option<Dist>>,
+    ) -> bool {
+        out.clear();
+        self.begin();
+        if sources.is_empty() || targets.is_empty() {
+            return true;
+        }
+        let sg = self.sg;
+        // The key — distinct target ranks, descending — falls out of
+        // the rank set without a comparison sort.
+        for &t in targets {
+            self.marks.insert(sg.rank_of(t));
+        }
+        self.key.clear();
+        while let Some(r) = self.marks.pop_max() {
+            self.key.push(r);
+        }
+        if !self.memo.find(&self.key) {
+            let mut sel = self.memo.blank();
+            sel.key.extend_from_slice(&self.key);
+            if !compact(
+                sg,
+                self.key.iter().copied(),
+                &mut self.marks,
+                &mut self.stack,
+                &mut self.slot_of,
+                &mut self.budget,
+                &mut sel,
+            ) {
+                self.memo.recycle(sel);
+                return false;
+            }
+            self.memo.admit(sel);
+        }
+        let sel = &self.memo.entries[0];
+        for (&r, &slot) in sel.key.iter().zip(&sel.key_slot) {
+            self.slot_of[r as usize] = slot;
+        }
+        let mut ok = true;
+        for &s in sources {
+            ok = self.lanes.query(sg, sel, s, &mut self.budget);
+            if !ok {
+                out.clear();
+                break;
+            }
+            out.extend(targets.iter().map(|&t| {
+                let d = self.lanes.local[self.slot_of[sg.rank_of(t) as usize] as usize];
+                (d < INFINITY).then_some(d)
+            }));
+        }
+        self.memo.trim();
+        ok
+    }
+
+    /// Computes `dist(s, v)` for *every* vertex `v` — the sweep over the
+    /// identity selection. Returns `false` if the budget tripped. On
+    /// success the answers are read through [`OneToMany::distance`] /
+    /// [`OneToMany::distances_into`].
+    pub fn run(&mut self, s: NodeId) -> bool {
+        self.begin();
+        let sg = self.sg;
+        if self.full.is_none() {
+            let mut sel = Selection::default();
+            if !compact(
+                sg,
+                0..sg.num_nodes() as u32,
+                &mut self.marks,
+                &mut self.stack,
+                &mut self.slot_of,
+                &mut self.budget,
+                &mut sel,
+            ) {
+                return false;
+            }
+            self.full = Some(sel);
+        }
+        let sel = self.full.as_ref().expect("built above");
+        if !self.lanes.query(sg, sel, s, &mut self.budget) {
             return false;
         }
         self.source = Some(s);
@@ -160,7 +605,9 @@ impl<'a> OneToMany<'a> {
     #[inline]
     pub fn distance(&self, t: NodeId) -> Option<Dist> {
         assert!(self.source.is_some(), "no completed one-to-many run");
-        let d = self.dist[self.sg.rank_of(t) as usize];
+        // The identity selection holds every rank, descending.
+        let slot = self.sg.num_nodes() - 1 - self.sg.rank_of(t) as usize;
+        let d = self.lanes.local[slot];
         if d >= INFINITY {
             None
         } else {
@@ -171,38 +618,49 @@ impl<'a> OneToMany<'a> {
     /// Fills `out[j]` with the distance to `targets[j]` from the last
     /// run's source.
     pub fn distances_into(&self, targets: &[NodeId], out: &mut Vec<Option<Dist>>) {
-        assert!(self.source.is_some(), "no completed one-to-many run");
         out.clear();
-        out.reserve(targets.len());
-        for &t in targets {
-            let d = self.dist[self.sg.rank_of(t) as usize];
-            out.push(if d >= INFINITY { None } else { Some(d) });
-        }
+        out.extend(targets.iter().map(|&t| self.distance(t)));
     }
 
     /// Network range query: fills `out` with every `(vertex, distance)`
     /// within `limit` of `s`, ascending by vertex id. Returns `false`
-    /// (with `out` cleared) if the budget tripped.
-    ///
-    /// Both phases prune at `limit`: the upward search stops once its
-    /// frontier passes it (any up-down path through a farther apex is
-    /// longer still), and the sweep clamps out-of-range values so their
-    /// descendants relax against `INFINITY`.
+    /// (with `out` cleared) if the budget tripped. The module docs
+    /// explain the frontier and why pruning at `limit` is exact.
     pub fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        self.ensure();
-        self.budget.reset();
-        self.source = None;
         out.clear();
-        self.dist.fill(INFINITY);
-        let root = self.sg.rank_of(s);
-        if !self.upward(root, limit) || !self.sweep(limit) {
-            return false;
-        }
-        for r in 0..self.sg.num_nodes() as u32 {
-            let d = self.dist[r as usize];
-            if d <= limit {
-                out.push((self.sg.orig_of(r), d));
+        self.begin();
+        let sg = self.sg;
+        let up = &mut self.lanes;
+        let mut ok = up.upward(sg, sg.rank_of(s), limit, &mut self.budget);
+        if ok {
+            for &r in &up.touched {
+                if up.up[r as usize] <= limit {
+                    self.marks.insert(r);
+                }
             }
+        }
+        while let Some(r) = self.marks.pop_max() {
+            // Popped ranks leave the lane clean behind them, also once
+            // the budget has tripped and the frontier is only drained.
+            let d = std::mem::replace(&mut up.up[r as usize], INFINITY);
+            ok = ok && self.budget.charge();
+            if !ok {
+                continue;
+            }
+            out.push((sg.orig_of(r), d));
+            for e in sg.down(r) {
+                let pushed = d + e.weight as Dist;
+                let label = &mut up.up[e.target as usize];
+                if pushed <= limit && pushed < *label {
+                    *label = pushed;
+                    self.marks.insert(e.target);
+                }
+            }
+        }
+        up.reset();
+        if !ok {
+            out.clear();
+            return false;
         }
         out.sort_unstable_by_key(|&(v, _)| v);
         true
@@ -215,6 +673,40 @@ mod tests {
     use spq_dijkstra::Dijkstra;
     use spq_graph::toy::{figure1, grid_graph};
     use spq_graph::RoadNetwork;
+
+    fn row(o2m: &mut OneToMany<'_>, s: NodeId, targets: &[NodeId]) -> Vec<Option<Dist>> {
+        let mut out = Vec::new();
+        assert!(o2m.table(&[s], targets, &mut out));
+        out
+    }
+
+    fn oracle_row(g: &RoadNetwork, s: NodeId, targets: &[NodeId]) -> Vec<Option<Dist>> {
+        let mut d = Dijkstra::new(g.num_nodes());
+        d.run(g, s);
+        targets.iter().map(|&t| d.distance(t)).collect()
+    }
+
+    #[test]
+    fn rank_set_pops_descending_across_summary_words() {
+        let mut set = RankSet::new(10_000);
+        let members = [0u32, 1, 63, 64, 4095, 4096, 4097, 8191, 9999];
+        for &r in members.iter().rev().chain(&members) {
+            set.insert(r);
+        }
+        assert!(!set.insert(4096), "already a member");
+        let mut popped = Vec::new();
+        while let Some(r) = set.pop_max() {
+            popped.push(r);
+            if r == 4097 {
+                // Inserting below the cursor mid-drain, as range does.
+                assert!(set.insert(70));
+            }
+        }
+        assert_eq!(popped, [9999, 8191, 4097, 4096, 4095, 70, 64, 63, 1, 0]);
+        assert!(set.insert(5), "drained set is reusable");
+        assert_eq!(set.pop_max(), Some(5));
+        assert_eq!(set.pop_max(), None);
+    }
 
     fn check_all_sources(g: &RoadNetwork) {
         let ch = ContractionHierarchy::build(g);
@@ -230,28 +722,9 @@ mod tests {
     }
 
     #[test]
-    fn figure1_all_sources_exact() {
+    fn full_run_exact_on_paper_figure_and_grid() {
         check_all_sources(&figure1());
-    }
-
-    #[test]
-    fn grid_all_sources_exact() {
-        check_all_sources(&grid_graph(9, 7));
-    }
-
-    #[test]
-    fn synthetic_network_exact() {
-        let g = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(700, 5));
-        let ch = ContractionHierarchy::build(&g);
-        let mut o2m = OneToMany::new(&ch);
-        let mut d = Dijkstra::new(g.num_nodes());
-        for s in [0u32, 13, 311, (g.num_nodes() - 1) as u32] {
-            assert!(o2m.run(s));
-            d.run(&g, s);
-            for t in 0..g.num_nodes() as NodeId {
-                assert_eq!(o2m.distance(t), d.distance(t), "({s},{t})");
-            }
-        }
+        check_all_sources(&grid_graph(7, 9));
     }
 
     #[test]
@@ -259,28 +732,135 @@ mod tests {
         let g = grid_graph(6, 6);
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
-        assert_eq!(o2m.dist.len(), 0, "construction must not allocate");
+        assert_eq!(o2m.lanes.up.len(), 0, "construction must not allocate");
         assert!(o2m.run(0));
         let first: Vec<_> = (0..36).map(|t| o2m.distance(t)).collect();
         assert!(o2m.run(35));
-        assert!(o2m.run(0)); // stale lane from run(35) must not leak
+        let mut ball = Vec::new();
+        assert!(o2m.range(20, 3, &mut ball));
+        assert_eq!(o2m.source(), None, "a range leaves no run to read");
+        assert!(o2m.run(0)); // nothing of run(35) or the range may leak
         let again: Vec<_> = (0..36).map(|t| o2m.distance(t)).collect();
         assert_eq!(first, again);
+        assert!(o2m.lanes.up.iter().all(|&d| d == INFINITY));
     }
 
     #[test]
-    fn distances_into_matches_distance() {
-        let g = grid_graph(5, 8);
+    fn restricted_rows_match_full_run_and_oracle() {
+        let g = grid_graph(9, 8);
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
-        assert!(o2m.run(3));
-        let targets = [0u32, 39, 17, 3, 17];
-        let mut out = Vec::new();
-        o2m.distances_into(&targets, &mut out);
-        for (j, &t) in targets.iter().enumerate() {
-            assert_eq!(out[j], o2m.distance(t));
+        let everyone: Vec<NodeId> = (0..72).collect();
+        for (s, targets) in [
+            (3u32, vec![0u32, 71, 17, 3, 17]),
+            (40, vec![40]),
+            (71, everyone.clone()),
+            (0, vec![5, 5, 5]),
+        ] {
+            let got = row(&mut o2m, s, &targets);
+            assert_eq!(got, oracle_row(&g, s, &targets), "source {s}");
+            assert!(o2m.run(s));
+            let mut full = Vec::new();
+            o2m.distances_into(&targets, &mut full);
+            assert_eq!(got, full);
         }
-        assert_eq!(out[3], Some(0), "self distance");
+        let mut out = vec![Some(1)];
+        assert!(o2m.table(&[1, 2], &[], &mut out));
+        assert!(out.is_empty(), "no targets, no cells");
+    }
+
+    #[test]
+    fn multi_source_table_is_row_major() {
+        let g = grid_graph(6, 7);
+        let ch = ContractionHierarchy::build(&g);
+        let mut o2m = OneToMany::new(&ch);
+        let (sources, targets) = ([41u32, 0, 13], [7u32, 7, 30, 2]);
+        let mut out = Vec::new();
+        assert!(o2m.table(&sources, &targets, &mut out));
+        let expect: Vec<_> = sources
+            .iter()
+            .flat_map(|&s| oracle_row(&g, s, &targets))
+            .collect();
+        assert_eq!(out, expect);
+        assert_eq!(o2m.selections_built(), 1, "one selection serves every row");
+    }
+
+    #[test]
+    fn memo_key_is_the_target_set() {
+        let g = grid_graph(10, 10);
+        let ch = ContractionHierarchy::build(&g);
+        let mut o2m = OneToMany::new(&ch);
+        let depots = [4u32, 99, 17, 60, 33];
+        row(&mut o2m, 0, &depots);
+        assert_eq!(o2m.selections_built(), 1);
+        // Another source, a rotation, a permutation with duplicates:
+        // all the same set.
+        for (s, list) in [
+            (50u32, vec![4u32, 99, 17, 60, 33]),
+            (7, vec![60, 33, 4, 99, 17]),
+            (8, vec![33, 33, 17, 4, 60, 99, 4]),
+        ] {
+            assert_eq!(row(&mut o2m, s, &list), oracle_row(&g, s, &list));
+            assert_eq!(o2m.selections_built(), 1, "{list:?} must hit");
+        }
+        // A subset is a different set.
+        row(&mut o2m, 0, &depots[..4]);
+        assert_eq!(o2m.selections_built(), 2);
+    }
+
+    #[test]
+    fn memo_evicts_least_recently_used_then_rebuilds() {
+        let g = grid_graph(10, 10);
+        let ch = ContractionHierarchy::build(&g);
+        let mut o2m = OneToMany::new(&ch);
+        let set = |i: u32| [i, i + 10, i + 20];
+        for i in 0..MEMO_SLOTS as u32 {
+            row(&mut o2m, 0, &set(i));
+        }
+        row(&mut o2m, 1, &set(0)); // refresh the oldest
+        assert_eq!(o2m.selections_built(), MEMO_SLOTS as u64);
+        row(&mut o2m, 2, &set(50)); // evicts set(1), now the oldest
+        assert_eq!(o2m.memo.entries.len(), MEMO_SLOTS);
+        row(&mut o2m, 3, &set(0));
+        assert_eq!(o2m.selections_built(), MEMO_SLOTS as u64 + 1, "set(0) kept");
+        assert_eq!(row(&mut o2m, 4, &set(1)), oracle_row(&g, 4, &set(1)));
+        assert_eq!(
+            o2m.selections_built(),
+            MEMO_SLOTS as u64 + 2,
+            "set(1) rebuilt"
+        );
+    }
+
+    #[test]
+    fn memo_respects_its_byte_cap() {
+        let g = grid_graph(12, 12);
+        let ch = ContractionHierarchy::build(&g);
+        let mut o2m = OneToMany::new(&ch);
+        let small = [0u32, 1];
+        row(&mut o2m, 5, &small);
+        let one = o2m.memo_bytes();
+        assert!(one > 0);
+        // Room for two small selections and nothing more.
+        o2m.memo.cap_bytes = 2 * one + one / 2;
+        for i in 0..6u32 {
+            row(&mut o2m, 9, &[i * 20, i * 20 + 1]);
+            assert!(o2m.memo_bytes() <= o2m.memo.cap_bytes);
+        }
+        assert!(o2m.memo.entries.len() <= 2);
+        // A selection over the cap by itself is used, answers exactly,
+        // and is not kept.
+        let everyone: Vec<NodeId> = (0..144).collect();
+        let built = o2m.selections_built();
+        assert_eq!(row(&mut o2m, 77, &everyone), oracle_row(&g, 77, &everyone));
+        assert_eq!(o2m.selections_built(), built + 1);
+        assert!(o2m.memo_bytes() <= o2m.memo.cap_bytes);
+        assert!(o2m.memo.entries.iter().all(|sel| sel.key.len() == 2));
+        row(&mut o2m, 78, &everyone);
+        assert_eq!(
+            o2m.selections_built(),
+            built + 2,
+            "oversized: rebuilt each time"
+        );
     }
 
     #[test]
@@ -289,8 +869,14 @@ mod tests {
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
         let mut d = Dijkstra::new(g.num_nodes());
-        for (s, limit) in [(0u32, 0u64), (0, 3), (27, 5), (63, 1_000_000)] {
-            let mut got = Vec::new();
+        for (s, limit) in [
+            (0u32, 0u64),
+            (0, 3),
+            (27, 5),
+            (63, 1_000_000),
+            (9, u64::MAX),
+        ] {
+            let mut got = vec![(0, 0)];
             assert!(o2m.range(s, limit, &mut got));
             d.run(&g, s);
             let expect: Vec<(NodeId, Dist)> = (0..g.num_nodes() as NodeId)
@@ -300,19 +886,77 @@ mod tests {
         }
     }
 
+    /// Trips the budget after every possible number of charges: in the
+    /// selection build, in the upward search, in the sweep.
     #[test]
-    fn budget_interrupts_and_recovers() {
+    fn budget_trip_anywhere_clears_out_and_spares_the_memo() {
+        let g = grid_graph(10, 10);
+        let ch = ContractionHierarchy::build(&g);
+        let mut o2m = OneToMany::new(&ch);
+        let kept = [3u32, 96, 50];
+        let kept_row = row(&mut o2m, 11, &kept);
+        let targets = [0u32, 99, 45, 45, 12];
+        let expect = oracle_row(&g, 20, &targets);
+        let mut out = Vec::new();
+        let mut cap = 0;
+        loop {
+            o2m.set_budget(&QueryBudget::unlimited().with_node_cap(cap));
+            if o2m.table(&[20], &targets, &mut out) {
+                break;
+            }
+            assert!(o2m.interrupted());
+            assert!(out.is_empty(), "cap {cap}: interrupted table leaked cells");
+            assert!(
+                o2m.marks.pop_max().is_none(),
+                "cap {cap}: marks left behind"
+            );
+            assert!(o2m.lanes.up.iter().all(|&d| d == INFINITY), "cap {cap}");
+            cap += 1;
+        }
+        assert!(cap > 10, "the loop must have tripped inside every phase");
+        assert_eq!(out, expect);
+        // Same walk through a range.
+        let mut ball = Vec::new();
+        let mut cap = 0;
+        loop {
+            o2m.set_budget(&QueryBudget::unlimited().with_node_cap(cap));
+            if o2m.range(20, 4, &mut ball) {
+                break;
+            }
+            assert!(
+                ball.is_empty(),
+                "cap {cap}: interrupted range leaked entries"
+            );
+            assert!(
+                o2m.marks.pop_max().is_none(),
+                "cap {cap}: frontier left behind"
+            );
+            assert!(o2m.lanes.up.iter().all(|&d| d == INFINITY), "cap {cap}");
+            cap += 1;
+        }
+        assert!(cap > 5);
+        // The memo still answers exactly, without rebuilding.
+        o2m.set_budget(&QueryBudget::unlimited());
+        let built = o2m.selections_built();
+        assert_eq!(row(&mut o2m, 11, &kept), kept_row);
+        assert_eq!(row(&mut o2m, 20, &targets), expect);
+        assert_eq!(o2m.selections_built(), built);
+        assert!(!o2m.interrupted());
+    }
+
+    #[test]
+    fn budget_interrupts_full_run_and_recovers() {
         let g = grid_graph(10, 10);
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
         o2m.set_budget(&QueryBudget::unlimited().with_node_cap(5));
-        assert!(!o2m.run(0), "5 charges cannot cover a 100-rank sweep");
+        assert!(!o2m.run(0), "5 charges cannot select 100 ranks");
         assert!(o2m.interrupted());
         assert_eq!(o2m.source(), None);
-        let mut out = Vec::new();
-        assert!(!o2m.range(0, 50, &mut out));
-        assert!(out.is_empty());
-        // A fresh (unlimited) budget restores full service.
+        // Enough to select everything once, not to sweep it as well.
+        o2m.set_budget(&QueryBudget::unlimited().with_node_cap(150));
+        assert!(!o2m.run(0));
+        assert_eq!(o2m.source(), None);
         o2m.set_budget(&QueryBudget::unlimited());
         assert!(o2m.run(0));
         assert!(!o2m.interrupted());

@@ -10,6 +10,18 @@
 //! exact because every shortest path in a CH is up-down and the network
 //! is undirected (the backward cone from a POI *is* its upward cone).
 //!
+//! The search stops early. While it runs, the k smallest per-POI
+//! candidates seen so far are kept in a heap whose largest member is a
+//! **bound** on the final k-th distance; it only ever falls. Buckets are
+//! sorted by distance at build time, so a merge breaks at the first
+//! entry whose total exceeds the bound, and the search ends when the
+//! popped key does. Both tests are *strictly greater*: a candidate that
+//! ties the bound may still win its place under the `(distance, vertex)`
+//! order. Nothing exact is lost — a POI whose true distance is within
+//! the final bound has an apex no farther than that, which is popped,
+//! and a bucket entry there whose total is that distance, which is not
+//! skipped.
+//!
 //! Persistence stores only the set itself (`SPQP` container): buckets
 //! depend on the serving hierarchy, so they are rebuilt at registration
 //! time against whatever CH the epoch publishes — this is what makes a
@@ -171,7 +183,8 @@ impl PoiSet {
 /// `bucket_first` is a CSR over ranks: the entries for rank `r` are
 /// `bucket_poi/bucket_dist[bucket_first[r]..bucket_first[r + 1]]`, where
 /// `bucket_poi[i]` indexes into the set's vertex list and
-/// `bucket_dist[i]` is the upward distance from that POI to `r`.
+/// `bucket_dist[i]` is the upward distance from that POI to `r`;
+/// entries of one bucket ascend by `(distance, poi)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoiIndex {
     nodes: Vec<NodeId>,
@@ -267,6 +280,24 @@ impl PoiIndex {
                 cursor[r as usize] += 1;
             }
         }
+        // Ascending distance within each bucket, so a query's merge can
+        // stop at the first entry past its bound.
+        let mut bucket: Vec<(Dist, u32)> = Vec::new();
+        for r in 0..n {
+            let span = bucket_first[r] as usize..bucket_first[r + 1] as usize;
+            bucket.clear();
+            bucket.extend(
+                bucket_dist[span.clone()]
+                    .iter()
+                    .copied()
+                    .zip(bucket_poi[span.clone()].iter().copied()),
+            );
+            bucket.sort_unstable();
+            for (at, &(d, j)) in span.zip(&bucket) {
+                bucket_dist[at] = d;
+                bucket_poi[at] = j;
+            }
+        }
         Ok(PoiIndex {
             nodes: set.nodes().to_vec(),
             bucket_first,
@@ -310,12 +341,20 @@ impl PoiIndex {
         }
         let version = ws.version;
         ws.heap.clear();
+        ws.top.clear();
         ws.touched.clear();
+        // The k-th smallest candidate so far: `ws.top` holds the k
+        // smallest per-POI bests under the key `!total`, so its minimum
+        // is the largest of them.
+        let mut bound = INFINITY;
         let root = sg.rank_of(s);
         ws.dist[root as usize] = 0;
         ws.stamp[root as usize] = version;
         ws.heap.push_or_decrease(root, 0);
         while let Some((d, u)) = ws.heap.pop_min() {
+            if d > bound {
+                break;
+            }
             if !ws.budget.charge() {
                 return false;
             }
@@ -324,30 +363,46 @@ impl PoiIndex {
             let lo = self.bucket_first[u as usize] as usize;
             let hi = self.bucket_first[u as usize + 1] as usize;
             for i in lo..hi {
-                let j = self.bucket_poi[i] as usize;
                 let total = d + self.bucket_dist[i];
-                if ws.best_stamp[j] != version {
-                    ws.best_stamp[j] = version;
-                    ws.best[j] = total;
-                    ws.touched.push(j as u32);
-                } else if total < ws.best[j] {
-                    ws.best[j] = total;
+                if total > bound {
+                    break;
+                }
+                let j = self.bucket_poi[i];
+                let best = &mut ws.best[j as usize];
+                if ws.best_stamp[j as usize] != version {
+                    ws.best_stamp[j as usize] = version;
+                    ws.touched.push(j);
+                } else if total >= *best {
+                    continue;
+                }
+                *best = total;
+                if ws.top.len() < k || ws.top.contains(j) {
+                    ws.top.push_or_update(j, !total);
+                } else if total < bound {
+                    ws.top.pop_min();
+                    ws.top.push_or_update(j, !total);
+                }
+                if ws.top.len() == k {
+                    bound = !ws.top.peek_key().expect("k > 0 entries");
                 }
             }
             for e in sg.up(u) {
                 let nd = d + e.weight as Dist;
                 let ti = e.target as usize;
-                if ws.stamp[ti] != version || nd < ws.dist[ti] {
+                if nd <= bound && (ws.stamp[ti] != version || nd < ws.dist[ti]) {
                     ws.dist[ti] = nd;
                     ws.stamp[ti] = version;
                     ws.heap.push_or_decrease(e.target, nd);
                 }
             }
         }
+        // Candidates past the bound may be stale upper estimates; the
+        // ones within it are exact (module docs).
         out.extend(
             ws.touched
                 .iter()
-                .map(|&j| (self.nodes[j as usize], ws.best[j as usize])),
+                .map(|&j| (self.nodes[j as usize], ws.best[j as usize]))
+                .filter(|&(_, d)| d <= bound),
         );
         out.sort_unstable_by_key(|&(p, d)| (d, p));
         out.truncate(k);
@@ -367,6 +422,9 @@ pub struct KnnWorkspace {
     best: Vec<Dist>,
     best_stamp: Vec<u32>,
     touched: Vec<u32>,
+    /// The k smallest per-POI bests of the running query, keyed by
+    /// `!total` so that the heap's minimum is the k-th smallest.
+    top: IndexedHeap,
     budget: QueryBudget,
 }
 
@@ -387,6 +445,7 @@ impl KnnWorkspace {
             best: Vec::new(),
             best_stamp: Vec::new(),
             touched: Vec::new(),
+            top: IndexedHeap::new(0),
             budget: QueryBudget::unlimited(),
         }
     }
@@ -401,6 +460,7 @@ impl KnnWorkspace {
         if self.best.len() < m {
             self.best = vec![INFINITY; m];
             self.best_stamp = vec![0; m];
+            self.top = IndexedHeap::new(m);
         }
     }
 

@@ -395,3 +395,64 @@ fn hot_swap_mid_stream_keeps_many_ops_exact() {
     server.request_shutdown();
     server.join();
 }
+
+/// A selection is cut from one hierarchy and memoised in the worker's
+/// session. Swap in a *different* network over the same vertex ids and
+/// the very same depot list — asked of the very same worker, in the
+/// spellings that hit its memo — must be answered from the new
+/// hierarchy: sessions, and their memos with them, are rebuilt at the
+/// epoch boundary.
+#[test]
+fn hot_swap_never_reuses_a_selection_across_epochs() {
+    let old_net = test_net(200, 0x5a97);
+    let new_net = test_net(200, 0x0e90);
+    let n = old_net.num_nodes().min(new_net.num_nodes()) as NodeId;
+    let factory = {
+        let new_net = new_net.clone();
+        ReloadFactory::new(move || Ok(Arc::new(Engine::build(new_net.clone(), &[BackendKind::Ch]))))
+    };
+    let engine = Arc::new(Engine::build(old_net.clone(), &[BackendKind::Ch]));
+    let cfg = ServerConfig {
+        workers: 1,
+        reload_factory: Some(factory),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(engine, &cfg).expect("bind");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+
+    let sources: Vec<NodeId> = vec![2, n / 3, n - 3];
+    let depots: Vec<NodeId> = (0..n).step_by(7).collect();
+    let mut rotated = depots.clone();
+    rotated.rotate_left(5);
+    let mut ask = |oracle: &Oracle, epoch: &str| {
+        for &s in &sources {
+            for list in [&depots, &rotated] {
+                let expect: Vec<Option<Dist>> =
+                    list.iter().map(|&t| oracle.row(s)[t as usize]).collect();
+                let row = client.one_to_many(BackendKind::Ch, s, list).expect("o2m");
+                assert_eq!(row, expect, "o2m({s}) on the {epoch} epoch");
+                let table = client.distances(BackendKind::Ch, &[s], list).expect("1×N");
+                assert_eq!(table, expect, "1×N({s}) on the {epoch} epoch");
+                let column = client.distances(BackendKind::Ch, list, &[s]).expect("N×1");
+                assert_eq!(column, expect, "N×1({s}) on the {epoch} epoch");
+            }
+        }
+    };
+    let old_oracle = Oracle::build(&old_net, sources.clone());
+    let new_oracle = Oracle::build(&new_net, sources.clone());
+    assert!(
+        sources.iter().any(|&s| depots
+            .iter()
+            .any(|&t| old_oracle.row(s)[t as usize] != new_oracle.row(s)[t as usize])),
+        "the two epochs must be distinguishable by their answers"
+    );
+    ask(&old_oracle, "old");
+    ServeClient::connect(server.local_addr())
+        .expect("connect control")
+        .reload()
+        .expect("reload");
+    ask(&new_oracle, "new");
+
+    server.request_shutdown();
+    server.join();
+}
