@@ -53,7 +53,7 @@ impl ContractionHierarchy {
     /// followed by the flat search-graph sections) inside a checksummed
     /// container.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
+        let mut body = Vec::with_capacity(self.serialized_len() - binio::CONTAINER_HEADER_LEN);
         binio::write_u64(&mut body, self.num_shortcuts() as u64)?;
         let (rank, up_first, up_head, up_weight, up_middle) = self.raw_parts();
         binio::write_u32s(&mut body, rank)?;
@@ -68,6 +68,25 @@ impl ContractionHierarchy {
         binio::write_u32s(&mut body, sg_down_first)?;
         binio::write_u32s(&mut body, &edges_to_u32s(sg_down))?;
         binio::write_checksummed(w, MAGIC, VERSION, &body)
+    }
+
+    /// Exact length in bytes of what [`ContractionHierarchy::write_binary`]
+    /// writes: the container header, the shortcut count, and ten
+    /// length-prefixed `u32` sections.
+    pub fn serialized_len(&self) -> usize {
+        let (rank, up_first, up_head, up_weight, up_middle) = self.raw_parts();
+        let (node, sg_up_first, sg_up, sg_down_first, sg_down) = self.search_graph().sections();
+        let words = rank.len()
+            + up_first.len()
+            + up_head.len()
+            + up_weight.len()
+            + up_middle.len()
+            + node.len()
+            + sg_up_first.len()
+            + 3 * sg_up.len()
+            + sg_down_first.len()
+            + 3 * sg_down.len();
+        binio::CONTAINER_HEADER_LEN + 8 + 10 * 8 + 4 * words
     }
 
     /// Deserialises a hierarchy written by
@@ -131,6 +150,7 @@ mod tests {
             let ch = ContractionHierarchy::build(&g);
             let mut buf = Vec::new();
             ch.write_binary(&mut buf).unwrap();
+            assert_eq!(buf.len(), ch.serialized_len());
             let ch2 = ContractionHierarchy::read_binary(&mut &buf[..]).unwrap();
             assert_eq!(ch2.num_nodes(), ch.num_nodes());
             assert_eq!(ch2.num_shortcuts(), ch.num_shortcuts());

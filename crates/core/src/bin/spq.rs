@@ -226,14 +226,23 @@ fn prep(args: &[String]) -> Result<(), String> {
             let hl = spq_hl::Hl::build(&net);
             let elapsed = t0.elapsed();
             atomic_io::write_atomic(out, |w| hl.write_binary(w)).map_err(|e| e.to_string())?;
+            let labels = hl.labels();
+            let store_bytes = labels.index_size_bytes();
             println!(
-                "built HL in {:.2?}: {} label entries ({:.1} avg / {} max per vertex), \
-                 {:.2} MB -> {out}",
+                "built HL in {:.2?}: {} label entries ({:.1} avg / {} max per vertex) in {} waves, \
+                 largest stored distance {} -> {out}\n  \
+                 label store {:.2} MB ({:.2} bytes per entry) + embedded CH {:.2} MB \
+                 = container {:.2} MB",
                 elapsed,
-                hl.labels().num_entries(),
-                hl.labels().avg_label_len(),
-                hl.labels().max_label_len(),
-                hl.index_size_mb()
+                labels.num_entries(),
+                labels.avg_label_len(),
+                labels.max_label_len(),
+                spq_hl::num_waves(hl.hierarchy()),
+                labels.max_stored_dist(),
+                store_bytes as f64 / 1e6,
+                store_bytes as f64 / labels.num_entries().max(1) as f64,
+                hl.hierarchy().serialized_len() as f64 / 1e6,
+                hl.serialized_len() as f64 / 1e6,
             );
         }
         "poi" => {

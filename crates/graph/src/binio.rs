@@ -111,9 +111,10 @@ pub enum IndexLoadError {
     Io(io::Error),
     /// The file does not start with this format's magic bytes.
     BadMagic { expected: [u8; 4], got: [u8; 4] },
-    /// The file predates the checksummed container (format version 1).
-    /// Such files carry no integrity information and are refused rather
-    /// than risk misreading them; rebuild the index to migrate.
+    /// The file is in a layout older than the oldest this build reads
+    /// (an `SPQC` file from before the checksummed container, an `SPQH`
+    /// version 1). Such files are refused rather than risk misreading
+    /// them; rebuild the index to migrate.
     LegacyVersion { found: u32, supported: u32 },
     /// The file claims a format version newer than this build supports.
     UnsupportedVersion { found: u32, supported: u32 },
@@ -141,7 +142,7 @@ impl fmt::Display for IndexLoadError {
             IndexLoadError::LegacyVersion { found, supported } => write!(
                 f,
                 "legacy format version {found} (this build reads version {supported}): \
-                 pre-checksum files carry no integrity data and are refused — \
+                 older layouts are refused rather than misread — \
                  rebuild the index to migrate"
             ),
             IndexLoadError::UnsupportedVersion { found, supported } => write!(
@@ -183,6 +184,10 @@ impl From<io::Error> for IndexLoadError {
 /// to 128 GiB, so a larger declared length is a corrupt header, not a
 /// big file.
 const MAX_BODY_LEN: u64 = 1 << 37;
+
+/// Bytes in front of a checksummed container's body: magic, version,
+/// body length, checksum.
+pub const CONTAINER_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
 /// Writes a checksummed container:
 /// `magic(4) · version(4, LE) · body_len(8, LE) · xxh64(body)(8, LE) · body`.
@@ -315,58 +320,88 @@ pub fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// Writes a length-prefixed `u32` slice.
-pub fn write_u32s(w: &mut impl Write, xs: &[u32]) -> io::Result<()> {
+/// Elements converted per bulk step. Bounds the staging buffer, and —
+/// on the read side — how far an allocation may run ahead of the bytes
+/// actually delivered.
+const CHUNK_ELEMS: usize = 1 << 14;
+
+/// Largest element count a length prefix may declare.
+const MAX_ELEMS: u64 = 1 << 34;
+
+/// Writes a length-prefixed array of fixed-size records: the element
+/// count as a `u64`, then each element's `N` little-endian bytes as
+/// produced by `to_le`. Elements are converted a chunk at a time into a
+/// staging buffer, so the writer sees a few large `write_all`s.
+pub fn write_array<T: Copy, const N: usize>(
+    w: &mut impl Write,
+    xs: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) -> io::Result<()> {
     write_u64(w, xs.len() as u64)?;
-    for &x in xs {
-        w.write_all(&x.to_le_bytes())?;
+    let mut staging = vec![0u8; xs.len().min(CHUNK_ELEMS) * N];
+    for chunk in xs.chunks(CHUNK_ELEMS) {
+        let bytes = &mut staging[..chunk.len() * N];
+        for (dst, &x) in bytes.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&to_le(x));
+        }
+        w.write_all(bytes)?;
     }
     Ok(())
+}
+
+/// Reads an array written by [`write_array`]. The length prefix is not
+/// trusted with an allocation: the vector grows by at most what has
+/// already been read (one chunk to begin with) and never past the
+/// declared length, so a lying prefix ends in `UnexpectedEof` after a
+/// bounded allocation, and an honest one in a vector of exact capacity.
+pub fn read_array<T, const N: usize>(
+    r: &mut impl Read,
+    from_le: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let len = read_u64(r)?;
+    if len > MAX_ELEMS {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("implausible slice length {len}"),
+        ));
+    }
+    let len = len as usize;
+    let mut out: Vec<T> = Vec::new();
+    let mut staging = vec![0u8; len.min(CHUNK_ELEMS) * N];
+    while out.len() < len {
+        if out.len() == out.capacity() {
+            out.reserve_exact((len - out.len()).min(out.len().max(CHUNK_ELEMS)));
+        }
+        let take = (len - out.len()).min(CHUNK_ELEMS);
+        let bytes = &mut staging[..take * N];
+        r.read_exact(bytes)?;
+        out.extend(bytes.chunks_exact(N).map(|c| {
+            let mut le = [0u8; N];
+            le.copy_from_slice(c);
+            from_le(le)
+        }));
+    }
+    Ok(out)
+}
+
+/// Writes a length-prefixed `u32` slice.
+pub fn write_u32s(w: &mut impl Write, xs: &[u32]) -> io::Result<()> {
+    write_array(w, xs, u32::to_le_bytes)
 }
 
 /// Reads a length-prefixed `u32` vector, rejecting absurd lengths.
 pub fn read_u32s(r: &mut impl Read) -> io::Result<Vec<u32>> {
-    let len = read_u64(r)?;
-    if len > (1 << 34) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible slice length {len}"),
-        ));
-    }
-    let mut out = Vec::with_capacity(len as usize);
-    let mut b = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut b)?;
-        out.push(u32::from_le_bytes(b));
-    }
-    Ok(out)
+    read_array(r, u32::from_le_bytes)
 }
 
 /// Writes a length-prefixed `u64` slice.
 pub fn write_u64s(w: &mut impl Write, xs: &[u64]) -> io::Result<()> {
-    write_u64(w, xs.len() as u64)?;
-    for &x in xs {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
+    write_array(w, xs, u64::to_le_bytes)
 }
 
 /// Reads a length-prefixed `u64` vector, rejecting absurd lengths.
 pub fn read_u64s(r: &mut impl Read) -> io::Result<Vec<u64>> {
-    let len = read_u64(r)?;
-    if len > (1 << 34) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible slice length {len}"),
-        ));
-    }
-    let mut out = Vec::with_capacity(len as usize);
-    let mut b = [0u8; 8];
-    for _ in 0..len {
-        r.read_exact(&mut b)?;
-        out.push(u64::from_le_bytes(b));
-    }
-    Ok(out)
+    read_array(r, u64::from_le_bytes)
 }
 
 /// Writes a length-prefixed byte slice.
@@ -377,43 +412,17 @@ pub fn write_u8s(w: &mut impl Write, xs: &[u8]) -> io::Result<()> {
 
 /// Reads a length-prefixed byte vector, rejecting absurd lengths.
 pub fn read_u8s(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let len = read_u64(r)?;
-    if len > (1 << 36) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible slice length {len}"),
-        ));
-    }
-    let mut out = vec![0u8; len as usize];
-    r.read_exact(&mut out)?;
-    Ok(out)
+    read_array(r, |[b]: [u8; 1]| b)
 }
 
 /// Writes a length-prefixed `i32` slice.
 pub fn write_i32s(w: &mut impl Write, xs: &[i32]) -> io::Result<()> {
-    write_u64(w, xs.len() as u64)?;
-    for &x in xs {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
+    write_array(w, xs, i32::to_le_bytes)
 }
 
 /// Reads a length-prefixed `i32` vector.
 pub fn read_i32s(r: &mut impl Read) -> io::Result<Vec<i32>> {
-    let len = read_u64(r)?;
-    if len > (1 << 34) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible slice length {len}"),
-        ));
-    }
-    let mut out = Vec::with_capacity(len as usize);
-    let mut b = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut b)?;
-        out.push(i32::from_le_bytes(b));
-    }
-    Ok(out)
+    read_array(r, i32::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -542,6 +551,38 @@ mod tests {
         write_u32s(&mut buf, &[1, 2, 3]).unwrap();
         buf.truncate(buf.len() - 2);
         assert!(read_u32s(&mut &buf[..]).is_err());
+    }
+
+    /// A prefix that claims 2^33 elements in front of 16 bytes of data
+    /// used to reach `Vec::with_capacity` and abort the process; it now
+    /// fails like any other short read, whatever the element width.
+    #[test]
+    fn lying_length_prefix_is_an_eof_not_an_allocation() {
+        let mut buf = Vec::new();
+        write_u64(&mut buf, 1 << 33).unwrap();
+        buf.extend_from_slice(&[7u8; 16]);
+        let eof = io::ErrorKind::UnexpectedEof;
+        assert_eq!(read_u32s(&mut &buf[..]).unwrap_err().kind(), eof);
+        assert_eq!(read_u64s(&mut &buf[..]).unwrap_err().kind(), eof);
+        assert_eq!(read_i32s(&mut &buf[..]).unwrap_err().kind(), eof);
+        assert_eq!(read_u8s(&mut &buf[..]).unwrap_err().kind(), eof);
+    }
+
+    /// Arrays longer than one conversion chunk keep their order, their
+    /// exact capacity and the byte layout of the element-wise encoding.
+    #[test]
+    fn multi_chunk_arrays_roundtrip_with_the_elementwise_layout() {
+        let xs: Vec<u32> = (0..(3 * CHUNK_ELEMS as u32 + 5))
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let mut buf = Vec::new();
+        write_u32s(&mut buf, &xs).unwrap();
+        let mut expect = (xs.len() as u64).to_le_bytes().to_vec();
+        expect.extend(xs.iter().flat_map(|x| x.to_le_bytes()));
+        assert_eq!(buf, expect);
+        let back = read_u32s(&mut &buf[..]).unwrap();
+        assert_eq!(back, xs);
+        assert_eq!(back.capacity(), xs.len());
     }
 
     #[test]

@@ -123,4 +123,18 @@ mod tests {
         buf2.truncate(buf2.len() / 2);
         assert!(RoadNetwork::read_binary(&mut &buf2[..]).is_err());
     }
+
+    /// The network file carries no checksum, so a damaged section length
+    /// reaches the slice readers as written: it must come back as an
+    /// error, not as an attempt to allocate what the prefix claims.
+    #[test]
+    fn tampered_section_length_is_an_error_not_an_abort() {
+        let g = grid_graph(5, 5);
+        let mut buf = Vec::new();
+        g.write_binary(&mut buf).unwrap();
+        // header(8) · n(8) · first_out prefix(8) …
+        buf[16..24].copy_from_slice(&(1u64 << 33).to_le_bytes());
+        let err = RoadNetwork::read_binary(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
 }

@@ -1,49 +1,87 @@
 //! Label construction and the merge-scan distance kernel.
 //!
-//! Building runs two embarrassingly parallel passes over the vertices
-//! (fanned out through [`spq_graph::par`], so the result is
-//! byte-identical at any thread count):
+//! A label entry is 8 bytes, `{hub rank: u32, distance: u32}`; all
+//! entries sit in one array, label after label in vertex-id order, with
+//! `first` offsets indexed by vertex id. Hubs are contraction ranks,
+//! strictly ascending within a label, and the head hub of `L(v)` is
+//! `rank(v)` at distance 0 — so the store needs no separate id → rank
+//! table. A distance query merge-scans two slices — O(|L(s)| + |L(t)|),
+//! allocation-free — and sums in exact `u64`.
 //!
-//! 1. **Search** — for each vertex `v`, the stall-on-demand upward
-//!    Dijkstra over the flat rank-renumbered
-//!    [`SearchGraph`](spq_ch::SearchGraph) collects `v`'s raw label:
-//!    every settled `(hub_rank, dist)` pair, sorted by rank. Stalled
-//!    vertices are excluded — stalling proves a shorter down-up path
-//!    exists, so their entry could never win a merge.
-//! 2. **Prune** — an entry `(h, d)` of `L(v)` survives only if the
-//!    label query `min over common hubs of L(v) + L(h)` over the *raw*
-//!    labels equals `d`. Raw labels are complete CH search spaces, so
-//!    that query is the exact distance; dropping dominated entries is
-//!    safe because the apex of a shortest path always carries its exact
-//!    distance and is therefore never dropped.
+//! # Building, wave by wave
 //!
-//! The pruned labels are flattened into one CSR-style buffer: `first`
-//! offsets (indexed by rank) into parallel `hub`/`dist` arrays. A
-//! distance query translates both endpoints to rank space, then
-//! merge-scans the two sorted slices — O(|L(s)| + |L(t)|), allocation-
-//! free, branch-predictable.
+//! The label of `v` is its stall-on-demand upward search space over the
+//! flat rank-renumbered [`SearchGraph`](spq_ch::SearchGraph), less every
+//! `(h, d)` whose `d` is not the exact distance to `h`. (Stalled
+//! vertices are never recorded: stalling proves a shorter down-up path,
+//! so their entry could not win a merge. Dropping inexact entries is
+//! safe because the apex of a shortest path always carries its exact
+//! distance and is therefore never dropped.) Whether `d` is exact is
+//! itself a label query, `min over common hubs of S(v) + L(h)`, and
+//! every hub `v` reaches lies strictly above it in the upward graph.
+//! So vertices are grouped by **upward depth** — 0 for a vertex with no
+//! upward edge, else one more than its deepest upward neighbour — and
+//! labelled one depth (one *wave*) at a time: a worker searches, prunes
+//! against the finished labels of the shallower hubs it reached, and
+//! hands back only the survivors. Raw search spaces never leave the
+//! worker, nothing per-vertex outlives its wave, and — every label
+//! being a pure function of the hierarchy, fanned out through
+//! [`spq_graph::par`] — the store is byte-identical at any thread
+//! count.
+//!
+//! Distances are range-checked when an entry is recorded: a hierarchy
+//! with a label distance past `u32::MAX` stops the build, it is never
+//! truncated.
 
 use spq_ch::{ContractionHierarchy, SearchGraph};
 use spq_graph::backend::QueryBudget;
 use spq_graph::heap::IndexedHeap;
 use spq_graph::par;
 use spq_graph::size::IndexSize;
-use spq_graph::types::{Dist, NodeId, INFINITY};
+use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
 
-/// The flat 2-hop label store. Labels are keyed by contraction rank;
-/// original ids are translated at the query boundary via `rank`.
+/// One label entry: a hub (by contraction rank) and the distance to it.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelEntry {
+    /// Contraction rank of the hub.
+    pub hub: u32,
+    /// Exact distance to the hub.
+    pub dist: u32,
+}
+
+impl LabelEntry {
+    /// Records `(hub, dist)`, refusing a distance the store cannot hold.
+    fn new(hub: u32, dist: Dist) -> LabelEntry {
+        let Ok(dist) = u32::try_from(dist) else {
+            panic!("label distance {dist} (to hub rank {hub}) exceeds the 32-bit label store");
+        };
+        LabelEntry { hub, dist }
+    }
+
+    /// On-disk form: hub then distance, each little-endian.
+    pub(crate) fn to_le(self) -> [u8; 8] {
+        ((self.dist as u64) << 32 | self.hub as u64).to_le_bytes()
+    }
+
+    pub(crate) fn from_le(b: [u8; 8]) -> LabelEntry {
+        let word = u64::from_le_bytes(b);
+        LabelEntry {
+            hub: word as u32,
+            dist: (word >> 32) as u32,
+        }
+    }
+}
+
+/// The flat 2-hop label store, addressed by original vertex id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubLabels {
-    /// Original id → rank (copied from the search graph so the store
-    /// answers queries without borrowing the hierarchy).
-    rank: Box<[u32]>,
-    /// Label slice starts, indexed by rank (`first[r]..first[r + 1]`).
+    /// Label slice starts, indexed by vertex id
+    /// (`first[v]..first[v + 1]`).
     first: Box<[u32]>,
-    /// Hub ranks, strictly ascending within each label.
-    hub: Box<[u32]>,
-    /// Distance to each hub, parallel to `hub`.
-    dist: Box<[Dist]>,
+    /// Every label's entries, hubs strictly ascending within a label.
+    entries: Box<[LabelEntry]>,
 }
 
 /// One direction-free upward-search workspace (the network is
@@ -51,30 +89,36 @@ pub struct HubLabels {
 /// per vertex suffices). Reused across the vertices a build worker
 /// processes; stamp-versioned so per-vertex reset is O(search space).
 struct UpwardSearch {
+    /// Tentative distance per rank, meaningful where `stamp` is current.
     dist: Vec<Dist>,
     stamp: Vec<u32>,
     version: u32,
     heap: IndexedHeap,
+    /// The unstalled settled vertices of the current search.
+    raw: Vec<(u32, Dist)>,
 }
 
 impl UpwardSearch {
     fn new(n: usize) -> UpwardSearch {
         UpwardSearch {
-            dist: vec![INFINITY; n],
+            dist: vec![0; n],
             stamp: vec![0; n],
             version: 0,
             heap: IndexedHeap::new(n),
+            raw: Vec::new(),
         }
     }
 
+    /// The distance the current search reached rank `r` with, if any —
+    /// always the length of a real path, exact for unstalled vertices.
     #[inline]
-    fn reached(&self, r: u32, version: u32) -> bool {
-        self.stamp[r as usize] == version
+    fn reached(&self, r: u32) -> Option<Dist> {
+        (self.stamp[r as usize] == self.version).then(|| self.dist[r as usize])
     }
 
-    /// The raw label of the vertex at rank `root`: its stall-on-demand
-    /// upward search space, sorted by hub rank.
-    fn raw_label(&mut self, sg: &SearchGraph, root: u32) -> Vec<(u32, Dist)> {
+    /// Runs the stall-on-demand upward search from rank `root`, leaving
+    /// its raw search space in `self.raw` (in settle order).
+    fn search(&mut self, sg: &SearchGraph, root: u32) {
         self.version = self.version.wrapping_add(1);
         if self.version == 0 {
             self.stamp.fill(0);
@@ -82,188 +126,222 @@ impl UpwardSearch {
         }
         let version = self.version;
         self.heap.clear();
+        self.raw.clear();
         self.dist[root as usize] = 0;
         self.stamp[root as usize] = version;
         self.heap.push_or_decrease(root, 0);
 
-        let mut out: Vec<(u32, Dist)> = Vec::new();
         while let Some((d, u)) = self.heap.pop_min() {
             let edges = sg.up(u);
             // Stall-on-demand: a shorter route back down to u through a
             // higher-ranked vertex proves u's entry could never win a
             // merge, so it is neither recorded nor expanded.
-            if edges.iter().any(|e| {
-                self.reached(e.target, version)
-                    && self.dist[e.target as usize] + (e.weight as Dist) < d
-            }) {
+            if edges
+                .iter()
+                .any(|e| matches!(self.reached(e.target), Some(x) if x + (e.weight as Dist) < d))
+            {
                 continue;
             }
-            out.push((u, d));
+            self.raw.push((u, d));
             for e in edges {
                 let nd = d + e.weight as Dist;
-                let hi = e.target as usize;
-                if self.stamp[hi] != version || nd < self.dist[hi] {
-                    self.dist[hi] = nd;
-                    self.stamp[hi] = version;
+                if !matches!(self.reached(e.target), Some(x) if x <= nd) {
+                    self.dist[e.target as usize] = nd;
+                    self.stamp[e.target as usize] = version;
                     self.heap.push_or_decrease(e.target, nd);
                 }
             }
         }
+    }
+
+    /// The final label of rank `root`: its raw search space less every
+    /// entry some finished hub label proves inexact, sorted by hub.
+    /// `done` must hold the final labels of every rank above `root` in
+    /// the upward graph.
+    fn label(&mut self, sg: &SearchGraph, root: u32, done: &WaveStore) -> Vec<LabelEntry> {
+        self.search(sg, root);
+        let mut label: Vec<LabelEntry> = self
+            .raw
+            .iter()
+            .filter(|&&(h, d)| {
+                // S(root) ∩ L(h) holds the apex of a shortest root–h
+                // path with both exact distances, and every sum is the
+                // length of a real path: the minimum is dist(root, h).
+                h == root
+                    || done.label(h).iter().all(
+                        |e| !matches!(self.reached(e.hub), Some(x) if x + (e.dist as Dist) < d),
+                    )
+            })
+            .map(|&(h, d)| LabelEntry::new(h, d))
+            .collect();
         // Settle order is by distance; labels merge by rank.
-        out.sort_unstable_by_key(|&(h, _)| h);
-        out
+        label.sort_unstable_by_key(|e| e.hub);
+        label
     }
 }
 
-/// Minimum of `a[i].1 + b[j].1` over shared hub ranks (the label query
-/// over unflattened labels, used by the prune pass).
-fn merge_min(a: &[(u32, Dist)], b: &[(u32, Dist)]) -> Dist {
-    let (mut i, mut j) = (0, 0);
-    let mut best = Dist::MAX;
-    while i < a.len() && j < b.len() {
-        let (ha, hb) = (a[i].0, b[j].0);
-        if ha == hb {
-            let d = a[i].1 + b[j].1;
-            if d < best {
-                best = d;
-            }
-            i += 1;
-            j += 1;
-        } else if ha < hb {
-            i += 1;
-        } else {
-            j += 1;
-        }
+/// The labels finished so far, in the order the waves produced them and
+/// addressed by rank — what the prune step reads.
+struct WaveStore {
+    span: Vec<(u32, u32)>,
+    entries: Vec<LabelEntry>,
+}
+
+impl WaveStore {
+    #[inline]
+    fn label(&self, r: u32) -> &[LabelEntry] {
+        let (lo, hi) = self.span[r as usize];
+        &self.entries[lo as usize..hi as usize]
     }
-    best
+
+    fn push(&mut self, r: u32, label: &[LabelEntry]) {
+        let lo = self.entries.len();
+        self.entries.extend_from_slice(label);
+        assert!(
+            self.entries.len() <= u32::MAX as usize,
+            "label buffer exceeds u32 offsets"
+        );
+        self.span[r as usize] = (lo as u32, self.entries.len() as u32);
+    }
+}
+
+/// Ranks grouped by upward depth: `order[bounds[k]..bounds[k + 1]]` is
+/// wave `k`, ascending. Every upward edge leads to an earlier wave.
+fn waves(sg: &SearchGraph) -> (Vec<u32>, Vec<usize>) {
+    let n = sg.num_nodes();
+    let mut depth = vec![0u32; n];
+    // Upward edges lead to higher ranks, so one descending pass suffices.
+    for r in (0..n).rev() {
+        depth[r] = sg
+            .up(r as u32)
+            .iter()
+            .map(|e| depth[e.target as usize] + 1)
+            .max()
+            .unwrap_or(0);
+    }
+    let num_waves = depth.iter().max().map_or(0, |&d| d as usize + 1);
+    let mut bounds = vec![0usize; num_waves + 1];
+    for &d in &depth {
+        bounds[d as usize + 1] += 1;
+    }
+    for k in 0..num_waves {
+        bounds[k + 1] += bounds[k];
+    }
+    let mut cursor = bounds.clone();
+    let mut order = vec![0u32; n];
+    for (r, &d) in depth.iter().enumerate() {
+        order[cursor[d as usize]] = r as u32;
+        cursor[d as usize] += 1;
+    }
+    (order, bounds)
+}
+
+/// Number of waves [`HubLabels::build`] labels `ch` in (its upward
+/// graph's depth plus one).
+pub fn num_waves(ch: &ContractionHierarchy) -> usize {
+    waves(ch.search_graph()).1.len() - 1
 }
 
 impl HubLabels {
     /// Builds the pruned labels from a hierarchy's search graph. Pure
     /// function of the hierarchy; parallel and sequential builds are
     /// byte-identical.
+    ///
+    /// # Panics
+    ///
+    /// If a label distance exceeds `u32::MAX` or the store outgrows its
+    /// `u32` offsets.
     pub fn build(ch: &ContractionHierarchy) -> HubLabels {
         let sg = ch.search_graph();
         let n = sg.num_nodes();
-
-        let raw: Vec<Vec<(u32, Dist)>> = par::par_map_index(
-            n,
-            || UpwardSearch::new(n),
-            |ws, r| ws.raw_label(sg, r as u32),
-        );
-
-        // Prune: keep (h, d) only when the raw-label query confirms d
-        // is the exact distance to h. The raw labels stay immutable
-        // for the whole pass, so pruning parallelises per vertex.
-        let pruned: Vec<Vec<(u32, Dist)>> = par::par_map_index(
-            n,
-            || (),
-            |_, r| {
-                let lv = &raw[r];
-                lv.iter()
-                    .filter(|&&(h, d)| h == r as u32 || merge_min(lv, &raw[h as usize]) >= d)
-                    .copied()
-                    .collect()
-            },
-        );
-
-        let total: usize = pruned.iter().map(Vec::len).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "label buffer exceeds u32 offsets"
-        );
-        let mut first = Vec::with_capacity(n + 1);
-        let mut hub = Vec::with_capacity(total);
-        let mut dist = Vec::with_capacity(total);
-        first.push(0u32);
-        for label in &pruned {
-            for &(h, d) in label {
-                hub.push(h);
-                dist.push(d);
+        let (order, bounds) = waves(sg);
+        let mut done = WaveStore {
+            span: vec![(0, 0); n],
+            entries: Vec::new(),
+        };
+        for w in bounds.windows(2) {
+            let wave = &order[w[0]..w[1]];
+            let labels = par::par_map(
+                wave,
+                || UpwardSearch::new(n),
+                |ws, &r| ws.label(sg, r, &done),
+            );
+            for (&r, label) in wave.iter().zip(&labels) {
+                done.push(r, label);
             }
-            first.push(hub.len() as u32);
         }
 
-        let mut rank = vec![0u32; n];
-        for (v, r) in rank.iter_mut().enumerate() {
-            *r = sg.rank_of(v as NodeId);
+        // Re-lay the finished labels in vertex-id order.
+        let mut first = Vec::with_capacity(n + 1);
+        let mut entries = Vec::with_capacity(done.entries.len());
+        first.push(0u32);
+        for v in 0..n {
+            entries.extend_from_slice(done.label(sg.rank_of(v as NodeId)));
+            first.push(entries.len() as u32);
         }
-
         HubLabels {
-            rank: rank.into_boxed_slice(),
             first: first.into_boxed_slice(),
-            hub: hub.into_boxed_slice(),
-            dist: dist.into_boxed_slice(),
+            entries: entries.into_boxed_slice(),
         }
     }
 
     /// Reassembles a label store from its persisted sections, verifying
-    /// the structural invariants a well-formed store upholds (offset
-    /// monotonicity, rank bijectivity, per-label sortedness, and the
-    /// mandatory `(own rank, 0)` head entry). Semantic fidelity beyond
+    /// the structural invariants a well-formed store upholds: monotone
+    /// offsets covering the entry array, labels strictly ascending and
+    /// in range, each headed by `(·, 0)`, and the head hubs — the
+    /// vertices' ranks — forming a permutation. Semantic fidelity beyond
     /// that is the engine self-check's and the auditor's job.
-    pub fn from_raw(
-        rank: Vec<u32>,
-        first: Vec<u32>,
-        hub: Vec<u32>,
-        dist: Vec<Dist>,
-    ) -> Result<HubLabels, String> {
-        let n = rank.len();
-        if first.len() != n + 1 {
-            return Err(format!(
-                "offset array has {} entries for {n} vertices",
-                first.len()
-            ));
-        }
-        if first[0] != 0 || first[n] as usize != hub.len() || hub.len() != dist.len() {
+    pub fn from_raw(first: Vec<u32>, entries: Vec<LabelEntry>) -> Result<HubLabels, String> {
+        let Some(n) = first.len().checked_sub(1) else {
+            return Err("offset array is empty".into());
+        };
+        if first[0] != 0 || first[n] as usize != entries.len() {
             return Err("label sections disagree on the entry count".into());
         }
         let mut seen = vec![false; n];
-        for &r in &rank {
-            match seen.get_mut(r as usize) {
-                Some(slot) if !*slot => *slot = true,
-                _ => return Err("rank array is not a permutation".into()),
-            }
-        }
-        for r in 0..n {
-            let (lo, hi) = (first[r] as usize, first[r + 1] as usize);
-            if lo > hi || hi > hub.len() {
+        for v in 0..n {
+            let (lo, hi) = (first[v] as usize, first[v + 1] as usize);
+            if lo > hi || hi > entries.len() {
                 return Err("label offsets are not monotone".into());
             }
-            let label = &hub[lo..hi];
-            if label.first() != Some(&(r as u32)) || dist[lo] != 0 {
-                return Err(format!("label of rank {r} does not start with (self, 0)"));
+            let label = &entries[lo..hi];
+            match label.first() {
+                Some(head) if head.dist == 0 => match seen.get_mut(head.hub as usize) {
+                    Some(slot) if !*slot => *slot = true,
+                    _ => return Err("head hubs are not a permutation of the ranks".into()),
+                },
+                _ => return Err(format!("label of vertex {v} does not start with (rank, 0)")),
             }
-            if label.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("label of rank {r} is not strictly ascending"));
+            if label.windows(2).any(|w| w[0].hub >= w[1].hub) {
+                return Err(format!("label of vertex {v} is not strictly ascending"));
             }
-            if label.iter().any(|&h| h as usize >= n) {
-                return Err(format!("label of rank {r} references an out-of-range hub"));
+            if label[label.len() - 1].hub as usize >= n {
+                return Err(format!(
+                    "label of vertex {v} references an out-of-range hub"
+                ));
             }
         }
         Ok(HubLabels {
-            rank: rank.into_boxed_slice(),
             first: first.into_boxed_slice(),
-            hub: hub.into_boxed_slice(),
-            dist: dist.into_boxed_slice(),
+            entries: entries.into_boxed_slice(),
         })
     }
 
-    /// Borrowed persistence sections: `(rank, first, hub, dist)`.
-    pub(crate) fn sections(&self) -> (&[u32], &[u32], &[u32], &[Dist]) {
-        (&self.rank, &self.first, &self.hub, &self.dist)
+    /// Borrowed persistence sections: `(first, entries)`.
+    pub(crate) fn sections(&self) -> (&[u32], &[LabelEntry]) {
+        (&self.first, &self.entries)
     }
 
     /// Number of labeled vertices.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.rank.len()
+        self.first.len() - 1
     }
 
     /// Total label entries across all vertices.
     #[inline]
     pub fn num_entries(&self) -> usize {
-        self.hub.len()
+        self.entries.len()
     }
 
     /// Mean label size (entries per vertex).
@@ -280,34 +358,36 @@ impl HubLabels {
             .unwrap_or(0)
     }
 
-    /// The label slices of the vertex at rank `r`.
-    #[inline]
-    fn label(&self, r: u32) -> (&[u32], &[Dist]) {
-        let (lo, hi) = (
-            self.first[r as usize] as usize,
-            self.first[r as usize + 1] as usize,
-        );
-        (&self.hub[lo..hi], &self.dist[lo..hi])
+    /// Largest distance any entry stores (the 32-bit store's headroom
+    /// is `u32::MAX` minus this).
+    pub fn max_stored_dist(&self) -> u32 {
+        self.entries.iter().map(|e| e.dist).max().unwrap_or(0)
     }
 
-    /// Distance query: one merge-scan of the two sorted label slices.
+    /// The label of vertex `v`.
+    #[inline]
+    fn label(&self, v: NodeId) -> &[LabelEntry] {
+        let (lo, hi) = (self.first[v as usize], self.first[v as usize + 1]);
+        &self.entries[lo as usize..hi as usize]
+    }
+
+    /// Distance query: one merge-scan of the two sorted labels.
     /// `None` when the labels share no hub (`t` unreachable from `s`).
     #[inline]
     pub fn distance(&self, s: NodeId, t: NodeId) -> Option<Dist> {
-        let (ah, ad) = self.label(self.rank[s as usize]);
-        let (bh, bd) = self.label(self.rank[t as usize]);
+        let (a, b) = (self.label(s), self.label(t));
         let (mut i, mut j) = (0, 0);
         let mut best = Dist::MAX;
-        while i < ah.len() && j < bh.len() {
-            let (x, y) = (ah[i], bh[j]);
-            if x == y {
-                let d = ad[i] + bd[j];
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            if x.hub == y.hub {
+                let d = x.dist as Dist + y.dist as Dist;
                 if d < best {
                     best = d;
                 }
                 i += 1;
                 j += 1;
-            } else if x < y {
+            } else if x.hub < y.hub {
                 i += 1;
             } else {
                 j += 1;
@@ -319,10 +399,7 @@ impl HubLabels {
 
 impl IndexSize for HubLabels {
     fn index_size_bytes(&self) -> usize {
-        self.rank.len() * 4
-            + self.first.len() * 4
-            + self.hub.len() * 4
-            + self.dist.len() * std::mem::size_of::<Dist>()
+        std::mem::size_of_val(&*self.first) + std::mem::size_of_val(&*self.entries)
     }
 }
 
@@ -339,7 +416,7 @@ impl IndexSize for HubLabels {
 /// The workspace is allocation-free after construction and stamp-
 /// versioned so per-row reset is O(|L(s)|).
 pub struct BatchScan {
-    val: Vec<Dist>,
+    val: Vec<u32>,
     stamp: Vec<u32>,
     version: u32,
 }
@@ -377,21 +454,19 @@ impl BatchScan {
                 self.version = 1;
             }
             let version = self.version;
-            let (sh, sd) = labels.label(labels.rank[s as usize]);
-            for (&h, &d) in sh.iter().zip(sd) {
-                self.val[h as usize] = d;
-                self.stamp[h as usize] = version;
+            for e in labels.label(s) {
+                self.val[e.hub as usize] = e.dist;
+                self.stamp[e.hub as usize] = version;
             }
             for &t in targets {
                 if !budget.charge() {
                     out.push(None);
                     continue;
                 }
-                let (th, td) = labels.label(labels.rank[t as usize]);
                 let mut best = Dist::MAX;
-                for (&h, &d) in th.iter().zip(td) {
-                    if self.stamp[h as usize] == version {
-                        let sum = self.val[h as usize] + d;
+                for e in labels.label(t) {
+                    if self.stamp[e.hub as usize] == version {
+                        let sum = self.val[e.hub as usize] as Dist + e.dist as Dist;
                         if sum < best {
                             best = sum;
                         }
@@ -465,6 +540,8 @@ impl IndexSize for Hl {
 mod tests {
     use super::*;
     use spq_dijkstra::Dijkstra;
+    use spq_graph::builder::GraphBuilder;
+    use spq_graph::geo::Point;
     use spq_graph::toy::{figure1, grid_graph};
 
     fn check_all_pairs(g: &RoadNetwork) {
@@ -480,6 +557,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The two-pass construction the waves replaced, kept as the
+    /// reference: every raw search space is materialised, then `(h, d)`
+    /// survives when the raw-against-raw label query confirms `d`.
+    /// Returns the labels by rank.
+    fn reference_labels(sg: &SearchGraph) -> Vec<Vec<LabelEntry>> {
+        let n = sg.num_nodes();
+        let mut ws = UpwardSearch::new(n);
+        let raw: Vec<Vec<(u32, Dist)>> = (0..n as u32)
+            .map(|r| {
+                ws.search(sg, r);
+                ws.raw.sort_unstable_by_key(|&(h, _)| h);
+                ws.raw.clone()
+            })
+            .collect();
+        let exact = |a: &[(u32, Dist)], b: &[(u32, Dist)]| {
+            a.iter()
+                .filter_map(|&(h, d)| b.iter().find(|e| e.0 == h).map(|e| d + e.1))
+                .min()
+        };
+        raw.iter()
+            .map(|lv| {
+                lv.iter()
+                    .filter(|&&(h, d)| exact(lv, &raw[h as usize]) >= Some(d))
+                    .map(|&(h, d)| LabelEntry::new(h, d))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -515,70 +621,162 @@ mod tests {
     }
 
     #[test]
-    fn labels_start_with_self_and_ascend() {
+    fn labels_start_with_own_rank_and_ascend() {
         let g = grid_graph(6, 6);
         let hl = Hl::build(&g);
         let labels = hl.labels();
-        for r in 0..labels.num_nodes() as u32 {
-            let (hubs, dists) = labels.label(r);
-            assert_eq!(hubs.first(), Some(&r), "rank {r} must be its own first hub");
-            assert_eq!(dists[0], 0);
-            assert!(hubs.windows(2).all(|w| w[0] < w[1]), "rank {r} not sorted");
-            assert!(hubs.iter().all(|&h| h >= r), "upward labels only");
+        let sg = hl.hierarchy().search_graph();
+        for v in 0..labels.num_nodes() as NodeId {
+            let label = labels.label(v);
+            let r = sg.rank_of(v);
+            assert_eq!(label[0], LabelEntry { hub: r, dist: 0 }, "vertex {v}");
+            assert!(
+                label.windows(2).all(|w| w[0].hub < w[1].hub),
+                "vertex {v} not sorted"
+            );
         }
         assert!(labels.avg_label_len() >= 1.0);
         assert!(labels.max_label_len() >= 1);
+        assert!(labels.max_stored_dist() > 0);
+        assert_eq!(
+            labels.index_size_bytes(),
+            4 * (labels.num_nodes() + 1) + 8 * labels.num_entries()
+        );
+    }
+
+    /// Every upward edge leads to an earlier wave, waves partition the
+    /// ranks, and each is ascending (so the build order is a function
+    /// of the hierarchy alone).
+    #[test]
+    fn waves_respect_the_upward_graph() {
+        let g = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(400, 5));
+        let ch = ContractionHierarchy::build(&g);
+        let sg = ch.search_graph();
+        let (order, bounds) = waves(sg);
+        assert_eq!(bounds.len() - 1, num_waves(&ch));
+        assert_eq!((bounds[0], bounds[bounds.len() - 1]), (0, sg.num_nodes()));
+        let mut wave_of = vec![usize::MAX; sg.num_nodes()];
+        for (k, w) in bounds.windows(2).enumerate() {
+            assert!(w[0] < w[1], "wave {k} is empty");
+            assert!(order[w[0]..w[1]].windows(2).all(|p| p[0] < p[1]));
+            for &r in &order[w[0]..w[1]] {
+                wave_of[r as usize] = k;
+            }
+        }
+        for r in 0..sg.num_nodes() as u32 {
+            assert_ne!(wave_of[r as usize], usize::MAX, "rank {r} in no wave");
+            for e in sg.up(r) {
+                assert!(wave_of[e.target as usize] < wave_of[r as usize]);
+            }
+        }
+    }
+
+    /// The wave build prunes against *final* hub labels, the reference
+    /// against raw search spaces: both keep exactly the entries whose
+    /// distance is exact, so the stores agree entry for entry — at any
+    /// thread count.
+    #[test]
+    fn wave_build_equals_the_two_pass_reference() {
+        let synth = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(400, 9));
+        for g in [figure1(), grid_graph(7, 5), grid_graph(3, 11), synth] {
+            let ch = ContractionHierarchy::build(&g);
+            let sg = ch.search_graph();
+            let expect = reference_labels(sg);
+            for threads in [1, 2, 4] {
+                let labels = par::with_threads(threads, || HubLabels::build(&ch));
+                for v in 0..g.num_nodes() as NodeId {
+                    assert_eq!(
+                        labels.label(v),
+                        &expect[sg.rank_of(v) as usize][..],
+                        "vertex {v}, {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A path `0 — 1 — … ` contracted end first has no shortcuts, and
+    /// vertex 0's label reaches the far end.
+    fn heavy_path(weights: &[u32]) -> ContractionHierarchy {
+        let mut b = GraphBuilder::new();
+        for i in 0..=weights.len() {
+            b.add_node(Point::new(i as i32, 0));
+        }
+        for (i, &w) in weights.iter().enumerate() {
+            b.add_edge(i as NodeId, i as NodeId + 1, w);
+        }
+        let g = b.build().expect("a path is connected");
+        let order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        ContractionHierarchy::build_with_order(&g, &order)
+    }
+
+    /// Two stored distances whose sum passes `u32::MAX`: the non-optimal
+    /// hub of this pair sums to 3·(2³¹ − 1), which a 32-bit add would
+    /// wrap to 2³¹ − 3 and prefer over the true 2³¹ − 1.
+    #[test]
+    fn sums_of_stored_distances_do_not_wrap() {
+        const W: u32 = (1 << 31) - 1;
+        let labels = HubLabels::build(&heavy_path(&[W, W]));
+        assert_eq!(labels.max_stored_dist() as Dist, 2 * W as Dist);
+        assert_eq!(labels.distance(0, 1), Some(W as Dist));
+        assert_eq!(labels.distance(0, 2), Some(2 * W as Dist));
+        let mut ws = BatchScan::new(&labels);
+        let mut out = Vec::new();
+        let all = [0, 1, 2];
+        ws.table_into(&labels, &all, &all, &mut QueryBudget::unlimited(), &mut out);
+        for (k, cell) in out.iter().enumerate() {
+            let (s, t) = (k / 3, k % 3);
+            assert_eq!(*cell, Some(s.abs_diff(t) as Dist * W as Dist), "({s},{t})");
+        }
     }
 
     #[test]
-    fn pruning_never_grows_labels_beyond_the_search_space() {
-        // The pruned store must answer identically to the raw search
-        // spaces while holding no more entries.
-        let g = grid_graph(5, 8);
-        let ch = ContractionHierarchy::build(&g);
-        let sg = ch.search_graph();
-        let n = sg.num_nodes();
-        let mut ws = UpwardSearch::new(n);
-        let raw_total: usize = (0..n as u32).map(|r| ws.raw_label(sg, r).len()).sum();
-        let labels = HubLabels::build(&ch);
-        assert!(labels.num_entries() <= raw_total);
-        check_all_pairs(&g);
+    #[should_panic(expected = "label distance 6442450941 (to hub rank 3) exceeds the 32-bit")]
+    fn distance_past_u32_stops_the_build() {
+        const W: u32 = (1 << 31) - 1;
+        HubLabels::build(&heavy_path(&[W, W, W]));
     }
 
     #[test]
     fn from_raw_rejects_structural_garbage() {
         let g = figure1();
         let hl = Hl::build(&g);
-        let (rank, first, hub, dist) = hl.labels().sections();
-        let ok = HubLabels::from_raw(rank.to_vec(), first.to_vec(), hub.to_vec(), dist.to_vec())
+        let (first, entries) = hl.labels().sections();
+        let ok = HubLabels::from_raw(first.to_vec(), entries.to_vec())
             .expect("clean sections reassemble");
         assert_eq!(&ok, hl.labels());
+        let rejects = |first: &[u32], entries: &[LabelEntry]| {
+            HubLabels::from_raw(first.to_vec(), entries.to_vec()).unwrap_err()
+        };
 
-        // Broken permutation.
-        let mut bad = rank.to_vec();
-        bad[0] = bad[1];
-        assert!(
-            HubLabels::from_raw(bad, first.to_vec(), hub.to_vec(), dist.to_vec())
-                .unwrap_err()
-                .contains("permutation")
-        );
+        // Head hubs that are no permutation.
+        let mut bad = entries.to_vec();
+        let top = g.num_nodes() as u32 - 1;
+        bad.iter_mut()
+            .find(|e| e.dist == 0 && e.hub == top)
+            .unwrap()
+            .hub = 0;
+        assert!(rejects(first, &bad).contains("permutation"));
         // Non-monotone offsets.
         let mut bad = first.to_vec();
-        bad[1] = bad[2] + 1;
-        assert!(HubLabels::from_raw(rank.to_vec(), bad, hub.to_vec(), dist.to_vec()).is_err());
-        // A label no longer headed by (self, 0).
-        let mut bad = dist.to_vec();
-        bad[0] = 5;
-        assert!(
-            HubLabels::from_raw(rank.to_vec(), first.to_vec(), hub.to_vec(), bad)
-                .unwrap_err()
-                .contains("(self, 0)")
-        );
+        bad[1] = entries.len() as u32 + 1;
+        assert!(rejects(&bad, entries).contains("monotone"));
+        // A label no longer headed by (rank, 0).
+        let mut bad = entries.to_vec();
+        bad[0].dist = 5;
+        assert!(rejects(first, &bad).contains("(rank, 0)"));
+        // An empty label.
+        let mut bad = first.to_vec();
+        bad[1] = bad[0];
+        assert!(rejects(&bad, entries).contains("(rank, 0)"));
         // Out-of-range hub.
-        let mut bad = hub.to_vec();
-        let last = bad.len() - 1;
-        bad[last] = u32::MAX;
-        assert!(HubLabels::from_raw(rank.to_vec(), first.to_vec(), bad, dist.to_vec()).is_err());
+        let mut bad = entries.to_vec();
+        let tail = bad.iter().rposition(|e| e.dist != 0).unwrap();
+        bad[tail].hub = u32::MAX;
+        assert!(rejects(first, &bad).contains("out-of-range"));
+        // Offsets that stop short of the entries.
+        assert!(rejects(&first[..first.len() - 1], entries).contains("entry count"));
+        assert!(rejects(&[], &[]).contains("empty"));
     }
 
     #[test]
@@ -637,17 +835,6 @@ mod tests {
             } else {
                 assert_eq!(*cell, None, "pair {k} after the trip");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical() {
-        let g = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(300, 9));
-        let ch = ContractionHierarchy::build(&g);
-        let sequential = par::with_threads(1, || HubLabels::build(&ch));
-        for threads in [2, 4] {
-            let parallel = par::with_threads(threads, || HubLabels::build(&ch));
-            assert_eq!(parallel, sequential, "{threads}-thread build differs");
         }
     }
 }

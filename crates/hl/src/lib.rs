@@ -14,26 +14,29 @@
 //! dist(s, t) = min over common hubs h of  L(s)[h] + L(t)[h]
 //! ```
 //!
-//! Labels are sorted by hub rank and stored in one flat CSR-style
-//! buffer, so a distance query is a single linear merge-scan of two
-//! contiguous slices — no heap, no hash lookups, no per-query
-//! allocation. That makes HL the distance-query speed ceiling of the
-//! workspace: faster than the flat CH kernel (which still runs two
-//! Dijkstra frontiers) on every bench network.
+//! Labels are sorted by hub rank and stored as 8-byte `(hub, distance)`
+//! entries in one flat array addressed by vertex id, so a distance
+//! query is a single linear merge-scan of two contiguous slices — no
+//! heap, no hash lookups, no id translation, no per-query allocation.
+//! That makes HL the distance-query speed ceiling of the workspace:
+//! faster than the flat CH kernel (which still runs two Dijkstra
+//! frontiers) on every bench network.
 //!
 //! The crate exposes three layers:
 //!
 //! * [`HubLabels`] — the label store, built deterministically in
-//!   parallel from a [`ContractionHierarchy`]'s search graph
+//!   parallel from a [`ContractionHierarchy`]'s search graph, one
+//!   upward-depth *wave* at a time so that each search space is pruned
+//!   against finished labels inside the worker that produced it
 //!   (byte-identical at any thread count, like every other index in
-//!   the workspace).
+//!   the workspace; see [`labels`]).
 //! * [`Hl`] — the servable index: the labels plus the hierarchy they
 //!   were derived from, so shortest-*path* queries (which need
 //!   shortcut unpacking) are answered by the embedded CH while
 //!   distance queries go through the labels.
-//! * persistence — a checksummed `SPQH` container holding the label
-//!   arrays and the embedded hierarchy
-//!   ([`Hl::write_binary`]/[`Hl::read_binary`]).
+//! * persistence — a checksummed `SPQH` container (version 2) holding
+//!   the offsets, the entries and the embedded hierarchy
+//!   ([`Hl::write_binary`]/[`Hl::read_binary`]; layout in [`persist`]).
 //!
 //! # Example
 //!
@@ -50,4 +53,4 @@ pub mod backend;
 pub mod labels;
 pub mod persist;
 
-pub use labels::{BatchScan, Hl, HubLabels};
+pub use labels::{num_waves, BatchScan, Hl, HubLabels, LabelEntry};

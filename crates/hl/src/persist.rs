@@ -1,53 +1,77 @@
 //! Binary persistence for the hub-labeling index.
 //!
-//! Label construction dominates HL's cost (it runs one pruned upward
-//! search per vertex plus a pruning pass), so serving restarts load a
-//! prebuilt `SPQH` container instead of re-labeling. The container
-//! holds the four label sections plus the embedded hierarchy's own
-//! `SPQC` container verbatim — the hierarchy keeps its format evolution
-//! (and its structural cross-checks) without this crate re-encoding it.
+//! Label construction dominates HL's cost (one pruned upward search per
+//! vertex), so serving restarts load a prebuilt `SPQH` container
+//! instead of re-labeling. Version 2 of the container body is three
+//! length-prefixed sections:
+//!
+//! ```text
+//! first    u64 n+1      · (n+1) × u32          label starts, by vertex id
+//! entries  u64 entries  · entries × (u32 hub, u32 dist)
+//! SPQC     u64 bytes    · the embedded hierarchy's own container, verbatim
+//! ```
+//!
+//! — the hierarchy keeps its format evolution (and its structural
+//! cross-checks) without this crate re-encoding it. Version 1 (separate
+//! `rank`/`hub` sections, 64-bit distances) is refused as
+//! [`IndexLoadError::LegacyVersion`]: re-run `spq prep --kind hl`.
 
 use std::io::{self, Read, Write};
 
 use spq_ch::ContractionHierarchy;
 use spq_graph::binio::{self, IndexLoadError};
 
-use crate::labels::{Hl, HubLabels};
+use crate::labels::{Hl, HubLabels, LabelEntry};
 
 const MAGIC: &[u8; 4] = b"SPQH";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 impl Hl {
+    /// Exact length in bytes of what [`Hl::write_binary`] writes.
+    pub fn serialized_len(&self) -> usize {
+        let (first, entries) = self.labels().sections();
+        binio::CONTAINER_HEADER_LEN
+            + (8 + 4 * first.len())
+            + (8 + 8 * entries.len())
+            + (8 + self.hierarchy().serialized_len())
+    }
+
     /// Serialises the labels and the embedded hierarchy inside one
     /// checksummed container.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
-        let (rank, first, hub, dist) = self.labels().sections();
-        binio::write_u32s(&mut body, rank)?;
+        let mut body = Vec::with_capacity(self.serialized_len() - binio::CONTAINER_HEADER_LEN);
+        let (first, entries) = self.labels().sections();
         binio::write_u32s(&mut body, first)?;
-        binio::write_u32s(&mut body, hub)?;
-        binio::write_u64s(&mut body, dist)?;
-        let mut ch_bytes = Vec::new();
-        self.hierarchy().write_binary(&mut ch_bytes)?;
-        binio::write_u8s(&mut body, &ch_bytes)?;
+        binio::write_array(&mut body, entries, LabelEntry::to_le)?;
+        // The hierarchy serialises itself straight into the body; its
+        // length prefix is filled in once the bytes are there.
+        let prefix = body.len();
+        binio::write_u64(&mut body, 0)?;
+        self.hierarchy().write_binary(&mut body)?;
+        let ch_len = (body.len() - prefix - 8) as u64;
+        body[prefix..prefix + 8].copy_from_slice(&ch_len.to_le_bytes());
         binio::write_checksummed(w, MAGIC, VERSION, &body)
     }
 
     /// Deserialises an index written by [`Hl::write_binary`], verifying
     /// the container checksum, the label store's structural invariants
     /// ([`HubLabels::from_raw`]), and the embedded hierarchy's own
-    /// container before returning it.
+    /// container (parsed in place from the tail of the body) before
+    /// returning it.
     pub fn read_binary(r: &mut impl Read) -> Result<Hl, IndexLoadError> {
-        let (_, body) = binio::read_checksummed_versioned(r, MAGIC, VERSION, VERSION)?;
+        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
         let r = &mut &body[..];
-        let rank = binio::read_u32s(r)?;
         let first = binio::read_u32s(r)?;
-        let hub = binio::read_u32s(r)?;
-        let dist = binio::read_u64s(r)?;
-        let labels =
-            HubLabels::from_raw(rank, first, hub, dist).map_err(IndexLoadError::Corrupt)?;
-        let ch_bytes = binio::read_u8s(r)?;
-        let ch = ContractionHierarchy::read_binary(&mut &ch_bytes[..])
+        let entries = binio::read_array(r, LabelEntry::from_le)?;
+        let labels = HubLabels::from_raw(first, entries).map_err(IndexLoadError::Corrupt)?;
+        let ch_len = binio::read_u64(r)?;
+        if ch_len != r.len() as u64 {
+            return Err(IndexLoadError::Corrupt(format!(
+                "embedded hierarchy declares {ch_len} bytes, {} follow",
+                r.len()
+            )));
+        }
+        let ch = ContractionHierarchy::read_binary(r)
             .map_err(|e| IndexLoadError::Corrupt(format!("embedded hierarchy: {e}")))?;
         Hl::from_parts(ch, labels).map_err(IndexLoadError::Corrupt)
     }
@@ -59,12 +83,42 @@ mod tests {
     use spq_graph::toy::{figure1, grid_graph};
     use spq_graph::types::NodeId;
 
+    fn container_of(hl: &Hl) -> Vec<u8> {
+        let mut buf = Vec::new();
+        hl.write_binary(&mut buf).unwrap();
+        buf
+    }
+
+    /// A version-2 container with a valid checksum around arbitrary
+    /// sections, to isolate the structural checks from the checksum.
+    fn pack(first: &[u32], entries: &[LabelEntry], ch_bytes: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        binio::write_u32s(&mut body, first).unwrap();
+        binio::write_array(&mut body, entries, LabelEntry::to_le).unwrap();
+        binio::write_u8s(&mut body, ch_bytes).unwrap();
+        let mut out = Vec::new();
+        binio::write_checksummed(&mut out, MAGIC, VERSION, &body).unwrap();
+        out
+    }
+
+    fn ch_bytes_of(hl: &Hl) -> Vec<u8> {
+        let mut buf = Vec::new();
+        hl.hierarchy().write_binary(&mut buf).unwrap();
+        buf
+    }
+
+    fn corrupt_reason(container: &[u8]) -> String {
+        match Hl::read_binary(&mut &container[..]) {
+            Err(IndexLoadError::Corrupt(reason)) => reason,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn roundtrip_answers_identically() {
         for g in [figure1(), grid_graph(6, 8)] {
             let hl = Hl::build(&g);
-            let mut buf = Vec::new();
-            hl.write_binary(&mut buf).unwrap();
+            let buf = container_of(&hl);
             let hl2 = Hl::read_binary(&mut &buf[..]).unwrap();
             assert_eq!(hl2.labels(), hl.labels());
             for s in 0..g.num_nodes() as NodeId {
@@ -73,9 +127,27 @@ mod tests {
                 }
             }
             // Write → read → write is byte-stable.
-            let mut buf2 = Vec::new();
-            hl2.write_binary(&mut buf2).unwrap();
-            assert_eq!(buf2, buf);
+            assert_eq!(container_of(&hl2), buf);
+        }
+    }
+
+    /// The footprint as a tested fact: 8 bytes per label entry, 4 per
+    /// vertex (+1), three section prefixes, the hierarchy's container,
+    /// one header — and the body is allocated at exactly that size.
+    #[test]
+    fn container_size_follows_the_layout() {
+        for g in [figure1(), grid_graph(9, 4)] {
+            let hl = Hl::build(&g);
+            let buf = container_of(&hl);
+            let n = g.num_nodes();
+            let expect = 24
+                + (8 + 4 * (n + 1))
+                + (8 + 8 * hl.labels().num_entries())
+                + (8 + ch_bytes_of(&hl).len());
+            assert_eq!(buf.len(), expect);
+            assert_eq!(hl.serialized_len(), expect);
+            let (first, entries) = hl.labels().sections();
+            assert_eq!(pack(first, entries, &ch_bytes_of(&hl)), buf, "hand-packed");
         }
     }
 
@@ -83,8 +155,7 @@ mod tests {
     fn rejects_invalid_payloads() {
         let g = figure1();
         let hl = Hl::build(&g);
-        let mut buf = Vec::new();
-        hl.write_binary(&mut buf).unwrap();
+        let buf = container_of(&hl);
 
         let mut bad_magic = buf.clone();
         bad_magic[2] ^= 0xff;
@@ -109,74 +180,78 @@ mod tests {
         ));
     }
 
+    /// One format, one reader: the version-1 layout is refused by its
+    /// version number (whatever its body), and so is anything newer.
     #[test]
-    fn rejects_future_versions() {
-        // A version-2 container does not exist yet; a reader must refuse
-        // it rather than misinterpret its body.
-        let g = figure1();
-        let hl = Hl::build(&g);
-        let mut buf = Vec::new();
-        hl.write_binary(&mut buf).unwrap();
-        // Reconstruct the body and re-pack it under a higher version.
-        let (_, body) =
-            binio::read_checksummed_versioned(&mut &buf[..], MAGIC, VERSION, VERSION).unwrap();
+    fn rejects_other_versions() {
+        let mut v1 = Vec::new();
+        binio::write_checksummed(&mut v1, MAGIC, 1, b"rank first hub dist SPQC").unwrap();
+        assert!(matches!(
+            Hl::read_binary(&mut &v1[..]),
+            Err(IndexLoadError::LegacyVersion {
+                found: 1,
+                supported: 2
+            })
+        ));
+
         let mut future = Vec::new();
-        binio::write_checksummed(&mut future, MAGIC, VERSION + 1, &body).unwrap();
-        assert!(Hl::read_binary(&mut &future[..]).is_err());
+        binio::write_checksummed(&mut future, MAGIC, VERSION + 1, b"").unwrap();
+        assert!(matches!(
+            Hl::read_binary(&mut &future[..]),
+            Err(IndexLoadError::UnsupportedVersion { found: 3, .. })
+        ));
     }
 
     /// Structurally broken label sections are rejected as `Corrupt` even
-    /// when the container checksum is valid (the checksum is recomputed
-    /// to isolate the semantic check).
+    /// when the container checksum is valid.
     #[test]
     fn rejects_tampered_label_sections() {
         let g = grid_graph(4, 4);
         let hl = Hl::build(&g);
-        let (rank, first, hub, dist) = hl.labels().sections();
+        let (first, entries) = hl.labels().sections();
+        let ch_bytes = ch_bytes_of(&hl);
 
-        let mut bad_rank = rank.to_vec();
-        bad_rank.swap(0, 1);
-        bad_rank[0] = bad_rank[1]; // duplicate → not a permutation
-        let mut body = Vec::new();
-        binio::write_u32s(&mut body, &bad_rank).unwrap();
-        binio::write_u32s(&mut body, first).unwrap();
-        binio::write_u32s(&mut body, hub).unwrap();
-        binio::write_u64s(&mut body, dist).unwrap();
-        let mut ch_bytes = Vec::new();
-        hl.hierarchy().write_binary(&mut ch_bytes).unwrap();
-        binio::write_u8s(&mut body, &ch_bytes).unwrap();
-        let mut tampered = Vec::new();
-        binio::write_checksummed(&mut tampered, MAGIC, VERSION, &body).unwrap();
-        let err = Hl::read_binary(&mut &tampered[..]).unwrap_err();
-        assert!(
-            matches!(err, IndexLoadError::Corrupt(ref m) if m.contains("permutation")),
-            "got: {err}"
-        );
+        // Two vertices claiming the same rank (the top vertex's label
+        // is its head alone, so re-ranking it breaks nothing else).
+        let mut bad = entries.to_vec();
+        let top = g.num_nodes() as u32 - 1;
+        bad.iter_mut()
+            .find(|e| e.dist == 0 && e.hub == top)
+            .unwrap()
+            .hub = 0;
+        assert!(corrupt_reason(&pack(first, &bad, &ch_bytes)).contains("permutation"));
+
+        // A label out of order (swap the two entries after a head).
+        let v = (0..g.num_nodes())
+            .find(|&v| first[v + 1] - first[v] >= 3)
+            .expect("some label has three entries");
+        let mut bad = entries.to_vec();
+        bad.swap(first[v] as usize + 1, first[v] as usize + 2);
+        assert!(corrupt_reason(&pack(first, &bad, &ch_bytes)).contains("strictly ascending"));
+
+        // A head entry at a non-zero distance.
+        let mut bad = entries.to_vec();
+        bad[first[3] as usize].dist = 1;
+        assert!(corrupt_reason(&pack(first, &bad, &ch_bytes)).contains("(rank, 0)"));
     }
 
     /// A corrupted *embedded hierarchy* is surfaced with its own error
-    /// context, not silently accepted.
+    /// context, not silently accepted; so is a hierarchy section that
+    /// does not end where the body does.
     #[test]
     fn rejects_corrupt_embedded_hierarchy() {
         let g = figure1();
         let hl = Hl::build(&g);
-        let (rank, first, hub, dist) = hl.labels().sections();
-        let mut ch_bytes = Vec::new();
-        hl.hierarchy().write_binary(&mut ch_bytes).unwrap();
+        let (first, entries) = hl.labels().sections();
+        let mut ch_bytes = ch_bytes_of(&hl);
         let mid = ch_bytes.len() / 2;
         ch_bytes[mid] ^= 0x40;
-        let mut body = Vec::new();
-        binio::write_u32s(&mut body, rank).unwrap();
-        binio::write_u32s(&mut body, first).unwrap();
-        binio::write_u32s(&mut body, hub).unwrap();
-        binio::write_u64s(&mut body, dist).unwrap();
-        binio::write_u8s(&mut body, &ch_bytes).unwrap();
-        let mut tampered = Vec::new();
-        binio::write_checksummed(&mut tampered, MAGIC, VERSION, &body).unwrap();
-        let err = Hl::read_binary(&mut &tampered[..]).unwrap_err();
-        assert!(
-            matches!(err, IndexLoadError::Corrupt(ref m) if m.contains("embedded hierarchy")),
-            "got: {err}"
-        );
+        assert!(corrupt_reason(&pack(first, entries, &ch_bytes)).contains("embedded hierarchy"));
+
+        let mut body = container_of(&hl)[binio::CONTAINER_HEADER_LEN..].to_vec();
+        body.extend_from_slice(b"tail");
+        let mut trailing = Vec::new();
+        binio::write_checksummed(&mut trailing, MAGIC, VERSION, &body).unwrap();
+        assert!(corrupt_reason(&trailing).contains("bytes"));
     }
 }

@@ -700,6 +700,7 @@ impl Engine {
 mod tests {
     use super::*;
     use spq_graph::backend::Session;
+    use spq_graph::binio::{self, IndexLoadError};
     use spq_graph::types::{Dist, NodeId};
     use spq_synth::SynthParams;
 
@@ -814,6 +815,49 @@ mod tests {
         .err()
         .expect("strict mode fails the build");
         assert!(err.contains("cannot load ch index"), "{err}");
+    }
+
+    /// A pre-diet `SPQH` file (version 1, valid checksum) is not debris
+    /// — the recovery scan leaves it — but the one reader refuses it by
+    /// its number, and the chain hands the wire id to CH with that
+    /// reason on record.
+    #[test]
+    fn version_1_hl_container_degrades_to_ch_as_legacy() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 13));
+        let dir = std::env::temp_dir().join(format!("spq_serve_hl_v1_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.hl");
+        let mut v1 = Vec::new();
+        binio::write_checksummed(&mut v1, b"SPQH", 1, b"rank first hub dist SPQC").unwrap();
+        std::fs::write(&path, &v1).unwrap();
+
+        let specs = [
+            BackendSpec::built(BackendKind::Ch),
+            BackendSpec::from_file(BackendKind::Hl, &path),
+        ];
+        let engine = Engine::build_with_indexes(net.clone(), &specs, true).unwrap();
+        let [degraded] = engine.degradations() else {
+            panic!("one degradation, got {:?}", engine.degradations());
+        };
+        assert_eq!(degraded.requested, BackendKind::Hl);
+        assert_eq!(degraded.served_by, BackendKind::Ch);
+        let expect = IndexLoadError::LegacyVersion {
+            found: 1,
+            supported: 2,
+        };
+        assert!(
+            degraded.reason.ends_with(&expect.to_string()),
+            "{}",
+            degraded.reason
+        );
+        assert!(path.exists(), "a legacy file is left for the operator");
+
+        let err = Engine::build_with_indexes(net, &specs, false)
+            .err()
+            .expect("strict mode fails the build");
+        assert!(err.contains("cannot load hl index"), "{err}");
+        assert!(err.contains("legacy format version 1"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //!    bytes exactly (no drift, no nondeterminism in serialisation).
 //! 2. **Fidelity** — the reloaded index answers every (s, t) distance
 //!    query identically to the index it was written from.
+//!
+//! HL additionally pins its container size to the `SPQH` version-2
+//! layout and the refusal of version 1.
 
 use proptest::prelude::*;
 use spq_alt::{Alt, AltParams};
 use spq_arcflags::{ArcFlags, ArcFlagsParams};
 use spq_ch::ContractionHierarchy;
 use spq_graph::arbitrary::{connected_network, NetworkStrategyParams};
+use spq_graph::binio::IndexLoadError;
 use spq_graph::{NodeId, RoadNetwork};
 use spq_hl::Hl;
 use spq_silc::Silc;
@@ -90,6 +94,27 @@ proptest! {
             all_distances(&net, |s, t| hl.labels().distance(s, t)),
             all_distances(&net, |s, t| reloaded.labels().distance(s, t))
         );
+
+        // The footprint is the layout: one header, three section
+        // prefixes, 4 bytes per offset, 8 per label entry, and the
+        // embedded hierarchy's own container.
+        let ch_bytes = write_to_vec(|b| hl.hierarchy().write_binary(b));
+        prop_assert_eq!(
+            bytes.len(),
+            24 + (8 + 4 * (net.num_nodes() + 1))
+                + (8 + 8 * hl.labels().num_entries())
+                + (8 + ch_bytes.len())
+        );
+        prop_assert!(bytes.ends_with(&ch_bytes), "the hierarchy is embedded verbatim");
+
+        // One format, one reader: the same bytes under the version-1
+        // number are refused by that number, before the body is looked at.
+        let mut v1 = bytes.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        prop_assert!(matches!(
+            Hl::read_binary(&mut &v1[..]),
+            Err(IndexLoadError::LegacyVersion { found: 1, supported: 2 })
+        ));
     }
 
     #[test]
