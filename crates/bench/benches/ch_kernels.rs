@@ -1,14 +1,12 @@
-//! Criterion bench: the flat rank-renumbered CH query kernel against
-//! the legacy CSR-walking kernel it replaced — distance, shortest-path
-//! (shortcut unpacking), and the bucket-based many-to-many, all over
+//! Criterion bench: the CH point kernel — distance and shortest-path
+//! (shortcut unpacking) — and the bucket-based many-to-many, all over
 //! the same single CH build.
 //!
-//! This is the microbench behind the `ch` vs `ch_legacy` rows of
-//! `spq bench --json`; run it with
-//! `cargo bench -p spq-bench --bench ch_kernels`.
+//! This is the microbench behind the `ch` rows of `spq bench --json`;
+//! run it with `cargo bench -p spq-bench --bench ch_kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spq_ch::{ChQuery, ContractionHierarchy, LegacyChQuery, ManyToMany};
+use spq_ch::{ChQuery, ContractionHierarchy, ManyToMany};
 use spq_graph::types::NodeId;
 use spq_queries::{linf_query_sets, QueryGenParams};
 use spq_synth::SynthParams;
@@ -28,34 +26,24 @@ fn bench_kernels(c: &mut Criterion) {
     let ch = ContractionHierarchy::build(&net);
 
     let mut group = c.benchmark_group("ch_kernels");
-    for kernel in ["flat", "legacy"] {
-        group.bench_with_input(BenchmarkId::new(kernel, "distance"), &pairs, |b, pairs| {
-            let mut flat = ChQuery::new(&ch);
-            let mut legacy = LegacyChQuery::new(&ch);
-            let mut i = 0;
-            b.iter(|| {
-                let (s, t) = pairs[i % pairs.len()];
-                i += 1;
-                match kernel {
-                    "flat" => flat.distance(s, t),
-                    _ => legacy.distance(s, t),
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new(kernel, "path"), &pairs, |b, pairs| {
-            let mut flat = ChQuery::new(&ch);
-            let mut legacy = LegacyChQuery::new(&ch);
-            let mut i = 0;
-            b.iter(|| {
-                let (s, t) = pairs[i % pairs.len()];
-                i += 1;
-                match kernel {
-                    "flat" => flat.shortest_path(s, t).map(|(_, p)| p.len()),
-                    _ => legacy.shortest_path(s, t).map(|(_, p)| p.len()),
-                }
-            })
-        });
-    }
+    group.bench_with_input(BenchmarkId::new("flat", "distance"), &pairs, |b, pairs| {
+        let mut q = ChQuery::new(&ch);
+        let mut i = 0;
+        b.iter(|| {
+            let (s, t) = pairs[i % pairs.len()];
+            i += 1;
+            q.distance(s, t)
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("flat", "path"), &pairs, |b, pairs| {
+        let mut q = ChQuery::new(&ch);
+        let mut i = 0;
+        b.iter(|| {
+            let (s, t) = pairs[i % pairs.len()];
+            i += 1;
+            q.shortest_path(s, t).map(|(_, p)| p.len())
+        })
+    });
 
     let side = 24.min(net.num_nodes());
     let sources: Vec<NodeId> = pairs.iter().take(side).map(|&(s, _)| s).collect();

@@ -9,15 +9,15 @@
 //! vertices; shortest-path queries additionally unpack shortcuts back into
 //! original edges using the contracted-vertex tag each shortcut carries.
 //!
-//! The crate exposes three layers:
+//! The crate exposes four layers:
 //!
-//! * [`ContractionHierarchy`] — the preprocessed index ([`build`] /
-//!   [`build_with_params`] / [`build_with_order`]), which carries the
-//!   flattened rank-renumbered [`SearchGraph`] the query kernels run on.
+//! * [`ContractionHierarchy`] — the preprocessed index
+//!   ([`ContractionHierarchy::build`] / `build_with_params` /
+//!   `build_with_order`): the flattened rank-renumbered [`SearchGraph`]
+//!   — the hierarchy's only representation, in memory and in the `SPQC`
+//!   container — plus the shortcut count.
 //! * [`ChQuery`] — a reusable query workspace for distance and
-//!   shortest-path queries over the flat layout ([`LegacyChQuery`] keeps
-//!   the original CSR-walking kernel as the reference and bench
-//!   baseline).
+//!   shortest-path queries, the one point kernel.
 //! * [`ManyToMany`] — bucket-based distance tables between node sets,
 //!   the engine behind TNR's preprocessing (paper §4.1: "we employed CH
 //!   to accelerate the shortest path computation required in the
@@ -45,7 +45,6 @@
 pub mod backend;
 pub mod batch;
 pub mod contraction;
-pub mod legacy;
 pub mod many2many;
 pub mod ordering;
 pub mod persist;
@@ -54,7 +53,11 @@ pub mod search_graph;
 
 pub use batch::{BatchDistances, LANES};
 pub use contraction::{ChParams, ContractionHierarchy};
-pub use legacy::LegacyChQuery;
 pub use many2many::{par_table, ManyToMany};
 pub use query::ChQuery;
 pub use search_graph::{SearchEdge, SearchGraph};
+
+// Only until the benchmark-only follow-up drops its `ch.legacy.*` rows,
+// which name this type (and now time the one kernel).
+#[doc(hidden)]
+pub type LegacyChQuery<'a> = ChQuery<'a>;

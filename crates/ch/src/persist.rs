@@ -3,137 +3,87 @@
 //! CH preprocessing is cheap (minutes on the paper's largest dataset)
 //! but still worth doing once: a routing service restarts with a
 //! `read_binary` in milliseconds instead of re-contracting.
+//!
+//! The `SPQC` container (version 4) stores the hierarchy once — the
+//! three sections `SearchGraph::from_sections` takes, 12 bytes per
+//! upward edge:
+//!
+//! ```text
+//! shortcuts  u64
+//! rank       u64 n    · n × u32            original id → rank
+//! up_first   u64 n+1  · (n+1) × u32        upward CSR offsets, by rank
+//! up         u64 m    · m × (u32 target, u32 weight, u32 middle)
+//! ```
+//!
+//! The inverse permutation and the downward half are derived on load.
+//! Versions 2 and 3 (the upward graph stored in original ids, then a
+//! second and third time flattened) are refused as
+//! [`IndexLoadError::LegacyVersion`], like the pre-checksum version 1:
+//! re-run `spq prep`.
 
 use std::io::{self, Read, Write};
 
 use spq_graph::binio::{self, IndexLoadError};
-use spq_graph::types::NodeId;
 
 use crate::contraction::ContractionHierarchy;
-use crate::search_graph::SearchEdge;
+use crate::search_graph::{SearchEdge, SearchGraph, NO_MIDDLE};
 
 const MAGIC: &[u8; 4] = b"SPQC";
-/// Version 3 appends the flattened rank-renumbered search graph to the
-/// version-2 payload, so a load hands the query kernels the exact layout
-/// that was built (and cross-checks it against a fresh derivation).
-/// Version-2 files (base arrays only) still load — the search graph is
-/// rebuilt on the fly. Version-1 files predate the checksummed container
-/// ([`binio::write_checksummed`]) and are refused (rebuild to migrate).
-const VERSION: u32 = 3;
-const MIN_VERSION: u32 = 2;
-
-/// Flattens interleaved edge records to the plain `u32` stream
-/// [`binio::write_u32s`] speaks: `target, weight, middle` per record.
-fn edges_to_u32s(edges: &[SearchEdge]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(edges.len() * 3);
-    for e in edges {
-        out.push(e.target);
-        out.push(e.weight);
-        out.push(e.middle);
-    }
-    out
-}
-
-fn u32s_to_edges(raw: &[u32]) -> Result<Vec<SearchEdge>, String> {
-    if raw.len() % 3 != 0 {
-        return Err("edge section length is not a multiple of 3".into());
-    }
-    Ok(raw
-        .chunks_exact(3)
-        .map(|c| SearchEdge {
-            target: c[0],
-            weight: c[1],
-            middle: c[2],
-        })
-        .collect())
-}
+const VERSION: u32 = 4;
 
 impl ContractionHierarchy {
-    /// Serialises the hierarchy (ranks + upward graph + shortcut tags,
-    /// followed by the flat search-graph sections) inside a checksummed
-    /// container.
+    /// Serialises the hierarchy inside a checksummed container.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
         let mut body = Vec::with_capacity(self.serialized_len() - binio::CONTAINER_HEADER_LEN);
+        let (rank, up_first, up) = self.search_graph().sections();
         binio::write_u64(&mut body, self.num_shortcuts() as u64)?;
-        let (rank, up_first, up_head, up_weight, up_middle) = self.raw_parts();
         binio::write_u32s(&mut body, rank)?;
         binio::write_u32s(&mut body, up_first)?;
-        binio::write_u32s(&mut body, up_head)?;
-        binio::write_u32s(&mut body, up_weight)?;
-        binio::write_u32s(&mut body, up_middle)?;
-        let (node, sg_up_first, sg_up, sg_down_first, sg_down) = self.search_graph().sections();
-        binio::write_u32s(&mut body, node)?;
-        binio::write_u32s(&mut body, sg_up_first)?;
-        binio::write_u32s(&mut body, &edges_to_u32s(sg_up))?;
-        binio::write_u32s(&mut body, sg_down_first)?;
-        binio::write_u32s(&mut body, &edges_to_u32s(sg_down))?;
+        binio::write_array(&mut body, up, SearchEdge::to_le)?;
         binio::write_checksummed(w, MAGIC, VERSION, &body)
     }
 
     /// Exact length in bytes of what [`ContractionHierarchy::write_binary`]
-    /// writes: the container header, the shortcut count, and ten
-    /// length-prefixed `u32` sections.
+    /// writes: the container header, the shortcut count, and three
+    /// length-prefixed sections.
     pub fn serialized_len(&self) -> usize {
-        let (rank, up_first, up_head, up_weight, up_middle) = self.raw_parts();
-        let (node, sg_up_first, sg_up, sg_down_first, sg_down) = self.search_graph().sections();
-        let words = rank.len()
-            + up_first.len()
-            + up_head.len()
-            + up_weight.len()
-            + up_middle.len()
-            + node.len()
-            + sg_up_first.len()
-            + 3 * sg_up.len()
-            + sg_down_first.len()
-            + 3 * sg_down.len();
-        binio::CONTAINER_HEADER_LEN + 8 + 10 * 8 + 4 * words
+        let (rank, up_first, up) = self.search_graph().sections();
+        binio::CONTAINER_HEADER_LEN
+            + 8
+            + (8 + 4 * rank.len())
+            + (8 + 4 * up_first.len())
+            + (8 + 12 * up.len())
     }
 
     /// Deserialises a hierarchy written by
     /// [`ContractionHierarchy::write_binary`], verifying the checksum
-    /// and structural invariants before returning it. Accepts version-2
-    /// files (pre-search-graph) as a migration path: their flat layout
-    /// is rebuilt from the base arrays.
+    /// and — through `SearchGraph::from_sections` — every structural
+    /// invariant searching and unpacking rely on before returning it.
     pub fn read_binary(r: &mut impl Read) -> Result<ContractionHierarchy, IndexLoadError> {
-        let (version, body) = binio::read_checksummed_versioned(r, MAGIC, MIN_VERSION, VERSION)?;
+        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
         let r = &mut &body[..];
-        let num_shortcuts = binio::read_u64(r)? as usize;
+        let num_shortcuts = binio::read_u64(r)?;
         let rank = binio::read_u32s(r)?;
         let up_first = binio::read_u32s(r)?;
-        let up_head = binio::read_u32s(r)?;
-        let up_weight = binio::read_u32s(r)?;
-        let up_middle = binio::read_u32s(r)?;
-        let ch = ContractionHierarchy::from_raw_parts(
-            rank,
-            up_first,
-            up_head,
-            up_weight,
-            up_middle,
-            num_shortcuts,
-        )
-        .map_err(IndexLoadError::Corrupt)?;
-        if version >= 3 {
-            // The stored search graph must equal the one derived from the
-            // base arrays — anything else means the two sections of the
-            // file disagree, i.e. it was not produced by `write_binary`.
-            let node: Vec<NodeId> = binio::read_u32s(r)?;
-            let sg_up_first = binio::read_u32s(r)?;
-            let sg_up = u32s_to_edges(&binio::read_u32s(r)?).map_err(IndexLoadError::Corrupt)?;
-            let sg_down_first = binio::read_u32s(r)?;
-            let sg_down = u32s_to_edges(&binio::read_u32s(r)?).map_err(IndexLoadError::Corrupt)?;
-            let (enode, eup_first, eup, edown_first, edown) = ch.search_graph().sections();
-            if node != enode
-                || sg_up_first != eup_first
-                || sg_up != eup
-                || sg_down_first != edown_first
-                || sg_down != edown
-            {
-                return Err(IndexLoadError::Corrupt(
-                    "search-graph section disagrees with the base arrays".into(),
-                ));
-            }
+        let up = binio::read_array(r, SearchEdge::from_le)?;
+        if !r.is_empty() {
+            return Err(IndexLoadError::Corrupt(format!(
+                "{} bytes follow the last section",
+                r.len()
+            )));
         }
-        Ok(ch)
+        let tagged = up.iter().filter(|e| e.middle != NO_MIDDLE).count() as u64;
+        if num_shortcuts < tagged {
+            return Err(IndexLoadError::Corrupt(format!(
+                "shortcut count {num_shortcuts} is below the {tagged} shortcuts stored"
+            )));
+        }
+        let search =
+            SearchGraph::from_sections(rank, up_first, up).map_err(IndexLoadError::Corrupt)?;
+        Ok(ContractionHierarchy::from_parts(
+            search,
+            num_shortcuts as usize,
+        ))
     }
 }
 
@@ -141,112 +91,101 @@ impl ContractionHierarchy {
 mod tests {
     use super::*;
     use crate::query::ChQuery;
+    use crate::search_graph::edge_to;
     use spq_graph::toy::{figure1, grid_graph};
     use spq_graph::types::NodeId;
 
+    fn container_of(ch: &ContractionHierarchy) -> Vec<u8> {
+        let mut buf = Vec::new();
+        ch.write_binary(&mut buf).unwrap();
+        buf
+    }
+
+    /// A version-4 container with a valid checksum around arbitrary
+    /// sections, to isolate the structural checks from the checksum.
+    fn pack(shortcuts: u64, rank: &[u32], up_first: &[u32], up: &[SearchEdge]) -> Vec<u8> {
+        let mut body = Vec::new();
+        binio::write_u64(&mut body, shortcuts).unwrap();
+        binio::write_u32s(&mut body, rank).unwrap();
+        binio::write_u32s(&mut body, up_first).unwrap();
+        binio::write_array(&mut body, up, SearchEdge::to_le).unwrap();
+        let mut out = Vec::new();
+        binio::write_checksummed(&mut out, MAGIC, VERSION, &body).unwrap();
+        out
+    }
+
+    fn corrupt_reason(container: &[u8]) -> String {
+        match ContractionHierarchy::read_binary(&mut &container[..]) {
+            Err(IndexLoadError::Corrupt(reason)) => reason,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// The loaded search graph — including the derived `node` array and
+    /// downward half — equals the built one, the reloaded index answers
+    /// identically, and write → read → write is byte-stable.
     #[test]
-    fn roundtrip_answers_identically() {
-        for g in [figure1(), grid_graph(6, 8)] {
+    fn roundtrip_restores_the_built_search_graph() {
+        let synthetic = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(900, 4));
+        for g in [figure1(), grid_graph(6, 8), grid_graph(11, 3), synthetic] {
             let ch = ContractionHierarchy::build(&g);
-            let mut buf = Vec::new();
-            ch.write_binary(&mut buf).unwrap();
-            assert_eq!(buf.len(), ch.serialized_len());
+            let buf = container_of(&ch);
             let ch2 = ContractionHierarchy::read_binary(&mut &buf[..]).unwrap();
-            assert_eq!(ch2.num_nodes(), ch.num_nodes());
             assert_eq!(ch2.num_shortcuts(), ch.num_shortcuts());
             assert_eq!(ch2.search_graph(), ch.search_graph());
+            assert_eq!(container_of(&ch2), buf);
             let mut q1 = ChQuery::new(&ch);
             let mut q2 = ChQuery::new(&ch2);
-            for s in 0..g.num_nodes() as NodeId {
-                for t in 0..g.num_nodes() as NodeId {
-                    assert_eq!(q1.distance(s, t), q2.distance(s, t));
-                    assert_eq!(
-                        q1.shortest_path(s, t).unwrap().1,
-                        q2.shortest_path(s, t).unwrap().1
-                    );
-                }
+            let n = g.num_nodes() as NodeId;
+            for (s, t) in (0..n)
+                .step_by(7)
+                .flat_map(|s| (0..n).step_by(5).map(move |t| (s, t)))
+            {
+                assert_eq!(q1.shortest_path(s, t), q2.shortest_path(s, t));
             }
         }
     }
 
-    /// A version-2 file (base arrays only, no search-graph sections)
-    /// must still load, with the flat layout rebuilt on the fly.
+    /// The footprint as a tested fact: one header, the shortcut count,
+    /// 4 bytes per vertex twice (+1 offset), 12 per upward edge, three
+    /// section prefixes — and the body is allocated at exactly that size.
     #[test]
-    fn migrates_version_2_files() {
-        let g = grid_graph(5, 6);
-        let ch = ContractionHierarchy::build(&g);
-        let mut body = Vec::new();
-        binio::write_u64(&mut body, ch.num_shortcuts() as u64).unwrap();
-        let (rank, up_first, up_head, up_weight, up_middle) = ch.raw_parts();
-        binio::write_u32s(&mut body, rank).unwrap();
-        binio::write_u32s(&mut body, up_first).unwrap();
-        binio::write_u32s(&mut body, up_head).unwrap();
-        binio::write_u32s(&mut body, up_weight).unwrap();
-        binio::write_u32s(&mut body, up_middle).unwrap();
-        let mut v2 = Vec::new();
-        binio::write_checksummed(&mut v2, MAGIC, 2, &body).unwrap();
-
-        let migrated = ContractionHierarchy::read_binary(&mut &v2[..]).unwrap();
-        assert_eq!(migrated.search_graph(), ch.search_graph());
-        // Re-serialising the migrated index produces a current-version
-        // file, byte-identical to serialising the original.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        migrated.write_binary(&mut a).unwrap();
-        ch.write_binary(&mut b).unwrap();
-        assert_eq!(a, b);
-    }
-
-    /// A tampered search-graph section is rejected even though the base
-    /// arrays parse (the checksum is recomputed to isolate the
-    /// cross-section consistency check).
-    #[test]
-    fn rejects_inconsistent_search_graph_section() {
-        let g = grid_graph(4, 4);
-        let ch = ContractionHierarchy::build(&g);
-        let mut buf = Vec::new();
-        ch.write_binary(&mut buf).unwrap();
-        // Re-pack the container with one weight flipped in the flat
-        // upward section (the last-but-one array of the body).
-        let body_start = 4 + 4 + 8 + 8;
-        let mut body = buf[body_start..].to_vec();
-        let n = ch.num_nodes();
-        let m = ch.num_upward_edges();
-        // Offsets: u64 + five base arrays (each u64 len + payload), the
-        // node array, the up_first array, then the up edge records.
-        let base = 8 + (8 + n * 4) + (8 + (n + 1) * 4) + 3 * (8 + m * 4);
-        let up_records = base + (8 + n * 4) + (8 + (n + 1) * 4) + 8;
-        body[up_records + 4] ^= 1; // weight of the first flat record
-        let mut tampered = Vec::new();
-        binio::write_checksummed(&mut tampered, MAGIC, VERSION, &body).unwrap();
-        let err = ContractionHierarchy::read_binary(&mut &tampered[..]).unwrap_err();
-        assert!(
-            matches!(err, IndexLoadError::Corrupt(ref m) if m.contains("search-graph")),
-            "got: {err}"
-        );
+    fn container_size_follows_the_layout() {
+        for g in [figure1(), grid_graph(9, 4)] {
+            let ch = ContractionHierarchy::build(&g);
+            let buf = container_of(&ch);
+            let (n, m) = (g.num_nodes(), ch.num_upward_edges());
+            let expect = 24 + 8 + (8 + 4 * n) + (8 + 4 * (n + 1)) + (8 + 12 * m);
+            assert_eq!(buf.len(), expect);
+            assert_eq!(ch.serialized_len(), expect);
+            let (rank, up_first, up) = ch.search_graph().sections();
+            assert_eq!(
+                pack(ch.num_shortcuts() as u64, rank, up_first, up),
+                buf,
+                "hand-packed"
+            );
+        }
     }
 
     #[test]
     fn rejects_invalid_payloads() {
         let g = figure1();
         let ch = ContractionHierarchy::build(&g);
-        let mut buf = Vec::new();
-        ch.write_binary(&mut buf).unwrap();
+        let mut buf = container_of(&ch);
         buf[1] ^= 0xff;
         assert!(matches!(
             ContractionHierarchy::read_binary(&mut &buf[..]),
             Err(IndexLoadError::BadMagic { .. })
         ));
-        // Truncation: drop the trailing section.
-        let mut buf2 = Vec::new();
-        ch.write_binary(&mut buf2).unwrap();
+        // Truncation: drop the tail of the last section.
+        let mut buf2 = container_of(&ch);
         buf2.truncate(buf2.len() - 9);
         assert!(matches!(
             ContractionHierarchy::read_binary(&mut &buf2[..]),
             Err(IndexLoadError::Truncated { .. })
         ));
         // A bit flip anywhere in the body trips the checksum.
-        let mut buf3 = Vec::new();
-        ch.write_binary(&mut buf3).unwrap();
+        let mut buf3 = container_of(&ch);
         let mid = buf3.len() / 2;
         buf3[mid] ^= 0x04;
         assert!(matches!(
@@ -255,18 +194,126 @@ mod tests {
         ));
     }
 
+    /// One format, one reader: the pre-checksum version 1 and the
+    /// original-id layouts of versions 2 and 3 are refused by their
+    /// number (whatever their body), and so is anything newer.
     #[test]
-    fn rejects_legacy_version_with_clear_message() {
-        // A pre-checksum (version 1) file: header + raw payload. It must
-        // be refused outright, never half-parsed.
-        let mut legacy = Vec::new();
-        spq_graph::binio::write_header(&mut legacy, b"SPQC", 1).unwrap();
-        spq_graph::binio::write_u64(&mut legacy, 0).unwrap();
-        let err = ContractionHierarchy::read_binary(&mut &legacy[..]).unwrap_err();
+    fn rejects_other_versions() {
+        let mut v1 = Vec::new();
+        binio::write_header(&mut v1, MAGIC, 1).unwrap();
+        binio::write_u64(&mut v1, 0).unwrap();
+        let err = ContractionHierarchy::read_binary(&mut &v1[..]).unwrap_err();
         assert!(matches!(
             err,
-            IndexLoadError::LegacyVersion { found: 1, .. }
+            IndexLoadError::LegacyVersion {
+                found: 1,
+                supported: 4
+            }
         ));
         assert!(err.to_string().contains("rebuild"), "message: {err}");
+
+        for old in [2, 3] {
+            let mut file = Vec::new();
+            binio::write_checksummed(&mut file, MAGIC, old, b"rank up_first up_head ...").unwrap();
+            assert!(matches!(
+                ContractionHierarchy::read_binary(&mut &file[..]),
+                Err(IndexLoadError::LegacyVersion { found, supported: 4 }) if found == old
+            ));
+        }
+
+        let mut future = Vec::new();
+        binio::write_checksummed(&mut future, MAGIC, VERSION + 1, b"").unwrap();
+        assert!(matches!(
+            ContractionHierarchy::read_binary(&mut &future[..]),
+            Err(IndexLoadError::UnsupportedVersion { found: 5, .. })
+        ));
+    }
+
+    /// A forged container — valid checksum, sections that parse — whose
+    /// hierarchy would make `PATH` panic or walk a wrong edge is refused
+    /// at load, each way of forging it with its own reason.
+    #[test]
+    fn rejects_forged_hierarchies_with_a_valid_checksum() {
+        let g = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(400, 9));
+        let ch = ContractionHierarchy::build(&g);
+        let shortcuts = ch.num_shortcuts() as u64;
+        let (rank, up_first, up) = ch.search_graph().sections();
+        let n = rank.len() as u32;
+        assert!(
+            ContractionHierarchy::read_binary(&mut &pack(shortcuts, rank, up_first, up)[..])
+                .is_ok()
+        );
+
+        // Every tag shifted by one (mod n): in range, but the halves are
+        // not where the tag says.
+        let mut bad = up.to_vec();
+        for e in bad.iter_mut().filter(|e| e.middle != NO_MIDDLE) {
+            e.middle = (e.middle + 1) % n;
+        }
+        let reason = corrupt_reason(&pack(shortcuts, rank, up_first, &bad));
+        assert!(reason.contains("tagged"), "{reason}");
+
+        // A tag naming another vertex that really is joined to both
+        // endpoints, by a longer way round: every lookup would succeed,
+        // on the wrong edges.
+        let sg = ch.search_graph();
+        let (at, other) = (0..n)
+            .flat_map(|a| {
+                let base = up_first[a as usize] as usize;
+                sg.up(a)
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, e)| (a, base + i, *e))
+            })
+            .filter(|(_, _, e)| e.middle != NO_MIDDLE)
+            .find_map(|(a, at, e)| {
+                (0..a)
+                    .filter(|&m| m != e.middle)
+                    .find(|&m| {
+                        let to = |t| edge_to(sg.up(m), t).map(|h| h.weight as u64);
+                        to(a)
+                            .zip(to(e.target))
+                            .is_some_and(|(x, y)| x + y != e.weight as u64)
+                    })
+                    .map(|m| (at, m))
+            })
+            .expect("some shortcut has a second common lower neighbour");
+        let mut bad = up.to_vec();
+        bad[at].middle = other;
+        let reason = corrupt_reason(&pack(shortcuts, rank, up_first, &bad));
+        assert!(reason.contains("halves weigh"), "{reason}");
+
+        // Two records for one (source, target) pair; targets descending.
+        let first = up_first
+            .windows(2)
+            .find(|w| w[1] - w[0] >= 2)
+            .expect("some vertex has two upward edges")[0] as usize;
+        let mut bad = up.to_vec();
+        bad[first + 1].target = bad[first].target;
+        let reason = corrupt_reason(&pack(shortcuts, rank, up_first, &bad));
+        assert!(reason.contains("ascend strictly"), "{reason}");
+        let mut bad = up.to_vec();
+        bad.swap(first, first + 1);
+        let reason = corrupt_reason(&pack(shortcuts, rank, up_first, &bad));
+        assert!(reason.contains("ascend strictly"), "{reason}");
+
+        // `rank` not a permutation; `up_first` not monotone.
+        let mut bad = rank.to_vec();
+        bad[0] = bad[1];
+        let reason = corrupt_reason(&pack(shortcuts, &bad, up_first, up));
+        assert!(reason.contains("permutation"), "{reason}");
+        let mut bad = up_first.to_vec();
+        bad[1] = bad[2] + 1;
+        let reason = corrupt_reason(&pack(shortcuts, rank, &bad, up));
+        assert!(reason.contains("non-decreasing"), "{reason}");
+
+        // A shortcut count the stored shortcuts contradict; trailing bytes.
+        let reason = corrupt_reason(&pack(0, rank, up_first, up));
+        assert!(reason.contains("shortcut count"), "{reason}");
+        let mut body = container_of(&ch)[binio::CONTAINER_HEADER_LEN..].to_vec();
+        body.extend_from_slice(b"tail");
+        let mut trailing = Vec::new();
+        binio::write_checksummed(&mut trailing, MAGIC, VERSION, &body).unwrap();
+        assert!(corrupt_reason(&trailing).contains("bytes follow"));
     }
 }

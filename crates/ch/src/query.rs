@@ -12,7 +12,7 @@ use spq_graph::heap::IndexedHeap;
 use spq_graph::types::{Dist, NodeId, INFINITY, INVALID_NODE};
 
 use crate::contraction::ContractionHierarchy;
-use crate::search_graph::{SearchGraph, NO_MIDDLE};
+use crate::search_graph::{edge_to, SearchGraph, NO_MIDDLE};
 
 /// One direction's workspace of the bidirectional upward search.
 ///
@@ -80,8 +80,8 @@ impl Side {
 ///
 /// Shortest-path queries additionally unpack shortcuts: a shortcut tagged
 /// with contracted vertex `m` between `u` and `w` is recursively replaced
-/// by the hierarchy edges (u, m) and (m, w), looked up in the search
-/// graph's downward half.
+/// by the hierarchy edges (u, m) and (m, w), both of them upward edges of
+/// `m` and found by scanning its (short) list.
 #[derive(Debug)]
 pub struct ChQuery<'a> {
     ch: &'a ContractionHierarchy,
@@ -95,8 +95,8 @@ pub struct ChQuery<'a> {
     pub stall_on_demand: bool,
     /// Vertices settled by the most recent query.
     pub last_settled: usize,
-    /// Scratch stack for shortcut unpacking: `(a, b, middle)` in rank
-    /// space.
+    /// Scratch stack for shortcut unpacking: hierarchy edges still to be
+    /// expanded, as `(from, to, middle)` in rank space, next one on top.
     unpack_stack: Vec<(u32, u32, u32)>,
     budget: QueryBudget,
 }
@@ -161,53 +161,48 @@ impl<'a> ChQuery<'a> {
         // The augmented path: s ..fwd.. meet ..bwd.. t, as hierarchy edges
         // in rank space; original ids appear only as the path is emitted.
         let mut path = vec![s];
-        // Forward half (s -> meet), collected backwards then reversed.
-        let mut fwd_edges = Vec::new();
+        // Forward half (s -> meet): the parents walk back from meet, which
+        // stacks the edges with the first one to travel on top.
+        debug_assert!(self.unpack_stack.is_empty());
         let mut cur = meet;
         while cur != rs {
-            let m = self.fwd.parent_middle[cur as usize];
             let from = self.fwd.parent[cur as usize];
-            fwd_edges.push((from, cur, m));
+            self.unpack_stack
+                .push((from, cur, self.fwd.parent_middle[cur as usize]));
             cur = from;
         }
-        fwd_edges.reverse();
-        for (from, to, m) in fwd_edges {
-            self.append_unpacked(from, to, m, &mut path);
-        }
-        // Backward half (meet -> t): bwd parents walk toward t.
+        self.unpack_into(&mut path);
+        // Backward half (meet -> t): bwd parents walk toward t, in travel
+        // order already.
         let mut cur = meet;
         while cur != rt {
-            let m = self.bwd.parent_middle[cur as usize];
             let to = self.bwd.parent[cur as usize];
-            self.append_unpacked(cur, to, m, &mut path);
+            self.unpack_stack
+                .push((cur, to, self.bwd.parent_middle[cur as usize]));
+            self.unpack_into(&mut path);
             cur = to;
         }
         Some((d, path))
     }
 
-    /// Appends the expansion of the hierarchy edge from rank `from` to
-    /// rank `to` tagged `middle` to `path` (original ids), excluding
-    /// `from` itself. Iterative to survive very long shortcut chains.
-    fn append_unpacked(&mut self, from: u32, to: u32, middle: u32, path: &mut Vec<NodeId>) {
-        debug_assert_eq!(path.last().copied(), Some(self.sg.orig_of(from)));
-        self.unpack_stack.clear();
-        self.unpack_stack.push((from, to, middle));
+    /// Empties the unpack stack onto `path` (original ids): each stacked
+    /// hierarchy edge is expanded down to road edges and contributes
+    /// every vertex after its `from`. Iterative to survive very long
+    /// shortcut chains.
+    fn unpack_into(&mut self, path: &mut Vec<NodeId>) {
         while let Some((a, b, m)) = self.unpack_stack.pop() {
+            debug_assert_eq!(path.last().copied(), Some(self.sg.orig_of(a)));
             if m == NO_MIDDLE {
                 path.push(self.sg.orig_of(b));
             } else {
-                // Shortcut tagged m: replace with (a, m) then (m, b). The
-                // halves are upward edges *of m* (m was contracted before
-                // both endpoints), found in the endpoints' downward
-                // lists. Push in reverse order: stack is LIFO.
-                let e1 = self
-                    .sg
-                    .down_edge_to(a, m)
-                    .expect("shortcut half (m, a) must exist in the hierarchy");
-                let e2 = self
-                    .sg
-                    .down_edge_to(b, m)
-                    .expect("shortcut half (m, b) must exist in the hierarchy");
+                // Shortcut tagged m: replace with (a, m) then (m, b). m
+                // was contracted before both endpoints, so both halves
+                // are upward edges of m; `SearchGraph::from_sections`
+                // refused any hierarchy where they are not. Push in
+                // reverse order: the stack is LIFO.
+                let halves = self.sg.up(m);
+                let e1 = edge_to(halves, a).expect("validated: shortcut half (m, a) exists");
+                let e2 = edge_to(halves, b).expect("validated: shortcut half (m, b) exists");
                 self.unpack_stack.push((m, b, e2.middle));
                 self.unpack_stack.push((a, m, e1.middle));
             }
@@ -315,7 +310,6 @@ impl<'a> ChQuery<'a> {
 mod tests {
     use super::*;
     use crate::contraction::ContractionHierarchy;
-    use crate::legacy::LegacyChQuery;
     use spq_dijkstra::Dijkstra;
     use spq_graph::toy::{figure1, grid_graph};
     use spq_graph::RoadNetwork;
@@ -323,7 +317,6 @@ mod tests {
     fn check_all_pairs(g: &RoadNetwork, ch: &ContractionHierarchy) {
         let n = g.num_nodes() as NodeId;
         let mut q = ChQuery::new(ch);
-        let mut legacy = LegacyChQuery::new(ch);
         let mut reference = Dijkstra::new(g.num_nodes());
         for s in 0..n {
             reference.run(g, s);
@@ -339,9 +332,6 @@ mod tests {
                     expect,
                     "path ({s},{t}) must be edge-valid and optimal: {path:?}"
                 );
-                // The flat kernel is a re-layout, not a re-algorithm: it
-                // must reproduce the legacy kernel's answers exactly.
-                assert_eq!(legacy.shortest_path(s, t), Some((d, path)), "({s},{t})");
             }
         }
     }

@@ -1,32 +1,37 @@
-//! The flattened, rank-renumbered CH search graph — the cache-conscious
-//! layout the query kernels run on.
+//! The flattened, rank-renumbered CH search graph — the one
+//! representation of a contraction hierarchy, in memory and on disk.
 //!
-//! [`ContractionHierarchy`](crate::ContractionHierarchy) keeps its upward
-//! graph keyed by *original* vertex ids, which is the natural shape for
-//! contraction and persistence but a poor one for querying: the upward
-//! search of §3.2 spends its time on the few thousand most important
-//! vertices, and under original ids those are scattered across the whole
-//! id space, so every settle is a cache miss.
+//! Vertices are renumbered by contraction rank (vertex `r` is the one
+//! contracted `r`-th). The upward search of §3.2 spends its time on the
+//! few thousand most important vertices; under rank ids those sit
+//! together at the top of every array instead of being scattered over
+//! the original id space.
 //!
-//! [`SearchGraph`] renumbers vertices by contraction rank (vertex `r` is
-//! the one contracted `r`-th), which clusters the hot high-ranked core at
-//! the top of every array, and stores two flattened CSR halves of
-//! interleaved [`SearchEdge`] records:
+//! Three sections *are* the hierarchy (they are what `SPQC` stores):
 //!
-//! * the **upward** half: for each vertex, its upward edges with targets
-//!   in ascending rank — one contiguous 12-byte-record scan per settle,
-//!   shared by both directions of the bidirectional search (the network
-//!   is undirected);
-//! * the **downward** half: the transpose, sorted by source rank — the
-//!   lookup structure for shortcut unpacking (the two halves of a
-//!   shortcut tagged `m` are upward edges *of* `m`, found in the
-//!   downward lists of the shortcut's endpoints by binary search).
+//! * `rank` — original id → rank;
+//! * `up_first` / `up` — a CSR of interleaved 12-byte [`SearchEdge`]
+//!   records: for each rank its upward edges, targets strictly ascending
+//!   (so at most one record per pair), shared by both directions of the
+//!   bidirectional search (the network is undirected). A shortcut `a → b`
+//!   tagged `m` is unpacked from `up(m)` itself: `m` was contracted
+//!   before both endpoints, so both halves are upward edges *of `m`* —
+//!   a scan of one short list, usually one cache line.
 //!
-//! Original ids appear only at the boundary: [`SearchGraph::rank_of`] on
-//! the way in, [`SearchGraph::orig_of`] when emitting unpacked paths.
+//! Two more are derived from them by `SearchGraph::from_sections`:
+//! `node`, the inverse permutation (original ids appear only at the
+//! boundary — [`SearchGraph::rank_of`] on the way in,
+//! [`SearchGraph::orig_of`] when a path is emitted), and the **downward**
+//! half, the transpose of `up`, which only the range sweep of `spq-many`
+//! reads.
+//!
+//! `from_sections` is the only constructor and the only validator:
+//! contraction and [`read_binary`](crate::ContractionHierarchy::read_binary)
+//! both go through it, so a `SearchGraph` that exists can be searched and
+//! unpacked without a bounds failure or a missing shortcut half.
 
 use spq_graph::size::IndexSize;
-use spq_graph::types::{NodeId, Weight, INVALID_NODE};
+use spq_graph::types::{NodeId, Weight};
 
 /// "Not a shortcut" marker in [`SearchEdge::middle`].
 pub const NO_MIDDLE: u32 = u32::MAX;
@@ -47,19 +52,36 @@ pub struct SearchEdge {
     pub middle: u32,
 }
 
-/// Borrowed persistence sections of a [`SearchGraph`]:
-/// `(node, up_first, up, down_first, down)`.
-pub(crate) type Sections<'a> = (
-    &'a [NodeId],
-    &'a [u32],
-    &'a [SearchEdge],
-    &'a [u32],
-    &'a [SearchEdge],
-);
+impl SearchEdge {
+    /// The record's 12 little-endian bytes: `target, weight, middle`.
+    pub(crate) fn to_le(self) -> [u8; 12] {
+        let mut out = [0u8; 12];
+        out[..4].copy_from_slice(&self.target.to_le_bytes());
+        out[4..8].copy_from_slice(&self.weight.to_le_bytes());
+        out[8..].copy_from_slice(&self.middle.to_le_bytes());
+        out
+    }
 
-/// The rank-renumbered flat search graph. Built once after contraction
-/// (deterministically — pure array transposition, no ordering choices)
-/// and immutable afterwards.
+    /// Inverse of [`SearchEdge::to_le`].
+    pub(crate) fn from_le(b: [u8; 12]) -> SearchEdge {
+        let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        SearchEdge {
+            target: word(0),
+            weight: word(4),
+            middle: word(8),
+        }
+    }
+}
+
+/// The record of `list` (one vertex's upward edges) that leads to
+/// `target`. Shortcut unpacking's only search primitive: both halves of
+/// a shortcut tagged `m` are found in `up(m)`.
+#[inline]
+pub(crate) fn edge_to(list: &[SearchEdge], target: u32) -> Option<&SearchEdge> {
+    list.iter().find(|e| e.target == target)
+}
+
+/// The rank-renumbered flat search graph. Immutable once assembled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchGraph {
     /// Original id → rank.
@@ -73,50 +95,79 @@ pub struct SearchGraph {
 }
 
 impl SearchGraph {
-    /// Builds the flat graph from the hierarchy's raw arrays (original-id
-    /// space, as produced by contraction or loaded from disk).
-    pub(crate) fn build(
-        rank: &[u32],
-        up_first: &[u32],
-        up_head: &[NodeId],
-        up_weight: &[Weight],
-        up_middle: &[NodeId],
-    ) -> SearchGraph {
+    /// Assembles the graph from its three stored sections — as emitted
+    /// by contraction or read from an `SPQC` container — checking every
+    /// invariant the kernels rely on and deriving `node` and the
+    /// downward half:
+    ///
+    /// * `rank` is a permutation and `up_first` a CSR over `up`;
+    /// * each list's targets ascend strictly and lie above their source;
+    /// * every shortcut `a → b` tagged `m` has `m < a`, both halves in
+    ///   `up(m)`, and their weights sum to the shortcut's.
+    pub(crate) fn from_sections(
+        rank: Vec<u32>,
+        up_first: Vec<u32>,
+        up: Vec<SearchEdge>,
+    ) -> Result<SearchGraph, String> {
         let n = rank.len();
-        let mut node = vec![0 as NodeId; n];
+        if up_first.len() != n + 1 {
+            return Err("up_first length must be n + 1".into());
+        }
+        if up_first[0] != 0 || up_first[n] as usize != up.len() {
+            return Err("up_first does not span the edge section".into());
+        }
+        if up_first.windows(2).any(|w| w[0] > w[1]) {
+            return Err("up_first must be non-decreasing".into());
+        }
+        let mut node = vec![NodeId::MAX; n];
         for (v, &r) in rank.iter().enumerate() {
-            node[r as usize] = v as NodeId;
+            match node.get_mut(r as usize) {
+                Some(slot) if *slot == NodeId::MAX => *slot = v as NodeId,
+                _ => return Err("rank is not a permutation".into()),
+            }
         }
 
-        // Upward half: per-rank adjacency, preserving each vertex's edge
-        // order (already ascending by target rank from `freeze`).
-        let mut flat_first = vec![0u32; n + 1];
-        for r in 0..n {
-            let v = node[r] as usize;
-            flat_first[r + 1] = flat_first[r] + (up_first[v + 1] - up_first[v]);
-        }
-        let total = flat_first[n] as usize;
-        let mut up = Vec::with_capacity(total);
-        for &v in node.iter() {
-            let v = v as usize;
-            for e in up_first[v] as usize..up_first[v + 1] as usize {
-                let m = up_middle[e];
-                up.push(SearchEdge {
-                    target: rank[up_head[e] as usize],
-                    weight: up_weight[e],
-                    middle: if m == INVALID_NODE {
-                        NO_MIDDLE
-                    } else {
-                        rank[m as usize]
-                    },
-                });
+        let up_of = |r: usize| &up[up_first[r] as usize..up_first[r + 1] as usize];
+        for a in 0..n {
+            let mut above = a as u32;
+            for e in up_of(a) {
+                if e.target <= above {
+                    return Err(format!(
+                        "upward targets of rank {a} must ascend strictly above it"
+                    ));
+                }
+                above = e.target;
+                if e.target as usize >= n {
+                    return Err(format!("upward target {} out of range", e.target));
+                }
+                if e.middle == NO_MIDDLE {
+                    continue;
+                }
+                if e.middle as usize >= a {
+                    return Err(format!(
+                        "shortcut {a} -> {} is tagged {}, not a vertex below it",
+                        e.target, e.middle
+                    ));
+                }
+                let halves = up_of(e.middle as usize);
+                let (Some(h1), Some(h2)) = (edge_to(halves, a as u32), edge_to(halves, e.target))
+                else {
+                    return Err(format!(
+                        "shortcut {a} -> {} tagged {}: half missing from the tag's upward edges",
+                        e.target, e.middle
+                    ));
+                };
+                if h1.weight as u64 + h2.weight as u64 != e.weight as u64 {
+                    return Err(format!(
+                        "shortcut {a} -> {} tagged {}: halves weigh {} + {}, not {}",
+                        e.target, e.middle, h1.weight, h2.weight, e.weight
+                    ));
+                }
             }
         }
 
         // Downward half: the transpose. Filling in ascending source rank
-        // leaves every down list sorted by target (= source rank), with
-        // parallel edges in their source's upward order — exactly the
-        // record a legacy `upward_edge_to` first-match lookup would pick.
+        // leaves every down list sorted by target (= source rank).
         let mut down_first = vec![0u32; n + 1];
         for e in &up {
             down_first[e.target as usize + 1] += 1;
@@ -131,28 +182,27 @@ impl SearchGraph {
                 weight: 0,
                 middle: NO_MIDDLE
             };
-            total
+            up.len()
         ];
-        for r in 0..n as u32 {
-            for e in &up[flat_first[r as usize] as usize..flat_first[r as usize + 1] as usize] {
+        for r in 0..n {
+            for e in up_of(r) {
                 let slot = &mut cursor[e.target as usize];
                 down[*slot as usize] = SearchEdge {
-                    target: r,
-                    weight: e.weight,
-                    middle: e.middle,
+                    target: r as u32,
+                    ..*e
                 };
                 *slot += 1;
             }
         }
 
-        SearchGraph {
-            rank: rank.to_vec().into_boxed_slice(),
+        Ok(SearchGraph {
+            rank: rank.into_boxed_slice(),
             node: node.into_boxed_slice(),
-            up_first: flat_first.into_boxed_slice(),
+            up_first: up_first.into_boxed_slice(),
             up: up.into_boxed_slice(),
             down_first: down_first.into_boxed_slice(),
             down: down.into_boxed_slice(),
-        }
+        })
     }
 
     /// Number of vertices.
@@ -179,7 +229,8 @@ impl SearchGraph {
         self.node[r as usize]
     }
 
-    /// Upward edges of the vertex at rank `r` (targets ascend, all `> r`).
+    /// Upward edges of the vertex at rank `r` (targets ascend strictly,
+    /// all `> r`).
     #[inline]
     pub fn up(&self, r: u32) -> &[SearchEdge] {
         &self.up[self.up_first[r as usize] as usize..self.up_first[r as usize + 1] as usize]
@@ -193,27 +244,10 @@ impl SearchGraph {
         &self.down[self.down_first[r as usize] as usize..self.down_first[r as usize + 1] as usize]
     }
 
-    /// Finds the edge from `below` up to `r` — the record in `r`'s
-    /// downward list with the given target — via binary search. With
-    /// parallel edges, returns the first, matching the legacy kernel's
-    /// first-match lookup. Shortcut unpacking's only search primitive.
-    #[inline]
-    pub fn down_edge_to(&self, r: u32, below: u32) -> Option<&SearchEdge> {
-        let list = self.down(r);
-        let i = list.partition_point(|e| e.target < below);
-        list.get(i).filter(|e| e.target == below)
-    }
-
-    /// Raw sections for persistence: `(node, up_first, up, down_first,
-    /// down)`.
-    pub(crate) fn sections(&self) -> Sections<'_> {
-        (
-            &self.node,
-            &self.up_first,
-            &self.up,
-            &self.down_first,
-            &self.down,
-        )
+    /// The stored sections, as `SearchGraph::from_sections` takes
+    /// them: `(rank, up_first, up)`.
+    pub(crate) fn sections(&self) -> (&[u32], &[u32], &[SearchEdge]) {
+        (&self.rank, &self.up_first, &self.up)
     }
 }
 
@@ -237,47 +271,24 @@ mod tests {
     #[test]
     fn records_are_twelve_bytes() {
         assert_eq!(std::mem::size_of::<SearchEdge>(), 12);
+        let e = SearchEdge {
+            target: 0x0403_0201,
+            weight: 7,
+            middle: NO_MIDDLE,
+        };
+        assert_eq!(e.to_le(), [1, 2, 3, 4, 7, 0, 0, 0, 255, 255, 255, 255]);
+        assert_eq!(SearchEdge::from_le(e.to_le()), e);
     }
 
     #[test]
-    fn flat_graph_mirrors_hierarchy() {
+    fn permutations_are_inverse() {
         let g = figure1();
         let ch = ContractionHierarchy::build(&g);
         let sg = ch.search_graph();
         assert_eq!(sg.num_nodes(), 8);
         assert_eq!(sg.num_edges(), ch.num_upward_edges());
         for v in 0..8u32 {
-            let r = sg.rank_of(v);
-            assert_eq!(sg.orig_of(r), v);
-            assert_eq!(r, ch.rank(v));
-            let flat = sg.up(r);
-            let legacy: Vec<_> = ch.upward_edges(v).collect();
-            assert_eq!(flat.len(), legacy.len());
-            for (fe, &(e, head, w)) in flat.iter().zip(&legacy) {
-                assert_eq!(fe.target, ch.rank(head));
-                assert_eq!(fe.weight, w);
-                let m = ch.edge_middle(e);
-                if m == INVALID_NODE {
-                    assert_eq!(fe.middle, NO_MIDDLE);
-                } else {
-                    assert_eq!(fe.middle, ch.rank(m));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn up_targets_ascend_within_and_above_source() {
-        let g = grid_graph(6, 7);
-        let ch = ContractionHierarchy::build(&g);
-        let sg = ch.search_graph();
-        for r in 0..sg.num_nodes() as u32 {
-            let mut prev = r; // targets must all exceed the source rank
-            for e in sg.up(r) {
-                assert!(e.target > r);
-                assert!(e.target >= prev, "targets must ascend");
-                prev = e.target;
-            }
+            assert_eq!(sg.orig_of(sg.rank_of(v)), v);
         }
     }
 
@@ -286,29 +297,53 @@ mod tests {
         let g = grid_graph(5, 9);
         let ch = ContractionHierarchy::build(&g);
         let sg = ch.search_graph();
-        let n = sg.num_nodes() as u32;
         let mut down_seen = 0usize;
-        for r in 0..n {
-            let mut prev = 0;
+        for r in 0..sg.num_nodes() as u32 {
+            let mut prev = None;
             for e in sg.down(r) {
                 assert!(e.target < r);
-                assert!(e.target >= prev, "down targets must ascend");
-                prev = e.target;
-                // The matching upward record must exist below.
-                assert!(sg
-                    .up(e.target)
-                    .iter()
-                    .any(|u| u.target == r && u.weight == e.weight && u.middle == e.middle));
+                assert!(prev < Some(e.target), "down targets must ascend");
+                prev = Some(e.target);
+                let up = edge_to(sg.up(e.target), r).expect("the matching upward record");
+                assert_eq!((up.weight, up.middle), (e.weight, e.middle));
                 down_seen += 1;
             }
         }
         assert_eq!(down_seen, sg.num_edges());
-        // And the binary-search lookup agrees with a linear scan.
-        for r in 0..n {
-            for below in 0..r {
-                let linear = sg.down(r).iter().find(|e| e.target == below);
-                assert_eq!(sg.down_edge_to(r, below), linear);
-            }
-        }
+    }
+
+    /// The shape checks a checksummed container cannot reach one at a
+    /// time (the forged-hierarchy cases live with the container tests in
+    /// `persist.rs`): section lengths, an out-of-range target, and a tag
+    /// that does not lie below its shortcut.
+    #[test]
+    fn from_sections_refuses_malformed_sections() {
+        let g = grid_graph(5, 5);
+        let ch = ContractionHierarchy::build(&g);
+        let (rank, up_first, up) = ch.search_graph().sections();
+        let reason = |rank: &[u32], up_first: &[u32], up: &[SearchEdge]| {
+            SearchGraph::from_sections(rank.to_vec(), up_first.to_vec(), up.to_vec())
+                .expect_err("must be refused")
+        };
+        assert!(SearchGraph::from_sections(rank.to_vec(), up_first.to_vec(), up.to_vec()).is_ok());
+
+        let mut bad = rank.to_vec();
+        bad[3] = 25;
+        assert!(reason(&bad, up_first, up).contains("permutation"));
+        assert!(reason(rank, &up_first[1..], up).contains("n + 1"));
+        let mut bad = up_first.to_vec();
+        *bad.last_mut().unwrap() += 1;
+        assert!(reason(rank, &bad, up).contains("span"));
+
+        let mut bad = up.to_vec();
+        bad.last_mut().unwrap().target = 25;
+        assert!(reason(rank, up_first, &bad).contains("out of range"));
+        let shortcut = up
+            .iter()
+            .position(|e| e.middle != NO_MIDDLE)
+            .expect("a grid needs shortcuts");
+        let mut bad = up.to_vec();
+        bad[shortcut].middle = 24;
+        assert!(reason(rank, up_first, &bad).contains("below"));
     }
 }

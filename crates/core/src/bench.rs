@@ -2,10 +2,9 @@
 //!
 //! Times the point-to-point distance kernel of every backend (the five
 //! paper techniques plus ALT, arc flags, and hub labeling), the CH
-//! shortest-path
-//! (unpack) kernel, the legacy CSR-walking CH kernel it replaced, and
-//! CH's bucket-based many-to-many, on Table-1 proxy networks. Results
-//! go to a JSON report with one entry per line:
+//! shortest-path (unpack) kernel, and CH's bucket-based many-to-many,
+//! on Table-1 proxy networks. Results go to a JSON report with one
+//! entry per line:
 //!
 //! ```text
 //! {"mode":"smoke","network":"DE","vertices":122,"backend":"ch","op":"distance","queries":512,"median_ns":850.2},
@@ -35,7 +34,7 @@ use rand::{Rng, SeedableRng};
 
 use spq_alt::{Alt, AltParams};
 use spq_arcflags::{ArcFlags, ArcFlagsParams};
-use spq_ch::{BatchDistances, ChQuery, ContractionHierarchy, LegacyChQuery, ManyToMany};
+use spq_ch::{BatchDistances, ChQuery, ContractionHierarchy, ManyToMany};
 use spq_dijkstra::{BiDijkstra, Dijkstra};
 use spq_graph::backend::{Backend, PoiRef};
 use spq_graph::types::{Dist, NodeId, INFINITY};
@@ -170,7 +169,7 @@ pub struct Entry {
     pub network: String,
     /// Vertices in the proxy network.
     pub vertices: usize,
-    /// Backend name (`dijkstra`, `ch`, `ch_legacy`, ...).
+    /// Backend name (`dijkstra`, `ch`, `hl`, ...).
     pub backend: String,
     /// `distance`, `path`, or `m2m` (ns per table entry).
     pub op: String,
@@ -375,10 +374,10 @@ fn bench_network(
         median_ns(&pairs, |s, t| bi.distance(net, s, t).unwrap_or(0)),
     );
 
-    // One CH build serves every hierarchy-based kernel: the flat
-    // distance/path kernels, the legacy comparison kernel, the bucket
-    // many-to-many, the one-to-many family, and hub labeling. Skip the
-    // build entirely when the filters select none of them.
+    // One CH build serves every hierarchy-based kernel: the distance and
+    // path kernels, the bucket many-to-many, the one-to-many family, and
+    // hub labeling. Skip the build entirely when the filters select none
+    // of them.
     let need_ch = [
         "distance",
         "path",
@@ -390,8 +389,6 @@ fn bench_network(
     ]
     .iter()
     .any(|op| want("ch", op))
-        || want("ch_legacy", "distance")
-        || want("ch_legacy", "path")
         || want("hl", "distance");
     let ch = if need_ch {
         Some(Arc::new(ContractionHierarchy::build(net)))
@@ -412,29 +409,6 @@ fn bench_network(
             if want("ch", "path") {
                 push(
                     "ch",
-                    "path",
-                    pairs.len(),
-                    median_ns(&pairs, |s, t| {
-                        q.shortest_path(s, t)
-                            .map(|(d, p)| d + p.len() as u64)
-                            .unwrap_or(0)
-                    }),
-                );
-            }
-        }
-        {
-            let mut q = LegacyChQuery::new(ch);
-            if want("ch_legacy", "distance") {
-                push(
-                    "ch_legacy",
-                    "distance",
-                    pairs.len(),
-                    median_ns(&pairs, |s, t| q.distance(s, t).unwrap_or(0)),
-                );
-            }
-            if want("ch_legacy", "path") {
-                push(
-                    "ch_legacy",
                     "path",
                     pairs.len(),
                     median_ns(&pairs, |s, t| {
@@ -1394,22 +1368,14 @@ mod tests {
         let mut entries = Vec::new();
         bench_network(&mut entries, "smoke", d, &net, 2 * CHUNK, 7, &[], &[]).unwrap();
         // All seven backends (the network is under the all-pairs cap),
-        // plus the legacy kernel rows, the path rows, and the m2m row.
+        // plus the path row and the m2m row.
         let backends: Vec<&str> = entries.iter().map(|e| e.backend.as_str()).collect();
         for b in [
-            "dijkstra",
-            "ch",
-            "ch_legacy",
-            "hl",
-            "tnr",
-            "silc",
-            "pcpd",
-            "alt",
-            "arcflags",
+            "dijkstra", "ch", "hl", "tnr", "silc", "pcpd", "alt", "arcflags",
         ] {
             assert!(backends.contains(&b), "missing backend {b}");
         }
-        assert_eq!(entries.iter().filter(|e| e.op == "path").count(), 2);
+        assert_eq!(entries.iter().filter(|e| e.op == "path").count(), 1);
         assert_eq!(entries.iter().filter(|e| e.op == "m2m").count(), 1);
         // The one-to-many family rides the ch backend: one row per
         // target-set size plus the kNN and range rows, all

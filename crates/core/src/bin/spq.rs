@@ -215,10 +215,15 @@ fn prep(args: &[String]) -> Result<(), String> {
             let ch = spq_ch::ContractionHierarchy::build(&net);
             let elapsed = t0.elapsed();
             atomic_io::write_atomic(out, |w| ch.write_binary(w)).map_err(|e| e.to_string())?;
+            let bytes = ch.serialized_len();
             println!(
-                "built CH in {:.2?}: {} shortcuts, {:.2} MB -> {out}",
+                "built CH in {:.2?}: {} shortcuts inserted, {} upward edges -> {out}\n  \
+                 container {:.2} MB ({:.2} bytes per upward edge), {:.2} MB in memory",
                 elapsed,
                 ch.num_shortcuts(),
+                ch.num_upward_edges(),
+                bytes as f64 / 1e6,
+                bytes as f64 / ch.num_upward_edges().max(1) as f64,
                 ch.index_size_mb()
             );
         }

@@ -111,10 +111,9 @@ pub enum IndexLoadError {
     Io(io::Error),
     /// The file does not start with this format's magic bytes.
     BadMagic { expected: [u8; 4], got: [u8; 4] },
-    /// The file is in a layout older than the oldest this build reads
-    /// (an `SPQC` file from before the checksummed container, an `SPQH`
-    /// version 1). Such files are refused rather than risk misreading
-    /// them; rebuild the index to migrate.
+    /// The file is in a layout older than the one this build reads (an
+    /// `SPQC` version 1–3, an `SPQH` version 1). Such files are refused
+    /// rather than risk misreading them; rebuild the index to migrate.
     LegacyVersion { found: u32, supported: u32 },
     /// The file claims a format version newer than this build supports.
     UnsupportedVersion { found: u32, supported: u32 },
@@ -207,31 +206,16 @@ pub fn write_checksummed(
 }
 
 /// Reads and fully validates a checksummed container, returning the
-/// verified body. Rejects wrong magic, legacy (version 1) files, future
+/// verified body. Rejects wrong magic, older (legacy) versions, future
 /// versions, truncation, and checksum mismatches — each as its own
 /// [`IndexLoadError`] variant so callers can log a precise reason
-/// before degrading.
+/// before degrading. Every format has one current layout and one
+/// reader: a version bump retires the previous layout.
 pub fn read_checksummed(
     r: &mut impl Read,
     magic: &[u8; 4],
     version: u32,
 ) -> Result<Vec<u8>, IndexLoadError> {
-    read_checksummed_versioned(r, magic, version, version).map(|(_, body)| body)
-}
-
-/// Like [`read_checksummed`] but accepting any version in
-/// `min_version..=max_version`, returning the version found alongside the
-/// verified body. This is the migration entry point: an index format that
-/// bumps its version keeps loading the previous on-disk layout by
-/// widening the accepted range and branching on the returned version.
-/// The checksum is seeded with the *found* version, matching what
-/// [`write_checksummed`] stored when that file was written.
-pub fn read_checksummed_versioned(
-    r: &mut impl Read,
-    magic: &[u8; 4],
-    min_version: u32,
-    max_version: u32,
-) -> Result<(u32, Vec<u8>), IndexLoadError> {
     let mut got_magic = [0u8; 4];
     r.read_exact(&mut got_magic)?;
     if &got_magic != magic {
@@ -243,16 +227,16 @@ pub fn read_checksummed_versioned(
     let mut v = [0u8; 4];
     r.read_exact(&mut v)?;
     let found = u32::from_le_bytes(v);
-    if found < min_version {
+    if found < version {
         return Err(IndexLoadError::LegacyVersion {
             found,
-            supported: min_version,
+            supported: version,
         });
     }
-    if found > max_version {
+    if found > version {
         return Err(IndexLoadError::UnsupportedVersion {
             found,
-            supported: max_version,
+            supported: version,
         });
     }
     let body_len = read_u64(r)?;
@@ -277,14 +261,14 @@ pub fn read_checksummed_versioned(
             Err(e) => return Err(IndexLoadError::Io(e)),
         }
     }
-    let computed = xxhash64(&body, found as u64);
+    let computed = xxhash64(&body, version as u64);
     if computed != stored {
         return Err(IndexLoadError::ChecksumMismatch {
             expected: stored,
             got: computed,
         });
     }
-    Ok((found, body))
+    Ok(body)
 }
 
 /// Writes the 8-byte header: 4 magic bytes + u32 version.

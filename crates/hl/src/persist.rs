@@ -14,7 +14,9 @@
 //! — the hierarchy keeps its format evolution (and its structural
 //! cross-checks) without this crate re-encoding it. Version 1 (separate
 //! `rank`/`hub` sections, 64-bit distances) is refused as
-//! [`IndexLoadError::LegacyVersion`]: re-run `spq prep --kind hl`.
+//! [`IndexLoadError::LegacyVersion`], and so is a version-2 file whose
+//! embedded hierarchy is an `SPQC` older than the one `spq-ch` reads:
+//! in both cases re-run `spq prep --kind hl`.
 
 use std::io::{self, Read, Write};
 
@@ -71,8 +73,12 @@ impl Hl {
                 r.len()
             )));
         }
-        let ch = ContractionHierarchy::read_binary(r)
-            .map_err(|e| IndexLoadError::Corrupt(format!("embedded hierarchy: {e}")))?;
+        // An old embedded layout is an old file, not a damaged one: it
+        // keeps its type, so the degrade chain reports it as such.
+        let ch = ContractionHierarchy::read_binary(r).map_err(|e| match e {
+            IndexLoadError::LegacyVersion { .. } => e,
+            e => IndexLoadError::Corrupt(format!("embedded hierarchy: {e}")),
+        })?;
         Hl::from_parts(ch, labels).map_err(IndexLoadError::Corrupt)
     }
 }
@@ -199,6 +205,24 @@ mod tests {
         assert!(matches!(
             Hl::read_binary(&mut &future[..]),
             Err(IndexLoadError::UnsupportedVersion { found: 3, .. })
+        ));
+    }
+
+    /// An `SPQH` written before `SPQC` version 4 embeds a hierarchy the
+    /// one reader refuses: the file as a whole is legacy (re-run
+    /// `spq prep --kind hl`), not corrupt.
+    #[test]
+    fn rejects_a_legacy_embedded_hierarchy_as_legacy() {
+        let hl = Hl::build(&figure1());
+        let (first, entries) = hl.labels().sections();
+        let mut old_ch = Vec::new();
+        binio::write_checksummed(&mut old_ch, b"SPQC", 3, b"base arrays + flat halves").unwrap();
+        assert!(matches!(
+            Hl::read_binary(&mut &pack(first, entries, &old_ch)[..]),
+            Err(IndexLoadError::LegacyVersion {
+                found: 3,
+                supported: 4
+            })
         ));
     }
 

@@ -161,7 +161,7 @@ impl PoiSet {
     /// Deserialises a set written by [`PoiSet::write_binary`], verifying
     /// the checksum and re-validating every structural invariant.
     pub fn read_binary(r: &mut impl Read) -> Result<PoiSet, IndexLoadError> {
-        let (_, body) = binio::read_checksummed_versioned(r, MAGIC, VERSION, VERSION)?;
+        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
         let r = &mut &body[..];
         let name_bytes = binio::read_u8s(r)?;
         let name = String::from_utf8(name_bytes)

@@ -860,6 +860,77 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Index files from before `SPQC` version 4 — a version-3 CH
+    /// container, and an `SPQH` that embeds one — carry valid checksums,
+    /// so the recovery scan leaves them where they are; the one reader
+    /// refuses both by version number, and the chain HL → CH → Dijkstra
+    /// keeps every wire id answering with that reason on record.
+    #[test]
+    fn pre_v4_ch_containers_degrade_down_the_chain_as_legacy() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 13));
+        let dir = std::env::temp_dir().join(format!("spq_serve_ch_v3_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let ch_path = dir.join("old.ch");
+        let mut v3 = Vec::new();
+        binio::write_checksummed(&mut v3, b"SPQC", 3, b"base arrays + flat halves").unwrap();
+        std::fs::write(&ch_path, &v3).unwrap();
+
+        // A current SPQH whose embedded hierarchy (the tail of the body)
+        // is relabelled version 3, both checksums recomputed.
+        let hl = Hl::build(&net);
+        let mut file = Vec::new();
+        hl.write_binary(&mut file).unwrap();
+        let inner = file.len() - hl.hierarchy().serialized_len();
+        file[inner + 4..inner + 8].copy_from_slice(&3u32.to_le_bytes());
+        let sum = binio::xxhash64(&file[inner + binio::CONTAINER_HEADER_LEN..], 3);
+        file[inner + 16..inner + 24].copy_from_slice(&sum.to_le_bytes());
+        let sum = binio::xxhash64(&file[binio::CONTAINER_HEADER_LEN..], 2);
+        file[16..24].copy_from_slice(&sum.to_le_bytes());
+        let hl_path = dir.join("old.hl");
+        std::fs::write(&hl_path, &file).unwrap();
+
+        let specs = [
+            BackendSpec::from_file(BackendKind::Ch, &ch_path),
+            BackendSpec::from_file(BackendKind::Hl, &hl_path),
+        ];
+        let engine = Engine::build_with_indexes(net.clone(), &specs, true).unwrap();
+        let legacy = IndexLoadError::LegacyVersion {
+            found: 3,
+            supported: 4,
+        }
+        .to_string();
+        let [ch_down, hl_down] = engine.degradations() else {
+            panic!("two degradations, got {:?}", engine.degradations());
+        };
+        assert_eq!(
+            (ch_down.requested, ch_down.served_by),
+            (BackendKind::Ch, BackendKind::Dijkstra)
+        );
+        assert_eq!(
+            (hl_down.requested, hl_down.served_by),
+            (BackendKind::Hl, BackendKind::Ch)
+        );
+        for down in [ch_down, hl_down] {
+            assert!(down.reason.ends_with(&legacy), "{}", down.reason);
+        }
+        for kind in [BackendKind::Ch, BackendKind::Hl] {
+            let pos = engine.position_of_wire(kind.wire_id()).unwrap();
+            assert_eq!(engine.backends()[pos].kind, BackendKind::Dijkstra);
+        }
+        assert!(
+            ch_path.exists() && hl_path.exists(),
+            "legacy files are left for the operator, not quarantined"
+        );
+
+        let err = Engine::build_with_indexes(net, &specs[1..], false)
+            .err()
+            .expect("strict mode fails the build");
+        assert!(err.contains("cannot load hl index"), "{err}");
+        assert!(err.contains("legacy format version 3"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn self_check_rejects_a_lying_backend() {
         let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 12));

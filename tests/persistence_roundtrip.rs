@@ -9,8 +9,9 @@
 //! 2. **Fidelity** — the reloaded index answers every (s, t) distance
 //!    query identically to the index it was written from.
 //!
-//! HL additionally pins its container size to the `SPQH` version-2
-//! layout and the refusal of version 1.
+//! CH and HL additionally pin their container sizes to the `SPQC`
+//! version-4 and `SPQH` version-2 layouts, and the refusal of the
+//! versions before them.
 
 use proptest::prelude::*;
 use spq_alt::{Alt, AltParams};
@@ -64,10 +65,12 @@ proptest! {
         let rewritten = write_to_vec(|b| reloaded.write_binary(b));
         prop_assert_eq!(&bytes, &rewritten, "CH bytes drift across a round-trip");
 
-        // The version-3 container carries the flattened search graph;
-        // the reloaded copy must be identical to the built one, and the
-        // reloaded index must unpack identical paths.
+        // The container stores the upward graph once; the reloaded
+        // search graph — with the inverse permutation and the downward
+        // half derived on load — must be identical to the built one, and
+        // the reloaded index must unpack identical paths.
         prop_assert_eq!(reloaded.search_graph(), ch.search_graph());
+        prop_assert_eq!(reloaded.num_shortcuts(), ch.num_shortcuts());
         let mut q1 = spq_ch::ChQuery::new(&ch);
         let mut q2 = spq_ch::ChQuery::new(&reloaded);
         for s in 0..net.num_nodes() as NodeId {
@@ -79,6 +82,26 @@ proptest! {
             all_distances(&net, |s, t| q1.distance(s, t)),
             all_distances(&net, |s, t| q2.distance(s, t))
         );
+
+        // The footprint is the layout: one header, the shortcut count,
+        // three section prefixes, 4 bytes per vertex twice (+1 offset)
+        // and 12 per upward edge.
+        let (n, m) = (net.num_nodes(), ch.num_upward_edges());
+        prop_assert_eq!(
+            bytes.len(),
+            24 + 8 + (8 + 4 * n) + (8 + 4 * (n + 1)) + (8 + 12 * m)
+        );
+
+        // One format, one reader: the same bytes under an older version
+        // number are refused by that number, before the body is looked at.
+        for old in [2u32, 3] {
+            let mut relabelled = bytes.clone();
+            relabelled[4..8].copy_from_slice(&old.to_le_bytes());
+            prop_assert!(matches!(
+                ContractionHierarchy::read_binary(&mut &relabelled[..]),
+                Err(IndexLoadError::LegacyVersion { found, supported: 4 }) if found == old
+            ));
+        }
     }
 
     #[test]
