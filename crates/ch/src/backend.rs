@@ -43,6 +43,12 @@ impl Backend for ContractionHierarchy {
             budget: QueryBudget::unlimited(),
         })
     }
+
+    /// Both point queries are one bidirectional upward search (plus
+    /// unpacking): they settle the hierarchy's search space, not n.
+    fn bounded_point_queries(&self) -> bool {
+        true
+    }
 }
 
 impl Session for ChSession<'_> {

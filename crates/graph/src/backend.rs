@@ -212,13 +212,17 @@ pub trait Backend: Send + Sync {
     /// one session per backend for their whole lifetime.
     fn session<'a>(&'a self, net: &'a RoadNetwork) -> Box<dyn Session + 'a>;
 
-    /// Whether [`Session::distance`] is a pure lookup: bounded cost, no
-    /// graph search it could fall into, nothing a budget would need to
-    /// cut short. A server may answer such queries on the thread that
-    /// parsed them instead of handing them to a worker. The default is
-    /// `false`; only an index whose distance path is a table or label
-    /// scan on *every* input may claim it.
-    fn point_lookup(&self) -> bool {
+    /// Whether this backend's point queries — [`Session::distance`]
+    /// *and* [`Session::shortest_path`] — are bounded by the hierarchy's
+    /// search space on every input, never by the size of the network: a
+    /// label scan, an upward search over a contraction hierarchy, the
+    /// unpacking of the path it found. A server may answer such queries
+    /// on the thread that parsed them (still under a [`QueryBudget`])
+    /// instead of handing them to a worker. The default is `false`;
+    /// anything that can fall into a search of the road network itself
+    /// (Dijkstra, A*, a flag-pruned search, a local-query fallback) must
+    /// not claim it.
+    fn bounded_point_queries(&self) -> bool {
         false
     }
 }

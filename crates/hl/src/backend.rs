@@ -42,9 +42,9 @@ impl Backend for Hl {
         })
     }
 
-    /// A distance query is one merge-scan over two labels: no search
-    /// state, no expansion, the same bounded cost on every pair.
-    fn point_lookup(&self) -> bool {
+    /// A distance query is one merge-scan over two labels; a path
+    /// query is the embedded hierarchy's upward search plus unpacking.
+    fn bounded_point_queries(&self) -> bool {
         true
     }
 }
@@ -109,7 +109,10 @@ mod tests {
         let hl = Hl::build(&g);
         let backend: &dyn Backend = &hl;
         assert_eq!(backend.backend_name(), "HL");
-        assert!(backend.point_lookup(), "a label scan is a pure lookup");
+        assert!(
+            backend.bounded_point_queries(),
+            "a label scan and a CH unpack never search the network"
+        );
         let mut session = backend.session(&g);
         assert_eq!(session.distance(2, 6), Some(6));
         let (d, path) = session.shortest_path(2, 6).expect("connected");

@@ -121,6 +121,11 @@ impl Backend for ManyBackend {
             budget: QueryBudget::unlimited(),
         })
     }
+
+    /// `DISTANCE` and `PATH` are the plain CH backend's `ChQuery`.
+    fn bounded_point_queries(&self) -> bool {
+        true
+    }
 }
 
 /// Per-thread workspace bundle. Every engine is created lazily, so a

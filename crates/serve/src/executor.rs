@@ -1,19 +1,26 @@
 //! The request executor: one pinned epoch, one set of query sessions,
 //! and the per-request logic — driven by two callers.
 //!
-//! * A **worker** ([`Role::Worker`]) owns a session for every backend
-//!   of the pinned epoch plus the index-free Dijkstra end of the
-//!   quarantine failover chain, and executes whatever it pops from the
-//!   work queue.
-//! * A **shard** ([`Role::Shard`]) owns sessions only for backends
-//!   whose distance query is a pure lookup
-//!   ([`Backend::point_lookup`]) and executes *bounded-cost* requests
-//!   right where it parsed them: `PING`, any `DISTANCE` the cache
-//!   answers, and `DISTANCE` misses on a lookup backend. For everything
-//!   else [`Executor::execute`] returns [`Verdict::Handoff`] before
-//!   doing any work, and the shard sends the decoded request to the
-//!   pool. The rule is a property of the request and of the backend
-//!   serving it — never of load, timing or configuration.
+//! * A **shard** ([`Role::Shard`]) executes *point* requests right
+//!   where it parsed them: `PING`, any `DISTANCE` the cache answers,
+//!   and `DISTANCE` misses and `PATH` on a backend whose point queries
+//!   are bounded by its hierarchy's search space, never by n
+//!   ([`Backend::bounded_point_queries`]: CH and hub labels) — under
+//!   the same per-request budget a worker would install. For everything
+//!   else — any other op, a quarantined or unserved slot, a miss or a
+//!   `PATH` on a backend that searches the network —
+//!   [`Executor::execute`] returns [`Verdict::Handoff`] before doing
+//!   any work, and the shard sends the decoded request to the pool.
+//!   The rule is a property of the request and of the backend serving
+//!   it — never of load, timing or configuration.
+//! * A **worker** ([`Role::Worker`]) executes whatever it pops from the
+//!   work queue, on any backend of the pinned epoch and, at the end of
+//!   the quarantine failover chain, on the index-free Dijkstra
+//!   baseline.
+//!
+//! Either role builds a backend's session — its O(n) workspace — the
+//! first time a request needs it, so a thread only ever pays for the
+//! slots it actually answers on.
 //!
 //! The epoch pin ("re-pin before every request once the registry's
 //! epoch moved"), session construction, quarantine resolution, cache
@@ -55,7 +62,7 @@ pub(crate) struct ExecCtx {
 /// Who drives an executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Role {
-    /// An event-loop shard: bounded-cost requests only.
+    /// An event-loop shard: bounded point requests only.
     Shard,
     /// A pool worker: everything.
     Worker,
@@ -70,8 +77,8 @@ pub(crate) type Decoded = Result<Request, String>;
 pub(crate) enum Verdict {
     /// The response payload was appended to `out`.
     Done,
-    /// Not bounded-cost (shard executors only): nothing was appended;
-    /// the request must go to the pool.
+    /// Not a bounded point request (shard executors only): nothing was
+    /// appended; the request must go to the pool.
     Handoff {
         /// The distance cache was already consulted — and the miss
         /// counted — so the worker must not look again.
@@ -94,8 +101,8 @@ pub(crate) struct Executor<'s> {
     ctx: &'s ExecCtx,
     state: &'s EpochState,
     role: Role,
-    /// By engine position, then (workers only) the baseline session.
-    /// `None` where this role never runs a query.
+    /// By engine position, then the baseline session; each is built
+    /// by the first request that runs on it.
     sessions: Vec<Option<Box<dyn Session + 's>>>,
     /// The budget every query runs under: the server's force-stop flag,
     /// installed once, plus the current request's deadline.
@@ -126,22 +133,14 @@ pub(crate) fn run_pinned<R>(
 
 impl<'s> Executor<'s> {
     fn new(ctx: &'s ExecCtx, state: &'s EpochState, role: Role) -> Executor<'s> {
-        let engine = &state.engine;
-        let mut sessions: Vec<Option<Box<dyn Session + 's>>> = engine
-            .backends()
-            .iter()
-            .map(|b| {
-                (role == Role::Worker || b.backend.point_lookup())
-                    .then(|| b.backend.session(engine.net()))
-            })
-            .collect();
-        // Exists even when the engine serves no dijkstra slot.
-        sessions.push((role == Role::Worker).then(|| BASELINE.session(engine.net())));
+        // One slot past the engine's: the baseline exists even when the
+        // engine serves no dijkstra slot.
+        let slots = state.engine.backends().len() + 1;
         Executor {
             ctx,
             state,
             role,
-            sessions,
+            sessions: (0..slots).map(|_| None).collect(),
             budget: QueryBudget::unlimited().with_kill_flag(Arc::clone(&ctx.force_stop)),
             scratch: Scratch::default(),
             poisoned: false,
@@ -181,19 +180,31 @@ impl<'s> Executor<'s> {
         self.sessions.len() - 1
     }
 
+    /// Whether this role runs point queries on the session at `pos`: a
+    /// worker anywhere, a shard only where they never search the
+    /// network.
+    fn runs_point_queries(&self, pos: usize) -> bool {
+        self.role == Role::Worker
+            || self.state.engine.backends()[pos]
+                .backend
+                .bounded_point_queries()
+    }
+
     /// Points the shared budget at this request's deadline, installs
-    /// it in the session at `pos`, and hands that session out together
-    /// with the result buffers. Only reached with a position this role
-    /// holds a session for.
+    /// it in the session at `pos` — built now if this is its first
+    /// request — and hands that session out together with the result
+    /// buffers.
     fn arm(&mut self, pos: usize, deadline_ms: u32) -> (&mut (dyn Session + 's), &mut Scratch) {
         self.budget.rearm(
             (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms as u64)),
         );
-        let session = self.sessions[pos]
-            .as_deref_mut()
-            .expect("a worker holds a session for every position");
+        let engine = &self.state.engine;
+        let session = self.sessions[pos].get_or_insert_with(|| match engine.backends().get(pos) {
+            Some(b) => b.backend.session(engine.net()),
+            None => BASELINE.session(engine.net()),
+        });
         session.set_budget(&self.budget);
-        (session, &mut self.scratch)
+        (&mut **session, &mut self.scratch)
     }
 
     /// Resolves which session position actually answers `backend`:
@@ -211,9 +222,7 @@ impl<'s> Executor<'s> {
             return ControlFlow::Continue(pos);
         }
         if self.role == Role::Shard {
-            return ControlFlow::Break(Verdict::Handoff {
-                cache_missed: false,
-            });
+            return handoff(false);
         }
         let Some(pos) = pos else {
             stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -272,21 +281,22 @@ impl<'s> Executor<'s> {
                 return refuse(out, protocol::encode_error(msg));
             }
         };
-        if self.role == Role::Shard && !matches!(request, Request::Ping | Request::Distance { .. })
+        if self.role == Role::Shard
+            && !matches!(
+                request,
+                Request::Ping | Request::Distance { .. } | Request::Path { .. }
+            )
         {
-            return ControlFlow::Break(Verdict::Handoff {
-                cache_missed: false,
-            });
+            return handoff(false);
         }
         match *request {
             Request::Ping => protocol::put_text_response(out, "pong"),
-            Request::Stats => put(
-                out,
-                protocol::encode_text_response(&render_status(state, stats, &ctx.cache)),
-            ),
+            Request::Stats => {
+                protocol::put_text_response(out, &render_status(state, stats, &ctx.cache))
+            }
             Request::Shutdown => {
                 ctx.shutdown.store(true, Ordering::SeqCst);
-                put(out, protocol::encode_empty_response());
+                out.extend_from_slice(&protocol::encode_empty_response());
             }
             Request::Reload => {
                 let response = if !ctx.has_reload_source {
@@ -305,7 +315,7 @@ impl<'s> Executor<'s> {
                         Err(reason) => protocol::encode_reload_failed(&reason),
                     }
                 };
-                put(out, response);
+                out.extend_from_slice(&response);
             }
             Request::Distance {
                 backend,
@@ -324,9 +334,9 @@ impl<'s> Executor<'s> {
                 let d = match cached {
                     Some(d) => d,
                     None => {
-                        if self.sessions[pos].is_none() {
+                        if !self.runs_point_queries(pos) {
                             // A shard in front of a search backend.
-                            return ControlFlow::Break(Verdict::Handoff { cache_missed: true });
+                            return handoff(true);
                         }
                         let (session, _) = self.arm(pos, deadline_ms);
                         let d = session.distance(s, t);
@@ -360,6 +370,9 @@ impl<'s> Executor<'s> {
                 deadline_ms,
             } => {
                 let pos = self.resolve_serving(backend, out)?;
+                if !self.runs_point_queries(pos) {
+                    return handoff(false);
+                }
                 self.check_range([s, t], out)?;
                 let t0 = Instant::now();
                 let (session, _) = self.arm(pos, deadline_ms);
@@ -373,7 +386,7 @@ impl<'s> Executor<'s> {
                     t0.elapsed().as_nanos() as u64,
                     1,
                 );
-                put(out, protocol::encode_path_response(p));
+                protocol::put_path_response(out, p.as_ref().map(|(d, path)| (*d, &path[..])));
             }
             Request::Distances {
                 backend,
@@ -396,10 +409,7 @@ impl<'s> Executor<'s> {
                     t0.elapsed().as_nanos() as u64,
                     pairs,
                 );
-                put(
-                    out,
-                    protocol::encode_distances_response(&self.scratch.batch),
-                );
+                protocol::put_distances_response(out, &self.scratch.batch);
             }
             Request::OneToMany {
                 backend,
@@ -421,10 +431,7 @@ impl<'s> Executor<'s> {
                     t0.elapsed().as_nanos() as u64,
                     targets.len() as u64,
                 );
-                put(
-                    out,
-                    protocol::encode_distances_response(&self.scratch.batch),
-                );
+                protocol::put_distances_response(out, &self.scratch.batch);
             }
             Request::Knn {
                 backend,
@@ -471,10 +478,7 @@ impl<'s> Executor<'s> {
                     t0.elapsed().as_nanos() as u64,
                     self.scratch.entries.len() as u64,
                 );
-                put(
-                    out,
-                    protocol::encode_nodes_dists_response(&self.scratch.entries),
-                );
+                protocol::put_nodes_dists_response(out, &self.scratch.entries);
             }
             Request::Range {
                 backend,
@@ -513,30 +517,21 @@ impl<'s> Executor<'s> {
                     t0.elapsed().as_nanos() as u64,
                     self.scratch.entries.len() as u64,
                 );
-                put(
-                    out,
-                    protocol::encode_nodes_dists_response(&self.scratch.entries),
-                );
+                protocol::put_nodes_dists_response(out, &self.scratch.entries);
             }
         }
         ControlFlow::Continue(())
     }
 }
 
-/// Appends an encoded payload to `out`. A worker's `out` starts empty,
-/// so its payload is moved, not copied; a shard appending behind a
-/// length prefix copies (small frames only ever take that path).
-fn put(out: &mut Vec<u8>, payload: Vec<u8>) {
-    if out.is_empty() {
-        *out = payload;
-    } else {
-        out.extend_from_slice(&payload);
-    }
+/// Leaves the request path for the pool, nothing appended.
+fn handoff<T>(cache_missed: bool) -> Step<T> {
+    ControlFlow::Break(Verdict::Handoff { cache_missed })
 }
 
 /// Answers with a final payload and leaves the request path.
 fn refuse<T>(out: &mut Vec<u8>, payload: Vec<u8>) -> Step<T> {
-    put(out, payload);
+    out.extend_from_slice(&payload);
     ControlFlow::Break(Verdict::Done)
 }
 
@@ -576,4 +571,247 @@ pub(crate) fn render_status(
     }
     text.push_str(&stats.render(&WIRE_NAMES, &cache.stats()));
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stats::WIRE_SLOTS;
+    use crate::Engine;
+    use spq_graph::RoadNetwork;
+    use spq_synth::SynthParams;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A real backend that counts the sessions built from it.
+    struct Counting {
+        inner: Box<dyn Backend>,
+        built: Arc<AtomicUsize>,
+    }
+
+    impl Backend for Counting {
+        fn backend_name(&self) -> &'static str {
+            self.inner.backend_name()
+        }
+        fn session<'a>(&'a self, net: &'a RoadNetwork) -> Box<dyn Session + 'a> {
+            self.built.fetch_add(1, Ordering::SeqCst);
+            self.inner.session(net)
+        }
+        fn bounded_point_queries(&self) -> bool {
+            self.inner.bounded_point_queries()
+        }
+    }
+
+    /// Every technique over one small network, each behind a session
+    /// counter (by engine position).
+    fn counted_engine() -> (Arc<Engine>, Vec<Arc<AtomicUsize>>) {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(
+            spq_synth::test_vertices(150),
+            0x7ab1e,
+        ));
+        let mut engine = Engine::build(net, &BackendKind::ALL);
+        let counters = engine
+            .backends
+            .iter_mut()
+            .map(|b| {
+                let built = Arc::new(AtomicUsize::new(0));
+                let inner = std::mem::replace(&mut b.backend, Box::new(Baseline));
+                b.backend = Box::new(Counting {
+                    inner,
+                    built: Arc::clone(&built),
+                });
+                built
+            })
+            .collect();
+        (Arc::new(engine), counters)
+    }
+
+    fn ctx(engine: Arc<Engine>) -> ExecCtx {
+        ExecCtx {
+            shutdown: Arc::new(AtomicBool::new(false)),
+            force_stop: Arc::new(AtomicBool::new(false)),
+            stats: Arc::new(ServerStats::new(WIRE_SLOTS)),
+            cache: Arc::new(DistanceCache::new(1 << 10, 4)),
+            registry: Arc::new(EpochRegistry::new(engine)),
+            reload_timeout: Duration::from_secs(1),
+            has_reload_source: false,
+            failover: true,
+        }
+    }
+
+    /// One request of every variant against `kind`, over the pair
+    /// `(s, t)`.
+    fn one_of_each(kind: BackendKind, s: NodeId, t: NodeId) -> Vec<Request> {
+        let (backend, deadline_ms) = (kind.wire_id(), 0);
+        vec![
+            Request::Ping,
+            Request::Stats,
+            Request::Reload,
+            Request::Shutdown,
+            Request::Distance {
+                backend,
+                s,
+                t,
+                deadline_ms,
+            },
+            Request::Path {
+                backend,
+                s,
+                t,
+                deadline_ms,
+            },
+            Request::Distances {
+                backend,
+                sources: vec![s, t],
+                targets: vec![t, s],
+                deadline_ms,
+            },
+            Request::OneToMany {
+                backend,
+                s,
+                targets: vec![t, s],
+                deadline_ms,
+            },
+            Request::Knn {
+                backend,
+                s,
+                k: 1,
+                poi: "none".into(),
+                deadline_ms,
+            },
+            Request::Range {
+                backend,
+                s,
+                limit: 10,
+                deadline_ms,
+            },
+        ]
+    }
+
+    fn built(counters: &[Arc<AtomicUsize>]) -> Vec<usize> {
+        counters.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+    }
+
+    const HANDOFF: Verdict = Verdict::Handoff {
+        cache_missed: false,
+    };
+    const HANDOFF_MISSED: Verdict = Verdict::Handoff { cache_missed: true };
+
+    #[test]
+    fn a_shard_runs_exactly_the_bounded_point_requests_and_builds_sessions_lazily() {
+        let (engine, counters) = counted_engine();
+        let ctx = ctx(Arc::clone(&engine));
+        let mut out = Vec::new();
+        for (pos, kind) in BackendKind::ALL.into_iter().enumerate() {
+            assert_eq!(engine.position_of_wire(kind.wire_id()), Some(pos));
+            // The rule, restated: CH and HL point queries are bounded by
+            // the hierarchy; everything else searches the network.
+            let bounded = matches!(kind, BackendKind::Ch | BackendKind::Hl);
+            run_pinned(&ctx, Role::Shard, |exec| {
+                assert_eq!(built(&counters).iter().sum::<usize>(), 0, "{kind:?}");
+                let pair = (3 + pos as NodeId, 40);
+                for request in one_of_each(kind, pair.0, pair.1) {
+                    let expected = match request {
+                        Request::Ping => Verdict::Done,
+                        Request::Distance { .. } if bounded => Verdict::Done,
+                        Request::Distance { .. } => HANDOFF_MISSED,
+                        Request::Path { .. } if bounded => Verdict::Done,
+                        _ => HANDOFF,
+                    };
+                    out.clear();
+                    let verdict = exec.execute(&Ok(request.clone()), false, &mut out);
+                    assert_eq!(verdict, expected, "{kind:?} {request:?}");
+                    assert_eq!(
+                        out.is_empty(),
+                        verdict != Verdict::Done,
+                        "a hand-off appends nothing: {kind:?} {request:?}"
+                    );
+                }
+                // A frame that did not decode is answered on the spot.
+                out.clear();
+                assert_eq!(
+                    exec.execute(&Err("bad frame".into()), false, &mut out),
+                    Verdict::Done
+                );
+                // Only the slot that was queried has a session, built
+                // once however many requests ran on it.
+                let mut expected = vec![0; counters.len()];
+                expected[pos] = bounded as usize;
+                assert_eq!(built(&counters), expected, "{kind:?}");
+                ControlFlow::Break(())
+            });
+            counters[pos].store(0, Ordering::SeqCst);
+        }
+        assert!(!ctx.shutdown.load(Ordering::SeqCst), "SHUTDOWN never ran");
+
+        // An unserved wire id, and a quarantined bounded slot: the
+        // pool's, before any work.
+        let ch_pos = BackendKind::ALL
+            .iter()
+            .position(|&k| k == BackendKind::Ch)
+            .expect("ch is served");
+        let state = ctx.registry.current();
+        assert!(state.quarantine(ch_pos, "pulled by the test".into()));
+        run_pinned(&ctx, Role::Shard, |exec| {
+            for request in one_of_each(BackendKind::Ch, 5, 50).into_iter().skip(4) {
+                out.clear();
+                assert_eq!(exec.execute(&Ok(request), false, &mut out), HANDOFF);
+            }
+            let unserved = Request::Distance {
+                backend: 200,
+                s: 1,
+                t: 2,
+                deadline_ms: 0,
+            };
+            assert_eq!(exec.execute(&Ok(unserved), false, &mut out), HANDOFF);
+            ControlFlow::Break(())
+        });
+        assert_eq!(built(&counters).iter().sum::<usize>(), 0);
+        let cache = ctx.cache.stats();
+        assert_eq!(
+            (cache.hits, cache.misses),
+            (0, BackendKind::ALL.len() as u64),
+            "one lookup per DISTANCE on a healthy slot, none on the others"
+        );
+    }
+
+    #[test]
+    fn a_worker_runs_everything_and_builds_only_the_sessions_it_uses() {
+        let (engine, counters) = counted_engine();
+        let ctx = ctx(Arc::clone(&engine));
+        let mut out = Vec::new();
+        for (pos, kind) in BackendKind::ALL.into_iter().enumerate() {
+            run_pinned(&ctx, Role::Worker, |exec| {
+                assert_eq!(built(&counters).iter().sum::<usize>(), 0, "{kind:?}");
+                for request in one_of_each(kind, 3 + pos as NodeId, 40) {
+                    out.clear();
+                    let verdict = exec.execute(&Ok(request.clone()), false, &mut out);
+                    assert_eq!(verdict, Verdict::Done, "{kind:?} {request:?}");
+                    assert!(!out.is_empty(), "{kind:?} {request:?}");
+                }
+                let mut expected = vec![0; counters.len()];
+                expected[pos] = 1;
+                assert_eq!(built(&counters), expected, "{kind:?}");
+                ControlFlow::Break(())
+            });
+            counters[pos].store(0, Ordering::SeqCst);
+        }
+        assert!(ctx.shutdown.load(Ordering::SeqCst), "SHUTDOWN ran");
+
+        // What a worker computed and cached, a shard answers whatever
+        // the backend — without a session.
+        run_pinned(&ctx, Role::Shard, |exec| {
+            for (pos, kind) in BackendKind::ALL.into_iter().enumerate() {
+                let request = Request::Distance {
+                    backend: kind.wire_id(),
+                    s: 3 + pos as NodeId,
+                    t: 40,
+                    deadline_ms: 0,
+                };
+                out.clear();
+                assert_eq!(exec.execute(&Ok(request), false, &mut out), Verdict::Done);
+            }
+            ControlFlow::Break(())
+        });
+        assert_eq!(built(&counters).iter().sum::<usize>(), 0);
+    }
 }

@@ -578,45 +578,57 @@ pub fn put_distance_response(out: &mut Vec<u8>, d: Option<Dist>) {
 /// Encodes a shortest path (PATH response body).
 pub fn encode_path_response(p: Option<(Dist, Vec<NodeId>)>) -> Vec<u8> {
     let mut out = Vec::new();
-    out.push(STATUS_OK);
-    match p {
-        None => {
-            out.extend_from_slice(&UNREACHABLE.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-        Some((d, path)) => {
-            out.extend_from_slice(&d.to_le_bytes());
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            for v in &path {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
+    put_path_response(&mut out, p.as_ref().map(|(d, path)| (*d, &path[..])));
     out
+}
+
+/// Appends [`encode_path_response`]'s payload to `out`: the distance,
+/// the vertex count, then the vertices from `s` to `t`.
+pub fn put_path_response(out: &mut Vec<u8>, p: Option<(Dist, &[NodeId])>) {
+    let (d, path) = p.unwrap_or((UNREACHABLE, &[]));
+    out.reserve(13 + 4 * path.len());
+    out.push(STATUS_OK);
+    out.extend_from_slice(&d.to_le_bytes());
+    out.extend_from_slice(&(path.len() as u32).to_le_bytes());
+    for v in path {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Encodes a row-major distance table (DISTANCES response body).
 pub fn encode_distances_response(table: &[Option<Dist>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 8 * table.len());
+    let mut out = Vec::new();
+    put_distances_response(&mut out, table);
+    out
+}
+
+/// Appends [`encode_distances_response`]'s payload to `out`.
+pub fn put_distances_response(out: &mut Vec<u8>, table: &[Option<Dist>]) {
+    out.reserve(1 + 8 * table.len());
     out.push(STATUS_OK);
     for d in table {
         out.extend_from_slice(&d.unwrap_or(UNREACHABLE).to_le_bytes());
     }
-    out
 }
 
 /// Encodes a `(vertex, distance)` list (KNN and RANGE response body):
 /// `count: u32` followed by `count × (u32, u64)` pairs, in the order
 /// given.
 pub fn encode_nodes_dists_response(entries: &[(NodeId, Dist)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + 12 * entries.len());
+    let mut out = Vec::new();
+    put_nodes_dists_response(&mut out, entries);
+    out
+}
+
+/// Appends [`encode_nodes_dists_response`]'s payload to `out`.
+pub fn put_nodes_dists_response(out: &mut Vec<u8>, entries: &[(NodeId, Dist)]) {
+    out.reserve(5 + 12 * entries.len());
     out.push(STATUS_OK);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for &(v, d) in entries {
         out.extend_from_slice(&v.to_le_bytes());
         out.extend_from_slice(&d.to_le_bytes());
     }
-    out
 }
 
 /// A bounds-checked little-endian reader over a payload.
@@ -907,6 +919,69 @@ mod tests {
             e.extend_from_slice(&0u32.to_le_bytes());
             e
         });
+    }
+
+    /// `put_*` appends, behind whatever `out` already holds, exactly the
+    /// bytes `encode_*` returns — and those bytes are the wire layout,
+    /// packed here by hand.
+    #[test]
+    fn put_appends_the_bytes_encode_returns_for_every_response_kind() {
+        /// `STATUS_OK`, then each value in as many little-endian bytes.
+        fn ok(fields: &[(u64, usize)]) -> Vec<u8> {
+            let mut bytes = vec![STATUS_OK];
+            for &(value, width) in fields {
+                bytes.extend_from_slice(&value.to_le_bytes()[..width]);
+            }
+            bytes
+        }
+        fn check(kind: &str, encoded: Vec<u8>, put: impl Fn(&mut Vec<u8>), layout: Vec<u8>) {
+            assert_eq!(encoded, layout, "{kind}: encode");
+            let mut out = b"\x09\0\0\0".to_vec();
+            put(&mut out);
+            assert_eq!(&out[..4], b"\x09\0\0\0", "{kind}: put must append");
+            assert_eq!(out[4..], layout[..], "{kind}: put");
+        }
+        check(
+            "text",
+            encode_text_response("pong"),
+            |out| put_text_response(out, "pong"),
+            b"\0pong".to_vec(),
+        );
+        for d in [Some(42), None] {
+            check(
+                "distance",
+                encode_distance_response(d),
+                |out| put_distance_response(out, d),
+                ok(&[(d.unwrap_or(UNREACHABLE), 8)]),
+            );
+        }
+        let path: Vec<NodeId> = vec![5, 1, 9];
+        check(
+            "path",
+            encode_path_response(Some((17, path.clone()))),
+            |out| put_path_response(out, Some((17, &path))),
+            ok(&[(17, 8), (3, 4), (5, 4), (1, 4), (9, 4)]),
+        );
+        check(
+            "no path",
+            encode_path_response(None),
+            |out| put_path_response(out, None),
+            ok(&[(UNREACHABLE, 8), (0, 4)]),
+        );
+        let table = [Some(3), None, Some(0)];
+        check(
+            "distances",
+            encode_distances_response(&table),
+            |out| put_distances_response(out, &table),
+            ok(&[(3, 8), (UNREACHABLE, 8), (0, 8)]),
+        );
+        let entries = [(3, 10), (7, 25)];
+        check(
+            "nodes_dists",
+            encode_nodes_dists_response(&entries),
+            |out| put_nodes_dists_response(out, &entries),
+            ok(&[(2, 4), (3, 4), (10, 8), (7, 4), (25, 8)]),
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The TCP query server: sharded epoll event loops that answer
-//! bounded-cost requests themselves, in front of a fixed worker pool
+//! bounded point requests themselves, in front of a fixed worker pool
 //! for everything else, with bounded worst-case behavior under
 //! overload, slow clients, deadlines, forced shutdown, worker panics,
 //! and live index swaps.
@@ -19,19 +19,25 @@
 //!   connection, up to [`ServerConfig::pipeline_depth`]); responses are
 //!   sequenced and flushed strictly in request order. Each decoded
 //!   request is **routed by what it is**: `PING`, a `DISTANCE` the
-//!   cache answers, and a `DISTANCE` on a backend whose query is a pure
-//!   lookup ([`spq_graph::backend::Backend::point_lookup`] — hub
-//!   labels) are answered on the spot, encoded straight into the
-//!   connection's write queue — no queue, no wake-up, no second thread —
-//!   and written out every half pipeline window, so a peer keeping its
-//!   window full refills it while the rest of the pass is computed.
-//!   Everything else — cache misses on search backends, `PATH`, batch
-//!   and one-to-many ops, kNN, range, `STATS`, `RELOAD`, `SHUTDOWN`,
-//!   anything on a quarantined slot, anything carrying an injected
-//!   fault — goes, already decoded, to a **bounded** work queue; past
-//!   the high-water mark ([`ServerConfig::max_pending`]) a request is
-//!   answered with one `BUSY` frame in its response slot — load is shed
-//!   per request instead of growing an unbounded queue. Inline and
+//!   cache answers, and `DISTANCE` misses and `PATH` on a backend whose
+//!   point queries are bounded by its hierarchy, never by n
+//!   ([`spq_graph::backend::Backend::bounded_point_queries`] —
+//!   contraction hierarchies and hub labels), are answered on the spot
+//!   under the request's own budget, encoded straight into the
+//!   connection's write queue — no queue, no wake-up, no second
+//!   thread — and written out every half pipeline window, so a peer
+//!   keeping its window full refills it while the rest of the pass is
+//!   computed. A flood of such requests is back-pressured the way any
+//!   reader is: parsing stops at [`ServerConfig::pipeline_depth`] and
+//!   TCP pushes back. Everything else — misses and `PATH` on backends
+//!   that search the network (Dijkstra, ALT, arc flags, TNR, SILC,
+//!   PCPD), batch and one-to-many ops, kNN, range, `STATS`, `RELOAD`,
+//!   `SHUTDOWN`, anything on a quarantined slot, anything carrying an
+//!   injected fault — goes, already decoded, to a **bounded** work
+//!   queue; past the high-water mark ([`ServerConfig::max_pending`]) a
+//!   pooled request is answered with one `BUSY` frame in its response
+//!   slot — load is shed per request instead of growing an unbounded
+//!   queue. Inline and
 //!   pooled requests interleave freely on one connection; the response
 //!   order is the request order either way. A peer that stalls
 //!   mid-frame past [`ServerConfig::stall_timeout`] or stops reading
@@ -41,8 +47,8 @@
 //! * Shards and workers alike execute requests through a
 //!   [`crate::executor::Executor`]: it pins the current
 //!   [`EpochState`](crate::epoch::EpochState) and owns one reusable
-//!   query session per backend (a shard's: lookup backends only) —
-//!   rebuilt when a reload publishes a new epoch (checked before every
+//!   query session per backend it has answered on (built on first
+//!   use) — rebuilt when a reload publishes a new epoch (checked before every
 //!   request, so a request arriving after a `RELOAD` acknowledgement is
 //!   answered by the new epoch) or when a panic forces a fresh start.
 //!   Queries run inside a `catch_unwind` supervision shell: a panicking
@@ -89,7 +95,8 @@
 //! Per-request flow: parse + decode (shard) → fault-injection hook
 //! (tests only; a hit forces the pooled path) → shard executor:
 //! resolve backend (wire id or degraded alias) → consult the sharded
-//! epoch-keyed distance cache (DISTANCE only, counted once) → answer,
+//! epoch-keyed distance cache (DISTANCE only, counted once) → answer
+//! (a hit, or a bounded point query run under its budget right here),
 //! or hand the decoded request to the pool, whose executor resolves
 //! again (now including quarantine failover), runs the session under
 //! its budget, caches + records latency, and sequences the response
@@ -128,9 +135,13 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing queries (CPU-bound concurrency).
     pub workers: usize,
-    /// Event-loop shards owning connections (0 = auto: a small number
-    /// scaled to the machine; connection capacity is not limited by
-    /// this, it only spreads readiness handling).
+    /// Event-loop shards owning connections (0 = auto: cores / 4,
+    /// between 1 and 4). Connection capacity is not limited by this,
+    /// but point-query capacity scales with it: a shard answers `PING`,
+    /// cache hits and CH/HL `DISTANCE`/`PATH` itself, one request at a
+    /// time. The auto formula predates that and has not been
+    /// re-measured on more than one serving core (ROADMAP item 5's
+    /// `--shards 1/2` run).
     pub shards: usize,
     /// Most requests one connection may have in flight (parsed but not
     /// yet responded). Parsing pauses past this, so a pipelining client
@@ -141,7 +152,8 @@ pub struct ServerConfig {
     /// Cache shards (rounded up to a power of two).
     pub cache_shards: usize,
     /// Parsed requests waiting for a worker beyond which new ones are
-    /// answered with BUSY.
+    /// answered with BUSY (pooled requests only: what a shard answers
+    /// itself never queues).
     pub max_pending: usize,
     /// A peer that accepts no response bytes for this long is
     /// disconnected instead of holding buffered responses forever.
@@ -1119,7 +1131,7 @@ fn answer_inline(
 
 /// Parses complete frames out of the read buffer — at most
 /// `pipeline_depth` per call, so one connection cannot monopolise the
-/// shard — and routes each: bounded-cost requests are answered right
+/// shard — and routes each: bounded point requests are answered right
 /// here (see [`crate::executor`]), everything else goes to the worker
 /// pool in one batch, shedding with BUSY when the work queue is full.
 /// A request with an injected fault always takes the pooled path,
@@ -1325,7 +1337,7 @@ fn try_write(conn: &mut Conn) -> bool {
 }
 
 /// One event-loop shard: owns a set of connections, parses and
-/// sequences their frames, answers bounded-cost requests itself and
+/// sequences their frames, answers bounded point requests itself and
 /// exchanges the rest with the worker pool.
 struct Shard {
     poller: Poller,

@@ -14,7 +14,9 @@
 //! 2. the server process never panics (worker restarts stay at the
 //!    level the panic-free baseline shows: zero);
 //! 3. after the chaos stops, a clean connection gets oracle-correct
-//!    answers — garbage on old connections must not poison state.
+//!    answers — garbage on old connections must not poison state;
+//! 4. a pipelined burst comes back as an in-order, oracle-exact prefix —
+//!    chaos may truncate a pipeline, never reorder or corrupt it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
