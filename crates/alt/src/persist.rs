@@ -21,21 +21,21 @@ impl Alt {
     /// Serialises the landmark ids and the distance table inside a
     /// checksummed container.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
-        binio::write_u64(&mut body, self.num_nodes() as u64)?;
-        binio::write_u32s(&mut body, self.landmarks())?;
-        binio::write_u32s(&mut body, self.dist_table())?;
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            binio::write_u64(w, self.num_nodes() as u64)?;
+            binio::write_u32s(w, self.landmarks())?;
+            binio::write_u32s(w, self.dist_table())
+        })
     }
 
     /// Deserialises an index written by [`Alt::write_binary`], verifying
     /// the checksum and structural invariants before returning it.
     pub fn read_binary(r: &mut impl Read) -> Result<Alt, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let r = &mut &body[..];
-        let n = binio::read_u64(r)? as usize;
-        let landmarks: Vec<NodeId> = binio::read_u32s(r)?;
-        let dist = binio::read_u32s(r)?;
+        let (n, landmarks, dist) = binio::read_container(r, MAGIC, VERSION, |body| {
+            let n = binio::read_u64(body)? as usize;
+            let landmarks: Vec<NodeId> = body.read_u32s()?;
+            Ok((n, landmarks, body.read_u32s()?))
+        })?;
         Alt::from_raw_parts(landmarks, dist, n).map_err(IndexLoadError::Corrupt)
     }
 }

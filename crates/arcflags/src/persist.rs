@@ -22,10 +22,10 @@ impl ArcFlags {
     /// Serialises the grid resolution and the per-arc flag words inside
     /// a checksummed container.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
-        binio::write_u64(&mut body, self.grid.frame().g() as u64)?;
-        binio::write_u64s(&mut body, &self.flags)?;
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            binio::write_u64(w, self.grid.frame().g() as u64)?;
+            binio::write_u64s(w, &self.flags)
+        })
     }
 
     /// Deserialises an index written by [`ArcFlags::write_binary`],
@@ -33,15 +33,14 @@ impl ArcFlags {
     /// was built on). The checksum and shape invariants are verified
     /// before the index is returned.
     pub fn read_binary(net: &RoadNetwork, r: &mut impl Read) -> Result<ArcFlags, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let r = &mut &body[..];
-        let g = binio::read_u64(r)?;
-        if g == 0 || g * g > 64 {
+        let (g, flags) = binio::read_container(r, MAGIC, VERSION, |body| {
+            Ok((binio::read_u64(body)?, body.read_u64s()?))
+        })?;
+        if g == 0 || g.saturating_mul(g) > 64 {
             return Err(IndexLoadError::Corrupt(format!(
                 "grid resolution {g} does not fit the 64-bit flag word"
             )));
         }
-        let flags = binio::read_u64s(r)?;
         if flags.len() != net.num_arcs() {
             return Err(IndexLoadError::Corrupt(format!(
                 "{} flag words for a network with {} arcs",

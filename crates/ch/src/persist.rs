@@ -31,16 +31,56 @@ use crate::search_graph::{SearchEdge, SearchGraph, NO_MIDDLE};
 const MAGIC: &[u8; 4] = b"SPQC";
 const VERSION: u32 = 4;
 
+/// The sections of an `SPQC` container as read — checksummed, not yet
+/// validated. Splitting the load here lets a format that embeds a
+/// hierarchy (`SPQH`) pull the sections out of its own body, learn its
+/// own checksum verdict, and only then have anything interpreted.
+#[derive(Debug)]
+pub struct ChSections {
+    num_shortcuts: u64,
+    rank: Vec<u32>,
+    up_first: Vec<u32>,
+    up: Vec<SearchEdge>,
+}
+
+impl ChSections {
+    /// Checks every structural invariant searching and unpacking rely
+    /// on (through `SearchGraph::from_sections`, which also derives the
+    /// inverse permutation and the downward half) and assembles the
+    /// hierarchy.
+    pub fn validate(self) -> Result<ContractionHierarchy, IndexLoadError> {
+        let ChSections {
+            num_shortcuts,
+            rank,
+            up_first,
+            up,
+        } = self;
+        let tagged = up.iter().filter(|e| e.middle != NO_MIDDLE).count() as u64;
+        if num_shortcuts < tagged {
+            return Err(IndexLoadError::Corrupt(format!(
+                "shortcut count {num_shortcuts} is below the {tagged} shortcuts stored"
+            )));
+        }
+        let search =
+            SearchGraph::from_sections(rank, up_first, up).map_err(IndexLoadError::Corrupt)?;
+        Ok(ContractionHierarchy::from_parts(
+            search,
+            num_shortcuts as usize,
+        ))
+    }
+}
+
 impl ContractionHierarchy {
-    /// Serialises the hierarchy inside a checksummed container.
+    /// Serialises the hierarchy inside a checksummed container, one
+    /// conversion chunk at a time.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::with_capacity(self.serialized_len() - binio::CONTAINER_HEADER_LEN);
         let (rank, up_first, up) = self.search_graph().sections();
-        binio::write_u64(&mut body, self.num_shortcuts() as u64)?;
-        binio::write_u32s(&mut body, rank)?;
-        binio::write_u32s(&mut body, up_first)?;
-        binio::write_array(&mut body, up, SearchEdge::to_le)?;
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            binio::write_u64(w, self.num_shortcuts() as u64)?;
+            binio::write_u32s(w, rank)?;
+            binio::write_u32s(w, up_first)?;
+            binio::write_array(w, up, SearchEdge::to_le)
+        })
     }
 
     /// Exact length in bytes of what [`ContractionHierarchy::write_binary`]
@@ -55,35 +95,34 @@ impl ContractionHierarchy {
             + (8 + 12 * up.len())
     }
 
+    /// Reads the sections of a container written by
+    /// [`ContractionHierarchy::write_binary`] straight into their final
+    /// vectors and verifies the checksum over them; nothing is
+    /// interpreted yet.
+    pub fn read_sections(r: &mut impl Read) -> Result<ChSections, IndexLoadError> {
+        binio::read_container(r, MAGIC, VERSION, |body| {
+            let sections = ChSections {
+                num_shortcuts: binio::read_u64(body)?,
+                rank: body.read_u32s()?,
+                up_first: body.read_u32s()?,
+                up: body.read_array(SearchEdge::from_le)?,
+            };
+            if body.remaining() > 0 {
+                return Err(IndexLoadError::Corrupt(format!(
+                    "{} bytes follow the last section",
+                    body.remaining()
+                )));
+            }
+            Ok(sections)
+        })
+    }
+
     /// Deserialises a hierarchy written by
-    /// [`ContractionHierarchy::write_binary`], verifying the checksum
-    /// and — through `SearchGraph::from_sections` — every structural
-    /// invariant searching and unpacking rely on before returning it.
+    /// [`ContractionHierarchy::write_binary`]: sections and checksum
+    /// first ([`ContractionHierarchy::read_sections`]), then every
+    /// structural invariant ([`ChSections::validate`]).
     pub fn read_binary(r: &mut impl Read) -> Result<ContractionHierarchy, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let r = &mut &body[..];
-        let num_shortcuts = binio::read_u64(r)?;
-        let rank = binio::read_u32s(r)?;
-        let up_first = binio::read_u32s(r)?;
-        let up = binio::read_array(r, SearchEdge::from_le)?;
-        if !r.is_empty() {
-            return Err(IndexLoadError::Corrupt(format!(
-                "{} bytes follow the last section",
-                r.len()
-            )));
-        }
-        let tagged = up.iter().filter(|e| e.middle != NO_MIDDLE).count() as u64;
-        if num_shortcuts < tagged {
-            return Err(IndexLoadError::Corrupt(format!(
-                "shortcut count {num_shortcuts} is below the {tagged} shortcuts stored"
-            )));
-        }
-        let search =
-            SearchGraph::from_sections(rank, up_first, up).map_err(IndexLoadError::Corrupt)?;
-        Ok(ContractionHierarchy::from_parts(
-            search,
-            num_shortcuts as usize,
-        ))
+        Self::read_sections(r)?.validate()
     }
 }
 
@@ -109,8 +148,13 @@ mod tests {
         binio::write_u32s(&mut body, rank).unwrap();
         binio::write_u32s(&mut body, up_first).unwrap();
         binio::write_array(&mut body, up, SearchEdge::to_le).unwrap();
+        container_around(VERSION, &body)
+    }
+
+    /// An `SPQC` container of any version around arbitrary bytes.
+    fn container_around(version: u32, body: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        binio::write_checksummed(&mut out, MAGIC, VERSION, &body).unwrap();
+        binio::write_container(&mut out, MAGIC, version, |w| w.write_all(body)).unwrap();
         out
     }
 
@@ -148,7 +192,7 @@ mod tests {
 
     /// The footprint as a tested fact: one header, the shortcut count,
     /// 4 bytes per vertex twice (+1 offset), 12 per upward edge, three
-    /// section prefixes — and the body is allocated at exactly that size.
+    /// section prefixes — which `serialized_len` predicts without writing.
     #[test]
     fn container_size_follows_the_layout() {
         for g in [figure1(), grid_graph(9, 4)] {
@@ -213,16 +257,14 @@ mod tests {
         assert!(err.to_string().contains("rebuild"), "message: {err}");
 
         for old in [2, 3] {
-            let mut file = Vec::new();
-            binio::write_checksummed(&mut file, MAGIC, old, b"rank up_first up_head ...").unwrap();
+            let file = container_around(old, b"rank up_first up_head ...");
             assert!(matches!(
                 ContractionHierarchy::read_binary(&mut &file[..]),
                 Err(IndexLoadError::LegacyVersion { found, supported: 4 }) if found == old
             ));
         }
 
-        let mut future = Vec::new();
-        binio::write_checksummed(&mut future, MAGIC, VERSION + 1, b"").unwrap();
+        let future = container_around(VERSION + 1, b"");
         assert!(matches!(
             ContractionHierarchy::read_binary(&mut &future[..]),
             Err(IndexLoadError::UnsupportedVersion { found: 5, .. })
@@ -312,8 +354,6 @@ mod tests {
         assert!(reason.contains("shortcut count"), "{reason}");
         let mut body = container_of(&ch)[binio::CONTAINER_HEADER_LEN..].to_vec();
         body.extend_from_slice(b"tail");
-        let mut trailing = Vec::new();
-        binio::write_checksummed(&mut trailing, MAGIC, VERSION, &body).unwrap();
-        assert!(corrupt_reason(&trailing).contains("bytes follow"));
+        assert!(corrupt_reason(&container_around(VERSION, &body)).contains("bytes follow"));
     }
 }

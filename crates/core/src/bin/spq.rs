@@ -205,6 +205,35 @@ fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Writes a container through [`atomic_io::write_atomic`] and reports
+/// what `prep` prints about it: the bytes on disk, the seconds the write
+/// took, and the most memory the process has held so far (`VmHWM`; the
+/// build and the write are both behind it) — the index row an operator
+/// sizes a prep box from.
+fn persist(
+    out: &str,
+    write: impl FnOnce(&mut atomic_io::AtomicSink) -> std::io::Result<()>,
+) -> Result<String, String> {
+    let t0 = std::time::Instant::now();
+    atomic_io::write_atomic(out, write).map_err(|e| e.to_string())?;
+    let write_s = t0.elapsed().as_secs_f64();
+    let bytes = std::fs::metadata(out).map_err(|e| e.to_string())?.len();
+    let peak = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            line.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<f64>()
+                .ok()
+        })
+        .map_or("unknown".to_string(), |kb| format!("{:.1} MB", kb / 1024.0));
+    Ok(format!(
+        "wrote {bytes} bytes in {write_s:.3} s; peak RSS {peak}"
+    ))
+}
+
 fn prep(args: &[String]) -> Result<(), String> {
     let net = load_net(required(args, "--net")?)?;
     let out = required(args, "--out")?;
@@ -214,7 +243,7 @@ fn prep(args: &[String]) -> Result<(), String> {
         "ch" => {
             let ch = spq_ch::ContractionHierarchy::build(&net);
             let elapsed = t0.elapsed();
-            atomic_io::write_atomic(out, |w| ch.write_binary(w)).map_err(|e| e.to_string())?;
+            let persisted = persist(out, |w| ch.write_binary(w))?;
             let bytes = ch.serialized_len();
             println!(
                 "built CH in {:.2?}: {} shortcuts inserted, {} upward edges -> {out}\n  \
@@ -226,11 +255,12 @@ fn prep(args: &[String]) -> Result<(), String> {
                 bytes as f64 / ch.num_upward_edges().max(1) as f64,
                 ch.index_size_mb()
             );
+            println!("  {persisted}");
         }
         "hl" => {
             let hl = spq_hl::Hl::build(&net);
             let elapsed = t0.elapsed();
-            atomic_io::write_atomic(out, |w| hl.write_binary(w)).map_err(|e| e.to_string())?;
+            let persisted = persist(out, |w| hl.write_binary(w))?;
             let labels = hl.labels();
             let store_bytes = labels.index_size_bytes();
             println!(
@@ -249,6 +279,7 @@ fn prep(args: &[String]) -> Result<(), String> {
                 hl.hierarchy().serialized_len() as f64 / 1e6,
                 hl.serialized_len() as f64 / 1e6,
             );
+            println!("  {persisted}");
         }
         "poi" => {
             // A POI container for the one-to-many serving path: a
@@ -269,9 +300,9 @@ fn prep(args: &[String]) -> Result<(), String> {
             };
             let set = spq_many::PoiSet::sample(&net, name, count, seed)?;
             let elapsed = t0.elapsed();
-            atomic_io::write_atomic(out, |w| set.write_binary(w)).map_err(|e| e.to_string())?;
+            let persisted = persist(out, |w| set.write_binary(w))?;
             println!(
-                "sampled POI set '{}' in {:.2?}: {} vertices -> {out}",
+                "sampled POI set '{}' in {:.2?}: {} vertices -> {out}\n  {persisted}",
                 set.name(),
                 elapsed,
                 set.len()

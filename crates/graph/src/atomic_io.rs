@@ -2,12 +2,17 @@
 //!
 //! Every persisted artifact in the workspace (network, CH, HL, POI
 //! containers, bench baselines, workload files) is written through
-//! [`write_atomic`]: serialise the body, write it to a temp file *in the
-//! target directory*, `fsync` the file, atomically rename it over the
-//! destination, then `fsync` the directory so the rename itself is
-//! durable. A crash at any point leaves either the old file, the new
-//! file, or an orphaned `*.tmp` — never a half-written file under the
-//! final name. This is the torn-write discipline of LSM stores.
+//! [`write_atomic`]: stream the bytes through a buffered sink into a temp
+//! file *in the target directory* (nothing is serialised up front — the
+//! artifact is never held in memory beside the structure it came from),
+//! `fsync` the file, atomically rename it over the destination, then
+//! `fsync` the directory so the rename itself is durable. A crash at any
+//! point leaves either the old file, the new file, or an orphaned
+//! `*.tmp` — never a half-written file under the final name — and a
+//! write that *fails* (the serialiser returns an error, the disk fills
+//! mid-stream) unlinks its temp file before reporting, leaving the
+//! destination untouched. This is the torn-write discipline of LSM
+//! stores.
 //!
 //! The other half is [`recover_dir`]: a typed recovery scan run at
 //! server startup and reload that sweeps a directory for the debris a
@@ -23,13 +28,19 @@
 //! process aborts (SIGABRT, no unwinding, no destructors — as close to
 //! `kill -9` as a process can do to itself) at `stage`, one of
 //! `mid-write`, `before-sync`, `before-rename`, `after-rename`. Every
-//! stage must leave a state the recovery scan handles.
+//! stage must leave a state the recovery scan handles. The stream's
+//! length is not known while it is written, so `mid-write` means: *a
+//! non-empty strict prefix of the stream has reached the temp file* —
+//! the hook writes the first half of the first chunk headed for the
+//! file and fires (a stream of at most one byte has no such prefix;
+//! there the hook fires once the stream has ended).
 //!
 //! A second, softer hook models a *full disk*: set
 //! `SPQ_FAULT_ENOSPC=<from_nth>` and every guarded disk write from the
 //! `from_nth`-th onward fails with a genuine `ENOSPC` error instead of
 //! touching the filesystem (the counter is separate from the crash
-//! hook's, so `SPQ_CRASH_WRITE` ordinals stay stable). Any `ENOSPC` —
+//! hook's, so `SPQ_CRASH_WRITE` ordinals stay stable; an atomic write is
+//! one guarded write however many chunks it streams). Any `ENOSPC` —
 //! injected or real — latches the process-wide sticky
 //! [`disk_degraded`] flag, which the serving stats surface as a gauge:
 //! once the disk has been full, answers keep flowing but persistence
@@ -38,17 +49,17 @@
 
 use std::cell::Cell;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::binio::{read_u64, xxhash64, IndexLoadError};
+use crate::binio::{ContainerReader, IndexLoadError};
 
 /// Where in the atomic-write sequence a crash hook fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashStage {
-    /// After roughly half the body bytes hit the temp file.
+    /// A non-empty strict prefix of the stream has reached the temp file.
     MidWrite,
     /// Body fully written, before the file `fsync`.
     BeforeSync,
@@ -127,7 +138,10 @@ static DISK_DEGRADED: AtomicBool = AtomicBool::new(false);
 thread_local! {
     /// Test hook: `Some(n)` lets the next `n` guarded writes on this
     /// thread succeed, then fails every later one. Thread-local so
-    /// parallel unit tests cannot contaminate each other.
+    /// parallel unit tests cannot contaminate each other. Unlike the
+    /// [`ENOSPC_ENV`] ordinal, this countdown also counts every chunk an
+    /// atomic write hands to its temp file, so a test can fill the disk
+    /// in the middle of a stream.
     static ENOSPC_COUNTDOWN: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
@@ -163,19 +177,24 @@ fn enospc_error() -> io::Error {
     io::Error::from_raw_os_error(28)
 }
 
-/// The injection gate every guarded disk write passes through: the
-/// thread-local test countdown first, then the process-wide
-/// [`ENOSPC_ENV`] ordinal hook.
-fn injected_enospc() -> Option<io::Error> {
-    let tripped = ENOSPC_COUNTDOWN.with(|c| match c.get() {
+/// Consumes one step of the thread-local test countdown; `true` once it
+/// has run out.
+fn countdown_tripped() -> bool {
+    ENOSPC_COUNTDOWN.with(|c| match c.get() {
         Some(0) => true,
         Some(n) => {
             c.set(Some(n - 1));
             false
         }
         None => false,
-    });
-    if tripped {
+    })
+}
+
+/// The injection gate every guarded disk write passes through: the
+/// thread-local test countdown first, then the process-wide
+/// [`ENOSPC_ENV`] ordinal hook.
+fn injected_enospc() -> Option<io::Error> {
+    if countdown_tripped() {
         return Some(enospc_error());
     }
     let spec = std::env::var(ENOSPC_ENV).ok()?;
@@ -188,6 +207,7 @@ fn injected_enospc() -> Option<io::Error> {
     }
 }
 
+#[derive(Clone, Copy)]
 enum CrashMode {
     /// Real crash hook: abort the process at the stage.
     Abort(CrashStage),
@@ -196,25 +216,124 @@ enum CrashMode {
     Simulate(CrashStage),
 }
 
-/// Writes `path` atomically: the closure serialises the body into a
-/// buffer, which is then written to a unique temp file in the target
-/// directory, fsynced, renamed over `path`, and the directory fsynced.
+impl CrashMode {
+    fn stage(self) -> CrashStage {
+        match self {
+            CrashMode::Abort(s) | CrashMode::Simulate(s) => s,
+        }
+    }
+}
+
+/// What a write into a sink torn by a simulated crash returns.
+fn torn_error() -> io::Error {
+    io::Error::other("simulated crash: the write is torn")
+}
+
+/// Whether the armed crash (if any) fires at `here`. An aborting hook
+/// does not return.
+fn crash_point(mode: Option<CrashMode>, here: CrashStage) -> bool {
+    match mode {
+        Some(mode) if mode.stage() != here => false,
+        Some(CrashMode::Abort(_)) => {
+            // Flush the reason to stderr first: the torture harness greps
+            // child logs to confirm the hook (not a genuine bug) fired.
+            eprintln!("[atomic_io] crash hook firing at {}", here.as_str());
+            std::process::abort();
+        }
+        Some(CrashMode::Simulate(_)) => true,
+        None => false,
+    }
+}
+
+/// The temp file under an [`AtomicSink`]'s buffer: every chunk the
+/// buffer hands down passes the test countdown and, when a `mid-write`
+/// crash is armed, the first chunk is cut in half.
+struct TempFile {
+    file: File,
+    /// Bytes that have reached the file.
+    reached: u64,
+    crash: Option<CrashMode>,
+    /// Set when a simulated `mid-write` crash fired: the write "died",
+    /// so nothing more may reach the file.
+    torn: bool,
+}
+
+impl Write for TempFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.torn {
+            return Err(torn_error());
+        }
+        if buf.is_empty() {
+            return Ok(0);
+        }
+        if countdown_tripped() {
+            return Err(enospc_error());
+        }
+        // A chunk of two or more bytes, or any chunk after the first,
+        // proves the bytes written so far (plus half of this chunk, if
+        // they are none) are a non-empty strict prefix of the stream.
+        let armed = self
+            .crash
+            .is_some_and(|c| c.stage() == CrashStage::MidWrite);
+        if armed && (self.reached > 0 || buf.len() >= 2) {
+            if self.reached == 0 {
+                self.file.write_all(&buf[..buf.len() / 2])?;
+                self.reached += (buf.len() / 2) as u64;
+            }
+            self.torn = crash_point(self.crash, CrashStage::MidWrite);
+            return Err(torn_error());
+        }
+        let n = self.file.write(buf)?;
+        self.reached += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Bytes an [`AtomicSink`] gathers before it writes to its temp file.
+/// Array sections arrive in larger chunks and pass straight through;
+/// the buffer is for line-at-a-time text writers and field-at-a-time
+/// headers.
+const SINK_BUFFER: usize = 32 << 10;
+
+/// What [`write_atomic`] hands its closure: a buffered writer over the
+/// temp file that will be renamed into place.
+pub struct AtomicSink(BufWriter<TempFile>);
+
+impl Write for AtomicSink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// Writes `path` atomically: the closure streams the bytes into a
+/// buffered sink over a unique temp file in the target directory, which
+/// is then fsynced and renamed over `path`, and the directory fsynced.
+/// If the closure or any step before the rename fails, the temp file is
+/// removed and `path` is left as it was.
 ///
 /// Honours the [`CRASH_ENV`] hook (aborting the process mid-sequence)
 /// when armed for this write's ordinal.
 pub fn write_atomic(
     path: impl AsRef<Path>,
-    write_body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    write_body: impl FnOnce(&mut AtomicSink) -> io::Result<()>,
 ) -> io::Result<()> {
-    let mut body = Vec::new();
-    write_body(&mut body)?;
     let nth = WRITE_COUNTER.fetch_add(1, Ordering::Relaxed) + 1;
-    if let Some(e) = injected_enospc() {
-        note_disk_error(&e);
-        return Err(e);
-    }
-    let crash = armed_crash(nth).map(CrashMode::Abort);
-    match write_atomic_inner(path.as_ref(), &body, crash) {
+    let written = match injected_enospc() {
+        Some(e) => Err(e),
+        None => {
+            let crash = armed_crash(nth).map(CrashMode::Abort);
+            write_atomic_inner(path.as_ref(), nth, write_body, crash)
+        }
+    };
+    match written {
         Ok(_) => Ok(()),
         Err(e) => {
             note_disk_error(&e);
@@ -231,28 +350,22 @@ pub fn write_atomic(
 pub fn write_atomic_torn(
     path: impl AsRef<Path>,
     stage: CrashStage,
-    write_body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    write_body: impl FnOnce(&mut AtomicSink) -> io::Result<()>,
 ) -> io::Result<bool> {
-    let mut body = Vec::new();
-    write_body(&mut body)?;
-    WRITE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    write_atomic_inner(path.as_ref(), &body, Some(CrashMode::Simulate(stage)))
+    let nth = WRITE_COUNTER.fetch_add(1, Ordering::Relaxed) + 1;
+    let crash = Some(CrashMode::Simulate(stage));
+    write_atomic_inner(path.as_ref(), nth, write_body, crash)
 }
 
-fn crash_point(mode: &Option<CrashMode>, here: CrashStage) -> bool {
-    match mode {
-        Some(CrashMode::Abort(s)) if *s == here => {
-            // Flush the reason to stderr first: the torture harness greps
-            // child logs to confirm the hook (not a genuine bug) fired.
-            eprintln!("[atomic_io] crash hook firing at {}", here.as_str());
-            std::process::abort();
-        }
-        Some(CrashMode::Simulate(s)) if *s == here => true,
-        _ => false,
-    }
-}
-
-fn write_atomic_inner(path: &Path, body: &[u8], crash: Option<CrashMode>) -> io::Result<bool> {
+/// `Ok(true)`: the write completed; `Ok(false)`: a simulated crash cut
+/// it short and its debris was left in place; `Err`: it failed and its
+/// temp file is gone.
+fn write_atomic_inner(
+    path: &Path,
+    nth: u64,
+    write_body: impl FnOnce(&mut AtomicSink) -> io::Result<()>,
+    crash: Option<CrashMode>,
+) -> io::Result<bool> {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
         _ => PathBuf::from("."),
@@ -262,29 +375,43 @@ fn write_atomic_inner(path: &Path, body: &[u8], crash: Option<CrashMode>) -> io:
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
         .to_string_lossy()
         .into_owned();
-    let tmp = dir.join(format!(
-        "{name}.{}.{}.tmp",
-        std::process::id(),
-        WRITE_COUNTER.load(Ordering::Relaxed)
-    ));
+    let tmp = dir.join(format!("{name}.{}.{nth}.tmp", std::process::id()));
 
-    let mut f = File::create(&tmp)?;
-    let half = body.len() / 2;
-    f.write_all(&body[..half])?;
-    if crash_point(&crash, CrashStage::MidWrite) {
+    let temp = TempFile {
+        file: File::create(&tmp)?,
+        reached: 0,
+        crash,
+        torn: false,
+    };
+    let mut sink = AtomicSink(BufWriter::with_capacity(SINK_BUFFER, temp));
+    let streamed = write_body(&mut sink).and_then(|()| sink.flush());
+    // Whatever the buffer still holds is not wanted on any path below.
+    let (temp, _) = sink.0.into_parts();
+    if temp.torn {
         return Ok(false);
     }
-    f.write_all(&body[half..])?;
-    if crash_point(&crash, CrashStage::BeforeSync) {
-        return Ok(false);
+    let renamed = streamed.and_then(|()| {
+        // A stream too short to be cut (at most one byte) ends here.
+        if crash_point(crash, CrashStage::MidWrite) || crash_point(crash, CrashStage::BeforeSync) {
+            return Ok(false);
+        }
+        temp.file.sync_all()?;
+        if crash_point(crash, CrashStage::BeforeRename) {
+            return Ok(false);
+        }
+        fs::rename(&tmp, path)?;
+        Ok(true)
+    });
+    match renamed {
+        Ok(true) => {}
+        Ok(false) => return Ok(false),
+        Err(e) => {
+            // A failed write is not a crash: leave no debris behind.
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
     }
-    f.sync_all()?;
-    drop(f);
-    if crash_point(&crash, CrashStage::BeforeRename) {
-        return Ok(false);
-    }
-    fs::rename(&tmp, path)?;
-    let survived = !crash_point(&crash, CrashStage::AfterRename);
+    let survived = !crash_point(crash, CrashStage::AfterRename);
     // Sync the directory so the rename is durable across power loss.
     // Some filesystems refuse to open a directory for writing; opening
     // read-only still permits fsync on unix.
@@ -341,52 +468,10 @@ impl RecoveryReport {
 }
 
 /// Validates a checksummed `SPQ*` container without knowing which index
-/// format it is: magic(4) + version(4) + body_len(8) + xxh64(8) + body,
-/// checksum seeded with the version, exactly as
-/// [`crate::binio::write_checksummed`] lays it down.
+/// format it is: the same header parser and the same streamed checksum
+/// as every loader, with nothing asked of the magic or the version.
 fn validate_container(path: &Path) -> Result<(), IndexLoadError> {
-    let mut f = File::open(path)?;
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic)?;
-    let mut v = [0u8; 4];
-    f.read_exact(&mut v)?;
-    let version = u32::from_le_bytes(v);
-    // Version-1 CH files predate the checksummed container entirely
-    // (plain header, no body_len/checksum fields); classify them before
-    // touching fields they do not have, or a short legacy file reads as
-    // an i/o error and gets quarantined instead of left for the loader's
-    // migration advice. Every other SPQ* magic is checksummed from v1.
-    if &magic == b"SPQC" && version < 2 {
-        return Err(IndexLoadError::LegacyVersion {
-            found: version,
-            supported: 2,
-        });
-    }
-    let body_len = read_u64(&mut f)?;
-    // Same plausibility cap as binio::MAX_BODY_LEN.
-    if body_len > (1 << 37) {
-        return Err(IndexLoadError::Corrupt(format!(
-            "implausible body length {body_len}"
-        )));
-    }
-    let stored = read_u64(&mut f)?;
-    let mut body = Vec::new();
-    f.read_to_end(&mut body)?;
-    if (body.len() as u64) < body_len {
-        return Err(IndexLoadError::Truncated {
-            expected: body_len,
-            got: body.len() as u64,
-        });
-    }
-    body.truncate(body_len as usize);
-    let computed = xxhash64(&body, version as u64);
-    if computed != stored {
-        return Err(IndexLoadError::ChecksumMismatch {
-            expected: stored,
-            got: computed,
-        });
-    }
-    Ok(())
+    ContainerReader::open_any(File::open(path)?)?.finish()
 }
 
 /// Decides whether one regular file is debris, and why.
@@ -545,7 +630,7 @@ pub fn recover_dirs_of<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binio::write_checksummed;
+    use crate::binio::write_container;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -559,7 +644,7 @@ mod tests {
 
     fn container_bytes(version: u32, body: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_checksummed(&mut buf, b"SPQC", version, body).unwrap();
+        write_container(&mut buf, b"SPQC", version, |w| w.write_all(body)).unwrap();
         buf
     }
 
@@ -622,6 +707,97 @@ mod tests {
         let new = container_bytes(2, b"next");
         write_atomic_torn(&path, CrashStage::AfterRename, |w| w.write_all(&new)).unwrap();
         assert_eq!(fs::read(&path).unwrap(), new);
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    fn temp_files(d: &Path) -> Vec<String> {
+        fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect()
+    }
+
+    /// `mid-write` on a stream of unknown length: the temp file holds a
+    /// non-empty strict prefix of what the closure wrote — whether that
+    /// fits the sink's buffer or streams through it — and nothing after
+    /// the crash reaches it.
+    #[test]
+    fn a_mid_write_crash_leaves_a_nonempty_strict_prefix() {
+        for len in [2usize, 29, SINK_BUFFER - 1, 5 * SINK_BUFFER + 3] {
+            let d = tmpdir("prefix");
+            let body: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let completed = write_atomic_torn(d.join("index.ch"), CrashStage::MidWrite, |w| {
+                // Field-sized pieces first, then the rest in one piece.
+                let (head, rest) = body.split_at(len.min(24));
+                head.chunks(8).try_for_each(|c| w.write_all(c))?;
+                w.write_all(rest)
+            })
+            .unwrap();
+            assert!(!completed);
+            assert!(!d.join("index.ch").exists());
+            let temps = temp_files(&d);
+            assert_eq!(temps.len(), 1, "{temps:?}");
+            let torn = fs::read(d.join(&temps[0])).unwrap();
+            assert!(
+                !torn.is_empty() && torn.len() < len,
+                "{} of {len}",
+                torn.len()
+            );
+            assert_eq!(torn, body[..torn.len()]);
+            fs::remove_dir_all(&d).unwrap();
+        }
+        // No strict prefix of a one-byte stream is non-empty: the crash
+        // fires once the stream has ended, still before the rename.
+        let d = tmpdir("prefix_one");
+        let completed =
+            write_atomic_torn(d.join("x"), CrashStage::MidWrite, |w| w.write_all(b"!")).unwrap();
+        assert!(!completed);
+        assert!(!d.join("x").exists());
+        assert_eq!(temp_files(&d).len(), 1);
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// A write that fails is not a crash: whether the serialiser gives
+    /// up or the disk fills after part of the stream is already in the
+    /// temp file, the temp file is unlinked and the destination keeps
+    /// its bytes.
+    #[test]
+    fn a_failed_write_leaves_no_temp_file_and_the_old_destination() {
+        let d = tmpdir("failed");
+        let path = d.join("index.ch");
+        write_atomic(&path, |w| w.write_all(b"previous generation")).unwrap();
+
+        let err = write_atomic(&path, |w| {
+            w.write_all(&[1u8; 3 * SINK_BUFFER])?;
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "cannot serialise",
+            ))
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(temp_files(&d), Vec::<String>::new());
+        assert_eq!(fs::read(&path).unwrap(), b"previous generation");
+
+        // The gate and the first chunk pass, the second chunk meets a
+        // full disk.
+        inject_enospc_after(2);
+        let mut chunks = 0;
+        let err = write_atomic(&path, |w| {
+            for _ in 0..4 {
+                w.write_all(&[2u8; SINK_BUFFER])?;
+                chunks += 1;
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        clear_enospc_injection();
+        assert_eq!(err.raw_os_error(), Some(28), "must be a real ENOSPC");
+        assert_eq!(chunks, 1, "the failure came after the first chunk landed");
+        assert!(disk_degraded(), "ENOSPC must latch the sticky gauge");
+        assert_eq!(temp_files(&d), Vec::<String>::new());
+        assert_eq!(fs::read(&path).unwrap(), b"previous generation");
         fs::remove_dir_all(&d).unwrap();
     }
 

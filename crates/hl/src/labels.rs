@@ -180,6 +180,9 @@ impl UpwardSearch {
     }
 }
 
+/// Entries the wave store starts with room for (32 KiB).
+const FIRST_ENTRIES: usize = 1 << 12;
+
 /// The labels finished so far, in the order the waves produced them and
 /// addressed by rank — what the prune step reads.
 struct WaveStore {
@@ -257,7 +260,12 @@ impl HubLabels {
         let (order, bounds) = waves(sg);
         let mut done = WaveStore {
             span: vec![(0, 0); n],
-            entries: Vec::new(),
+            // Not `Vec::new()`: a buffer grown from a few bytes can start
+            // in a chunk that another thread's arena handed this thread
+            // through the allocator's thread cache, and then grows — to
+            // tens of megabytes — inside that arena, which keeps it.
+            // Anything past the cache's size classes is this thread's own.
+            entries: Vec::with_capacity(FIRST_ENTRIES),
         };
         for w in bounds.windows(2) {
             let wave = &order[w[0]..w[1]];

@@ -39,47 +39,53 @@ impl Hl {
     }
 
     /// Serialises the labels and the embedded hierarchy inside one
-    /// checksummed container.
+    /// checksummed container, one conversion chunk at a time; the
+    /// hierarchy writes its own container into the body behind its
+    /// length.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::with_capacity(self.serialized_len() - binio::CONTAINER_HEADER_LEN);
         let (first, entries) = self.labels().sections();
-        binio::write_u32s(&mut body, first)?;
-        binio::write_array(&mut body, entries, LabelEntry::to_le)?;
-        // The hierarchy serialises itself straight into the body; its
-        // length prefix is filled in once the bytes are there.
-        let prefix = body.len();
-        binio::write_u64(&mut body, 0)?;
-        self.hierarchy().write_binary(&mut body)?;
-        let ch_len = (body.len() - prefix - 8) as u64;
-        body[prefix..prefix + 8].copy_from_slice(&ch_len.to_le_bytes());
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            binio::write_u32s(w, first)?;
+            binio::write_array(w, entries, LabelEntry::to_le)?;
+            binio::write_u64(w, self.hierarchy().serialized_len() as u64)?;
+            self.hierarchy().write_binary(w)
+        })
     }
 
-    /// Deserialises an index written by [`Hl::write_binary`], verifying
-    /// the container checksum, the label store's structural invariants
-    /// ([`HubLabels::from_raw`]), and the embedded hierarchy's own
-    /// container (parsed in place from the tail of the body) before
-    /// returning it.
+    /// Deserialises an index written by [`Hl::write_binary`]. The label
+    /// sections and — through a nested reader over the tail of the body —
+    /// the embedded hierarchy's sections are read straight into their
+    /// final vectors while both checksums are computed; only a body that
+    /// passes is then validated: the label store's structural
+    /// invariants ([`HubLabels::from_raw`]), the hierarchy's, and their
+    /// agreement ([`Hl::from_parts`]).
     pub fn read_binary(r: &mut impl Read) -> Result<Hl, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let r = &mut &body[..];
-        let first = binio::read_u32s(r)?;
-        let entries = binio::read_array(r, LabelEntry::from_le)?;
-        let labels = HubLabels::from_raw(first, entries).map_err(IndexLoadError::Corrupt)?;
-        let ch_len = binio::read_u64(r)?;
-        if ch_len != r.len() as u64 {
-            return Err(IndexLoadError::Corrupt(format!(
-                "embedded hierarchy declares {ch_len} bytes, {} follow",
-                r.len()
-            )));
-        }
-        // An old embedded layout is an old file, not a damaged one: it
-        // keeps its type, so the degrade chain reports it as such.
-        let ch = ContractionHierarchy::read_binary(r).map_err(|e| match e {
-            IndexLoadError::LegacyVersion { .. } => e,
-            e => IndexLoadError::Corrupt(format!("embedded hierarchy: {e}")),
+        let (first, entries, ch) = binio::read_container(r, MAGIC, VERSION, |body| {
+            let first = body.read_u32s()?;
+            let entries = body.read_array(LabelEntry::from_le)?;
+            let ch_len = binio::read_u64(body)?;
+            if ch_len != body.remaining() {
+                return Err(IndexLoadError::Corrupt(format!(
+                    "embedded hierarchy declares {ch_len} bytes, {} follow",
+                    body.remaining()
+                )));
+            }
+            let ch = ContractionHierarchy::read_sections(body).map_err(embedded)?;
+            Ok((first, entries, ch))
         })?;
+        let labels = HubLabels::from_raw(first, entries).map_err(IndexLoadError::Corrupt)?;
+        let ch = ch.validate().map_err(embedded)?;
         Hl::from_parts(ch, labels).map_err(IndexLoadError::Corrupt)
+    }
+}
+
+/// Files a failure of the embedded `SPQC` under the `SPQH` that holds
+/// it. An old embedded layout is an old file, not a damaged one: it
+/// keeps its type, so the degrade chain reports it as such.
+fn embedded(e: IndexLoadError) -> IndexLoadError {
+    match e {
+        IndexLoadError::LegacyVersion { .. } => e,
+        e => IndexLoadError::Corrupt(format!("embedded hierarchy: {e}")),
     }
 }
 
@@ -102,8 +108,13 @@ mod tests {
         binio::write_u32s(&mut body, first).unwrap();
         binio::write_array(&mut body, entries, LabelEntry::to_le).unwrap();
         binio::write_u8s(&mut body, ch_bytes).unwrap();
+        container_around(MAGIC, VERSION, &body)
+    }
+
+    /// A container of any format and version around arbitrary bytes.
+    fn container_around(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        binio::write_checksummed(&mut out, MAGIC, VERSION, &body).unwrap();
+        binio::write_container(&mut out, magic, version, |w| w.write_all(body)).unwrap();
         out
     }
 
@@ -139,7 +150,7 @@ mod tests {
 
     /// The footprint as a tested fact: 8 bytes per label entry, 4 per
     /// vertex (+1), three section prefixes, the hierarchy's container,
-    /// one header — and the body is allocated at exactly that size.
+    /// one header — which `serialized_len` predicts without writing.
     #[test]
     fn container_size_follows_the_layout() {
         for g in [figure1(), grid_graph(9, 4)] {
@@ -190,8 +201,7 @@ mod tests {
     /// version number (whatever its body), and so is anything newer.
     #[test]
     fn rejects_other_versions() {
-        let mut v1 = Vec::new();
-        binio::write_checksummed(&mut v1, MAGIC, 1, b"rank first hub dist SPQC").unwrap();
+        let v1 = container_around(MAGIC, 1, b"rank first hub dist SPQC");
         assert!(matches!(
             Hl::read_binary(&mut &v1[..]),
             Err(IndexLoadError::LegacyVersion {
@@ -200,8 +210,7 @@ mod tests {
             })
         ));
 
-        let mut future = Vec::new();
-        binio::write_checksummed(&mut future, MAGIC, VERSION + 1, b"").unwrap();
+        let future = container_around(MAGIC, VERSION + 1, b"");
         assert!(matches!(
             Hl::read_binary(&mut &future[..]),
             Err(IndexLoadError::UnsupportedVersion { found: 3, .. })
@@ -215,8 +224,7 @@ mod tests {
     fn rejects_a_legacy_embedded_hierarchy_as_legacy() {
         let hl = Hl::build(&figure1());
         let (first, entries) = hl.labels().sections();
-        let mut old_ch = Vec::new();
-        binio::write_checksummed(&mut old_ch, b"SPQC", 3, b"base arrays + flat halves").unwrap();
+        let old_ch = container_around(b"SPQC", 3, b"base arrays + flat halves");
         assert!(matches!(
             Hl::read_binary(&mut &pack(first, entries, &old_ch)[..]),
             Err(IndexLoadError::LegacyVersion {
@@ -274,8 +282,7 @@ mod tests {
 
         let mut body = container_of(&hl)[binio::CONTAINER_HEADER_LEN..].to_vec();
         body.extend_from_slice(b"tail");
-        let mut trailing = Vec::new();
-        binio::write_checksummed(&mut trailing, MAGIC, VERSION, &body).unwrap();
+        let trailing = container_around(MAGIC, VERSION, &body);
         assert!(corrupt_reason(&trailing).contains("bytes"));
     }
 }

@@ -151,23 +151,21 @@ impl PoiSet {
 
     /// Serialises the set inside a checksummed `SPQP` container.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
-        binio::write_u8s(&mut body, self.name.as_bytes())?;
-        binio::write_u64(&mut body, self.net_nodes)?;
-        binio::write_u32s(&mut body, &self.nodes)?;
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            binio::write_u8s(w, self.name.as_bytes())?;
+            binio::write_u64(w, self.net_nodes)?;
+            binio::write_u32s(w, &self.nodes)
+        })
     }
 
     /// Deserialises a set written by [`PoiSet::write_binary`], verifying
     /// the checksum and re-validating every structural invariant.
     pub fn read_binary(r: &mut impl Read) -> Result<PoiSet, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let r = &mut &body[..];
-        let name_bytes = binio::read_u8s(r)?;
+        let (name_bytes, net_nodes, nodes) = binio::read_container(r, MAGIC, VERSION, |body| {
+            Ok((body.read_u8s()?, binio::read_u64(body)?, body.read_u32s()?))
+        })?;
         let name = String::from_utf8(name_bytes)
             .map_err(|_| IndexLoadError::Corrupt("POI set name is not UTF-8".into()))?;
-        let net_nodes = binio::read_u64(r)?;
-        let nodes = binio::read_u32s(r)?;
         if usize::try_from(net_nodes).is_err() {
             return Err(IndexLoadError::Corrupt(
                 "network size overflows usize".into(),

@@ -18,9 +18,7 @@ use std::io::{Read, Write};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spq_dijkstra::Dijkstra;
-use spq_graph::binio::{
-    self, read_u32s, read_u64, read_u64s, write_u32s, write_u64, write_u64s, IndexLoadError,
-};
+use spq_graph::binio::{self, read_u64, write_u32s, write_u64, write_u64s, IndexLoadError};
 use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
 
@@ -75,45 +73,47 @@ pub struct Workload {
 impl Workload {
     /// Serialises into a checksummed `SPQW` container.
     pub fn write_binary(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let mut body = Vec::new();
-        write_u64(&mut body, self.seed)?;
-        write_u64(&mut body, self.o2m_sets.len() as u64)?;
-        for set in &self.o2m_sets {
-            write_u32s(&mut body, set)?;
-        }
-        write_u32s(&mut body, &self.knn_ks)?;
-        write_u64s(&mut body, &self.range_radii)?;
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            write_u64(w, self.seed)?;
+            write_u64(w, self.o2m_sets.len() as u64)?;
+            for set in &self.o2m_sets {
+                write_u32s(w, set)?;
+            }
+            write_u32s(w, &self.knn_ks)?;
+            write_u64s(w, &self.range_radii)
+        })
     }
 
     /// Reads and fully validates a `SPQW` container.
     pub fn read_binary(r: &mut impl Read) -> Result<Workload, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let mut r = body.as_slice();
-        let seed = read_u64(&mut r)?;
-        let n_sets = read_u64(&mut r)? as usize;
-        if n_sets > 1 << 20 {
-            return Err(IndexLoadError::Corrupt(format!(
-                "implausible o2m set count {n_sets}"
-            )));
-        }
-        let mut o2m_sets = Vec::with_capacity(n_sets);
-        for _ in 0..n_sets {
-            o2m_sets.push(read_u32s(&mut r)?);
-        }
-        let knn_ks = read_u32s(&mut r)?;
-        let range_radii = read_u64s(&mut r)?;
-        if !r.is_empty() {
-            return Err(IndexLoadError::Corrupt(format!(
-                "{} trailing byte(s) after workload body",
-                r.len()
-            )));
-        }
-        Ok(Workload {
-            seed,
-            o2m_sets,
-            knn_ks,
-            range_radii,
+        binio::read_container(r, MAGIC, VERSION, |body| {
+            let seed = read_u64(body)?;
+            let n_sets = read_u64(body)?;
+            if n_sets > 1 << 20 {
+                return Err(IndexLoadError::Corrupt(format!(
+                    "implausible o2m set count {n_sets}"
+                )));
+            }
+            // The count is not trusted with an allocation: the list
+            // grows as sets actually arrive.
+            let mut o2m_sets = Vec::new();
+            for _ in 0..n_sets {
+                o2m_sets.push(body.read_u32s()?);
+            }
+            let knn_ks = body.read_u32s()?;
+            let range_radii = body.read_u64s()?;
+            if body.remaining() > 0 {
+                return Err(IndexLoadError::Corrupt(format!(
+                    "{} trailing byte(s) after workload body",
+                    body.remaining()
+                )));
+            }
+            Ok(Workload {
+                seed,
+                o2m_sets,
+                knn_ks,
+                range_radii,
+            })
         })
     }
 

@@ -500,15 +500,16 @@ impl Engine {
                 }
             };
             let build_time = start.elapsed();
-            eprintln!(
-                "[engine] {} {} in {build_time:.2?}",
-                if spec.index.is_some() {
-                    "loaded"
-                } else {
-                    "built"
-                },
-                spec.kind.name()
-            );
+            match &spec.index {
+                // The container's size beside its load time: the memory
+                // column of the per-(network, backend) index row.
+                Some(path) => eprintln!(
+                    "[engine] loaded {} in {build_time:.2?} ({} bytes)",
+                    spec.kind.name(),
+                    std::fs::metadata(path).map_or(0, |m| m.len())
+                ),
+                None => eprintln!("[engine] built {} in {build_time:.2?}", spec.kind.name()),
+            }
             engine.backends.push(EngineBackend {
                 kind: spec.kind,
                 backend,
@@ -703,6 +704,7 @@ mod tests {
     use spq_graph::binio::{self, IndexLoadError};
     use spq_graph::types::{Dist, NodeId};
     use spq_synth::SynthParams;
+    use std::io::Write;
 
     #[test]
     fn wire_ids_roundtrip_and_parse() {
@@ -828,7 +830,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("old.hl");
         let mut v1 = Vec::new();
-        binio::write_checksummed(&mut v1, b"SPQH", 1, b"rank first hub dist SPQC").unwrap();
+        binio::write_container(&mut v1, b"SPQH", 1, |w| {
+            w.write_all(b"rank first hub dist SPQC")
+        })
+        .unwrap();
         std::fs::write(&path, &v1).unwrap();
 
         let specs = [
@@ -873,7 +878,10 @@ mod tests {
 
         let ch_path = dir.join("old.ch");
         let mut v3 = Vec::new();
-        binio::write_checksummed(&mut v3, b"SPQC", 3, b"base arrays + flat halves").unwrap();
+        binio::write_container(&mut v3, b"SPQC", 3, |w| {
+            w.write_all(b"base arrays + flat halves")
+        })
+        .unwrap();
         std::fs::write(&ch_path, &v3).unwrap();
 
         // A current SPQH whose embedded hierarchy (the tail of the body)

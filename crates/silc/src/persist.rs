@@ -21,50 +21,44 @@ impl Silc {
     /// Serialises the Morton codes and the per-source block/exception
     /// CSR arrays inside a checksummed container.
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
-        binio::write_u64s(&mut body, &self.node_code)?;
-        binio::write_u32s(&mut body, &self.block_first)?;
-        binio::write_u64s(&mut body, &self.block_code)?;
-        binio::write_u8s(&mut body, &self.block_color)?;
-        binio::write_u32s(&mut body, &self.exc_first)?;
-        binio::write_u32s(&mut body, &self.exc_node)?;
-        binio::write_u8s(&mut body, &self.exc_color)?;
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            binio::write_u64s(w, &self.node_code)?;
+            binio::write_u32s(w, &self.block_first)?;
+            binio::write_u64s(w, &self.block_code)?;
+            binio::write_u8s(w, &self.block_color)?;
+            binio::write_u32s(w, &self.exc_first)?;
+            binio::write_u32s(w, &self.exc_node)?;
+            binio::write_u8s(w, &self.exc_color)
+        })
     }
 
     /// Deserialises an index written by [`Silc::write_binary`],
     /// verifying the checksum and CSR invariants before returning it.
     pub fn read_binary(r: &mut impl Read) -> Result<Silc, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let r = &mut &body[..];
-        let node_code = binio::read_u64s(r)?;
-        let block_first = binio::read_u32s(r)?;
-        let block_code = binio::read_u64s(r)?;
-        let block_color = binio::read_u8s(r)?;
-        let exc_first = binio::read_u32s(r)?;
-        let exc_node = binio::read_u32s(r)?;
-        let exc_color = binio::read_u8s(r)?;
+        let silc = binio::read_container(r, MAGIC, VERSION, |body| {
+            Ok(Silc {
+                node_code: body.read_u64s()?,
+                block_first: body.read_u32s()?,
+                block_code: body.read_u64s()?,
+                block_color: body.read_u8s()?,
+                exc_first: body.read_u32s()?,
+                exc_node: body.read_u32s()?,
+                exc_color: body.read_u8s()?,
+            })
+        })?;
         let bad = |msg: &str| Err(IndexLoadError::Corrupt(msg.to_string()));
-        let n = node_code.len();
-        if block_first.len() != n + 1 || exc_first.len() != n + 1 {
+        let n = silc.node_code.len();
+        if silc.block_first.len() != n + 1 || silc.exc_first.len() != n + 1 {
             return bad("CSR offsets do not match the vertex count");
         }
-        if block_first[n] as usize != block_code.len()
-            || block_code.len() != block_color.len()
-            || exc_first[n] as usize != exc_node.len()
-            || exc_node.len() != exc_color.len()
+        if silc.block_first[n] as usize != silc.block_code.len()
+            || silc.block_code.len() != silc.block_color.len()
+            || silc.exc_first[n] as usize != silc.exc_node.len()
+            || silc.exc_node.len() != silc.exc_color.len()
         {
             return bad("CSR payload lengths do not match their offsets");
         }
-        Ok(Silc {
-            node_code,
-            block_first,
-            block_code,
-            block_color,
-            exc_first,
-            exc_node,
-            exc_color,
-        })
+        Ok(silc)
     }
 }
 

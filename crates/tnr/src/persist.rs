@@ -32,11 +32,6 @@ impl Tnr {
     /// it is integrity-checked twice — once by the outer checksum, once
     /// by its own).
     pub fn write_binary(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
-        binio::write_u64(&mut body, self.net_nodes as u64)?;
-        binio::write_u64(&mut body, self.params.grid as u64)?;
-        binio::write_u64(&mut body, self.params.inner_radius as u64)?;
-        binio::write_u64(&mut body, self.params.outer_radius as u64)?;
         let fallback = match self.params.fallback {
             Fallback::Ch => 0u8,
             Fallback::BiDijkstra => 1,
@@ -45,15 +40,20 @@ impl Tnr {
             AccessNodeStrategy::Correct => 0u8,
             AccessNodeStrategy::FlawedBast => 1,
         };
-        binio::write_u8s(&mut body, &[fallback, access])?;
-        self.ch.write_binary(&mut body)?;
-        binio::write_u32s(&mut body, &self.access.access_list)?;
-        binio::write_u32s(&mut body, &self.access.cell_first)?;
-        binio::write_u32s(&mut body, &self.access.cell_access)?;
-        binio::write_u32s(&mut body, &self.access.vertex_first)?;
-        binio::write_u32s(&mut body, &self.access.vertex_access_dist)?;
-        binio::write_u32s(&mut body, &self.table)?;
-        binio::write_checksummed(w, MAGIC, VERSION, &body)
+        binio::write_container(w, MAGIC, VERSION, |w| {
+            binio::write_u64(w, self.net_nodes as u64)?;
+            binio::write_u64(w, self.params.grid as u64)?;
+            binio::write_u64(w, self.params.inner_radius as u64)?;
+            binio::write_u64(w, self.params.outer_radius as u64)?;
+            binio::write_u8s(w, &[fallback, access])?;
+            self.ch.write_binary(w)?;
+            binio::write_u32s(w, &self.access.access_list)?;
+            binio::write_u32s(w, &self.access.cell_first)?;
+            binio::write_u32s(w, &self.access.cell_access)?;
+            binio::write_u32s(w, &self.access.vertex_first)?;
+            binio::write_u32s(w, &self.access.vertex_access_dist)?;
+            binio::write_u32s(w, &self.table)
+        })
     }
 
     /// Deserialises an index written by [`Tnr::write_binary`],
@@ -61,26 +61,35 @@ impl Tnr {
     /// was built on). The checksum and every structural invariant are
     /// verified before the index is returned.
     pub fn read_binary(net: &RoadNetwork, r: &mut impl Read) -> Result<Tnr, IndexLoadError> {
-        let body = binio::read_checksummed(r, MAGIC, VERSION)?;
-        let r = &mut &body[..];
-        let net_nodes = binio::read_u64(r)? as usize;
+        let embedded = |e: IndexLoadError| bad(format!("embedded hierarchy: {e}"));
+        let (scalars, modes, ch, arrays) = binio::read_container(r, MAGIC, VERSION, |body| {
+            let mut scalars = [0u64; 4];
+            for x in &mut scalars {
+                *x = binio::read_u64(body)?;
+            }
+            let modes = body.read_u8s()?;
+            let ch = ContractionHierarchy::read_sections(body).map_err(embedded)?;
+            let mut arrays: [Vec<u32>; 6] = Default::default();
+            for a in &mut arrays {
+                *a = body.read_u32s()?;
+            }
+            Ok((scalars, modes, ch, arrays))
+        })?;
+        let [net_nodes, grid_g, inner_radius, outer_radius] = scalars;
+        let net_nodes = net_nodes as usize;
         if net_nodes != net.num_nodes() {
             return Err(bad(format!(
                 "index built over {net_nodes} vertices, network has {}",
                 net.num_nodes()
             )));
         }
-        let grid_g = binio::read_u64(r)?;
-        let inner_radius = binio::read_u64(r)? as u32;
-        let outer_radius = binio::read_u64(r)? as u32;
-        let modes = binio::read_u8s(r)?;
         if grid_g == 0 || grid_g > u32::MAX as u64 || modes.len() != 2 {
             return Err(bad("malformed TNR parameter block".into()));
         }
         let params = TnrParams {
             grid: grid_g as u32,
-            inner_radius,
-            outer_radius,
+            inner_radius: inner_radius as u32,
+            outer_radius: outer_radius as u32,
             fallback: match modes[0] {
                 0 => Fallback::Ch,
                 1 => Fallback::BiDijkstra,
@@ -92,17 +101,12 @@ impl Tnr {
                 m => return Err(bad(format!("unknown access-node strategy {m}"))),
             },
         };
-        let ch = ContractionHierarchy::read_binary(r)
-            .map_err(|e| bad(format!("embedded hierarchy: {e}")))?;
+        let ch = ch.validate().map_err(embedded)?;
         if ch.num_nodes() != net_nodes {
             return Err(bad("embedded hierarchy does not match the network".into()));
         }
-        let access_list = binio::read_u32s(r)?;
-        let cell_first = binio::read_u32s(r)?;
-        let cell_access = binio::read_u32s(r)?;
-        let vertex_first = binio::read_u32s(r)?;
-        let vertex_access_dist = binio::read_u32s(r)?;
-        let table = binio::read_u32s(r)?;
+        let [access_list, cell_first, cell_access, vertex_first, vertex_access_dist, table] =
+            arrays;
 
         let grid = VertexGrid::build(net, params.grid);
         let num_cells = grid.frame().num_cells();

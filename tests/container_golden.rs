@@ -1,0 +1,122 @@
+//! Golden byte identity of every checksummed container.
+//!
+//! The containers are written as a stream — the body closure runs once
+//! into a hasher and once into the sink — and must stay the files they
+//! were when the body was serialised into a buffer first: `SPQC` is
+//! still version 4, `SPQH` version 2, and an index written before the
+//! change loads after it. The constants below were recorded from the
+//! commit before streaming (85c6158) by this same test; a change to any
+//! format, any builder or the synthetic generator that moves a byte
+//! shows up here as a length or digest mismatch.
+
+use spq_alt::{Alt, AltParams};
+use spq_arcflags::{ArcFlags, ArcFlagsParams};
+use spq_ch::ContractionHierarchy;
+use spq_graph::binio::xxhash64;
+use spq_graph::toy::figure1;
+use spq_graph::{par, RoadNetwork};
+use spq_hl::Hl;
+use spq_many::PoiSet;
+use spq_queries::shapes::{generate_workload, ShapeGenParams};
+use spq_silc::Silc;
+use spq_synth::SynthParams;
+use spq_tnr::{Tnr, TnrParams};
+
+/// `(magic, length, XXH64 with seed 0)` of all eight containers built
+/// over one network, in a fixed order.
+fn fingerprints(net: &RoadNetwork) -> Vec<(String, usize, u64)> {
+    fn container(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write(&mut buf).expect("in-memory write cannot fail");
+        buf
+    }
+    let ch = ContractionHierarchy::build(net);
+    let hl = Hl::build(net);
+    let pois = PoiSet::sample(net, "golden", net.num_nodes().min(5), 11).unwrap();
+    let tnr = Tnr::build(
+        net,
+        &TnrParams {
+            grid: 4,
+            ..TnrParams::default()
+        },
+    );
+    let silc = Silc::build(net);
+    let alt = Alt::build(
+        net,
+        &AltParams {
+            num_landmarks: 3,
+            ..AltParams::default()
+        },
+    );
+    let flags = ArcFlags::build(net, &ArcFlagsParams { grid: 3 });
+    let workload = generate_workload(
+        net,
+        &ShapeGenParams {
+            o2m_sets: 3,
+            o2m_targets: 4,
+            ..ShapeGenParams::default()
+        },
+    );
+    [
+        container(|b| ch.write_binary(b)),
+        container(|b| hl.write_binary(b)),
+        container(|b| pois.write_binary(b)),
+        container(|b| tnr.write_binary(b)),
+        container(|b| silc.write_binary(b)),
+        container(|b| alt.write_binary(b)),
+        container(|b| flags.write_binary(b)),
+        container(|b| workload.write_binary(b)),
+    ]
+    .into_iter()
+    .map(|bytes| {
+        let magic = String::from_utf8_lossy(&bytes[..4]).into_owned();
+        (magic, bytes.len(), xxhash64(&bytes, 0))
+    })
+    .collect()
+}
+
+fn assert_golden(net: &RoadNetwork, golden: &[(&str, usize, u64)]) {
+    let got = par::with_threads(1, || fingerprints(net));
+    assert_eq!(got.len(), golden.len());
+    for ((magic, len, digest), &(want_magic, want_len, want_digest)) in got.iter().zip(golden) {
+        assert_eq!(magic, want_magic);
+        assert_eq!(
+            (*len, *digest),
+            (want_len, want_digest),
+            "{magic}: (length, XXH64) of the container moved; it is now ({len}, {digest:#018x})"
+        );
+    }
+}
+
+#[test]
+fn figure1_containers_are_the_bytes_the_parent_wrote() {
+    assert_golden(&figure1(), FIGURE1);
+}
+
+#[test]
+fn synthetic_900_containers_are_the_bytes_the_parent_wrote() {
+    let net = spq_synth::generate(&SynthParams::with_target_vertices(900, 23));
+    assert_golden(&net, SYNTHETIC_900);
+}
+
+const FIGURE1: &[(&str, usize, u64)] = &[
+    ("SPQC", 256, 0x833be50c4e6fefd3),
+    ("SPQH", 508, 0xabe7c6190e6d8169),
+    ("SPQP", 74, 0x811b5848567b6649),
+    ("SPQT", 826, 0x8064a2e4183ea987),
+    ("SPQS", 522, 0x1396eebf1ff4c49b),
+    ("SPQA", 156, 0xba789c0d82079c39),
+    ("SPQF", 184, 0xa2973d03880a534f),
+    ("SPQW", 200, 0xe049f0cd5f14c9de),
+];
+
+const SYNTHETIC_900: &[(&str, usize, u64)] = &[
+    ("SPQC", 34796, 0xbaa0aab254ca5b30),
+    ("SPQH", 128288, 0x72c350ec987f7d04),
+    ("SPQP", 74, 0x4ef82a0b9cb3e86b),
+    ("SPQT", 158242, 0x83fc893133894c26),
+    ("SPQS", 545834, 0xae9b9aedcd9831ba),
+    ("SPQA", 11700, 0xd9ac478d7ccbceee),
+    ("SPQF", 21336, 0x28b3d747067e8686),
+    ("SPQW", 224, 0xbd9933fb0cea0963),
+];
