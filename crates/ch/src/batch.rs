@@ -331,6 +331,31 @@ mod tests {
     }
 
     #[test]
+    fn dense_batch_matches_point_to_point() {
+        let g = figure1();
+        let ch = ContractionHierarchy::build(&g);
+        let mut batch = BatchDistances::new(&ch);
+        let mut point = crate::ChQuery::new(&ch);
+        let all: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        let mut out = Vec::new();
+        assert!(batch.table_into(&all, &all, &mut out));
+        for (i, &s) in all.iter().enumerate() {
+            for (j, &t) in all.iter().enumerate() {
+                let cell = out[i * all.len() + j];
+                assert_eq!(point.distance(s, t), Some(cell), "batch ({s},{t})");
+            }
+        }
+        // One-row and one-column tables are slices of the dense one.
+        let mut row = Vec::new();
+        assert!(batch.table_into(&all[..1], &all, &mut row));
+        assert_eq!(row, out[..all.len()]);
+        let mut col = Vec::new();
+        assert!(batch.table_into(&all, &all[..1], &mut col));
+        let first: Vec<Dist> = out.iter().step_by(all.len()).copied().collect();
+        assert_eq!(col, first);
+    }
+
+    #[test]
     fn workspace_reuse_is_clean() {
         let g = grid_graph(6, 6);
         let ch = ContractionHierarchy::build(&g);

@@ -42,7 +42,6 @@
 //! assert_eq!(g.path_length(&path), Some(6)); // unpacked to real edges
 //! ```
 
-pub mod backend;
 pub mod batch;
 pub mod contraction;
 pub mod many2many;

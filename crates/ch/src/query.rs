@@ -90,9 +90,10 @@ pub struct ChQuery<'a> {
     bwd: Side,
     version: u32,
     /// Enables the stall-on-demand optimisation (skip expanding vertices
-    /// already proven suboptimal via a higher-ranked neighbour). On by
-    /// default; the ablation bench toggles it.
-    pub stall_on_demand: bool,
+    /// already proven suboptimal via a higher-ranked neighbour). Always
+    /// on outside this crate; the stall/no-stall reference test below
+    /// turns it off.
+    pub(crate) stall_on_demand: bool,
     /// Vertices settled by the most recent query.
     pub last_settled: usize,
     /// Scratch stack for shortcut unpacking: hierarchy edges still to be

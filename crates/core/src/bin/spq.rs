@@ -10,8 +10,7 @@
 //! spq verify --net P [--samples N] [--seed S] certify all techniques
 //! spq serve --net P [--addr A] [--backends L] run the query server
 //!           [--reload-file P] [--no-audit]    (hot reload + oracle audit)
-//! spq loadgen --net P [--concurrency L]      measure serving throughput
-//!             [--reload-every S]              (hot reloads mid-sweep)
+//! spq loadgen --net P [--concurrency L]      oracle-checked serving throughput
 //! spq bench --json [--smoke] [--check B]     query-latency report + regression gate
 //! ```
 //!
@@ -83,12 +82,11 @@ fn print_usage() {
          \x20       [--wbuf-cap BYTES] [--mem-budget BYTES] [--max-connections N]\n\
          \x20       [--stall-timeout-ms N] [--write-timeout-ms N]\n\
          \x20                                        run the TCP query server\n\
-         \x20 loadgen (--net P | --target N) [--backends L] [--concurrency L]\n\
-         \x20         [--connections N] [--churn-every N] [--duration S]\n\
-         \x20         [--warmup-ms N] [--reload-every S] [--out F]\n\
-         \x20         [--mix distance:8,o2m:2,knn:1,range:1] [--workload F]\n\
-         \x20         [--slow-readers N] [--slow-reader-rate BPS]\n\
-         \x20                                        measure serving throughput\n\
+         \x20 loadgen (--net P | --target N) [--seed S] [--backends L]\n\
+         \x20         [--concurrency L] [--duration S] [--warmup-ms N]\n\
+         \x20         [--per-set N] [--retries N] [--out F]\n\
+         \x20                                        DISTANCE throughput, oracle-checked\n\
+         \x20                                        after every timed run\n\
          \x20 bench --json [--smoke] [--out F] [--check BASELINE] [--tolerance R]\n\
          \x20       [--queries N] [--seed S] [--only OPS] [--backends L]\n\
          \x20                                        query-latency report + regression gate\n\
@@ -647,8 +645,33 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn loadgen(args: &[String]) -> Result<(), String> {
-    let net = serve_network(args)?;
+/// The flags `spq loadgen` accepts, each taking one value.
+const LOADGEN_FLAGS: [&str; 10] = [
+    "--net",
+    "--target",
+    "--seed",
+    "--backends",
+    "--concurrency",
+    "--duration",
+    "--warmup-ms",
+    "--per-set",
+    "--retries",
+    "--out",
+];
+
+/// Parses `spq loadgen`'s sweep options. Any argument that is not one
+/// of [`LOADGEN_FLAGS`] with its value is refused by name: a flag this
+/// sweep does not know must fail loudly, not run a different sweep.
+fn loadgen_options(args: &[String]) -> Result<LoadgenOptions, String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !LOADGEN_FLAGS.contains(&arg.as_str()) {
+            return Err(format!("loadgen does not accept '{arg}'"));
+        }
+        if rest.next().is_none() {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
     let mut opts = LoadgenOptions {
         backends: serve_backends(args)?,
         ..LoadgenOptions::default()
@@ -667,21 +690,12 @@ fn loadgen(args: &[String]) -> Result<(), String> {
             return Err("--concurrency needs positive thread counts".into());
         }
     }
-    if let Some(s) = opt(args, "--connections") {
-        opts.connections = s
-            .parse()
-            .map_err(|_| "--connections must be an integer".to_string())?;
-    }
-    if let Some(s) = opt(args, "--churn-every") {
-        opts.churn_every = s
-            .parse()
-            .map_err(|_| "--churn-every must be an integer".to_string())?;
-    }
     if let Some(s) = opt(args, "--duration") {
-        opts.duration = Duration::from_secs_f64(
-            s.parse()
-                .map_err(|_| "--duration must be a number of seconds".to_string())?,
-        );
+        opts.duration = s
+            .parse()
+            .ok()
+            .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+            .ok_or("--duration must be a non-negative number of seconds")?;
     }
     if let Some(s) = opt(args, "--warmup-ms") {
         opts.warmup = Duration::from_millis(
@@ -689,40 +703,27 @@ fn loadgen(args: &[String]) -> Result<(), String> {
                 .map_err(|_| "--warmup-ms must be an integer".to_string())?,
         );
     }
+    if let Some(s) = opt(args, "--per-set") {
+        opts.per_set = s
+            .parse()
+            .map_err(|_| "--per-set must be an integer".to_string())?;
+    }
     if let Some(s) = opt(args, "--seed") {
         opts.seed = s
             .parse()
             .map_err(|_| "--seed must be an integer".to_string())?;
     }
-    if let Some(s) = opt(args, "--reload-every") {
-        let secs: f64 = s
+    if let Some(s) = opt(args, "--retries") {
+        opts.retry.max_retries = s
             .parse()
-            .map_err(|_| "--reload-every must be a number of seconds".to_string())?;
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err("--reload-every must be positive".into());
-        }
-        opts.reload_every = Some(Duration::from_secs_f64(secs));
+            .map_err(|_| "--retries must be an integer".to_string())?;
     }
-    if let Some(s) = opt(args, "--mix") {
-        opts.mix = spq_serve::loadgen::OpMix::parse(s)?;
-    }
-    if let Some(p) = opt(args, "--workload") {
-        let mut f = File::open(p).map_err(|e| format!("cannot open {p}: {e}"))?;
-        opts.workload = Some(
-            spq_queries::shapes::Workload::read_binary(&mut f)
-                .map_err(|e| format!("cannot load workload {p}: {e}"))?,
-        );
-    }
-    if let Some(s) = opt(args, "--slow-readers") {
-        opts.slow_readers = s
-            .parse()
-            .map_err(|_| "--slow-readers must be an integer".to_string())?;
-    }
-    if let Some(s) = opt(args, "--slow-reader-rate") {
-        opts.slow_reader_rate = s
-            .parse()
-            .map_err(|_| "--slow-reader-rate must be bytes/second".to_string())?;
-    }
+    Ok(opts)
+}
+
+fn loadgen(args: &[String]) -> Result<(), String> {
+    let opts = loadgen_options(args)?;
+    let net = serve_network(args)?;
     let (report, stats) = run_in_process(net, &opts)?;
     eprintln!("--- final server stats ---\n{stats}");
 
@@ -886,4 +887,88 @@ fn answer(
         println!("  {}", rendered.join(" -> "));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn loadgen_parses_every_flag_it_accepts() {
+        let opts = loadgen_options(&args(&[
+            "--target",
+            "500",
+            "--seed",
+            "9",
+            "--backends",
+            "ch,hl",
+            "--concurrency",
+            "1,3",
+            "--duration",
+            "0.5",
+            "--warmup-ms",
+            "20",
+            "--per-set",
+            "7",
+            "--retries",
+            "5",
+            "--out",
+            "lg.csv",
+        ]))
+        .expect("every accepted flag parses");
+        assert_eq!(opts.backends, [BackendKind::Ch, BackendKind::Hl]);
+        assert_eq!(opts.concurrency, [1, 3]);
+        assert_eq!(opts.duration, Duration::from_millis(500));
+        assert_eq!(opts.warmup, Duration::from_millis(20));
+        assert_eq!((opts.per_set, opts.seed, opts.retry.max_retries), (7, 9, 5));
+    }
+
+    #[test]
+    fn loadgen_refuses_flags_it_does_not_accept_by_name() {
+        for flag in [
+            "--mix",
+            "--slow-readers",
+            "--slow-reader-rate",
+            "--connections",
+            "--churn-every",
+            "--reload-every",
+            "--workload",
+            "--deadline-ms",
+            "--bogus",
+        ] {
+            let err = loadgen_options(&args(&["--target", "500", flag, "1"]))
+                .expect_err("an unknown flag must not run a sweep");
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
+        // A stray positional argument, and an accepted flag missing its
+        // value, are refused too.
+        let err = loadgen_options(&args(&["extra"])).unwrap_err();
+        assert!(err.contains("'extra'"), "{err}");
+        let err = loadgen_options(&args(&["--target", "500", "--duration"])).unwrap_err();
+        assert!(err.contains("--duration"), "{err}");
+    }
+
+    #[test]
+    fn loadgen_refuses_malformed_values_naming_the_flag() {
+        for (flag, value) in [
+            ("--concurrency", "0"),
+            ("--concurrency", "1,x"),
+            ("--concurrency", ","),
+            ("--duration", "-1"),
+            ("--duration", "NaN"),
+            ("--duration", "soon"),
+            ("--warmup-ms", "1.5"),
+            ("--per-set", "-3"),
+            ("--seed", "s"),
+            ("--retries", "many"),
+        ] {
+            let err = loadgen_options(&args(&["--target", "500", flag, value]))
+                .expect_err("a malformed value must not run a sweep");
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+        }
+    }
 }

@@ -769,7 +769,7 @@ mod tests {
         write_atomic(&path, |w| w.write_all(b"previous generation")).unwrap();
 
         let err = write_atomic(&path, |w| {
-            w.write_all(&[1u8; 3 * SINK_BUFFER])?;
+            w.write_all(&vec![1u8; 3 * SINK_BUFFER])?;
             Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "cannot serialise",
@@ -786,7 +786,7 @@ mod tests {
         let mut chunks = 0;
         let err = write_atomic(&path, |w| {
             for _ in 0..4 {
-                w.write_all(&[2u8; SINK_BUFFER])?;
+                w.write_all(&vec![2u8; SINK_BUFFER])?;
                 chunks += 1;
             }
             Ok(())

@@ -427,7 +427,6 @@ pub struct RetryingClient {
     policy: RetryPolicy,
     rng: StdRng,
     client: Option<ServeClient>,
-    deadline_ms: u32,
     /// Retries performed over this client's lifetime.
     pub retries: u64,
     /// Of those, retries of requests that were already in flight when
@@ -446,31 +445,9 @@ impl RetryingClient {
             policy,
             rng,
             client: None,
-            deadline_ms: 0,
             retries: 0,
             retried_after_partial: 0,
         }
-    }
-
-    /// Sets the per-request deadline (milliseconds) attached to every
-    /// subsequent query; 0 removes it.
-    pub fn set_deadline_ms(&mut self, deadline_ms: u32) {
-        self.deadline_ms = deadline_ms;
-        if let Some(c) = &mut self.client {
-            c.set_deadline_ms(deadline_ms);
-        }
-    }
-
-    /// Drops the current connection (if any); the next operation
-    /// reconnects. Connection churn in the load generator is built on
-    /// this.
-    pub fn disconnect(&mut self) {
-        self.client = None;
-    }
-
-    /// Whether a connection is currently open.
-    pub fn is_connected(&self) -> bool {
-        self.client.is_some()
     }
 
     /// Runs `op` with retry/reconnect; the workhorse behind the typed
@@ -487,10 +464,7 @@ impl RetryingClient {
             // state is still inspectable after a failed op.
             if self.client.is_none() {
                 match ServeClient::connect(self.addr) {
-                    Ok(mut c) => {
-                        c.set_deadline_ms(self.deadline_ms);
-                        self.client = Some(c);
-                    }
+                    Ok(c) => self.client = Some(c),
                     Err(e) => {
                         // A failed connect never delivered anything —
                         // plain transport loss, retry on the main budget.

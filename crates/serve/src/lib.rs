@@ -21,9 +21,9 @@
 //!   backend and per op, served by the `STATS` command and dumped at
 //!   shutdown.
 //! * [`loadgen`] — replays the paper's Q1–Q10 query sets at
-//!   configurable concurrency, producing `results/serve_throughput.csv`
-//!   (QPS, p50/p99 per backend) and verifying sampled answers against
-//!   the Dijkstra oracle.
+//!   configurable concurrency, reporting QPS and p50/p99 per backend
+//!   and verifying sampled answers against the Dijkstra oracle after
+//!   each timed run (`spq loadgen`).
 //! * [`epoch`] — epoch-based hot index swap: a RELOAD frame (or a
 //!   watched reload file, or SIGHUP) builds and self-checks a fresh
 //!   [`Engine`] off-thread and atomically publishes it; in-flight
@@ -78,7 +78,7 @@ pub use cache::{CacheStats, DistanceCache};
 pub use client::{ClientError, RetryPolicy, RetryingClient, ServeClient};
 pub use epoch::{EpochRegistry, EpochState, ReloadFactory, ReloadSpec};
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
-pub use loadgen::{LoadgenOptions, LoadgenReport, OpMix, ThroughputRow};
+pub use loadgen::{LoadgenOptions, LoadgenReport, ThroughputRow};
 pub use server::{Server, ServerConfig};
 pub use stats::ServerStats;
 
@@ -343,37 +343,41 @@ impl Engine {
                 ))
             }
         };
-        let f = File::open(path).map_err(|e| format!("{shown}: {e}"))?;
-        let mut r = BufReader::new(f);
+        let open = || -> Result<BufReader<File>, String> {
+            let f = File::open(path).map_err(|e| format!("{shown}: {e}"))?;
+            Ok(BufReader::new(f))
+        };
         match kind {
             BackendKind::Dijkstra => Err("dijkstra is index-free; nothing to load".into()),
             BackendKind::Pcpd => Err("PCPD has no on-disk index format".into()),
-            BackendKind::Ch => {
-                let ch = ContractionHierarchy::read_binary(&mut r)
-                    .map_err(|e| format!("{shown}: {e}"))?;
-                check_nodes(ch.num_nodes())?;
-                Ok(Box::new(ch))
-            }
+            // One CH session type: the slot `build_with_indexes` serves,
+            // here without POI sets.
+            BackendKind::Ch => Ok(Box::new(ManyBackend::new(
+                Self::load_ch(path, net)?,
+                PoiTable::empty(),
+            ))),
             BackendKind::Alt => {
-                let alt = Alt::read_binary(&mut r).map_err(|e| format!("{shown}: {e}"))?;
+                let alt = Alt::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
                 check_nodes(alt.num_nodes())?;
                 Ok(Box::new(alt))
             }
             BackendKind::Silc => {
-                let silc = Silc::read_binary(&mut r).map_err(|e| format!("{shown}: {e}"))?;
+                let silc = Silc::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
                 check_nodes(silc.num_nodes())?;
                 Ok(Box::new(silc))
             }
             BackendKind::Tnr => {
-                let tnr = Tnr::read_binary(net, &mut r).map_err(|e| format!("{shown}: {e}"))?;
+                let tnr =
+                    Tnr::read_binary(net, &mut open()?).map_err(|e| format!("{shown}: {e}"))?;
                 Ok(Box::new(tnr))
             }
             BackendKind::ArcFlags => {
-                let af = ArcFlags::read_binary(net, &mut r).map_err(|e| format!("{shown}: {e}"))?;
+                let af = ArcFlags::read_binary(net, &mut open()?)
+                    .map_err(|e| format!("{shown}: {e}"))?;
                 Ok(Box::new(af))
             }
             BackendKind::Hl => {
-                let hl = Hl::read_binary(&mut r).map_err(|e| format!("{shown}: {e}"))?;
+                let hl = Hl::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
                 check_nodes(hl.num_nodes())?;
                 Ok(Box::new(hl))
             }
@@ -936,6 +940,50 @@ mod tests {
             .expect("strict mode fails the build");
         assert!(err.contains("cannot load hl index"), "{err}");
         assert!(err.contains("legacy format version 3"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A loaded CH index is served by the same session type as the CH
+    /// slot `build_with_indexes` builds, answers like the oracle, and is
+    /// refused against a network it does not cover.
+    #[test]
+    fn loaded_ch_index_is_served_by_the_one_ch_session_type() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(200, 17));
+        let dir = std::env::temp_dir().join(format!("spq_serve_ch_load_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("net.ch");
+        let mut file = Vec::new();
+        ContractionHierarchy::build(&net)
+            .write_binary(&mut file)
+            .unwrap();
+        std::fs::write(&path, &file).unwrap();
+
+        let loaded = Engine::load_backend(BackendKind::Ch, &path, &net).expect("clean load");
+        let built = Engine::build(net.clone(), &[BackendKind::Ch]);
+        assert_eq!(
+            [loaded.backend_name()],
+            built.backend_names()[..],
+            "one CH session type, loaded or built"
+        );
+        let mut session = loaded.session(&net);
+        let mut oracle = Dijkstra::new(net.num_nodes());
+        for (s, t) in PairSampler::new(net.num_nodes(), 5).take(40) {
+            oracle.run_to_target(&net, s, t);
+            assert_eq!(session.distance(s, t), oracle.distance(t), "({s}, {t})");
+            match session.shortest_path(s, t) {
+                Some((d, path)) => {
+                    assert_eq!(Some(d), oracle.distance(t), "path ({s}, {t})");
+                    assert_eq!(net.path_length(&path), Some(d), "path ({s}, {t})");
+                }
+                None => assert_eq!(oracle.distance(t), None, "path ({s}, {t})"),
+            }
+        }
+
+        let other = spq_synth::generate(&SynthParams::with_target_vertices(64, 17));
+        let err = Engine::load_backend(BackendKind::Ch, &path, &other)
+            .err()
+            .expect("a node-count mismatch is refused");
+        assert!(err.contains("vertices"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,20 +1,17 @@
-//! The load generator: replays the paper's Q1–Q10 query sets against a
-//! running server at configurable concurrency and reports throughput.
-//!
-//! `--mix` weights the query ops each client draws from — point
-//! distance plus the one-to-many family (`o2m:`/`knn:`/`range:`) — and
-//! the CSV reports one row per (backend, concurrency, op) so each op's
-//! QPS, latency percentiles, and oracle mismatches stay separable.
+//! The load generator: replays the paper's Q1–Q10 query sets as point
+//! `DISTANCE` queries against a running server at each requested
+//! concurrency level, reports throughput, and checks the answers.
 //!
 //! Each client thread owns one retrying connection and one latency
 //! histogram; threads start at staggered offsets into the
 //! (shuffled-by-generation) pair pool so concurrent clients do not
 //! lock-step over identical keys. After every timed run the generator
 //! re-samples a slice of the workload through a fresh connection and
-//! checks the answers against a locally computed Dijkstra oracle — a
-//! throughput number from a server that answers incorrectly is
-//! worthless (the paper makes the same point about a faulty TNR
-//! implementation, §1).
+//! checks the answers against a locally computed Dijkstra oracle. The
+//! check comes after the load, not before it, so a server that goes
+//! wrong under load is caught — a throughput number from a server that
+//! answers incorrectly is worthless (the paper makes the same point
+//! about a faulty TNR implementation, §1).
 //!
 //! Transient push-back (BUSY shedding, dropped connections) is absorbed
 //! by each client's [`RetryPolicy`] and surfaced as a `retries` column.
@@ -24,176 +21,27 @@
 //! must treat that error as a non-zero exit, not silently publish the
 //! partial CSV as a clean result.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spq_dijkstra::Dijkstra;
 use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
-use spq_many::PoiSet;
-use spq_queries::shapes::Workload;
 use spq_queries::{linf_query_sets, QueryGenParams};
 
 use crate::client::{RetryPolicy, RetryingClient, ServeClient};
 use crate::stats::{bucket_of, percentile_ns, BUCKETS};
 use crate::BackendKind;
 
-/// Targets per one-to-many request in the mix (drawn as a sliding
-/// window over the workload pool, so consecutive requests see
-/// different sets without per-request allocation).
-const MIX_O2M_TARGETS: usize = 64;
-
-/// Neighbours per kNN request in the mix.
-const MIX_KNN_K: u32 = 8;
-
-/// The query ops a mix can weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Distance = 0,
-    OneToMany = 1,
-    Knn = 2,
-    Range = 3,
-}
-
-/// Number of [`OpKind`] variants (per-op accumulator array length).
-const MIX_OPS: usize = 4;
-
-impl OpKind {
-    const ALL: [OpKind; MIX_OPS] = [
-        OpKind::Distance,
-        OpKind::OneToMany,
-        OpKind::Knn,
-        OpKind::Range,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            OpKind::Distance => "distance",
-            OpKind::OneToMany => "o2m",
-            OpKind::Knn => "knn",
-            OpKind::Range => "range",
-        }
-    }
-}
-
-/// Relative op weights each client thread draws from, e.g.
-/// `distance:8,o2m:2,knn:1,range:1`. Zero-weight ops are never issued
-/// and produce no CSV row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpMix {
-    /// Point-to-point distance weight.
-    pub distance: u32,
-    /// One-to-many weight ([`MIX_O2M_TARGETS`] targets per request).
-    pub o2m: u32,
-    /// kNN weight (k = [`MIX_KNN_K`], against the registered POI set).
-    pub knn: u32,
-    /// Network-range weight (limit picked from the network's distance
-    /// profile at startup).
-    pub range: u32,
-}
-
-impl Default for OpMix {
-    fn default() -> Self {
-        OpMix {
-            distance: 1,
-            o2m: 0,
-            knn: 0,
-            range: 0,
-        }
-    }
-}
-
-impl OpMix {
-    /// Parses `op:weight` pairs separated by commas. Ops left out get
-    /// weight 0; at least one weight must be positive.
-    pub fn parse(s: &str) -> Result<OpMix, String> {
-        let mut mix = OpMix {
-            distance: 0,
-            o2m: 0,
-            knn: 0,
-            range: 0,
-        };
-        for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (name, weight) = part
-                .split_once(':')
-                .ok_or_else(|| format!("--mix wants op:weight, got '{part}'"))?;
-            let weight: u32 = weight
-                .trim()
-                .parse()
-                .map_err(|_| format!("--mix: '{weight}' is not a weight"))?;
-            match name.trim() {
-                "distance" => mix.distance = weight,
-                "o2m" => mix.o2m = weight,
-                "knn" => mix.knn = weight,
-                "range" => mix.range = weight,
-                other => {
-                    return Err(format!(
-                        "--mix: unknown op '{other}' (distance, o2m, knn, range)"
-                    ))
-                }
-            }
-        }
-        if mix.total() == 0 {
-            return Err("--mix needs at least one positive weight".into());
-        }
-        Ok(mix)
-    }
-
-    fn weight(&self, op: OpKind) -> u32 {
-        match op {
-            OpKind::Distance => self.distance,
-            OpKind::OneToMany => self.o2m,
-            OpKind::Knn => self.knn,
-            OpKind::Range => self.range,
-        }
-    }
-
-    fn total(&self) -> u32 {
-        self.distance + self.o2m + self.knn + self.range
-    }
-
-    /// The deterministic per-thread op sequence: ops interleaved round
-    /// robin by weight, so a `8:2:1:1` mix spreads the rare ops across
-    /// the window instead of bursting them.
-    fn schedule(&self) -> Vec<OpKind> {
-        let max = OpKind::ALL
-            .iter()
-            .map(|&op| self.weight(op))
-            .max()
-            .unwrap_or(0);
-        let mut sched = Vec::with_capacity(self.total() as usize);
-        for round in 0..max {
-            for &op in &OpKind::ALL {
-                if round < self.weight(op) {
-                    sched.push(op);
-                }
-            }
-        }
-        sched
-    }
-}
-
 /// Load-generator knobs.
 #[derive(Debug, Clone)]
 pub struct LoadgenOptions {
     /// Backends to drive (each gets its own runs).
     pub backends: Vec<BackendKind>,
-    /// Concurrency levels to sweep (client threads per run).
+    /// Concurrency levels to sweep (client threads, one connection
+    /// each, per run).
     pub concurrency: Vec<usize>,
-    /// Open connections per run (0: one per client thread). When larger
-    /// than the concurrency, each thread owns `connections/concurrency`
-    /// connections and rotates its requests across them round-robin —
-    /// the thread count bounds CPU-side parallelism while the
-    /// connection count exercises the server's event loop at
-    /// connection scale.
-    pub connections: usize,
-    /// Tear down and re-establish a connection every this many requests
-    /// per thread (0: never). Connection churn is part of real traffic;
-    /// the `reconnects` CSV column counts the teardowns.
-    pub churn_every: usize,
     /// Wall-clock duration of each timed run (steady state, after the
     /// warm-up window).
     pub duration: Duration,
@@ -206,41 +54,12 @@ pub struct LoadgenOptions {
     pub per_set: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Post-run answers checked against the Dijkstra oracle (per
-    /// backend).
+    /// Answers checked against the Dijkstra oracle after each timed
+    /// run.
     pub verify_samples: usize,
     /// Retry behaviour for BUSY shedding and dropped connections (each
     /// client thread derives its own jitter seed from this policy's).
     pub retry: RetryPolicy,
-    /// Per-request deadline attached to every query (0: none).
-    pub deadline_ms: u32,
-    /// Trigger a hot index reload this often during the sweep
-    /// (in-process serving only; None: no reloads). Chaos-lite: the
-    /// sweep doubles as a check that hot swaps survive real load.
-    pub reload_every: Option<Duration>,
-    /// Relative op weights each client draws from (default: pure
-    /// distance queries, the pre-mix behaviour).
-    pub mix: OpMix,
-    /// POI set the kNN mix queries. [`run_in_process`] samples and
-    /// registers one automatically when the mix needs it; a caller
-    /// driving an external server must provide the set that server has
-    /// registered, both to name it on the wire and to verify answers.
-    pub poi: Option<PoiSet>,
-    /// Persisted query shapes (one-to-many target sets, kNN k-sweep,
-    /// range radii) the mix draws from instead of the built-in
-    /// defaults. Lets two runs — or the torture harness and a loadgen
-    /// sweep — replay byte-identical request shapes from one file.
-    pub workload: Option<Workload>,
-    /// Adversarial slow-reader connections run alongside each timed
-    /// run: each pipelines large DISTANCES requests and reads responses
-    /// at [`LoadgenOptions::slow_reader_rate`] bytes/sec (0: never
-    /// reads). The server must force-close them without the well-
-    /// behaved clients noticing; the closes land in the `force_closed`
-    /// CSV column.
-    pub slow_readers: usize,
-    /// Bytes per second each slow reader drains (0: a pure never-reads
-    /// peer).
-    pub slow_reader_rate: u64,
 }
 
 impl Default for LoadgenOptions {
@@ -248,38 +67,24 @@ impl Default for LoadgenOptions {
         LoadgenOptions {
             backends: BackendKind::DEFAULT.to_vec(),
             concurrency: vec![1, 4],
-            connections: 0,
-            churn_every: 0,
             duration: Duration::from_secs(3),
             warmup: Duration::from_millis(250),
             per_set: 200,
             seed: 0x9e37_79b9,
             verify_samples: 32,
             retry: RetryPolicy::default(),
-            deadline_ms: 0,
-            reload_every: None,
-            mix: OpMix::default(),
-            poi: None,
-            workload: None,
-            slow_readers: 0,
-            slow_reader_rate: 0,
         }
     }
 }
 
-/// One line of `results/serve_throughput.csv`: one (backend,
-/// concurrency, op) cell of the sweep.
+/// One CSV line of a sweep: one (backend, concurrency) timed run and the
+/// oracle check that followed it.
 #[derive(Debug, Clone)]
 pub struct ThroughputRow {
     /// Backend display name.
     pub backend: String,
-    /// Query op this row measured (`distance`, `o2m`, `knn`, `range`).
-    pub op: String,
-    /// Client threads in this run.
+    /// Client threads (and connections) in this run.
     pub concurrency: usize,
-    /// Open connections in this run (threads × connections per
-    /// thread).
-    pub connections: usize,
     /// Measured steady-state wall-clock seconds (the warm-up window is
     /// excluded).
     pub seconds: f64,
@@ -295,39 +100,26 @@ pub struct ThroughputRow {
     pub verified: usize,
     /// Checked answers that disagreed (any non-zero is a failure).
     pub mismatches: usize,
-    /// Client-side retries spent on this op (BUSY shedding +
-    /// reconnects, attributed to the request that triggered them).
+    /// Client-side retries spent (BUSY shedding + reconnects).
     pub retries: u64,
     /// Retries of requests the server may already have executed (the
     /// connection died mid-response). These are the at-least-once
     /// deliveries; a non-idempotent caller must treat this column as a
     /// duplicate-execution upper bound.
     pub retried_after_partial: u64,
-    /// Deliberate connection teardowns (`--churn-every`) across the
-    /// whole run. A run-level total, repeated on each of the run's op
-    /// rows (churn is per connection, not per op).
-    pub reconnects: u64,
-    /// Connections the server force-closed during this run (the
-    /// `force_closed` + `slow_closed` server counters, sampled before
-    /// and after). Non-zero is expected exactly when `--slow-readers`
-    /// is set; a run-level total repeated on each op row.
-    pub force_closed: u64,
 }
 
 impl ThroughputRow {
     /// CSV header matching [`ThroughputRow::to_csv`].
-    pub const CSV_HEADER: &'static str = "backend,op,concurrency,connections,seconds,requests,\
-         qps,p50_us,p99_us,verified,mismatches,retries,retried_after_partial,reconnects,\
-         force_closed";
+    pub const CSV_HEADER: &'static str = "backend,concurrency,seconds,requests,qps,p50_us,\
+         p99_us,verified,mismatches,retries,retried_after_partial";
 
     /// One CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{:.2},{},{:.1},{:.2},{:.2},{},{},{},{},{},{}",
+            "{},{},{:.2},{},{:.1},{:.2},{:.2},{},{},{},{}",
             self.backend,
-            self.op,
             self.concurrency,
-            self.connections,
             self.seconds,
             self.requests,
             self.qps,
@@ -336,9 +128,7 @@ impl ThroughputRow {
             self.verified,
             self.mismatches,
             self.retries,
-            self.retried_after_partial,
-            self.reconnects,
-            self.force_closed
+            self.retried_after_partial
         )
     }
 }
@@ -392,118 +182,38 @@ pub fn workload_pairs(net: &RoadNetwork, per_set: usize, seed: u64) -> Vec<(Node
     pairs
 }
 
-/// Per-op accumulator of one client thread: completed requests, the
-/// latency histogram, and the retries its requests triggered.
-#[derive(Clone, Copy)]
-struct OpAgg {
+/// What client threads completed in one timed run. Carries whatever
+/// completed before `error` struck, so a dying run still reports its
+/// partials.
+struct ClientRun {
     requests: u64,
     retries: u64,
     partials: u64,
     hist: [u64; BUCKETS],
-}
-
-impl OpAgg {
-    fn empty() -> OpAgg {
-        OpAgg {
-            requests: 0,
-            retries: 0,
-            partials: 0,
-            hist: [0; BUCKETS],
-        }
-    }
-}
-
-/// Result of one client thread's timed loop. Carries whatever completed
-/// before `error` struck, so a dying run still reports its partials.
-struct ClientRun {
-    per_op: [OpAgg; MIX_OPS],
-    reconnects: u64,
     error: Option<String>,
 }
 
 impl ClientRun {
     fn empty() -> ClientRun {
         ClientRun {
-            per_op: [OpAgg::empty(); MIX_OPS],
-            reconnects: 0,
+            requests: 0,
+            retries: 0,
+            partials: 0,
+            hist: [0; BUCKETS],
             error: None,
         }
     }
-}
 
-/// How one run spreads its connections: connections per client thread
-/// and the churn cadence.
-#[derive(Clone, Copy)]
-struct ConnPlan {
-    /// Connections each client thread owns and rotates round-robin.
-    per_thread: usize,
-    /// Tear one connection down every this many requests per thread
-    /// (0: never).
-    churn_every: usize,
-}
-
-impl ConnPlan {
-    fn new(concurrency: usize, opts: &LoadgenOptions) -> ConnPlan {
-        ConnPlan {
-            per_thread: if opts.connections == 0 {
-                1
-            } else {
-                opts.connections.div_ceil(concurrency.max(1)).max(1)
-            },
-            churn_every: opts.churn_every,
+    /// Folds another thread's totals in, keeping the first error.
+    fn absorb(&mut self, other: ClientRun) {
+        self.requests += other.requests;
+        self.retries += other.retries;
+        self.partials += other.partials;
+        for (a, b) in self.hist.iter_mut().zip(other.hist.iter()) {
+            *a += b;
         }
-    }
-}
-
-/// The measurement window of one run: an uncounted warm-up, then the
-/// timed steady-state stretch.
-#[derive(Clone, Copy)]
-struct Window {
-    warmup: Duration,
-    duration: Duration,
-}
-
-/// Everything the client threads need to issue the non-distance ops:
-/// the target pool for one-to-many windows, the POI set name for kNN,
-/// and the precomputed range limit.
-#[derive(Clone, Copy)]
-struct MixContext<'a> {
-    mix: &'a OpMix,
-    /// Workload targets, duplicated once so any offset yields a full
-    /// [`MIX_O2M_TARGETS`]-wide slice without wrap-around.
-    tpool: &'a [NodeId],
-    poi_name: &'a str,
-    range_limit: Dist,
-    /// Persisted shapes overriding the built-in defaults, when set.
-    workload: Option<&'a Workload>,
-}
-
-impl<'a> MixContext<'a> {
-    /// Target set of the `i`-th one-to-many request: a persisted set
-    /// when a workload is loaded, else a sliding window over the pool.
-    fn o2m_targets(&self, i: usize) -> &'a [NodeId] {
-        match self.workload {
-            Some(w) if !w.o2m_sets.is_empty() => &w.o2m_sets[i % w.o2m_sets.len()],
-            _ => {
-                let off = i % (self.tpool.len() / 2);
-                &self.tpool[off..off + MIX_O2M_TARGETS]
-            }
-        }
-    }
-
-    /// `k` of the `i`-th kNN request (the workload's k-sweep, cycled).
-    fn knn_k(&self, i: usize) -> u32 {
-        match self.workload {
-            Some(w) if !w.knn_ks.is_empty() => w.knn_ks[i % w.knn_ks.len()],
-            _ => MIX_KNN_K,
-        }
-    }
-
-    /// Radius of the `i`-th range request.
-    fn range_limit_at(&self, i: usize) -> Dist {
-        match self.workload {
-            Some(w) if !w.range_radii.is_empty() => w.range_radii[i % w.range_radii.len()],
-            _ => self.range_limit,
+        if self.error.is_none() {
+            self.error = other.error;
         }
     }
 }
@@ -511,103 +221,54 @@ impl<'a> MixContext<'a> {
 /// Drives one backend at one concurrency level. Always returns the
 /// aggregated totals; a thread failure is recorded on the run, not
 /// thrown away with the completed work.
-#[allow(clippy::too_many_arguments)]
 fn run_one(
     addr: SocketAddr,
     backend: BackendKind,
     concurrency: usize,
-    window: Window,
     pairs: &[(NodeId, NodeId)],
-    retry: &RetryPolicy,
-    deadline_ms: u32,
-    ctx: MixContext<'_>,
-    plan: ConnPlan,
+    opts: &LoadgenOptions,
 ) -> (f64, ClientRun) {
-    let started = Instant::now();
     // Steady-state measurement: the timed window opens only after the
     // warm-up window, so connection setup and cold-start effects never
     // count toward QPS.
-    let warm_end = started + window.warmup;
-    let deadline = warm_end + window.duration;
-    let sched = ctx.mix.schedule();
-    let sched = sched.as_slice();
+    let warm_end = Instant::now() + opts.warmup;
+    let deadline = warm_end + opts.duration;
     let runs: Vec<ClientRun> = std::thread::scope(|scope| {
         // Spawned eagerly into the Vec: a lazy iterator would serialise
         // the workers behind each other's joins.
         let mut handles = Vec::with_capacity(concurrency);
         for worker in 0..concurrency {
             handles.push(scope.spawn(move || -> ClientRun {
-                // Each thread rotates its requests across `per_thread`
-                // connections: the thread count is the CPU-side
-                // concurrency, the connection count is what the
-                // server's event loop has to keep alive.
-                let mut clients: Vec<RetryingClient> = (0..plan.per_thread)
-                    .map(|slot| {
-                        let mut policy = retry.clone();
-                        // Distinct jitter streams keep retrying
-                        // connections from thundering back in
-                        // lock-step.
-                        policy.seed = policy
-                            .seed
-                            .wrapping_add((worker * plan.per_thread + slot) as u64);
-                        let mut client = RetryingClient::new(addr, policy);
-                        client.set_deadline_ms(deadline_ms);
-                        client
-                    })
-                    .collect();
+                let mut policy = opts.retry.clone();
+                // Distinct jitter streams keep retrying connections from
+                // thundering back in lock-step.
+                policy.seed = policy.seed.wrapping_add(worker as u64);
+                let mut client = RetryingClient::new(addr, policy);
                 let mut run = ClientRun::empty();
                 let mut i = worker * pairs.len() / concurrency.max(1);
-                let issue = |client: &mut RetryingClient, i: usize| {
-                    let (s, t) = pairs[i % pairs.len()];
-                    let op = sched[i % sched.len()];
-                    let res = match op {
-                        OpKind::Distance => client.distance(backend, s, t).map(drop),
-                        OpKind::OneToMany => {
-                            client.one_to_many(backend, s, ctx.o2m_targets(i)).map(drop)
-                        }
-                        OpKind::Knn => client.knn(backend, s, ctx.knn_k(i), ctx.poi_name).map(drop),
-                        OpKind::Range => client.range(backend, s, ctx.range_limit_at(i)).map(drop),
-                    };
-                    (op, res)
-                };
-                let num_clients = clients.len();
                 // Warm-up: drive the same loop, count nothing.
                 while Instant::now() < warm_end {
-                    let (_, res) = issue(&mut clients[i % num_clients], i);
+                    let (s, t) = pairs[i % pairs.len()];
                     i += 1;
-                    if let Err(e) = res {
+                    if let Err(e) = client.distance(backend, s, t) {
                         run.error = Some(format!("{}: {e}", backend.name()));
                         return run;
                     }
                 }
-                let mut issued = 0usize;
                 while Instant::now() < deadline {
-                    if plan.churn_every > 0 && issued > 0 && issued % plan.churn_every == 0 {
-                        // Deliberate churn: drop one connection; the
-                        // next request through that slot reconnects.
-                        let victim = &mut clients[issued / plan.churn_every % num_clients];
-                        if victim.is_connected() {
-                            victim.disconnect();
-                            run.reconnects += 1;
-                        }
-                    }
-                    let client = &mut clients[i % num_clients];
+                    let (s, t) = pairs[i % pairs.len()];
+                    i += 1;
                     let retries_before = client.retries;
                     let partials_before = client.retried_after_partial;
                     let t0 = Instant::now();
-                    let (op, res) = issue(client, i);
-                    i += 1;
-                    issued += 1;
-                    if let Err(e) = res {
+                    if let Err(e) = client.distance(backend, s, t) {
                         run.error = Some(format!("{}: {e}", backend.name()));
                         break;
                     }
-                    let client = &clients[(i - 1) % num_clients];
-                    let agg = &mut run.per_op[op as usize];
-                    agg.hist[bucket_of(t0.elapsed().as_nanos() as u64)] += 1;
-                    agg.requests += 1;
-                    agg.retries += client.retries - retries_before;
-                    agg.partials += client.retried_after_partial - partials_before;
+                    run.hist[bucket_of(t0.elapsed().as_nanos() as u64)] += 1;
+                    run.requests += 1;
+                    run.retries += client.retries - retries_before;
+                    run.partials += client.retried_after_partial - partials_before;
                 }
                 run
             }));
@@ -626,371 +287,84 @@ fn run_one(
     let seconds = warm_end.elapsed().as_secs_f64();
     let mut total = ClientRun::empty();
     for run in runs {
-        for (acc, op) in total.per_op.iter_mut().zip(run.per_op.iter()) {
-            acc.requests += op.requests;
-            acc.retries += op.retries;
-            acc.partials += op.partials;
-            for (a, b) in acc.hist.iter_mut().zip(op.hist.iter()) {
-                *a += b;
-            }
-        }
-        total.reconnects += run.reconnects;
-        if total.error.is_none() {
-            total.error = run.error;
-        }
+        total.absorb(run);
     }
     (seconds, total)
 }
 
-/// First counter named `name=` in a rendered STATS body (0 when absent
-/// or unparsable — absent counters must not fail a sweep).
-fn stat_counter(stats: &str, name: &str) -> u64 {
-    let needle = format!("{name}=");
-    stats
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix(needle.as_str()))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// The server-side force-close total: connections reaped for making no
-/// write progress (`force_closed`) plus typed slow-reader closes
-/// (`slow_closed`). Returns 0 when the server cannot be asked.
-fn fetch_force_closed(addr: SocketAddr) -> u64 {
-    ServeClient::connect(addr)
-        .ok()
-        .and_then(|mut c| c.stats().ok())
-        .map(|s| stat_counter(&s, "force_closed") + stat_counter(&s, "slow_closed"))
-        .unwrap_or(0)
-}
-
-/// One adversarial slow reader: pipelines large DISTANCES requests on a
-/// raw connection and drains responses at `rate` bytes/sec (0: never).
-/// Runs until the server force-closes the connection (the expected
-/// outcome) or `stop` is set. Write timeouts are survival, not failure:
-/// a backpressured socket just means the server has correctly stopped
-/// reading us.
-fn slow_reader_loop(
-    addr: SocketAddr,
-    backend: BackendKind,
-    rate: u64,
-    stop: &AtomicBool,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return;
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let payload = crate::protocol::Request::Distances {
-        backend: backend.wire_id(),
-        sources: sources.to_vec(),
-        targets: targets.to_vec(),
-        deadline_ms: 0,
-    }
-    .encode();
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    let mut drain = [0u8; 4096];
-    while !stop.load(Ordering::SeqCst) {
-        match stream.write_all(&frame) {
-            Ok(()) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Backpressured: the server stopped reading us. Keep
-                // the connection parked until it force-closes.
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => return, // reset: the server reclaimed this connection
-        }
-        if rate > 0 {
-            // Trickle-read roughly `rate` bytes/sec in 100 ms slices —
-            // slow enough that the backlog still outgrows any cap.
-            let slice = ((rate / 10).max(1) as usize).min(drain.len());
-            if matches!(stream.read(&mut drain[..slice]), Ok(0)) {
-                return; // orderly close from the server
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        }
-    }
-}
-
-/// Sources per backend fed through the one-to-many-family oracle (each
-/// costs a full one-to-all Dijkstra, so fewer than the distance
-/// samples).
-const MANY_VERIFY_SOURCES: usize = 6;
-
-/// Checks workload answers against a locally computed Dijkstra oracle:
-/// `samples` point-to-point distances, plus [`MANY_VERIFY_SOURCES`]
-/// full sources for whichever of o2m/knn/range the mix enables.
-/// Returns per-op `(checked, mismatches)`, indexed by [`OpKind`].
+/// Checks `samples` workload answers against a locally computed
+/// Dijkstra oracle. Returns `(checked, mismatches)`.
 fn verify_backend(
     addr: SocketAddr,
     backend: BackendKind,
     net: &RoadNetwork,
     pairs: &[(NodeId, NodeId)],
     samples: usize,
-    ctx: MixContext<'_>,
-    poi: Option<&PoiSet>,
-) -> Result<[(usize, usize); MIX_OPS], String> {
+) -> Result<(usize, usize), String> {
     let mut client = ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut oracle = Dijkstra::new(net.num_nodes());
-    let mut out = [(0usize, 0usize); MIX_OPS];
+    let (mut checked, mut mismatches) = (0, 0);
     let step = (pairs.len() / samples.max(1)).max(1);
-    if ctx.mix.distance > 0 {
-        let cell = &mut out[OpKind::Distance as usize];
-        for &(s, t) in pairs.iter().step_by(step).take(samples) {
-            let got: Option<Dist> = client
-                .distance(backend, s, t)
-                .map_err(|e| format!("{}: {e}", backend.name()))?;
-            oracle.run_to_target(net, s, t);
-            let expected = oracle.distance(t);
-            if got != expected {
-                cell.1 += 1;
-                eprintln!(
-                    "[loadgen] {} MISMATCH: distance({s}, {t}) = {got:?}, oracle {expected:?}",
-                    backend.name()
-                );
-            }
-            cell.0 += 1;
+    for &(s, t) in pairs.iter().step_by(step).take(samples) {
+        let got: Option<Dist> = client
+            .distance(backend, s, t)
+            .map_err(|e| format!("{}: {e}", backend.name()))?;
+        oracle.run_to_target(net, s, t);
+        let expected = oracle.distance(t);
+        if got != expected {
+            mismatches += 1;
+            eprintln!(
+                "[loadgen] {} MISMATCH: distance({s}, {t}) = {got:?}, oracle {expected:?}",
+                backend.name()
+            );
         }
+        checked += 1;
     }
-    if ctx.mix.o2m == 0 && ctx.mix.knn == 0 && ctx.mix.range == 0 {
-        return Ok(out);
-    }
-    for (j, &(s, _)) in pairs
-        .iter()
-        .step_by(step)
-        .take(MANY_VERIFY_SOURCES)
-        .enumerate()
-    {
-        oracle.run(net, s);
-        if ctx.mix.o2m > 0 {
-            let cell = &mut out[OpKind::OneToMany as usize];
-            let targets = ctx.o2m_targets(j * 17);
-            let got = client
-                .one_to_many(backend, s, targets)
-                .map_err(|e| format!("{}: {e}", backend.name()))?;
-            let expected: Vec<Option<Dist>> = targets.iter().map(|&t| oracle.distance(t)).collect();
-            if got != expected {
-                cell.1 += 1;
-                eprintln!("[loadgen] {} MISMATCH: one_to_many({s})", backend.name());
-            }
-            cell.0 += 1;
-        }
-        if ctx.mix.knn > 0 {
-            let set = poi.expect("knn mix requires a POI set");
-            let cell = &mut out[OpKind::Knn as usize];
-            let k = ctx.knn_k(j);
-            let got = client
-                .knn(backend, s, k, ctx.poi_name)
-                .map_err(|e| format!("{}: {e}", backend.name()))?;
-            let mut expected: Vec<(Dist, NodeId)> = set
-                .nodes()
-                .iter()
-                .filter_map(|&p| oracle.distance(p).map(|d| (d, p)))
-                .collect();
-            expected.sort_unstable();
-            expected.truncate(k as usize);
-            let got_kv: Vec<(Dist, NodeId)> = got.iter().map(|&(v, d)| (d, v)).collect();
-            if got_kv != expected {
-                cell.1 += 1;
-                eprintln!("[loadgen] {} MISMATCH: knn({s})", backend.name());
-            }
-            cell.0 += 1;
-        }
-        if ctx.mix.range > 0 {
-            let cell = &mut out[OpKind::Range as usize];
-            let limit = ctx.range_limit_at(j);
-            let got = client
-                .range(backend, s, limit)
-                .map_err(|e| format!("{}: {e}", backend.name()))?;
-            let expected: Vec<(NodeId, Dist)> = (0..net.num_nodes() as NodeId)
-                .filter_map(|v| oracle.distance(v).filter(|&d| d <= limit).map(|d| (v, d)))
-                .collect();
-            if got != expected {
-                cell.1 += 1;
-                eprintln!("[loadgen] {} MISMATCH: range({s})", backend.name());
-            }
-            cell.0 += 1;
-        }
-    }
-    Ok(out)
+    Ok((checked, mismatches))
 }
 
 /// Runs the full sweep (every backend × every concurrency level)
-/// against an already-running server. Never panics on server failure:
-/// the report carries the partial rows and the error instead.
+/// against an already-running server, checking answers after each timed
+/// run. Never panics on server failure: the report carries the partial
+/// rows and the error instead.
 pub fn run(addr: SocketAddr, net: &RoadNetwork, opts: &LoadgenOptions) -> LoadgenReport {
     let pairs = workload_pairs(net, opts.per_set, opts.seed);
     let mut report = LoadgenReport {
         rows: Vec::new(),
         error: None,
     };
-    if opts.mix.total() == 0 {
-        report.error = Some("the op mix has no positive weight".into());
-        return report;
-    }
-    if opts.mix.knn > 0 && opts.poi.is_none() {
-        report.error = Some(
-            "the mix weights knn but no POI set is configured \
-             (run_in_process samples one automatically)"
-                .into(),
-        );
-        return report;
-    }
-    // Target pool for one-to-many windows, duplicated once so a slice
-    // at any offset below `pairs.len()` never wraps.
-    let mut tpool: Vec<NodeId> = pairs.iter().map(|&(_, t)| t).collect();
-    tpool.extend_from_within(..);
-    // Range limit at roughly the 10th percentile of one source's
-    // distance profile: local-neighbourhood queries, bounded responses.
-    let range_limit = if opts.mix.range > 0 {
-        let mut oracle = Dijkstra::new(net.num_nodes());
-        oracle.run(net, pairs[0].0);
-        let mut ds: Vec<Dist> = (0..net.num_nodes() as NodeId)
-            .filter_map(|v| oracle.distance(v))
-            .collect();
-        ds.sort_unstable();
-        ds.get(ds.len() / 10).copied().unwrap_or(0)
-    } else {
-        0
-    };
-    let poi_name = opts
-        .poi
-        .as_ref()
-        .map(|s| s.name().to_string())
-        .unwrap_or_default();
-    if let Some(w) = &opts.workload {
-        if let Err(e) = w.validate(net) {
-            report.error = Some(format!("workload does not fit this network: {e}"));
-            return report;
-        }
-    }
-    let ctx = MixContext {
-        mix: &opts.mix,
-        tpool: &tpool,
-        poi_name: &poi_name,
-        range_limit,
-        workload: opts.workload.as_ref(),
-    };
     'sweep: for &backend in &opts.backends {
-        let verified = match verify_backend(
-            addr,
-            backend,
-            net,
-            &pairs,
-            opts.verify_samples,
-            ctx,
-            opts.poi.as_ref(),
-        ) {
-            Ok(v) => v,
-            Err(e) => {
-                report.error = Some(e);
-                break 'sweep;
-            }
-        };
         for &concurrency in &opts.concurrency {
-            let plan = ConnPlan::new(concurrency, opts);
-            // Adversarial slow readers ride alongside the timed run;
-            // the server's force-close counters are sampled around it
-            // so the CSV reports how many connections were reclaimed.
-            let closed_before = if opts.slow_readers > 0 {
-                fetch_force_closed(addr)
-            } else {
-                0
+            let (seconds, total) = run_one(addr, backend, concurrency, &pairs, opts);
+            // The oracle check follows the load it vouches for; a run
+            // that died has nothing left to check.
+            let checked = match total.error {
+                Some(_) => Ok((0, 0)),
+                None => verify_backend(addr, backend, net, &pairs, opts.verify_samples),
             };
-            let slow_stop = Arc::new(AtomicBool::new(false));
-            // Hoard batches ride a native many-to-many backend when one
-            // is served (huge response, negligible compute), so the
-            // antagonists pressure the write path without starving the
-            // worker pool the measured clients share. With only
-            // per-pair backends the batch shrinks to keep the stolen
-            // worker time bounded.
-            let hoard_backend = [BackendKind::Ch, BackendKind::Hl]
-                .into_iter()
-                .find(|b| opts.backends.contains(b))
-                .unwrap_or(backend);
-            let n_targets = if matches!(hoard_backend, BackendKind::Ch | BackendKind::Hl) {
-                4096
-            } else {
-                256
-            };
-            let slow_handles: Vec<std::thread::JoinHandle<()>> = (0..opts.slow_readers)
-                .map(|i| {
-                    let stop = Arc::clone(&slow_stop);
-                    let sources: Vec<NodeId> = pairs.iter().take(8).map(|&(s, _)| s).collect();
-                    let targets: Vec<NodeId> = (0..n_targets)
-                        .map(|j| pairs[(i + j) % pairs.len()].1)
-                        .collect();
-                    let rate = opts.slow_reader_rate;
-                    std::thread::spawn(move || {
-                        slow_reader_loop(addr, hoard_backend, rate, &stop, &sources, &targets)
-                    })
-                })
-                .collect();
-            let (seconds, total) = run_one(
-                addr,
-                backend,
+            let (verified, mismatches) = *checked.as_ref().unwrap_or(&(0, 0));
+            let error = total.error.or(checked.err());
+            let row = ThroughputRow {
+                backend: backend.name().to_string(),
                 concurrency,
-                Window {
-                    warmup: opts.warmup,
-                    duration: opts.duration,
-                },
-                &pairs,
-                &opts.retry,
-                opts.deadline_ms,
-                ctx,
-                plan,
-            );
-            slow_stop.store(true, Ordering::SeqCst);
-            for h in slow_handles {
-                let _ = h.join();
-            }
-            let force_closed = if opts.slow_readers > 0 {
-                fetch_force_closed(addr).saturating_sub(closed_before)
-            } else {
-                0
+                seconds,
+                requests: total.requests,
+                qps: total.requests as f64 / seconds.max(1e-9),
+                p50_us: percentile_ns(&total.hist, 0.50) / 1_000.0,
+                p99_us: percentile_ns(&total.hist, 0.99) / 1_000.0,
+                verified,
+                mismatches,
+                retries: total.retries,
+                retried_after_partial: total.partials,
             };
-            for op in OpKind::ALL {
-                if opts.mix.weight(op) == 0 {
-                    continue;
-                }
-                let agg = &total.per_op[op as usize];
-                let (checked, mismatches) = verified[op as usize];
-                let row = ThroughputRow {
-                    backend: backend.name().to_string(),
-                    op: op.name().to_string(),
-                    concurrency,
-                    connections: concurrency * plan.per_thread,
-                    seconds,
-                    requests: agg.requests,
-                    qps: agg.requests as f64 / seconds.max(1e-9),
-                    p50_us: percentile_ns(&agg.hist, 0.50) / 1_000.0,
-                    p99_us: percentile_ns(&agg.hist, 0.99) / 1_000.0,
-                    verified: checked,
-                    mismatches,
-                    retries: agg.retries,
-                    retried_after_partial: agg.partials,
-                    reconnects: total.reconnects,
-                    force_closed,
-                };
-                eprintln!(
-                    "[loadgen] {:<9} {:<8} c={:<2} {:>9.0} qps  p50 {:>8.2} µs  p99 {:>8.2} µs  ({} reqs in {:.1}s, {} retries)",
-                    row.backend, row.op, row.concurrency, row.qps, row.p50_us, row.p99_us,
-                    row.requests, row.seconds, row.retries
-                );
-                report.rows.push(row);
-            }
-            if let Some(e) = total.error {
-                report.error = Some(e);
+            eprintln!(
+                "[loadgen] {:<9} c={:<2} {:>9.0} qps  p50 {:>8.2} µs  p99 {:>8.2} µs  ({} reqs in {:.1}s, {} retries, {}/{} verified wrong)",
+                row.backend, row.concurrency, row.qps, row.p50_us, row.p99_us,
+                row.requests, row.seconds, row.retries, row.mismatches, row.verified
+            );
+            report.rows.push(row);
+            if error.is_some() {
+                report.error = error;
                 break 'sweep;
             }
         }
@@ -1007,46 +381,14 @@ pub fn run_in_process(
     net: RoadNetwork,
     opts: &LoadgenOptions,
 ) -> Result<(LoadgenReport, String), String> {
-    use crate::epoch::ReloadFactory;
     use crate::server::{Server, ServerConfig};
     use crate::Engine;
 
-    let mut opts = opts.clone();
     let engine = Arc::new(Engine::build(net, &opts.backends));
     engine
         .self_check(32, opts.seed)
         .map_err(|e| format!("refusing to serve: {e}"))?;
-    if opts.mix.knn > 0 && opts.poi.is_none() {
-        // The kNN mix needs a registered POI set; sample one sized like
-        // the bench harness's (registration requires a CH slot to build
-        // the buckets against).
-        let n = engine.net().num_nodes();
-        let count = (n / 16).clamp(1, 256).min(n);
-        let set = PoiSet::sample(engine.net(), "loadgen", count, opts.seed ^ 0x9015)
-            .map_err(|e| format!("sample POI set: {e}"))?;
-        opts.poi = Some(set);
-    }
-    if let Some(set) = &opts.poi {
-        engine.register_pois(vec![set.clone()])?;
-    }
-    let opts = &opts;
     let max_concurrency = opts.concurrency.iter().copied().max().unwrap_or(1);
-    // With --reload-every, the server gets a factory that rebuilds the
-    // same engine — the point is exercising the swap under load, not
-    // changing the answers (the oracle verification stays valid). POI
-    // sets are re-registered so kNN keeps answering across swaps.
-    let reload_factory = opts.reload_every.map(|_| {
-        let net = engine.net().clone();
-        let backends = opts.backends.clone();
-        let poi = opts.poi.clone();
-        ReloadFactory::new(move || {
-            let engine = Arc::new(Engine::build(net.clone(), &backends));
-            if let Some(set) = &poi {
-                engine.register_pois(vec![set.clone()])?;
-            }
-            Ok(engine)
-        })
-    });
     // Workers are the CPU pool behind the event loop, not connection
     // holders: size them to the smaller of the active streams and the
     // machine (+1 so a wedged query never starves the pool). Sizing
@@ -1054,81 +396,16 @@ pub fn run_in_process(
     // server did just builds an idle worker herd whose condvar wakeups
     // starve the shard threads at high stream counts.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut cfg = ServerConfig {
+    let cfg = ServerConfig {
         workers: max_concurrency.min(cores) + 1,
-        reload_factory,
         selfcheck_seed: opts.seed,
         ..ServerConfig::default()
     };
-    if opts.slow_readers > 0 {
-        // A short timed run must actually see the reclaim: a snug
-        // backlog cap and a prompt write timeout trip the force-close
-        // within the window, and a shallow pipeline keeps the
-        // antagonists from monopolising the shared work queue.
-        cfg.wbuf_cap = 1 << 20;
-        cfg.write_timeout = Duration::from_millis(500);
-        cfg.pipeline_depth = 8;
-    }
     let server = Server::start(Arc::clone(&engine), &cfg).map_err(|e| format!("bind: {e}"))?;
     let addr = server.local_addr();
     eprintln!("[loadgen] serving on {addr}");
 
-    // The reload driver: fires a RELOAD frame every `reload_every`
-    // while the sweep runs, reporting how many swaps were published.
-    let reload_driver = opts.reload_every.map(|every| {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || -> (u64, Option<String>) {
-            let mut ok = 0u64;
-            let mut first_err = None;
-            'driver: loop {
-                let wake = Instant::now() + every;
-                while Instant::now() < wake {
-                    if flag.load(Ordering::SeqCst) {
-                        break 'driver;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                let outcome = ServeClient::connect(addr)
-                    .map_err(|e| e.to_string())
-                    .and_then(|mut c| c.reload().map_err(|e| e.to_string()));
-                match outcome {
-                    Ok(epoch) => {
-                        ok += 1;
-                        eprintln!("[loadgen] hot reload published epoch {epoch}");
-                    }
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(format!("hot reload failed: {e}"));
-                        }
-                    }
-                }
-            }
-            (ok, first_err)
-        });
-        (stop, handle)
-    });
-
-    let mut report = run(addr, engine.net(), opts);
-
-    if let Some((stop, handle)) = reload_driver {
-        stop.store(true, Ordering::SeqCst);
-        let (ok, err) = handle
-            .join()
-            .unwrap_or((0, Some("the reload driver panicked".into())));
-        eprintln!("[loadgen] hot reloads published during the sweep: {ok}");
-        if report.error.is_none() {
-            if let Some(e) = err {
-                report.error = Some(e);
-            } else if ok == 0 {
-                report.error = Some(
-                    "--reload-every was set but no reload completed within the sweep \
-                     (lengthen --secs or shorten the reload interval)"
-                        .into(),
-                );
-            }
-        }
-    }
+    let report = run(addr, engine.net(), opts);
 
     // Shut down regardless of the sweep's outcome so threads never leak.
     if let Ok(mut client) = ServeClient::connect(addr) {
@@ -1170,74 +447,86 @@ mod tests {
     }
 
     #[test]
-    fn mix_parses_and_schedules_by_weight() {
-        let mix = OpMix::parse("distance:8,o2m:2,knn:1,range:1").unwrap();
-        assert_eq!(mix.total(), 12);
-        let sched = mix.schedule();
-        assert_eq!(sched.len(), 12);
-        assert_eq!(sched.iter().filter(|&&o| o == OpKind::Distance).count(), 8);
-        assert_eq!(sched.iter().filter(|&&o| o == OpKind::OneToMany).count(), 2);
-        // Rare ops are spread across the window, not clumped at the
-        // end: the first half of an 8:2:1:1 schedule already contains
-        // a non-distance op.
-        assert!(sched[..6].iter().any(|&o| o != OpKind::Distance));
-        // The default mix is pure distance (pre-mix behaviour).
-        assert_eq!(OpMix::default().schedule(), vec![OpKind::Distance]);
-        assert!(OpMix::parse("distance:0").is_err());
-        assert!(OpMix::parse("turtles:3").is_err());
-        assert!(OpMix::parse("o2m").is_err());
+    fn workload_pool_is_reproducible_from_its_seed() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(400, 3));
+        assert_eq!(workload_pairs(&net, 8, 21), workload_pairs(&net, 8, 21));
+        let tiny = spq_synth::generate(&SynthParams::with_target_vertices(64, 5));
+        assert_eq!(workload_pairs(&tiny, 10, 1), workload_pairs(&tiny, 10, 1));
+        assert_ne!(workload_pairs(&tiny, 10, 1), workload_pairs(&tiny, 10, 2));
     }
 
-    #[test]
-    fn conn_plan_splits_connections_across_threads() {
-        let mut opts = LoadgenOptions::default();
-        assert_eq!(ConnPlan::new(8, &opts).per_thread, 1);
-        opts.connections = 1024;
-        opts.churn_every = 50;
-        let plan = ConnPlan::new(8, &opts);
-        assert_eq!(plan.per_thread, 128);
-        assert_eq!(plan.churn_every, 50);
-        // A connection count below the thread count still gives every
-        // thread one connection.
-        opts.connections = 3;
-        assert_eq!(ConnPlan::new(8, &opts).per_thread, 1);
-    }
-
-    #[test]
-    fn csv_rows_are_well_formed() {
-        let row = ThroughputRow {
-            backend: "ch".into(),
-            op: "o2m".into(),
+    fn row(backend: &str, mismatches: usize) -> ThroughputRow {
+        ThroughputRow {
+            backend: backend.into(),
             concurrency: 4,
-            connections: 16,
             seconds: 2.0,
             requests: 1000,
             qps: 500.0,
             p50_us: 10.0,
             p99_us: 90.5,
             verified: 32,
-            mismatches: 0,
+            mismatches,
             retries: 7,
             retried_after_partial: 2,
-            reconnects: 3,
-            force_closed: 5,
+        }
+    }
+
+    #[test]
+    fn client_runs_fold_totals_and_keep_the_first_error() {
+        let mut total = ClientRun::empty();
+        let mut a = ClientRun::empty();
+        a.requests = 10;
+        a.retries = 1;
+        a.hist[3] = 10;
+        let mut b = ClientRun::empty();
+        b.requests = 5;
+        b.partials = 2;
+        b.hist[3] = 4;
+        b.hist[7] = 1;
+        b.error = Some("first".into());
+        let mut c = ClientRun::empty();
+        c.requests = 1;
+        c.error = Some("second".into());
+        for run in [a, b, c] {
+            total.absorb(run);
+        }
+        assert_eq!((total.requests, total.retries, total.partials), (16, 1, 2));
+        assert_eq!((total.hist[3], total.hist[7]), (14, 1));
+        assert_eq!(total.error.as_deref(), Some("first"));
+    }
+
+    #[test]
+    fn written_csv_is_the_header_then_one_line_per_row() {
+        let dir = std::env::temp_dir().join(format!("spq_loadgen_csv_{}", std::process::id()));
+        let path = dir.join("nested").join("sweep.csv");
+        let rows = [row("ch", 0), row("hl", 3)];
+        write_csv(&rows, &path).expect("parent directories are created");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                ThroughputRow::CSV_HEADER.to_string(),
+                rows[0].to_csv(),
+                rows[1].to_csv()
+            ]
+        );
+        let report = LoadgenReport {
+            rows: rows.to_vec(),
+            error: None,
         };
-        let line = row.to_csv();
+        assert_eq!(report.mismatches(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn csv_rows_are_well_formed() {
+        let line = row("ch", 0).to_csv();
         assert_eq!(
             line.split(',').count(),
             ThroughputRow::CSV_HEADER.split(',').count()
         );
-        assert!(line.starts_with("ch,o2m,4,16,"));
-        assert!(line.ends_with(",7,2,3,5"));
-    }
-
-    #[test]
-    fn stat_counters_parse_out_of_a_stats_body() {
-        let body = "epoch: 3\nfaults: shed=1 client_timeouts=2 force_closed=4 slow_closed=6\n\
-                    resources: mem_budget=1048576 open_fds=37\n";
-        assert_eq!(stat_counter(body, "force_closed"), 4);
-        assert_eq!(stat_counter(body, "slow_closed"), 6);
-        assert_eq!(stat_counter(body, "mem_budget"), 1048576);
-        assert_eq!(stat_counter(body, "no_such_counter"), 0);
+        assert!(line.starts_with("ch,4,2.00,1000,"));
+        assert!(line.ends_with(",32,0,7,2"));
     }
 }

@@ -101,9 +101,10 @@
 //! again (now including quarantine failover), runs the session under
 //! its budget, caches + records latency, and sequences the response
 //! back through the owning shard's ingress queue (one eventfd write
-//! per burst of completions, not per completion). Dense DISTANCES
-//! batches reach the CH batch kernel through the `Session::distances`
-//! override.
+//! per burst of completions, not per completion). A DISTANCES table on
+//! the CH slot is routed by `spq_many::ManySession::distances`: target
+//! sweeps while its shorter side is at most `TABLE_SWEEP_SIDE`, the
+//! multi-source batch kernel beyond.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};

@@ -1151,7 +1151,7 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
 
     // The persisted workload shapes: written through the atomic path,
     // read back, and used for the recovery one-to-many checks — the
-    // same file a loadgen sweep replays with --workload.
+    // same format `spq qgen` writes.
     let workload_path = opts.dir.join("workload.spqw");
     let workload = shapes::generate_workload(
         &net,

@@ -20,9 +20,11 @@
 //! 8. an injected worker panic kills only its own connection — the
 //!    supervised worker recovers (and a panic storm retires it);
 //! 9. a backend that starts answering wrongly is quarantined by the
-//!    continuous oracle audit and its traffic fails over.
+//!    continuous oracle audit and its traffic fails over;
+//! 10. the load generator checks answers after its load, so a backend
+//!     that turns under load fails the sweep.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -164,6 +166,45 @@ impl Backend for LyingBackend {
 impl Session for LyingSession {
     fn distance(&mut self, _s: NodeId, _t: NodeId) -> Option<Dist> {
         Some(1)
+    }
+    fn shortest_path(&mut self, s: NodeId, t: NodeId) -> Option<(Dist, Vec<NodeId>)> {
+        Some((1, vec![s, t]))
+    }
+}
+
+/// A backend that answers truthfully (one Dijkstra search per query)
+/// for its first `honest` distance queries across all sessions, then
+/// lies like [`LyingBackend`] — an index that goes bad under load.
+struct TurncoatBackend {
+    honest: usize,
+    served: Arc<AtomicUsize>,
+}
+struct TurncoatSession<'a> {
+    backend: &'a TurncoatBackend,
+    net: &'a RoadNetwork,
+    dijkstra: Dijkstra,
+}
+
+impl Backend for TurncoatBackend {
+    fn backend_name(&self) -> &'static str {
+        "Turncoat"
+    }
+    fn session<'a>(&'a self, net: &'a RoadNetwork) -> Box<dyn Session + 'a> {
+        Box::new(TurncoatSession {
+            backend: self,
+            net,
+            dijkstra: Dijkstra::new(net.num_nodes()),
+        })
+    }
+}
+
+impl Session for TurncoatSession<'_> {
+    fn distance(&mut self, s: NodeId, t: NodeId) -> Option<Dist> {
+        if self.backend.served.fetch_add(1, Ordering::SeqCst) >= self.backend.honest {
+            return Some(1);
+        }
+        self.dijkstra.run_to_target(self.net, s, t);
+        self.dijkstra.distance(t)
     }
     fn shortest_path(&mut self, s: NodeId, t: NodeId) -> Option<(Dist, Vec<NodeId>)> {
         Some((1, vec![s, t]))
@@ -614,6 +655,59 @@ fn loadgen_reports_partial_results_when_the_server_dies() {
     assert!(
         report.rows[0].requests > 0,
         "partial progress before the kill is preserved: {:?}",
+        report.rows[0]
+    );
+}
+
+/// The sweep's oracle check follows the load it measured: a backend
+/// that is honest for its first queries and lies once the timed run has
+/// pushed it past them must show up as mismatches. With the cache off,
+/// every checked answer comes from the backend itself.
+#[test]
+fn loadgen_checks_answers_after_the_load_and_catches_a_backend_that_turns() {
+    let net = test_net(300, 27);
+    let served = Arc::new(AtomicUsize::new(0));
+    let honest = 400;
+    let engine = Arc::new(Engine::build(net.clone(), &[]).with_backend(
+        BackendKind::Tnr,
+        Box::new(TurncoatBackend {
+            honest,
+            served: Arc::clone(&served),
+        }),
+    ));
+    let cfg = ServerConfig {
+        workers: 2,
+        cache_capacity: 0,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(engine, &cfg).expect("bind");
+    let addr = server.local_addr();
+
+    let opts = LoadgenOptions {
+        backends: vec![BackendKind::Tnr],
+        concurrency: vec![1],
+        duration: Duration::from_millis(300),
+        warmup: Duration::from_millis(20),
+        per_set: 20,
+        verify_samples: 16,
+        ..LoadgenOptions::default()
+    };
+    let report = loadgen::run(addr, &net, &opts);
+    if let Ok(mut client) = ServeClient::connect(addr) {
+        let _ = client.shutdown_server();
+    }
+    server.join();
+
+    assert!(report.error.is_none(), "{:?}", report.error);
+    assert!(
+        served.load(Ordering::SeqCst) > honest + opts.verify_samples,
+        "the timed run must outlast the honest stretch"
+    );
+    assert_eq!(report.rows.len(), 1);
+    assert_eq!(report.rows[0].verified, opts.verify_samples);
+    assert!(
+        report.mismatches() > 0,
+        "lies told after the load went unchecked: {:?}",
         report.rows[0]
     );
 }
