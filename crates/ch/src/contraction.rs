@@ -1,5 +1,21 @@
 //! The contraction process: witness searches, shortcut insertion, and the
 //! frozen hierarchy.
+//!
+//! Two rules keep contraction cheap without moving an output byte:
+//!
+//! * **The overlay forgets what it contracted.** Contracting `v` freezes
+//!   its edge list as its upward edges and deletes the entry to `v` from
+//!   every surviving neighbour's list, order-preserving. Every live list
+//!   then holds live edges only, in the relative order they would have
+//!   among dead entries, so each scan, heap tie-break and witness outcome
+//!   is what filtering dead entries on every scan would give.
+//! * **A witness search stops once every target is decided.** Simulating
+//!   `v`, the search from neighbour `u` needs one bit per later
+//!   neighbour `w`: is `dist(u, w)` avoiding `v` above `w(u,v) + w(v,w)`?
+//!   A settled target's distance is final. A target relaxed to at most
+//!   its threshold stays there, because tentative distances only fall.
+//!   Either way the bit can no longer change, so the search returns once
+//!   no target is open, with the answer the unstopped search would give.
 
 use spq_graph::heap::IndexedHeap;
 use spq_graph::par;
@@ -9,6 +25,11 @@ use spq_graph::RoadNetwork;
 
 use crate::ordering::{OrderingState, PriorityWeights};
 use crate::search_graph::{SearchEdge, SearchGraph, NO_MIDDLE};
+
+/// Witness searches stop after settling this many vertices. A smaller
+/// limit speeds preprocessing but may insert superfluous shortcuts
+/// (never incorrect ones).
+const WITNESS_SETTLE_LIMIT: usize = 64;
 
 /// Order-preserving map from an `i64` contraction priority to the
 /// unsigned key space of [`IndexedHeap`] (flip the sign bit).
@@ -23,23 +44,71 @@ fn key_prio(k: u64) -> i64 {
     (k ^ (1 << 63)) as i64
 }
 
-/// Tuning knobs of the contraction process.
-#[derive(Debug, Clone, Copy)]
-pub struct ChParams {
-    /// Priority formula coefficients.
-    pub priority: PriorityWeights,
-    /// Witness searches stop after settling this many vertices. A smaller
-    /// limit speeds preprocessing but may insert superfluous shortcuts
-    /// (never incorrect ones).
-    pub witness_settle_limit: usize,
+/// What one contraction did, in plain counts
+/// ([`ContractionHierarchy::build_with_report`]). Every witness search
+/// ends one of three ways, so `ended_decided + ended_settle_limit +
+/// ended_cutoff == witness_searches`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ContractionReport {
+    /// Contractions simulated: one per vertex for the initial queue, one
+    /// per pop of the lazy queue.
+    pub simulations: u64,
+    /// Pops whose recomputed priority sent the vertex back to the queue.
+    pub lazy_requeues: u64,
+    /// Witness searches run (one per neighbour but the last, per
+    /// simulation).
+    pub witness_searches: u64,
+    /// Searches that returned once every target was decided.
+    pub ended_decided: u64,
+    /// Searches stopped by the settle limit with a target still open.
+    pub ended_settle_limit: u64,
+    /// Searches whose queue ran dry: every vertex within the cutoff was
+    /// settled (relaxations past it are never queued).
+    pub ended_cutoff: u64,
+    /// Vertices popped off witness-search queues.
+    pub settled: u64,
+    /// Shortcuts inserted.
+    pub shortcuts: u64,
 }
 
-impl Default for ChParams {
-    fn default() -> Self {
-        ChParams {
-            priority: PriorityWeights::default(),
-            witness_settle_limit: 64,
+impl ContractionReport {
+    fn merge(&mut self, other: &ContractionReport) {
+        self.simulations += other.simulations;
+        self.lazy_requeues += other.lazy_requeues;
+        self.witness_searches += other.witness_searches;
+        self.ended_decided += other.ended_decided;
+        self.ended_settle_limit += other.ended_settle_limit;
+        self.ended_cutoff += other.ended_cutoff;
+        self.settled += other.settled;
+        self.shortcuts += other.shortcuts;
+    }
+
+    fn record(&mut self, end: SearchEnd, settled: usize) {
+        self.witness_searches += 1;
+        self.settled += settled as u64;
+        match end {
+            SearchEnd::Decided => self.ended_decided += 1,
+            SearchEnd::SettleLimit => self.ended_settle_limit += 1,
+            SearchEnd::Cutoff => self.ended_cutoff += 1,
         }
+    }
+}
+
+impl std::fmt::Display for ContractionReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} simulations ({} lazy re-queues), {} witness searches \
+             (ended: {} decided, {} settle limit, {} cutoff), {} settled, {} shortcuts",
+            self.simulations,
+            self.lazy_requeues,
+            self.witness_searches,
+            self.ended_decided,
+            self.ended_settle_limit,
+            self.ended_cutoff,
+            self.settled,
+            self.shortcuts
+        )
     }
 }
 
@@ -53,7 +122,9 @@ struct OEdge {
     middle: NodeId,
 }
 
-/// The mutable remaining graph.
+/// The mutable remaining graph. A live vertex's list holds its edges to
+/// live vertices only; a contracted vertex's list is frozen as its upward
+/// edges, so once every vertex is contracted `adj` is the hierarchy.
 struct Overlay {
     adj: Vec<Vec<OEdge>>,
     contracted: Vec<bool>,
@@ -86,12 +157,25 @@ impl Overlay {
         }
     }
 
-    /// Live neighbours of `v` (skipping contracted endpoints).
-    fn live_edges<'a>(&'a self, v: NodeId) -> impl Iterator<Item = OEdge> + 'a {
-        self.adj[v as usize]
-            .iter()
-            .copied()
-            .filter(|e| !self.contracted[e.to as usize])
+    /// Live neighbours of the live vertex `v`.
+    #[inline]
+    fn edges(&self, v: NodeId) -> &[OEdge] {
+        &self.adj[v as usize]
+    }
+
+    /// Contracts `v`: deletes the entry to `v` from every neighbour's
+    /// list, which freezes `v`'s own list as its upward edges, and
+    /// inserts `shortcuts` (`(u, w, weight)`, tagged `v`) between them.
+    fn contract(&mut self, v: NodeId, shortcuts: &[(NodeId, NodeId, Weight)]) {
+        self.contracted[v as usize] = true;
+        let upward = std::mem::take(&mut self.adj[v as usize]);
+        for e in &upward {
+            self.adj[e.to as usize].retain(|back| back.to != v);
+        }
+        self.adj[v as usize] = upward;
+        for &(u, w, weight) in shortcuts {
+            self.upsert(u, w, weight, v);
+        }
     }
 
     /// Inserts or improves the undirected edge {u, w}.
@@ -114,12 +198,29 @@ impl Overlay {
     }
 }
 
+/// Why a witness search returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SearchEnd {
+    /// No target was open any more.
+    Decided,
+    /// [`WITNESS_SETTLE_LIMIT`] settles were spent.
+    SettleLimit,
+    /// The queue ran dry within the cutoff.
+    Cutoff,
+}
+
 /// A bounded Dijkstra over the overlay used to find *witness paths*:
 /// contracting `v`, a shortcut (u, w) is unnecessary iff some path from u
 /// to w avoiding v is no longer than via v.
 struct WitnessSearch {
     dist: Vec<Dist>,
     stamp: Vec<u32>,
+    /// `open[w] == version`: `w` is a target of the current run whose
+    /// answer can still change; `threshold[w]` is what it is tested
+    /// against.
+    open: Vec<u32>,
+    threshold: Vec<Dist>,
+    num_open: usize,
     version: u32,
     heap: IndexedHeap,
 }
@@ -129,27 +230,39 @@ impl WitnessSearch {
         WitnessSearch {
             dist: vec![INFINITY; n],
             stamp: vec![0; n],
+            open: vec![0; n],
+            threshold: vec![0; n],
+            num_open: 0,
             version: 0,
             heap: IndexedHeap::new(n),
         }
     }
 
-    /// Runs from `source` over the overlay, skipping `excluded` and all
-    /// contracted vertices, up to `cutoff` distance and `settle_limit`
-    /// settles. Afterwards [`WitnessSearch::distance`] answers for any
-    /// vertex reached within those bounds.
+    /// Runs from `source` over the overlay, skipping `excluded`, to decide
+    /// for every `(target, threshold)` whether the target lies farther
+    /// than its threshold. The cutoff is the largest threshold. Returns
+    /// why the search stopped and how many vertices it settled;
+    /// afterwards [`WitnessSearch::distance`] answers every target.
     fn run(
         &mut self,
         overlay: &Overlay,
         source: NodeId,
         excluded: NodeId,
-        cutoff: Dist,
-        settle_limit: usize,
-    ) {
+        targets: impl Iterator<Item = (NodeId, Dist)>,
+    ) -> (SearchEnd, usize) {
         self.version = self.version.wrapping_add(1);
         if self.version == 0 {
             self.stamp.fill(0);
+            self.open.fill(0);
             self.version = 1;
+        }
+        let mut cutoff = 0;
+        self.num_open = 0;
+        for (w, threshold) in targets {
+            self.open[w as usize] = self.version;
+            self.threshold[w as usize] = threshold;
+            self.num_open += 1;
+            cutoff = cutoff.max(threshold);
         }
         self.heap.clear();
         self.dist[source as usize] = 0;
@@ -158,11 +271,15 @@ impl WitnessSearch {
         let mut settled = 0usize;
         while let Some((d, u)) = self.heap.pop_min() {
             debug_assert_eq!(d, self.dist_of(u)); // decrease-key: never stale
+            debug_assert!(d <= cutoff, "only distances within the cutoff are queued");
             settled += 1;
-            if settled > settle_limit || d > cutoff {
-                break;
+            if settled > WITNESS_SETTLE_LIMIT {
+                return (SearchEnd::SettleLimit, settled);
             }
-            for e in overlay.live_edges(u) {
+            if self.decide(u) {
+                return (SearchEnd::Decided, settled);
+            }
+            for e in overlay.edges(u) {
                 if e.to == excluded {
                     continue;
                 }
@@ -171,9 +288,32 @@ impl WitnessSearch {
                     self.dist[e.to as usize] = nd;
                     self.stamp[e.to as usize] = self.version;
                     self.heap.push_or_decrease(e.to, nd);
+                    if self.is_open(e.to)
+                        && nd <= self.threshold[e.to as usize]
+                        && self.decide(e.to)
+                    {
+                        return (SearchEnd::Decided, settled);
+                    }
                 }
             }
         }
+        (SearchEnd::Cutoff, settled)
+    }
+
+    #[inline]
+    fn is_open(&self, w: NodeId) -> bool {
+        self.open[w as usize] == self.version
+    }
+
+    /// Closes `w` if it is an open target; true once no target is open.
+    #[inline]
+    fn decide(&mut self, w: NodeId) -> bool {
+        if !self.is_open(w) {
+            return false;
+        }
+        self.open[w as usize] = 0;
+        self.num_open -= 1;
+        self.num_open == 0
     }
 
     #[inline]
@@ -185,8 +325,9 @@ impl WitnessSearch {
         }
     }
 
-    /// Distance found by the last run (may be an overestimate if the
-    /// bounded search gave up — that is safe: it only adds shortcuts).
+    /// Distance found by the last run. For a target this is final or
+    /// already at most its threshold; past the settle limit it may be an
+    /// overestimate — that is safe: it only adds shortcuts.
     #[inline]
     fn distance(&self, v: NodeId) -> Dist {
         self.dist_of(v)
@@ -206,91 +347,81 @@ pub struct ContractionHierarchy {
 }
 
 impl ContractionHierarchy {
-    /// Builds with default parameters and the heuristic node order.
+    /// Builds with the heuristic node order.
     pub fn build(net: &RoadNetwork) -> Self {
-        Self::build_with_params(net, &ChParams::default())
+        Self::build_with_report(net).0
     }
 
-    /// Builds with explicit parameters.
-    pub fn build_with_params(net: &RoadNetwork, params: &ChParams) -> Self {
+    /// [`ContractionHierarchy::build`], also returning what the
+    /// contraction did.
+    pub fn build_with_report(net: &RoadNetwork) -> (Self, ContractionReport) {
         let n = net.num_nodes();
         let mut overlay = Overlay::from_network(net);
-        let mut state = OrderingState::new(n, params.priority);
+        let mut state = OrderingState::new(n, PriorityWeights::default());
+        let mut report = ContractionReport::default();
 
         // Initial lazy priority queue. One witness-search simulation per
         // vertex over the read-only starting overlay — the dominant cost
         // of ordering on large networks, and embarrassingly parallel:
-        // each worker gets its own search workspace, results come back
-        // in vertex order, so the queue is built from the same sequence
-        // regardless of the thread count.
-        let initial = par::par_map_index(
-            n,
-            || (WitnessSearch::new(n), Vec::new(), Vec::new()),
-            |(witness, neighbors, shortcuts), v| {
-                let v = v as NodeId;
-                let inc = simulate(
-                    &overlay,
-                    witness,
-                    v,
-                    params.witness_settle_limit,
-                    neighbors,
-                    shortcuts,
-                );
-                state.priority(v, shortcuts.len(), inc)
-            },
-        );
+        // each worker simulates one span of vertices with its own search
+        // workspace and report, and the spans come back in vertex order,
+        // so the queue is built from the same sequence regardless of the
+        // thread count.
+        let spans = par::par_map_spans(n, |span| {
+            let mut witness = WitnessSearch::new(n);
+            let mut shortcuts = Vec::new();
+            let mut part = ContractionReport::default();
+            let priorities: Vec<i64> = span
+                .map(|v| {
+                    let v = v as NodeId;
+                    let inc = simulate(&overlay, &mut witness, v, &mut shortcuts, &mut part);
+                    state.priority(v, shortcuts.len(), inc)
+                })
+                .collect();
+            (priorities, part)
+        });
         // The queue holds each vertex exactly once (update-in-place
         // instead of the duplicate-entry push a `BinaryHeap` would
         // need), so the lazy-update loop below never allocates.
         let mut queue: IndexedHeap = IndexedHeap::new(n);
-        for (v, &p) in initial.iter().enumerate() {
-            queue.push_or_update(v as NodeId, prio_key(p));
+        let mut v: NodeId = 0;
+        for (priorities, part) in spans {
+            report.merge(&part);
+            for p in priorities {
+                queue.push_or_update(v, prio_key(p));
+                v += 1;
+            }
         }
 
         let mut witness = WitnessSearch::new(n);
-        let mut neighbors = Vec::new();
         let mut shortcuts = Vec::new();
-
         let mut order = Vec::with_capacity(n);
-        let mut upward: Vec<Vec<OEdge>> = vec![Vec::new(); n];
-        let mut num_shortcuts = 0usize;
         while let Some((key, v)) = queue.pop_min() {
             debug_assert!(!overlay.contracted[v as usize]);
             let prio = key_prio(key);
             // Lazy update: recompute; if no longer minimal, requeue.
-            let incident = simulate(
-                &overlay,
-                &mut witness,
-                v,
-                params.witness_settle_limit,
-                &mut neighbors,
-                &mut shortcuts,
-            );
+            let incident = simulate(&overlay, &mut witness, v, &mut shortcuts, &mut report);
             let fresh = state.priority(v, shortcuts.len(), incident);
             if fresh > prio {
                 if let Some(top) = queue.peek_key() {
                     if prio_key(fresh) > top {
                         queue.push_or_update(v, prio_key(fresh));
+                        report.lazy_requeues += 1;
                         continue;
                     }
                 }
             }
-
-            // Contract v: freeze its upward edges, insert its shortcuts.
-            upward[v as usize] = overlay.live_edges(v).collect();
-            overlay.contracted[v as usize] = true;
-            for &(u, w, weight) in &shortcuts {
-                overlay.upsert(u, w, weight, v);
-                num_shortcuts += 1;
-            }
-            for e in &upward[v as usize] {
+            overlay.contract(v, &shortcuts);
+            report.shortcuts += shortcuts.len() as u64;
+            for e in overlay.edges(v) {
                 state.on_contract_neighbor(v, e.to);
             }
             order.push(v);
         }
         debug_assert_eq!(order.len(), n);
 
-        Self::freeze(n, &order, upward, num_shortcuts)
+        let ch = Self::freeze(&order, overlay.adj, report.shortcuts as usize);
+        (ch, report)
     }
 
     /// Builds using an explicit contraction order (`order[0]` contracted
@@ -299,36 +430,23 @@ impl ContractionHierarchy {
     pub fn build_with_order(net: &RoadNetwork, order: &[NodeId]) -> Self {
         let n = net.num_nodes();
         assert_eq!(order.len(), n, "order must mention every vertex once");
-        let params = ChParams::default();
         let mut overlay = Overlay::from_network(net);
         let mut witness = WitnessSearch::new(n);
-        let mut neighbors = Vec::new();
         let mut shortcuts = Vec::new();
-        let mut upward: Vec<Vec<OEdge>> = vec![Vec::new(); n];
-        let mut num_shortcuts = 0usize;
+        let mut report = ContractionReport::default();
         for &v in order {
             assert!(!overlay.contracted[v as usize], "duplicate in order");
-            simulate(
-                &overlay,
-                &mut witness,
-                v,
-                params.witness_settle_limit,
-                &mut neighbors,
-                &mut shortcuts,
-            );
-            upward[v as usize] = overlay.live_edges(v).collect();
-            overlay.contracted[v as usize] = true;
-            for &(u, w, weight) in &shortcuts {
-                overlay.upsert(u, w, weight, v);
-                num_shortcuts += 1;
-            }
+            simulate(&overlay, &mut witness, v, &mut shortcuts, &mut report);
+            overlay.contract(v, &shortcuts);
+            report.shortcuts += shortcuts.len() as u64;
         }
-        Self::freeze(n, order, upward, num_shortcuts)
+        Self::freeze(order, overlay.adj, report.shortcuts as usize)
     }
 
     /// Renumbers the frozen upward lists by rank into the flat search
     /// graph: one record per overlay edge, each list ascending by target.
-    fn freeze(n: usize, order: &[NodeId], upward: Vec<Vec<OEdge>>, num_shortcuts: usize) -> Self {
+    fn freeze(order: &[NodeId], upward: Vec<Vec<OEdge>>, num_shortcuts: usize) -> Self {
+        let n = order.len();
         let mut rank = vec![0u32; n];
         for (r, &v) in order.iter().enumerate() {
             rank[v as usize] = r as u32;
@@ -402,40 +520,41 @@ impl IndexSize for ContractionHierarchy {
 }
 
 /// Simulates contracting `v`: fills `shortcuts` with the shortcuts it
-/// would create (as `(u, w, weight)` with `u`, `w` live neighbours) and
-/// returns its live degree. Both scratch vectors are cleared and reused
-/// across calls so the contraction loop stays allocation-free.
+/// would create (as `(u, w, weight)` with `u`, `w` live neighbours),
+/// counts its witness searches into `report`, and returns its live
+/// degree. `shortcuts` is cleared and reused across calls so the
+/// contraction loop stays allocation-free.
 fn simulate(
     overlay: &Overlay,
     witness: &mut WitnessSearch,
     v: NodeId,
-    settle_limit: usize,
-    neighbors_scratch: &mut Vec<OEdge>,
     shortcuts: &mut Vec<(NodeId, NodeId, Weight)>,
+    report: &mut ContractionReport,
 ) -> usize {
-    neighbors_scratch.clear();
     shortcuts.clear();
-    neighbors_scratch.extend(overlay.live_edges(v));
-    let neighbors = &*neighbors_scratch;
+    report.simulations += 1;
+    let neighbors = overlay.edges(v);
     for (i, eu) in neighbors.iter().enumerate() {
-        if i + 1 == neighbors.len() {
+        let later = &neighbors[i + 1..];
+        if later.is_empty() {
             break;
         }
-        // One witness search from u covers all pairs (u, w), w after u.
-        let cutoff = neighbors[i + 1..]
-            .iter()
-            .map(|ew| eu.weight as Dist + ew.weight as Dist)
-            .max()
-            .unwrap_or(0);
-        witness.run(overlay, eu.to, v, cutoff, settle_limit);
-        for ew in &neighbors[i + 1..] {
-            if ew.to == eu.to {
-                continue;
-            }
-            let via_v = eu.weight as Dist + ew.weight as Dist;
+        // One witness search from u decides all pairs (u, w), w after u.
+        let via_v = |ew: &OEdge| eu.weight as Dist + ew.weight as Dist;
+        let (end, settled) =
+            witness.run(overlay, eu.to, v, later.iter().map(|ew| (ew.to, via_v(ew))));
+        report.record(end, settled);
+        for ew in later {
+            let via_v = via_v(ew);
             if witness.distance(ew.to) > via_v {
-                debug_assert!(via_v <= Weight::MAX as Dist, "shortcut weight overflow");
-                shortcuts.push((eu.to, ew.to, via_v as Weight));
+                let Ok(weight) = Weight::try_from(via_v) else {
+                    panic!(
+                        "shortcut weight {via_v} ({} -> {} via contracted vertex {v}) \
+                         exceeds the 32-bit edge weight",
+                        eu.to, ew.to
+                    );
+                };
+                shortcuts.push((eu.to, ew.to, weight));
             }
         }
     }
@@ -446,7 +565,153 @@ fn simulate(
 mod tests {
     use super::*;
     use crate::search_graph::edge_to;
+    use proptest::prelude::*;
+    use spq_graph::arbitrary::tie_heavy_network;
+    use spq_graph::builder::GraphBuilder;
+    use spq_graph::geo::Point;
     use spq_graph::toy::figure1;
+
+    /// [`WitnessSearch::run`] without targets: the stopping rule before
+    /// targets were decided — the settle limit, a pop past the cutoff, or
+    /// a dry queue.
+    fn run_reference(
+        ws: &mut WitnessSearch,
+        overlay: &Overlay,
+        source: NodeId,
+        excluded: NodeId,
+        cutoff: Dist,
+    ) {
+        ws.version += 1;
+        ws.heap.clear();
+        ws.dist[source as usize] = 0;
+        ws.stamp[source as usize] = ws.version;
+        ws.heap.push_or_decrease(source, 0);
+        let mut settled = 0usize;
+        while let Some((d, u)) = ws.heap.pop_min() {
+            settled += 1;
+            if settled > WITNESS_SETTLE_LIMIT || d > cutoff {
+                break;
+            }
+            for e in overlay.edges(u) {
+                if e.to == excluded {
+                    continue;
+                }
+                let nd = d + e.weight as Dist;
+                if nd <= cutoff && nd < ws.dist_of(e.to) {
+                    ws.dist[e.to as usize] = nd;
+                    ws.stamp[e.to as usize] = ws.version;
+                    ws.heap.push_or_decrease(e.to, nd);
+                }
+            }
+        }
+    }
+
+    /// [`simulate`] over [`run_reference`]: `(live degree, shortcuts)`.
+    fn simulate_reference(
+        overlay: &Overlay,
+        ws: &mut WitnessSearch,
+        v: NodeId,
+    ) -> (usize, Vec<(NodeId, NodeId, Weight)>) {
+        let neighbors = overlay.edges(v);
+        let mut shortcuts = Vec::new();
+        for (i, eu) in neighbors.iter().enumerate() {
+            let later = &neighbors[i + 1..];
+            let via_v = |ew: &OEdge| eu.weight as Dist + ew.weight as Dist;
+            let Some(cutoff) = later.iter().map(via_v).max() else {
+                break;
+            };
+            run_reference(ws, overlay, eu.to, v, cutoff);
+            for ew in later {
+                if ws.distance(ew.to) > via_v(ew) {
+                    shortcuts.push((eu.to, ew.to, via_v(ew) as Weight));
+                }
+            }
+        }
+        (neighbors.len(), shortcuts)
+    }
+
+    /// A network with a uniformly random contraction order.
+    fn network_and_order() -> impl Strategy<Value = (RoadNetwork, Vec<NodeId>)> {
+        tie_heavy_network().prop_flat_map(|net| {
+            let keys = collection::vec(any::<u64>(), net.num_nodes());
+            (Just(net), keys).prop_map(|(net, keys)| {
+                let mut order: Vec<NodeId> = (0..net.num_nodes() as NodeId).collect();
+                order.sort_by_key(|&v| keys[v as usize]);
+                (net, order)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Stopping a witness search once every target is decided changes
+        /// no simulation: at every step of a replayed order, every live
+        /// vertex yields the degree and shortcuts — in order — of the
+        /// search that runs to its settle limit or cutoff.
+        #[test]
+        fn deciding_targets_early_simulates_as_the_full_search_does(
+            (net, order) in network_and_order()
+        ) {
+            let n = net.num_nodes();
+            let mut overlay = Overlay::from_network(&net);
+            let (mut fast, mut full) = (WitnessSearch::new(n), WitnessSearch::new(n));
+            let mut shortcuts = Vec::new();
+            let mut report = ContractionReport::default();
+            for &next in &order {
+                for v in (0..n as NodeId).filter(|&v| !overlay.contracted[v as usize]) {
+                    let degree = simulate(&overlay, &mut fast, v, &mut shortcuts, &mut report);
+                    let (want_degree, want) = simulate_reference(&overlay, &mut full, v);
+                    prop_assert_eq!(degree, want_degree);
+                    prop_assert_eq!(&shortcuts, &want, "simulating {} before {}", v, next);
+                }
+                simulate(&overlay, &mut fast, next, &mut shortcuts, &mut report);
+                overlay.contract(next, &shortcuts);
+            }
+        }
+    }
+
+    /// The counters add up: every search ends exactly one way, and the
+    /// report's shortcuts are the hierarchy's.
+    #[test]
+    fn report_accounts_for_every_search() {
+        let g = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(600, 3));
+        let (ch, report) = ContractionHierarchy::build_with_report(&g);
+        assert_eq!(
+            report.simulations,
+            g.num_nodes() as u64 * 2 + report.lazy_requeues
+        );
+        assert_eq!(
+            report.ended_decided + report.ended_settle_limit + report.ended_cutoff,
+            report.witness_searches
+        );
+        assert!(report.ended_decided > 0 && report.ended_cutoff > 0);
+        assert!(report.settled >= report.witness_searches);
+        assert_eq!(report.shortcuts, ch.num_shortcuts() as u64);
+        assert_eq!(
+            ch.search_graph(),
+            ContractionHierarchy::build(&g).search_graph()
+        );
+    }
+
+    /// `a –(2³¹+1)– m –(2³¹+1)– c` with `m` contracted first needs a
+    /// shortcut of 2³² + 2, which no edge weight holds: the build stops
+    /// where the shortcut is made, naming the weight and the vertex.
+    #[test]
+    #[should_panic(
+        expected = "shortcut weight 4294967298 (0 -> 2 via contracted vertex 1) exceeds the 32-bit"
+    )]
+    fn shortcut_weight_past_u32_stops_the_build() {
+        const W: u32 = (1 << 31) + 1;
+        let mut b = GraphBuilder::new();
+        for x in 0..3 {
+            b.add_node(Point::new(x, 0));
+        }
+        b.add_edge(0, 1, W);
+        b.add_edge(1, 2, W);
+        let g = b.build().expect("a path is connected");
+        ContractionHierarchy::build_with_order(&g, &[1, 0, 2]);
+    }
 
     /// The upward record from original vertex `v` to `to`, as
     /// `(weight, tag as an original id)`.

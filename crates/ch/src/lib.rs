@@ -12,7 +12,7 @@
 //! The crate exposes four layers:
 //!
 //! * [`ContractionHierarchy`] — the preprocessed index
-//!   ([`ContractionHierarchy::build`] / `build_with_params` /
+//!   ([`ContractionHierarchy::build`] / `build_with_report` /
 //!   `build_with_order`): the flattened rank-renumbered [`SearchGraph`]
 //!   — the hierarchy's only representation, in memory and in the `SPQC`
 //!   container — plus the shortcut count.
@@ -51,7 +51,7 @@ pub mod query;
 pub mod search_graph;
 
 pub use batch::{BatchDistances, LANES};
-pub use contraction::{ChParams, ContractionHierarchy};
+pub use contraction::{ContractionHierarchy, ContractionReport};
 pub use many2many::{par_table, ManyToMany};
 pub use query::ChQuery;
 pub use search_graph::{SearchEdge, SearchGraph};

@@ -6,22 +6,9 @@ use proptest::prelude::*;
 use spq_ch::search_graph::NO_MIDDLE;
 use spq_ch::{ChQuery, ContractionHierarchy};
 use spq_dijkstra::Dijkstra;
-use spq_graph::arbitrary::{connected_network, small_connected_network, NetworkStrategyParams};
+use spq_graph::arbitrary::{small_connected_network, tie_heavy_network};
 use spq_graph::types::NodeId;
 use spq_graph::RoadNetwork;
-
-/// Dense little networks with weights in 1..=3: the builder is handed
-/// many parallel edges (it keeps the lightest), and equal-weight ties —
-/// several shortest paths, witnesses exactly as long as the path through
-/// the contracted vertex — are the rule rather than the exception.
-fn tie_heavy_network() -> impl Strategy<Value = RoadNetwork> {
-    connected_network(NetworkStrategyParams {
-        max_nodes: 14,
-        extra_edge_factor: 4,
-        max_weight: 3,
-        ..NetworkStrategyParams::default()
-    })
-}
 
 /// The whole contract of the point kernel against the Dijkstra oracle:
 /// every distance, and for every pair a path with the right endpoints
@@ -76,6 +63,18 @@ fn check_shape(net: &RoadNetwork) {
     prop_assert!(stored_shortcuts <= ch.num_shortcuts());
 }
 
+/// The heuristic build is its own order replayed: contracting the ranks
+/// `build` chose, in rank order, through `build_with_order` yields the
+/// same hierarchy and the same shortcut count.
+fn check_replay(net: &RoadNetwork) {
+    let ch = ContractionHierarchy::build(net);
+    let sg = ch.search_graph();
+    let order: Vec<NodeId> = (0..net.num_nodes() as u32).map(|r| sg.orig_of(r)).collect();
+    let replayed = ContractionHierarchy::build_with_order(net, &order);
+    prop_assert_eq!(replayed.search_graph(), sg);
+    prop_assert_eq!(replayed.num_shortcuts(), ch.num_shortcuts());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -97,5 +96,17 @@ proptest! {
     #[test]
     fn upward_graph_invariants_under_ties(net in tie_heavy_network()) {
         check_shape(&net);
+    }
+
+    #[test]
+    fn replaying_the_heuristic_order_rebuilds_the_same_hierarchy(net in small_connected_network()) {
+        check_replay(&net);
+    }
+
+    #[test]
+    fn replaying_the_heuristic_order_rebuilds_the_same_hierarchy_under_ties(
+        net in tie_heavy_network()
+    ) {
+        check_replay(&net);
     }
 }

@@ -239,7 +239,7 @@ fn prep(args: &[String]) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     match kind {
         "ch" => {
-            let ch = spq_ch::ContractionHierarchy::build(&net);
+            let (ch, report) = spq_ch::ContractionHierarchy::build_with_report(&net);
             let elapsed = t0.elapsed();
             let persisted = persist(out, |w| ch.write_binary(w))?;
             let bytes = ch.serialized_len();
@@ -253,10 +253,11 @@ fn prep(args: &[String]) -> Result<(), String> {
                 bytes as f64 / ch.num_upward_edges().max(1) as f64,
                 ch.index_size_mb()
             );
-            println!("  {persisted}");
+            println!("  contraction: {report}\n  {persisted}");
         }
         "hl" => {
-            let hl = spq_hl::Hl::build(&net);
+            let (ch, report) = spq_ch::ContractionHierarchy::build_with_report(&net);
+            let hl = spq_hl::Hl::from_ch(ch);
             let elapsed = t0.elapsed();
             let persisted = persist(out, |w| hl.write_binary(w))?;
             let labels = hl.labels();
@@ -277,7 +278,7 @@ fn prep(args: &[String]) -> Result<(), String> {
                 hl.hierarchy().serialized_len() as f64 / 1e6,
                 hl.serialized_len() as f64 / 1e6,
             );
-            println!("  {persisted}");
+            println!("  contraction: {report}\n  {persisted}");
         }
         "poi" => {
             // A POI container for the one-to-many serving path: a

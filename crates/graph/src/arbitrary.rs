@@ -74,6 +74,19 @@ pub fn small_connected_network() -> impl Strategy<Value = RoadNetwork> {
     connected_network(NetworkStrategyParams::default())
 }
 
+/// Dense little networks with weights in 1..=3: a builder is handed many
+/// parallel edges, and equal-weight ties — several shortest paths, or a
+/// detour exactly as long as the direct route — are the rule rather than
+/// the exception.
+pub fn tie_heavy_network() -> impl Strategy<Value = RoadNetwork> {
+    connected_network(NetworkStrategyParams {
+        max_nodes: 14,
+        extra_edge_factor: 4,
+        max_weight: 3,
+        ..NetworkStrategyParams::default()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

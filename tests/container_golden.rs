@@ -8,6 +8,12 @@
 //! commit before streaming (85c6158) by this same test; a change to any
 //! format, any builder or the synthetic generator that moves a byte
 //! shows up here as a length or digest mismatch.
+//!
+//! The hierarchy pins build only CH and HL (the other builders would
+//! not finish at these sizes) on the benchmark's networks, and were
+//! recorded from the commit before contraction dropped dead overlay
+//! edges and stopped witness searches early (35a374c): a faster
+//! contraction must still emit the same hierarchy, bit for bit.
 
 use spq_alt::{Alt, AltParams};
 use spq_arcflags::{ArcFlags, ArcFlagsParams};
@@ -86,6 +92,55 @@ fn assert_golden(net: &RoadNetwork, golden: &[(&str, usize, u64)]) {
             "{magic}: (length, XXH64) of the container moved; it is now ({len}, {digest:#018x})"
         );
     }
+}
+
+/// The shortcut count, then `(length, XXH64 with seed 0)` of the CH
+/// container and of the HL container labelled from that same CH, built
+/// on one thread over the benchmark's seed-1 network of `target`
+/// vertices.
+fn hierarchy_fingerprint(target: usize) -> (usize, (usize, u64), (usize, u64)) {
+    let net = spq_synth::generate(&SynthParams::with_target_vertices(target, 1));
+    par::with_threads(1, || {
+        let ch = ContractionHierarchy::build(&net);
+        let shortcuts = ch.num_shortcuts();
+        let mut bytes = Vec::new();
+        ch.write_binary(&mut bytes)
+            .expect("in-memory write cannot fail");
+        let ch_print = (bytes.len(), xxhash64(&bytes, 0));
+        let hl = Hl::from_ch(ch);
+        bytes.clear();
+        hl.write_binary(&mut bytes)
+            .expect("in-memory write cannot fail");
+        (shortcuts, ch_print, (bytes.len(), xxhash64(&bytes, 0)))
+    })
+}
+
+/// The benchmark's smoke network (21 493 vertices).
+#[test]
+fn smoke_network_hierarchy_is_the_bytes_the_parent_wrote() {
+    assert_eq!(
+        hierarchy_fingerprint(20_000),
+        (
+            22_652,
+            (803_996, 0x8c7f9f0c4d21bf21),
+            (5_350_124, 0xfdca3b90e7eaf26c)
+        )
+    );
+}
+
+/// The benchmark's full network (106 773 vertices), the scale its
+/// `ch.build_s` is timed at.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn full_network_hierarchy_is_the_bytes_the_parent_wrote() {
+    assert_eq!(
+        hierarchy_fingerprint(100_000),
+        (
+            113_733,
+            (4_006_056, 0xbbe4b065b63dcd1c),
+            (35_275_288, 0x2f150e85398db3d5)
+        )
+    );
 }
 
 #[test]
