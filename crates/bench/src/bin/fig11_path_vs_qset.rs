@@ -3,7 +3,7 @@
 
 use spq_bench::matrix::{run_query_experiment, QueryKind, TechniquePlan, Workload, ALL_SETS};
 use spq_bench::Config;
-use spq_core::Technique;
+use spq_serve::BackendKind;
 use spq_synth::Dataset;
 
 fn main() {
@@ -19,10 +19,10 @@ fn main() {
         .map(|n| Dataset::by_name(n).expect("registry name"))
         .collect();
     let plans = [
-        TechniquePlan::all(Technique::Ch),
-        TechniquePlan::all(Technique::Tnr),
+        TechniquePlan::all(BackendKind::Ch),
+        TechniquePlan::all(BackendKind::Tnr),
         TechniquePlan {
-            tech: Technique::Silc,
+            tech: BackendKind::Silc,
             dataset_cap: 2,
             pair_limit: usize::MAX,
         },

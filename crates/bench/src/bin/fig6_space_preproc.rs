@@ -8,7 +8,7 @@
 //! (default E-US at the default scale), CH on everything.
 
 use spq_bench::{build_dataset, datasets_up_to, Config, ResultTable};
-use spq_core::{Index, Technique};
+use spq_serve::BackendKind;
 
 fn main() {
     let cfg = Config::from_env();
@@ -24,30 +24,28 @@ fn main() {
     let silc_cap = datasets_up_to("CO").len().min(4);
     for (pos, d) in datasets_up_to("US").iter().enumerate() {
         let net = build_dataset(d, &cfg);
-        let mut techniques = vec![Technique::Ch];
+        let mut kinds = vec![BackendKind::Ch];
         if pos < tnr_cap {
-            techniques.push(Technique::Tnr);
+            kinds.push(BackendKind::Tnr);
         }
         if pos < silc_cap {
-            techniques.push(Technique::Silc);
-            techniques.push(Technique::Pcpd);
+            kinds.push(BackendKind::Silc);
+            kinds.push(BackendKind::Pcpd);
         }
-        for technique in techniques {
-            let (index, elapsed) = Index::build(technique, &net);
-            let mb = index.size_bytes() as f64 / (1024.0 * 1024.0);
+        for kind in kinds {
+            let built = kind.build(&net);
+            let label = built.backend.backend_name();
+            let mb = built.index_bytes as f64 / (1024.0 * 1024.0);
             eprintln!(
-                "  {} on {}: {:.2} MB, {:.2?}",
-                technique.name(),
-                d.name,
-                mb,
-                elapsed
+                "  {label} on {}: {:.2} MB, {:.2?}",
+                d.name, mb, built.build_time
             );
             table.row(vec![
                 d.name.to_string(),
                 net.num_nodes().to_string(),
-                technique.name().to_string(),
+                label.to_string(),
                 ResultTable::f(mb),
-                ResultTable::f(elapsed.as_secs_f64()),
+                ResultTable::f(built.build_time.as_secs_f64()),
             ]);
         }
     }

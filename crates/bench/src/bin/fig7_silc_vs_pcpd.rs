@@ -3,14 +3,14 @@
 
 use spq_bench::matrix::{run_query_experiment, QueryKind, TechniquePlan, Workload, ALL_SETS};
 use spq_bench::{datasets_up_to, Config};
-use spq_core::Technique;
+use spq_serve::BackendKind;
 
 fn main() {
     let cfg = Config::from_env();
     let datasets = datasets_up_to("CO");
     let plans = [
-        TechniquePlan::all(Technique::Silc),
-        TechniquePlan::all(Technique::Pcpd),
+        TechniquePlan::all(BackendKind::Silc),
+        TechniquePlan::all(BackendKind::Pcpd),
     ];
     let table = run_query_experiment(
         "fig7",

@@ -3,7 +3,7 @@
 
 use spq_bench::matrix::{run_query_experiment, QueryKind, TechniquePlan, Workload, ALL_SETS};
 use spq_bench::Config;
-use spq_core::Technique;
+use spq_serve::BackendKind;
 use spq_synth::Dataset;
 
 fn main() {
@@ -21,10 +21,10 @@ fn main() {
     // SILC appears only on datasets within the paper's applicability
     // boundary (DE and CO of this selection).
     let plans = [
-        TechniquePlan::all(Technique::Ch),
-        TechniquePlan::all(Technique::Tnr),
+        TechniquePlan::all(BackendKind::Ch),
+        TechniquePlan::all(BackendKind::Tnr),
         TechniquePlan {
-            tech: Technique::Silc,
+            tech: BackendKind::Silc,
             dataset_cap: 2,
             pair_limit: usize::MAX,
         },

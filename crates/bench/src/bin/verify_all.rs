@@ -11,7 +11,7 @@
 use std::process::ExitCode;
 
 use spq_bench::{build_dataset, datasets_up_to, Config, ResultTable};
-use spq_core::{verify_index, Index, Technique};
+use spq_serve::{verify_session, BackendKind};
 
 fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
     match std::env::var(name) {
@@ -34,22 +34,23 @@ fn main() -> ExitCode {
     let mut all_clean = true;
     for (pos, d) in datasets_up_to("ME").iter().enumerate() {
         let net = build_dataset(d, &cfg);
-        for technique in Technique::ALL {
-            if technique.needs_all_pairs() && pos >= 4 {
+        for kind in BackendKind::PAPER {
+            if kind.needs_all_pairs() && pos >= 4 {
                 continue;
             }
-            let (index, _) = Index::build(technique, &net);
-            let report = verify_index(&net, &index, samples, seed);
+            let built = kind.build(&net);
+            let label = built.backend.backend_name();
+            let report = verify_session(&net, built.backend.session(&net).as_mut(), samples, seed);
             if !report.is_clean() {
                 all_clean = false;
                 for defect in report.defects.iter().take(3) {
-                    eprintln!("  [{}] {} DEFECT: {defect:?}", d.name, technique.name());
+                    eprintln!("  [{}] {label} DEFECT: {defect}", d.name);
                 }
             }
             table.row(vec![
                 d.name.to_string(),
                 net.num_nodes().to_string(),
-                technique.name().to_string(),
+                label.to_string(),
                 report.checked.to_string(),
                 report.defects.len().to_string(),
             ]);

@@ -1,5 +1,5 @@
 //! Shared harness for the experiment binaries (one per table/figure of
-//! the paper) and the Criterion benches.
+//! the paper).
 //!
 //! Every binary follows the same pattern: build the Table-1 datasets at
 //! the configured scale, generate the paper's query sets, time each
@@ -25,7 +25,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use spq_core::OracleQuery;
+use spq_graph::backend::Session;
 use spq_graph::types::NodeId;
 use spq_graph::RoadNetwork;
 use spq_queries::{QueryGenParams, QuerySet};
@@ -104,7 +104,7 @@ pub fn build_dataset(d: &Dataset, cfg: &Config) -> RoadNetwork {
 }
 
 /// Average distance-query latency in microseconds over the pairs.
-pub fn time_distance(q: &mut OracleQuery<'_>, pairs: &[(NodeId, NodeId)]) -> f64 {
+pub fn time_distance(q: &mut dyn Session, pairs: &[(NodeId, NodeId)]) -> f64 {
     assert!(!pairs.is_empty());
     let t0 = Instant::now();
     let mut acc = 0u64;
@@ -117,7 +117,7 @@ pub fn time_distance(q: &mut OracleQuery<'_>, pairs: &[(NodeId, NodeId)]) -> f64
 }
 
 /// Average shortest-path-query latency in microseconds over the pairs.
-pub fn time_path(q: &mut OracleQuery<'_>, pairs: &[(NodeId, NodeId)]) -> f64 {
+pub fn time_path(q: &mut dyn Session, pairs: &[(NodeId, NodeId)]) -> f64 {
     assert!(!pairs.is_empty());
     let t0 = Instant::now();
     let mut acc = 0usize;

@@ -2,8 +2,8 @@
 //! 16–17): datasets × query sets × techniques, measuring average query
 //! latency in microseconds.
 
-use spq_core::{Index, Technique};
 use spq_queries::{linf_query_sets, network_query_sets, QuerySet};
+use spq_serve::BackendKind;
 use spq_synth::Dataset;
 
 use crate::{build_dataset, subset, time_distance, time_path, Config, ResultTable};
@@ -30,7 +30,7 @@ pub enum Workload {
 #[derive(Debug, Clone, Copy)]
 pub struct TechniquePlan {
     /// The technique.
-    pub tech: Technique,
+    pub tech: BackendKind,
     /// Include on the first `dataset_cap` datasets of the run only
     /// (mirrors the paper's applicability boundaries).
     pub dataset_cap: usize,
@@ -41,7 +41,7 @@ pub struct TechniquePlan {
 
 impl TechniquePlan {
     /// A plan with no caps.
-    pub fn all(tech: Technique) -> Self {
+    pub fn all(tech: BackendKind) -> Self {
         TechniquePlan {
             tech,
             dataset_cap: usize::MAX,
@@ -56,19 +56,19 @@ impl TechniquePlan {
         let mut plans = Vec::new();
         if include_dijkstra {
             plans.push(TechniquePlan {
-                tech: Technique::BiDijkstra,
+                tech: BackendKind::Dijkstra,
                 dataset_cap: usize::MAX,
                 pair_limit: 60,
             });
         }
-        plans.push(TechniquePlan::all(Technique::Ch));
+        plans.push(TechniquePlan::all(BackendKind::Ch));
         plans.push(TechniquePlan {
-            tech: Technique::Tnr,
+            tech: BackendKind::Tnr,
             dataset_cap: tnr_cap,
             pair_limit: usize::MAX,
         });
         plans.push(TechniquePlan {
-            tech: Technique::Silc,
+            tech: BackendKind::Silc,
             dataset_cap: 4,
             pair_limit: usize::MAX,
         });
@@ -109,25 +109,24 @@ pub fn run_query_experiment(
             if pos >= plan.dataset_cap {
                 continue;
             }
-            let (index, build_time) = Index::build(plan.tech, &net);
+            let built = plan.tech.build(&net);
+            let label = built.backend.backend_name();
             eprintln!(
-                "  [{}] {} index ready in {:.2?}",
-                d.name,
-                plan.tech.name(),
-                build_time
+                "  [{}] {label} index ready in {:.2?}",
+                d.name, built.build_time
             );
-            let mut q = index.query(&net);
+            let mut q = built.backend.session(&net);
             for set in &sets {
                 let pairs = subset(&set.pairs, plan.pair_limit);
                 let micros = match kind {
-                    QueryKind::Distance => time_distance(&mut q, pairs),
-                    QueryKind::Path => time_path(&mut q, pairs),
+                    QueryKind::Distance => time_distance(q.as_mut(), pairs),
+                    QueryKind::Path => time_path(q.as_mut(), pairs),
                 };
                 table.row(vec![
                     d.name.to_string(),
                     net.num_nodes().to_string(),
                     set.label.clone(),
-                    plan.tech.name().to_string(),
+                    label.to_string(),
                     ResultTable::f(micros),
                 ]);
             }

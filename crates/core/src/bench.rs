@@ -1,10 +1,11 @@
 //! `spq bench` — the query-latency measurement and regression harness.
 //!
-//! Times the point-to-point distance kernel of every backend (the five
-//! paper techniques plus ALT, arc flags, and hub labeling), the CH
-//! shortest-path (unpack) kernel, and CH's bucket-based many-to-many,
-//! on Table-1 proxy networks. Results go to a JSON report with one
-//! entry per line:
+//! Times the point-to-point distance query of every backend (the five
+//! paper techniques plus ALT, arc flags, and hub labeling — the CH and
+//! HL kernels on one shared hierarchy, the rest through the registry's
+//! own sessions), the CH shortest-path (unpack) kernel, and CH's
+//! bucket-based many-to-many, on Table-1 proxy networks. Results go to
+//! a JSON report with one entry per line:
 //!
 //! ```text
 //! {"mode":"smoke","network":"DE","vertices":122,"backend":"ch","op":"distance","queries":512,"median_ns":850.2},
@@ -22,7 +23,8 @@
 //! differences between the baseline host and the CI runner. The
 //! trade-off: a regression confined to the baseline itself shifts every
 //! ratio down instead of tripping its own row, which is why the
-//! Dijkstra kernel is also covered by Criterion benches.
+//! benchmark also times the Dijkstra kernel on its own
+//! (`dijkstra.distance.p50_ns`).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -32,19 +34,28 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spq_alt::{Alt, AltParams};
-use spq_arcflags::{ArcFlags, ArcFlagsParams};
 use spq_ch::{BatchDistances, ChQuery, ContractionHierarchy, ManyToMany};
-use spq_dijkstra::{BiDijkstra, Dijkstra};
+use spq_dijkstra::Dijkstra;
 use spq_graph::backend::{Backend, PoiRef};
 use spq_graph::types::{Dist, NodeId, INFINITY};
 use spq_graph::RoadNetwork;
 use spq_hl::HubLabels;
 use spq_many::{ManyBackend, PoiEntry, PoiIndex, PoiSet, PoiTable};
-use spq_pcpd::Pcpd;
-use spq_silc::Silc;
+use spq_serve::BackendKind;
 use spq_synth::{Dataset, Scale};
-use spq_tnr::{Tnr, TnrParams};
+
+/// The distance rows timed through the registry's own builds and
+/// sessions, Dijkstra first. CH and HL are kernel rows instead: they
+/// share one hierarchy with the CH shortest-path, table and one-to-many
+/// rows.
+const REGISTRY_ROWS: [BackendKind; 6] = [
+    BackendKind::Dijkstra,
+    BackendKind::Tnr,
+    BackendKind::Alt,
+    BackendKind::ArcFlags,
+    BackendKind::Silc,
+    BackendKind::Pcpd,
+];
 
 /// Vertex ceiling for the all-pairs techniques (SILC, PCPD): beyond
 /// this the quadratic preprocessing dominates the whole run, and the
@@ -364,15 +375,30 @@ fn bench_network(
         });
     };
 
-    // Dijkstra first: it is the normalisation denominator for the
-    // regression check, so it must exist for every network.
-    let mut bi = BiDijkstra::new(n);
-    push(
-        "dijkstra",
-        "distance",
-        pairs.len(),
-        median_ns(&pairs, |s, t| bi.distance(net, s, t).unwrap_or(0)),
-    );
+    // Dijkstra is measured whatever the filters say: it is the
+    // normalisation denominator for the regression check, so it must
+    // exist for every network.
+    for kind in REGISTRY_ROWS {
+        if kind != BackendKind::Dijkstra && !want(kind.name(), "distance") {
+            continue;
+        }
+        if kind.needs_all_pairs() && n > ALL_PAIRS_CAP {
+            eprintln!(
+                "[bench {mode}/{}] {} skipped: {n} vertices exceeds the all-pairs cap ({ALL_PAIRS_CAP})",
+                dataset.name,
+                kind.name()
+            );
+            continue;
+        }
+        let built = kind.build(net);
+        let mut session = built.backend.session(net);
+        push(
+            kind.name(),
+            "distance",
+            pairs.len(),
+            median_ns(&pairs, |s, t| session.distance(s, t).unwrap_or(0)),
+        );
+    }
 
     // One CH build serves every hierarchy-based kernel: the distance and
     // path kernels, the bucket many-to-many, the one-to-many family, and
@@ -463,69 +489,6 @@ fn bench_network(
         }
     }
 
-    if want("tnr", "distance") {
-        let tnr = Tnr::build(net, &TnrParams::default());
-        let mut q = tnr.query().with_network(net);
-        push(
-            "tnr",
-            "distance",
-            pairs.len(),
-            median_ns(&pairs, |s, t| q.distance(s, t).unwrap_or(0)),
-        );
-    }
-    if want("alt", "distance") {
-        let alt = Alt::build(
-            net,
-            &AltParams {
-                num_landmarks: 16.min(n),
-                ..AltParams::default()
-            },
-        );
-        let mut q = alt.query(net);
-        push(
-            "alt",
-            "distance",
-            pairs.len(),
-            median_ns(&pairs, |s, t| q.distance(s, t).unwrap_or(0)),
-        );
-    }
-    if want("arcflags", "distance") {
-        let af = ArcFlags::build(net, &ArcFlagsParams::default());
-        let mut q = af.query(net);
-        push(
-            "arcflags",
-            "distance",
-            pairs.len(),
-            median_ns(&pairs, |s, t| q.distance(s, t).unwrap_or(0)),
-        );
-    }
-    if n <= ALL_PAIRS_CAP {
-        if want("silc", "distance") {
-            let silc = Silc::build(net);
-            let mut q = silc.query(net);
-            push(
-                "silc",
-                "distance",
-                pairs.len(),
-                median_ns(&pairs, |s, t| q.distance(s, t).unwrap_or(0)),
-            );
-        }
-        if want("pcpd", "distance") {
-            let pcpd = Pcpd::build(net);
-            let mut q = pcpd.query(net);
-            push(
-                "pcpd",
-                "distance",
-                pairs.len(),
-                median_ns(&pairs, |s, t| q.distance(s, t).unwrap_or(0)),
-            );
-        }
-    } else {
-        eprintln!(
-            "[bench {mode}/{}] silc/pcpd skipped: {n} vertices exceeds the all-pairs cap ({ALL_PAIRS_CAP})",
-            dataset.name
-        );
-    }
     Ok(())
 }
 

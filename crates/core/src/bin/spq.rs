@@ -6,8 +6,8 @@
 //! spq info --net P                           network statistics
 //! spq prep --net P --out F [--kind ch|hl|poi] build + persist a CH/HL index or POI set
 //! spq query --net P --from S --to T          answer one query
-//!           [--technique dijkstra|ch|tnr|silc|pcpd] [--ch F.ch] [--path]
-//! spq verify --net P [--samples N] [--seed S] certify all techniques
+//!           [--technique BACKEND] [--ch F.ch] [--path]
+//! spq verify --net P [--samples N] [--seed S] certify the default backends
 //! spq serve --net P [--addr A] [--backends L] run the query server
 //!           [--reload-file P] [--no-audit]    (hot reload + oracle audit)
 //! spq loadgen --net P [--concurrency L]      oracle-checked serving throughput
@@ -23,13 +23,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spq_core::{Index, Technique};
 use spq_graph::atomic_io;
 use spq_graph::size::IndexSize;
 use spq_graph::RoadNetwork;
 use spq_serve::loadgen::{run_in_process, write_csv, LoadgenOptions, ThroughputRow};
 use spq_serve::server::{install_signal_handlers, Server, ServerConfig};
-use spq_serve::{AuditConfig, BackendKind, BackendSpec, Engine};
+use spq_serve::{verify_session, AuditConfig, BackendKind, BackendSpec, Engine};
 use spq_synth::{SynthParams, DATASETS};
 
 fn main() -> ExitCode {
@@ -44,7 +43,6 @@ fn main() -> ExitCode {
         Some("serve") => serve(&args[1..]),
         Some("loadgen") => loadgen(&args[1..]),
         Some("bench") => bench(&args[1..]),
-        Some("qgen") => qgen(&args[1..]),
         Some("torture") => torture(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
@@ -71,7 +69,7 @@ fn print_usage() {
          \x20 prep --net P --out F [--kind ch|hl|poi] [--name N] [--count K]\n\
          \x20                                        build + persist a CH/HL index or POI set\n\
          \x20 query --net P --from S --to T [--technique T] [--ch F.ch] [--path]\n\
-         \x20 verify --net P [--samples N] [--seed S] certify all techniques\n\
+         \x20 verify --net P [--samples N] [--seed S] certify the default backends\n\
          \x20 serve (--net P | --target N) [--addr A] [--backends L] [--workers N]\n\
          \x20       [--shards N] [--pipeline-depth N] [--cache N] [--index kind=path]*\n\
          \x20       [--no-degrade] [--grace-ms N]\n\
@@ -92,15 +90,13 @@ fn print_usage() {
          \x20                                        query-latency report + regression gate\n\
          \x20                                        (OPS: distance,path,m2m,o2m,knn,range,\n\
          \x20                                         distances_batch)\n\
-         \x20 qgen (--net P | --target N) --out F [--seed S] [--o2m-sets N]\n\
-         \x20      [--o2m-targets N] [--knn-ks N] [--range-radii N]\n\
-         \x20                                        persist seeded workload shapes (SPQW)\n\
          \x20 torture [--dir D] [--seed S] [--rounds N] [--target N] [--no-minimize]\n\
          \x20         [--artifact F] [--startup-timeout-s N] [--resource]\n\
          \x20                                        crash/chaos recovery harness\n\
          \x20                                        (--resource: fd/disk/memory/slow-reader\n\
          \x20                                         exhaustion schedules)\n\n\
-         serve/loadgen backends: dijkstra,ch,tnr,silc,pcpd,alt,arcflags,hl (or 'all');\n\
+         backends (query --technique, serve/loadgen --backends):\n\
+         \x20 dijkstra,ch,tnr,silc,pcpd,alt,arcflags,hl (--backends also takes 'all');\n\
          see README.md for the wire protocol."
     );
 }
@@ -346,19 +342,14 @@ fn query(args: &[String]) -> Result<(), String> {
         );
     }
 
-    let technique = match opt(args, "--technique").unwrap_or("ch") {
-        "dijkstra" => Technique::BiDijkstra,
-        "ch" => Technique::Ch,
-        "tnr" => Technique::Tnr,
-        "silc" => Technique::Silc,
-        "pcpd" => Technique::Pcpd,
-        other => return Err(format!("unknown technique '{other}'")),
-    };
-    let (index, elapsed) = Index::build(technique, &net);
-    eprintln!("[{} preprocessing: {:.2?}]", technique.name(), elapsed);
-    let mut q = index.query(&net);
+    let name = opt(args, "--technique").unwrap_or("ch");
+    let kind = BackendKind::parse(name).ok_or_else(|| format!("unknown technique '{name}'"))?;
+    let built = kind.build(&net);
+    let label = built.backend.backend_name();
+    eprintln!("[{label} preprocessing: {:.2?}]", built.build_time);
+    let mut q = built.backend.session(&net);
     answer(
-        technique.name(),
+        label,
         q.distance(s, t),
         want_path.then(|| q.shortest_path(s, t)).flatten(),
         s,
@@ -383,24 +374,27 @@ fn verify(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(7);
     let mut failed = false;
-    for technique in Technique::ALL {
-        if technique.needs_all_pairs() && net.num_nodes() > 24_000 {
+    for kind in BackendKind::DEFAULT {
+        if kind.needs_all_pairs() && net.num_nodes() > 24_000 {
             println!(
                 "{:<9} skipped (all-pairs preprocessing on a large network)",
-                technique.name()
+                kind.name()
             );
             continue;
         }
-        let (index, elapsed) = Index::build(technique, &net);
-        let report = spq_core::verify_index(&net, &index, samples, seed);
+        let built = kind.build(&net);
+        let report = verify_session(&net, built.backend.session(&net).as_mut(), samples, seed);
         let status = if report.is_clean() { "ok" } else { "DEFECTIVE" };
         println!(
             "{:<9} {:>4} queries checked, {} defects ({status}; prep {:.2?})",
-            technique.name(),
+            kind.name(),
             report.checked,
             report.defects.len(),
-            elapsed
+            built.build_time
         );
+        for defect in &report.defects {
+            println!("  {defect}");
+        }
         failed |= !report.is_clean();
     }
     if failed {
@@ -791,40 +785,6 @@ fn bench(args: &[String]) -> Result<(), String> {
         opts.backends = s.split(',').map(|p| p.trim().to_string()).collect();
     }
     spq_core::bench::run(&opts)?;
-    Ok(())
-}
-
-fn qgen(args: &[String]) -> Result<(), String> {
-    use spq_queries::shapes::{generate_workload, ShapeGenParams};
-    let net = serve_network(args)?;
-    let out = required(args, "--out")?;
-    let mut params = ShapeGenParams::default();
-    if let Some(s) = opt(args, "--seed") {
-        params.seed = s
-            .parse()
-            .map_err(|_| "--seed must be an integer".to_string())?;
-    }
-    for (key, slot) in [
-        ("--o2m-sets", &mut params.o2m_sets),
-        ("--o2m-targets", &mut params.o2m_targets),
-        ("--knn-ks", &mut params.knn_ks),
-        ("--range-radii", &mut params.range_radii),
-    ] {
-        if let Some(s) = opt(args, key) {
-            *slot = s.parse().map_err(|_| format!("{key} must be an integer"))?;
-        }
-    }
-    let workload = generate_workload(&net, &params);
-    atomic_io::write_atomic(out, |w| workload.write_binary(w))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "wrote {out}: seed {}, {} o2m set(s) × {} target(s), k-sweep {:?}, {} radii",
-        workload.seed,
-        workload.o2m_sets.len(),
-        workload.o2m_sets.first().map(Vec::len).unwrap_or(0),
-        workload.knn_ks,
-        workload.range_radii.len()
-    );
     Ok(())
 }
 

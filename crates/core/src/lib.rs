@@ -3,10 +3,11 @@
 //! A from-scratch Rust implementation of the experimental framework of
 //! Wu et al., *"Shortest Path and Distance Queries on Road Networks: An
 //! Experimental Evaluation"* (PVLDB 5(5), 2012): the five evaluated
-//! techniques behind one API, the synthetic road-network substrate, and
-//! the workload generators driving every table and figure of the paper.
+//! techniques behind one registry, the synthetic road-network substrate,
+//! and the workload generators driving every table and figure of the
+//! paper.
 //!
-//! | Technique | Category | Crate |
+//! | Method | Category | Crate |
 //! |---|---|---|
 //! | bidirectional Dijkstra (baseline) | — | [`spq_dijkstra`] |
 //! | Contraction Hierarchies (CH) | vertex importance | [`spq_ch`] |
@@ -14,26 +15,28 @@
 //! | SILC | spatial coherence | [`spq_silc`] |
 //! | PCPD | spatial coherence | [`spq_pcpd`] |
 //!
+//! Every index is built by [`serve::BackendKind::build`] and answers
+//! through a [`graph::backend::Session`]; [`serve::verify_session`]
+//! checks any session against the Dijkstra oracle.
+//!
 //! # Quick start
 //!
 //! ```
-//! use spq_core::{Index, Technique};
+//! use spq_core::serve::BackendKind;
 //! use spq_synth::SynthParams;
 //!
 //! let net = spq_synth::generate(&SynthParams::with_target_vertices(500, 1));
-//! let (index, _elapsed) = Index::build(Technique::Ch, &net);
-//! let mut q = index.query(&net);
 //! let t = (net.num_nodes() - 1) as u32;
-//! let (d, path) = q.shortest_path(0, t).unwrap();
-//! assert_eq!(net.path_length(&path), Some(d));
+//! for kind in BackendKind::PAPER {
+//!     let built = kind.build(&net);
+//!     let mut q = built.backend.session(&net);
+//!     let (d, path) = q.shortest_path(0, t).unwrap();
+//!     assert_eq!(q.distance(0, t), Some(d));
+//!     assert_eq!(net.path_length(&path), Some(d));
+//! }
 //! ```
 
 pub mod bench;
-pub mod oracle;
-pub mod verify;
-
-pub use oracle::{Index, OracleQuery, Technique};
-pub use verify::{verify_index, VerifyReport};
 
 // Re-export the component crates so downstream users depend on one crate.
 pub use spq_ch as ch;
@@ -41,6 +44,7 @@ pub use spq_dijkstra as dijkstra;
 pub use spq_graph as graph;
 pub use spq_pcpd as pcpd;
 pub use spq_queries as queries;
+pub use spq_serve as serve;
 pub use spq_silc as silc;
 pub use spq_synth as synth;
 pub use spq_tnr as tnr;

@@ -11,7 +11,6 @@
 
 pub mod linf;
 pub mod network;
-pub mod shapes;
 pub mod stats;
 
 pub use linf::linf_query_sets;

@@ -5,10 +5,15 @@
 //! answers many clients at once, the first step toward the ROADMAP's
 //! "heavy traffic" north star:
 //!
+//! * [`BackendKind`] — the one technique registry: every index in the
+//!   workspace is built through [`BackendKind::build`] and checked
+//!   against the Dijkstra oracle by [`verify_session`]: the server,
+//!   `spq query`/`verify`/`bench` and the figure harness all build
+//!   through it, and serving and certifying both check through it.
 //! * [`Engine`] — the five paper indexes (plus ALT and optionally arc
 //!   flags) built over one road network, each behind the unified
-//!   [`spq_graph::backend::Backend`] trait, with a differential
-//!   self-check against the Dijkstra baseline gating startup.
+//!   [`spq_graph::backend::Backend`] trait, with that oracle check
+//!   gating startup.
 //! * [`server`] — a TCP service speaking the [`protocol`] wire format:
 //!   a fixed worker pool where every worker owns one reusable query
 //!   workspace per backend (hot paths stay allocation-free), request
@@ -52,6 +57,7 @@ pub mod stats;
 pub mod sync;
 pub mod torture;
 
+use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -63,8 +69,10 @@ use spq_arcflags::{ArcFlags, ArcFlagsParams};
 use spq_ch::ContractionHierarchy;
 use spq_dijkstra::{Baseline, Dijkstra};
 use spq_graph::atomic_io;
-use spq_graph::backend::Backend;
+use spq_graph::backend::{Backend, Session};
 use spq_graph::sample::PairSampler;
+use spq_graph::size::IndexSize;
+use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
 use spq_hl::Hl;
 use spq_many::{ManyBackend, PoiEntry, PoiIndex, PoiSet, PoiTable};
@@ -127,6 +135,56 @@ impl BackendKind {
         BackendKind::Alt,
         BackendKind::Hl,
     ];
+
+    /// The five techniques of the paper's §3, in its presentation order.
+    pub const PAPER: [BackendKind; 5] = [
+        BackendKind::Dijkstra,
+        BackendKind::Ch,
+        BackendKind::Tnr,
+        BackendKind::Silc,
+        BackendKind::Pcpd,
+    ];
+
+    /// Builds this technique's index over `net` in memory, timed and
+    /// sized. Every in-memory build in the workspace comes through here,
+    /// so each technique's parameters (TNR's defaults, ALT's landmark
+    /// count, the arc-flag grid) exist once.
+    pub fn build(self, net: &RoadNetwork) -> EngineBackend {
+        let start = Instant::now();
+        let (backend, index_bytes) = self.build_index(net);
+        EngineBackend {
+            kind: self,
+            backend,
+            build_time: start.elapsed(),
+            index_bytes,
+            aliases: Vec::new(),
+        }
+    }
+
+    /// [`BackendKind::build`] without the timing. A CH built here owns its
+    /// hierarchy; the engine's CH slot builds one it shares with POI
+    /// registration instead.
+    fn build_index(self, net: &RoadNetwork) -> (Box<dyn Backend>, usize) {
+        match self {
+            BackendKind::Dijkstra => (Box::new(Baseline), 0),
+            BackendKind::Ch => ch_slot(
+                Arc::new(ContractionHierarchy::build(net)),
+                PoiTable::empty(),
+            ),
+            BackendKind::Tnr => sized(Tnr::build(net, &TnrParams::default())),
+            BackendKind::Silc => sized(Silc::build(net)),
+            BackendKind::Pcpd => sized(Pcpd::build(net)),
+            BackendKind::Alt => sized(Alt::build(
+                net,
+                &AltParams {
+                    num_landmarks: 16.min(net.num_nodes()),
+                    ..AltParams::default()
+                },
+            )),
+            BackendKind::ArcFlags => sized(ArcFlags::build(net, &ArcFlagsParams::default())),
+            BackendKind::Hl => sized(Hl::build(net)),
+        }
+    }
 
     /// Stable protocol id.
     pub fn wire_id(self) -> u8 {
@@ -195,14 +253,32 @@ impl BackendKind {
     }
 }
 
+/// Boxes an index with its [`IndexSize`], read while the concrete type
+/// is still at hand.
+fn sized<B: Backend + IndexSize + 'static>(index: B) -> (Box<dyn Backend>, usize) {
+    let bytes = index.index_size_bytes();
+    (Box::new(index), bytes)
+}
+
+/// A hierarchy behind the one CH session type, answering kNN from
+/// `pois`.
+fn ch_slot(ch: Arc<ContractionHierarchy>, pois: Arc<PoiTable>) -> (Box<dyn Backend>, usize) {
+    let bytes = ch.index_size_bytes();
+    (Box::new(ManyBackend::new(ch, pois)), bytes)
+}
+
 /// One built backend inside an [`Engine`].
 pub struct EngineBackend {
     /// Which technique this is.
     pub kind: BackendKind,
     /// The index behind the unified trait.
     pub backend: Box<dyn Backend>,
-    /// Wall-clock preprocessing time.
+    /// Wall-clock preprocessing (or load) time.
     pub build_time: Duration,
+    /// The index's in-memory footprint as its own type reports it
+    /// ([`IndexSize`], the paper's Figure 6(a)); 0 for the index-free
+    /// baseline and for backends added with [`Engine::with_backend`].
+    pub index_bytes: usize,
     /// Extra wire ids this backend answers for (degraded techniques
     /// whose own index failed validation).
     pub aliases: Vec<u8>,
@@ -302,36 +378,15 @@ impl Engine {
         Engine::build_with_indexes(net, &specs, true).expect("in-memory builds cannot fail")
     }
 
-    /// Builds one backend in memory. CH is handled by the caller (its
-    /// hierarchy is shared with the POI machinery).
-    fn build_one(net: &RoadNetwork, kind: BackendKind) -> Box<dyn Backend> {
-        match kind {
-            BackendKind::Dijkstra => Box::new(Baseline),
-            BackendKind::Ch => unreachable!("CH slots are built by build_with_indexes"),
-            BackendKind::Tnr => Box::new(Tnr::build(net, &TnrParams::default())),
-            BackendKind::Silc => Box::new(Silc::build(net)),
-            BackendKind::Pcpd => Box::new(Pcpd::build(net)),
-            BackendKind::Alt => Box::new(Alt::build(
-                net,
-                &AltParams {
-                    num_landmarks: 16.min(net.num_nodes()),
-                    ..AltParams::default()
-                },
-            )),
-            BackendKind::ArcFlags => Box::new(ArcFlags::build(net, &ArcFlagsParams::default())),
-            BackendKind::Hl => Box::new(Hl::build(net)),
-        }
-    }
-
-    /// Loads a persisted index. The error is the rendered
-    /// [`spq_graph::binio::IndexLoadError`] (magic / version / checksum /
-    /// truncation all produce distinct, typed failures at the persist
-    /// layer) or a node-count mismatch against `net`.
+    /// Loads a persisted index, with its [`IndexSize`]. The error is the
+    /// rendered [`spq_graph::binio::IndexLoadError`] (magic / version /
+    /// checksum / truncation all produce distinct, typed failures at the
+    /// persist layer) or a node-count mismatch against `net`.
     pub fn load_backend(
         kind: BackendKind,
         path: &Path,
         net: &RoadNetwork,
-    ) -> Result<Box<dyn Backend>, String> {
+    ) -> Result<(Box<dyn Backend>, usize), String> {
         let shown = path.display();
         let check_nodes = |index_nodes: usize| -> Result<(), String> {
             if index_nodes == net.num_nodes() {
@@ -352,34 +407,31 @@ impl Engine {
             BackendKind::Pcpd => Err("PCPD has no on-disk index format".into()),
             // One CH session type: the slot `build_with_indexes` serves,
             // here without POI sets.
-            BackendKind::Ch => Ok(Box::new(ManyBackend::new(
-                Self::load_ch(path, net)?,
-                PoiTable::empty(),
-            ))),
+            BackendKind::Ch => Ok(ch_slot(Self::load_ch(path, net)?, PoiTable::empty())),
             BackendKind::Alt => {
                 let alt = Alt::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
                 check_nodes(alt.num_nodes())?;
-                Ok(Box::new(alt))
+                Ok(sized(alt))
             }
             BackendKind::Silc => {
                 let silc = Silc::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
                 check_nodes(silc.num_nodes())?;
-                Ok(Box::new(silc))
+                Ok(sized(silc))
             }
             BackendKind::Tnr => {
                 let tnr =
                     Tnr::read_binary(net, &mut open()?).map_err(|e| format!("{shown}: {e}"))?;
-                Ok(Box::new(tnr))
+                Ok(sized(tnr))
             }
             BackendKind::ArcFlags => {
                 let af = ArcFlags::read_binary(net, &mut open()?)
                     .map_err(|e| format!("{shown}: {e}"))?;
-                Ok(Box::new(af))
+                Ok(sized(af))
             }
             BackendKind::Hl => {
                 let hl = Hl::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
                 check_nodes(hl.num_nodes())?;
-                Ok(Box::new(hl))
+                Ok(sized(hl))
             }
         }
     }
@@ -458,49 +510,32 @@ impl Engine {
         let mut failed: Vec<(BackendKind, String)> = Vec::new();
         for spec in specs {
             let start = Instant::now();
-            // The CH slot is served by ManyBackend (point queries plus
-            // the one-to-many / kNN / range capabilities), which shares
-            // its hierarchy with POI registration — so it is built here
-            // rather than in `build_one`.
-            let backend: Box<dyn Backend> = if spec.kind == BackendKind::Ch {
-                let loaded = match &spec.index {
+            let slot = match (spec.kind, &spec.index) {
+                // The CH slot shares its hierarchy with POI registration,
+                // so it is built here rather than by `BackendKind::build`.
+                (BackendKind::Ch, index) => match index {
                     None => Ok(Arc::new(ContractionHierarchy::build(&engine.net))),
                     Some(path) => Self::load_ch(path, &engine.net),
-                };
-                match loaded {
-                    Ok(ch) => {
-                        engine.ch = Some(Arc::clone(&ch));
-                        Box::new(ManyBackend::new(ch, Arc::clone(&engine.pois)))
-                    }
-                    Err(reason) => {
-                        let reason = match &spec.index {
-                            Some(path) => annotate(reason, path),
-                            None => reason,
-                        };
-                        if !degrade {
-                            return Err(format!("cannot load ch index: {reason}"));
-                        }
-                        failed.push((spec.kind, reason));
-                        continue;
-                    }
                 }
-            } else {
-                match &spec.index {
-                    None => Self::build_one(&engine.net, spec.kind),
-                    Some(path) => match Self::load_backend(spec.kind, path, &engine.net) {
-                        Ok(b) => b,
-                        Err(reason) => {
-                            let reason = annotate(reason, path);
-                            if !degrade {
-                                return Err(format!(
-                                    "cannot load {} index: {reason}",
-                                    spec.kind.name()
-                                ));
-                            }
-                            failed.push((spec.kind, reason));
-                            continue;
-                        }
-                    },
+                .map(|ch| {
+                    engine.ch = Some(Arc::clone(&ch));
+                    ch_slot(ch, Arc::clone(&engine.pois))
+                }),
+                (kind, None) => Ok(kind.build_index(&engine.net)),
+                (kind, Some(path)) => Self::load_backend(kind, path, &engine.net),
+            };
+            let (backend, index_bytes) = match slot {
+                Ok(slot) => slot,
+                Err(reason) => {
+                    let reason = match &spec.index {
+                        Some(path) => annotate(reason, path),
+                        None => reason,
+                    };
+                    if !degrade {
+                        return Err(format!("cannot load {} index: {reason}", spec.kind.name()));
+                    }
+                    failed.push((spec.kind, reason));
+                    continue;
                 }
             };
             let build_time = start.elapsed();
@@ -518,6 +553,7 @@ impl Engine {
                 kind: spec.kind,
                 backend,
                 build_time,
+                index_bytes,
                 aliases: Vec::new(),
             });
         }
@@ -537,12 +573,9 @@ impl Engine {
                     let pos = match engine.position_of_wire(BackendKind::Dijkstra.wire_id()) {
                         Some(pos) => pos,
                         None => {
-                            engine.backends.push(EngineBackend {
-                                kind: BackendKind::Dijkstra,
-                                backend: Box::new(Baseline),
-                                build_time: Duration::ZERO,
-                                aliases: Vec::new(),
-                            });
+                            engine
+                                .backends
+                                .push(BackendKind::Dijkstra.build(&engine.net));
                             engine.backends.len() - 1
                         }
                     };
@@ -613,6 +646,7 @@ impl Engine {
             kind,
             backend,
             build_time: Duration::ZERO,
+            index_bytes: 0,
             aliases: Vec::new(),
         });
         self
@@ -649,45 +683,20 @@ impl Engine {
             .collect()
     }
 
-    /// The startup self-check: every backend must agree with the
-    /// Dijkstra oracle on `samples` random distance and path queries.
+    /// The startup self-check: [`verify_session`] over every backend, the
+    /// defects rendered one per line.
     ///
     /// Serving wrong answers fast is worse than not serving — the paper
     /// itself hinges on this point (a faulty TNR implementation
     /// invalidated previously published results, §1) — so callers treat
     /// any `Err` as fatal and exit non-zero before accepting traffic.
     pub fn self_check(&self, samples: usize, seed: u64) -> Result<(), String> {
-        let mut reference = Dijkstra::new(self.net.num_nodes());
         let mut defects = Vec::new();
         for eb in &self.backends {
             let mut session = eb.backend.session(&self.net);
-            let sampler = PairSampler::new(self.net.num_nodes(), seed);
-            for (s, t) in sampler.take(samples) {
-                reference.run_to_target(&self.net, s, t);
-                let expected = reference.distance(t);
-                let got = session.distance(s, t);
-                if got != expected {
-                    defects.push(format!(
-                        "{}: distance({s}, {t}) = {got:?}, oracle says {expected:?}",
-                        eb.backend.backend_name()
-                    ));
-                } else if let Some((d, path)) = session.shortest_path(s, t) {
-                    if Some(d) != expected || self.net.path_length(&path) != expected {
-                        defects.push(format!(
-                            "{}: path({s}, {t}) invalid (claimed {d}, oracle {expected:?})",
-                            eb.backend.backend_name()
-                        ));
-                    }
-                } else if expected.is_some() {
-                    defects.push(format!(
-                        "{}: no path returned for connected pair ({s}, {t})",
-                        eb.backend.backend_name()
-                    ));
-                }
-                if defects.len() >= 8 {
-                    break;
-                }
-            }
+            let report = verify_session(&self.net, session.as_mut(), samples, seed);
+            let name = eb.backend.backend_name();
+            defects.extend(report.defects.iter().map(|d| format!("{name}: {d}")));
         }
         if defects.is_empty() {
             Ok(())
@@ -701,12 +710,152 @@ impl Engine {
     }
 }
 
+/// Defects one [`verify_session`] run collects before it stops: one
+/// already disqualifies an index, the rest only help diagnose it.
+const MAX_DEFECTS: usize = 8;
+
+/// One disagreement between a session and the Dijkstra oracle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Defect {
+    /// Query source.
+    pub s: NodeId,
+    /// Query target.
+    pub t: NodeId,
+    /// The oracle's distance.
+    pub expected: Option<Dist>,
+    /// What the session got wrong.
+    pub kind: DefectKind,
+}
+
+/// What a [`Defect`] got wrong; each check of [`verify_session`] has
+/// its own variant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DefectKind {
+    /// The distance query answered this instead.
+    Distance(Option<Dist>),
+    /// No path for a pair the oracle connects.
+    MissingPath,
+    /// The path query claimed this length.
+    PathLength(Dist),
+    /// The path runs between these vertices instead (`None`: it is
+    /// empty).
+    PathEndpoints(Option<(NodeId, NodeId)>),
+    /// Walked over the network, the path has this length (`None`: some
+    /// step is not an edge).
+    PathEdges(Option<Dist>),
+}
+
+impl fmt::Display for Defect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Defect {
+            s,
+            t,
+            expected,
+            kind,
+        } = self;
+        match kind {
+            DefectKind::Distance(got) => write!(f, "distance({s}, {t}) = {got:?}")?,
+            DefectKind::MissingPath => write!(f, "path({s}, {t}) missing")?,
+            DefectKind::PathLength(claimed) => write!(f, "path({s}, {t}) claims length {claimed}")?,
+            DefectKind::PathEndpoints(Some((first, last))) => {
+                write!(f, "path({s}, {t}) runs from {first} to {last}")?
+            }
+            DefectKind::PathEndpoints(None) => write!(f, "path({s}, {t}) is empty")?,
+            DefectKind::PathEdges(walked) => {
+                write!(f, "path({s}, {t}) walks to {walked:?} over the network")?
+            }
+        }
+        write!(f, ", oracle says {expected:?}")
+    }
+}
+
+/// What one [`verify_session`] run found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifyReport {
+    /// Pairs checked.
+    pub checked: usize,
+    /// Defects found, at most eight (empty: the session agrees
+    /// with the oracle on every checked pair).
+    pub defects: Vec<Defect>,
+}
+
+impl VerifyReport {
+    /// Whether no defect was found.
+    pub fn is_clean(&self) -> bool {
+        self.defects.is_empty()
+    }
+}
+
+/// The oracle check every index passes before it is served
+/// ([`Engine::self_check`]) or certified (`spq verify`, `verify_all`):
+/// on the first `samples` pairs of [`PairSampler`]`(seed)`,
+/// the session's distance, its path's claimed length, the path's
+/// endpoints and the path's edges must all agree with Dijkstra. Stops
+/// after eight defects.
+pub fn verify_session(
+    net: &RoadNetwork,
+    session: &mut dyn Session,
+    samples: usize,
+    seed: u64,
+) -> VerifyReport {
+    let mut oracle = Dijkstra::new(net.num_nodes());
+    let mut report = VerifyReport {
+        checked: 0,
+        defects: Vec::new(),
+    };
+    for (s, t) in PairSampler::new(net.num_nodes(), seed).take(samples) {
+        if report.defects.len() >= MAX_DEFECTS {
+            break;
+        }
+        report.checked += 1;
+        oracle.run_to_target(net, s, t);
+        let expected = oracle.distance(t);
+        if let Some(kind) = check_pair(net, session, s, t, expected) {
+            report.defects.push(Defect {
+                s,
+                t,
+                expected,
+                kind,
+            });
+        }
+    }
+    report
+}
+
+/// One pair of [`verify_session`]; a wrong distance is reported without
+/// asking for the path.
+fn check_pair(
+    net: &RoadNetwork,
+    session: &mut dyn Session,
+    s: NodeId,
+    t: NodeId,
+    expected: Option<Dist>,
+) -> Option<DefectKind> {
+    let got = session.distance(s, t);
+    if got != expected {
+        return Some(DefectKind::Distance(got));
+    }
+    let Some((claimed, path)) = session.shortest_path(s, t) else {
+        return expected.map(|_| DefectKind::MissingPath);
+    };
+    let ends = path.first().copied().zip(path.last().copied());
+    if Some(claimed) != expected {
+        Some(DefectKind::PathLength(claimed))
+    } else if ends != Some((s, t)) {
+        Some(DefectKind::PathEndpoints(ends))
+    } else {
+        let walked = net.path_length(&path);
+        (walked != expected).then_some(DefectKind::PathEdges(walked))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spq_graph::backend::Session;
+    use spq_ch::ChQuery;
+    use spq_dijkstra::BiDijkstra;
     use spq_graph::binio::{self, IndexLoadError};
-    use spq_graph::types::{Dist, NodeId};
+    use spq_graph::toy::figure1;
     use spq_synth::SynthParams;
     use std::io::Write;
 
@@ -944,27 +1093,30 @@ mod tests {
     }
 
     /// A loaded CH index is served by the same session type as the CH
-    /// slot `build_with_indexes` builds, answers like the oracle, and is
-    /// refused against a network it does not cover.
+    /// slot `build_with_indexes` builds, records the same index bytes,
+    /// answers like the oracle, and is refused against a network it does
+    /// not cover.
     #[test]
     fn loaded_ch_index_is_served_by_the_one_ch_session_type() {
         let net = spq_synth::generate(&SynthParams::with_target_vertices(200, 17));
         let dir = std::env::temp_dir().join(format!("spq_serve_ch_load_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("net.ch");
+        let ch = ContractionHierarchy::build(&net);
         let mut file = Vec::new();
-        ContractionHierarchy::build(&net)
-            .write_binary(&mut file)
-            .unwrap();
+        ch.write_binary(&mut file).unwrap();
         std::fs::write(&path, &file).unwrap();
 
-        let loaded = Engine::load_backend(BackendKind::Ch, &path, &net).expect("clean load");
+        let (loaded, bytes) =
+            Engine::load_backend(BackendKind::Ch, &path, &net).expect("clean load");
         let built = Engine::build(net.clone(), &[BackendKind::Ch]);
         assert_eq!(
             [loaded.backend_name()],
             built.backend_names()[..],
             "one CH session type, loaded or built"
         );
+        assert_eq!(bytes, ch.index_size_bytes());
+        assert_eq!(built.backends()[0].index_bytes, bytes);
         let mut session = loaded.session(&net);
         let mut oracle = Dijkstra::new(net.num_nodes());
         for (s, t) in PairSampler::new(net.num_nodes(), 5).take(40) {
@@ -994,5 +1146,323 @@ mod tests {
             .with_backend(BackendKind::Ch, Box::new(Lying));
         let err = engine.self_check(40, 3).unwrap_err();
         assert!(err.contains("Lying"), "{err}");
+    }
+
+    /// `spq verify`'s path (one session through [`verify_session`]) and
+    /// the serving gate report the same defects for the same backend.
+    #[test]
+    fn a_lying_backend_yields_the_same_defects_through_both_checks() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 12));
+        let report = verify_session(&net, Lying.session(&net).as_mut(), 40, 3);
+        assert_eq!(report.defects.len(), MAX_DEFECTS, "{report:?}");
+        assert!(report.checked >= MAX_DEFECTS && report.checked < 40);
+        let err = Engine::build(net, &[])
+            .with_backend(BackendKind::Ch, Box::new(Lying))
+            .self_check(40, 3)
+            .unwrap_err();
+        let rendered: Vec<String> = report
+            .defects
+            .iter()
+            .map(|d| format!("Lying: {d}"))
+            .collect();
+        assert_eq!(
+            err.lines().skip(1).map(str::trim).collect::<Vec<_>>(),
+            rendered
+        );
+    }
+
+    #[test]
+    fn self_check_rejects_a_backend_answering_paths_backwards() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 12));
+        let (s, t) = PairSampler::new(net.num_nodes(), 3)
+            .take(40)
+            .find(|&(s, t)| s != t)
+            .expect("a pair of distinct vertices");
+        let reversed = PathLiar(ContractionHierarchy::build(&net), Lie::Reversed);
+        let engine = Engine::build(net, &[]).with_backend(BackendKind::Ch, Box::new(reversed));
+        let err = engine.self_check(40, 3).unwrap_err();
+        assert!(
+            err.contains(&format!("PathLiar: path({s}, {t}) runs from {t} to {s}")),
+            "{err}"
+        );
+    }
+
+    /// Honest distances over CH, and one kind of wrong path. `Reversed`
+    /// hands every path back from `t` to `s`: on an undirected network
+    /// the reversed sequence has the right length and valid edges, so
+    /// only the endpoint check catches it.
+    #[derive(Clone, Copy)]
+    enum Lie {
+        NoPath,
+        Length,
+        Empty,
+        Reversed,
+        Teleport,
+    }
+    struct PathLiar(ContractionHierarchy, Lie);
+    struct PathLiarSession<'a>(ChQuery<'a>, Lie);
+
+    impl Backend for PathLiar {
+        fn backend_name(&self) -> &'static str {
+            "PathLiar"
+        }
+        fn session<'a>(&'a self, _net: &'a RoadNetwork) -> Box<dyn Session + 'a> {
+            Box::new(PathLiarSession(ChQuery::new(&self.0), self.1))
+        }
+    }
+
+    impl Session for PathLiarSession<'_> {
+        fn distance(&mut self, s: NodeId, t: NodeId) -> Option<Dist> {
+            self.0.distance(s, t)
+        }
+        fn shortest_path(&mut self, s: NodeId, t: NodeId) -> Option<(Dist, Vec<NodeId>)> {
+            let (d, mut path) = self.0.shortest_path(s, t)?;
+            match self.1 {
+                Lie::NoPath => return None,
+                Lie::Length => return Some((d + 1, path)),
+                Lie::Empty => path.clear(),
+                Lie::Reversed => path.reverse(),
+                Lie::Teleport => path = vec![s, t],
+            }
+            Some((d, path))
+        }
+    }
+
+    /// Each way a path can be wrong while its distance is right is
+    /// reported as its own defect.
+    #[test]
+    fn every_path_lie_gets_its_own_defect() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 12));
+        for lie in [
+            Lie::NoPath,
+            Lie::Length,
+            Lie::Empty,
+            Lie::Reversed,
+            Lie::Teleport,
+        ] {
+            let backend = PathLiar(ContractionHierarchy::build(&net), lie);
+            let report = verify_session(&net, backend.session(&net).as_mut(), 40, 3);
+            assert!(!report.defects.is_empty());
+            for Defect { s, t, kind, .. } in &report.defects {
+                let typed = match lie {
+                    Lie::NoPath => *kind == DefectKind::MissingPath,
+                    Lie::Length => matches!(kind, DefectKind::PathLength(_)),
+                    Lie::Empty => *kind == DefectKind::PathEndpoints(None),
+                    Lie::Reversed => *kind == DefectKind::PathEndpoints(Some((*t, *s))),
+                    Lie::Teleport => *kind == DefectKind::PathEdges(None),
+                };
+                assert!(typed, "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn paper_kinds_carry_the_figure_labels() {
+        let net = figure1();
+        let labels: Vec<&str> = BackendKind::PAPER
+            .iter()
+            .map(|kind| kind.build(&net).backend.backend_name())
+            .collect();
+        assert_eq!(labels, ["Dijkstra", "CH", "TNR", "SILC", "PCPD"]);
+        let all_pairs: Vec<BackendKind> = BackendKind::PAPER
+            .into_iter()
+            .filter(|kind| kind.needs_all_pairs())
+            .collect();
+        assert_eq!(all_pairs, [BackendKind::Silc, BackendKind::Pcpd]);
+    }
+
+    #[test]
+    fn every_kind_agrees_with_the_oracle_on_figure1() {
+        let g = figure1();
+        let mut reference = Dijkstra::new(g.num_nodes());
+        let built: Vec<EngineBackend> = BackendKind::ALL.iter().map(|k| k.build(&g)).collect();
+        for s in 0..8u32 {
+            reference.run(&g, s);
+            for t in 0..8u32 {
+                let expect = reference.distance(t);
+                for eb in &built {
+                    let mut q = eb.backend.session(&g);
+                    let name = eb.backend.backend_name();
+                    assert_eq!(q.distance(s, t), expect, "{name} distance ({s},{t})");
+                    let (d, path) = q.shortest_path(s, t).unwrap();
+                    assert_eq!(Some(d), expect, "{name} path ({s},{t})");
+                    assert_eq!(g.path_length(&path), expect, "{name} path ({s},{t})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clean_backends_verify_clean() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(
+            spq_synth::test_vertices(400),
+            77,
+        ));
+        for kind in BackendKind::ALL {
+            let built = kind.build(&net);
+            let report = verify_session(&net, built.backend.session(&net).as_mut(), 40, 1);
+            assert!(report.is_clean(), "{}: {:?}", kind.name(), report.defects);
+            assert_eq!(report.checked, 40);
+        }
+    }
+
+    /// One pair's distance and path.
+    type Answer = (Option<Dist>, Option<(Dist, Vec<NodeId>)>);
+
+    /// Every pair's distance and path, asked of one workspace.
+    fn answers(
+        pairs: &[(NodeId, NodeId)],
+        mut ask: impl FnMut(NodeId, NodeId) -> Answer,
+    ) -> Vec<Answer> {
+        pairs.iter().map(|&(s, t)| ask(s, t)).collect()
+    }
+
+    /// The registry builds each technique exactly as its own crate does:
+    /// same answers as the concrete type's workspace, and the recorded
+    /// index bytes (the figures' space column) are that type's
+    /// [`IndexSize`].
+    #[test]
+    fn registry_builds_answer_and_size_like_each_concrete_type() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(300, 19));
+        let pairs = PairSampler::pairs(net.num_nodes(), 5, 30);
+        for kind in BackendKind::ALL {
+            let (bytes, own) = match kind {
+                BackendKind::Dijkstra => {
+                    let mut q = BiDijkstra::new(net.num_nodes());
+                    let own = answers(&pairs, |s, t| {
+                        (q.distance(&net, s, t), q.shortest_path(&net, s, t))
+                    });
+                    (0, own)
+                }
+                BackendKind::Ch => {
+                    let ch = ContractionHierarchy::build(&net);
+                    let mut q = ChQuery::new(&ch);
+                    let own = answers(&pairs, |s, t| (q.distance(s, t), q.shortest_path(s, t)));
+                    (ch.index_size_bytes(), own)
+                }
+                BackendKind::Tnr => {
+                    let tnr = Tnr::build(&net, &TnrParams::default());
+                    let mut q = tnr.query().with_network(&net);
+                    let own = answers(&pairs, |s, t| (q.distance(s, t), q.shortest_path(s, t)));
+                    (tnr.index_size_bytes(), own)
+                }
+                BackendKind::Silc => {
+                    let silc = Silc::build(&net);
+                    let mut q = silc.query(&net);
+                    let own = answers(&pairs, |s, t| (q.distance(s, t), q.shortest_path(s, t)));
+                    (silc.index_size_bytes(), own)
+                }
+                BackendKind::Pcpd => {
+                    let pcpd = Pcpd::build(&net);
+                    let mut q = pcpd.query(&net);
+                    let own = answers(&pairs, |s, t| (q.distance(s, t), q.shortest_path(s, t)));
+                    (pcpd.index_size_bytes(), own)
+                }
+                BackendKind::Alt => {
+                    let params = AltParams {
+                        num_landmarks: 16,
+                        ..AltParams::default()
+                    };
+                    let alt = Alt::build(&net, &params);
+                    let mut q = alt.query(&net);
+                    let own = answers(&pairs, |s, t| (q.distance(s, t), q.shortest_path(s, t)));
+                    (alt.index_size_bytes(), own)
+                }
+                BackendKind::ArcFlags => {
+                    let flags = ArcFlags::build(&net, &ArcFlagsParams::default());
+                    let mut q = flags.query(&net);
+                    let own = answers(&pairs, |s, t| (q.distance(s, t), q.shortest_path(s, t)));
+                    (flags.index_size_bytes(), own)
+                }
+                BackendKind::Hl => {
+                    let hl = Hl::build(&net);
+                    let mut paths = ChQuery::new(hl.hierarchy());
+                    let own = answers(&pairs, |s, t| {
+                        (hl.labels().distance(s, t), paths.shortest_path(s, t))
+                    });
+                    (hl.index_size_bytes(), own)
+                }
+            };
+            let built = kind.build(&net);
+            assert_eq!(built.kind, kind);
+            assert_eq!(built.index_bytes, bytes, "{} index bytes", kind.name());
+            let mut session = built.backend.session(&net);
+            let registry = answers(&pairs, |s, t| {
+                (session.distance(s, t), session.shortest_path(s, t))
+            });
+            assert_eq!(registry, own, "{} answers", kind.name());
+        }
+    }
+
+    /// Appendix B's hazard: TNR with the flawed access-node computation
+    /// really does corrupt table answers on a network with long bridge
+    /// edges — the defect the oracle check exists to catch.
+    #[test]
+    fn flawed_tnr_is_caught() {
+        use spq_graph::GraphBuilder;
+        use spq_tnr::AccessNodeStrategy;
+        // A network with long bridge edges (the Appendix B hazard), so
+        // the flawed access-node computation actually corrupts answers.
+        let base = spq_synth::generate(&SynthParams::with_target_vertices(2_000, 78));
+        let mut b = GraphBuilder::with_capacity(base.num_nodes(), base.num_edges() + 64);
+        for v in 0..base.num_nodes() as NodeId {
+            b.add_node(base.coord(v));
+        }
+        for v in 0..base.num_nodes() as NodeId {
+            for (u, w) in base.neighbors(v) {
+                if v < u {
+                    b.add_edge(v, u, w);
+                }
+            }
+        }
+        let rect = base.bounding_rect();
+        let span = rect.width().max(rect.height());
+        let mut state = 0x600d_c0deu64;
+        let mut added = 0;
+        while added < 40 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(23);
+            let s = ((state >> 33) % base.num_nodes() as u64) as NodeId;
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(23);
+            let t = ((state >> 33) % base.num_nodes() as u64) as NodeId;
+            let d = base.coord(s).linf(&base.coord(t)) as u64;
+            if s != t && d > span * 3 / 64 && d < span * 6 / 64 {
+                b.add_edge(s, t, (d / 8).max(1) as u32);
+                added += 1;
+            }
+        }
+        let net = b.build().unwrap();
+        let flawed = Tnr::build(
+            &net,
+            &TnrParams {
+                access: AccessNodeStrategy::FlawedBast,
+                ..TnrParams::default()
+            },
+        );
+        // The flawed index *with its CH fallback masked off* would be
+        // wrong; through the public API the fallback can rescue local
+        // queries, so probe the raw tables for at least one corruption.
+        let mut q = flawed.query().with_network(&net);
+        let mut reference = Dijkstra::new(net.num_nodes());
+        let mut corrupted = false;
+        let n = net.num_nodes() as u64;
+        let mut state = 99u64;
+        for _ in 0..4_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(3);
+            let s = ((state >> 33) % n) as NodeId;
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(3);
+            let t = ((state >> 33) % n) as NodeId;
+            if !flawed.distance_applicable(s, t) {
+                continue;
+            }
+            reference.run_to_target(&net, s, t);
+            if q.table_distance(s, t) != reference.distance(t).unwrap() {
+                corrupted = true;
+                break;
+            }
+        }
+        assert!(
+            corrupted,
+            "expected the flawed access nodes to corrupt an answer"
+        );
     }
 }

@@ -129,6 +129,14 @@ use crate::stats::{ServerStats, WIRE_SLOTS};
 use crate::sync::lock_unpoisoned;
 use crate::Engine;
 
+/// Per-connection unparsed-bytes cap: one max frame plus slack. A peer
+/// flooding bytes faster than they parse is paused, not buffered without
+/// bound.
+const RBUF_CAP: usize = protocol::MAX_FRAME + 4 + 64 * 1024;
+
+/// How long a `RELOAD` frame may wait for its attempt's outcome.
+const RELOAD_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -163,8 +171,6 @@ pub struct ServerConfig {
     /// stalling mid-frame past this is disconnected. (An idle
     /// connection at a frame boundary is never disconnected.)
     pub stall_timeout: Duration,
-    /// Largest accepted frame (clamped to the protocol's own cap).
-    pub max_frame_len: usize,
     /// Per-connection cap on buffered response bytes. A connection
     /// whose write backlog reaches the cap stops being parsed *and*
     /// read (backpressure through TCP); if it then makes no write
@@ -198,8 +204,6 @@ pub struct ServerConfig {
     pub reload_file: Option<PathBuf>,
     /// How often the reload file is polled for content changes.
     pub reload_poll: Duration,
-    /// How long a `RELOAD` frame may wait for its attempt's outcome.
-    pub reload_timeout: Duration,
     /// Random pairs the pre-publication self-check (and any startup
     /// self-check the caller runs) compares against the oracle.
     pub selfcheck_queries: usize,
@@ -229,7 +233,6 @@ impl Default for ServerConfig {
             max_pending: 64,
             write_timeout: Duration::from_secs(2),
             stall_timeout: Duration::from_secs(2),
-            max_frame_len: protocol::MAX_FRAME,
             wbuf_cap: 4 << 20,
             mem_budget: 0,
             max_connections: 0,
@@ -238,7 +241,6 @@ impl Default for ServerConfig {
             reload_factory: None,
             reload_file: None,
             reload_poll: Duration::from_millis(500),
-            reload_timeout: Duration::from_secs(120),
             selfcheck_queries: 32,
             selfcheck_seed: 7,
             audit: None,
@@ -521,7 +523,7 @@ impl Server {
             stats: Arc::clone(&stats),
             cache: Arc::clone(&cache),
             registry: Arc::clone(&registry),
-            reload_timeout: cfg.reload_timeout,
+            reload_timeout: RELOAD_TIMEOUT,
             has_reload_source,
             failover: cfg.audit.as_ref().map_or(true, |a| a.failover),
         });
@@ -535,12 +537,10 @@ impl Server {
                 shutdown: Arc::clone(&shutdown),
                 force_stop: Arc::clone(&force_stop),
                 stats: Arc::clone(&stats),
-                max_frame: cfg.max_frame_len.min(protocol::MAX_FRAME),
                 stall_timeout: cfg.stall_timeout,
                 write_timeout: cfg.write_timeout,
                 pipeline_depth: cfg.pipeline_depth.max(1),
                 wbuf_cap: cfg.wbuf_cap.max(4096),
-                rbuf_cap: cfg.max_frame_len.min(protocol::MAX_FRAME) + 4 + 64 * 1024,
                 mem_budget: cfg.mem_budget,
             };
             let handles = Arc::clone(&handles);
@@ -937,16 +937,11 @@ struct ShardCtx {
     shutdown: Arc<AtomicBool>,
     force_stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    max_frame: usize,
     stall_timeout: Duration,
     write_timeout: Duration,
     pipeline_depth: usize,
     /// Per-connection write-backlog cap (see [`ServerConfig::wbuf_cap`]).
     wbuf_cap: usize,
-    /// Per-connection unparsed-bytes cap: one max frame plus slack. A
-    /// peer flooding bytes faster than they parse is paused, not
-    /// buffered without bound.
-    rbuf_cap: usize,
     /// Global byte budget (0 = unlimited); checked against
     /// `stats.mem_used`.
     mem_budget: usize,
@@ -1028,13 +1023,13 @@ impl Conn {
 
 /// Whether the unparsed bytes start with a complete (or oversized, and
 /// therefore immediately actionable) frame.
-fn has_full_frame(conn: &Conn, max_frame: usize) -> bool {
+fn has_full_frame(conn: &Conn) -> bool {
     let avail = &conn.rbuf[conn.rstart..];
     if avail.len() < 4 {
         return false;
     }
     let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-    len > max_frame || avail.len() >= 4 + len
+    len > protocol::MAX_FRAME || avail.len() >= 4 + len
 }
 
 /// Opens a length-prefixed frame in the connection's write queue and
@@ -1172,7 +1167,7 @@ fn parse_and_dispatch(
             break;
         }
         let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > ctx.max_frame {
+        if len > protocol::MAX_FRAME {
             // Unrecoverable: framing is lost. Answer in sequence and
             // drop the link without ever allocating the claimed length.
             stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -1572,7 +1567,7 @@ fn service_conn(
     // complete frame waiting on pipeline backpressure is not a stall,
     // and progress (handled at read time) restarts the clock.
     let leftover = conn.rbuf.len() - conn.rstart;
-    if leftover > 0 && !has_full_frame(conn, ctx.max_frame) && !conn.close_after_flush {
+    if leftover > 0 && !has_full_frame(conn) && !conn.close_after_flush {
         conn.partial_since.get_or_insert(now);
     } else {
         conn.partial_since = None;
@@ -1607,10 +1602,8 @@ fn service_conn(
     let want_write = conn.wstart < conn.wbuf.len();
     let over_budget =
         ctx.mem_budget > 0 && ctx.stats.mem_used.load(Ordering::Relaxed) > ctx.mem_budget as u64;
-    let want_read = !conn.close_after_flush
-        && rpending < ctx.rbuf_cap
-        && wpending < ctx.wbuf_cap
-        && !over_budget;
+    let want_read =
+        !conn.close_after_flush && rpending < RBUF_CAP && wpending < ctx.wbuf_cap && !over_budget;
     if (want_write != conn.write_interest || want_read != conn.read_interest)
         && poller
             .modify(conn.stream.as_raw_fd(), conn.token, want_read, want_write)
@@ -1636,7 +1629,7 @@ fn should_close(conn: &Conn, ctx: &ShardCtx, now: Instant, stopping_now: bool) -
     if drained && stopping_now {
         return true; // graceful shutdown: last responses delivered, then close
     }
-    if drained && conn.eof && !has_full_frame(conn, ctx.max_frame) {
+    if drained && conn.eof && !has_full_frame(conn) {
         return true; // peer finished and everything owed was flushed
     }
     // Mid-frame stall: only once nothing is owed (a slow-loris with

@@ -38,7 +38,6 @@ use spq_dijkstra::Dijkstra;
 use spq_graph::atomic_io::{self, CrashStage, CRASH_ENV};
 use spq_graph::types::NodeId;
 use spq_graph::RoadNetwork;
-use spq_queries::shapes::{self, ShapeGenParams, Workload};
 
 use crate::byteproxy::{ByteFaultPlan, ByteProxy};
 use crate::client::{ClientError, ServeClient};
@@ -543,12 +542,23 @@ fn run_spq(
 // ---------------------------------------------------------------------------
 
 /// Everything shared across rounds: the network both the children and
-/// the oracle load, the query pairs, and the persisted workload shapes.
+/// the oracle load, the query pairs, and the one-to-many target list.
 struct TortureEnv {
     net: RoadNetwork,
     net_base: String,
     pairs: Vec<(NodeId, NodeId)>,
-    workload: Workload,
+    o2m_targets: Vec<NodeId>,
+}
+
+/// Targets of the recovery check's one-to-many batch.
+const O2M_TARGETS: usize = 64;
+
+/// The recovery check's one-to-many targets, drawn from the campaign
+/// seed.
+fn o2m_targets(net: &RoadNetwork, seed: u64) -> Vec<NodeId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = net.num_nodes() as NodeId;
+    (0..O2M_TARGETS).map(|_| rng.random_range(0..n)).collect()
 }
 
 fn serve_args(net_base: &str, index: &Path, extra: &[&str]) -> Vec<String> {
@@ -1075,8 +1085,7 @@ fn run_schedule(
     // never kept serving wrong bytes.
     checked_distances(env, &mut client, BackendKind::Dijkstra, 12, 0, false)?;
     checked_distances(env, &mut client, BackendKind::Ch, 12, 5, false)?;
-    // One one-to-many batch from the persisted workload shapes.
-    let targets = &env.workload.o2m_sets[0];
+    let targets = &env.o2m_targets;
     let (s, _) = env.pairs[0];
     let got = client
         .one_to_many(BackendKind::Dijkstra, s, targets)
@@ -1149,30 +1158,12 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
     let net = spq_graph::dimacs::read(BufReader::new(gr), BufReader::new(co))
         .map_err(|e| format!("parse {net_base}: {e}"))?;
 
-    // The persisted workload shapes: written through the atomic path,
-    // read back, and used for the recovery one-to-many checks — the
-    // same format `spq qgen` writes.
-    let workload_path = opts.dir.join("workload.spqw");
-    let workload = shapes::generate_workload(
-        &net,
-        &ShapeGenParams {
-            seed: opts.seed,
-            ..ShapeGenParams::default()
-        },
-    );
-    atomic_io::write_atomic(&workload_path, |w| workload.write_binary(w))
-        .map_err(|e| format!("write {}: {e}", workload_path.display()))?;
-    let mut f = fs::File::open(&workload_path)
-        .map_err(|e| format!("open {}: {e}", workload_path.display()))?;
-    let workload = Workload::read_binary(&mut f).map_err(|e| format!("reload workload: {e}"))?;
-    drop(f);
-
     let pairs = crate::loadgen::workload_pairs(&net, 40, opts.seed);
     let env = TortureEnv {
+        o2m_targets: o2m_targets(&net, opts.seed),
         net,
         net_base,
         pairs,
-        workload,
     };
 
     let mut report = TortureReport {
@@ -1253,6 +1244,16 @@ mod tests {
         // Different seeds diverge somewhere in a small sample.
         let differs = (0..16u64).any(|s| gen_schedule(s) != gen_schedule(s + 1000));
         assert!(differs, "schedules never varied across seeds");
+    }
+
+    #[test]
+    fn o2m_targets_are_seeded_and_in_range() {
+        let net = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(96, 3));
+        let a = o2m_targets(&net, 20260808);
+        assert_eq!(a.len(), O2M_TARGETS);
+        assert_eq!(a, o2m_targets(&net, 20260808));
+        assert_ne!(a, o2m_targets(&net, 20260809));
+        assert!(a.iter().all(|&v| (v as usize) < net.num_nodes()));
     }
 
     #[test]

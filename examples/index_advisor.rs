@@ -12,8 +12,8 @@
 
 use std::time::Instant;
 
-use spq_core::{Index, Technique};
 use spq_queries::{linf_query_sets, QueryGenParams};
+use spq_serve::BackendKind;
 use spq_synth::SynthParams;
 
 fn main() {
@@ -41,9 +41,9 @@ fn main() {
         "technique", "prep (ms)", "index (MB)", "distance (µs)", "path (µs)"
     );
     let mut rows = Vec::new();
-    for technique in Technique::ALL {
-        let (index, prep) = Index::build(technique, &net);
-        let mut q = index.query(&net);
+    for kind in BackendKind::PAPER {
+        let built = kind.build(&net);
+        let mut q = built.backend.session(&net);
 
         let t0 = Instant::now();
         for &(s, t) in &workload {
@@ -57,23 +57,23 @@ fn main() {
         }
         let path_us = t0.elapsed().as_secs_f64() * 1e6 / workload.len() as f64;
 
-        let mb = index.size_bytes() as f64 / (1024.0 * 1024.0);
+        let mb = built.index_bytes as f64 / (1024.0 * 1024.0);
         println!(
             "{:<9} {:>12.1} {:>12.2} {:>16.2} {:>16.2}",
-            technique.name(),
-            prep.as_secs_f64() * 1e3,
+            built.backend.backend_name(),
+            built.build_time.as_secs_f64() * 1e3,
             mb,
             dist_us,
             path_us
         );
-        rows.push((technique, mb, dist_us, path_us));
+        rows.push((kind, mb, dist_us, path_us));
     }
 
     // The paper's guidance, applied to the measurements.
     println!("\nadvice (per the paper's conclusions):");
     println!("  balanced space/time ................ CH");
-    let tnr = rows.iter().find(|r| r.0 == Technique::Tnr).unwrap();
-    let ch = rows.iter().find(|r| r.0 == Technique::Ch).unwrap();
+    let tnr = rows.iter().find(|r| r.0 == BackendKind::Tnr).unwrap();
+    let ch = rows.iter().find(|r| r.0 == BackendKind::Ch).unwrap();
     if tnr.2 < ch.2 {
         println!(
             "  distance-query heavy, far pairs .... TNR (measured {:.2}µs vs CH {:.2}µs)",
@@ -82,7 +82,7 @@ fn main() {
     } else {
         println!("  distance-query heavy ............... CH (TNR gains need farther pairs)");
     }
-    let silc = rows.iter().find(|r| r.0 == Technique::Silc).unwrap();
+    let silc = rows.iter().find(|r| r.0 == BackendKind::Silc).unwrap();
     println!(
         "  path-query heavy, space-rich ....... SILC (measured {:.2}µs/path at {:.1} MB)",
         silc.3, silc.1

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spq_core::{Index, Technique};
+use spq_serve::BackendKind;
 use spq_synth::SynthParams;
 
 fn main() {
@@ -31,9 +31,9 @@ fn main() {
         restaurants.len()
     );
 
-    for technique in [Technique::BiDijkstra, Technique::Ch, Technique::Tnr] {
-        let (index, prep) = Index::build(technique, &net);
-        let mut q = index.query(&net);
+    for kind in [BackendKind::Dijkstra, BackendKind::Ch, BackendKind::Tnr] {
+        let built = kind.build(&net);
+        let mut q = built.backend.session(&net);
         let t0 = Instant::now();
         let (best, dist) = restaurants
             .iter()
@@ -43,8 +43,8 @@ fn main() {
         let elapsed = t0.elapsed();
         println!(
             "{:<9} prep {:>9.3?} | 50 distance queries in {:>9.3?} ({:>8.2?}/query) -> nearest v{best} at distance {dist}",
-            technique.name(),
-            prep,
+            built.backend.backend_name(),
+            built.build_time,
             elapsed,
             elapsed / restaurants.len() as u32,
         );

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release -p spq-core --example quickstart`
 
-use spq_core::{Index, Technique};
 use spq_graph::size::IndexSize;
+use spq_serve::BackendKind;
 use spq_synth::SynthParams;
 
 fn main() {
@@ -21,18 +21,18 @@ fn main() {
     let s = 0u32;
     let t = (net.num_nodes() - 1) as u32;
 
-    for technique in Technique::ALL {
-        let (index, elapsed) = Index::build(technique, &net);
-        let mut q = index.query(&net);
+    for kind in BackendKind::PAPER {
+        let built = kind.build(&net);
+        let mut q = built.backend.session(&net);
         let d = q.distance(s, t).expect("connected network");
         let (pd, path) = q.shortest_path(s, t).expect("connected network");
         assert_eq!(d, pd);
         assert_eq!(net.path_length(&path), Some(pd), "path must be valid");
         println!(
             "{:<9} preprocessing {:>9.3?}  index {:>10} B  dist(s,t) = {:>7}  path = {} vertices",
-            technique.name(),
-            elapsed,
-            index.size_bytes(),
+            built.backend.backend_name(),
+            built.build_time,
+            built.index_bytes,
             d,
             path.len()
         );

@@ -23,12 +23,11 @@ use spq_graph::toy::figure1;
 use spq_graph::{par, RoadNetwork};
 use spq_hl::Hl;
 use spq_many::PoiSet;
-use spq_queries::shapes::{generate_workload, ShapeGenParams};
 use spq_silc::Silc;
 use spq_synth::SynthParams;
 use spq_tnr::{Tnr, TnrParams};
 
-/// `(magic, length, XXH64 with seed 0)` of all eight containers built
+/// `(magic, length, XXH64 with seed 0)` of all seven containers built
 /// over one network, in a fixed order.
 fn fingerprints(net: &RoadNetwork) -> Vec<(String, usize, u64)> {
     fn container(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
@@ -55,14 +54,6 @@ fn fingerprints(net: &RoadNetwork) -> Vec<(String, usize, u64)> {
         },
     );
     let flags = ArcFlags::build(net, &ArcFlagsParams { grid: 3 });
-    let workload = generate_workload(
-        net,
-        &ShapeGenParams {
-            o2m_sets: 3,
-            o2m_targets: 4,
-            ..ShapeGenParams::default()
-        },
-    );
     [
         container(|b| ch.write_binary(b)),
         container(|b| hl.write_binary(b)),
@@ -71,7 +62,6 @@ fn fingerprints(net: &RoadNetwork) -> Vec<(String, usize, u64)> {
         container(|b| silc.write_binary(b)),
         container(|b| alt.write_binary(b)),
         container(|b| flags.write_binary(b)),
-        container(|b| workload.write_binary(b)),
     ]
     .into_iter()
     .map(|bytes| {
@@ -162,7 +152,6 @@ const FIGURE1: &[(&str, usize, u64)] = &[
     ("SPQS", 522, 0x1396eebf1ff4c49b),
     ("SPQA", 156, 0xba789c0d82079c39),
     ("SPQF", 184, 0xa2973d03880a534f),
-    ("SPQW", 200, 0xe049f0cd5f14c9de),
 ];
 
 const SYNTHETIC_900: &[(&str, usize, u64)] = &[
@@ -173,5 +162,4 @@ const SYNTHETIC_900: &[(&str, usize, u64)] = &[
     ("SPQS", 545834, 0xae9b9aedcd9831ba),
     ("SPQA", 11700, 0xd9ac478d7ccbceee),
     ("SPQF", 21336, 0x28b3d747067e8686),
-    ("SPQW", 224, 0xbd9933fb0cea0963),
 ];

@@ -3,10 +3,10 @@
 //! whole comparative evaluation rests on (the paper built all methods on
 //! "common subroutines" to guarantee comparability, §4.1).
 
-use spq_core::{Index, Technique};
 use spq_dijkstra::Dijkstra;
 use spq_graph::types::NodeId;
 use spq_graph::RoadNetwork;
+use spq_serve::BackendKind;
 use spq_synth::SynthParams;
 
 fn random_pairs(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
@@ -24,11 +24,8 @@ fn random_pairs(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
 
 fn check(net: &RoadNetwork, pairs: &[(NodeId, NodeId)]) {
     let mut reference = Dijkstra::new(net.num_nodes());
-    let indexes: Vec<_> = Technique::ALL
-        .iter()
-        .map(|&t| Index::build(t, net).0)
-        .collect();
-    let mut queries: Vec<_> = indexes.iter().map(|i| i.query(net)).collect();
+    let built: Vec<_> = BackendKind::PAPER.iter().map(|k| k.build(net)).collect();
+    let mut queries: Vec<_> = built.iter().map(|b| b.backend.session(net)).collect();
     for &(s, t) in pairs {
         reference.run_to_target(net, s, t);
         let expect = reference.distance(t);

@@ -1,8 +1,8 @@
 //! Integration: degenerate inputs and failure paths across the stack.
 
-use spq_core::{Index, Technique};
 use spq_graph::geo::Point;
 use spq_graph::{GraphBuilder, GraphError};
+use spq_serve::BackendKind;
 
 #[test]
 fn builder_rejects_malformed_graphs() {
@@ -23,10 +23,10 @@ fn single_vertex_network_works_everywhere() {
     let mut b = GraphBuilder::new();
     b.add_node(Point::new(0, 0));
     let net = b.build().unwrap();
-    for technique in Technique::ALL {
-        let (index, _) = Index::build(technique, &net);
-        let mut q = index.query(&net);
-        assert_eq!(q.distance(0, 0), Some(0), "{}", technique.name());
+    for kind in BackendKind::PAPER {
+        let built = kind.build(&net);
+        let mut q = built.backend.session(&net);
+        assert_eq!(q.distance(0, 0), Some(0), "{}", kind.name());
         let (d, path) = q.shortest_path(0, 0).unwrap();
         assert_eq!(d, 0);
         assert_eq!(path, vec![0]);
@@ -40,10 +40,10 @@ fn single_edge_network_works_everywhere() {
     b.add_node(Point::new(10, 0));
     b.add_edge(0, 1, 7);
     let net = b.build().unwrap();
-    for technique in Technique::ALL {
-        let (index, _) = Index::build(technique, &net);
-        let mut q = index.query(&net);
-        assert_eq!(q.distance(0, 1), Some(7), "{}", technique.name());
+    for kind in BackendKind::PAPER {
+        let built = kind.build(&net);
+        let mut q = built.backend.session(&net);
+        assert_eq!(q.distance(0, 1), Some(7), "{}", kind.name());
         let (d, path) = q.shortest_path(1, 0).unwrap();
         assert_eq!(d, 7);
         assert_eq!(path, vec![1, 0]);
@@ -65,9 +65,9 @@ fn duplicate_coordinates_stay_exact() {
     b.add_edge(0, 5, 100);
     let net = b.build().unwrap();
     let mut reference = spq_dijkstra::Dijkstra::new(net.num_nodes());
-    for technique in Technique::ALL {
-        let (index, _) = Index::build(technique, &net);
-        let mut q = index.query(&net);
+    for kind in BackendKind::PAPER {
+        let built = kind.build(&net);
+        let mut q = built.backend.session(&net);
         for s in 0..6u32 {
             reference.run(&net, s);
             for t in 0..6u32 {
@@ -75,7 +75,7 @@ fn duplicate_coordinates_stay_exact() {
                     q.distance(s, t),
                     reference.distance(t),
                     "{} on ({s},{t})",
-                    technique.name()
+                    kind.name()
                 );
             }
         }

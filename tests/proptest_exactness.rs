@@ -3,10 +3,10 @@
 //! edge-valid with optimal length.
 
 use proptest::prelude::*;
-use spq_core::{Index, Technique};
 use spq_dijkstra::Dijkstra;
 use spq_graph::geo::Point;
 use spq_graph::{GraphBuilder, NodeId, RoadNetwork};
+use spq_serve::BackendKind;
 
 /// A connected graph with random planar-ish coordinates: a random spine
 /// guarantees connectivity, extra edges add alternative routes.
@@ -40,20 +40,17 @@ proptest! {
     #[test]
     fn all_techniques_exact_on_arbitrary_graphs(net in arb_network()) {
         let mut reference = Dijkstra::new(net.num_nodes());
-        let indexes: Vec<_> = Technique::ALL
-            .iter()
-            .map(|&t| Index::build(t, &net).0)
-            .collect();
+        let built: Vec<_> = BackendKind::PAPER.iter().map(|k| k.build(&net)).collect();
         let n = net.num_nodes() as NodeId;
         for s in 0..n {
             reference.run(&net, s);
             for t in 0..n {
                 let expect = reference.distance(t);
-                for index in &indexes {
-                    let mut q = index.query(&net);
+                for b in &built {
+                    let mut q = b.backend.session(&net);
                     prop_assert_eq!(
                         q.distance(s, t), expect,
-                        "{} disagrees on ({},{})", index.technique().name(), s, t
+                        "{} disagrees on ({},{})", b.backend.backend_name(), s, t
                     );
                     let (d, path) = q.shortest_path(s, t).expect("connected");
                     prop_assert_eq!(Some(d), expect);
@@ -67,12 +64,12 @@ proptest! {
 
     #[test]
     fn index_sizes_are_reported(net in arb_network()) {
-        for technique in Technique::ALL {
-            let (index, _) = Index::build(technique, &net);
-            if technique == Technique::BiDijkstra {
-                prop_assert_eq!(index.size_bytes(), 0);
+        for kind in BackendKind::PAPER {
+            let built = kind.build(&net);
+            if kind == BackendKind::Dijkstra {
+                prop_assert_eq!(built.index_bytes, 0);
             } else {
-                prop_assert!(index.size_bytes() > 0);
+                prop_assert!(built.index_bytes > 0);
             }
         }
     }

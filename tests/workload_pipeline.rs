@@ -2,8 +2,8 @@
 //! query-set generation → per-technique measurement — holds together the
 //! way the harness binaries assume.
 
-use spq_core::{Index, Technique};
 use spq_queries::{linf_query_sets, network_query_sets, QueryGenParams};
+use spq_serve::BackendKind;
 use spq_synth::{Dataset, Scale};
 
 #[test]
@@ -17,8 +17,8 @@ fn q_sets_drive_all_techniques_on_smoke_de() {
         },
     );
     assert_eq!(sets.len(), 10);
-    let (index, _) = Index::build(Technique::Ch, &net);
-    let mut q = index.query(&net);
+    let built = BackendKind::Ch.build(&net);
+    let mut q = built.backend.session(&net);
     let mut answered = 0;
     for set in &sets {
         for &(s, t) in &set.pairs {
@@ -40,8 +40,8 @@ fn r_sets_are_generated_and_answerable() {
         },
     );
     assert_eq!(sets.len(), 10);
-    let (index, _) = Index::build(Technique::Tnr, &net);
-    let mut q = index.query(&net);
+    let built = BackendKind::Tnr.build(&net);
+    let mut q = built.backend.session(&net);
     for set in &sets {
         for &(s, t) in set.pairs.iter().take(5) {
             assert!(q.distance(s, t).is_some(), "{}", set.label);
@@ -63,8 +63,8 @@ fn registry_scales_consistently() {
 #[test]
 fn preprocessing_times_are_reported() {
     let net = Dataset::by_name("DE").unwrap().build(Scale::Smoke);
-    let (_, t_ch) = Index::build(Technique::Ch, &net);
-    let (_, t_silc) = Index::build(Technique::Silc, &net);
+    let t_ch = BackendKind::Ch.build(&net).build_time;
+    let t_silc = BackendKind::Silc.build(&net).build_time;
     // Both timers ran; SILC's all-pairs preprocessing must not be free.
     assert!(t_ch.as_nanos() > 0);
     assert!(t_silc.as_nanos() > 0);
