@@ -3,30 +3,20 @@
 //! reproduction of the paper's own methodological point that a faulty
 //! implementation invalidates published numbers (§1).
 //!
-//! Knobs (environment): `SPQ_SELFCHECK_QUERIES` overrides the sampled
-//! queries per (dataset, technique) pair (default 200);
-//! `SPQ_SELFCHECK_SEED` overrides the workload seed (default: the
-//! bench config's seed), so a defect report can be reproduced exactly.
+//! Each (dataset, technique) pair is checked on [`SAMPLES`] pairs drawn
+//! from the harness seed (`SPQ_SEED`, like every figure binary), so a
+//! defect report can be reproduced exactly.
 
 use std::process::ExitCode;
 
 use spq_bench::{build_dataset, datasets_up_to, Config, ResultTable};
 use spq_serve::{verify_session, BackendKind};
 
-fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("{name}: cannot parse '{s}', aborting");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
+/// Sampled queries per (dataset, technique) pair.
+const SAMPLES: usize = 200;
 
 fn main() -> ExitCode {
     let cfg = Config::from_env();
-    let samples: usize = env_knob("SPQ_SELFCHECK_QUERIES", 200);
-    let seed: u64 = env_knob("SPQ_SELFCHECK_SEED", cfg.seed);
     let mut table = ResultTable::new(
         "verify",
         &["dataset", "n", "technique", "checked", "defects"],
@@ -40,7 +30,12 @@ fn main() -> ExitCode {
             }
             let built = kind.build(&net);
             let label = built.backend.backend_name();
-            let report = verify_session(&net, built.backend.session(&net).as_mut(), samples, seed);
+            let report = verify_session(
+                &net,
+                built.backend.session(&net).as_mut(),
+                SAMPLES,
+                cfg.seed,
+            );
             if !report.is_clean() {
                 all_clean = false;
                 for defect in report.defects.iter().take(3) {

@@ -9,7 +9,8 @@
 //!           [--technique BACKEND] [--ch F.ch] [--path]
 //! spq verify --net P [--samples N] [--seed S] certify the default backends
 //! spq serve --net P [--addr A] [--backends L] run the query server
-//!           [--reload-file P] [--no-audit]    (hot reload + oracle audit)
+//!           [--reload-file P] [--no-audit]    (hot reload + oracle audit;
+//!                                             refuses flags it does not know)
 //! spq loadgen --net P [--concurrency L]      oracle-checked serving throughput
 //! spq bench --json [--smoke] [--check B]     query-latency report + regression gate
 //! ```
@@ -28,7 +29,10 @@ use spq_graph::size::IndexSize;
 use spq_graph::RoadNetwork;
 use spq_serve::loadgen::{run_in_process, write_csv, LoadgenOptions, ThroughputRow};
 use spq_serve::server::{install_signal_handlers, Server, ServerConfig};
-use spq_serve::{verify_session, AuditConfig, BackendKind, BackendSpec, Engine};
+use spq_serve::{
+    verify_session, AuditConfig, BackendKind, BackendSpec, Engine, SELFCHECK_QUERIES,
+    SELFCHECK_SEED,
+};
 use spq_synth::{SynthParams, DATASETS};
 
 fn main() -> ExitCode {
@@ -60,8 +64,12 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    println!(
-        "spq — shortest path and distance queries on road networks\n\n\
+    println!("{USAGE}");
+}
+
+/// `spq --help`. The `serve` lines list exactly [`SERVE_FLAGS`] (a unit
+/// test holds them to it).
+const USAGE: &str = "spq — shortest path and distance queries on road networks\n\n\
          commands:\n\
          \x20 registry                               list the Table-1 datasets\n\
          \x20 generate --target N [--seed S] --out P write P.gr / P.co\n\
@@ -70,15 +78,12 @@ fn print_usage() {
          \x20                                        build + persist a CH/HL index or POI set\n\
          \x20 query --net P --from S --to T [--technique T] [--ch F.ch] [--path]\n\
          \x20 verify --net P [--samples N] [--seed S] certify the default backends\n\
-         \x20 serve (--net P | --target N) [--addr A] [--backends L] [--workers N]\n\
-         \x20       [--shards N] [--pipeline-depth N] [--cache N] [--index kind=path]*\n\
-         \x20       [--no-degrade] [--grace-ms N]\n\
-         \x20       [--max-pending N] [--selfcheck-queries N] [--selfcheck-seed S]\n\
-         \x20       [--reload-file P] [--reload-poll-ms N] [--no-audit]\n\
-         \x20       [--audit-interval-ms N] [--audit-queries N] [--audit-threshold N]\n\
-         \x20       [--no-failover] [--restart-cap N] [--restart-window-ms N]\n\
-         \x20       [--wbuf-cap BYTES] [--mem-budget BYTES] [--max-connections N]\n\
-         \x20       [--stall-timeout-ms N] [--write-timeout-ms N]\n\
+         \x20 serve (--net P | --target N [--seed S]) [--addr A] [--backends L]\n\
+         \x20       [--index kind=path]* [--no-degrade] [--workers N] [--shards N]\n\
+         \x20       [--pipeline-depth N] [--cache N] [--max-pending N] [--grace-ms N]\n\
+         \x20       [--peer-timeout-ms N] [--wbuf-cap BYTES] [--mem-budget BYTES]\n\
+         \x20       [--max-connections N] [--restart-cap N] [--reload-file P]\n\
+         \x20       [--no-audit | [--audit-interval-ms N] [--no-failover]]\n\
          \x20                                        run the TCP query server\n\
          \x20 loadgen (--net P | --target N) [--seed S] [--backends L]\n\
          \x20         [--concurrency L] [--duration S] [--warmup-ms N]\n\
@@ -97,9 +102,7 @@ fn print_usage() {
          \x20                                         exhaustion schedules)\n\n\
          backends (query --technique, serve/loadgen --backends):\n\
          \x20 dijkstra,ch,tnr,silc,pcpd,alt,arcflags,hl (--backends also takes 'all');\n\
-         see README.md for the wire protocol."
-    );
-}
+         see README.md for the wire protocol.";
 
 /// Extracts `--key value` from an argument list.
 fn opt<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
@@ -410,20 +413,8 @@ fn serve_network(args: &[String]) -> Result<RoadNetwork, String> {
     if let Some(base) = opt(args, "--net") {
         return load_net(base);
     }
-    let target: usize = opt(args, "--target")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--target must be an integer".to_string())
-        })
-        .transpose()?
-        .unwrap_or(2000);
-    let seed: u64 = opt(args, "--seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--seed must be an integer".to_string())
-        })
-        .transpose()?
-        .unwrap_or(42);
+    let target: usize = parsed(args, "--target", "an integer")?.unwrap_or(2000);
+    let seed: u64 = parsed(args, "--seed", "an integer")?.unwrap_or(42);
     Ok(spq_synth::generate(&SynthParams::with_target_vertices(
         target, seed,
     )))
@@ -436,13 +427,72 @@ fn serve_backends(args: &[String]) -> Result<Vec<BackendKind>, String> {
     }
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
-    let net = serve_network(args)?;
-    eprintln!(
-        "serving network: {} vertices, {} edges",
-        net.num_nodes(),
-        net.num_edges()
-    );
+/// The flags `spq serve` accepts, and whether each takes a value.
+const SERVE_FLAGS: [(&str, bool); 22] = [
+    ("--net", true),
+    ("--target", true),
+    ("--seed", true),
+    ("--addr", true),
+    ("--backends", true),
+    ("--index", true),
+    ("--no-degrade", false),
+    ("--workers", true),
+    ("--shards", true),
+    ("--pipeline-depth", true),
+    ("--cache", true),
+    ("--max-pending", true),
+    ("--grace-ms", true),
+    ("--peer-timeout-ms", true),
+    ("--wbuf-cap", true),
+    ("--mem-budget", true),
+    ("--max-connections", true),
+    ("--restart-cap", true),
+    ("--reload-file", true),
+    ("--no-audit", false),
+    ("--audit-interval-ms", true),
+    ("--no-failover", false),
+];
+
+/// What `spq serve` runs, apart from the network.
+#[derive(Debug)]
+struct ServeOptions {
+    /// One slot per backend: built in memory, or loaded with `--index`.
+    specs: Vec<BackendSpec>,
+    /// Whether a slot whose index fails to load is served by a fallback
+    /// instead of refusing to start (`--no-degrade` turns it off).
+    degrade: bool,
+    cfg: ServerConfig,
+}
+
+/// `--key value` parsed as a `T`; the error names the flag and `what`
+/// it wants.
+fn parsed<T: std::str::FromStr>(
+    args: &[String],
+    key: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    opt(args, key)
+        .map(|s| s.parse().map_err(|_| format!("{key} must be {what}")))
+        .transpose()
+}
+
+/// `--key N` as `N` milliseconds.
+fn millis(args: &[String], key: &str) -> Result<Option<Duration>, String> {
+    Ok(parsed(args, key, "an integer")?.map(Duration::from_millis))
+}
+
+/// Parses `spq serve`'s options. Any argument that is not one of
+/// [`SERVE_FLAGS`] (with its value, where it takes one) is refused by
+/// name: a typo or a retired flag must not start a server on defaults.
+fn serve_options(args: &[String]) -> Result<ServeOptions, String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match SERVE_FLAGS.iter().find(|(name, _)| name == arg) {
+            None => return Err(format!("serve does not accept '{arg}'")),
+            Some((_, true)) if rest.next().is_none() => return Err(format!("{arg} needs a value")),
+            Some(_) => {}
+        }
+    }
 
     // Backend specs: --backends names the set, each repeatable
     // `--index kind=path` loads that backend from a persisted index
@@ -458,7 +508,59 @@ fn serve(args: &[String]) -> Result<(), String> {
             None => specs.push(spec),
         }
     }
-    let degrade = !flag(args, "--no-degrade");
+
+    let mut cfg = ServerConfig::default();
+    if let Some(addr) = opt(args, "--addr") {
+        cfg.addr = addr.to_string();
+    }
+    let int = "an integer";
+    cfg.workers = parsed(args, "--workers", int)?.unwrap_or(cfg.workers);
+    cfg.shards = parsed(args, "--shards", int)?.unwrap_or(cfg.shards);
+    cfg.pipeline_depth = parsed(args, "--pipeline-depth", int)?.unwrap_or(cfg.pipeline_depth);
+    cfg.cache_capacity = parsed(args, "--cache", int)?.unwrap_or(cfg.cache_capacity);
+    cfg.max_pending = parsed(args, "--max-pending", int)?.unwrap_or(cfg.max_pending);
+    cfg.grace = millis(args, "--grace-ms")?.unwrap_or(cfg.grace);
+    cfg.restart_cap = parsed(args, "--restart-cap", int)?.unwrap_or(cfg.restart_cap);
+    // Resource-exhaustion knobs: how long a peer may make no progress,
+    // per-connection write backlog cap, global memory budget, and
+    // admission limit.
+    cfg.peer_timeout = millis(args, "--peer-timeout-ms")?.unwrap_or(cfg.peer_timeout);
+    cfg.wbuf_cap = parsed(args, "--wbuf-cap", "a byte count")?.unwrap_or(cfg.wbuf_cap);
+    cfg.mem_budget = parsed(args, "--mem-budget", "a byte count")?.unwrap_or(cfg.mem_budget);
+    cfg.max_connections = parsed(args, "--max-connections", int)?.unwrap_or(cfg.max_connections);
+    // Hot reload: a watched spec file (see README) makes RELOAD frames,
+    // SIGHUP, and file edits swap the index without dropping the server.
+    cfg.reload_file = opt(args, "--reload-file").map(std::path::PathBuf::from);
+    // Continuous oracle auditing is on by default for a long-running
+    // server; --no-audit turns the background checker off.
+    if !flag(args, "--no-audit") {
+        let defaults = AuditConfig::default();
+        cfg.audit = Some(AuditConfig {
+            interval: millis(args, "--audit-interval-ms")?.unwrap_or(defaults.interval),
+            failover: !flag(args, "--no-failover"),
+        });
+    } else if flag(args, "--no-failover") {
+        return Err("--no-failover only makes sense with auditing enabled".into());
+    }
+    Ok(ServeOptions {
+        specs,
+        degrade: !flag(args, "--no-degrade"),
+        cfg,
+    })
+}
+
+fn serve(args: &[String]) -> Result<(), String> {
+    let ServeOptions {
+        specs,
+        degrade,
+        cfg,
+    } = serve_options(args)?;
+    let net = serve_network(args)?;
+    eprintln!(
+        "serving network: {} vertices, {} edges",
+        net.num_nodes(),
+        net.num_edges()
+    );
     let engine = Engine::build_with_indexes(net, &specs, degrade)?;
     for d in engine.degradations() {
         eprintln!(
@@ -471,108 +573,13 @@ fn serve(args: &[String]) -> Result<(), String> {
     // The startup gate: refuse to serve from an index that disagrees
     // with the Dijkstra oracle (returning Err exits non-zero). The same
     // sample count and seed gate every reload before publication.
-    let selfcheck_queries: usize = opt(args, "--selfcheck-queries")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--selfcheck-queries must be an integer".to_string())
-        })
-        .transpose()?
-        .unwrap_or(32);
-    let selfcheck_seed: u64 = opt(args, "--selfcheck-seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--selfcheck-seed must be an integer".to_string())
-        })
-        .transpose()?
-        .unwrap_or(7);
     engine
-        .self_check(selfcheck_queries, selfcheck_seed)
+        .self_check(SELFCHECK_QUERIES, SELFCHECK_SEED)
         .map_err(|e| format!("refusing to serve: {e}"))?;
     eprintln!(
-        "self-check passed for {} backend(s) ({selfcheck_queries} queries, seed {selfcheck_seed})",
+        "self-check passed for {} backend(s) ({SELFCHECK_QUERIES} queries, seed {SELFCHECK_SEED})",
         engine.backends().len()
     );
-
-    let mut cfg = ServerConfig {
-        selfcheck_queries,
-        selfcheck_seed,
-        ..ServerConfig::default()
-    };
-    if let Some(addr) = opt(args, "--addr") {
-        cfg.addr = addr.to_string();
-    }
-    if let Some(w) = opt(args, "--workers") {
-        cfg.workers = w
-            .parse()
-            .map_err(|_| "--workers must be an integer".to_string())?;
-    }
-    if let Some(s) = opt(args, "--shards") {
-        cfg.shards = s
-            .parse()
-            .map_err(|_| "--shards must be an integer".to_string())?;
-    }
-    if let Some(d) = opt(args, "--pipeline-depth") {
-        cfg.pipeline_depth = d
-            .parse()
-            .map_err(|_| "--pipeline-depth must be an integer".to_string())?;
-    }
-    if let Some(c) = opt(args, "--cache") {
-        cfg.cache_capacity = c
-            .parse()
-            .map_err(|_| "--cache must be an integer".to_string())?;
-    }
-    if let Some(g) = opt(args, "--grace-ms") {
-        cfg.grace = Duration::from_millis(
-            g.parse()
-                .map_err(|_| "--grace-ms must be an integer".to_string())?,
-        );
-    }
-    if let Some(p) = opt(args, "--max-pending") {
-        cfg.max_pending = p
-            .parse()
-            .map_err(|_| "--max-pending must be an integer".to_string())?;
-    }
-    if let Some(c) = opt(args, "--restart-cap") {
-        cfg.restart_cap = c
-            .parse()
-            .map_err(|_| "--restart-cap must be an integer".to_string())?;
-    }
-    if let Some(ms) = opt(args, "--restart-window-ms") {
-        cfg.restart_window = Duration::from_millis(
-            ms.parse()
-                .map_err(|_| "--restart-window-ms must be an integer".to_string())?,
-        );
-    }
-    // Resource-exhaustion knobs: per-connection write backlog cap,
-    // global memory budget, admission limit, and how long a stalled
-    // writer may hold a capped backlog before being force-closed.
-    if let Some(b) = opt(args, "--wbuf-cap") {
-        cfg.wbuf_cap = b
-            .parse()
-            .map_err(|_| "--wbuf-cap must be a byte count".to_string())?;
-    }
-    if let Some(b) = opt(args, "--mem-budget") {
-        cfg.mem_budget = b
-            .parse()
-            .map_err(|_| "--mem-budget must be a byte count".to_string())?;
-    }
-    if let Some(n) = opt(args, "--max-connections") {
-        cfg.max_connections = n
-            .parse()
-            .map_err(|_| "--max-connections must be an integer".to_string())?;
-    }
-    if let Some(ms) = opt(args, "--stall-timeout-ms") {
-        cfg.stall_timeout = Duration::from_millis(
-            ms.parse()
-                .map_err(|_| "--stall-timeout-ms must be an integer".to_string())?,
-        );
-    }
-    if let Some(ms) = opt(args, "--write-timeout-ms") {
-        cfg.write_timeout = Duration::from_millis(
-            ms.parse()
-                .map_err(|_| "--write-timeout-ms must be an integer".to_string())?,
-        );
-    }
     // The fd-squeeze env hook: a torture child lowers its own
     // RLIMIT_NOFILE before binding, so the whole accept path runs
     // starved from the first connection.
@@ -589,45 +596,11 @@ fn serve(args: &[String]) -> Result<(), String> {
             spq_serve::eventloop::FD_LIMIT_ENV
         );
     }
-    // Hot reload: a watched spec file (see README) makes RELOAD frames,
-    // SIGHUP, and file edits swap the index without dropping the server.
-    if let Some(p) = opt(args, "--reload-file") {
-        cfg.reload_file = Some(std::path::PathBuf::from(p));
-        eprintln!("hot reload enabled: watching {p} (also RELOAD frames and SIGHUP)");
-    }
-    if let Some(ms) = opt(args, "--reload-poll-ms") {
-        cfg.reload_poll = Duration::from_millis(
-            ms.parse()
-                .map_err(|_| "--reload-poll-ms must be an integer".to_string())?,
+    if let Some(p) = &cfg.reload_file {
+        eprintln!(
+            "hot reload enabled: watching {} (also RELOAD frames and SIGHUP)",
+            p.display()
         );
-    }
-    // Continuous oracle auditing is on by default for a long-running
-    // server; --no-audit turns the background checker off.
-    if !flag(args, "--no-audit") {
-        let mut audit = AuditConfig {
-            failover: !flag(args, "--no-failover"),
-            ..AuditConfig::default()
-        };
-        if let Some(ms) = opt(args, "--audit-interval-ms") {
-            audit.interval = Duration::from_millis(
-                ms.parse()
-                    .map_err(|_| "--audit-interval-ms must be an integer".to_string())?,
-            );
-        }
-        if let Some(q) = opt(args, "--audit-queries") {
-            audit.queries = q
-                .parse()
-                .map_err(|_| "--audit-queries must be an integer".to_string())?;
-        }
-        if let Some(t) = opt(args, "--audit-threshold") {
-            audit.threshold = t
-                .parse()
-                .map_err(|_| "--audit-threshold must be an integer".to_string())?;
-        }
-        audit.seed = selfcheck_seed;
-        cfg.audit = Some(audit);
-    } else if flag(args, "--no-failover") {
-        return Err("--no-failover only makes sense with auditing enabled".into());
     }
     install_signal_handlers();
     let server = Server::start(Arc::new(engine), &cfg).map_err(|e| format!("bind: {e}"))?;
@@ -692,27 +665,11 @@ fn loadgen_options(args: &[String]) -> Result<LoadgenOptions, String> {
             .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
             .ok_or("--duration must be a non-negative number of seconds")?;
     }
-    if let Some(s) = opt(args, "--warmup-ms") {
-        opts.warmup = Duration::from_millis(
-            s.parse()
-                .map_err(|_| "--warmup-ms must be an integer".to_string())?,
-        );
-    }
-    if let Some(s) = opt(args, "--per-set") {
-        opts.per_set = s
-            .parse()
-            .map_err(|_| "--per-set must be an integer".to_string())?;
-    }
-    if let Some(s) = opt(args, "--seed") {
-        opts.seed = s
-            .parse()
-            .map_err(|_| "--seed must be an integer".to_string())?;
-    }
-    if let Some(s) = opt(args, "--retries") {
-        opts.retry.max_retries = s
-            .parse()
-            .map_err(|_| "--retries must be an integer".to_string())?;
-    }
+    let int = "an integer";
+    opts.warmup = millis(args, "--warmup-ms")?.unwrap_or(opts.warmup);
+    opts.per_set = parsed(args, "--per-set", int)?.unwrap_or(opts.per_set);
+    opts.seed = parsed(args, "--seed", int)?.unwrap_or(opts.seed);
+    opts.retry.max_retries = parsed(args, "--retries", int)?.unwrap_or(opts.retry.max_retries);
     Ok(opts)
 }
 
@@ -856,6 +813,210 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn serve_puts_every_flag_it_accepts_in_its_field() {
+        let o = serve_options(&args(&[
+            "--target",
+            "500",
+            "--seed",
+            "3",
+            "--addr",
+            "0.0.0.0:7000",
+            "--backends",
+            "dijkstra,ch",
+            "--index",
+            "hl=labels.hl",
+            "--no-degrade",
+            "--workers",
+            "3",
+            "--shards",
+            "2",
+            "--pipeline-depth",
+            "9",
+            "--cache",
+            "11",
+            "--max-pending",
+            "13",
+            "--grace-ms",
+            "15",
+            "--peer-timeout-ms",
+            "17",
+            "--wbuf-cap",
+            "19",
+            "--mem-budget",
+            "21",
+            "--max-connections",
+            "23",
+            "--restart-cap",
+            "25",
+            "--reload-file",
+            "reload.conf",
+            "--audit-interval-ms",
+            "27",
+            "--no-failover",
+        ]))
+        .expect("every accepted flag parses");
+        let kinds: Vec<_> = o.specs.iter().map(|s| (s.kind, s.index.clone())).collect();
+        assert_eq!(
+            kinds,
+            [
+                (BackendKind::Dijkstra, None),
+                (BackendKind::Ch, None),
+                (BackendKind::Hl, Some("labels.hl".into())),
+            ]
+        );
+        assert!(!o.degrade);
+        let c = &o.cfg;
+        assert_eq!(c.addr, "0.0.0.0:7000");
+        assert_eq!(
+            (
+                c.workers,
+                c.shards,
+                c.pipeline_depth,
+                c.cache_capacity,
+                c.max_pending
+            ),
+            (3, 2, 9, 11, 13)
+        );
+        assert_eq!(c.grace, Duration::from_millis(15));
+        assert_eq!(c.peer_timeout, Duration::from_millis(17));
+        assert_eq!(
+            (c.wbuf_cap, c.mem_budget, c.max_connections, c.restart_cap),
+            (19, 21, 23, 25)
+        );
+        assert_eq!(c.reload_file, Some("reload.conf".into()));
+        let audit = c.audit.as_ref().expect("auditing is on by default");
+        assert_eq!(audit.interval, Duration::from_millis(27));
+        assert!(!audit.failover);
+
+        // Nothing given: the library defaults, the default backends,
+        // degradation and auditing on.
+        let o = serve_options(&[]).expect("no flags at all");
+        let d = ServerConfig::default();
+        assert_eq!(o.specs.len(), BackendKind::DEFAULT.len());
+        assert!(o.degrade);
+        assert_eq!((o.cfg.addr, o.cfg.peer_timeout), (d.addr, d.peer_timeout));
+        let audit = o.cfg.audit.expect("auditing is on by default");
+        assert_eq!(audit.interval, AuditConfig::default().interval);
+        assert!(audit.failover);
+        assert!(serve_options(&args(&["--no-audit"]))
+            .unwrap()
+            .cfg
+            .audit
+            .is_none());
+    }
+
+    #[test]
+    fn serve_refuses_removed_and_unknown_flags_by_name() {
+        for flag in [
+            "--selfcheck-queries",
+            "--selfcheck-seed",
+            "--reload-poll-ms",
+            "--restart-window-ms",
+            "--audit-queries",
+            "--audit-threshold",
+            "--stall-timeout-ms",
+            "--write-timeout-ms",
+            "--bogus",
+        ] {
+            let err = serve_options(&args(&["--target", "500", flag, "1"]))
+                .expect_err("an unknown flag must not start a server");
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
+        // `--help` is not a serve flag either: it must not start a
+        // server, and neither may a stray positional argument or a
+        // valued flag missing its value.
+        let err = serve_options(&args(&["--help"])).unwrap_err();
+        assert!(err.contains("'--help'"), "{err}");
+        let err = serve_options(&args(&["extra"])).unwrap_err();
+        assert!(err.contains("'extra'"), "{err}");
+        let err = serve_options(&args(&["--target", "500", "--workers"])).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_malformed_values_naming_the_flag() {
+        for (flag, value) in [
+            ("--workers", "many"),
+            ("--shards", "-1"),
+            ("--pipeline-depth", "1.5"),
+            ("--cache", "big"),
+            ("--max-pending", ""),
+            ("--grace-ms", "3s"),
+            ("--peer-timeout-ms", "-5"),
+            ("--wbuf-cap", "4MiB"),
+            ("--mem-budget", "x"),
+            ("--max-connections", "NaN"),
+            ("--restart-cap", "0x5"),
+            ("--audit-interval-ms", "soon"),
+            ("--backends", "bogus"),
+            ("--index", "ch"),
+            ("--index", "bogus=x.ch"),
+        ] {
+            let err = serve_options(&args(&[flag, value]))
+                .expect_err("a malformed value must not start a server");
+            assert!(
+                err.contains(flag) || err.contains(value),
+                "{flag} {value}: {err}"
+            );
+        }
+        for (flag, value) in [("--target", "lots"), ("--seed", "s")] {
+            let err = serve_network(&args(&[flag, value])).expect_err("malformed network flag");
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+        }
+    }
+
+    #[test]
+    fn serve_takes_index_repeatedly_and_the_last_one_per_kind_wins() {
+        let o = serve_options(&args(&[
+            "--backends",
+            "dijkstra",
+            "--index",
+            "ch=a.ch",
+            "--index",
+            "hl=b.hl",
+            "--index",
+            "ch=c.ch",
+        ]))
+        .expect("repeated --index");
+        let kinds: Vec<_> = o.specs.iter().map(|s| (s.kind, s.index.clone())).collect();
+        assert_eq!(
+            kinds,
+            [
+                (BackendKind::Dijkstra, None),
+                (BackendKind::Ch, Some("c.ch".into())),
+                (BackendKind::Hl, Some("b.hl".into())),
+            ]
+        );
+    }
+
+    #[test]
+    fn serve_refuses_no_failover_without_auditing() {
+        let err = serve_options(&args(&["--no-audit", "--no-failover"])).unwrap_err();
+        assert!(err.contains("--no-failover"), "{err}");
+    }
+
+    /// The `serve` lines of `spq --help` name every flag in
+    /// [`SERVE_FLAGS`] and no other, so the help cannot drift from
+    /// what the parser accepts.
+    #[test]
+    fn serve_usage_lists_exactly_the_accepted_flags() {
+        let section: Vec<&str> = USAGE
+            .lines()
+            .skip_while(|l| !l.trim_start().starts_with("serve "))
+            .take_while(|l| !l.trim_start().starts_with("loadgen "))
+            .collect();
+        assert!(!section.is_empty(), "no serve section in:\n{USAGE}");
+        let listed: std::collections::BTreeSet<&str> = section
+            .iter()
+            .flat_map(|l| l.split(|c: char| c.is_whitespace() || "[]()|*".contains(c)))
+            .filter(|tok| tok.starts_with("--"))
+            .collect();
+        let accepted: std::collections::BTreeSet<&str> =
+            SERVE_FLAGS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(listed, accepted, "serve usage:\n{}", section.join("\n"));
     }
 
     #[test]

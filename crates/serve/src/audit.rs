@@ -3,12 +3,12 @@
 //! The startup self-check proves an index correct *once*; this module
 //! keeps proving it while the server runs. A background auditor thread
 //! replays a seeded trickle of distance queries against the Dijkstra
-//! oracle every [`AuditConfig::interval`]. A single mismatch is logged
-//! and counted; [`AuditConfig::threshold`] mismatches within
-//! [`AuditConfig::window`] quarantine the offending backend — its
-//! cached answers are purged and its wire ids fail over down the
-//! degradation chain (CH, then Dijkstra) until the next reload
-//! publishes a fresh, re-checked epoch.
+//! oracle every [`AuditConfig::interval`], [`AUDIT_QUERIES`] pairs per
+//! backend per round. A single mismatch is logged and counted;
+//! [`AUDIT_THRESHOLD`] mismatches within [`AUDIT_WINDOW`] quarantine
+//! the offending backend — its cached answers are purged and its wire
+//! ids fail over down the degradation chain (CH, then Dijkstra) until
+//! the next reload publishes a fresh, re-checked epoch.
 //!
 //! Every seed in play is logged, so an audit-triggered quarantine is a
 //! reproducible test case, not an anecdote.
@@ -25,23 +25,22 @@ use spq_graph::sample::PairSampler;
 use crate::cache::DistanceCache;
 use crate::epoch::EpochRegistry;
 use crate::stats::ServerStats;
-use crate::BackendKind;
+use crate::{BackendKind, SELFCHECK_SEED};
+
+/// Query pairs replayed per backend per audit round.
+pub const AUDIT_QUERIES: usize = 4;
+
+/// Mismatches within [`AUDIT_WINDOW`] that quarantine a backend.
+pub const AUDIT_THRESHOLD: usize = 3;
+
+/// The sliding window [`AUDIT_THRESHOLD`] counts over.
+pub const AUDIT_WINDOW: Duration = Duration::from_secs(60);
 
 /// Auditor knobs.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// Pause between audit rounds.
     pub interval: Duration,
-    /// Query pairs replayed per backend per round.
-    pub queries: usize,
-    /// Base seed for the audit sampler (each round derives its own
-    /// stream, logged on every mismatch for replay).
-    pub seed: u64,
-    /// Mismatches within [`AuditConfig::window`] that quarantine a
-    /// backend.
-    pub threshold: usize,
-    /// The sliding window the threshold counts over.
-    pub window: Duration,
     /// Whether quarantined wire ids fail over down the degradation
     /// chain (false: they answer with the typed `QUARANTINED` status).
     pub failover: bool,
@@ -51,21 +50,16 @@ impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
             interval: Duration::from_secs(1),
-            queries: 4,
-            seed: 0xA0D17,
-            threshold: 3,
-            window: Duration::from_secs(60),
             failover: true,
         }
     }
 }
 
-impl AuditConfig {
-    /// The sampler seed for one audit round: derived, not sequential,
-    /// so consecutive rounds cover unrelated pair streams.
-    pub fn round_seed(&self, round: u64) -> u64 {
-        self.seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    }
+/// The sampler seed for one audit round: derived from
+/// [`SELFCHECK_SEED`], not sequential, so consecutive rounds cover
+/// unrelated pair streams (each is logged on a mismatch for replay).
+fn round_seed(round: u64) -> u64 {
+    SELFCHECK_SEED ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// The auditor thread body. Runs until `shutdown`; `force_stop` is
@@ -108,8 +102,8 @@ pub(crate) fn auditor_loop(
         }
         let oracle = oracle.as_mut().expect("created above");
         windows.retain(|(epoch, _), _| *epoch == state.epoch);
-        let seed = cfg.round_seed(round);
-        let pairs = PairSampler::pairs(n, seed, cfg.queries);
+        let seed = round_seed(round);
+        let pairs = PairSampler::pairs(n, seed, AUDIT_QUERIES);
         for (pos, eb) in engine.backends().iter().enumerate() {
             // The oracle cannot disagree with itself, and a quarantined
             // backend is already out of service.
@@ -143,13 +137,13 @@ pub(crate) fn auditor_loop(
                 );
                 let hits = windows.entry((state.epoch, pos)).or_default();
                 let now = Instant::now();
-                hits.retain(|&at| now.duration_since(at) <= cfg.window);
+                hits.retain(|&at| now.duration_since(at) <= AUDIT_WINDOW);
                 hits.push(now);
-                if hits.len() >= cfg.threshold {
+                if hits.len() >= AUDIT_THRESHOLD {
                     let reason = format!(
                         "audit found {} mismatch(es) within {:?} (round {round}, seed {seed:#x})",
                         hits.len(),
-                        cfg.window
+                        AUDIT_WINDOW
                     );
                     if state.quarantine(pos, reason) {
                         let mut purged = cache.purge_backend(state.epoch, eb.kind.wire_id());
@@ -179,11 +173,10 @@ mod tests {
 
     #[test]
     fn round_seeds_differ_but_replay() {
-        let cfg = AuditConfig::default();
-        assert_eq!(cfg.round_seed(3), cfg.round_seed(3), "replayable");
-        assert_ne!(cfg.round_seed(1), cfg.round_seed(2));
-        let a = PairSampler::pairs(100, cfg.round_seed(1), 8);
-        let b = PairSampler::pairs(100, cfg.round_seed(1), 8);
+        assert_eq!(round_seed(3), round_seed(3), "replayable");
+        assert_ne!(round_seed(1), round_seed(2));
+        let a = PairSampler::pairs(100, round_seed(1), 8);
+        let b = PairSampler::pairs(100, round_seed(1), 8);
         assert_eq!(a, b);
     }
 }

@@ -45,6 +45,9 @@ use crate::BackendKind;
 /// The worker-local end of the quarantine failover chain.
 static BASELINE: Baseline = Baseline;
 
+/// How long a `RELOAD` frame may wait for its attempt's outcome.
+const RELOAD_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// What every executor of one server shares.
 pub(crate) struct ExecCtx {
     pub shutdown: Arc<AtomicBool>,
@@ -52,7 +55,6 @@ pub(crate) struct ExecCtx {
     pub stats: Arc<ServerStats>,
     pub cache: Arc<DistanceCache>,
     pub registry: Arc<EpochRegistry>,
-    pub reload_timeout: Duration,
     pub has_reload_source: bool,
     /// Whether quarantined wire ids fail over down the degradation
     /// chain (from the audit config; irrelevant without an auditor).
@@ -307,10 +309,7 @@ impl<'s> Executor<'s> {
                     // Blocks this worker until the attempt completes;
                     // the registry coalesces concurrent requests into
                     // one rebuild, and shutdown cancels the wait.
-                    match ctx
-                        .registry
-                        .reload_and_wait(ctx.reload_timeout, &ctx.shutdown)
-                    {
+                    match ctx.registry.reload_and_wait(RELOAD_TIMEOUT, &ctx.shutdown) {
                         Ok(epoch) => protocol::encode_text_response(&format!("epoch={epoch}")),
                         Err(reason) => protocol::encode_reload_failed(&reason),
                     }
@@ -632,7 +631,6 @@ mod tests {
             stats: Arc::new(ServerStats::new(WIRE_SLOTS)),
             cache: Arc::new(DistanceCache::new(1 << 10, 4)),
             registry: Arc::new(EpochRegistry::new(engine)),
-            reload_timeout: Duration::from_secs(1),
             has_reload_source: false,
             failover: true,
         }

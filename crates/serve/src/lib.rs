@@ -710,6 +710,15 @@ impl Engine {
     }
 }
 
+/// Oracle pairs per backend in the serving self-check: the startup gate
+/// of `spq serve` and `spq loadgen`, and the check every reload passes
+/// before it is published.
+pub const SELFCHECK_QUERIES: usize = 32;
+
+/// Seed of the serving self-check's pair sampler, and the base seed the
+/// auditor derives its per-round streams from.
+pub const SELFCHECK_SEED: u64 = 7;
+
 /// Defects one [`verify_session`] run collects before it stops: one
 /// already disqualifies an index, the rest only help diagnose it.
 const MAX_DEFECTS: usize = 8;

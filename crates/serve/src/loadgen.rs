@@ -382,11 +382,11 @@ pub fn run_in_process(
     opts: &LoadgenOptions,
 ) -> Result<(LoadgenReport, String), String> {
     use crate::server::{Server, ServerConfig};
-    use crate::Engine;
+    use crate::{Engine, SELFCHECK_QUERIES, SELFCHECK_SEED};
 
     let engine = Arc::new(Engine::build(net, &opts.backends));
     engine
-        .self_check(32, opts.seed)
+        .self_check(SELFCHECK_QUERIES, SELFCHECK_SEED)
         .map_err(|e| format!("refusing to serve: {e}"))?;
     let max_concurrency = opts.concurrency.iter().copied().max().unwrap_or(1);
     // Workers are the CPU pool behind the event loop, not connection
@@ -398,7 +398,6 @@ pub fn run_in_process(
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let cfg = ServerConfig {
         workers: max_concurrency.min(cores) + 1,
-        selfcheck_seed: opts.seed,
         ..ServerConfig::default()
     };
     let server = Server::start(Arc::clone(&engine), &cfg).map_err(|e| format!("bind: {e}"))?;

@@ -40,9 +40,9 @@
 //!   queue. Inline and
 //!   pooled requests interleave freely on one connection; the response
 //!   order is the request order either way. A peer that stalls
-//!   mid-frame past [`ServerConfig::stall_timeout`] or stops reading
-//!   its responses past [`ServerConfig::write_timeout`] is
-//!   disconnected; a quietly idle connection is never reaped.
+//!   mid-frame, or stops reading its responses, for
+//!   [`ServerConfig::peer_timeout`] is disconnected; a quietly idle
+//!   connection is never reaped.
 //! * `workers` **worker** threads pop requests from the work queue.
 //! * Shards and workers alike execute requests through a
 //!   [`crate::executor::Executor`]: it pins the current
@@ -54,7 +54,7 @@
 //!   Queries run inside a `catch_unwind` supervision shell: a panicking
 //!   query kills only its own connection, its thread rebuilds its
 //!   sessions and keeps serving. Past [`ServerConfig::restart_cap`]
-//!   panics within [`ServerConfig::restart_window`] a worker retires;
+//!   panics within [`RESTART_WINDOW`] a worker retires;
 //!   when the last worker retires the server shuts down instead of
 //!   lingering as a zombie acceptor.
 //! * A **reloader** thread (present when a reload source is configured)
@@ -127,15 +127,19 @@ use crate::fault::{FaultAction, FaultInjector};
 use crate::protocol::{self, Request};
 use crate::stats::{ServerStats, WIRE_SLOTS};
 use crate::sync::lock_unpoisoned;
-use crate::Engine;
+use crate::{Engine, SELFCHECK_QUERIES, SELFCHECK_SEED};
 
 /// Per-connection unparsed-bytes cap: one max frame plus slack. A peer
 /// flooding bytes faster than they parse is paused, not buffered without
 /// bound.
 const RBUF_CAP: usize = protocol::MAX_FRAME + 4 + 64 * 1024;
 
-/// How long a `RELOAD` frame may wait for its attempt's outcome.
-const RELOAD_TIMEOUT: Duration = Duration::from_secs(120);
+/// How often the reload file is polled for content changes.
+pub const RELOAD_POLL: Duration = Duration::from_millis(500);
+
+/// The sliding window [`ServerConfig::restart_cap`] counts worker
+/// panics over.
+pub const RESTART_WINDOW: Duration = Duration::from_secs(10);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -164,17 +168,19 @@ pub struct ServerConfig {
     /// answered with BUSY (pooled requests only: what a shard answers
     /// itself never queues).
     pub max_pending: usize,
-    /// A peer that accepts no response bytes for this long is
-    /// disconnected instead of holding buffered responses forever.
-    pub write_timeout: Duration,
-    /// How long a started frame may take to arrive in full; a client
-    /// stalling mid-frame past this is disconnected. (An idle
-    /// connection at a frame boundary is never disconnected.)
-    pub stall_timeout: Duration,
+    /// How long a peer given the chance to make progress may make none
+    /// before it is disconnected: a started frame that stops arriving
+    /// while the server is reading (`client_timeouts`), or responses
+    /// the peer stops accepting (`client_timeouts`, or `slow_closed`
+    /// past [`ServerConfig::wbuf_cap`]). A connection idle at a frame
+    /// boundary with nothing owed is never disconnected, and the
+    /// mid-frame clock is held while the server itself has paused
+    /// reading to flush what it owes the peer.
+    pub peer_timeout: Duration,
     /// Per-connection cap on buffered response bytes. A connection
     /// whose write backlog reaches the cap stops being parsed *and*
     /// read (backpressure through TCP); if it then makes no write
-    /// progress for [`ServerConfig::write_timeout`] it is force-closed
+    /// progress for [`ServerConfig::peer_timeout`] it is force-closed
     /// and counted as `slow_closed`. Responses already dispatched may
     /// overshoot the cap by at most a pipeline's worth of frames.
     pub wbuf_cap: usize,
@@ -202,20 +208,11 @@ pub struct ServerConfig {
     /// triggers a reload, and `RELOAD` frames / `SIGHUP` rebuild from
     /// its current contents.
     pub reload_file: Option<PathBuf>,
-    /// How often the reload file is polled for content changes.
-    pub reload_poll: Duration,
-    /// Random pairs the pre-publication self-check (and any startup
-    /// self-check the caller runs) compares against the oracle.
-    pub selfcheck_queries: usize,
-    /// Seed of the self-check sampler.
-    pub selfcheck_seed: u64,
     /// Continuous oracle auditing (None disables the auditor thread).
     pub audit: Option<AuditConfig>,
-    /// Worker panics tolerated within [`ServerConfig::restart_window`]
-    /// before the worker retires.
+    /// Worker panics tolerated within [`RESTART_WINDOW`] before the
+    /// worker retires.
     pub restart_cap: usize,
-    /// The sliding window [`ServerConfig::restart_cap`] counts over.
-    pub restart_window: Duration,
 }
 
 impl Default for ServerConfig {
@@ -231,8 +228,7 @@ impl Default for ServerConfig {
             cache_capacity: 1 << 16,
             cache_shards: 16,
             max_pending: 64,
-            write_timeout: Duration::from_secs(2),
-            stall_timeout: Duration::from_secs(2),
+            peer_timeout: Duration::from_secs(2),
             wbuf_cap: 4 << 20,
             mem_budget: 0,
             max_connections: 0,
@@ -240,12 +236,8 @@ impl Default for ServerConfig {
             fault: None,
             reload_factory: None,
             reload_file: None,
-            reload_poll: Duration::from_millis(500),
-            selfcheck_queries: 32,
-            selfcheck_seed: 7,
             audit: None,
             restart_cap: 5,
-            restart_window: Duration::from_secs(10),
         }
     }
 }
@@ -523,7 +515,6 @@ impl Server {
             stats: Arc::clone(&stats),
             cache: Arc::clone(&cache),
             registry: Arc::clone(&registry),
-            reload_timeout: RELOAD_TIMEOUT,
             has_reload_source,
             failover: cfg.audit.as_ref().map_or(true, |a| a.failover),
         });
@@ -537,8 +528,7 @@ impl Server {
                 shutdown: Arc::clone(&shutdown),
                 force_stop: Arc::clone(&force_stop),
                 stats: Arc::clone(&stats),
-                stall_timeout: cfg.stall_timeout,
-                write_timeout: cfg.write_timeout,
+                peer_timeout: cfg.peer_timeout,
                 pipeline_depth: cfg.pipeline_depth.max(1),
                 wbuf_cap: cfg.wbuf_cap.max(4096),
                 mem_budget: cfg.mem_budget,
@@ -552,7 +542,6 @@ impl Server {
         }
 
         let restart_cap = cfg.restart_cap.max(1);
-        let restart_window = cfg.restart_window;
         let mut workers = Vec::with_capacity(cfg.workers);
         for worker_id in 0..cfg.workers.max(1) {
             let work = Arc::clone(&work);
@@ -560,14 +549,7 @@ impl Server {
             let active = Arc::clone(&active);
             let ctx = Arc::clone(&exec_ctx);
             workers.push(std::thread::spawn(move || {
-                worker_loop(
-                    &work,
-                    &handles,
-                    &ctx,
-                    restart_cap,
-                    restart_window,
-                    worker_id,
-                );
+                worker_loop(&work, &handles, &ctx, restart_cap, worker_id);
                 // The last worker to leave — retirement or shutdown —
                 // turns the lights off, so a fully retired pool shuts
                 // the server down instead of leaving a zombie acceptor.
@@ -621,9 +603,6 @@ impl Server {
                 stats: Arc::clone(&stats),
                 factory: cfg.reload_factory.clone(),
                 reload_file: cfg.reload_file.clone(),
-                poll: cfg.reload_poll,
-                selfcheck_queries: cfg.selfcheck_queries,
-                selfcheck_seed: cfg.selfcheck_seed,
                 shutdown: Arc::clone(&shutdown),
             };
             std::thread::spawn(move || reloader.run())
@@ -734,9 +713,6 @@ struct Reloader {
     stats: Arc<ServerStats>,
     factory: Option<ReloadFactory>,
     reload_file: Option<PathBuf>,
-    poll: Duration,
-    selfcheck_queries: usize,
-    selfcheck_seed: u64,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -749,7 +725,7 @@ impl Reloader {
             .reload_file
             .as_ref()
             .and_then(|p| std::fs::read(p).ok());
-        let mut next_file_check = Instant::now() + self.poll;
+        let mut next_file_check = Instant::now() + RELOAD_POLL;
         loop {
             if stopping(&self.shutdown) {
                 return;
@@ -759,7 +735,7 @@ impl Reloader {
                 triggered = true;
             }
             if !triggered && Instant::now() >= next_file_check {
-                next_file_check = Instant::now() + self.poll;
+                next_file_check = Instant::now() + RELOAD_POLL;
                 if let Some(path) = &self.reload_file {
                     if let Ok(bytes) = std::fs::read(path) {
                         if baseline.as_deref() != Some(&bytes[..]) {
@@ -806,7 +782,7 @@ impl Reloader {
             return Err("no reload source configured".into());
         };
         engine
-            .self_check(self.selfcheck_queries, self.selfcheck_seed)
+            .self_check(SELFCHECK_QUERIES, SELFCHECK_SEED)
             .map_err(|e| format!("refusing to publish: {e}"))?;
         let epoch = self.registry.publish(engine);
         let purged = self.cache.purge_stale_epochs(epoch);
@@ -937,8 +913,8 @@ struct ShardCtx {
     shutdown: Arc<AtomicBool>,
     force_stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    stall_timeout: Duration,
-    write_timeout: Duration,
+    /// See [`ServerConfig::peer_timeout`].
+    peer_timeout: Duration,
     pipeline_depth: usize,
     /// Per-connection write-backlog cap (see [`ServerConfig::wbuf_cap`]).
     wbuf_cap: usize,
@@ -969,8 +945,10 @@ struct Conn {
     ready: BTreeMap<u64, Vec<u8>>,
     /// Dispatched requests not yet completed.
     inflight: usize,
-    /// When the trailing partial frame stopped growing (None at a clean
-    /// frame boundary or while a complete frame waits on backpressure).
+    /// When the trailing partial frame stopped growing while the server
+    /// was reading (None at a clean frame boundary, while a complete
+    /// frame waits on backpressure, or while reads are paused with
+    /// responses still owed to the peer).
     partial_since: Option<Instant>,
     /// Last instant write() made progress (meaningful while `wbuf` is
     /// non-empty).
@@ -1563,15 +1541,6 @@ fn service_conn(
     if conn.dead || !try_write(conn) {
         return Serviced::Close;
     }
-    // Track the trailing partial frame for the stall timeout. A
-    // complete frame waiting on pipeline backpressure is not a stall,
-    // and progress (handled at read time) restarts the clock.
-    let leftover = conn.rbuf.len() - conn.rstart;
-    if leftover > 0 && !has_full_frame(conn) && !conn.close_after_flush {
-        conn.partial_since.get_or_insert(now);
-    } else {
-        conn.partial_since = None;
-    }
     // Settle this connection's buffered bytes against the global
     // memory gauge: rbuf pending + wbuf pending + sequenced responses
     // waiting their turn. Deltas only, so the gauge is exact across
@@ -1612,6 +1581,20 @@ fn service_conn(
         conn.write_interest = want_write;
         conn.read_interest = want_read;
     }
+    // The mid-frame stall clock runs while a trailing partial frame
+    // waits on a peer that can send it: new bytes (at read time)
+    // restart it, and a complete frame waiting on pipeline backpressure
+    // is not a stall. It is held while the server has paused reading
+    // with responses still owed — a peer busy reading them is not
+    // stalling. With nothing owed it runs even while reads are paused,
+    // so a partial frame that alone keeps the memory budget exceeded is
+    // reaped instead of pausing every connection for good.
+    let partial = rpending > 0 && !has_full_frame(conn) && !conn.close_after_flush;
+    if partial && (conn.read_interest || wpending == 0) {
+        conn.partial_since.get_or_insert(now);
+    } else {
+        conn.partial_since = None;
+    }
     if more {
         Serviced::More
     } else {
@@ -1636,7 +1619,7 @@ fn should_close(conn: &Conn, ctx: &ShardCtx, now: Instant, stopping_now: bool) -
     // responses still in flight is reaped after they flush).
     if conn.inflight == 0 && conn.ready.is_empty() {
         if let Some(t0) = conn.partial_since {
-            if now.duration_since(t0) >= ctx.stall_timeout {
+            if now.duration_since(t0) >= ctx.peer_timeout {
                 ctx.stats.client_timeouts.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
@@ -1647,7 +1630,7 @@ fn should_close(conn: &Conn, ctx: &ShardCtx, now: Instant, stopping_now: bool) -
     // its buffers are force-reclaimed and the close is accounted as
     // `slow_closed`, distinct from an ordinary client timeout.
     if conn.wstart < conn.wbuf.len()
-        && now.duration_since(conn.last_write_progress) >= ctx.write_timeout
+        && now.duration_since(conn.last_write_progress) >= ctx.peer_timeout
     {
         if conn.wbuf.len() - conn.wstart >= ctx.wbuf_cap {
             ctx.stats.slow_closed.fetch_add(1, Ordering::Relaxed);
@@ -1664,7 +1647,6 @@ fn worker_loop(
     handles: &[ShardHandle],
     ctx: &ExecCtx,
     restart_cap: usize,
-    restart_window: Duration,
     worker_id: usize,
 ) {
     // Panic timestamps within the restart window (the supervision cap).
@@ -1724,13 +1706,13 @@ fn worker_loop(
         if outcome.is_err() {
             ctx.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
             let now = Instant::now();
-            panics.retain(|&at| now.duration_since(at) <= restart_window);
+            panics.retain(|&at| now.duration_since(at) <= RESTART_WINDOW);
             panics.push(now);
             if panics.len() >= restart_cap {
                 eprintln!(
                     "[worker {worker_id}] RETIRED: {} panics within {:?} (cap {})",
                     panics.len(),
-                    restart_window,
+                    RESTART_WINDOW,
                     restart_cap
                 );
                 return ControlFlow::Break(());
@@ -1740,7 +1722,7 @@ fn worker_loop(
                  ({}/{} within {:?})",
                 panics.len(),
                 restart_cap,
-                restart_window
+                RESTART_WINDOW
             );
             return ControlFlow::Continue(());
         }

@@ -945,7 +945,7 @@ fn mem_squeeze(
     Ok(())
 }
 
-/// Starts a server with a tight write-backlog cap and a short write
+/// Starts a server with a tight write-backlog cap and a short peer
 /// timeout, parks `conns` never-reading peers each pipelining `frames`
 /// large DISTANCES requests, and requires a well-behaved client to keep
 /// getting correct answers while the hoarders are force-closed.
@@ -959,7 +959,7 @@ fn slow_reader_event(
     let args = serve_args(
         &env.net_base,
         index,
-        &["--wbuf-cap", "65536", "--write-timeout-ms", "300"],
+        &["--wbuf-cap", "65536", "--peer-timeout-ms", "300"],
     );
     let mut child = ChildServer::spawn(opts, &args, &[])?;
     let addr = child.wait_listening(opts.startup_timeout)?;

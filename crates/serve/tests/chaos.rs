@@ -33,7 +33,7 @@ use spq_graph::backend::{Backend, QueryBudget, Session};
 use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
 use spq_serve::loadgen::{self, LoadgenOptions};
-use spq_serve::server::{Server, ServerConfig};
+use spq_serve::server::{Server, ServerConfig, RELOAD_POLL};
 use spq_serve::{
     AuditConfig, BackendKind, BackendSpec, ClientError, Engine, FaultInjector, FaultPlan,
     ReloadFactory, RetryPolicy, RetryingClient, ServeClient,
@@ -952,7 +952,6 @@ fn a_panic_storm_retires_workers_and_an_empty_pool_shuts_down() {
     let cfg = ServerConfig {
         workers: 2,
         restart_cap: 2,
-        restart_window: Duration::from_secs(60),
         fault: Some(injector),
         grace: Duration::from_millis(200),
         ..ServerConfig::default()
@@ -1003,8 +1002,6 @@ fn the_audit_quarantines_a_lying_backend_and_fails_over() {
         workers: 2,
         audit: Some(AuditConfig {
             interval: Duration::from_millis(150),
-            queries: 6,
-            threshold: 3,
             ..AuditConfig::default()
         }),
         ..ServerConfig::default()
@@ -1077,10 +1074,7 @@ fn quarantine_without_failover_returns_the_typed_status() {
         workers: 2,
         audit: Some(AuditConfig {
             interval: Duration::from_millis(50),
-            queries: 6,
-            threshold: 3,
             failover: false,
-            ..AuditConfig::default()
         }),
         ..ServerConfig::default()
     };
@@ -1130,14 +1124,15 @@ fn a_reload_file_content_change_hot_swaps_the_engine() {
     let cfg = ServerConfig {
         workers: 2,
         reload_file: Some(path.clone()),
-        reload_poll: Duration::from_millis(25),
         ..ServerConfig::default()
     };
     let server = Server::start(engine, &cfg).expect("bind");
     let addr = server.local_addr();
     let mut client = ServeClient::connect(addr).expect("connect");
 
-    std::thread::sleep(Duration::from_millis(150));
+    // Two poll periods: the watcher has compared the unchanged file
+    // against its baseline at least once.
+    std::thread::sleep(RELOAD_POLL * 2);
     assert_eq!(
         server.registry().epoch(),
         0,

@@ -147,8 +147,6 @@ fn hl_serves_reloads_and_fails_over_like_any_wire_id() {
         workers: 2,
         audit: Some(AuditConfig {
             interval: Duration::from_millis(100),
-            queries: 6,
-            threshold: 3,
             ..AuditConfig::default()
         }),
         ..ServerConfig::default()

@@ -356,7 +356,6 @@ fn a_quarantined_slot_is_answered_by_the_pool() {
             audit: Some(AuditConfig {
                 interval: Duration::from_secs(3600),
                 failover: false,
-                ..AuditConfig::default()
             }),
             ..config()
         };

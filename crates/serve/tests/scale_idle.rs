@@ -55,9 +55,9 @@ fn ten_thousand_idle_connections_hold_and_drain_cleanly() {
         t0.elapsed()
     );
 
-    // Let the idle herd sit past the stall timeout: a quiet connection
+    // Let the idle herd sit past the peer timeout: a quiet connection
     // at a frame boundary must never be reaped.
-    std::thread::sleep(cfg.stall_timeout + Duration::from_millis(300));
+    std::thread::sleep(cfg.peer_timeout + Duration::from_millis(300));
 
     // An active client still gets prompt answers over the same shards.
     let mut client = ServeClient::connect(addr).expect("active connect");
