@@ -45,6 +45,7 @@ impl Default for AltParams {
 
 /// The ALT index: landmark ids plus the `k × n` landmark-to-vertex
 /// distance table (undirected networks need only one direction).
+#[derive(Debug, PartialEq)]
 pub struct Alt {
     landmarks: Vec<NodeId>,
     /// Row-major: `dist[l * n + v]` = network distance landmark l ↔ v.
@@ -137,38 +138,9 @@ impl Alt {
         }
     }
 
-    /// Rebuilds an index from its serialised arrays, validating the
-    /// `k × n` table shape.
-    pub fn from_raw_parts(
-        landmarks: Vec<NodeId>,
-        dist: Vec<u32>,
-        n: usize,
-    ) -> Result<Self, String> {
-        if landmarks.is_empty() || n == 0 {
-            return Err("ALT index must have at least one landmark and vertex".into());
-        }
-        if dist.len() != landmarks.len() * n {
-            return Err(format!(
-                "distance table has {} entries, expected {} landmarks × {} vertices",
-                dist.len(),
-                landmarks.len(),
-                n
-            ));
-        }
-        if let Some(&l) = landmarks.iter().find(|&&l| l as usize >= n) {
-            return Err(format!("landmark id {l} out of range for {n} vertices"));
-        }
-        Ok(Alt { landmarks, dist, n })
-    }
-
     /// The selected landmarks.
     pub fn landmarks(&self) -> &[NodeId] {
         &self.landmarks
-    }
-
-    /// The row-major `k × n` landmark-to-vertex distance table.
-    pub fn dist_table(&self) -> &[u32] {
-        &self.dist
     }
 
     /// Distance between landmark index `l` and vertex `v`.

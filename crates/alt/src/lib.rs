@@ -24,7 +24,6 @@
 //! ```
 
 pub mod landmarks;
-pub mod persist;
 pub mod query;
 
 pub use landmarks::{Alt, AltParams, LandmarkSelection};

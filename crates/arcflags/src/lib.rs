@@ -47,14 +47,13 @@ impl Default for ArcFlagsParams {
     }
 }
 
-pub mod persist;
-
 /// The Arc Flags index: one 64-bit region mask per directed arc.
+#[derive(Debug, PartialEq)]
 pub struct ArcFlags {
-    pub(crate) grid: VertexGrid,
+    grid: VertexGrid,
     /// `flags[arc]` bit r set ⇔ the arc lies on a shortest path into
     /// region r.
-    pub(crate) flags: Vec<u64>,
+    flags: Vec<u64>,
 }
 
 impl ArcFlags {

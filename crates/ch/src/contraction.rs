@@ -340,7 +340,7 @@ impl WitnessSearch {
 /// one form, the rank-renumbered [`SearchGraph`]. Queries search only
 /// this upward graph; shortcuts carry their middle-vertex tag for
 /// unpacking.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContractionHierarchy {
     search: SearchGraph,
     num_shortcuts: usize,

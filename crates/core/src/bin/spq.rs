@@ -7,7 +7,7 @@
 //! spq prep --net P --out F [--kind ch|hl|poi] build + persist a CH/HL index or POI set
 //! spq query --net P --from S --to T          answer one query
 //!           [--technique BACKEND] [--ch F.ch] [--path]
-//! spq verify --net P [--samples N] [--seed S] certify the default backends
+//! spq verify --net P [--samples N] [--seed S] certify every backend
 //! spq serve --net P [--addr A] [--backends L] run the query server
 //!           [--reload-file P] [--no-audit]    (hot reload + oracle audit;
 //!                                             refuses flags it does not know)
@@ -77,7 +77,7 @@ const USAGE: &str = "spq — shortest path and distance queries on road networks
          \x20 prep --net P --out F [--kind ch|hl|poi] [--name N] [--count K]\n\
          \x20                                        build + persist a CH/HL index or POI set\n\
          \x20 query --net P --from S --to T [--technique T] [--ch F.ch] [--path]\n\
-         \x20 verify --net P [--samples N] [--seed S] certify the default backends\n\
+         \x20 verify --net P [--samples N] [--seed S] certify every backend\n\
          \x20 serve (--net P | --target N [--seed S]) [--addr A] [--backends L]\n\
          \x20       [--index kind=path]* [--no-degrade] [--workers N] [--shards N]\n\
          \x20       [--pipeline-depth N] [--cache N] [--max-pending N] [--grace-ms N]\n\
@@ -101,7 +101,8 @@ const USAGE: &str = "spq — shortest path and distance queries on road networks
          \x20                                        (--resource: fd/disk/memory/slow-reader\n\
          \x20                                         exhaustion schedules)\n\n\
          backends (query --technique, serve/loadgen --backends):\n\
-         \x20 dijkstra,ch,tnr,silc,pcpd,alt,arcflags,hl (--backends also takes 'all');\n\
+         \x20 dijkstra,ch,tnr,silc,pcpd,alt,arcflags,hl\n\
+         \x20 (omitting --backends serves dijkstra,ch,tnr,alt,hl; --index loads ch, hl);\n\
          see README.md for the wire protocol.";
 
 /// Extracts `--key value` from an argument list.
@@ -377,7 +378,7 @@ fn verify(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(7);
     let mut failed = false;
-    for kind in BackendKind::DEFAULT {
+    for kind in BackendKind::ALL {
         if kind.needs_all_pairs() && net.num_nodes() > 24_000 {
             println!(
                 "{:<9} skipped (all-pairs preprocessing on a large network)",
@@ -966,6 +967,116 @@ mod tests {
             let err = serve_network(&args(&[flag, value])).expect_err("malformed network flag");
             assert!(err.contains(flag), "{flag} {value}: {err}");
         }
+    }
+
+    /// `--index` on a kind with no on-disk format, and `--backends all`,
+    /// are refused while the flags are parsed: before any network is
+    /// read or index built.
+    #[test]
+    fn serve_refuses_an_index_that_can_never_load_and_the_all_alias() {
+        for kind in ["tnr", "silc", "alt", "arcflags", "pcpd", "dijkstra"] {
+            let err = serve_options(&args(&["--index", &format!("{kind}=/x")]))
+                .expect_err("an index kind with no container must not start a server");
+            assert!(
+                err.starts_with(&format!("{kind} has no on-disk index format")),
+                "{err}"
+            );
+            assert!(err.contains("only ch and hl"), "{err}");
+        }
+        for list in ["all", "ch,all"] {
+            let err = serve_options(&args(&["--backends", list])).unwrap_err();
+            assert!(err.contains("unknown backend 'all'"), "{err}");
+            let err = loadgen_options(&args(&["--backends", list])).unwrap_err();
+            assert!(err.contains("unknown backend 'all'"), "{err}");
+        }
+    }
+
+    /// Without `--backends`, serve and loadgen run the default set,
+    /// every slot built; the kinds left out of it are served by name.
+    #[test]
+    fn serve_and_loadgen_run_the_default_set_unless_told_otherwise() {
+        let o = serve_options(&[]).expect("no flags is a valid serve");
+        let kinds: Vec<BackendKind> = o.specs.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, BackendKind::DEFAULT);
+        assert!(o.specs.iter().all(|s| s.index.is_none()));
+        assert_eq!(loadgen_options(&[]).unwrap().backends, BackendKind::DEFAULT);
+
+        let named = ["--backends", "silc,pcpd,arcflags"];
+        let wanted = [BackendKind::Silc, BackendKind::Pcpd, BackendKind::ArcFlags];
+        let o = serve_options(&args(&named)).unwrap();
+        let kinds: Vec<BackendKind> = o.specs.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, wanted);
+        assert_eq!(loadgen_options(&args(&named)).unwrap().backends, wanted);
+    }
+
+    /// A small network written as DIMACS under a fresh directory, and
+    /// the base path `--net` takes.
+    fn dimacs_network(tag: &str, target: usize) -> (RoadNetwork, std::path::PathBuf, String) {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(target, 5));
+        let dir = std::env::temp_dir().join(format!("spq_cli_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("net").display().to_string();
+        spq_graph::dimacs::write_gr(&net, File::create(format!("{base}.gr")).unwrap()).unwrap();
+        spq_graph::dimacs::write_co(&net, File::create(format!("{base}.co")).unwrap()).unwrap();
+        (net, dir, base)
+    }
+
+    /// `spq verify` builds and certifies every kind, the ones left out
+    /// of the default set included, and refuses a malformed count.
+    #[test]
+    fn verify_certifies_every_kind_on_a_clean_network() {
+        let (_, dir, base) = dimacs_network("verify", 300);
+        verify(&args(&["--net", &base, "--samples", "30"])).expect("every kind is clean");
+        let err = verify(&args(&["--net", &base, "--samples", "many"])).unwrap_err();
+        assert!(err.contains("--samples"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every container `spq prep` writes is one the server reads: CH
+    /// and HL load through `--index`, a POI set through `PoiSet`. Any
+    /// other kind is refused by name, and writes nothing.
+    #[test]
+    fn prep_writes_only_containers_the_server_reads() {
+        let (net, dir, base) = dimacs_network("prep", 200);
+        for kind in [BackendKind::Ch, BackendKind::Hl] {
+            let out = dir.join(kind.name()).display().to_string();
+            prep(&args(&[
+                "--net",
+                &base,
+                "--out",
+                &out,
+                "--kind",
+                kind.name(),
+            ]))
+            .unwrap();
+            let (_, bytes) = Engine::load_backend(kind, std::path::Path::new(&out), &net)
+                .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+            assert_eq!(bytes, kind.build(&net).index_bytes, "{}", kind.name());
+        }
+        let out = dir.join("poi").display().to_string();
+        prep(&args(&[
+            "--net", &base, "--out", &out, "--kind", "poi", "--count", "9",
+        ]))
+        .unwrap();
+        let set = spq_many::PoiSet::read_binary(&mut File::open(&out).unwrap()).unwrap();
+        assert_eq!(set.len(), 9);
+        assert!(set.validate_for(net.num_nodes()).is_ok());
+
+        for kind in ["tnr", "silc", "alt", "arcflags", "pcpd"] {
+            let out = dir.join(kind);
+            let err = prep(&args(&[
+                "--net",
+                &base,
+                "--out",
+                &out.display().to_string(),
+                "--kind",
+                kind,
+            ]))
+            .unwrap_err();
+            assert_eq!(err, format!("--kind must be ch, hl, or poi, got '{kind}'"));
+            assert!(!out.exists(), "{kind}: a refused kind writes nothing");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -442,11 +442,6 @@ impl<R: Read> ContainerReader<R> {
         self.read_array(u32::from_le_bytes)
     }
 
-    /// Reads a length-prefixed `u64` section.
-    pub fn read_u64s(&mut self) -> io::Result<Vec<u64>> {
-        self.read_array(u64::from_le_bytes)
-    }
-
     /// Reads a length-prefixed byte section.
     pub fn read_u8s(&mut self) -> io::Result<Vec<u8>> {
         self.read_array(|[b]: [u8; 1]| b)
@@ -631,25 +626,10 @@ pub fn read_u32s(r: &mut impl Read) -> io::Result<Vec<u32>> {
     read_array(r, u32::from_le_bytes)
 }
 
-/// Writes a length-prefixed `u64` slice.
-pub fn write_u64s(w: &mut impl Write, xs: &[u64]) -> io::Result<()> {
-    write_array(w, xs, u64::to_le_bytes)
-}
-
-/// Reads a length-prefixed `u64` vector, rejecting absurd lengths.
-pub fn read_u64s(r: &mut impl Read) -> io::Result<Vec<u64>> {
-    read_array(r, u64::from_le_bytes)
-}
-
 /// Writes a length-prefixed byte slice.
 pub fn write_u8s(w: &mut impl Write, xs: &[u8]) -> io::Result<()> {
     write_u64(w, xs.len() as u64)?;
     w.write_all(xs)
-}
-
-/// Reads a length-prefixed byte vector, rejecting absurd lengths.
-pub fn read_u8s(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    read_array(r, |[b]: [u8; 1]| b)
 }
 
 /// Writes a length-prefixed `i32` slice.
@@ -860,14 +840,13 @@ mod tests {
         write_u32s(&mut buf, &[1, 2, u32::MAX]).unwrap();
         write_i32s(&mut buf, &[-5, 0, i32::MAX]).unwrap();
         write_u64(&mut buf, 42).unwrap();
-        write_u64s(&mut buf, &[7, u64::MAX]).unwrap();
         write_u8s(&mut buf, &[0, 9, 255]).unwrap();
         let mut r = &buf[..];
         assert_eq!(read_u32s(&mut r).unwrap(), vec![1, 2, u32::MAX]);
         assert_eq!(read_i32s(&mut r).unwrap(), vec![-5, 0, i32::MAX]);
         assert_eq!(read_u64(&mut r).unwrap(), 42);
-        assert_eq!(read_u64s(&mut r).unwrap(), vec![7, u64::MAX]);
-        assert_eq!(read_u8s(&mut r).unwrap(), vec![0, 9, 255]);
+        let bytes = read_array(&mut r, |[b]: [u8; 1]| b).unwrap();
+        assert_eq!(bytes, vec![0, 9, 255]);
     }
 
     #[test]
@@ -888,9 +867,11 @@ mod tests {
         buf.extend_from_slice(&[7u8; 16]);
         let eof = io::ErrorKind::UnexpectedEof;
         assert_eq!(read_u32s(&mut &buf[..]).unwrap_err().kind(), eof);
-        assert_eq!(read_u64s(&mut &buf[..]).unwrap_err().kind(), eof);
+        let wide = read_array(&mut &buf[..], u64::from_le_bytes);
+        assert_eq!(wide.unwrap_err().kind(), eof);
         assert_eq!(read_i32s(&mut &buf[..]).unwrap_err().kind(), eof);
-        assert_eq!(read_u8s(&mut &buf[..]).unwrap_err().kind(), eof);
+        let bytes = read_array(&mut &buf[..], |[b]: [u8; 1]| b);
+        assert_eq!(bytes.unwrap_err().kind(), eof);
     }
 
     /// Arrays longer than one conversion chunk keep their order, their

@@ -34,7 +34,7 @@ impl Cell {
 }
 
 /// The geometry of a `g × g` grid over a bounding rectangle.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridFrame {
     rect: Rect,
     g: u32,
@@ -138,7 +138,7 @@ impl GridFrame {
 }
 
 /// Vertices of a road network bucketed by grid cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VertexGrid {
     frame: GridFrame,
     /// Cell of each vertex (by linear index).

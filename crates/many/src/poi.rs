@@ -162,7 +162,16 @@ impl PoiSet {
     /// the checksum and re-validating every structural invariant.
     pub fn read_binary(r: &mut impl Read) -> Result<PoiSet, IndexLoadError> {
         let (name_bytes, net_nodes, nodes) = binio::read_container(r, MAGIC, VERSION, |body| {
-            Ok((body.read_u8s()?, binio::read_u64(body)?, body.read_u32s()?))
+            let sections = (body.read_u8s()?, binio::read_u64(body)?, body.read_u32s()?);
+            // A vertex list shorter than the body is a lying length
+            // prefix, not a smaller set: refuse it as CH and HL do.
+            if body.remaining() > 0 {
+                return Err(IndexLoadError::Corrupt(format!(
+                    "{} bytes follow the last section",
+                    body.remaining()
+                )));
+            }
+            Ok(sections)
         })?;
         let name = String::from_utf8(name_bytes)
             .map_err(|_| IndexLoadError::Corrupt("POI set name is not UTF-8".into()))?;
@@ -611,5 +620,26 @@ mod tests {
             PoiSet::read_binary(&mut &truncated[..]),
             Err(IndexLoadError::Truncated { .. })
         ));
+    }
+
+    /// The checksum covers the body, not its meaning: a vertex-count
+    /// prefix one short, resealed, must not load as a smaller set.
+    #[test]
+    fn a_resealed_short_vertex_list_is_refused_not_shortened() {
+        let g = grid_graph(5, 5);
+        let set = PoiSet::sample(&g, "chargers", 7, 9).unwrap();
+        let mut buf = Vec::new();
+        set.write_binary(&mut buf).unwrap();
+        // header(24) · name prefix(8) + name · network size(8) · count …
+        let at = 24 + 8 + set.name().len() + 8;
+        let count = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+        assert_eq!(count, 7);
+        buf[at..at + 8].copy_from_slice(&(count - 1).to_le_bytes());
+        let sum = binio::xxhash64(&buf[24..], 1);
+        buf[16..24].copy_from_slice(&sum.to_le_bytes());
+        match PoiSet::read_binary(&mut &buf[..]) {
+            Err(IndexLoadError::Corrupt(why)) => assert!(why.contains("follow"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -274,7 +274,7 @@ impl fmt::Debug for EpochRegistry {
 /// ```text
 /// net=data/usa          # base path: reads usa.gr + usa.co (optional)
 /// backends=ch,alt       # serving set (optional; default: keep current kinds)
-/// index=ch=idx/usa.ch   # load a persisted index for one slot (repeatable)
+/// index=ch=idx/usa.ch   # load a persisted CH or HL for one slot (repeatable)
 /// poi=fuel=idx/fuel.poi # register a persisted POI set (repeatable)
 /// ```
 ///
@@ -517,7 +517,37 @@ mod tests {
         assert!(ReloadSpec::parse("net data/usa").is_err());
         assert!(ReloadSpec::parse("warp=9").is_err());
         assert!(ReloadSpec::parse("backends=bogus").is_err());
+        assert!(ReloadSpec::parse("backends=all").is_err());
         assert!(ReloadSpec::parse("index=ch").is_err());
+        // A kind with no on-disk format fails the parse, by name.
+        let err = ReloadSpec::parse("index=alt=/x").unwrap_err();
+        assert!(err.contains("alt has no on-disk index format"), "{err}");
+        assert!(err.contains("only ch and hl"), "{err}");
+    }
+
+    /// A reload spec's `backends=` line names any kind, the ones left
+    /// out of the default set included; its `index=` lines take only the
+    /// kinds with a container, and refuse the rest with the same words
+    /// as `--index`.
+    #[test]
+    fn reload_spec_names_every_kind_but_indexes_only_ch_and_hl() {
+        let spec = ReloadSpec::parse("backends=silc,pcpd,arcflags\nindex=hl=idx/usa.hl\n").unwrap();
+        assert_eq!(
+            spec.backends,
+            vec![BackendKind::Silc, BackendKind::Pcpd, BackendKind::ArcFlags]
+        );
+        assert_eq!(spec.indexes.len(), 1);
+        assert_eq!(spec.indexes[0].kind, BackendKind::Hl);
+        for kind in BackendKind::ALL {
+            let parsed = ReloadSpec::parse(&format!("index={}=/x", kind.name()));
+            match kind {
+                BackendKind::Ch | BackendKind::Hl => assert!(parsed.is_ok(), "{parsed:?}"),
+                _ => assert_eq!(
+                    parsed.unwrap_err(),
+                    format!("reload file line 1: {}", kind.check_loadable().unwrap_err())
+                ),
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   against the Dijkstra oracle by [`verify_session`]: the server,
 //!   `spq query`/`verify`/`bench` and the figure harness all build
 //!   through it, and serving and certifying both check through it.
-//! * [`Engine`] — the five paper indexes (plus ALT and optionally arc
-//!   flags) built over one road network, each behind the unified
+//! * [`Engine`] — any set of those indexes (by default Dijkstra, CH,
+//!   TNR, ALT and HL) built over one road network, each behind the unified
 //!   [`spq_graph::backend::Backend`] trait, with that oracle check
 //!   gating startup.
 //! * [`server`] — a TCP service speaking the [`protocol`] wire format:
@@ -70,6 +70,7 @@ use spq_ch::ContractionHierarchy;
 use spq_dijkstra::{Baseline, Dijkstra};
 use spq_graph::atomic_io;
 use spq_graph::backend::{Backend, Session};
+use spq_graph::binio::IndexLoadError;
 use spq_graph::sample::PairSampler;
 use spq_graph::size::IndexSize;
 use spq_graph::types::{Dist, NodeId};
@@ -124,14 +125,15 @@ impl BackendKind {
         BackendKind::Hl,
     ];
 
-    /// The default serving set: the paper's five techniques plus ALT
-    /// and hub labeling.
-    pub const DEFAULT: [BackendKind; 7] = [
+    /// The default serving set: the paper's Dijkstra, CH and TNR, plus
+    /// ALT and hub labeling. SILC and PCPD are left out because their
+    /// builds are quadratic (all-pairs shortest paths), arc flags
+    /// because it runs one full Dijkstra per region-boundary vertex;
+    /// `--backends` serves them by name.
+    pub const DEFAULT: [BackendKind; 5] = [
         BackendKind::Dijkstra,
         BackendKind::Ch,
         BackendKind::Tnr,
-        BackendKind::Silc,
-        BackendKind::Pcpd,
         BackendKind::Alt,
         BackendKind::Hl,
     ];
@@ -226,12 +228,18 @@ impl BackendKind {
             .find(|k| k.name().eq_ignore_ascii_case(s))
     }
 
-    /// Parses a comma-separated backend list ("ch,tnr,alt"); "all"
-    /// yields the default set.
+    /// Parses a comma-separated backend list ("ch,tnr,alt"). There is
+    /// no alias for a set: the default set is what an omitted list
+    /// means.
+    ///
+    /// ```
+    /// use spq_serve::BackendKind;
+    ///
+    /// let kinds = BackendKind::parse_list("ch, silc,ch").unwrap();
+    /// assert_eq!(kinds, [BackendKind::Ch, BackendKind::Silc]);
+    /// assert!(BackendKind::parse_list("all").is_err());
+    /// ```
     pub fn parse_list(csv: &str) -> Result<Vec<BackendKind>, String> {
-        if csv.eq_ignore_ascii_case("all") {
-            return Ok(BackendKind::DEFAULT.to_vec());
-        }
         let mut out = Vec::new();
         for part in csv.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let kind =
@@ -251,6 +259,29 @@ impl BackendKind {
     pub fn needs_all_pairs(self) -> bool {
         matches!(self, BackendKind::Silc | BackendKind::Pcpd)
     }
+
+    /// Whether this technique's index can be loaded from a file: only
+    /// CH (`SPQC`) and HL (`SPQH`) have an on-disk format. The one
+    /// check behind `--index`, a reload spec's `index=` line and
+    /// [`Engine::load_backend`], so a kind that can never load is
+    /// refused by name before any network is read or index built.
+    ///
+    /// ```
+    /// use spq_serve::BackendKind;
+    ///
+    /// assert!(BackendKind::Hl.check_loadable().is_ok());
+    /// let err = BackendKind::Tnr.check_loadable().unwrap_err();
+    /// assert_eq!(err, "tnr has no on-disk index format; only ch and hl load from a file");
+    /// ```
+    pub fn check_loadable(self) -> Result<(), String> {
+        match self {
+            BackendKind::Ch | BackendKind::Hl => Ok(()),
+            kind => Err(format!(
+                "{} has no on-disk index format; only ch and hl load from a file",
+                kind.name()
+            )),
+        }
+    }
 }
 
 /// Boxes an index with its [`IndexSize`], read while the concrete type
@@ -258,6 +289,27 @@ impl BackendKind {
 fn sized<B: Backend + IndexSize + 'static>(index: B) -> (Box<dyn Backend>, usize) {
     let bytes = index.index_size_bytes();
     (Box::new(index), bytes)
+}
+
+/// Reads one index from `path` with its container's `read`, refusing
+/// one that covers a different number of vertices than `net`.
+fn read_index<T>(
+    path: &Path,
+    net: &RoadNetwork,
+    read: impl FnOnce(&mut BufReader<File>) -> Result<T, IndexLoadError>,
+    num_nodes: impl FnOnce(&T) -> usize,
+) -> Result<T, String> {
+    let shown = path.display();
+    let f = File::open(path).map_err(|e| format!("{shown}: {e}"))?;
+    let index = read(&mut BufReader::new(f)).map_err(|e| format!("{shown}: {e}"))?;
+    let nodes = num_nodes(&index);
+    if nodes != net.num_nodes() {
+        return Err(format!(
+            "{shown}: index covers {nodes} vertices but the network has {}",
+            net.num_nodes()
+        ));
+    }
+    Ok(index)
 }
 
 /// A hierarchy behind the one CH session type, answering kNN from
@@ -308,13 +360,15 @@ impl BackendSpec {
         }
     }
 
-    /// Parses the CLI form `kind=path` (e.g. `tnr=idx/usa.tnr`).
+    /// Parses the CLI form `kind=path` (e.g. `hl=idx/usa.hl`), refusing
+    /// a kind with no on-disk format ([`BackendKind::check_loadable`]).
     pub fn parse(s: &str) -> Result<BackendSpec, String> {
         let (name, path) = s
             .split_once('=')
             .ok_or_else(|| format!("--index wants kind=path, got '{s}'"))?;
         let kind = BackendKind::parse(name.trim())
             .ok_or_else(|| format!("unknown backend '{}' in --index", name.trim()))?;
+        kind.check_loadable()?;
         if path.trim().is_empty() {
             return Err(format!("--index {name}= has an empty path"));
         }
@@ -378,83 +432,41 @@ impl Engine {
         Engine::build_with_indexes(net, &specs, true).expect("in-memory builds cannot fail")
     }
 
-    /// Loads a persisted index, with its [`IndexSize`]. The error is the
-    /// rendered [`spq_graph::binio::IndexLoadError`] (magic / version /
-    /// checksum / truncation all produce distinct, typed failures at the
-    /// persist layer) or a node-count mismatch against `net`.
+    /// Loads a persisted index, with its [`IndexSize`]. The error is a
+    /// kind with no on-disk format ([`BackendKind::check_loadable`],
+    /// decided before the file is opened), the rendered
+    /// [`spq_graph::binio::IndexLoadError`] (magic / version / checksum /
+    /// truncation all produce distinct, typed failures at the persist
+    /// layer), or a node-count mismatch against `net`.
     pub fn load_backend(
         kind: BackendKind,
         path: &Path,
         net: &RoadNetwork,
     ) -> Result<(Box<dyn Backend>, usize), String> {
-        let shown = path.display();
-        let check_nodes = |index_nodes: usize| -> Result<(), String> {
-            if index_nodes == net.num_nodes() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{shown}: index covers {index_nodes} vertices but the network has {}",
-                    net.num_nodes()
-                ))
-            }
-        };
-        let open = || -> Result<BufReader<File>, String> {
-            let f = File::open(path).map_err(|e| format!("{shown}: {e}"))?;
-            Ok(BufReader::new(f))
-        };
-        match kind {
-            BackendKind::Dijkstra => Err("dijkstra is index-free; nothing to load".into()),
-            BackendKind::Pcpd => Err("PCPD has no on-disk index format".into()),
+        kind.check_loadable()?;
+        if kind == BackendKind::Ch {
             // One CH session type: the slot `build_with_indexes` serves,
             // here without POI sets.
-            BackendKind::Ch => Ok(ch_slot(Self::load_ch(path, net)?, PoiTable::empty())),
-            BackendKind::Alt => {
-                let alt = Alt::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
-                check_nodes(alt.num_nodes())?;
-                Ok(sized(alt))
-            }
-            BackendKind::Silc => {
-                let silc = Silc::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
-                check_nodes(silc.num_nodes())?;
-                Ok(sized(silc))
-            }
-            BackendKind::Tnr => {
-                let tnr =
-                    Tnr::read_binary(net, &mut open()?).map_err(|e| format!("{shown}: {e}"))?;
-                Ok(sized(tnr))
-            }
-            BackendKind::ArcFlags => {
-                let af = ArcFlags::read_binary(net, &mut open()?)
-                    .map_err(|e| format!("{shown}: {e}"))?;
-                Ok(sized(af))
-            }
-            BackendKind::Hl => {
-                let hl = Hl::read_binary(&mut open()?).map_err(|e| format!("{shown}: {e}"))?;
-                check_nodes(hl.num_nodes())?;
-                Ok(sized(hl))
-            }
+            return Ok(ch_slot(Self::load_ch(path, net)?, PoiTable::empty()));
         }
+        let hl = read_index(path, net, Hl::read_binary, Hl::num_nodes)?;
+        Ok(sized(hl))
     }
 
     /// Loads a persisted CH, keeping the hierarchy shareable with the
     /// POI machinery.
     fn load_ch(path: &Path, net: &RoadNetwork) -> Result<Arc<ContractionHierarchy>, String> {
-        let shown = path.display();
-        let f = File::open(path).map_err(|e| format!("{shown}: {e}"))?;
-        let mut r = BufReader::new(f);
-        let ch = ContractionHierarchy::read_binary(&mut r).map_err(|e| format!("{shown}: {e}"))?;
-        if ch.num_nodes() != net.num_nodes() {
-            return Err(format!(
-                "{shown}: index covers {} vertices but the network has {}",
-                ch.num_nodes(),
-                net.num_nodes()
-            ));
-        }
-        Ok(Arc::new(ch))
+        read_index(
+            path,
+            net,
+            ContractionHierarchy::read_binary,
+            ContractionHierarchy::num_nodes,
+        )
+        .map(Arc::new)
     }
 
     /// Builds or loads the requested serving slots, degrading failed
-    /// index loads down the chain (anything → CH → Dijkstra) when
+    /// index loads down the chain (HL → CH → Dijkstra) when
     /// `degrade` is true. With `degrade` false the first load failure is
     /// fatal — the operator asked for exactly these indexes.
     ///
@@ -863,7 +875,7 @@ mod tests {
     use super::*;
     use spq_ch::ChQuery;
     use spq_dijkstra::BiDijkstra;
-    use spq_graph::binio::{self, IndexLoadError};
+    use spq_graph::binio;
     use spq_graph::toy::figure1;
     use spq_synth::SynthParams;
     use std::io::Write;
@@ -879,10 +891,10 @@ mod tests {
             BackendKind::parse_list("ch, tnr,ch").unwrap(),
             vec![BackendKind::Ch, BackendKind::Tnr]
         );
-        assert_eq!(
-            BackendKind::parse_list("all").unwrap(),
-            BackendKind::DEFAULT.to_vec()
-        );
+        // No set alias: "all" is an unknown name like any other.
+        let err = BackendKind::parse_list("all").unwrap_err();
+        assert!(err.contains("unknown backend 'all'"), "{err}");
+        assert!(BackendKind::parse_list("ch,all").is_err());
         assert!(BackendKind::parse_list("bogus").is_err());
         assert!(BackendKind::parse_list("").is_err());
     }
@@ -927,32 +939,57 @@ mod tests {
 
     #[test]
     fn backend_specs_parse_the_cli_form() {
-        let spec = BackendSpec::parse("tnr=idx/usa.tnr").unwrap();
-        assert_eq!(spec.kind, BackendKind::Tnr);
+        let spec = BackendSpec::parse("hl=idx/usa.hl").unwrap();
+        assert_eq!(spec.kind, BackendKind::Hl);
         assert_eq!(
             spec.index.as_deref(),
-            Some(std::path::Path::new("idx/usa.tnr"))
+            Some(std::path::Path::new("idx/usa.hl"))
         );
-        assert!(BackendSpec::parse("tnr").is_err());
+        assert_eq!(BackendSpec::parse("ch=a.ch").unwrap().kind, BackendKind::Ch);
+        assert!(BackendSpec::parse("hl").is_err());
         assert!(BackendSpec::parse("bogus=x").is_err());
         assert!(BackendSpec::parse("ch=").is_err());
+    }
+
+    /// Only CH and HL have a container; every other kind is refused when
+    /// its `kind=path` is parsed, by name and listing the two that load,
+    /// and `load_backend` gives the same refusal before it opens the
+    /// (here nonexistent) file.
+    #[test]
+    fn kinds_without_a_container_are_refused_before_any_load() {
+        let net = figure1();
+        let unloadable: Vec<BackendKind> = BackendKind::ALL
+            .into_iter()
+            .filter(|k| !matches!(k, BackendKind::Ch | BackendKind::Hl))
+            .collect();
+        assert_eq!(unloadable.len(), 6);
+        for kind in unloadable {
+            let err = BackendSpec::parse(&format!("{}=/x", kind.name())).unwrap_err();
+            assert!(err.starts_with(kind.name()), "{err}");
+            assert!(err.contains("only ch and hl"), "{err}");
+            let path = Path::new("/nonexistent/index.bin");
+            match Engine::load_backend(kind, path, &net) {
+                Err(load_err) => assert_eq!(load_err, err),
+                Ok(_) => panic!("{} loaded from {}", kind.name(), path.display()),
+            }
+        }
     }
 
     #[test]
     fn failed_index_loads_degrade_down_the_chain() {
         let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 13));
-        // TNR's file is missing → served by CH; CH is clean (built).
+        // HL's file is missing → served by CH; CH is clean (built).
         let specs = [
             BackendSpec::built(BackendKind::Ch),
-            BackendSpec::from_file(BackendKind::Tnr, "/nonexistent/usa.tnr"),
+            BackendSpec::from_file(BackendKind::Hl, "/nonexistent/usa.hl"),
         ];
         let engine = Engine::build_with_indexes(net.clone(), &specs, true).unwrap();
         let pos = engine
-            .position_of_wire(BackendKind::Tnr.wire_id())
+            .position_of_wire(BackendKind::Hl.wire_id())
             .expect("degraded wire id keeps answering");
         assert_eq!(engine.backends()[pos].kind, BackendKind::Ch);
         assert_eq!(engine.degradations().len(), 1);
-        assert_eq!(engine.degradations()[0].requested, BackendKind::Tnr);
+        assert_eq!(engine.degradations()[0].requested, BackendKind::Hl);
         assert_eq!(engine.degradations()[0].served_by, BackendKind::Ch);
 
         // CH itself failing, with no Dijkstra requested, appends the
@@ -1146,6 +1183,107 @@ mod tests {
             .expect("a node-count mismatch is refused");
         assert!(err.contains("vertices"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// HL loads through the same reader as CH: the loaded index answers
+    /// like the oracle, records the built index's bytes, and is refused
+    /// against a network it does not cover.
+    #[test]
+    fn loaded_hl_index_answers_and_sizes_like_the_built_one() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(200, 19));
+        let dir = std::env::temp_dir().join(format!("spq_serve_hl_load_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("net.hl");
+        let hl = Hl::build(&net);
+        let mut file = Vec::new();
+        hl.write_binary(&mut file).unwrap();
+        std::fs::write(&path, &file).unwrap();
+
+        let (loaded, bytes) =
+            Engine::load_backend(BackendKind::Hl, &path, &net).expect("clean load");
+        assert_eq!(bytes, hl.index_size_bytes());
+        assert_eq!(BackendKind::Hl.build(&net).index_bytes, bytes);
+        let mut session = loaded.session(&net);
+        let report = verify_session(&net, session.as_mut(), 40, 3);
+        assert!(report.is_clean(), "{report:?}");
+
+        let other = spq_synth::generate(&SynthParams::with_target_vertices(64, 19));
+        let err = Engine::load_backend(BackendKind::Hl, &path, &other)
+            .err()
+            .expect("a node-count mismatch is refused");
+        assert!(err.contains("vertices but the network has"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The two loadable kinds do not read each other's files: a CH
+    /// container named as HL (and the reverse) is refused by its magic,
+    /// with the path in the message, and the degradation chain still
+    /// keeps the wire id answering.
+    #[test]
+    fn a_container_of_the_other_loadable_kind_is_refused_by_its_magic() {
+        let net = spq_synth::generate(&SynthParams::with_target_vertices(64, 23));
+        let dir = std::env::temp_dir().join(format!("spq_serve_swapped_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ch_path = dir.join("net.ch");
+        let hl_path = dir.join("net.hl");
+        let mut file = Vec::new();
+        ContractionHierarchy::build(&net)
+            .write_binary(&mut file)
+            .unwrap();
+        std::fs::write(&ch_path, &file).unwrap();
+        file.clear();
+        Hl::build(&net).write_binary(&mut file).unwrap();
+        std::fs::write(&hl_path, &file).unwrap();
+
+        for (kind, path, expected) in [
+            (BackendKind::Hl, &ch_path, "SPQH"),
+            (BackendKind::Ch, &hl_path, "SPQC"),
+        ] {
+            let err = Engine::load_backend(kind, path, &net)
+                .err()
+                .expect("a container of another kind is refused");
+            assert!(err.starts_with(&path.display().to_string()), "{err}");
+            assert!(
+                err.contains(&format!("not a {expected} index file")),
+                "{err}"
+            );
+        }
+
+        let specs = [BackendSpec::from_file(BackendKind::Hl, &ch_path)];
+        let engine = Engine::build_with_indexes(net, &specs, true).unwrap();
+        let [degraded] = engine.degradations() else {
+            panic!("one degradation, got {:?}", engine.degradations());
+        };
+        assert_eq!(degraded.requested, BackendKind::Hl);
+        assert!(degraded.reason.contains("bad magic"), "{}", degraded.reason);
+        assert!(engine.position_of_wire(BackendKind::Hl.wire_id()).is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The default set holds no build that needs all-pairs shortest
+    /// paths; every kind left out of it is still in `ALL` and served by
+    /// name through a backend list.
+    #[test]
+    fn default_set_leaves_out_the_quadratic_builds_but_serves_them_by_name() {
+        assert_eq!(
+            BackendKind::DEFAULT.map(BackendKind::name),
+            ["dijkstra", "ch", "tnr", "alt", "hl"]
+        );
+        assert!(BackendKind::DEFAULT.iter().all(|k| !k.needs_all_pairs()));
+        let left_out: Vec<BackendKind> = BackendKind::ALL
+            .into_iter()
+            .filter(|k| !BackendKind::DEFAULT.contains(k))
+            .collect();
+        assert_eq!(
+            left_out,
+            [BackendKind::Silc, BackendKind::Pcpd, BackendKind::ArcFlags]
+        );
+        assert!(BackendKind::PAPER.contains(&BackendKind::Silc));
+        assert!(BackendKind::PAPER.contains(&BackendKind::Pcpd));
+        assert_eq!(
+            BackendKind::parse_list("silc,pcpd,arcflags").unwrap(),
+            left_out
+        );
     }
 
     #[test]

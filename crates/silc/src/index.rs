@@ -12,21 +12,21 @@ use spq_graph::RoadNetwork;
 pub(crate) const NO_COLOR: u8 = u8::MAX;
 
 /// The frozen SILC index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Silc {
     /// Morton code of each vertex (coordinates normalised to u32).
-    pub(crate) node_code: Vec<u64>,
+    node_code: Vec<u64>,
     /// Per-source CSR over compressed colour blocks.
-    pub(crate) block_first: Vec<u32>,
+    block_first: Vec<u32>,
     /// Morton start code of each block (sorted within a source's slice).
-    pub(crate) block_code: Vec<u64>,
+    block_code: Vec<u64>,
     /// First-hop colour of each block.
-    pub(crate) block_color: Vec<u8>,
+    block_color: Vec<u8>,
     /// Rare per-node exceptions `(source-relative sorted (node, colour))`
     /// for vertices sharing one coordinate but not one colour.
-    pub(crate) exc_first: Vec<u32>,
-    pub(crate) exc_node: Vec<NodeId>,
-    pub(crate) exc_color: Vec<u8>,
+    exc_first: Vec<u32>,
+    exc_node: Vec<NodeId>,
+    exc_color: Vec<u8>,
 }
 
 impl Silc {

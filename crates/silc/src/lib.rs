@@ -30,7 +30,6 @@
 //! ```
 
 pub mod index;
-pub mod persist;
 pub mod query;
 
 pub use index::Silc;

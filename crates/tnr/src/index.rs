@@ -35,7 +35,7 @@ pub enum Fallback {
 /// crossover of the paper while the per-dataset vertex counts are 40×
 /// smaller. Passing `grid: 128, inner_radius: 2, outer_radius: 4`
 /// restores the paper's literal values for full-size DIMACS data.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TnrParams {
     /// Grid resolution `g` (the paper evaluates 128 and 256; 128 wins).
     pub grid: u32,
@@ -65,6 +65,7 @@ impl Default for TnrParams {
 /// `I2`, the vertex → own-cell access-node distances. Shared by the
 /// plain index (which adds the full pairwise table `I1`) and the hybrid
 /// two-grid index of Appendix E.1 (which adds a sparse one).
+#[derive(Debug, PartialEq)]
 pub(crate) struct AccessIndex {
     pub grid: VertexGrid,
     /// Global deduplicated access-node vertex ids.
@@ -197,6 +198,7 @@ impl AccessIndex {
 /// pairwise distance table over all access nodes. A contraction
 /// hierarchy is always built (it accelerates preprocessing, §4.1) and is
 /// retained when it also serves as the query fallback.
+#[derive(Debug, PartialEq)]
 pub struct Tnr {
     pub(crate) net_nodes: usize,
     pub(crate) params: TnrParams,

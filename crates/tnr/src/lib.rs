@@ -41,7 +41,6 @@
 pub mod access;
 pub mod hybrid;
 pub mod index;
-pub mod persist;
 pub mod query;
 
 pub use access::AccessNodeStrategy;

@@ -1,33 +1,29 @@
-//! Golden byte identity of every checksummed container.
+//! Golden byte identity of the checksummed index containers.
 //!
-//! The containers are written as a stream — the body closure runs once
-//! into a hasher and once into the sink — and must stay the files they
-//! were when the body was serialised into a buffer first: `SPQC` is
-//! still version 4, `SPQH` version 2, and an index written before the
-//! change loads after it. The constants below were recorded from the
-//! commit before streaming (85c6158) by this same test; a change to any
-//! format, any builder or the synthetic generator that moves a byte
-//! shows up here as a length or digest mismatch.
+//! Three formats hold an index a CLI writes: `SPQC` (CH, version 4),
+//! `SPQH` (HL, version 2) and `SPQP` (POI sets). They are written as a
+//! stream — the body closure runs once into a hasher and once into the
+//! sink — and must stay the files they were when the body was
+//! serialised into a buffer first, so an index written before a change
+//! loads after it. The constants below were recorded from the commit
+//! before streaming (85c6158) by this same test; a change to any of
+//! these formats, their builders or the synthetic generator that moves
+//! a byte shows up here as a length or digest mismatch.
 //!
-//! The hierarchy pins build only CH and HL (the other builders would
-//! not finish at these sizes) on the benchmark's networks, and were
-//! recorded from the commit before contraction dropped dead overlay
+//! The hierarchy pins build CH and HL on the benchmark's networks, and
+//! were recorded from the commit before contraction dropped dead overlay
 //! edges and stopped witness searches early (35a374c): a faster
 //! contraction must still emit the same hierarchy, bit for bit.
 
-use spq_alt::{Alt, AltParams};
-use spq_arcflags::{ArcFlags, ArcFlagsParams};
 use spq_ch::ContractionHierarchy;
 use spq_graph::binio::xxhash64;
 use spq_graph::toy::figure1;
 use spq_graph::{par, RoadNetwork};
 use spq_hl::Hl;
 use spq_many::PoiSet;
-use spq_silc::Silc;
 use spq_synth::SynthParams;
-use spq_tnr::{Tnr, TnrParams};
 
-/// `(magic, length, XXH64 with seed 0)` of all seven containers built
+/// `(magic, length, XXH64 with seed 0)` of the three containers built
 /// over one network, in a fixed order.
 fn fingerprints(net: &RoadNetwork) -> Vec<(String, usize, u64)> {
     fn container(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
@@ -38,30 +34,10 @@ fn fingerprints(net: &RoadNetwork) -> Vec<(String, usize, u64)> {
     let ch = ContractionHierarchy::build(net);
     let hl = Hl::build(net);
     let pois = PoiSet::sample(net, "golden", net.num_nodes().min(5), 11).unwrap();
-    let tnr = Tnr::build(
-        net,
-        &TnrParams {
-            grid: 4,
-            ..TnrParams::default()
-        },
-    );
-    let silc = Silc::build(net);
-    let alt = Alt::build(
-        net,
-        &AltParams {
-            num_landmarks: 3,
-            ..AltParams::default()
-        },
-    );
-    let flags = ArcFlags::build(net, &ArcFlagsParams { grid: 3 });
     [
         container(|b| ch.write_binary(b)),
         container(|b| hl.write_binary(b)),
         container(|b| pois.write_binary(b)),
-        container(|b| tnr.write_binary(b)),
-        container(|b| silc.write_binary(b)),
-        container(|b| alt.write_binary(b)),
-        container(|b| flags.write_binary(b)),
     ]
     .into_iter()
     .map(|bytes| {
@@ -148,18 +124,10 @@ const FIGURE1: &[(&str, usize, u64)] = &[
     ("SPQC", 256, 0x833be50c4e6fefd3),
     ("SPQH", 508, 0xabe7c6190e6d8169),
     ("SPQP", 74, 0x811b5848567b6649),
-    ("SPQT", 826, 0x8064a2e4183ea987),
-    ("SPQS", 522, 0x1396eebf1ff4c49b),
-    ("SPQA", 156, 0xba789c0d82079c39),
-    ("SPQF", 184, 0xa2973d03880a534f),
 ];
 
 const SYNTHETIC_900: &[(&str, usize, u64)] = &[
     ("SPQC", 34796, 0xbaa0aab254ca5b30),
     ("SPQH", 128288, 0x72c350ec987f7d04),
     ("SPQP", 74, 0x4ef82a0b9cb3e86b),
-    ("SPQT", 158242, 0x83fc893133894c26),
-    ("SPQS", 545834, 0xae9b9aedcd9831ba),
-    ("SPQA", 11700, 0xd9ac478d7ccbceee),
-    ("SPQF", 21336, 0x28b3d747067e8686),
 ];

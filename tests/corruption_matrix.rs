@@ -1,4 +1,5 @@
-//! Corruption matrix for the `SPQC` and `SPQH` containers.
+//! Corruption matrix for the checksummed containers: `SPQC`, `SPQH`
+//! and `SPQP`.
 //!
 //! The containers are read as a stream — sections go straight into
 //! their final vectors while the checksum is computed, and the verdict
@@ -8,12 +9,15 @@
 //! whole-body reader returned: the tables below were recorded by this
 //! same test on the commit before streaming (85c6158). The order of
 //! precedence they spell out is i/o or `Truncated`, then
-//! `ChecksumMismatch`, then whatever the bytes themselves say.
+//! `ChecksumMismatch`, then whatever the bytes themselves say. The
+//! `SPQP` table was recorded when the POI container joined the matrix,
+//! and spells out the same precedence.
 
 use spq_ch::ContractionHierarchy;
 use spq_graph::binio::{xxhash64, IndexLoadError};
 use spq_graph::toy::figure1;
 use spq_hl::Hl;
+use spq_many::PoiSet;
 
 const HEADER: usize = 24;
 
@@ -245,6 +249,73 @@ fn spqh_damage_is_refused_as_before() {
     .collect();
     check(got, SPQH);
 }
+
+#[test]
+fn spqp_damage_is_refused_in_the_same_order() {
+    let net = figure1();
+    let set = PoiSet::sample(&net, "chargers", 5, 3).unwrap();
+    let mut file = Vec::new();
+    set.write_binary(&mut file).unwrap();
+    // name · network size · vertices
+    let p0 = HEADER;
+    let size = p0 + 8 + set.name().len();
+    let p1 = size + 8;
+    assert_eq!(file.len(), p1 + 8 + 4 * set.len());
+    let got = damaged(
+        &file,
+        &[p0, p1],
+        &[p0 + 8, size, p1 + 8 + 4],
+        &[size, p1],
+        None,
+    )
+    .into_iter()
+    .map(|(case, bytes)| (case, outcome(PoiSet::read_binary(&mut &bytes[..]))))
+    .collect();
+    check(got, SPQP);
+}
+
+const SPQP: &[(&str, &str)] = &[
+    ("flip magic", "BadMagic"),
+    ("version + 1", "UnsupportedVersion"),
+    ("version - 1", "LegacyVersion"),
+    ("body_len + 1", "Truncated"),
+    ("body_len - 1", "ChecksumMismatch"),
+    ("body_len - 1, resealed", "Io"),
+    ("body_len top bit", "Corrupt"),
+    ("flip stored checksum", "ChecksumMismatch"),
+    ("flip prefix 0", "ChecksumMismatch"),
+    ("prefix 0 top bit", "ChecksumMismatch"),
+    ("flip prefix 1", "ChecksumMismatch"),
+    ("prefix 1 top bit", "ChecksumMismatch"),
+    ("flip data 0", "ChecksumMismatch"),
+    ("flip data 1", "ChecksumMismatch"),
+    ("flip data 2", "ChecksumMismatch"),
+    ("flip last byte", "ChecksumMismatch"),
+    ("cut in header at 0", "Io"),
+    ("cut in header at 3", "Io"),
+    ("cut in header at 4", "Io"),
+    ("cut in header at 7", "Io"),
+    ("cut in header at 8", "Io"),
+    ("cut in header at 15", "Io"),
+    ("cut in header at 16", "Io"),
+    ("cut in header at 23", "Io"),
+    ("cut in header at 24", "Truncated"),
+    ("cut at boundary 0", "Truncated"),
+    ("cut after boundary 0", "Truncated"),
+    ("cut at boundary 1", "Truncated"),
+    ("cut after boundary 1", "Truncated"),
+    ("cut last byte", "Truncated"),
+    ("trailing bytes", "Ok"),
+    ("trailing bytes in the body", "Corrupt"),
+    ("prefix 0 + 1, resealed", "Corrupt"),
+    ("prefix 0 - 1, resealed", "Io"),
+    ("prefix 0 = 2^33, resealed", "Io"),
+    ("prefix 0 = 2^40, resealed", "Io"),
+    ("prefix 1 + 1, resealed", "Io"),
+    ("prefix 1 - 1, resealed", "Corrupt"),
+    ("prefix 1 = 2^33, resealed", "Io"),
+    ("prefix 1 = 2^40, resealed", "Io"),
+];
 
 const SPQC: &[(&str, &str)] = &[
     ("flip magic", "BadMagic"),

@@ -1,28 +1,26 @@
-//! Persistence round-trip property tests covering every
-//! `write_binary`/`read_binary` pair in the workspace: CH, HL, TNR,
-//! SILC, ALT, and arc flags.
+//! Persistence round-trip property tests for the four on-disk formats:
+//! the CH and HL index containers, POI sets and road networks.
 //!
 //! Two properties per format, on arbitrary connected networks:
 //!
 //! 1. **Stability** — write → read → write reproduces the original
 //!    bytes exactly (no drift, no nondeterminism in serialisation).
 //! 2. **Fidelity** — the reloaded index answers every (s, t) distance
-//!    query identically to the index it was written from.
+//!    query identically to the index it was written from (for a
+//!    network: the same arcs and coordinates; for a POI set: an equal
+//!    set).
 //!
-//! CH and HL additionally pin their container sizes to the `SPQC`
-//! version-4 and `SPQH` version-2 layouts, and the refusal of the
-//! versions before them.
+//! Each also pins its file size to its layout: `SPQC` version 4 and
+//! `SPQH` version 2 (with the refusal of the versions before them),
+//! `SPQP` version 1 and `SPQN` version 1.
 
 use proptest::prelude::*;
-use spq_alt::{Alt, AltParams};
-use spq_arcflags::{ArcFlags, ArcFlagsParams};
 use spq_ch::ContractionHierarchy;
 use spq_graph::arbitrary::{connected_network, NetworkStrategyParams};
 use spq_graph::binio::IndexLoadError;
 use spq_graph::{NodeId, RoadNetwork};
 use spq_hl::Hl;
-use spq_silc::Silc;
-use spq_tnr::{Tnr, TnrParams};
+use spq_many::PoiSet;
 
 fn small_network() -> impl Strategy<Value = RoadNetwork> {
     connected_network(NetworkStrategyParams {
@@ -141,69 +139,58 @@ proptest! {
     }
 
     #[test]
-    fn tnr_roundtrip(net in small_network()) {
-        let tnr = Tnr::build(&net, &TnrParams::default());
-        let bytes = write_to_vec(|b| tnr.write_binary(b));
-        let reloaded = Tnr::read_binary(&net, &mut &bytes[..]).expect("read back");
+    fn network_roundtrip(net in small_network()) {
+        let bytes = write_to_vec(|b| net.write_binary(b));
+        let reloaded = RoadNetwork::read_binary(&mut &bytes[..]).expect("read back");
         let rewritten = write_to_vec(|b| reloaded.write_binary(b));
-        prop_assert_eq!(&bytes, &rewritten, "TNR bytes drift across a round-trip");
+        prop_assert_eq!(&bytes, &rewritten, "network bytes drift across a round-trip");
 
-        let mut q1 = tnr.query().with_network(&net);
-        let mut q2 = reloaded.query().with_network(&net);
+        prop_assert_eq!(reloaded.num_nodes(), net.num_nodes());
+        prop_assert_eq!(reloaded.coords(), net.coords());
+        for v in 0..net.num_nodes() as NodeId {
+            prop_assert!(reloaded.neighbors(v).eq(net.neighbors(v)), "arcs of {} differ", v);
+        }
+
+        // The footprint is the layout: magic and version, the vertex
+        // count, then five length-prefixed sections of 4-byte elements
+        // (first-out offsets, arc heads, arc weights, x, y).
+        let (n, m) = (net.num_nodes(), net.num_arcs());
         prop_assert_eq!(
-            all_distances(&net, |s, t| q1.distance(s, t)),
-            all_distances(&net, |s, t| q2.distance(s, t))
+            bytes.len(),
+            8 + 8 + (8 + 4 * (n + 1)) + 2 * (8 + 4 * m) + 2 * (8 + 4 * n)
         );
+
+        // Any other version number is refused, before the body is read.
+        let mut v2 = bytes.clone();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        prop_assert!(RoadNetwork::read_binary(&mut &v2[..]).is_err());
     }
 
     #[test]
-    fn silc_roundtrip(net in small_network()) {
-        let silc = Silc::build(&net);
-        let bytes = write_to_vec(|b| silc.write_binary(b));
-        let reloaded = Silc::read_binary(&mut &bytes[..]).expect("read back");
+    fn poi_set_roundtrip(net in small_network(), count in 1usize..8, seed in any::<u64>()) {
+        let count = count.min(net.num_nodes());
+        let set = PoiSet::sample(&net, "fuel.v2", count, seed).expect("sample");
+        let bytes = write_to_vec(|b| set.write_binary(b));
+        let reloaded = PoiSet::read_binary(&mut &bytes[..]).expect("read back");
         let rewritten = write_to_vec(|b| reloaded.write_binary(b));
-        prop_assert_eq!(&bytes, &rewritten, "SILC bytes drift across a round-trip");
+        prop_assert_eq!(&bytes, &rewritten, "POI set bytes drift across a round-trip");
+        prop_assert_eq!(&reloaded, &set);
+        prop_assert!(reloaded.validate_for(net.num_nodes()).is_ok());
+        prop_assert!(reloaded.validate_for(net.num_nodes() + 1).is_err());
 
-        let mut q1 = silc.query(&net);
-        let mut q2 = reloaded.query(&net);
+        // The footprint is the layout: one header, the length-prefixed
+        // name, the network size and the length-prefixed vertex list.
         prop_assert_eq!(
-            all_distances(&net, |s, t| q1.distance(s, t)),
-            all_distances(&net, |s, t| q2.distance(s, t))
+            bytes.len(),
+            24 + (8 + set.name().len()) + 8 + (8 + 4 * set.len())
         );
-    }
 
-    #[test]
-    fn alt_roundtrip(net in small_network()) {
-        let alt = Alt::build(&net, &AltParams {
-            num_landmarks: 4.min(net.num_nodes()),
-            ..AltParams::default()
-        });
-        let bytes = write_to_vec(|b| alt.write_binary(b));
-        let reloaded = Alt::read_binary(&mut &bytes[..]).expect("read back");
-        let rewritten = write_to_vec(|b| reloaded.write_binary(b));
-        prop_assert_eq!(&bytes, &rewritten, "ALT bytes drift across a round-trip");
-
-        let mut q1 = alt.query(&net);
-        let mut q2 = reloaded.query(&net);
-        prop_assert_eq!(
-            all_distances(&net, |s, t| q1.distance(s, t)),
-            all_distances(&net, |s, t| q2.distance(s, t))
-        );
-    }
-
-    #[test]
-    fn arcflags_roundtrip(net in small_network()) {
-        let af = ArcFlags::build(&net, &ArcFlagsParams::default());
-        let bytes = write_to_vec(|b| af.write_binary(b));
-        let reloaded = ArcFlags::read_binary(&net, &mut &bytes[..]).expect("read back");
-        let rewritten = write_to_vec(|b| reloaded.write_binary(b));
-        prop_assert_eq!(&bytes, &rewritten, "arc-flag bytes drift across a round-trip");
-
-        let mut q1 = af.query(&net);
-        let mut q2 = reloaded.query(&net);
-        prop_assert_eq!(
-            all_distances(&net, |s, t| q1.distance(s, t)),
-            all_distances(&net, |s, t| q2.distance(s, t))
-        );
+        // One format, one reader: version 2 is not one it knows.
+        let mut v2 = bytes.clone();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        prop_assert!(matches!(
+            PoiSet::read_binary(&mut &v2[..]),
+            Err(IndexLoadError::UnsupportedVersion { .. })
+        ));
     }
 }
