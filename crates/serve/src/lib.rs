@@ -46,6 +46,7 @@ pub mod audit;
 pub mod byteproxy;
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod epoch;
 pub mod eventloop;
 mod executor;

@@ -2,111 +2,70 @@
 //! bounded point requests themselves, in front of a fixed worker pool
 //! for everything else, with bounded worst-case behavior under
 //! overload, slow clients, deadlines, forced shutdown, worker panics,
-//! and live index swaps.
+//! and live index swaps (std-only; epoll/eventfd in [`crate::eventloop`]).
 //!
-//! Architecture (std-only, no async runtime; the epoll/eventfd shims
-//! live in [`crate::eventloop`]):
-//!
-//! * An **acceptor** thread owns the (non-blocking) listener and deals
-//!   accepted connections round-robin to the shards. Accepting is
-//!   cheap: connection count is bounded by file descriptors, not
-//!   threads, so tens of thousands of idle connections cost one fd and
-//!   a few hundred bytes each.
-//! * [`ServerConfig::shards`] **shard** threads each run an epoll loop
-//!   over their connections: non-blocking reads into a growing buffer,
-//!   frame parsing and decoding, and a per-connection write queue.
-//!   Clients may **pipeline** requests (several frames in flight on one
-//!   connection, up to [`ServerConfig::pipeline_depth`]); responses are
-//!   sequenced and flushed strictly in request order. Each decoded
-//!   request is **routed by what it is**: `PING`, a `DISTANCE` the
-//!   cache answers, and `DISTANCE` misses and `PATH` on a backend whose
-//!   point queries are bounded by its hierarchy, never by n
-//!   ([`spq_graph::backend::Backend::bounded_point_queries`] —
-//!   contraction hierarchies and hub labels), are answered on the spot
-//!   under the request's own budget, encoded straight into the
-//!   connection's write queue — no queue, no wake-up, no second
-//!   thread — and written out every half pipeline window, so a peer
-//!   keeping its window full refills it while the rest of the pass is
-//!   computed. A flood of such requests is back-pressured the way any
-//!   reader is: parsing stops at [`ServerConfig::pipeline_depth`] and
-//!   TCP pushes back. Everything else — misses and `PATH` on backends
-//!   that search the network (Dijkstra, ALT, arc flags, TNR, SILC,
-//!   PCPD), batch and one-to-many ops, kNN, range, `STATS`, `RELOAD`,
-//!   `SHUTDOWN`, anything on a quarantined slot, anything carrying an
-//!   injected fault — goes, already decoded, to a **bounded** work
-//!   queue; past the high-water mark ([`ServerConfig::max_pending`]) a
-//!   pooled request is answered with one `BUSY` frame in its response
-//!   slot — load is shed per request instead of growing an unbounded
-//!   queue. Inline and
-//!   pooled requests interleave freely on one connection; the response
-//!   order is the request order either way. A peer that stalls
-//!   mid-frame, or stops reading its responses, for
-//!   [`ServerConfig::peer_timeout`] is disconnected; a quietly idle
-//!   connection is never reaped.
+//! * An **acceptor** thread deals accepted connections round-robin to
+//!   the shards; an idle connection costs one fd and a few hundred bytes.
+//! * [`ServerConfig::shards`] **shard** threads each run an epoll loop,
+//!   the socket shell around one [`crate::conn::Conn`] per connection —
+//!   the state machine that frames, gates, sequences, accounts and
+//!   reaps. Clients may **pipeline** up to
+//!   [`ServerConfig::pipeline_depth`] requests; responses leave in
+//!   request order. `PING`, cache hits, and `DISTANCE`/`PATH` on a
+//!   backend whose point queries are bounded by its hierarchy
+//!   ([`spq_graph::backend::Backend::bounded_point_queries`]: CH, HL)
+//!   are answered on the spot, encoded straight into the write queue
+//!   and written out every half pipeline window. Everything else —
+//!   network searches, batch, one-to-many, kNN, range, `STATS`,
+//!   `RELOAD`, `SHUTDOWN`, a quarantined slot, an injected fault — goes
+//!   decoded to a **bounded** work queue; past
+//!   [`ServerConfig::max_pending`] it is answered with one `BUSY` frame
+//!   in its response slot. A peer that stalls mid-frame, or stops
+//!   reading its responses, for [`ServerConfig::peer_timeout`] is
+//!   disconnected; a quietly idle connection never is.
 //! * `workers` **worker** threads pop requests from the work queue.
-//! * Shards and workers alike execute requests through a
-//!   [`crate::executor::Executor`]: it pins the current
-//!   [`EpochState`](crate::epoch::EpochState) and owns one reusable
-//!   query session per backend it has answered on (built on first
-//!   use) — rebuilt when a reload publishes a new epoch (checked before every
-//!   request, so a request arriving after a `RELOAD` acknowledgement is
-//!   answered by the new epoch) or when a panic forces a fresh start.
-//!   Queries run inside a `catch_unwind` supervision shell: a panicking
-//!   query kills only its own connection, its thread rebuilds its
-//!   sessions and keeps serving. Past [`ServerConfig::restart_cap`]
-//!   panics within [`RESTART_WINDOW`] a worker retires;
-//!   when the last worker retires the server shuts down instead of
-//!   lingering as a zombie acceptor.
-//! * A **reloader** thread (present when a reload source is configured)
-//!   watches for `RELOAD` frames, `SIGHUP`, and content changes to the
-//!   reload file; it builds the replacement engine, self-checks it
-//!   against the Dijkstra oracle, and only then publishes the new
-//!   epoch. See [`crate::epoch`].
-//! * An **auditor** thread (see [`crate::audit`]) replays a seeded
-//!   trickle of queries against the oracle and quarantines backends
-//!   that keep disagreeing.
+//!   Shards and workers execute through a [`crate::executor::Executor`]
+//!   pinned to the current [`EpochState`](crate::epoch::EpochState),
+//!   with one reusable session per backend, rebuilt on a new epoch or
+//!   after a panic. A panicking query kills only its own connection;
+//!   past [`ServerConfig::restart_cap`] panics within
+//!   [`RESTART_WINDOW`] a worker retires, and when the last one does the
+//!   server shuts down.
+//! * A **reloader** thread (with a reload source) turns `RELOAD`
+//!   frames, `SIGHUP` and reload-file changes into a replacement
+//!   engine, self-checked against the Dijkstra oracle before it is
+//!   published as a new epoch ([`crate::epoch`]). An **auditor** thread
+//!   ([`crate::audit`]) replays a seeded trickle of queries against the
+//!   oracle and quarantines backends that keep disagreeing.
 //! * Every query runs under a
-//!   [`QueryBudget`](spq_graph::backend::QueryBudget): the request's
-//!   optional deadline plus the server's force-stop kill flag. A
-//!   tripped budget yields a `DEADLINE_EXCEEDED` frame (never a cached
-//!   or misreported "unreachable").
-//! * **Resource exhaustion is survived, not crashed on.** Every
-//!   per-connection buffer is capped ([`ServerConfig::wbuf_cap`], one
-//!   max frame of unparsed bytes) and an optional global byte budget
-//!   ([`ServerConfig::mem_budget`]) pauses read interest across
-//!   connections when buffered bytes exceed it — backpressure through
-//!   TCP, never OOM. A peer that fills its write backlog and then
-//!   makes no read progress is force-closed (`slow_closed`). `accept`
-//!   returning `EMFILE`/`ENFILE` trips a reserved-emergency-fd path
-//!   that sheds one waiting peer with a typed BUSY and backs off;
-//!   [`ServerConfig::max_connections`] sheds at the door before fds
-//!   run out. Disk-full during index writes latches the sticky
-//!   `disk_degraded` gauge (see `spq_graph::atomic_io`) while query
-//!   serving continues.
+//!   [`QueryBudget`](spq_graph::backend::QueryBudget): its optional
+//!   deadline plus the force-stop flag. A tripped budget yields a
+//!   `DEADLINE_EXCEEDED` frame, never a cached or false "unreachable".
+//! * **Resource exhaustion is survived.** Connection buffers are capped
+//!   ([`ServerConfig::wbuf_cap`], one max frame of unparsed bytes); an
+//!   optional byte budget ([`ServerConfig::mem_budget`]) pauses reads
+//!   past it — TCP backpressure, never OOM. `EMFILE`/`ENFILE` at
+//!   accept sheds one waiting peer with a typed BUSY through a reserved
+//!   fd; [`ServerConfig::max_connections`] sheds at the door. Disk-full
+//!   during index writes latches the sticky `disk_degraded` gauge
+//!   (`spq_graph::atomic_io`) while serving continues.
 //! * **Shutdown** drains: a `SHUTDOWN` frame or SIGTERM/SIGINT stops
-//!   the acceptor immediately (new connections are refused) and stops
-//!   frame parsing; queued and in-flight requests finish within
-//!   [`ServerConfig::grace`], their responses are flushed, then a
-//!   monitor thread flips the force-stop flag — budgets trip, workers
-//!   answer a final error, shards flush and close what they can inside
-//!   a short hard-stop window, and [`Server::join`] returns with every
-//!   thread joined.
+//!   accepting and parsing; in-flight requests finish within
+//!   [`ServerConfig::grace`] and are flushed, then the force-stop flag
+//!   trips every budget, shards close what is left after a short
+//!   linger, and [`Server::join`] returns with every thread joined.
 //!
-//! Per-request flow: parse + decode (shard) → fault-injection hook
-//! (tests only; a hit forces the pooled path) → shard executor:
-//! resolve backend (wire id or degraded alias) → consult the sharded
-//! epoch-keyed distance cache (DISTANCE only, counted once) → answer
-//! (a hit, or a bounded point query run under its budget right here),
-//! or hand the decoded request to the pool, whose executor resolves
-//! again (now including quarantine failover), runs the session under
-//! its budget, caches + records latency, and sequences the response
-//! back through the owning shard's ingress queue (one eventfd write
-//! per burst of completions, not per completion). A DISTANCES table on
-//! the CH slot is routed by `spq_many::ManySession::distances`: target
-//! sweeps while its shorter side is at most `TABLE_SWEEP_SIDE`, the
-//! multi-source batch kernel beyond.
+//! Per-request flow: framing and sequencing ([`crate::conn`]) → decode
+//! → fault hook (tests only; a hit forces the pooled path) → shard
+//! executor: resolve backend → distance cache (DISTANCE only) → answer,
+//! or hand off to the pool, whose executor resolves again (with
+//! quarantine failover), runs under the budget, caches, and sequences
+//! the response back through the shard's ingress queue (one eventfd
+//! write per burst). A CH-slot DISTANCES table is routed by
+//! `spq_many::ManySession::distances`: target sweeps while its shorter
+//! side is at most `TABLE_SWEEP_SIDE`, the multi-source kernel beyond.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
@@ -120,6 +79,7 @@ use std::time::{Duration, Instant};
 
 use crate::audit::{self, AuditConfig};
 use crate::cache::DistanceCache;
+use crate::conn::{CloseReason, Conn, Interest, Limits, Next, RBUF_CAP};
 use crate::epoch::{EpochRegistry, ReloadFactory, ReloadSpec};
 use crate::eventloop::{Event, Poller, Waker};
 use crate::executor::{render_status, run_pinned, Decoded, ExecCtx, Executor, Role, Verdict};
@@ -128,11 +88,6 @@ use crate::protocol::{self, Request};
 use crate::stats::{ServerStats, WIRE_SLOTS};
 use crate::sync::lock_unpoisoned;
 use crate::{Engine, SELFCHECK_QUERIES, SELFCHECK_SEED};
-
-/// Per-connection unparsed-bytes cap: one max frame plus slack. A peer
-/// flooding bytes faster than they parse is paused, not buffered without
-/// bound.
-const RBUF_CAP: usize = protocol::MAX_FRAME + 4 + 64 * 1024;
 
 /// How often the reload file is polled for content changes.
 pub const RELOAD_POLL: Duration = Duration::from_millis(500);
@@ -157,8 +112,8 @@ pub struct ServerConfig {
     /// `--shards 1/2` run).
     pub shards: usize,
     /// Most requests one connection may have in flight (parsed but not
-    /// yet responded). Parsing pauses past this, so a pipelining client
-    /// is backpressured through TCP instead of ballooning memory.
+    /// yet responded). Parsing and reading pause at this, so a pipelining
+    /// client is backpressured through TCP instead of ballooning memory.
     pub pipeline_depth: usize,
     /// Total distance-cache entries (0 disables the cache).
     pub cache_capacity: usize,
@@ -311,24 +266,17 @@ struct WorkItem {
     cache_missed: bool,
 }
 
-/// What a worker hands back for one [`WorkItem`].
-enum Completion {
-    /// A response payload, to be flushed in `seq` order.
-    Respond(Vec<u8>),
-    /// Close the connection without responding (injected connection
-    /// drop, or a panic that killed the request).
-    Close,
-}
-
 /// Messages into a shard's ingress queue.
 enum ShardMsg {
     /// A freshly accepted connection to adopt.
     Conn(TcpStream),
-    /// A finished request for one of this shard's connections.
+    /// A finished request for one of this shard's connections: its
+    /// response payload, or why the connection must close without one
+    /// (an injected drop, or a panic that killed the request).
     Done {
         token: u64,
         seq: u64,
-        completion: Completion,
+        completion: Result<Vec<u8>, CloseReason>,
     },
 }
 
@@ -528,9 +476,13 @@ impl Server {
                 shutdown: Arc::clone(&shutdown),
                 force_stop: Arc::clone(&force_stop),
                 stats: Arc::clone(&stats),
-                peer_timeout: cfg.peer_timeout,
-                pipeline_depth: cfg.pipeline_depth.max(1),
-                wbuf_cap: cfg.wbuf_cap.max(4096),
+                limits: Limits {
+                    max_frame: protocol::MAX_FRAME,
+                    rbuf_cap: RBUF_CAP,
+                    pipeline_depth: cfg.pipeline_depth.max(1),
+                    wbuf_cap: cfg.wbuf_cap.max(4096),
+                    peer_timeout: cfg.peer_timeout,
+                },
                 mem_budget: cfg.mem_budget,
             };
             let handles = Arc::clone(&handles);
@@ -808,6 +760,19 @@ fn shed_at_door(stream: TcpStream, msg: &str) {
     // Dropping the stream closes it.
 }
 
+/// The BUSY message of a peer shed because accept ran out of fds.
+const OUT_OF_FDS: &str = "server out of file descriptors; retry with exponential backoff";
+
+/// Accept ran out of file descriptors, really or by injection: counts
+/// it and sheds the waiting peer, if one could be drained, with a typed
+/// BUSY.
+fn shed_out_of_fds(stats: &ServerStats, stream: Option<TcpStream>) {
+    stats.accept_emfile.fetch_add(1, Ordering::Relaxed);
+    if let Some(stream) = stream {
+        shed_at_door(stream, OUT_OF_FDS);
+    }
+}
+
 /// Whether an `accept` error means the process (or system) is out of
 /// file descriptors. EMFILE = 24, ENFILE = 23 on Linux.
 fn fd_exhausted(e: &io::Error) -> bool {
@@ -841,11 +806,7 @@ fn accept_loop(
                     // Injected fd exhaustion: behave exactly as if
                     // accept had returned EMFILE and the emergency-fd
                     // path had fired.
-                    stats.accept_emfile.fetch_add(1, Ordering::Relaxed);
-                    shed_at_door(
-                        stream,
-                        "server out of file descriptors; retry with exponential backoff",
-                    );
+                    shed_out_of_fds(stats, Some(stream));
                     continue;
                 }
                 if max_connections > 0
@@ -868,18 +829,15 @@ fn accept_loop(
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) if fd_exhausted(&e) => {
-                stats.accept_emfile.fetch_add(1, Ordering::Relaxed);
                 // Give back the reserved fd, drain one waiting peer
                 // with a typed BUSY, then re-arm the reserve. If even
                 // that fails the backoff alone bounds the spin.
                 drop(emergency.take());
-                if let Ok((stream, _peer)) = listener.accept() {
+                let drained = listener.accept().ok().map(|(stream, _peer)| {
                     stats.connections.fetch_add(1, Ordering::Relaxed);
-                    shed_at_door(
-                        stream,
-                        "server out of file descriptors; retry with exponential backoff",
-                    );
-                }
+                    stream
+                });
+                shed_out_of_fds(stats, drained);
                 emergency = std::fs::File::open("/dev/null").ok();
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(BACKOFF_CEIL);
@@ -894,14 +852,6 @@ fn accept_loop(
 /// Token under which every shard registers its own waker.
 const WAKER_TOKEN: u64 = u64::MAX;
 
-fn conn_token(gen: u32, idx: usize) -> u64 {
-    ((gen as u64) << 32) | idx as u64
-}
-
-fn token_parts(token: u64) -> (u32, usize) {
-    ((token >> 32) as u32, (token & 0xffff_ffff) as usize)
-}
-
 /// Immutable shard environment.
 struct ShardCtx {
     /// This shard's index into the handle table.
@@ -913,291 +863,111 @@ struct ShardCtx {
     shutdown: Arc<AtomicBool>,
     force_stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    /// See [`ServerConfig::peer_timeout`].
-    peer_timeout: Duration,
-    pipeline_depth: usize,
-    /// Per-connection write-backlog cap (see [`ServerConfig::wbuf_cap`]).
-    wbuf_cap: usize,
+    /// The rules every connection's [`Conn`] is held to.
+    limits: Limits,
     /// Global byte budget (0 = unlimited); checked against
     /// `stats.mem_used`.
     mem_budget: usize,
 }
 
-/// Per-connection state owned by exactly one shard.
-struct Conn {
+/// A connection's socket beside its state machine.
+struct Slot {
     stream: TcpStream,
     token: u64,
-    /// Received-but-unparsed bytes; `rstart` is the consumed prefix.
-    /// Only bytes actually received are ever buffered — a corrupted
-    /// length header can never make the server allocate the claimed
-    /// size.
-    rbuf: Vec<u8>,
-    rstart: usize,
-    /// Bytes queued to write; `wstart` is the flushed prefix.
-    wbuf: Vec<u8>,
-    wstart: usize,
-    /// Sequence number assigned to the next parsed frame.
-    next_seq: u64,
-    /// Sequence number of the next response to append to `wbuf` —
-    /// responses flush strictly in request order.
-    next_flush: u64,
-    /// Out-of-order completions waiting for their turn.
-    ready: BTreeMap<u64, Vec<u8>>,
-    /// Dispatched requests not yet completed.
-    inflight: usize,
-    /// When the trailing partial frame stopped growing while the server
-    /// was reading (None at a clean frame boundary, while a complete
-    /// frame waits on backpressure, or while reads are paused with
-    /// responses still owed to the peer).
-    partial_since: Option<Instant>,
-    /// Last instant write() made progress (meaningful while `wbuf` is
-    /// non-empty).
-    last_write_progress: Instant,
-    /// Whether EPOLLOUT interest is currently registered.
-    write_interest: bool,
-    /// Whether EPOLLIN interest is currently registered; dropped while
-    /// this connection's buffers (or the global budget) are full, so a
-    /// firehose peer is backpressured through TCP instead of buffered.
-    read_interest: bool,
-    /// Buffered bytes last charged against the global `mem_used` gauge;
-    /// the service pass settles the delta, close refunds the rest.
-    accounted: usize,
-    /// Flush what is queued, then close (protocol framing is lost).
-    close_after_flush: bool,
-    /// Peer sent EOF; close once everything in flight has flushed.
-    eof: bool,
-    /// Hard failure (socket error / hangup): close immediately.
-    dead: bool,
+    conn: Conn,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, token: u64) -> Conn {
-        Conn {
-            stream,
-            token,
-            rbuf: Vec::new(),
-            rstart: 0,
-            wbuf: Vec::new(),
-            wstart: 0,
-            next_seq: 0,
-            next_flush: 0,
-            ready: BTreeMap::new(),
-            inflight: 0,
-            partial_since: None,
-            last_write_progress: Instant::now(),
-            write_interest: false,
-            read_interest: true,
-            accounted: 0,
-            close_after_flush: false,
-            eof: false,
-            dead: false,
-        }
-    }
-
-    fn write_drained(&self) -> bool {
-        self.wstart == self.wbuf.len() && self.ready.is_empty()
-    }
+/// The live connection behind `token` (generation, then slot index),
+/// unless its slot was recycled.
+fn slot_for<'a>(conns: &'a mut [Option<Slot>], gens: &[u32], token: u64) -> Option<&'a mut Slot> {
+    let (gen, idx) = ((token >> 32) as u32, (token & 0xffff_ffff) as usize);
+    conns.get_mut(idx)?.as_mut().filter(|_| gens[idx] == gen)
 }
 
-/// Whether the unparsed bytes start with a complete (or oversized, and
-/// therefore immediately actionable) frame.
-fn has_full_frame(conn: &Conn) -> bool {
-    let avail = &conn.rbuf[conn.rstart..];
-    if avail.len() < 4 {
-        return false;
-    }
-    let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-    len > protocol::MAX_FRAME || avail.len() >= 4 + len
+/// What one loop turn knows about the world, read once and passed down.
+struct Turn {
+    now: Instant,
+    /// Shutdown was requested: no new work, close what has drained.
+    stopping: bool,
+    /// The force-stop linger ran out: close everything.
+    force_expired: bool,
 }
 
-/// Opens a length-prefixed frame in the connection's write queue and
-/// returns where its header sits; the caller appends the payload and
-/// calls [`end_frame`].
-fn begin_frame(conn: &mut Conn) -> usize {
-    if conn.wstart == conn.wbuf.len() {
-        // Transitioning from drained to pending restarts the
-        // write-stall clock.
-        conn.last_write_progress = Instant::now();
-    }
-    let header = conn.wbuf.len();
-    conn.wbuf.extend_from_slice(&[0; 4]);
-    header
-}
-
-/// Closes the frame opened at `header` by filling in its length.
-fn end_frame(conn: &mut Conn, header: usize) {
-    let len = (conn.wbuf.len() - header - 4) as u32;
-    conn.wbuf[header..header + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Appends one length-prefixed frame to the connection's write queue.
-fn enqueue_frame(conn: &mut Conn, payload: &[u8]) {
-    let header = begin_frame(conn);
-    conn.wbuf.extend_from_slice(payload);
-    end_frame(conn, header);
-}
-
-/// Hands the response for request `seq` to the connection: straight
-/// into the write queue when it is next in sequence, otherwise parked
-/// until its predecessors have been answered.
-fn deliver(conn: &mut Conn, seq: u64, payload: Vec<u8>) {
-    if seq == conn.next_flush {
-        enqueue_frame(conn, &payload);
-        conn.next_flush += 1;
-    } else {
-        conn.ready.insert(seq, payload);
-    }
-}
-
-/// Moves completed responses into the write queue, in sequence order.
-fn flush_ready(conn: &mut Conn) {
-    while let Some(payload) = conn.ready.remove(&conn.next_flush) {
-        enqueue_frame(conn, &payload);
-        conn.next_flush += 1;
-    }
-}
-
-/// Runs request `seq` on the shard's own executor. A finished response
-/// is encoded straight into the write queue when it is next in
-/// sequence (parked otherwise); on [`Verdict::Handoff`] the connection
-/// is left untouched. A panic is contained exactly as in a worker: it
-/// kills this connection only, is counted as a restart, and poisons
-/// the executor so the shard rebuilds its sessions.
-fn answer_inline(
-    conn: &mut Conn,
-    exec: &mut Executor<'_>,
-    request: &Decoded,
-    seq: u64,
-    stats: &ServerStats,
-) -> Verdict {
-    let direct = seq == conn.next_flush;
-    let mut parked = Vec::new();
-    let header = if direct { begin_frame(conn) } else { 0 };
-    let out = if direct { &mut conn.wbuf } else { &mut parked };
-    match catch_unwind(AssertUnwindSafe(|| exec.execute(request, false, out))) {
-        Ok(Verdict::Done) => {
-            if direct {
-                end_frame(conn, header);
-                conn.next_flush += 1;
-            } else {
-                conn.ready.insert(seq, parked);
-            }
-            Verdict::Done
-        }
-        Ok(handoff) => {
-            if direct {
-                conn.wbuf.truncate(header);
-            }
-            handoff
-        }
-        Err(_) => {
-            if direct {
-                conn.wbuf.truncate(header);
-            }
-            stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            exec.poison();
-            conn.dead = true;
-            eprintln!("[shard] recovered from a panic in an inline request; sessions rebuilt");
-            Verdict::Done
-        }
-    }
-}
-
-/// Parses complete frames out of the read buffer — at most
-/// `pipeline_depth` per call, so one connection cannot monopolise the
-/// shard — and routes each: bounded point requests are answered right
-/// here (see [`crate::executor`]), everything else goes to the worker
-/// pool in one batch, shedding with BUSY when the work queue is full.
-/// A request with an injected fault always takes the pooled path,
-/// carrying its action, so delays never sleep on the event loop.
-///
-/// Returns whether a complete frame was left behind for the next loop
-/// turn (the per-call bound was hit, or the executor needs re-pinning).
-fn parse_and_dispatch(
-    conn: &mut Conn,
+/// Routes the frames the core yields — at most `pipeline_depth` per
+/// pass, so one connection cannot monopolise the shard: bounded point
+/// requests are answered here (see [`crate::executor`]), straight into
+/// the write queue; the rest go to the pool in one batch, shed with BUSY
+/// past its cap. A request with an injected fault always takes the
+/// pooled path, so delays never sleep on the event loop. A panic kills
+/// this connection only, counts as a restart, and poisons the executor.
+/// Returns whether a complete frame was held for the next loop turn.
+fn dispatch(
+    slot: &mut Slot,
     ctx: &ShardCtx,
     exec: &mut Executor<'_>,
     batch: &mut Vec<WorkItem>,
-    stopping_now: bool,
+    now: Instant,
 ) -> bool {
-    // Once shutdown is requested no new work is started; buffered
-    // bytes of unparsed frames are simply dropped at close.
-    if stopping_now || conn.close_after_flush || conn.dead {
-        return false;
-    }
-    let stats = &ctx.stats;
+    let (conn, stats, depth) = (&mut slot.conn, &ctx.stats, ctx.limits.pipeline_depth);
     let (mut parsed, mut pipelined, mut inline) = (0usize, 0u64, 0u64);
-    let mut more = false;
+    let mut held = false;
     // Double-buffer the pipeline window: half a window of inline
     // answers leaves while the other half is computed, so a peer that
     // keeps the window full can refill it during the pass instead of
     // waiting in lock-step for all of it.
-    let flush_every = (ctx.pipeline_depth as u64 / 2).max(1);
-    while !conn.dead {
-        if conn.inflight + conn.ready.len() >= ctx.pipeline_depth {
-            break; // backpressure: stop parsing, let TCP flow control push back
-        }
-        if conn.wbuf.len() - conn.wstart >= ctx.wbuf_cap {
-            break; // write backlog full: no new work until the peer reads
-        }
-        let avail = &conn.rbuf[conn.rstart..];
-        if avail.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > protocol::MAX_FRAME {
-            // Unrecoverable: framing is lost. Answer in sequence and
-            // drop the link without ever allocating the claimed length.
-            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            deliver(
-                conn,
-                seq,
-                protocol::encode_error("frame exceeds the size limit"),
-            );
-            conn.close_after_flush = true;
-            break;
-        }
-        if avail.len() < 4 + len {
-            break;
-        }
-        if parsed >= ctx.pipeline_depth || !exec.usable() {
-            more = true;
-            break;
-        }
-        let request = Request::decode(&avail[4..4 + len]);
-        conn.rstart += 4 + len;
+    let flush_every = (depth as u64 / 2).max(1);
+    loop {
+        let may_start = parsed < depth && exec.usable();
+        let (seq, request) = match conn.next_frame(&ctx.limits, may_start, now) {
+            Next::Request(seq, p, payload) => {
+                pipelined += p as u64;
+                (seq, Request::decode(payload))
+            }
+            Next::Refused => {
+                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                break;
+            }
+            Next::Held => {
+                held = true;
+                break;
+            }
+            Next::Idle => break,
+        };
         parsed += 1;
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        // Pipelined: the peer sent this frame before it had read the
-        // answer to an earlier one.
-        if conn.inflight > 0 || !conn.ready.is_empty() || conn.wstart < conn.wbuf.len() {
-            pipelined += 1;
-        }
         let action = ctx
             .fault
             .as_ref()
             .map_or(FaultAction::NONE, |f| f.on_request());
         let cache_missed = if action == FaultAction::NONE {
-            match answer_inline(conn, exec, &request, seq, stats) {
-                Verdict::Done => {
+            let mut outcome = Ok(Verdict::Done);
+            conn.respond_with(seq, now, |out| {
+                outcome = catch_unwind(AssertUnwindSafe(|| exec.execute(&request, false, out)));
+                matches!(outcome, Ok(Verdict::Done))
+            });
+            match outcome {
+                Ok(Verdict::Handoff { cache_missed }) => cache_missed,
+                outcome => {
+                    if outcome.is_err() {
+                        stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
+                        exec.poison();
+                        conn.abort(CloseReason::Aborted);
+                        eprintln!(
+                            "[shard] recovered from a panic in an inline request; sessions rebuilt"
+                        );
+                    }
                     inline += 1;
                     if inline % flush_every == 0 {
-                        try_write(conn);
+                        conn.flush(now, |buf| (&slot.stream).write(buf));
                     }
                     continue;
                 }
-                Verdict::Handoff { cache_missed } => cache_missed,
             }
         } else {
             false
         };
-        conn.inflight += 1;
         batch.push(WorkItem {
             shard: ctx.id,
-            token: conn.token,
+            token: slot.token,
             seq,
             request,
             action,
@@ -1222,102 +992,21 @@ fn parse_and_dispatch(
         // correctly ordered.
         stats.shed.fetch_add(batch.len() as u64, Ordering::Relaxed);
         for item in batch.drain(..) {
-            conn.inflight -= 1;
-            deliver(
-                conn,
-                item.seq,
-                protocol::encode_busy("server overloaded; retry with exponential backoff"),
-            );
+            let busy = protocol::encode_busy("server overloaded; retry with exponential backoff");
+            conn.respond(item.seq, now, busy);
         }
     }
-    // Compact the consumed prefix once it dominates the buffer, and
-    // return capacity a past burst grew once it is no longer needed.
-    if conn.rstart == conn.rbuf.len() {
-        conn.rbuf.clear();
-        conn.rstart = 0;
-        if conn.rbuf.capacity() > 256 * 1024 {
-            conn.rbuf.shrink_to(64 * 1024);
-        }
-    } else if conn.rstart > 64 * 1024 {
-        conn.rbuf.drain(..conn.rstart);
-        conn.rstart = 0;
-    }
-    more
+    held
 }
 
-/// Non-blocking read into the connection's buffer. Returns whether any
-/// bytes arrived; flags EOF and hard errors on the connection.
-fn on_read(conn: &mut Conn) -> bool {
-    let mut progressed = false;
-    let mut tmp = [0u8; 16 * 1024];
-    // Bounded per readiness event so one firehose connection cannot
-    // starve its shard; level-triggered epoll re-fires for the rest.
-    for _ in 0..8 {
-        match conn.stream.read(&mut tmp) {
-            Ok(0) => {
-                conn.eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&tmp[..n]);
-                progressed = true;
-                if n < tmp.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-    progressed
-}
-
-/// Flushes as much of the write queue as the socket accepts. Returns
-/// false on a hard write error.
-fn try_write(conn: &mut Conn) -> bool {
-    while conn.wstart < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wstart..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return false;
-            }
-            Ok(n) => {
-                conn.wstart += n;
-                conn.last_write_progress = Instant::now();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return false;
-            }
-        }
-    }
-    if conn.wstart == conn.wbuf.len() {
-        conn.wbuf.clear();
-        conn.wstart = 0;
-        if conn.wbuf.capacity() > 256 * 1024 {
-            conn.wbuf.shrink_to(64 * 1024);
-        }
-    } else if conn.wstart > 64 * 1024 {
-        conn.wbuf.drain(..conn.wstart);
-        conn.wstart = 0;
-    }
-    true
-}
-
-/// One event-loop shard: owns a set of connections, parses and
-/// sequences their frames, answers bounded point requests itself and
-/// exchanges the rest with the worker pool.
+/// One event-loop shard: the socket shell around its connections'
+/// [`Conn`] cores. It moves their bytes, routes their frames, and keeps
+/// epoll interest and the stats in step with what they report.
 struct Shard {
     poller: Poller,
     handles: Arc<Vec<ShardHandle>>,
     ctx: ShardCtx,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Slot>>,
     gens: Vec<u32>,
     free: Vec<usize>,
     open: usize,
@@ -1337,16 +1026,6 @@ struct Shard {
 /// How long a shard keeps flushing after force-stop before it closes
 /// whatever is left (covers responses produced by budgets tripping).
 const FORCE_STOP_LINGER: Duration = Duration::from_millis(400);
-
-/// What [`service_conn`] found.
-enum Serviced {
-    /// Nothing further to do until the next readiness event.
-    Idle,
-    /// A complete frame is waiting for the next loop turn.
-    More,
-    /// Hard failure: the connection must close.
-    Close,
-}
 
 impl Shard {
     fn new(handles: Arc<Vec<ShardHandle>>, ctx: ShardCtx) -> io::Result<Shard> {
@@ -1387,19 +1066,38 @@ impl Shard {
                 25
             };
             let _ = self.poller.wait(&mut events, timeout_ms);
-            let stopping_now = stopping(&self.ctx.shutdown);
+            let now = Instant::now();
+            if self.ctx.force_stop.load(Ordering::SeqCst) {
+                self.force_seen.get_or_insert(now);
+            }
+            let turn = Turn {
+                now,
+                stopping: stopping(&self.ctx.shutdown),
+                force_expired: self
+                    .force_seen
+                    .is_some_and(|t0| now.duration_since(t0) >= FORCE_STOP_LINGER),
+            };
 
             // Ingress: adopted connections and finished requests.
             let mut inbox = std::mem::take(&mut self.inbox);
             self.handles[self.ctx.id].take_into(&mut inbox);
             for msg in inbox.drain(..) {
                 match msg {
-                    ShardMsg::Conn(stream) => self.register(stream, stopping_now),
+                    ShardMsg::Conn(stream) => self.register(stream, &turn),
                     ShardMsg::Done {
                         token,
                         seq,
                         completion,
-                    } => self.complete(token, seq, completion),
+                    } => {
+                        // None: the connection died while this ran.
+                        let Some(slot) = slot_for(&mut self.conns, &self.gens, token) else {
+                            continue;
+                        };
+                        match completion {
+                            Ok(payload) => slot.conn.respond(seq, now, payload),
+                            Err(reason) => slot.conn.abort(reason),
+                        }
+                    }
                 }
             }
             self.inbox = inbox;
@@ -1410,52 +1108,24 @@ impl Shard {
                 if ev.token == WAKER_TOKEN {
                     continue;
                 }
-                let (gen, idx) = token_parts(ev.token);
-                let Some(slot) = self.conns.get_mut(idx) else {
-                    continue;
-                };
-                let Some(conn) = slot.as_mut() else { continue };
-                if self.gens[idx] != gen {
+                let Some(slot) = slot_for(&mut self.conns, &self.gens, ev.token) else {
                     continue; // stale event for a recycled slot
-                }
-                if ev.hangup {
-                    conn.dead = true;
-                    continue;
-                }
-                if ev.readable && on_read(conn) {
-                    // New bytes restart the mid-frame stall clock.
-                    conn.partial_since = None;
-                }
-            }
-
-            // Service pass: parse, answer or dispatch, flush, sequence,
-            // reap.
-            let now = Instant::now();
-            let force = self.ctx.force_stop.load(Ordering::SeqCst);
-            if force && self.force_seen.is_none() {
-                self.force_seen = Some(now);
-            }
-            let force_expired = self
-                .force_seen
-                .is_some_and(|t0| now.duration_since(t0) >= FORCE_STOP_LINGER);
-            for idx in 0..self.conns.len() {
-                let close = {
-                    let Some(conn) = self.conns[idx].as_mut() else {
-                        continue;
-                    };
-                    let serviced =
-                        service_conn(conn, &self.poller, &self.ctx, exec, &mut self.batch, now);
-                    self.turn_again |= matches!(serviced, Serviced::More);
-                    matches!(serviced, Serviced::Close)
-                        || should_close(conn, &self.ctx, now, stopping_now)
-                        || force_expired
                 };
-                if close {
-                    self.close(idx);
+                if ev.hangup {
+                    slot.conn.abort(CloseReason::Broken);
+                } else if ev.readable {
+                    slot.conn
+                        .fill(&self.ctx.limits, |buf| (&slot.stream).read(buf));
                 }
             }
 
-            if stopping_now && self.open == 0 {
+            // Service pass: parse, answer or dispatch, flush, settle,
+            // reap.
+            for idx in 0..self.conns.len() {
+                self.service(idx, exec, &turn);
+            }
+
+            if turn.stopping && self.open == 0 {
                 // Graceful exit: nothing left to serve. (Force-stop
                 // funnels here too once the linger window closes every
                 // remaining connection.)
@@ -1464,8 +1134,8 @@ impl Shard {
         }
     }
 
-    fn register(&mut self, stream: TcpStream, stopping_now: bool) {
-        if stopping_now || stream.set_nonblocking(true).is_err() {
+    fn register(&mut self, stream: TcpStream, turn: &Turn) {
+        if turn.stopping || stream.set_nonblocking(true).is_err() {
             return; // refused at the edge: dropping the stream closes it
         }
         let idx = self.free.pop().unwrap_or_else(|| {
@@ -1473,173 +1143,79 @@ impl Shard {
             self.gens.push(0);
             self.conns.len() - 1
         });
-        let token = conn_token(self.gens[idx], idx);
+        let token = ((self.gens[idx] as u64) << 32) | idx as u64;
         if self.poller.add(stream.as_raw_fd(), token, false).is_err() {
             self.free.push(idx);
             return;
         }
-        self.ctx
-            .stats
-            .open_connections
-            .fetch_add(1, Ordering::Relaxed);
+        let stats = &self.ctx.stats;
+        stats.open_connections.fetch_add(1, Ordering::Relaxed);
         self.open += 1;
-        self.conns[idx] = Some(Conn::new(stream, token));
+        self.conns[idx] = Some(Slot {
+            stream,
+            token,
+            conn: Conn::default(),
+        });
     }
 
-    fn complete(&mut self, token: u64, seq: u64, completion: Completion) {
-        let (gen, idx) = token_parts(token);
-        let Some(slot) = self.conns.get_mut(idx) else {
+    /// One connection's service step: everything its core asks for
+    /// this turn, and its close if the core decides so.
+    fn service(&mut self, idx: usize, exec: &mut Executor<'_>, turn: &Turn) {
+        let Some(slot) = self.conns[idx].as_mut() else {
             return;
         };
-        let Some(conn) = slot.as_mut() else { return };
-        if self.gens[idx] != gen {
-            return; // the connection died while this request ran
+        let (ctx, stats) = (&self.ctx, &self.ctx.stats);
+        // Once shutdown is requested no new work is started; buffered
+        // bytes of unparsed frames are simply dropped at close.
+        if !turn.stopping {
+            self.turn_again |= dispatch(slot, ctx, exec, &mut self.batch, turn.now);
         }
-        conn.inflight = conn.inflight.saturating_sub(1);
-        match completion {
-            Completion::Respond(payload) => deliver(conn, seq, payload),
-            Completion::Close => {
-                // Injected drop or a panic: the request dies with its
-                // connection, pipelined siblings included.
-                self.close(idx);
+        slot.conn.flush(turn.now, |buf| (&slot.stream).write(buf));
+        let want = slot.conn.settle(&ctx.limits, |delta| {
+            // Two's complement: adding a negative delta subtracts it.
+            let delta = delta as u64;
+            let used = stats.mem_used.fetch_add(delta, Ordering::Relaxed);
+            ctx.mem_budget > 0 && used.wrapping_add(delta) > ctx.mem_budget as u64
+        });
+        let wpending = slot.conn.wpending() as u64;
+        if wpending > stats.wbuf_peak.load(Ordering::Relaxed) {
+            stats.wbuf_peak.fetch_max(wpending, Ordering::Relaxed);
+        }
+        if let Some(Interest { read, write }) = want {
+            let fd = slot.stream.as_raw_fd();
+            if self.poller.modify(fd, slot.token, read, write).is_err() {
+                slot.conn.abort(CloseReason::Broken);
             }
         }
+        let Some(reason) = slot
+            .conn
+            .reap(turn.now, &ctx.limits, turn.stopping, turn.force_expired)
+        else {
+            return;
+        };
+        let counter = match reason {
+            CloseReason::StalledMidFrame | CloseReason::StoppedReading => &stats.client_timeouts,
+            CloseReason::SlowReader => &stats.slow_closed,
+            _ => return self.close(idx),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.close(idx);
     }
 
     fn close(&mut self, idx: usize) {
-        if let Some(conn) = self.conns[idx].take() {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-            self.gens[idx] = self.gens[idx].wrapping_add(1);
-            self.free.push(idx);
-            self.open -= 1;
-            self.ctx
-                .stats
-                .open_connections
-                .fetch_sub(1, Ordering::Relaxed);
-            // Refund whatever the service pass last charged; closing a
-            // hoarding connection is what frees budget under pressure.
-            self.ctx
-                .stats
-                .mem_used
-                .fetch_sub(conn.accounted as u64, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One connection's service step.
-fn service_conn(
-    conn: &mut Conn,
-    poller: &Poller,
-    ctx: &ShardCtx,
-    exec: &mut Executor<'_>,
-    batch: &mut Vec<WorkItem>,
-    now: Instant,
-) -> Serviced {
-    let stopping_now = stopping(&ctx.shutdown);
-    let more = parse_and_dispatch(conn, ctx, exec, batch, stopping_now);
-    flush_ready(conn);
-    if conn.dead || !try_write(conn) {
-        return Serviced::Close;
-    }
-    // Settle this connection's buffered bytes against the global
-    // memory gauge: rbuf pending + wbuf pending + sequenced responses
-    // waiting their turn. Deltas only, so the gauge is exact across
-    // thousands of connections without a global recount.
-    let wpending = conn.wbuf.len() - conn.wstart;
-    let rpending = conn.rbuf.len() - conn.rstart;
-    let live = rpending + wpending + conn.ready.values().map(Vec::len).sum::<usize>();
-    if live > conn.accounted {
-        ctx.stats
+        let stats = &self.ctx.stats;
+        let slot = self.conns[idx].take().expect("serviced above");
+        let _ = self.poller.delete(slot.stream.as_raw_fd());
+        self.gens[idx] = self.gens[idx].wrapping_add(1);
+        self.free.push(idx);
+        self.open -= 1;
+        stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+        // Refund whatever the core last charged; closing a hoarding
+        // connection is what frees budget under pressure.
+        stats
             .mem_used
-            .fetch_add((live - conn.accounted) as u64, Ordering::Relaxed);
-    } else if live < conn.accounted {
-        ctx.stats
-            .mem_used
-            .fetch_sub((conn.accounted - live) as u64, Ordering::Relaxed);
+            .fetch_sub(slot.conn.release() as u64, Ordering::Relaxed);
     }
-    conn.accounted = live;
-    if wpending as u64 > ctx.stats.wbuf_peak.load(Ordering::Relaxed) {
-        ctx.stats
-            .wbuf_peak
-            .fetch_max(wpending as u64, Ordering::Relaxed);
-    }
-    // Keep epoll interest in sync: EPOLLOUT tracks pending output;
-    // EPOLLIN is dropped while this connection's buffers — or the
-    // global budget — are full, so the kernel backpressures the peer
-    // through TCP. Flushing re-arms it; a paused connection still
-    // learns of hangups (EPOLLERR/EPOLLHUP are unmaskable).
-    let want_write = conn.wstart < conn.wbuf.len();
-    let over_budget =
-        ctx.mem_budget > 0 && ctx.stats.mem_used.load(Ordering::Relaxed) > ctx.mem_budget as u64;
-    let want_read =
-        !conn.close_after_flush && rpending < RBUF_CAP && wpending < ctx.wbuf_cap && !over_budget;
-    if (want_write != conn.write_interest || want_read != conn.read_interest)
-        && poller
-            .modify(conn.stream.as_raw_fd(), conn.token, want_read, want_write)
-            .is_ok()
-    {
-        conn.write_interest = want_write;
-        conn.read_interest = want_read;
-    }
-    // The mid-frame stall clock runs while a trailing partial frame
-    // waits on a peer that can send it: new bytes (at read time)
-    // restart it, and a complete frame waiting on pipeline backpressure
-    // is not a stall. It is held while the server has paused reading
-    // with responses still owed — a peer busy reading them is not
-    // stalling. With nothing owed it runs even while reads are paused,
-    // so a partial frame that alone keeps the memory budget exceeded is
-    // reaped instead of pausing every connection for good.
-    let partial = rpending > 0 && !has_full_frame(conn) && !conn.close_after_flush;
-    if partial && (conn.read_interest || wpending == 0) {
-        conn.partial_since.get_or_insert(now);
-    } else {
-        conn.partial_since = None;
-    }
-    if more {
-        Serviced::More
-    } else {
-        Serviced::Idle
-    }
-}
-
-/// Whether a connection should close now (orderly paths; hard failures
-/// are handled by [`service_conn`]).
-fn should_close(conn: &Conn, ctx: &ShardCtx, now: Instant, stopping_now: bool) -> bool {
-    let drained = conn.inflight == 0 && conn.write_drained();
-    if drained && conn.close_after_flush {
-        return true;
-    }
-    if drained && stopping_now {
-        return true; // graceful shutdown: last responses delivered, then close
-    }
-    if drained && conn.eof && !has_full_frame(conn) {
-        return true; // peer finished and everything owed was flushed
-    }
-    // Mid-frame stall: only once nothing is owed (a slow-loris with
-    // responses still in flight is reaped after they flush).
-    if conn.inflight == 0 && conn.ready.is_empty() {
-        if let Some(t0) = conn.partial_since {
-            if now.duration_since(t0) >= ctx.peer_timeout {
-                ctx.stats.client_timeouts.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-    }
-    // Write stall: the peer stopped reading its responses. A peer that
-    // also filled its write-backlog cap is the typed slow-reader case —
-    // its buffers are force-reclaimed and the close is accounted as
-    // `slow_closed`, distinct from an ordinary client timeout.
-    if conn.wstart < conn.wbuf.len()
-        && now.duration_since(conn.last_write_progress) >= ctx.peer_timeout
-    {
-        if conn.wbuf.len() - conn.wstart >= ctx.wbuf_cap {
-            ctx.stats.slow_closed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ctx.stats.client_timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        return true;
-    }
-    false
 }
 
 fn worker_loop(
@@ -1694,9 +1270,9 @@ fn worker_loop(
         let completion = match outcome {
             // Injected mid-request connection loss: the query ran (and
             // possibly warmed the cache), but the peer never hears back.
-            Ok(_) if item.action.drop_connection => Completion::Close,
-            Ok(_) => Completion::Respond(response),
-            Err(_) => Completion::Close,
+            Ok(_) if item.action.drop_connection => Err(CloseReason::Aborted),
+            Ok(_) => Ok(response),
+            Err(_) => Err(CloseReason::Aborted),
         };
         handles[item.shard].send(ShardMsg::Done {
             token: item.token,
@@ -1737,7 +1313,7 @@ mod tests {
         ShardMsg::Done {
             token: 0,
             seq,
-            completion: Completion::Close,
+            completion: Err(CloseReason::Aborted),
         }
     }
 

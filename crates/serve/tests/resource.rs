@@ -18,9 +18,12 @@
 //!    memory, and the accounting refunds on close — the gauge returns
 //!    under the budget instead of ratcheting;
 //! 5. a peer that stalls mid-frame for the peer timeout is reaped as a
-//!    client timeout — but only for a stall of its own: an idle peer
-//!    at a frame boundary stays, and so does one whose frame the
-//!    server stopped reading while it owed that peer responses.
+//!    client timeout, while an idle peer at a frame boundary stays.
+//!
+//! These socket tests are the shell's timer-wiring smoke. The rules
+//! themselves — when the mid-frame clock is held or runs, the byte
+//! accounting, the refund on close — are proven without a socket by
+//! the property suite of `crates/serve/src/conn.rs`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -30,7 +33,7 @@ use std::time::{Duration, Instant};
 use spq_dijkstra::Dijkstra;
 use spq_graph::types::NodeId;
 use spq_graph::RoadNetwork;
-use spq_serve::protocol::{self, Cursor, Request, STATUS_OK};
+use spq_serve::protocol::Request;
 use spq_serve::server::{Server, ServerConfig};
 use spq_serve::{BackendKind, ClientError, Engine, FaultInjector, FaultPlan, ServeClient};
 use spq_synth::SynthParams;
@@ -340,24 +343,6 @@ fn frame(request: &Request) -> Vec<u8> {
     frame
 }
 
-fn ch_path(s: NodeId, t: NodeId) -> Request {
-    Request::Path {
-        backend: BackendKind::Ch.wire_id(),
-        s,
-        t,
-        deadline_ms: 0,
-    }
-}
-
-/// Decodes a PATH response payload into (distance, vertex count).
-fn path_answer(payload: &[u8]) -> (Option<u64>, usize) {
-    let mut c = Cursor::new(payload);
-    assert_eq!(c.u8().expect("status"), STATUS_OK, "PATH failed");
-    let d = c.u64().expect("distance");
-    let len = c.u32().expect("length") as usize;
-    ((d != protocol::UNREACHABLE).then_some(d), len)
-}
-
 /// The peer timeout reaps a peer that stalls mid-frame — closed within
 /// the timeout plus slack and counted once as a client timeout — while
 /// a peer idle at a frame boundary for as long stays open and is
@@ -409,158 +394,5 @@ fn a_mid_frame_stall_is_reaped_but_an_idle_peer_is_not() {
     assert_eq!(field(&stats, "client_timeouts"), 1, "{stats}");
     assert_eq!(field(&stats, "slow_closed"), 0, "{stats}");
     let _ = idle.shutdown_server();
-    server.join();
-}
-
-/// The mid-frame clock runs only while the server reads. A peer
-/// pipelines CH `PATH`s and two CH distance tables whose responses
-/// (16 MiB) outgrow the kernel's socket buffers and a 64 KiB
-/// write-backlog cap — so the server stops reading it — then half of
-/// one more `PATH` frame. It reads its responses slowly but steadily
-/// for several peer timeouts before completing the frame. The server
-/// caused that stall, so every answer must arrive and nothing may be
-/// counted against the peer.
-#[test]
-fn a_half_frame_the_server_stopped_reading_is_not_a_stall() {
-    const TIMEOUT: Duration = Duration::from_millis(300);
-    let net = test_net(300, 0x9a05e);
-    let engine = Arc::new(Engine::build(
-        net.clone(),
-        &[BackendKind::Dijkstra, BackendKind::Ch],
-    ));
-    let cfg = ServerConfig {
-        workers: 2,
-        shards: 1,
-        cache_capacity: 0,
-        wbuf_cap: 64 * 1024,
-        peer_timeout: TIMEOUT,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(Arc::clone(&engine), &cfg).expect("bind");
-    let addr = server.local_addr();
-
-    let n = net.num_nodes() as NodeId;
-    let pairs: Vec<(NodeId, NodeId)> = (0..16).map(|i| (i * 7 % n, (n - 1 - i * 5) % n)).collect();
-    // Two tables of the largest batch a frame may carry, 8 MiB each.
-    let (tables, sources, targets) = (2, 16, 65536);
-    let last = (1, n - 2);
-    let mut burst = Vec::new();
-    for &(s, t) in &pairs {
-        burst.extend_from_slice(&frame(&ch_path(s, t)));
-    }
-    for _ in 0..tables {
-        burst.extend_from_slice(&big_distances_frame(
-            &net,
-            BackendKind::Ch,
-            sources,
-            targets,
-        ));
-    }
-    let tail = frame(&ch_path(last.0, last.1));
-    let (head, rest) = tail.split_at(tail.len() / 2);
-    burst.extend_from_slice(head);
-
-    let mut peer = TcpStream::connect(addr).expect("connect");
-    peer.set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    peer.write_all(&burst).expect("burst");
-
-    // Drain 16 KiB every 10 ms — a few MiB over the window, far less
-    // than the backlog — so the server keeps making write progress
-    // while its cap keeps reads paused.
-    let mut inbox = Vec::new();
-    let mut chunk = vec![0u8; 16 * 1024];
-    let until = Instant::now() + 4 * TIMEOUT;
-    while Instant::now() < until {
-        let got = peer.read(&mut chunk).expect("slow drain");
-        assert!(got > 0, "server closed a peer that was reading");
-        inbox.extend_from_slice(&chunk[..got]);
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    peer.write_all(rest).expect("complete the frame");
-
-    let mut frames = Vec::new();
-    let mut at = 0;
-    while frames.len() < pairs.len() + tables + 1 {
-        if inbox.len() >= at + 4 {
-            let len = u32::from_le_bytes(inbox[at..at + 4].try_into().unwrap()) as usize;
-            if inbox.len() >= at + 4 + len {
-                frames.push(inbox[at + 4..at + 4 + len].to_vec());
-                at += 4 + len;
-                continue;
-            }
-        }
-        let got = peer.read(&mut chunk).expect("read the responses");
-        assert!(
-            got > 0,
-            "connection closed after {} responses",
-            frames.len()
-        );
-        inbox.extend_from_slice(&chunk[..got]);
-    }
-
-    let mut oracle = Dijkstra::new(net.num_nodes());
-    let answers = pairs.iter().chain([&last]);
-    let paths = frames[..pairs.len()].iter().chain(frames.last());
-    for (&(s, t), payload) in answers.zip(paths) {
-        oracle.run_to_target(&net, s, t);
-        let (d, len) = path_answer(payload);
-        assert_eq!(d, oracle.distance(t), "PATH({s}, {t})");
-        assert!(d.is_none() || len >= 1, "PATH({s}, {t}) has no vertices");
-    }
-    for table in &frames[pairs.len()..pairs.len() + tables] {
-        assert_eq!(table.first(), Some(&STATUS_OK), "distance table failed");
-        assert_eq!(
-            table.len(),
-            1 + sources * targets * 8,
-            "distance table size"
-        );
-    }
-
-    let mut probe = ServeClient::connect(addr).expect("connect probe");
-    probe.set_io_timeout(Some(Duration::from_secs(5))).unwrap();
-    let stats = probe.stats().expect("stats");
-    assert_eq!(field(&stats, "client_timeouts"), 0, "{stats}");
-    assert_eq!(field(&stats, "slow_closed"), 0, "{stats}");
-    drop(peer);
-    let _ = probe.shutdown_server();
-    server.join();
-}
-
-/// The other side of holding the mid-frame clock: a peer that owes
-/// nothing and whose own half frame keeps the memory budget exceeded
-/// (so every connection's reads are paused) is still reaped after the
-/// peer timeout, and its refund resumes everyone else's reads.
-#[test]
-fn a_half_frame_that_alone_exceeds_the_memory_budget_is_reaped() {
-    const TIMEOUT: Duration = Duration::from_millis(300);
-    const BUDGET: usize = 64 * 1024;
-    let net = test_net(128, 0xb0d6e7);
-    let engine = Arc::new(Engine::build(net, &[BackendKind::Dijkstra]));
-    let cfg = ServerConfig {
-        workers: 2,
-        shards: 1,
-        cache_capacity: 0,
-        mem_budget: BUDGET,
-        peer_timeout: TIMEOUT,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(engine, &cfg).expect("bind");
-    let addr = server.local_addr();
-
-    // A frame header claiming 1 MiB, then twice the budget of it.
-    let mut hog = TcpStream::connect(addr).expect("connect hog");
-    hog.write_all(&(1u32 << 20).to_le_bytes()).expect("header");
-    hog.write_all(&vec![0u8; 2 * BUDGET]).expect("half a frame");
-
-    let mut good = ServeClient::connect(addr).expect("connect good client");
-    good.set_io_timeout(Some(Duration::from_secs(10))).unwrap();
-    good.ping()
-        .expect("the hog must be reaped so reads resume for everyone");
-    let stats = good.stats().expect("stats");
-    assert_eq!(field(&stats, "client_timeouts"), 1, "{stats}");
-    assert!(field(&stats, "mem_used") <= BUDGET as u64, "{stats}");
-    drop(hog);
-    let _ = good.shutdown_server();
     server.join();
 }
