@@ -8,7 +8,7 @@
 //! a JSON report with one entry per line:
 //!
 //! ```text
-//! {"mode":"smoke","network":"DE","vertices":122,"backend":"ch","op":"distance","queries":512,"median_ns":850.2},
+//! {"mode":"smoke","network":"DE","vertices":122,"backend":"ch","op":"distance","queries":512,"median_ns":850.2,"ratio":0.2284},
 //! ```
 //!
 //! Two modes live in one file: `full` (Table-1 proxies at 1/40 scale,
@@ -17,10 +17,13 @@
 //! restricts to the smoke entries so CI can regenerate them and compare
 //! against the committed baseline with [`check_against`].
 //!
-//! The regression check normalises every median by the same run's
-//! bidirectional-Dijkstra median on the same network, so it compares
-//! *relative* query cost and tolerates absolute machine-speed
-//! differences between the baseline host and the CI runner. The
+//! The regression check compares each row's `ratio`: its cost in units
+//! of the same run's bidirectional-Dijkstra distance query on the same
+//! network, so it tolerates absolute machine-speed differences between
+//! the baseline host and the CI runner. Every point-query row is timed
+//! *interleaved* with Dijkstra, in the same windows ([`paired_ns`]), so
+//! both sides of a ratio see the same machine; the ratio is the median
+//! over windows, and windows that lost the CPU are left out. The
 //! trade-off: a regression confined to the baseline itself shifts every
 //! ratio down instead of tripping its own row, which is why the
 //! benchmark also times the Dijkstra kernel on its own
@@ -29,7 +32,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,11 +48,10 @@ use spq_serve::BackendKind;
 use spq_synth::{Dataset, Scale};
 
 /// The distance rows timed through the registry's own builds and
-/// sessions, Dijkstra first. CH and HL are kernel rows instead: they
-/// share one hierarchy with the CH shortest-path, table and one-to-many
-/// rows.
-const REGISTRY_ROWS: [BackendKind; 6] = [
-    BackendKind::Dijkstra,
+/// sessions, each against the Dijkstra denominator. CH and HL are kernel
+/// rows instead: they share one hierarchy with the CH shortest-path,
+/// table and one-to-many rows.
+const REGISTRY_ROWS: [BackendKind; 5] = [
     BackendKind::Tnr,
     BackendKind::Alt,
     BackendKind::ArcFlags,
@@ -74,6 +76,19 @@ const CHUNK: usize = 32;
 /// converges on the noise-free cost, which is the quantity a
 /// regression check should compare.
 const REPS: usize = 3;
+
+/// Fewest windows per gated row in [`paired_ns`]. Each window times
+/// the row and its Dijkstra denominator over the whole pair set, back to
+/// back; the median over windows is what the gate compares.
+const WINDOWS: usize = 9;
+
+/// Shortest wall time [`paired_ns`] spreads one network's windows over.
+/// The cost of a cache-heavy kernel (PCPD) relative to Dijkstra moves
+/// by up to a third with what the machine's other tenants do, in
+/// episodes of a second or less; a median over windows that span a few
+/// seconds lands in the common state instead of in whichever episode
+/// one short stretch happened to hit.
+const SPAN: Duration = Duration::from_secs(3);
 
 /// Many-to-many table side (sources × targets per `table` call).
 const M2M_SIDE: usize = 24;
@@ -188,6 +203,11 @@ pub struct Entry {
     pub queries: usize,
     /// Median nanoseconds per query.
     pub median_ns: f64,
+    /// Cost in units of the same run's Dijkstra distance query on the
+    /// same network: for the point-query rows the median over
+    /// [`paired_ns`]'s windows, for the rest `median_ns` over the
+    /// Dijkstra row's. What [`check_against`] compares.
+    pub ratio: f64,
 }
 
 impl Entry {
@@ -203,8 +223,15 @@ impl Entry {
 
     fn to_json_line(&self) -> String {
         format!(
-            "{{\"mode\":\"{}\",\"network\":\"{}\",\"vertices\":{},\"backend\":\"{}\",\"op\":\"{}\",\"queries\":{},\"median_ns\":{:.1}}}",
-            self.mode, self.network, self.vertices, self.backend, self.op, self.queries, self.median_ns
+            "{{\"mode\":\"{}\",\"network\":\"{}\",\"vertices\":{},\"backend\":\"{}\",\"op\":\"{}\",\"queries\":{},\"median_ns\":{:.1},\"ratio\":{:.4}}}",
+            self.mode,
+            self.network,
+            self.vertices,
+            self.backend,
+            self.op,
+            self.queries,
+            self.median_ns,
+            self.ratio
         )
     }
 }
@@ -214,7 +241,7 @@ impl Entry {
 /// parser).
 pub fn render_report(entries: &[Entry]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"spq-bench-v1\",\n  \"unit\": \"median_ns per query\",\n  \"entries\": [\n");
+    out.push_str("{\n  \"schema\": \"spq-bench-v2\",\n  \"unit\": \"median_ns per query; ratio to the same run's dijkstra distance\",\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let _ = writeln!(out, "    {}{}", e.to_json_line(), comma);
@@ -242,6 +269,7 @@ pub fn parse_report(text: &str) -> Result<Vec<Entry>, String> {
                 op: json_str(line, "op")?,
                 queries: json_num(line, "queries")? as usize,
                 median_ns: json_num(line, "median_ns")?,
+                ratio: json_num(line, "ratio")?,
             })
         };
         match parse() {
@@ -282,25 +310,122 @@ fn json_num(line: &str, key: &str) -> Option<f64> {
 /// gate compares noise-free costs instead of whichever tail each run
 /// happened to land on.
 fn median_ns<F: FnMut(NodeId, NodeId) -> u64>(pairs: &[(NodeId, NodeId)], mut f: F) -> f64 {
+    warm_up(pairs, &mut f);
+    (0..REPS)
+        .map(|_| chunk_median_ns(pairs, &mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Runs one chunk of `pairs` through `f` untimed.
+fn warm_up<F: FnMut(NodeId, NodeId) -> u64>(pairs: &[(NodeId, NodeId)], f: &mut F) {
     assert!(pairs.len() >= 2 * CHUNK, "need at least two chunks");
+    let sink = pairs[..CHUNK]
+        .iter()
+        .fold(0u64, |acc, &(s, t)| acc.wrapping_add(f(s, t)));
+    std::hint::black_box(sink);
+}
+
+/// One pass of `pairs` through `f` in chunks of [`CHUNK`]: the median
+/// of the per-chunk mean ns/query.
+fn chunk_median_ns<F: FnMut(NodeId, NodeId) -> u64>(pairs: &[(NodeId, NodeId)], f: &mut F) -> f64 {
     let mut sink = 0u64;
-    for &(s, t) in &pairs[..CHUNK] {
-        sink = sink.wrapping_add(f(s, t));
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let mut per_chunk: Vec<f64> = Vec::with_capacity(pairs.len() / CHUNK);
-        for chunk in pairs.chunks_exact(CHUNK) {
-            let t0 = Instant::now();
-            for &(s, t) in chunk {
-                sink = sink.wrapping_add(f(s, t));
-            }
-            per_chunk.push(t0.elapsed().as_nanos() as f64 / CHUNK as f64);
+    let mut per_chunk: Vec<f64> = Vec::with_capacity(pairs.len() / CHUNK);
+    for chunk in pairs.chunks_exact(CHUNK) {
+        let t0 = Instant::now();
+        for &(s, t) in chunk {
+            sink = sink.wrapping_add(f(s, t));
         }
-        best = best.min(median(&mut per_chunk));
+        per_chunk.push(t0.elapsed().as_nanos() as f64 / CHUNK as f64);
     }
     std::hint::black_box(sink);
-    best
+    median(&mut per_chunk)
+}
+
+/// One gated point-query row: backend, op, and the kernel it times.
+type GatedRow<'a> = (
+    &'static str,
+    &'static str,
+    Box<dyn FnMut(NodeId, NodeId) -> u64 + 'a>,
+);
+
+/// The gated timer. Each window times every row over the whole pair
+/// set, each one back to back with its denominator `unit` (the
+/// network's Dijkstra distance query) in alternating order, so both
+/// sides of a window's ratio see the same machine. The rows take turns
+/// within a window, and windows repeat until there are at least
+/// [`WINDOWS`] of them spanning at least [`SPAN`], so every row's
+/// windows spread over the whole measurement. Returns, per row, the median over windows of its
+/// chunked median and of its ratio. A window that lost the CPU (see
+/// [`lost_cpu_ns`]) for more than a fiftieth of its length is left out,
+/// as long as half of the row's windows remain: its numbers say how
+/// long the machine was gone, not how fast the kernel is.
+fn paired_ns<U>(
+    pairs: &[(NodeId, NodeId)],
+    unit: &mut U,
+    rows: &mut [GatedRow<'_>],
+) -> Vec<(f64, f64)>
+where
+    U: FnMut(NodeId, NodeId) -> u64,
+{
+    warm_up(pairs, unit);
+    for (_, _, f) in rows.iter_mut() {
+        warm_up(pairs, f);
+    }
+    // Per row: (ns, ratio, disturbed) of every window.
+    let mut windows: Vec<Vec<(f64, f64, bool)>> = vec![Vec::new(); rows.len()];
+    let start = Instant::now();
+    let mut w = 0;
+    while w < WINDOWS || start.elapsed() < SPAN {
+        for ((_, _, f), out) in rows.iter_mut().zip(&mut windows) {
+            let (lost0, t0) = (lost_cpu_ns(), Instant::now());
+            let (ns, unit_ns) = if w % 2 == 0 {
+                let ns = chunk_median_ns(pairs, f);
+                (ns, chunk_median_ns(pairs, unit))
+            } else {
+                let unit_ns = chunk_median_ns(pairs, unit);
+                (chunk_median_ns(pairs, f), unit_ns)
+            };
+            let lost = lost_cpu_ns().saturating_sub(lost0) as f64;
+            let disturbed = lost > t0.elapsed().as_nanos() as f64 / 50.0;
+            out.push((ns, ns / unit_ns, disturbed));
+        }
+        w += 1;
+    }
+    windows
+        .into_iter()
+        .map(|mut row| {
+            let clean = row.iter().filter(|w| !w.2).count();
+            if 2 * clean >= row.len() {
+                row.retain(|w| !w.2);
+            }
+            let mut ns: Vec<f64> = row.iter().map(|w| w.0).collect();
+            let mut ratios: Vec<f64> = row.iter().map(|w| w.1).collect();
+            (median(&mut ns), median(&mut ratios))
+        })
+        .collect()
+}
+
+/// Nanoseconds this process has lost the CPU so far: time its thread
+/// sat runnable on a run queue (`/proc/thread-self/schedstat`) plus the
+/// machine's hypervisor steal (`/proc/stat`, all CPUs, 10 ms ticks).
+/// 0 where the kernel reports neither.
+fn lost_cpu_ns() -> u64 {
+    let waited = std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(1)?.parse::<u64>().ok())
+        .unwrap_or(0);
+    let stolen_ticks = std::fs::read_to_string("/proc/stat")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("cpu "))?
+                .split_whitespace()
+                .nth(7)?
+                .parse::<u64>()
+                .ok()
+        })
+        .unwrap_or(0);
+    waited + stolen_ticks * 10_000_000
 }
 
 fn median(xs: &mut [f64]) -> f64 {
@@ -359,7 +484,17 @@ fn bench_network(
         (backends.is_empty() || backends.iter().any(|b| b == backend))
             && (only.is_empty() || only.iter().any(|o| o == op_family(op)))
     };
-    let mut push = |backend: &str, op: &str, q: usize, ns: f64| {
+
+    // Dijkstra is measured whatever the filters say: it is the
+    // normalisation denominator for the regression check, so it must
+    // exist for every network.
+    let dijkstra = BackendKind::Dijkstra.build(net);
+    let mut dijkstra_session = dijkstra.backend.session(net);
+    let mut unit = |s, t| dijkstra_session.distance(s, t).unwrap_or(0);
+    let unit_ns = median_ns(&pairs, &mut unit);
+    // `ratio: None` for a row not timed by `paired_ns`: its ratio is its
+    // median over the Dijkstra row's.
+    let mut push = |backend: &str, op: &str, q: usize, ns: f64, ratio: Option<f64>| {
         eprintln!(
             "[bench {mode}/{}] {backend:>9} {op:<8} {ns:>12.1} ns/query",
             dataset.name
@@ -372,14 +507,14 @@ fn bench_network(
             op: op.to_string(),
             queries: q,
             median_ns: ns,
+            ratio: ratio.unwrap_or(ns / unit_ns),
         });
     };
+    push("dijkstra", "distance", pairs.len(), unit_ns, None);
 
-    // Dijkstra is measured whatever the filters say: it is the
-    // normalisation denominator for the regression check, so it must
-    // exist for every network.
+    let mut built = Vec::new();
     for kind in REGISTRY_ROWS {
-        if kind != BackendKind::Dijkstra && !want(kind.name(), "distance") {
+        if !want(kind.name(), "distance") {
             continue;
         }
         if kind.needs_all_pairs() && n > ALL_PAIRS_CAP {
@@ -390,14 +525,7 @@ fn bench_network(
             );
             continue;
         }
-        let built = kind.build(net);
-        let mut session = built.backend.session(net);
-        push(
-            kind.name(),
-            "distance",
-            pairs.len(),
-            median_ns(&pairs, |s, t| session.distance(s, t).unwrap_or(0)),
-        );
+        built.push(kind.build(net));
     }
 
     // One CH build serves every hierarchy-based kernel: the distance and
@@ -421,30 +549,59 @@ fn bench_network(
     } else {
         None
     };
+    // Hub labels reuse the hierarchy the CH rows already built — the
+    // label store is a pure function of it.
+    let labels = match &ch {
+        Some(ch) if want("hl", "distance") => Some(HubLabels::build(ch)),
+        _ => None,
+    };
+
+    // The gated point-query rows, timed together by `paired_ns`.
+    let mut rows: Vec<GatedRow> = Vec::new();
+    for b in &built {
+        let mut session = b.backend.session(net);
+        rows.push((
+            b.kind.name(),
+            "distance",
+            Box::new(move |s, t| session.distance(s, t).unwrap_or(0)),
+        ));
+    }
     if let Some(ch) = &ch {
-        {
+        if want("ch", "distance") {
             let mut q = ChQuery::new(ch);
-            if want("ch", "distance") {
-                push(
-                    "ch",
-                    "distance",
-                    pairs.len(),
-                    median_ns(&pairs, |s, t| q.distance(s, t).unwrap_or(0)),
-                );
-            }
-            if want("ch", "path") {
-                push(
-                    "ch",
-                    "path",
-                    pairs.len(),
-                    median_ns(&pairs, |s, t| {
-                        q.shortest_path(s, t)
-                            .map(|(d, p)| d + p.len() as u64)
-                            .unwrap_or(0)
-                    }),
-                );
-            }
+            rows.push((
+                "ch",
+                "distance",
+                Box::new(move |s, t| q.distance(s, t).unwrap_or(0)),
+            ));
         }
+        if want("ch", "path") {
+            let mut q = ChQuery::new(ch);
+            rows.push((
+                "ch",
+                "path",
+                Box::new(move |s, t| {
+                    q.shortest_path(s, t)
+                        .map(|(d, p)| d + p.len() as u64)
+                        .unwrap_or(0)
+                }),
+            ));
+        }
+    }
+    if let Some(labels) = &labels {
+        rows.push((
+            "hl",
+            "distance",
+            Box::new(|s, t| labels.distance(s, t).unwrap_or(0)),
+        ));
+    }
+    let timed = paired_ns(&pairs, &mut unit, &mut rows);
+    for ((backend, op, _), (ns, ratio)) in rows.iter().zip(timed) {
+        push(backend, op, pairs.len(), ns, Some(ratio));
+    }
+    drop(rows);
+
+    if let Some(ch) = &ch {
         if want("ch", "m2m") {
             let side = M2M_SIDE.min(n);
             let sources: Vec<NodeId> = pairs.iter().take(side).map(|&(s, _)| s).collect();
@@ -460,7 +617,7 @@ fn bench_network(
                 sink = sink.wrapping_add(table.iter().copied().fold(0u64, u64::wrapping_add));
             }
             std::hint::black_box(sink);
-            push("ch", "m2m", side * side, median(&mut reps));
+            push("ch", "m2m", side * side, median(&mut reps), None);
         }
         if want("ch", "distances_batch_16") {
             bench_batch_distances(&mut push, net, ch, seed ^ dataset.paper_vertices)?;
@@ -475,18 +632,6 @@ fn bench_network(
             &pairs,
             seed ^ dataset.paper_vertices,
         )?;
-
-        if want("hl", "distance") {
-            // Hub labels reuse the hierarchy the CH rows already built —
-            // the label store is a pure function of it.
-            let labels = HubLabels::build(ch);
-            push(
-                "hl",
-                "distance",
-                pairs.len(),
-                median_ns(&pairs, |s, t| labels.distance(s, t).unwrap_or(0)),
-            );
-        }
     }
 
     Ok(())
@@ -499,7 +644,7 @@ fn bench_network(
 /// measured shape is first audited entry-by-entry against the flat CH
 /// point kernel: a fast-but-wrong batch must not produce a report.
 fn bench_batch_distances(
-    push: &mut impl FnMut(&str, &str, usize, f64),
+    push: &mut impl FnMut(&str, &str, usize, f64, Option<f64>),
     net: &RoadNetwork,
     ch: &ContractionHierarchy,
     seed: u64,
@@ -549,6 +694,7 @@ fn bench_batch_distances(
             &format!("distances_batch_{k}"),
             side * side,
             median(&mut reps),
+            None,
         );
     }
     Ok(())
@@ -577,7 +723,7 @@ const ORACLE_SOURCES: usize = 4;
 /// EXPERIMENTS.md ("Restricted sweeps").
 #[allow(clippy::too_many_arguments)]
 fn bench_many_ops(
-    push: &mut impl FnMut(&str, &str, usize, f64),
+    push: &mut impl FnMut(&str, &str, usize, f64, Option<f64>),
     want: &impl Fn(&str, &str) -> bool,
     mode: &str,
     dataset: &Dataset,
@@ -644,6 +790,7 @@ fn bench_many_ops(
                         .copied()
                         .fold(0u64, u64::wrapping_add)
                 }),
+                None,
             );
         }
     }
@@ -659,6 +806,7 @@ fn bench_many_ops(
                     .map(|&(v, d)| u64::from(v).wrapping_add(d))
                     .fold(0u64, u64::wrapping_add)
             }),
+            None,
         );
     }
     if measure_range {
@@ -670,6 +818,7 @@ fn bench_many_ops(
                 session.range(s, limit, &mut out);
                 out.len() as u64
             }),
+            None,
         );
     }
 
@@ -995,10 +1144,10 @@ pub fn check_batch_beats_pointwise(entries: &[Entry]) -> Result<(), String> {
 /// Compares a run against a baseline report, Dijkstra-normalised.
 ///
 /// For every entry of the current run whose (mode, network, backend,
-/// op) also exists in the baseline, both medians are divided by their
-/// own run's `dijkstra`/`distance` median on the same (mode, network);
-/// the entry fails when the current ratio exceeds the baseline ratio by
-/// more than `tolerance`. Baseline entries missing from the current run
+/// op) also exists in the baseline, the entry fails when its
+/// [`Entry::ratio`] (its cost in units of its own run's Dijkstra
+/// distance query on the same network) exceeds the baseline's by more
+/// than `tolerance`. Baseline entries missing from the current run
 /// (for the modes that ran) also fail — a backend silently dropping out
 /// of the bench must not pass the gate. Cells whose median is under
 /// [`NOISE_FLOOR_NS`] on either side are reported but not gated; they
@@ -1007,18 +1156,6 @@ pub fn check_against(current: &[Entry], baseline: &Path, tolerance: f64) -> Resu
     let text = std::fs::read_to_string(baseline)
         .map_err(|e| format!("read baseline {}: {e}", baseline.display()))?;
     let base = parse_report(&text)?;
-
-    let dijkstra_of = |entries: &[Entry], mode: &str, network: &str| -> Option<f64> {
-        entries
-            .iter()
-            .find(|e| {
-                e.mode == mode
-                    && e.network == network
-                    && e.backend == "dijkstra"
-                    && e.op == "distance"
-            })
-            .map(|e| e.median_ns)
-    };
 
     let modes_run: Vec<String> = {
         let mut m: Vec<String> = current.iter().map(|e| e.mode.clone()).collect();
@@ -1059,18 +1196,7 @@ pub fn check_against(current: &[Entry], baseline: &Path, tolerance: f64) -> Resu
             );
             continue;
         }
-        let (Some(bd), Some(cd)) = (
-            dijkstra_of(&base, &b.mode, &b.network),
-            dijkstra_of(current, &b.mode, &b.network),
-        ) else {
-            failures.push(format!(
-                "{}/{}: no dijkstra distance row to normalise against",
-                b.mode, b.network
-            ));
-            continue;
-        };
-        let base_ratio = b.median_ns / bd;
-        let cur_ratio = c.median_ns / cd;
+        let (base_ratio, cur_ratio) = (b.ratio, c.ratio);
         if cur_ratio > base_ratio * (1.0 + tolerance) {
             failures.push(format!(
                 "{}/{} {} {}: {:.4}x dijkstra vs {:.4}x in baseline (+{:.0}% > {:.0}% tolerance)",
@@ -1109,6 +1235,11 @@ mod tests {
     use super::*;
 
     fn entry(mode: &str, network: &str, backend: &str, op: &str, ns: f64) -> Entry {
+        gated(mode, network, backend, op, ns, 0.0)
+    }
+
+    /// An entry with the Dijkstra ratio the regression gate compares.
+    fn gated(mode: &str, network: &str, backend: &str, op: &str, ns: f64, ratio: f64) -> Entry {
         Entry {
             mode: mode.into(),
             network: network.into(),
@@ -1117,15 +1248,16 @@ mod tests {
             op: op.into(),
             queries: 64,
             median_ns: ns,
+            ratio,
         }
     }
 
     #[test]
     fn report_roundtrips_through_parser() {
         let entries = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 51000.4),
-            entry("smoke", "DE", "ch", "distance", 850.0),
-            entry("full", "CO", "ch", "m2m", 120.7),
+            gated("smoke", "DE", "dijkstra", "distance", 51000.4, 1.0),
+            gated("smoke", "DE", "ch", "distance", 850.0, 0.0167),
+            gated("full", "CO", "ch", "m2m", 120.7, 0.0024),
         ];
         let text = render_report(&entries);
         assert_eq!(parse_report(&text).unwrap(), entries);
@@ -1169,13 +1301,13 @@ mod tests {
     #[test]
     fn check_passes_when_ratios_hold_despite_machine_speed() {
         let base = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 10_000.0),
-            entry("smoke", "DE", "ch", "distance", 1_000.0),
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_000.0, 0.1),
         ];
         // Twice as slow across the board: same ratios, must pass.
         let cur = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 20_000.0),
-            entry("smoke", "DE", "ch", "distance", 2_000.0),
+            gated("smoke", "DE", "dijkstra", "distance", 20_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 2_000.0, 0.1),
         ];
         let f = write_baseline(&base);
         check_against(&cur, &f.0, 0.25).unwrap();
@@ -1184,12 +1316,12 @@ mod tests {
     #[test]
     fn check_fails_on_relative_regression() {
         let base = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 10_000.0),
-            entry("smoke", "DE", "ch", "distance", 1_000.0),
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_000.0, 0.1),
         ];
         let cur = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 10_000.0),
-            entry("smoke", "DE", "ch", "distance", 1_400.0),
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_400.0, 0.14),
         ];
         let f = write_baseline(&base);
         let err = check_against(&cur, &f.0, 0.25).unwrap_err();
@@ -1197,15 +1329,39 @@ mod tests {
     }
 
     #[test]
+    fn check_compares_the_windowed_ratio_not_the_quotient_of_medians() {
+        let base = vec![
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_000.0, 0.1),
+        ];
+        // The Dijkstra row, timed on its own, caught a fast moment
+        // (1 000 / 7 000 would read +43 %), but in the windows the CH row
+        // shared with Dijkstra their ratio held: must pass.
+        let cur = vec![
+            gated("smoke", "DE", "dijkstra", "distance", 7_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_000.0, 0.1),
+        ];
+        let f = write_baseline(&base);
+        check_against(&cur, &f.0, 0.25).unwrap();
+        // And the converse: a ratio that moved fails whatever the
+        // medians' quotient says.
+        let cur = vec![
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_000.0, 0.13),
+        ];
+        assert!(check_against(&cur, &f.0, 0.25).is_err());
+    }
+
+    #[test]
     fn check_skips_sub_noise_floor_cells() {
         let base = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 10_000.0),
-            entry("smoke", "DE", "tnr", "distance", 40.0),
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "tnr", "distance", 40.0, 0.004),
         ];
         // 3x slower, but 120 ns is under the floor: must not gate.
         let cur = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 10_000.0),
-            entry("smoke", "DE", "tnr", "distance", 120.0),
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "tnr", "distance", 120.0, 0.012),
         ];
         let f = write_baseline(&base);
         check_against(&cur, &f.0, 0.25).unwrap();
@@ -1243,15 +1399,15 @@ mod tests {
     #[test]
     fn check_ignores_modes_that_did_not_run() {
         let base = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 10_000.0),
-            entry("smoke", "DE", "ch", "distance", 1_000.0),
-            entry("full", "CO", "dijkstra", "distance", 90_000.0),
-            entry("full", "CO", "ch", "distance", 2_000.0),
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_000.0, 0.1),
+            gated("full", "CO", "dijkstra", "distance", 90_000.0, 1.0),
+            gated("full", "CO", "ch", "distance", 2_000.0, 0.0222),
         ];
         // A --smoke run must not fail on the absent full entries.
         let cur = vec![
-            entry("smoke", "DE", "dijkstra", "distance", 10_000.0),
-            entry("smoke", "DE", "ch", "distance", 1_050.0),
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "distance", 1_050.0, 0.105),
         ];
         let f = write_baseline(&base);
         check_against(&cur, &f.0, 0.25).unwrap();
@@ -1361,17 +1517,19 @@ mod tests {
                 "missing ch row for {op}"
             );
         }
-        assert!(entries.iter().all(|e| e.median_ns > 0.0));
+        assert!(entries.iter().all(|e| e.median_ns > 0.0 && e.ratio > 0.0));
         // And the rendered report must parse back to the same entries
-        // (medians are serialised at 0.1 ns precision — derive the
-        // expectation through the same formatter, since `{:.1}` rounds
-        // ties to even while `f64::round` rounds them away from zero,
-        // and chunk medians land on exact .25/.75 ties).
+        // (medians are serialised at 0.1 ns precision and ratios at
+        // 1e-4 — derive the expectation through the same formatter,
+        // since `{:.1}` rounds ties to even while `f64::round` rounds
+        // them away from zero, and chunk medians land on exact .25/.75
+        // ties).
         let rounded: Vec<Entry> = entries
             .iter()
             .cloned()
             .map(|mut e| {
                 e.median_ns = format!("{:.1}", e.median_ns).parse().unwrap();
+                e.ratio = format!("{:.4}", e.ratio).parse().unwrap();
                 e
             })
             .collect();
