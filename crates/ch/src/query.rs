@@ -8,64 +8,46 @@
 //! records whose targets ascend — the layout the cache wants.
 
 use spq_graph::backend::QueryBudget;
-use spq_graph::heap::IndexedHeap;
-use spq_graph::types::{Dist, NodeId, INFINITY, INVALID_NODE};
+use spq_graph::heap::{SlotHeap, Slots};
+use spq_graph::types::{Dist, NodeId, INFINITY};
 
 use crate::contraction::ContractionHierarchy;
 use crate::search_graph::{edge_to, SearchGraph, NO_MIDDLE};
 
-/// One direction's workspace of the bidirectional upward search.
-///
-/// Sized lazily on the first query: a freshly constructed [`ChQuery`]
-/// owns no n-length arrays, so spinning up a worker pool against a large
-/// graph costs nothing until a worker actually serves a query — and from
-/// the second query on, a side is allocation-free.
-#[derive(Debug)]
-struct Side {
-    dist: Vec<Dist>,
-    /// Rank of the vertex that discovered each vertex (for path
-    /// retrieval).
-    parent: Vec<u32>,
-    /// Middle tag of the discovering edge ([`NO_MIDDLE`] if original).
-    parent_middle: Vec<u32>,
-    stamp: Vec<u32>,
-    heap: IndexedHeap,
+/// Index of the forward (from `s`) direction in a [`Rec`]'s pairs.
+const FWD: usize = 0;
+/// Index of the backward (from `t`) direction.
+const BWD: usize = 1;
+
+/// The search state of one rank in both directions, side by side: a
+/// relaxation, its decrease-key, the meeting check and the stall test
+/// each touch one 32-byte record, which never straddles a cache line.
+/// All zeros is "not reached in either direction".
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct Rec {
+    /// Tentative distance from the direction's root; meaningful only
+    /// where `parent` is non-zero.
+    dist: [Dist; 2],
+    /// Rank plus one of the vertex that discovered this one (the root
+    /// is its own parent); 0: not reached in that direction.
+    parent: [u32; 2],
+    /// The direction's heap slot (see [`Slots`]); 0: not queued.
+    heap_pos: [u32; 2],
 }
 
-impl Side {
-    fn empty() -> Self {
-        Side {
-            dist: Vec::new(),
-            parent: Vec::new(),
-            parent_middle: Vec::new(),
-            stamp: Vec::new(),
-            heap: IndexedHeap::new(0),
-        }
-    }
+/// Direction `DIR`'s view of the records, as its heap's [`Slots`].
+struct Dir<'r, const DIR: usize>(&'r mut [Rec]);
 
-    /// Grows the workspace to cover `n` vertices (no-op once grown).
-    fn ensure(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist = vec![INFINITY; n];
-            self.parent = vec![INVALID_NODE; n];
-            self.parent_middle = vec![NO_MIDDLE; n];
-            self.stamp = vec![0; n];
-            self.heap = IndexedHeap::new(n);
-        }
-    }
-
-    fn begin(&mut self, root: u32, version: u32) {
-        self.heap.clear();
-        self.dist[root as usize] = 0;
-        self.parent[root as usize] = INVALID_NODE;
-        self.parent_middle[root as usize] = NO_MIDDLE;
-        self.stamp[root as usize] = version;
-        self.heap.push_or_decrease(root, 0);
+impl<const DIR: usize> Slots for Dir<'_, DIR> {
+    #[inline]
+    fn slot(&self, v: NodeId) -> u32 {
+        self.0[v as usize].heap_pos[DIR]
     }
 
     #[inline]
-    fn reached(&self, r: u32, version: u32) -> bool {
-        self.stamp[r as usize] == version
+    fn set_slot(&mut self, v: NodeId, slot: u32) {
+        self.0[v as usize].heap_pos[DIR] = slot;
     }
 }
 
@@ -82,13 +64,25 @@ impl Side {
 /// with contracted vertex `m` between `u` and `w` is recursively replaced
 /// by the hierarchy edges (u, m) and (m, w), both of them upward edges of
 /// `m` and found by scanning its (short) list.
+///
+/// The n-sized record table is allocated on the first query: a freshly
+/// constructed workspace owns no n-length arrays, so spinning up a
+/// worker pool against a large graph costs nothing until a worker
+/// actually serves a query — and from the second query on, a query is
+/// allocation-free. Each query resets only the records the previous one
+/// touched, whether it finished or its budget cut it: a rank it reached
+/// was either settled (the `settled` list) or is still queued.
 #[derive(Debug)]
 pub struct ChQuery<'a> {
     ch: &'a ContractionHierarchy,
     sg: &'a SearchGraph,
-    fwd: Side,
-    bwd: Side,
-    version: u32,
+    /// One record per rank; empty until the first query.
+    recs: Vec<Rec>,
+    /// Ranks the current query settled, in either direction (a rank
+    /// settled in both appears twice).
+    settled: Vec<u32>,
+    /// The forward and backward queues; positions live in `recs`.
+    heaps: [SlotHeap; 2],
     /// Enables the stall-on-demand optimisation (skip expanding vertices
     /// already proven suboptimal via a higher-ranked neighbour). Always
     /// on outside this crate; the stall/no-stall reference test below
@@ -116,14 +110,14 @@ impl Clone for ChQuery<'_> {
 
 impl<'a> ChQuery<'a> {
     /// Creates a workspace bound to `ch`. Allocation of the n-sized
-    /// search arrays is deferred to the first query.
+    /// search records is deferred to the first query.
     pub fn new(ch: &'a ContractionHierarchy) -> Self {
         ChQuery {
             ch,
             sg: ch.search_graph(),
-            fwd: Side::empty(),
-            bwd: Side::empty(),
-            version: 0,
+            recs: Vec::new(),
+            settled: Vec::new(),
+            heaps: [SlotHeap::default(), SlotHeap::default()],
             stall_on_demand: true,
             last_settled: 0,
             unpack_stack: Vec::new(),
@@ -161,15 +155,17 @@ impl<'a> ChQuery<'a> {
         let rt = self.sg.rank_of(t);
         // The augmented path: s ..fwd.. meet ..bwd.. t, as hierarchy edges
         // in rank space; original ids appear only as the path is emitted.
+        // Both searches go upward, so each path edge joins a vertex to its
+        // parent below it, and its middle tag is read from the parent's
+        // upward list.
         let mut path = vec![s];
         // Forward half (s -> meet): the parents walk back from meet, which
         // stacks the edges with the first one to travel on top.
         debug_assert!(self.unpack_stack.is_empty());
         let mut cur = meet;
         while cur != rs {
-            let from = self.fwd.parent[cur as usize];
-            self.unpack_stack
-                .push((from, cur, self.fwd.parent_middle[cur as usize]));
+            let from = self.recs[cur as usize].parent[FWD] - 1;
+            self.unpack_stack.push((from, cur, self.middle(from, cur)));
             cur = from;
         }
         self.unpack_into(&mut path);
@@ -177,13 +173,20 @@ impl<'a> ChQuery<'a> {
         // order already.
         let mut cur = meet;
         while cur != rt {
-            let to = self.bwd.parent[cur as usize];
-            self.unpack_stack
-                .push((cur, to, self.bwd.parent_middle[cur as usize]));
+            let to = self.recs[cur as usize].parent[BWD] - 1;
+            self.unpack_stack.push((cur, to, self.middle(to, cur)));
             self.unpack_into(&mut path);
             cur = to;
         }
         Some((d, path))
+    }
+
+    /// Middle tag of the hierarchy edge from `lower` up to `upper`
+    /// ([`NO_MIDDLE`] for a road edge).
+    fn middle(&self, lower: u32, upper: u32) -> u32 {
+        edge_to(self.sg.up(lower), upper)
+            .expect("a search parent links to its child by an upward edge")
+            .middle
     }
 
     /// Empties the unpack stack onto `path` (original ids): each stacked
@@ -213,97 +216,127 @@ impl<'a> ChQuery<'a> {
     /// The bidirectional upward search, entirely in rank space. Returns
     /// `(distance, meeting rank)`.
     fn search(&mut self, s: NodeId, t: NodeId) -> Option<(Dist, u32)> {
-        let n = self.sg.num_nodes();
-        self.fwd.ensure(n);
-        self.bwd.ensure(n);
-        self.version = self.version.wrapping_add(1);
-        if self.version == 0 {
-            self.fwd.stamp.fill(0);
-            self.bwd.stamp.fill(0);
-            self.version = 1;
+        let sg = self.sg;
+        let n = sg.num_nodes();
+        if self.recs.len() < n {
+            let capacity = 1024.min(n);
+            self.recs = vec![Rec::default(); n];
+            self.settled = Vec::with_capacity(capacity);
+            self.heaps = [
+                SlotHeap::with_capacity(capacity),
+                SlotHeap::with_capacity(capacity),
+            ];
         }
-        let version = self.version;
+        // The touched records: every rank the last query reached was
+        // settled or is still queued. `dist` is meaningless where
+        // `parent` is 0, so it is left as is.
+        let recs = &mut self.recs;
+        let mut forget = |r: u32| {
+            let rec = &mut recs[r as usize];
+            rec.parent = [0; 2];
+            rec.heap_pos = [0; 2];
+        };
+        for &r in &self.settled {
+            forget(r);
+        }
+        self.settled.clear();
+        for heap in &self.heaps {
+            for r in heap.nodes() {
+                forget(r);
+            }
+        }
+        self.heaps[FWD].clear();
+        self.heaps[BWD].clear();
         self.last_settled = 0;
-        let rs = self.sg.rank_of(s);
-        let rt = self.sg.rank_of(t);
-        self.fwd.begin(rs, version);
-        self.bwd.begin(rt, version);
+        let rs = sg.rank_of(s);
+        let rt = sg.rank_of(t);
+        self.reach::<FWD>(rs, 0, rs);
+        self.reach::<BWD>(rt, 0, rt);
         if rs == rt {
             return Some((0, rs));
         }
 
-        let mut mu = INFINITY;
-        let mut meet = u32::MAX;
+        let mut best = (INFINITY, u32::MAX);
         loop {
-            let ftop = self.fwd.heap.peek_key().unwrap_or(INFINITY);
-            let btop = self.bwd.heap.peek_key().unwrap_or(INFINITY);
+            let ftop = self.heaps[FWD].peek_key().unwrap_or(INFINITY);
+            let btop = self.heaps[BWD].peek_key().unwrap_or(INFINITY);
+            let mu = best.0;
             // Each side keeps running until its own minimum reaches mu:
             // upward searches may improve mu after the frontiers first
             // touch (the "few conditions" §3.2 alludes to).
             if ftop.min(btop) >= mu {
                 break;
             }
-            let side_is_fwd = if ftop >= mu {
-                false
-            } else if btop >= mu {
-                true
-            } else {
-                ftop <= btop
-            };
-            let (this, other) = if side_is_fwd {
-                (&mut self.fwd, &mut self.bwd)
-            } else {
-                (&mut self.bwd, &mut self.fwd)
-            };
             if !self.budget.charge() {
                 return None;
             }
-            let Some((d, u)) = this.heap.pop_min() else {
-                break;
-            };
-            self.last_settled += 1;
-
-            // Meeting check: u reached by the other side.
-            if other.reached(u, version) {
-                let total = d + other.dist[u as usize];
-                if total < mu {
-                    mu = total;
-                    meet = u;
-                }
-            }
-
-            let edges = self.sg.up(u);
-
-            // Stall-on-demand: if a higher-ranked, already-settled
-            // neighbour offers a shorter way back down to u, u cannot be
-            // on a shortest up-down path; skip expanding it.
-            if self.stall_on_demand
-                && edges.iter().any(|e| {
-                    this.reached(e.target, version)
-                        && this.dist[e.target as usize] + (e.weight as Dist) < d
-                })
-            {
-                continue;
-            }
-
-            for e in edges {
-                let nd = d + e.weight as Dist;
-                let hi = e.target as usize;
-                if this.stamp[hi] != version || nd < this.dist[hi] {
-                    this.dist[hi] = nd;
-                    this.parent[hi] = u;
-                    this.parent_middle[hi] = e.middle;
-                    this.stamp[hi] = version;
-                    this.heap.push_or_decrease(e.target, nd);
-                }
+            if btop >= mu || (ftop < mu && ftop <= btop) {
+                self.settle::<FWD>(&mut best);
+            } else {
+                self.settle::<BWD>(&mut best);
             }
         }
 
-        if meet == u32::MAX {
+        if best.1 == u32::MAX {
             None
         } else {
-            Some((mu, meet))
+            Some(best)
         }
+    }
+
+    /// Settles the minimum of direction `DIR`'s queue (which is not
+    /// empty): checks it as a meeting vertex against `best` (distance,
+    /// meeting rank) and, unless it stalls, relaxes its upward edges.
+    #[inline]
+    fn settle<const DIR: usize>(&mut self, best: &mut (Dist, u32)) {
+        let sg = self.sg;
+        let (d, u) = self.heaps[DIR]
+            .pop_min(&mut Dir::<DIR>(&mut self.recs))
+            .expect("the queue's minimum is below mu");
+        self.last_settled += 1;
+        self.settled.push(u);
+
+        // Meeting check: u reached by the other side.
+        let rec = &self.recs[u as usize];
+        if rec.parent[1 - DIR] != 0 {
+            let total = d + rec.dist[1 - DIR];
+            if total < best.0 {
+                *best = (total, u);
+            }
+        }
+
+        let edges = sg.up(u);
+
+        // Stall-on-demand: if a higher-ranked, already-reached neighbour
+        // offers a shorter way back down to u, u cannot be on a shortest
+        // up-down path; skip expanding it. The lists are short, so every
+        // edge is tested, with `&` and `|` rather than branches.
+        if self.stall_on_demand
+            && edges.iter().fold(false, |stall, e| {
+                let above = &self.recs[e.target as usize];
+                stall | ((above.parent[DIR] != 0) & (above.dist[DIR] + (e.weight as Dist) < d))
+            })
+        {
+            return;
+        }
+
+        for e in edges {
+            let nd = d + e.weight as Dist;
+            let above = &self.recs[e.target as usize];
+            if above.parent[DIR] == 0 || nd < above.dist[DIR] {
+                self.reach::<DIR>(e.target, nd, u);
+            }
+        }
+    }
+
+    /// Records `r` as reached in direction `DIR` at distance `d` from
+    /// `parent`, and queues or re-keys it.
+    #[inline]
+    fn reach<const DIR: usize>(&mut self, r: u32, d: Dist, parent: u32) {
+        let rec = &mut self.recs[r as usize];
+        rec.dist[DIR] = d;
+        rec.parent[DIR] = parent + 1;
+        self.heaps[DIR].push_or_decrease(&mut Dir::<DIR>(&mut self.recs), r, d);
     }
 }
 
@@ -406,14 +439,70 @@ mod tests {
         let g = grid_graph(6, 6);
         let ch = ContractionHierarchy::build(&g);
         let mut q = ChQuery::new(&ch);
-        assert_eq!(q.fwd.dist.len(), 0, "construction must not allocate");
+        assert_eq!(q.recs.len(), 0, "construction must not allocate");
         q.distance(0, 35);
         let mut c = q.clone();
-        assert_eq!(c.fwd.dist.len(), 0, "clone must reset to lazy");
+        assert_eq!(c.recs.len(), 0, "clone must reset to lazy");
         for (s, t) in [(0u32, 35u32), (5, 30), (12, 12)] {
             assert_eq!(c.distance(s, t), q.distance(s, t));
             assert_eq!(c.shortest_path(s, t), q.shortest_path(s, t));
         }
+    }
+
+    /// Checks `q` on `pairs` against Dijkstra: distance, and a path that
+    /// is edge-valid, optimal and has the right endpoints.
+    fn assert_exact(g: &RoadNetwork, q: &mut ChQuery, pairs: &[(NodeId, NodeId)]) {
+        let mut reference = Dijkstra::new(g.num_nodes());
+        for &(s, t) in pairs {
+            reference.run_to_target(g, s, t);
+            let expect = reference.distance(t);
+            assert_eq!(q.distance(s, t), expect, "distance ({s},{t})");
+            let (d, path) = q.shortest_path(s, t).expect("grid is connected");
+            assert_eq!(Some(d), expect, "path length ({s},{t})");
+            assert_eq!((path[0], path[path.len() - 1]), (s, t));
+            assert_eq!(g.path_length(&path), expect, "path ({s},{t}): {path:?}");
+        }
+    }
+
+    #[test]
+    fn a_query_cut_by_its_budget_leaves_the_next_ones_exact() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let g = grid_graph(12, 12);
+        let ch = ContractionHierarchy::build(&g);
+        let n = g.num_nodes() as NodeId;
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..n).map(|i| ((i * 37) % n, (i * 89 + 11) % n)).collect();
+        let mut q = ChQuery::new(&ch);
+        q.distance(0, n - 1);
+        let full = q.last_settled as u64;
+        // A node cap cuts the search after every possible number of
+        // settles, in both directions' queues; the next pairs (through
+        // a fresh budget) must not see any record of the cut search.
+        for cap in 0..full {
+            for shape in 0..2 {
+                q.set_budget(&QueryBudget::unlimited().with_node_cap(cap));
+                let answer = if shape == 0 {
+                    q.distance(0, n - 1)
+                } else {
+                    q.shortest_path(0, n - 1).map(|(d, _)| d)
+                };
+                assert_eq!(answer, None, "cap {cap} must cut the search");
+                assert!(q.budget_exhausted());
+                q.set_budget(&QueryBudget::unlimited());
+                let at = cap as usize % pairs.len();
+                assert_exact(&g, &mut q, &pairs[at..(at + 3).min(pairs.len())]);
+            }
+        }
+        // A kill flag trips at the budget's next poll, wherever that
+        // falls inside a query.
+        let kill = Arc::new(AtomicBool::new(true));
+        q.set_budget(&QueryBudget::unlimited().with_kill_flag(kill));
+        let cut = pairs.iter().position(|&(s, t)| q.distance(s, t).is_none());
+        assert!(cut.is_some() && q.budget_exhausted());
+        q.set_budget(&QueryBudget::unlimited());
+        assert_exact(&g, &mut q, &pairs);
     }
 
     #[test]

@@ -78,7 +78,12 @@ impl SearchEdge {
 /// a shortcut tagged `m` are found in `up(m)`.
 #[inline]
 pub(crate) fn edge_to(list: &[SearchEdge], target: u32) -> Option<&SearchEdge> {
-    list.iter().find(|e| e.target == target)
+    // Targets are unique and the lists short: a scan without an early
+    // exit selects instead of branching on every record.
+    list.iter().fold(
+        None,
+        |found, e| if e.target == target { Some(e) } else { found },
+    )
 }
 
 /// The rank-renumbered flat search graph. Immutable once assembled.

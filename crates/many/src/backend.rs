@@ -438,6 +438,28 @@ mod tests {
     }
 
     #[test]
+    fn a_path_cut_by_its_budget_leaves_the_next_paths_exact() {
+        let g = grid_graph(9, 9);
+        let (backend, _) = backend_with_pois(&g);
+        let mut session = backend.session(&g);
+        let mut oracle = Dijkstra::new(g.num_nodes());
+        for cap in 0..12 {
+            session.set_budget(&QueryBudget::unlimited().with_node_cap(cap));
+            assert_eq!(session.shortest_path(0, 80), None, "cap {cap}");
+            assert!(session.interrupted());
+            session.set_budget(&QueryBudget::unlimited());
+            for (s, t) in [(80, 0), (4, 76), (cap as NodeId, 40)] {
+                oracle.run_to_target(&g, s, t);
+                let (d, path) = session.shortest_path(s, t).expect("connected");
+                assert_eq!(Some(d), oracle.distance(t), "({s},{t}) after cap {cap}");
+                assert_eq!((path[0], path[path.len() - 1]), (s, t));
+                assert_eq!(g.path_length(&path), Some(d));
+            }
+            assert!(!session.interrupted());
+        }
+    }
+
+    #[test]
     fn deadline_interrupts_every_shape() {
         let g = grid_graph(10, 10);
         let (backend, set) = backend_with_pois(&g);
