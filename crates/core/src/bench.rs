@@ -21,7 +21,7 @@
 //! of the same run's bidirectional-Dijkstra distance query on the same
 //! network, so it tolerates absolute machine-speed differences between
 //! the baseline host and the CI runner. Every point-query row is timed
-//! *interleaved* with Dijkstra, in the same windows ([`paired_ns`]), so
+//! *interleaved* with Dijkstra, in the same windows (`paired_ns`), so
 //! both sides of a ratio see the same machine; the ratio is the median
 //! over windows, and windows that lost the CPU are left out. The
 //! trade-off: a regression confined to the baseline itself shifts every
@@ -205,7 +205,7 @@ pub struct Entry {
     pub median_ns: f64,
     /// Cost in units of the same run's Dijkstra distance query on the
     /// same network: for the point-query rows the median over
-    /// [`paired_ns`]'s windows, for the rest `median_ns` over the
+    /// `paired_ns`'s windows, for the rest `median_ns` over the
     /// Dijkstra row's. What [`check_against`] compares.
     pub ratio: f64,
 }
@@ -306,9 +306,9 @@ fn json_num(line: &str, key: &str) -> Option<f64> {
 /// [`CHUNK`], one warm-up chunk untimed, and takes the median of the
 /// per-chunk mean ns/query — the median across chunks shrugs off a
 /// scheduler hiccup that would wreck a single mean. The whole pass is
-/// repeated [`REPS`] times and the minimum median reported, so the
-/// gate compares noise-free costs instead of whichever tail each run
-/// happened to land on.
+/// repeated [`REPS`] times and the minimum median reported. It times
+/// the Dijkstra row and the rows the gate does not compare against
+/// Dijkstra window by window (see [`paired_ns`]).
 fn median_ns<F: FnMut(NodeId, NodeId) -> u64>(pairs: &[(NodeId, NodeId)], mut f: F) -> f64 {
     warm_up(pairs, &mut f);
     (0..REPS)
@@ -354,11 +354,12 @@ type GatedRow<'a> = (
 /// sides of a window's ratio see the same machine. The rows take turns
 /// within a window, and windows repeat until there are at least
 /// [`WINDOWS`] of them spanning at least [`SPAN`], so every row's
-/// windows spread over the whole measurement. Returns, per row, the median over windows of its
-/// chunked median and of its ratio. A window that lost the CPU (see
-/// [`lost_cpu_ns`]) for more than a fiftieth of its length is left out,
-/// as long as half of the row's windows remain: its numbers say how
-/// long the machine was gone, not how fast the kernel is.
+/// windows spread over the whole measurement. Returns, per row, the
+/// median over windows of its chunked median and of its ratio. A
+/// window that lost the CPU (see [`lost_cpu_ns`]) for more than a
+/// fiftieth of its length is left out, as long as half of the row's
+/// windows remain: its numbers say how long the machine was gone, not
+/// how fast the kernel is.
 fn paired_ns<U>(
     pairs: &[(NodeId, NodeId)],
     unit: &mut U,
