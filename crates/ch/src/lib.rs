@@ -9,7 +9,7 @@
 //! vertices; shortest-path queries additionally unpack shortcuts back into
 //! original edges using the contracted-vertex tag each shortcut carries.
 //!
-//! The crate exposes four layers:
+//! The crate exposes five layers:
 //!
 //! * [`ContractionHierarchy`] — the preprocessed index
 //!   ([`ContractionHierarchy::build`] / `build_with_report` /
@@ -18,6 +18,9 @@
 //!   container — plus the shortcut count.
 //! * [`ChQuery`] — a reusable query workspace for distance and
 //!   shortest-path queries, the one point kernel.
+//! * [`UpwardSearch`] — the one upward search, driven by a visitor: the
+//!   bucket tables below, and `spq_many`'s sweeps, range, POI buckets
+//!   and kNN, and `spq_hl`'s label build all run on it.
 //! * [`ManyToMany`] — bucket-based distance tables between node sets,
 //!   the engine behind TNR's preprocessing (paper §4.1: "we employed CH
 //!   to accelerate the shortest path computation required in the
@@ -49,12 +52,14 @@ pub mod ordering;
 pub mod persist;
 pub mod query;
 pub mod search_graph;
+pub mod upward;
 
 pub use batch::{BatchDistances, LANES};
 pub use contraction::{ContractionHierarchy, ContractionReport};
 pub use many2many::{par_table, ManyToMany};
 pub use query::ChQuery;
 pub use search_graph::{SearchEdge, SearchGraph};
+pub use upward::{Labels, UpwardSearch, Visit};
 
 // Only until the benchmark-only follow-up drops its `ch.legacy.*` rows,
 // which name this type (and now time the one kernel).

@@ -6,63 +6,58 @@
 //! many-to-many queries, which CH answers with the classic bucket
 //! technique: run an upward search from every target, deposit
 //! `(target, distance)` pairs at every settled vertex, then run an upward
-//! search from each source and combine at the shared vertices.
+//! search from each source and combine at the shared vertices. Every
+//! search is an exhaustive [`UpwardSearch`] — the upward search space is
+//! tiny (polylogarithmic in practice), so no pruning is needed — and the
+//! deposit and the combine live in [`Buckets`], which the sequential
+//! [`ManyToMany`] and the parallel [`par_table`] share.
 
-use spq_graph::heap::IndexedHeap;
 use spq_graph::par;
 use spq_graph::types::{Dist, NodeId, INFINITY};
 
 use crate::contraction::ContractionHierarchy;
 use crate::search_graph::SearchGraph;
+use crate::upward::{UpwardSearch, Visit};
 
-/// Reusable upward-search workspace: an exhaustive Dijkstra over the
-/// flattened upward half of the search graph, in rank space, recording
-/// every settled vertex. The upward search space is tiny
-/// (polylogarithmic in practice), so no pruning is needed. Each
-/// preprocessing worker thread owns one.
-struct UpwardSearch {
-    dist: Vec<Dist>,
-    stamp: Vec<u32>,
-    version: u32,
-    heap: IndexedHeap,
-    /// `(rank, dist)` pairs settled by the most recent search.
-    settled: Vec<(u32, Dist)>,
+/// `(target index, dist(rank ↑ target))` entries per rank, in target
+/// order.
+struct Buckets {
+    lists: Vec<Vec<(u32, Dist)>>,
+    /// Ranks whose list is non-empty.
+    touched: Vec<u32>,
 }
 
-impl UpwardSearch {
+impl Buckets {
     fn new(n: usize) -> Self {
-        UpwardSearch {
-            dist: vec![INFINITY; n],
-            stamp: vec![0; n],
-            version: 0,
-            heap: IndexedHeap::new(n),
-            settled: Vec::new(),
+        Buckets {
+            lists: vec![Vec::new(); n],
+            touched: Vec::new(),
         }
     }
 
-    fn run(&mut self, sg: &SearchGraph, root: u32) {
-        self.version = self.version.wrapping_add(1);
-        if self.version == 0 {
-            self.stamp.fill(0);
-            self.version = 1;
+    fn clear(&mut self) {
+        for r in self.touched.drain(..) {
+            self.lists[r as usize].clear();
         }
-        let version = self.version;
-        self.heap.clear();
-        self.settled.clear();
-        self.dist[root as usize] = 0;
-        self.stamp[root as usize] = version;
-        self.heap.push_or_decrease(root, 0);
-        while let Some((d, u)) = self.heap.pop_min() {
-            self.settled.push((u, d));
-            for e in sg.up(u) {
-                let nd = d + e.weight as Dist;
-                let hi = e.target as usize;
-                if self.stamp[hi] != version || nd < self.dist[hi] {
-                    self.dist[hi] = nd;
-                    self.stamp[hi] = version;
-                    self.heap.push_or_decrease(e.target, nd);
-                }
-            }
+    }
+
+    /// Deposits target `j`, settled at rank `r` with distance `d`.
+    #[inline]
+    fn deposit(&mut self, j: usize, r: u32, d: Dist) {
+        let list = &mut self.lists[r as usize];
+        if list.is_empty() {
+            self.touched.push(r);
+        }
+        list.push((j as u32, d));
+    }
+
+    /// Combines a source settled at rank `r` with distance `d` into its
+    /// row.
+    #[inline]
+    fn combine(&self, r: u32, d: Dist, row: &mut [Dist]) {
+        for &(j, dt) in &self.lists[r as usize] {
+            let cell = &mut row[j as usize];
+            *cell = (*cell).min(d + dt);
         }
     }
 }
@@ -72,10 +67,8 @@ impl UpwardSearch {
 /// the flat search graph.
 pub struct ManyToMany<'a> {
     sg: &'a SearchGraph,
-    search: UpwardSearch,
-    /// `buckets[r]` holds `(target_index, dist(r ↑ target))` entries.
-    buckets: Vec<Vec<(u32, Dist)>>,
-    touched_buckets: Vec<u32>,
+    search: UpwardSearch<'a>,
+    buckets: Buckets,
     /// Number of targets in the most recent [`ManyToMany::prepare_targets`].
     prepared: usize,
 }
@@ -84,12 +77,10 @@ impl<'a> ManyToMany<'a> {
     /// Creates a workspace bound to `ch`.
     pub fn new(ch: &'a ContractionHierarchy) -> Self {
         let sg = ch.search_graph();
-        let n = sg.num_nodes();
         ManyToMany {
             sg,
-            search: UpwardSearch::new(n),
-            buckets: vec![Vec::new(); n],
-            touched_buckets: Vec::new(),
+            search: UpwardSearch::new(sg),
+            buckets: Buckets::new(sg.num_nodes()),
             prepared: 0,
         }
     }
@@ -99,20 +90,14 @@ impl<'a> ManyToMany<'a> {
     /// settled vertex. Afterwards [`ManyToMany::distances_from`] answers
     /// one source at a time against this target set.
     pub fn prepare_targets(&mut self, targets: &[NodeId]) {
-        for v in self.touched_buckets.drain(..) {
-            self.buckets[v as usize].clear();
-        }
+        self.buckets.clear();
         self.prepared = targets.len();
         for (j, &t) in targets.iter().enumerate() {
-            self.search.run(self.sg, self.sg.rank_of(t));
-            for i in 0..self.search.settled.len() {
-                let (r, d) = self.search.settled[i];
-                let bucket = &mut self.buckets[r as usize];
-                if bucket.is_empty() {
-                    self.touched_buckets.push(r);
-                }
-                bucket.push((j as u32, d));
-            }
+            let buckets = &mut self.buckets;
+            self.search.run(self.sg.rank_of(t), |_, r, d| {
+                buckets.deposit(j, r, d);
+                Visit::Expand(INFINITY)
+            });
         }
     }
 
@@ -121,16 +106,11 @@ impl<'a> ManyToMany<'a> {
     pub fn distances_from(&mut self, source: NodeId, row: &mut [Dist]) {
         assert_eq!(row.len(), self.prepared, "row must match prepare_targets");
         row.fill(INFINITY);
-        self.search.run(self.sg, self.sg.rank_of(source));
-        for i in 0..self.search.settled.len() {
-            let (r, d) = self.search.settled[i];
-            for &(j, dt) in &self.buckets[r as usize] {
-                let total = d + dt;
-                if total < row[j as usize] {
-                    row[j as usize] = total;
-                }
-            }
-        }
+        let buckets = &self.buckets;
+        self.search.run(self.sg.rank_of(source), |_, r, d| {
+            buckets.combine(r, d, row);
+            Visit::Expand(INFINITY)
+        });
     }
 
     /// Computes the full `sources × targets` distance table, row-major:
@@ -139,19 +119,11 @@ impl<'a> ManyToMany<'a> {
     /// networks).
     pub fn table(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Vec<Dist> {
         self.prepare_targets(targets);
-        let m = targets.len();
-        let mut out = vec![INFINITY; sources.len() * m];
-        for (i, &s) in sources.iter().enumerate() {
-            // Split the output to satisfy the borrow checker cheaply.
-            let (_, rest) = out.split_at_mut(i * m);
-            self.distances_from(s, &mut rest[..m]);
+        let mut out = vec![INFINITY; sources.len() * targets.len()];
+        for (&s, row) in sources.iter().zip(out.chunks_exact_mut(targets.len().max(1))) {
+            self.distances_from(s, row);
         }
         out
-    }
-
-    /// Distances from one source to many targets.
-    pub fn one_to_many(&mut self, source: NodeId, targets: &[NodeId]) -> Vec<Dist> {
-        self.table(&[source], targets)
     }
 }
 
@@ -160,58 +132,42 @@ impl<'a> ManyToMany<'a> {
 ///
 /// Both phases of the bucket algorithm fan out — the backward upward
 /// searches across targets and the forward searches across sources —
-/// with one [`UpwardSearch`] workspace per worker. Bucket deposits
-/// happen on one thread in target order and the row combine takes a
-/// minimum (order-insensitive), so the table is identical to
+/// with one [`UpwardSearch`] per worker. The search spaces are deposited
+/// on one thread in target order and the row combine takes a minimum
+/// (order-insensitive), so the table is identical to
 /// [`ManyToMany::table`]'s for any thread count.
 pub fn par_table(ch: &ContractionHierarchy, sources: &[NodeId], targets: &[NodeId]) -> Vec<Dist> {
     let sg = ch.search_graph();
-    let n = sg.num_nodes();
-    let m = targets.len();
-
-    // Phase 1: per-target settled sets, then a sequential deposit in
-    // target order (identical bucket entry order to the sequential path).
-    let settled_per_target: Vec<Vec<(u32, Dist)>> = par::par_map(
+    let spaces: Vec<Vec<(u32, Dist)>> = par::par_map(
         targets,
-        || UpwardSearch::new(n),
-        |ws, &t| {
-            ws.run(sg, sg.rank_of(t));
-            ws.settled.clone()
+        || UpwardSearch::new(sg),
+        |search, &t| {
+            let mut space = Vec::new();
+            search.search_space(sg.rank_of(t), &mut space);
+            space
         },
     );
-    let mut buckets: Vec<Vec<(u32, Dist)>> = vec![Vec::new(); n];
-    for (j, settled) in settled_per_target.iter().enumerate() {
-        for &(r, d) in settled {
-            buckets[r as usize].push((j as u32, d));
+    let mut buckets = Buckets::new(sg.num_nodes());
+    for (j, space) in spaces.iter().enumerate() {
+        for &(r, d) in space {
+            buckets.deposit(j, r, d);
         }
     }
-    drop(settled_per_target);
+    drop(spaces);
 
-    // Phase 2: one forward search per source against the shared
-    // read-only buckets.
     let rows: Vec<Vec<Dist>> = par::par_map(
         sources,
-        || UpwardSearch::new(n),
-        |ws, &s| {
-            ws.run(sg, sg.rank_of(s));
-            let mut row = vec![INFINITY; m];
-            for i in 0..ws.settled.len() {
-                let (r, d) = ws.settled[i];
-                for &(j, dt) in &buckets[r as usize] {
-                    let total = d + dt;
-                    if total < row[j as usize] {
-                        row[j as usize] = total;
-                    }
-                }
-            }
+        || UpwardSearch::new(sg),
+        |search, &s| {
+            let mut row = vec![INFINITY; targets.len()];
+            search.run(sg.rank_of(s), |_, r, d| {
+                buckets.combine(r, d, &mut row);
+                Visit::Expand(INFINITY)
+            });
             row
         },
     );
-    let mut out = Vec::with_capacity(sources.len() * m);
-    for row in rows {
-        out.extend_from_slice(&row);
-    }
-    out
+    rows.concat()
 }
 
 #[cfg(test)]
@@ -267,7 +223,7 @@ mod tests {
         let t1 = m2m.table(&[0], &[24]);
         let t2 = m2m.table(&[0], &[24]); // stale buckets would corrupt this
         assert_eq!(t1, t2);
-        let t3 = m2m.one_to_many(24, &[0]);
+        let t3 = m2m.table(&[24], &[0]);
         assert_eq!(t1, t3); // undirected symmetry
     }
 

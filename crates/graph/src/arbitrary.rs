@@ -6,6 +6,9 @@
 //! graphs" — so the graph strategy lives here once. Connectivity comes
 //! from a random spanning arborescence (vertex `i` links to a random
 //! earlier vertex), which is also how real road extracts stay connected.
+//!
+//! Beside the strategies sits the one exhaustive enumerator,
+//! [`every_small_graph`], which every crate's small-world oracle walks.
 
 use proptest::prelude::*;
 
@@ -87,6 +90,63 @@ pub fn tie_heavy_network() -> impl Strategy<Value = RoadNetwork> {
     })
 }
 
+/// Every connected simple graph on `n` labelled vertices under every
+/// weight vector in {1, 2}^m, each handed to `f` with its edge list and
+/// weight vector (bit `i` set: edge `i` weighs 2). Returns how many
+/// weighted graphs there were: 1, 2, 20, 624 and 55 248 for n = 1..=5.
+///
+/// Weights of 1 and 2 make equal-length alternatives common, which is
+/// where shortcut tags, witness searches and stopping tests go wrong.
+/// Vertices sit on a small lattice, so coordinates are distinct but
+/// close.
+pub fn every_small_graph(n: u32, mut f: impl FnMut(&RoadNetwork, &[(u32, u32)], u32)) -> usize {
+    let slots: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    let mut graphs = 0;
+    for mask in 0u32..1 << slots.len() {
+        let edges: Vec<(u32, u32)> = slots
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .map(|(_, &e)| e)
+            .collect();
+        if !connected(n, &edges) {
+            continue;
+        }
+        for weights in 0u32..1 << edges.len() {
+            let mut b = GraphBuilder::new();
+            for v in 0..n {
+                b.add_node(Point::new((v % 3) as i32, (v / 3) as i32));
+            }
+            for (i, &(u, v)) in edges.iter().enumerate() {
+                b.add_edge(u, v, 1 + (weights >> i & 1));
+            }
+            f(&b.build().expect("connected simple graph"), &edges, weights);
+            graphs += 1;
+        }
+    }
+    graphs
+}
+
+/// Whether `edges` connect all of `0..n`.
+fn connected(n: u32, edges: &[(u32, u32)]) -> bool {
+    let mut reached = 1u32;
+    loop {
+        let grown = edges.iter().fold(reached, |r, &(u, v)| {
+            if r >> u & 1 == 1 || r >> v & 1 == 1 {
+                r | 1 << u | 1 << v
+            } else {
+                r
+            }
+        });
+        if grown == reached {
+            return reached == (1 << n) - 1;
+        }
+        reached = grown;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,5 +172,11 @@ mod tests {
             }
             prop_assert_eq!(count, net.num_nodes());
         }
+    }
+
+    #[test]
+    fn small_graph_counts_match_the_known_sequence() {
+        let counts: Vec<usize> = (1..=4).map(|n| every_small_graph(n, |_, _, _| {})).collect();
+        assert_eq!(counts, [1, 2, 20, 624]);
     }
 }

@@ -11,7 +11,9 @@
 //! # Building, wave by wave
 //!
 //! The label of `v` is its stall-on-demand upward search space over the
-//! flat rank-renumbered [`SearchGraph`](spq_ch::SearchGraph), less every
+//! flat rank-renumbered [`SearchGraph`](spq_ch::SearchGraph) — `spq_ch`'s
+//! one [`UpwardSearch`], whose visitor skips a stalled vertex and
+//! records the rest, and whose labels the prune step reads — less every
 //! `(h, d)` whose `d` is not the exact distance to `h`. (Stalled
 //! vertices are never recorded: stalling proves a shorter down-up path,
 //! so their entry could not win a merge. Dropping inexact entries is
@@ -33,12 +35,11 @@
 //! with a label distance past `u32::MAX` stops the build, it is never
 //! truncated.
 
-use spq_ch::{ContractionHierarchy, SearchGraph};
+use spq_ch::{ContractionHierarchy, SearchGraph, UpwardSearch, Visit};
 use spq_graph::backend::QueryBudget;
-use spq_graph::heap::IndexedHeap;
 use spq_graph::par;
 use spq_graph::size::IndexSize;
-use spq_graph::types::{Dist, NodeId};
+use spq_graph::types::{Dist, NodeId, INFINITY};
 use spq_graph::RoadNetwork;
 
 /// One label entry: a hub (by contraction rank) and the distance to it.
@@ -84,82 +85,52 @@ pub struct HubLabels {
     entries: Box<[LabelEntry]>,
 }
 
-/// One direction-free upward-search workspace (the network is
+/// A build worker's scratch: one upward search (the network is
 /// undirected, so forward and backward labels coincide and one search
-/// per vertex suffices). Reused across the vertices a build worker
-/// processes; stamp-versioned so per-vertex reset is O(search space).
-struct UpwardSearch {
-    /// Tentative distance per rank, meaningful where `stamp` is current.
-    dist: Vec<Dist>,
-    stamp: Vec<u32>,
-    version: u32,
-    heap: IndexedHeap,
+/// per vertex suffices) and the raw search space it leaves.
+struct Labeler<'a> {
+    search: UpwardSearch<'a>,
     /// The unstalled settled vertices of the current search.
     raw: Vec<(u32, Dist)>,
 }
 
-impl UpwardSearch {
-    fn new(n: usize) -> UpwardSearch {
-        UpwardSearch {
-            dist: vec![0; n],
-            stamp: vec![0; n],
-            version: 0,
-            heap: IndexedHeap::new(n),
+impl<'a> Labeler<'a> {
+    fn new(sg: &'a SearchGraph) -> Labeler<'a> {
+        Labeler {
+            search: UpwardSearch::new(sg),
             raw: Vec::new(),
         }
     }
 
-    /// The distance the current search reached rank `r` with, if any —
-    /// always the length of a real path, exact for unstalled vertices.
-    #[inline]
-    fn reached(&self, r: u32) -> Option<Dist> {
-        (self.stamp[r as usize] == self.version).then(|| self.dist[r as usize])
-    }
-
     /// Runs the stall-on-demand upward search from rank `root`, leaving
     /// its raw search space in `self.raw` (in settle order).
-    fn search(&mut self, sg: &SearchGraph, root: u32) {
-        self.version = self.version.wrapping_add(1);
-        if self.version == 0 {
-            self.stamp.fill(0);
-            self.version = 1;
-        }
-        let version = self.version;
-        self.heap.clear();
-        self.raw.clear();
-        self.dist[root as usize] = 0;
-        self.stamp[root as usize] = version;
-        self.heap.push_or_decrease(root, 0);
-
-        while let Some((d, u)) = self.heap.pop_min() {
-            let edges = sg.up(u);
+    fn search(&mut self, root: u32) {
+        let sg = self.search.graph();
+        let raw = &mut self.raw;
+        raw.clear();
+        self.search.run(root, |labels, u, d| {
             // Stall-on-demand: a shorter route back down to u through a
             // higher-ranked vertex proves u's entry could never win a
             // merge, so it is neither recorded nor expanded.
-            if edges
+            if sg
+                .up(u)
                 .iter()
-                .any(|e| matches!(self.reached(e.target), Some(x) if x + (e.weight as Dist) < d))
+                .any(|e| matches!(labels.get(e.target), Some(x) if x + (e.weight as Dist) < d))
             {
-                continue;
+                return Visit::Skip;
             }
-            self.raw.push((u, d));
-            for e in edges {
-                let nd = d + e.weight as Dist;
-                if !matches!(self.reached(e.target), Some(x) if x <= nd) {
-                    self.dist[e.target as usize] = nd;
-                    self.stamp[e.target as usize] = version;
-                    self.heap.push_or_decrease(e.target, nd);
-                }
-            }
-        }
+            raw.push((u, d));
+            Visit::Expand(INFINITY)
+        });
     }
 
     /// The final label of rank `root`: its raw search space less every
     /// entry some finished hub label proves inexact, sorted by hub.
     /// `done` must hold the final labels of every rank above `root` in
     /// the upward graph.
-    fn label(&mut self, sg: &SearchGraph, root: u32, done: &WaveStore) -> Vec<LabelEntry> {
-        self.search(sg, root);
+    fn label(&mut self, root: u32, done: &WaveStore) -> Vec<LabelEntry> {
+        self.search(root);
+        let search = &self.search;
         let mut label: Vec<LabelEntry> = self
             .raw
             .iter()
@@ -169,7 +140,7 @@ impl UpwardSearch {
                 // length of a real path: the minimum is dist(root, h).
                 h == root
                     || done.label(h).iter().all(
-                        |e| !matches!(self.reached(e.hub), Some(x) if x + (e.dist as Dist) < d),
+                        |e| !matches!(search.label(e.hub), Some(x) if x + (e.dist as Dist) < d),
                     )
             })
             .map(|&(h, d)| LabelEntry::new(h, d))
@@ -271,8 +242,8 @@ impl HubLabels {
             let wave = &order[w[0]..w[1]];
             let labels = par::par_map(
                 wave,
-                || UpwardSearch::new(n),
-                |ws, &r| ws.label(sg, r, &done),
+                || Labeler::new(sg),
+                |ws, &r| ws.label(r, &done),
             );
             for (&r, label) in wave.iter().zip(&labels) {
                 done.push(r, label);
@@ -414,29 +385,26 @@ impl IndexSize for HubLabels {
 /// Batch-table workspace: a dense rank-indexed scatter array.
 ///
 /// A DISTANCES table re-reads each source label once per target when
-/// every cell merge-scans. Scattering `L(s)` into a stamped dense array
-/// once per row turns each cell into a single pass over `L(t)` with an
-/// O(1) stamped lookup per hub — O(|L(s)| + T·|L(t)|) per row instead
-/// of O(T·(|L(s)| + |L(t)|)). Both shapes take the minimum of
+/// every cell merge-scans. Scattering `L(s)` into a dense array once per
+/// row turns each cell into a single pass over `L(t)` with an O(1)
+/// lookup per hub — O(|L(s)| + T·|L(t)|) per row instead of
+/// O(T·(|L(s)| + |L(t)|)). Both shapes take the minimum of
 /// `d_s(h) + d_t(h)` over the same common-hub set in exact `u64`
 /// arithmetic, so the batch path is bit-identical to the merge-scan.
 ///
-/// The workspace is allocation-free after construction and stamp-
-/// versioned so per-row reset is O(|L(s)|).
+/// The array holds `d_s(h) + 1` at the hubs of the current row's source
+/// and 0 everywhere else: it starts zeroed and each row clears the hubs
+/// it scattered, so a row costs O(|L(s)|) to reset and the workspace is
+/// allocation-free after construction.
 pub struct BatchScan {
-    val: Vec<u32>,
-    stamp: Vec<u32>,
-    version: u32,
+    val: Vec<Dist>,
 }
 
 impl BatchScan {
     /// Allocates a scatter array covering `labels`' vertex set.
     pub fn new(labels: &HubLabels) -> BatchScan {
-        let n = labels.num_nodes();
         BatchScan {
-            val: vec![0; n],
-            stamp: vec![0; n],
-            version: 0,
+            val: vec![0; labels.num_nodes()],
         }
     }
 
@@ -456,15 +424,8 @@ impl BatchScan {
         out.clear();
         out.reserve(sources.len() * targets.len());
         for &s in sources {
-            self.version = self.version.wrapping_add(1);
-            if self.version == 0 {
-                self.stamp.fill(0);
-                self.version = 1;
-            }
-            let version = self.version;
             for e in labels.label(s) {
-                self.val[e.hub as usize] = e.dist;
-                self.stamp[e.hub as usize] = version;
+                self.val[e.hub as usize] = e.dist as Dist + 1;
             }
             for &t in targets {
                 if !budget.charge() {
@@ -473,14 +434,15 @@ impl BatchScan {
                 }
                 let mut best = Dist::MAX;
                 for e in labels.label(t) {
-                    if self.stamp[e.hub as usize] == version {
-                        let sum = self.val[e.hub as usize] as Dist + e.dist as Dist;
-                        if sum < best {
-                            best = sum;
-                        }
+                    let v = self.val[e.hub as usize];
+                    if v != 0 {
+                        best = best.min(v - 1 + e.dist as Dist);
                     }
                 }
                 out.push((best != Dist::MAX).then_some(best));
+            }
+            for e in labels.label(s) {
+                self.val[e.hub as usize] = 0;
             }
         }
     }
@@ -573,10 +535,10 @@ mod tests {
     /// Returns the labels by rank.
     fn reference_labels(sg: &SearchGraph) -> Vec<Vec<LabelEntry>> {
         let n = sg.num_nodes();
-        let mut ws = UpwardSearch::new(n);
+        let mut ws = Labeler::new(sg);
         let raw: Vec<Vec<(u32, Dist)>> = (0..n as u32)
             .map(|r| {
-                ws.search(sg, r);
+                ws.search(r);
                 ws.raw.sort_unstable_by_key(|&(h, _)| h);
                 ws.raw.clone()
             })

@@ -115,7 +115,7 @@ impl Backend for ManyBackend {
             pois: &self.pois,
             query: ChQuery::new(&self.ch),
             batch: None,
-            o2m: None,
+            o2m: OneToMany::new(&self.ch),
             flipped: Vec::new(),
             knn_ws: KnnWorkspace::new(),
             budget: QueryBudget::unlimited(),
@@ -128,35 +128,27 @@ impl Backend for ManyBackend {
     }
 }
 
-/// Per-thread workspace bundle. Every engine is created lazily, so a
-/// worker only pays for the query shapes it actually serves.
+/// Per-thread workspace bundle. Every engine sizes its arrays on first
+/// use, so a worker only pays for the query shapes it actually serves.
+/// The one-to-many engine's upward search is the session's: tables,
+/// one-to-many rows, range and kNN all run on it.
 pub struct ManySession<'a> {
     ch: &'a ContractionHierarchy,
     pois: &'a PoiTable,
     query: ChQuery<'a>,
     batch: Option<BatchDistances<'a>>,
-    o2m: Option<OneToMany<'a>>,
+    o2m: OneToMany<'a>,
     /// A swept table before it is transposed into the caller's layout.
     flipped: Vec<Option<Dist>>,
     knn_ws: KnnWorkspace,
     budget: QueryBudget,
 }
 
-impl<'a> ManySession<'a> {
-    fn o2m(&mut self) -> &mut OneToMany<'a> {
-        let ch = self.ch;
-        let budget = &self.budget;
-        self.o2m.get_or_insert_with(|| {
-            let mut engine = OneToMany::new(ch);
-            engine.set_budget(budget);
-            engine
-        })
-    }
-
+impl ManySession<'_> {
     /// `rows` restricted sweeps over the selection of `cols`, row-major
     /// into `out`.
     fn swept(&mut self, rows: &[NodeId], cols: &[NodeId], out: &mut Vec<Option<Dist>>) {
-        if !self.o2m().table(rows, cols, out) {
+        if !self.o2m.table(rows, cols, out) {
             // Interrupted: the caller sees it via `interrupted()` and
             // must discard; fill the table so lengths still line up.
             out.resize(rows.len() * cols.len(), None);
@@ -234,7 +226,7 @@ impl Session for ManySession<'_> {
         if let Some(entry) = self.pois.get(poi.name) {
             if !entry
                 .index
-                .knn(self.ch.search_graph(), &mut self.knn_ws, s, k, out)
+                .knn(self.o2m.search(), &mut self.knn_ws, s, k, out)
             {
                 out.clear();
             }
@@ -256,8 +248,7 @@ impl Session for ManySession<'_> {
     }
 
     fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        let engine = self.o2m();
-        if !engine.range(s, limit, out) {
+        if !self.o2m.range(s, limit, out) {
             out.clear();
         }
         true
@@ -265,9 +256,7 @@ impl Session for ManySession<'_> {
 
     fn set_budget(&mut self, budget: &QueryBudget) {
         self.query.set_budget(budget);
-        if let Some(engine) = self.o2m.as_mut() {
-            engine.set_budget(budget);
-        }
+        self.o2m.set_budget(budget);
         if let Some(batch) = self.batch.as_mut() {
             batch.set_budget(budget);
         }
@@ -277,7 +266,7 @@ impl Session for ManySession<'_> {
 
     fn interrupted(&self) -> bool {
         self.query.budget_exhausted()
-            || self.o2m.as_ref().is_some_and(|e| e.interrupted())
+            || self.o2m.interrupted()
             || self.batch.as_ref().is_some_and(|b| b.budget_exhausted())
             || self.knn_ws.interrupted()
     }

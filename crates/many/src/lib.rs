@@ -4,12 +4,12 @@
 //!
 //! * [`OneToMany`] — target-restricted PHAST: a **selection** (the
 //!   reverse-upward closure of a target set, compacted into its own
-//!   descending-rank CSR) is swept linearly after one upward Dijkstra
+//!   descending-rank CSR) is swept linearly after one upward search
 //!   from the source, so a query costs what its targets' closure costs,
 //!   not `n`. Selections are memoised per workspace under the target
 //!   *set* — order, rotation and duplicates of the request do not matter
 //!   — in a small byte-capped LRU. One sweep per row answers whole
-//!   tables; "select everything" is the classic full sweep.
+//!   tables; selecting every vertex is the classic full sweep.
 //! * [`PoiIndex`] — bucket-CH k-nearest-neighbour over a registered
 //!   [`PoiSet`]: per-vertex buckets precomputed from each POI's upward
 //!   search space, sorted by distance, make a kNN query one upward
@@ -18,13 +18,17 @@
 //!   a rank bitset pushed *down* the hierarchy from the pruned upward
 //!   search ([`OneToMany::range`]): work proportional to the ball.
 //!
-//! [`phast`] derives all three and says why pruning at the limit stays
-//! exact.
+//! Every upward search here is `spq_ch`'s one
+//! [`UpwardSearch`](spq_ch::UpwardSearch): the selections' rows, the range's upward phase
+//! and push-down, the POI bucket build and the kNN query each drive it
+//! with their own visitor. [`phast`] derives the sweep and the range and
+//! says why pruning at the limit stays exact.
 //!
 //! [`ManyBackend`] packages all of it behind the serving `Backend` /
-//! `Session` traits so the TCP server, loadgen, and bench harness drive
-//! the new shapes through the same budget/deadline/epoch machinery as
-//! the original ops.
+//! `Session` traits, so the TCP server answers these shapes under the
+//! same budget/deadline/epoch machinery as the point queries; `spq
+//! bench` times them in process, and the `served-many` benchmark
+//! workload over TCP.
 //!
 //! # Example
 //!
@@ -39,8 +43,9 @@
 //! let mut row = Vec::new();
 //! assert!(o2m.table(&[2], &[6, 2], &mut row)); // sweeps only {v7, v3}'s closure
 //! assert_eq!(row, [Some(6), Some(0)]); // dist(v3, v7), paper §3.2
-//! assert!(o2m.run(2)); // "select everything" answers every target
-//! assert_eq!(o2m.distance(6), Some(6));
+//! let mut ball = Vec::new();
+//! assert!(o2m.range(2, 6, &mut ball)); // every vertex within 6 of v3
+//! assert!(ball.contains(&(6, 6)));
 //! ```
 
 pub mod backend;

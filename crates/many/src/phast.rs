@@ -26,17 +26,15 @@
 //! outranks it, so its slot is smaller), plus the slot of every target.
 //! A query is then
 //!
-//! 1. an upward Dijkstra from the source into an n-sized lane that is
-//!    all-`INFINITY` between queries — the search records what it
-//!    touches and exactly that is reset afterwards, so there is no O(n)
-//!    fill;
+//! 1. an upward search from the source on the workspace's
+//!    [`UpwardSearch`], which resets only what its previous search
+//!    touched, so there is no O(n) fill;
 //! 2. **one linear pass over the selection**: slot `i` takes the minimum
-//!    of the lane value at `rank[i]` and `local[head] + w` over its
+//!    of the search's label at `rank[i]` and `local[head] + w` over its
 //!    edges — one budget charge per swept member.
 //!
-//! [`OneToMany::run`] is the degenerate case "select everything": the
-//! same compaction over all ranks, the same pass. There is one sweep
-//! loop in this crate.
+//! Selecting every vertex is the classic full PHAST sweep; it needs no
+//! code of its own. There is one sweep loop in this crate.
 //!
 //! # The memo
 //!
@@ -57,10 +55,11 @@
 //! all. After an upward search pruned at `limit`, the settled vertices
 //! are marked in a rank bitset; marked ranks are then processed in
 //! descending order, each *pushing* `dist + w` along its downward edges
-//! and marking a lower vertex only when the pushed value is within
-//! `limit`. Every value ever written is the length of a real path, so
-//! every marked vertex lies in the ball and the work is proportional to
-//! the ball, not to `n`.
+//! into the same search's labels ([`UpwardSearch::lower`]) and marking a
+//! lower vertex only when the pushed value is within `limit`. Every
+//! value ever written is the length of a real path, so every marked
+//! vertex lies in the ball and the work is proportional to the ball,
+//! not to `n`.
 //!
 //! Pruning at `limit` is exact: if `dist(s, v) ≤ limit`, every vertex on
 //! `v`'s shortest up-down path is at most that far from `s` (a prefix of
@@ -72,9 +71,8 @@
 //! has already pushed into it, so its value is final and it is emitted
 //! on the spot.
 
-use spq_ch::{ContractionHierarchy, SearchGraph};
+use spq_ch::{ContractionHierarchy, SearchGraph, UpwardSearch, Visit};
 use spq_graph::backend::QueryBudget;
-use spq_graph::heap::IndexedHeap;
 use spq_graph::types::{Dist, NodeId, Weight, INFINITY};
 
 /// Selections a workspace remembers.
@@ -260,99 +258,46 @@ impl Memo {
     }
 }
 
-/// The distance lanes of one workspace and the two phases of a query.
-#[derive(Debug)]
-struct Lanes {
-    /// Rank-indexed upward-search labels; all `INFINITY` between
-    /// queries.
-    up: Vec<Dist>,
-    /// Ranks whose `up` entry the current search wrote.
-    touched: Vec<u32>,
-    heap: IndexedHeap,
-    /// Slot-indexed results of the last sweep.
-    local: Vec<Dist>,
-}
-
-impl Lanes {
-    /// Phase 1: upward Dijkstra from `root` (a rank), stopping once the
-    /// frontier passes `limit`. Afterwards `up[v] <= limit` holds
-    /// exactly for the settled vertices.
-    fn upward(
-        &mut self,
-        sg: &SearchGraph,
-        root: u32,
-        limit: Dist,
-        budget: &mut QueryBudget,
-    ) -> bool {
-        self.heap.clear();
-        self.up[root as usize] = 0;
-        self.touched.push(root);
-        self.heap.push_or_decrease(root, 0);
-        while let Some((d, u)) = self.heap.pop_min() {
-            if d > limit {
-                break;
-            }
-            if !budget.charge() {
-                return false;
-            }
-            for e in sg.up(u) {
-                let nd = d + e.weight as Dist;
-                let label = &mut self.up[e.target as usize];
-                if nd < *label {
-                    if *label == INFINITY {
-                        self.touched.push(e.target);
-                    }
-                    *label = nd;
-                    self.heap.push_or_decrease(e.target, nd);
-                }
-            }
+/// One row against `sel`: an upward search from `s` (one budget charge
+/// per settled vertex), then the one sweep loop — a linear pass over
+/// `sel`, each slot taking the minimum of its upward label and
+/// `local[head] + w`; every head has a smaller slot, so it is already
+/// final.
+fn sweep(
+    search: &mut UpwardSearch,
+    local: &mut Vec<Dist>,
+    sel: &Selection,
+    s: NodeId,
+    budget: &mut QueryBudget,
+) -> bool {
+    let mut ok = true;
+    search.run(search.graph().rank_of(s), |_, _, _| {
+        ok = budget.charge();
+        if ok {
+            Visit::Expand(INFINITY)
+        } else {
+            Visit::Stop
         }
-        true
+    });
+    if !ok {
+        return false;
     }
-
-    /// Phase 2, the one sweep loop: a linear pass over `sel`, each slot
-    /// taking the minimum of its upward label and `local[head] + w` —
-    /// every head has a smaller slot, so it is already final.
-    fn sweep(&mut self, sel: &Selection, budget: &mut QueryBudget) -> bool {
-        let m = sel.rank.len();
-        if self.local.len() < m {
-            self.local.resize(m, INFINITY);
+    let m = sel.rank.len();
+    if local.len() < m {
+        local.resize(m, INFINITY);
+    }
+    let local = &mut local[..m];
+    for i in 0..m {
+        if !budget.charge() {
+            return false;
         }
-        let local = &mut self.local[..m];
-        for i in 0..m {
-            if !budget.charge() {
-                return false;
-            }
-            let mut d = self.up[sel.rank[i] as usize];
-            for e in &sel.edges[sel.first[i] as usize..sel.first[i + 1] as usize] {
-                d = d.min(local[e.head as usize] + e.weight as Dist);
-            }
-            local[i] = d;
+        let mut d = search.label(sel.rank[i]).unwrap_or(INFINITY);
+        for e in &sel.edges[sel.first[i] as usize..sel.first[i + 1] as usize] {
+            d = d.min(local[e.head as usize] + e.weight as Dist);
         }
-        true
+        local[i] = d;
     }
-
-    /// One query against `sel`: upward search from `s`, sweep, lane
-    /// reset.
-    fn query(
-        &mut self,
-        sg: &SearchGraph,
-        sel: &Selection,
-        s: NodeId,
-        budget: &mut QueryBudget,
-    ) -> bool {
-        let ok = self.upward(sg, sg.rank_of(s), INFINITY, budget) && self.sweep(sel, budget);
-        self.reset();
-        ok
-    }
-
-    /// Restores the all-`INFINITY` invariant of `up`.
-    fn reset(&mut self) {
-        for &r in &self.touched {
-            self.up[r as usize] = INFINITY;
-        }
-        self.touched.clear();
-    }
+    true
 }
 
 /// A reusable one-to-many / table / range workspace bound to one
@@ -365,7 +310,11 @@ impl Lanes {
 #[derive(Debug)]
 pub struct OneToMany<'a> {
     sg: &'a SearchGraph,
-    lanes: Lanes,
+    /// The upward search of every query; a range also pushes its
+    /// labels down the hierarchy.
+    search: UpwardSearch<'a>,
+    /// Slot-indexed results of the last sweep.
+    local: Vec<Dist>,
     /// Closure marks while compacting, frontier while ranging; empty
     /// between queries.
     marks: RankSet,
@@ -378,16 +327,7 @@ pub struct OneToMany<'a> {
     /// The memo key of the request being answered.
     key: Vec<u32>,
     memo: Memo,
-    /// The "select everything" selection behind [`OneToMany::run`]. Not
-    /// keyed and not counted against the memo: about the size of the
-    /// hierarchy's upward half, built on the first `run` only. No
-    /// serving path calls `run`.
-    full: Option<Selection>,
     budget: QueryBudget,
-    /// Source of the most recent *completed* [`OneToMany::run`]; `None`
-    /// after anything else, so a stale lane can never be read as an
-    /// answer.
-    source: Option<NodeId>,
 }
 
 /// Reverse-upward closure of `seeds` (ranks), compacted into `sel`
@@ -439,28 +379,24 @@ impl<'a> OneToMany<'a> {
     /// Creates a workspace over `ch`'s search graph. Allocation is
     /// deferred to the first query.
     pub fn new(ch: &'a ContractionHierarchy) -> Self {
-        Self::over(ch.search_graph())
-    }
-
-    /// Creates a workspace directly over a search graph.
-    pub fn over(sg: &'a SearchGraph) -> Self {
+        let sg = ch.search_graph();
         OneToMany {
             sg,
-            lanes: Lanes {
-                up: Vec::new(),
-                touched: Vec::new(),
-                heap: IndexedHeap::new(0),
-                local: Vec::new(),
-            },
+            search: UpwardSearch::new(sg),
+            local: Vec::new(),
             marks: RankSet::default(),
             slot_of: Vec::new(),
             stack: Vec::new(),
             key: Vec::new(),
             memo: Memo::new(),
-            full: None,
             budget: QueryBudget::unlimited(),
-            source: None,
         }
+    }
+
+    /// The workspace's upward search, for a caller that runs its own
+    /// upward queries beside this one's (a session's kNN).
+    pub fn search(&mut self) -> &mut UpwardSearch<'a> {
+        &mut self.search
     }
 
     /// Installs the cancellation budget subsequent queries execute
@@ -489,15 +425,11 @@ impl<'a> OneToMany<'a> {
         self.memo.bytes()
     }
 
-    /// Starts a query: fresh budget, no readable `run` result, n-sized
-    /// arrays in place.
+    /// Starts a query: fresh budget, n-sized arrays in place.
     fn begin(&mut self) {
         self.budget.reset();
-        self.source = None;
         let n = self.sg.num_nodes();
-        if self.lanes.up.len() < n {
-            self.lanes.up = vec![INFINITY; n];
-            self.lanes.heap = IndexedHeap::new(n);
+        if self.slot_of.len() < n {
             self.marks = RankSet::new(n);
             self.slot_of = vec![0; n];
         }
@@ -551,75 +483,18 @@ impl<'a> OneToMany<'a> {
         }
         let mut ok = true;
         for &s in sources {
-            ok = self.lanes.query(sg, sel, s, &mut self.budget);
+            ok = sweep(&mut self.search, &mut self.local, sel, s, &mut self.budget);
             if !ok {
                 out.clear();
                 break;
             }
             out.extend(targets.iter().map(|&t| {
-                let d = self.lanes.local[self.slot_of[sg.rank_of(t) as usize] as usize];
+                let d = self.local[self.slot_of[sg.rank_of(t) as usize] as usize];
                 (d < INFINITY).then_some(d)
             }));
         }
         self.memo.trim();
         ok
-    }
-
-    /// Computes `dist(s, v)` for *every* vertex `v` — the sweep over the
-    /// identity selection. Returns `false` if the budget tripped. On
-    /// success the answers are read through [`OneToMany::distance`] /
-    /// [`OneToMany::distances_into`].
-    pub fn run(&mut self, s: NodeId) -> bool {
-        self.begin();
-        let sg = self.sg;
-        if self.full.is_none() {
-            let mut sel = Selection::default();
-            if !compact(
-                sg,
-                0..sg.num_nodes() as u32,
-                &mut self.marks,
-                &mut self.stack,
-                &mut self.slot_of,
-                &mut self.budget,
-                &mut sel,
-            ) {
-                return false;
-            }
-            self.full = Some(sel);
-        }
-        let sel = self.full.as_ref().expect("built above");
-        if !self.lanes.query(sg, sel, s, &mut self.budget) {
-            return false;
-        }
-        self.source = Some(s);
-        true
-    }
-
-    /// Source of the most recent completed [`OneToMany::run`].
-    pub fn source(&self) -> Option<NodeId> {
-        self.source
-    }
-
-    /// Distance to `t` from the last run's source (`None` =
-    /// unreachable). Panics if no run has completed.
-    #[inline]
-    pub fn distance(&self, t: NodeId) -> Option<Dist> {
-        assert!(self.source.is_some(), "no completed one-to-many run");
-        // The identity selection holds every rank, descending.
-        let slot = self.sg.num_nodes() - 1 - self.sg.rank_of(t) as usize;
-        let d = self.lanes.local[slot];
-        if d >= INFINITY {
-            None
-        } else {
-            Some(d)
-        }
-    }
-
-    /// Fills `out[j]` with the distance to `targets[j]` from the last
-    /// run's source.
-    pub fn distances_into(&self, targets: &[NodeId], out: &mut Vec<Option<Dist>>) {
-        out.clear();
-        out.extend(targets.iter().map(|&t| self.distance(t)));
     }
 
     /// Network range query: fills `out` with every `(vertex, distance)`
@@ -630,34 +505,31 @@ impl<'a> OneToMany<'a> {
         out.clear();
         self.begin();
         let sg = self.sg;
-        let up = &mut self.lanes;
-        let mut ok = up.upward(sg, sg.rank_of(s), limit, &mut self.budget);
-        if ok {
-            for &r in &up.touched {
-                if up.up[r as usize] <= limit {
-                    self.marks.insert(r);
-                }
+        let (marks, budget) = (&mut self.marks, &mut self.budget);
+        let mut ok = true;
+        self.search.run(sg.rank_of(s), |_, r, _| {
+            ok = budget.charge();
+            if !ok {
+                return Visit::Stop;
             }
-        }
+            marks.insert(r);
+            Visit::Expand(limit)
+        });
         while let Some(r) = self.marks.pop_max() {
-            // Popped ranks leave the lane clean behind them, also once
-            // the budget has tripped and the frontier is only drained.
-            let d = std::mem::replace(&mut up.up[r as usize], INFINITY);
+            // Once the budget has tripped the frontier is only drained.
             ok = ok && self.budget.charge();
             if !ok {
                 continue;
             }
+            let d = self.search.label(r).expect("a marked rank is labelled");
             out.push((sg.orig_of(r), d));
             for e in sg.down(r) {
                 let pushed = d + e.weight as Dist;
-                let label = &mut up.up[e.target as usize];
-                if pushed <= limit && pushed < *label {
-                    *label = pushed;
+                if pushed <= limit && self.search.lower(e.target, pushed) {
                     self.marks.insert(e.target);
                 }
             }
         }
-        up.reset();
         if !ok {
             out.clear();
             return false;
@@ -708,21 +580,32 @@ mod tests {
         assert_eq!(set.pop_max(), None);
     }
 
+    /// Every vertex as a target: the selection of everything, swept
+    /// from every source — the classic full PHAST sweep.
     fn check_all_sources(g: &RoadNetwork) {
         let ch = ContractionHierarchy::build(g);
         let mut o2m = OneToMany::new(&ch);
-        let mut d = Dijkstra::new(g.num_nodes());
+        let everyone: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
         for s in 0..g.num_nodes() as NodeId {
-            assert!(o2m.run(s));
-            d.run(g, s);
-            for t in 0..g.num_nodes() as NodeId {
-                assert_eq!(o2m.distance(t), d.distance(t), "({s},{t})");
-            }
+            assert_eq!(row(&mut o2m, s, &everyone), oracle_row(g, s, &everyone), "source {s}");
         }
+        assert_eq!(o2m.selections_built(), 1);
+    }
+
+    /// What a query leaves on the shared upward search must not reach
+    /// the next one: a search that settles only its root leaves only the
+    /// root labelled, whatever was cut, extended or pushed down before.
+    fn assert_search_resets(o2m: &mut OneToMany, case: &str) {
+        o2m.search.run(0, |_, _, _| Visit::Stop);
+        let n = o2m.sg.num_nodes() as u32;
+        assert!(
+            (1..n).all(|r| o2m.search.label(r).is_none()),
+            "{case}: a label outlived its query"
+        );
     }
 
     #[test]
-    fn full_run_exact_on_paper_figure_and_grid() {
+    fn every_vertex_table_exact_on_paper_figure_and_grid() {
         check_all_sources(&figure1());
         check_all_sources(&grid_graph(7, 9));
     }
@@ -732,21 +615,21 @@ mod tests {
         let g = grid_graph(6, 6);
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
-        assert_eq!(o2m.lanes.up.len(), 0, "construction must not allocate");
-        assert!(o2m.run(0));
-        let first: Vec<_> = (0..36).map(|t| o2m.distance(t)).collect();
-        assert!(o2m.run(35));
+        assert!(o2m.slot_of.is_empty(), "construction must not allocate");
+        let everyone: Vec<NodeId> = (0..36).collect();
+        let first = row(&mut o2m, 0, &everyone);
+        assert_eq!(first, oracle_row(&g, 0, &everyone));
+        row(&mut o2m, 35, &everyone);
         let mut ball = Vec::new();
         assert!(o2m.range(20, 3, &mut ball));
-        assert_eq!(o2m.source(), None, "a range leaves no run to read");
-        assert!(o2m.run(0)); // nothing of run(35) or the range may leak
-        let again: Vec<_> = (0..36).map(|t| o2m.distance(t)).collect();
-        assert_eq!(first, again);
-        assert!(o2m.lanes.up.iter().all(|&d| d == INFINITY));
+        // Nothing of the row from 35 or the range may leak.
+        assert_eq!(row(&mut o2m, 0, &everyone), first);
+        assert!(o2m.range(20, 3, &mut ball));
+        assert_search_resets(&mut o2m, "after a range");
     }
 
     #[test]
-    fn restricted_rows_match_full_run_and_oracle() {
+    fn restricted_rows_match_every_vertex_rows_and_oracle() {
         let g = grid_graph(9, 8);
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
@@ -759,10 +642,9 @@ mod tests {
         ] {
             let got = row(&mut o2m, s, &targets);
             assert_eq!(got, oracle_row(&g, s, &targets), "source {s}");
-            assert!(o2m.run(s));
-            let mut full = Vec::new();
-            o2m.distances_into(&targets, &mut full);
-            assert_eq!(got, full);
+            let full = row(&mut o2m, s, &everyone);
+            let picked: Vec<_> = targets.iter().map(|&t| full[t as usize]).collect();
+            assert_eq!(got, picked);
         }
         let mut out = vec![Some(1)];
         assert!(o2m.table(&[1, 2], &[], &mut out));
@@ -910,7 +792,7 @@ mod tests {
                 o2m.marks.pop_max().is_none(),
                 "cap {cap}: marks left behind"
             );
-            assert!(o2m.lanes.up.iter().all(|&d| d == INFINITY), "cap {cap}");
+            assert_search_resets(&mut o2m, &format!("table cap {cap}"));
             cap += 1;
         }
         assert!(cap > 10, "the loop must have tripped inside every phase");
@@ -931,7 +813,7 @@ mod tests {
                 o2m.marks.pop_max().is_none(),
                 "cap {cap}: frontier left behind"
             );
-            assert!(o2m.lanes.up.iter().all(|&d| d == INFINITY), "cap {cap}");
+            assert_search_resets(&mut o2m, &format!("range cap {cap}"));
             cap += 1;
         }
         assert!(cap > 5);
@@ -945,21 +827,26 @@ mod tests {
     }
 
     #[test]
-    fn budget_interrupts_full_run_and_recovers() {
+    fn budget_interrupts_every_vertex_table_and_recovers() {
         let g = grid_graph(10, 10);
         let ch = ContractionHierarchy::build(&g);
         let mut o2m = OneToMany::new(&ch);
+        let everyone: Vec<NodeId> = (0..100).collect();
+        let mut out = Vec::new();
         o2m.set_budget(&QueryBudget::unlimited().with_node_cap(5));
-        assert!(!o2m.run(0), "5 charges cannot select 100 ranks");
+        assert!(!o2m.table(&[0], &everyone, &mut out), "5 charges cannot select 100 ranks");
         assert!(o2m.interrupted());
-        assert_eq!(o2m.source(), None);
+        assert!(out.is_empty());
+        assert_eq!(o2m.selections_built(), 0);
         // Enough to select everything once, not to sweep it as well.
         o2m.set_budget(&QueryBudget::unlimited().with_node_cap(150));
-        assert!(!o2m.run(0));
-        assert_eq!(o2m.source(), None);
+        assert!(!o2m.table(&[0], &everyone, &mut out));
+        assert!(out.is_empty());
+        assert_eq!(o2m.selections_built(), 1);
         o2m.set_budget(&QueryBudget::unlimited());
-        assert!(o2m.run(0));
+        assert!(o2m.table(&[0], &everyone, &mut out));
         assert!(!o2m.interrupted());
-        assert_eq!(o2m.distance(0), Some(0));
+        assert_eq!(out, oracle_row(&g, 0, &everyone));
+        assert_eq!(o2m.selections_built(), 1, "the selection survived the trip");
     }
 }

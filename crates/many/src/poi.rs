@@ -9,13 +9,16 @@
 //! it settles — `dist(s, p) = min over settled r of d↑(s, r) + d↑(p, r)`,
 //! exact because every shortest path in a CH is up-down and the network
 //! is undirected (the backward cone from a POI *is* its upward cone).
+//! Both are `spq_ch`'s one [`UpwardSearch`]: the build collects each
+//! POI's search space, the query merges buckets from its visitor.
 //!
 //! The search stops early. While it runs, the k smallest per-POI
 //! candidates seen so far are kept in a heap whose largest member is a
 //! **bound** on the final k-th distance; it only ever falls. Buckets are
 //! sorted by distance at build time, so a merge breaks at the first
-//! entry whose total exceeds the bound, and the search ends when the
-//! popped key does. Both tests are *strictly greater*: a candidate that
+//! entry whose total exceeds the bound, the visitor hands the bound to
+//! the search as its relaxation limit, and stops it when the popped key
+//! passes the bound. Both tests are *strictly greater*: a candidate that
 //! ties the bound may still win its place under the `(distance, vertex)`
 //! order. Nothing exact is lost — a POI whose true distance is within
 //! the final bound has an apex no farther than that, which is popped,
@@ -29,7 +32,7 @@
 
 use std::io::{self, Read, Write};
 
-use spq_ch::{ContractionHierarchy, SearchGraph};
+use spq_ch::{ContractionHierarchy, UpwardSearch, Visit};
 use spq_graph::backend::QueryBudget;
 use spq_graph::binio::{self, IndexLoadError};
 use spq_graph::heap::IndexedHeap;
@@ -200,54 +203,6 @@ pub struct PoiIndex {
     bucket_dist: Vec<Dist>,
 }
 
-/// The upward-search scratch of the bucket build (same shape as the
-/// many-to-many preprocessing workspace).
-struct Upward {
-    dist: Vec<Dist>,
-    stamp: Vec<u32>,
-    version: u32,
-    heap: IndexedHeap,
-    settled: Vec<(u32, Dist)>,
-}
-
-impl Upward {
-    fn new(n: usize) -> Self {
-        Upward {
-            dist: vec![INFINITY; n],
-            stamp: vec![0; n],
-            version: 0,
-            heap: IndexedHeap::new(n),
-            settled: Vec::new(),
-        }
-    }
-
-    fn run(&mut self, sg: &SearchGraph, root: u32) {
-        self.version = self.version.wrapping_add(1);
-        if self.version == 0 {
-            self.stamp.fill(0);
-            self.version = 1;
-        }
-        let version = self.version;
-        self.heap.clear();
-        self.settled.clear();
-        self.dist[root as usize] = 0;
-        self.stamp[root as usize] = version;
-        self.heap.push_or_decrease(root, 0);
-        while let Some((d, u)) = self.heap.pop_min() {
-            self.settled.push((u, d));
-            for e in sg.up(u) {
-                let nd = d + e.weight as Dist;
-                let hi = e.target as usize;
-                if self.stamp[hi] != version || nd < self.dist[hi] {
-                    self.dist[hi] = nd;
-                    self.stamp[hi] = version;
-                    self.heap.push_or_decrease(e.target, nd);
-                }
-            }
-        }
-    }
-}
-
 impl PoiIndex {
     /// Builds the bucket index for `set` over `ch`. The upward searches
     /// fan out across the preprocessing worker pool; the deposit order
@@ -259,10 +214,11 @@ impl PoiIndex {
         set.validate_for(n)?;
         let settled: Vec<Vec<(u32, Dist)>> = par::par_map(
             set.nodes(),
-            || Upward::new(n),
-            |ws, &p| {
-                ws.run(sg, sg.rank_of(p));
-                ws.settled.clone()
+            || UpwardSearch::new(sg),
+            |search, &p| {
+                let mut space = Vec::new();
+                search.search_space(sg.rank_of(p), &mut space);
+                space
             },
         );
         let mut counts = vec![0u32; n + 1];
@@ -324,11 +280,13 @@ impl PoiIndex {
     }
 
     /// k nearest POIs from `s`: up to `k` `(poi_vertex, distance)` pairs
-    /// ascending by `(distance, vertex id)`. Returns `false` (with `out`
-    /// cleared) if the budget tripped mid-query.
+    /// ascending by `(distance, vertex id)`, found by one upward search
+    /// from `s` on `search` (a workspace over the hierarchy the index
+    /// was built on). Returns `false` (with `out` cleared) if the budget
+    /// tripped mid-query.
     pub fn knn(
         &self,
-        sg: &SearchGraph,
+        search: &mut UpwardSearch,
         ws: &mut KnnWorkspace,
         s: NodeId,
         k: usize,
@@ -338,32 +296,20 @@ impl PoiIndex {
         if k == 0 {
             return true;
         }
-        ws.ensure(sg.num_nodes(), self.nodes.len());
-        ws.budget.reset();
-        ws.version = ws.version.wrapping_add(1);
-        if ws.version == 0 {
-            ws.stamp.fill(0);
-            ws.best_stamp.fill(0);
-            ws.version = 1;
-        }
-        let version = ws.version;
-        ws.heap.clear();
-        ws.top.clear();
-        ws.touched.clear();
+        ws.begin(self.nodes.len());
         // The k-th smallest candidate so far: `ws.top` holds the k
         // smallest per-POI bests under the key `!total`, so its minimum
         // is the largest of them.
         let mut bound = INFINITY;
-        let root = sg.rank_of(s);
-        ws.dist[root as usize] = 0;
-        ws.stamp[root as usize] = version;
-        ws.heap.push_or_decrease(root, 0);
-        while let Some((d, u)) = ws.heap.pop_min() {
+        let mut ok = true;
+        let root = search.graph().rank_of(s);
+        search.run(root, |_, u, d| {
             if d > bound {
-                break;
+                return Visit::Stop;
             }
             if !ws.budget.charge() {
-                return false;
+                ok = false;
+                return Visit::Stop;
             }
             // Merge this vertex's bucket: each entry closes an up-down
             // path s ↑ u ↓ poi.
@@ -376,11 +322,11 @@ impl PoiIndex {
                 }
                 let j = self.bucket_poi[i];
                 let best = &mut ws.best[j as usize];
-                if ws.best_stamp[j as usize] != version {
-                    ws.best_stamp[j as usize] = version;
-                    ws.touched.push(j);
-                } else if total >= *best {
+                if total >= *best {
                     continue;
+                }
+                if *best == INFINITY {
+                    ws.touched.push(j);
                 }
                 *best = total;
                 if ws.top.len() < k || ws.top.contains(j) {
@@ -393,15 +339,10 @@ impl PoiIndex {
                     bound = !ws.top.peek_key().expect("k > 0 entries");
                 }
             }
-            for e in sg.up(u) {
-                let nd = d + e.weight as Dist;
-                let ti = e.target as usize;
-                if nd <= bound && (ws.stamp[ti] != version || nd < ws.dist[ti]) {
-                    ws.dist[ti] = nd;
-                    ws.stamp[ti] = version;
-                    ws.heap.push_or_decrease(e.target, nd);
-                }
-            }
+            Visit::Expand(bound)
+        });
+        if !ok {
+            return false;
         }
         // Candidates past the bound may be stale upper estimates; the
         // ones within it are exact (module docs).
@@ -417,17 +358,14 @@ impl PoiIndex {
     }
 }
 
-/// Reusable per-thread scratch for bucket kNN queries: the upward
-/// search state plus a best-distance slot per POI. Lazily sized, so a
+/// Reusable per-thread scratch for bucket kNN queries beside the upward
+/// search they run on: a best distance per POI, all `INFINITY` between
+/// queries (each query resets the ones it wrote). Lazily sized, so a
 /// worker that never serves kNN never allocates it.
 #[derive(Debug)]
 pub struct KnnWorkspace {
-    dist: Vec<Dist>,
-    stamp: Vec<u32>,
-    version: u32,
-    heap: IndexedHeap,
     best: Vec<Dist>,
-    best_stamp: Vec<u32>,
+    /// POIs whose `best` the current query wrote.
     touched: Vec<u32>,
     /// The k smallest per-POI bests of the running query, keyed by
     /// `!total` so that the heap's minimum is the k-th smallest.
@@ -445,30 +383,25 @@ impl KnnWorkspace {
     /// Creates an empty workspace; arrays appear on first use.
     pub fn new() -> Self {
         KnnWorkspace {
-            dist: Vec::new(),
-            stamp: Vec::new(),
-            version: 0,
-            heap: IndexedHeap::new(0),
             best: Vec::new(),
-            best_stamp: Vec::new(),
             touched: Vec::new(),
             top: IndexedHeap::new(0),
             budget: QueryBudget::unlimited(),
         }
     }
 
-    fn ensure(&mut self, n: usize, m: usize) {
-        if self.dist.len() < n {
-            self.dist = vec![INFINITY; n];
-            self.stamp = vec![0; n];
-            self.heap = IndexedHeap::new(n);
-            self.version = 0;
+    /// Starts a query over a set of `m` POIs: fresh budget, every best
+    /// back to `INFINITY`, room for `m`.
+    fn begin(&mut self, m: usize) {
+        self.budget.reset();
+        for j in self.touched.drain(..) {
+            self.best[j as usize] = INFINITY;
         }
         if self.best.len() < m {
             self.best = vec![INFINITY; m];
-            self.best_stamp = vec![0; m];
             self.top = IndexedHeap::new(m);
         }
+        self.top.clear();
     }
 
     /// Installs the cancellation budget subsequent queries run under.
@@ -512,11 +445,12 @@ mod tests {
         let set = PoiSet::new("poi", g.num_nodes(), vec![0, 8, 40, 72, 80, 13]).unwrap();
         let idx = PoiIndex::build(&ch, &set).unwrap();
         let mut ws = KnnWorkspace::new();
+        let mut search = UpwardSearch::new(ch.search_graph());
         let mut d = Dijkstra::new(g.num_nodes());
         for s in 0..g.num_nodes() as NodeId {
             for k in [1usize, 3, 6, 10] {
                 let mut got = Vec::new();
-                assert!(idx.knn(ch.search_graph(), &mut ws, s, k, &mut got));
+                assert!(idx.knn(&mut search, &mut ws, s, k, &mut got));
                 assert_eq!(got, brute_knn(&g, &mut d, s, k, set.nodes()), "s={s} k={k}");
             }
         }
@@ -531,12 +465,13 @@ mod tests {
         let small_idx = PoiIndex::build(&ch, &small).unwrap();
         let big_idx = PoiIndex::build(&ch, &big).unwrap();
         let mut ws = KnnWorkspace::new();
+        let mut search = UpwardSearch::new(ch.search_graph());
         let mut d = Dijkstra::new(36);
         for s in [0u32, 17, 35] {
             let mut got = Vec::new();
-            assert!(small_idx.knn(ch.search_graph(), &mut ws, s, 2, &mut got));
+            assert!(small_idx.knn(&mut search, &mut ws, s, 2, &mut got));
             assert_eq!(got, brute_knn(&g, &mut d, s, 2, small.nodes()));
-            assert!(big_idx.knn(ch.search_graph(), &mut ws, s, 5, &mut got));
+            assert!(big_idx.knn(&mut search, &mut ws, s, 5, &mut got));
             assert_eq!(got, brute_knn(&g, &mut d, s, 5, big.nodes()));
         }
     }
@@ -548,9 +483,10 @@ mod tests {
         let set = PoiSet::new("p", 64, vec![0, 63]).unwrap();
         let idx = PoiIndex::build(&ch, &set).unwrap();
         let mut ws = KnnWorkspace::new();
+        let mut search = UpwardSearch::new(ch.search_graph());
         ws.set_budget(&QueryBudget::unlimited().with_node_cap(1));
         let mut out = vec![(1u32, 1u64)];
-        assert!(!idx.knn(ch.search_graph(), &mut ws, 30, 2, &mut out));
+        assert!(!idx.knn(&mut search, &mut ws, 30, 2, &mut out));
         assert!(ws.interrupted());
         assert!(out.is_empty(), "interrupted query must not leak results");
     }

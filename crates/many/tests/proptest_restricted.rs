@@ -1,6 +1,6 @@
 //! Property: restriction is a pure execution-strategy change. On
-//! arbitrary connected networks a restricted sweep, the full sweep and
-//! a Dijkstra oracle agree for every way of writing a target set down;
+//! arbitrary connected networks a restricted sweep, the sweep over
+//! every vertex and a Dijkstra oracle agree for every way of writing a target set down;
 //! range equals a truncated Dijkstra at every radius; early-terminated
 //! kNN equals brute force, ties included.
 //!
@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use spq_ch::ContractionHierarchy;
+use spq_ch::{ContractionHierarchy, UpwardSearch};
 use spq_dijkstra::Dijkstra;
 use spq_graph::arbitrary::{connected_network, small_connected_network, NetworkStrategyParams};
 use spq_graph::backend::Backend;
@@ -49,13 +49,14 @@ proptest! {
             vec![base[0]],
             (0..n).collect(),
         ];
-        let (mut got, mut swept) = (Vec::new(), Vec::new());
+        let everyone: Vec<NodeId> = (0..n).collect();
+        let (mut got, mut all) = (Vec::new(), Vec::new());
         for s in 0..n {
             oracle.run(&net, s);
-            prop_assert!(full.run(s));
+            prop_assert!(full.table(&[s], &everyone, &mut all));
             for targets in &lists {
                 prop_assert!(restricted.table(&[s], targets, &mut got));
-                full.distances_into(targets, &mut swept);
+                let swept: Vec<_> = targets.iter().map(|&t| all[t as usize]).collect();
                 prop_assert_eq!(&got, &swept, "restricted vs full from {}", s);
                 for (&t, &d) in targets.iter().zip(&got) {
                     prop_assert_eq!(d, oracle.distance(t), "({}, {})", s, t);
@@ -134,6 +135,7 @@ proptest! {
         let ch = ContractionHierarchy::build(&net);
         let index = PoiIndex::build(&ch, &set).unwrap();
         let mut ws = KnnWorkspace::new();
+        let mut search = UpwardSearch::new(ch.search_graph());
         let mut oracle = Dijkstra::new(net.num_nodes());
         let mut got = Vec::new();
         for s in 0..n {
@@ -145,7 +147,7 @@ proptest! {
                 .collect();
             expect.sort_unstable();
             expect.truncate(k);
-            prop_assert!(index.knn(ch.search_graph(), &mut ws, s, k, &mut got));
+            prop_assert!(index.knn(&mut search, &mut ws, s, k, &mut got));
             let got: Vec<(Dist, NodeId)> = got.iter().map(|&(v, d)| (d, v)).collect();
             prop_assert_eq!(got, expect, "knn({}, k={})", s, k);
         }

@@ -85,9 +85,8 @@ proptest! {
         let targets: Vec<NodeId> = (0..n).collect();
         let mut out = Vec::new();
         for s in 0..n {
-            prop_assert!(o2m.run(s));
+            prop_assert!(o2m.table(&[s], &targets, &mut out));
             reference.run(&net, s);
-            o2m.distances_into(&targets, &mut out);
             for (&t, &got) in targets.iter().zip(out.iter()) {
                 prop_assert_eq!(got, reference.distance(t), "o2m({}, {})", s, t);
             }
@@ -110,6 +109,7 @@ proptest! {
         let ch = spq_ch::ContractionHierarchy::build(&net);
         let index = spq_many::PoiIndex::build(&ch, &set).unwrap();
         let mut ws = spq_many::KnnWorkspace::new();
+        let mut search = spq_ch::UpwardSearch::new(ch.search_graph());
         let mut reference = Dijkstra::new(net.num_nodes());
         let mut got = Vec::new();
         for s in 0..n {
@@ -121,7 +121,7 @@ proptest! {
                 .collect();
             expect.sort_unstable();
             expect.truncate(k);
-            prop_assert!(index.knn(ch.search_graph(), &mut ws, s, k, &mut got));
+            prop_assert!(index.knn(&mut search, &mut ws, s, k, &mut got));
             let got_kv: Vec<(u64, NodeId)> = got.iter().map(|&(v, d)| (d, v)).collect();
             prop_assert_eq!(&got_kv, &expect, "knn({}, k={})", s, k);
         }
