@@ -120,7 +120,10 @@ impl<'a> ManyToMany<'a> {
     pub fn table(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Vec<Dist> {
         self.prepare_targets(targets);
         let mut out = vec![INFINITY; sources.len() * targets.len()];
-        for (&s, row) in sources.iter().zip(out.chunks_exact_mut(targets.len().max(1))) {
+        for (&s, row) in sources
+            .iter()
+            .zip(out.chunks_exact_mut(targets.len().max(1)))
+        {
             self.distances_from(s, row);
         }
         out

@@ -13,17 +13,24 @@
 //! charges, the hub-label build's stall test and what each client
 //! records. The loop itself never asks who is running it.
 //!
-//! The state is one 16-byte record per rank, `{dist, reached, heap
-//! slot}`, all zeros meaning "not reached": the queue keeps its
-//! positions in the records ([`SlotHeap`]), so there is no version
-//! stamp and no n-sized table besides them. The records are allocated
-//! on the first search — constructing a workspace allocates nothing —
-//! and each search starts by zeroing only what the previous one
-//! touched: the ranks it settled, the ranks [`UpwardSearch::lower`]
-//! wrote, and the entries still queued when its visitor stopped it.
-//! Until then every label stays readable ([`UpwardSearch::label`]).
+//! The state is two zero-initialised per-rank arrays: the label, stored
+//! as the bitwise complement of the distance so that 0 means "not
+//! reached" and an unreached rank reads as `u64::MAX`, above every
+//! tentative distance; and the queue's slot ([`SlotHeap`] over `[u32]`).
+//! There is no version stamp. Labels sit apart from the slots, not in
+//! one record per rank as in the two-direction `ChQuery`, because most
+//! readers read labels only — the restricted sweep one per selection
+//! member, range's push-down one per downward edge — and a label-only
+//! array is half the bytes they pull through the cache.
+//!
+//! The arrays are allocated on the first search — constructing a
+//! workspace allocates nothing — and each search starts by zeroing only
+//! what the previous one touched: the ranks it settled, the ranks
+//! [`UpwardSearch::lower`] wrote, and the entries still queued when its
+//! visitor stopped it. Until then every label stays readable
+//! ([`UpwardSearch::label`]).
 
-use spq_graph::heap::{SlotHeap, Slots};
+use spq_graph::heap::SlotHeap;
 use spq_graph::types::{Dist, INFINITY};
 
 use crate::search_graph::SearchGraph;
@@ -41,45 +48,17 @@ pub enum Visit {
     Stop,
 }
 
-/// The search state of one rank. All zeros: not reached.
-#[derive(Debug, Clone, Copy, Default)]
-struct Rec {
-    /// Tentative distance, final once settled; meaningful only where
-    /// `reached` is non-zero.
-    dist: Dist,
-    /// Non-zero once the search (or [`UpwardSearch::lower`]) reached
-    /// the rank.
-    reached: u32,
-    /// Heap slot (see [`Slots`]); 0: not queued.
-    heap_pos: u32,
-}
-
-/// The records as the queue's [`Slots`].
-struct Positions<'r>(&'r mut [Rec]);
-
-impl Slots for Positions<'_> {
-    #[inline]
-    fn slot(&self, r: u32) -> u32 {
-        self.0[r as usize].heap_pos
-    }
-
-    #[inline]
-    fn set_slot(&mut self, r: u32, slot: u32) {
-        self.0[r as usize].heap_pos = slot;
-    }
-}
-
 /// The labels of the running search, as a visitor reads them.
 #[derive(Clone, Copy)]
-pub struct Labels<'s>(&'s [Rec]);
+pub struct Labels<'s>(&'s [Dist]);
 
 impl Labels<'_> {
     /// The distance the search reached rank `r` with, if it did: the
     /// length of a real path, final once `r` is settled.
     #[inline]
     pub fn get(&self, r: u32) -> Option<Dist> {
-        let rec = &self.0[r as usize];
-        (rec.reached != 0).then_some(rec.dist)
+        let stored = self.0[r as usize];
+        (stored != 0).then_some(!stored)
     }
 }
 
@@ -88,12 +67,14 @@ impl Labels<'_> {
 #[derive(Debug)]
 pub struct UpwardSearch<'a> {
     sg: &'a SearchGraph,
-    /// One record per rank; empty until the first search.
-    recs: Vec<Rec>,
+    /// `!dist` per rank, 0 where not reached; empty until the first
+    /// search.
+    labels: Vec<Dist>,
+    /// The queue's slot per rank (see [`spq_graph::heap::Slots`]).
+    slots: Vec<u32>,
     /// Ranks reached since the last reset that are not queued: settled,
     /// or written by [`UpwardSearch::lower`].
     touched: Vec<u32>,
-    /// The queue; positions live in `recs`.
     heap: SlotHeap,
 }
 
@@ -102,7 +83,8 @@ impl<'a> UpwardSearch<'a> {
     pub fn new(sg: &'a SearchGraph) -> Self {
         UpwardSearch {
             sg,
-            recs: Vec::new(),
+            labels: Vec::new(),
+            slots: Vec::new(),
             touched: Vec::new(),
             heap: SlotHeap::default(),
         }
@@ -119,17 +101,17 @@ impl<'a> UpwardSearch<'a> {
         self.reset();
         self.reach(root, 0);
         let sg = self.sg;
-        while let Some((d, u)) = self.heap.pop_min(&mut Positions(&mut self.recs)) {
+        while let Some((d, u)) = self.heap.pop_min(&mut self.slots[..]) {
             self.touched.push(u);
-            let bound = match visit(Labels(&self.recs), u, d) {
+            let bound = match visit(Labels(&self.labels), u, d) {
                 Visit::Expand(bound) => bound,
                 Visit::Skip => continue,
                 Visit::Stop => break,
             };
             for e in sg.up(u) {
                 let nd = d + e.weight as Dist;
-                let head = &self.recs[e.target as usize];
-                if nd <= bound && (head.reached == 0 || nd < head.dist) {
+                // An unreached head reads as `u64::MAX`.
+                if nd <= bound && nd < !self.labels[e.target as usize] {
                     self.reach(e.target, nd);
                 }
             }
@@ -150,53 +132,53 @@ impl<'a> UpwardSearch<'a> {
     /// rank `r`, if any.
     #[inline]
     pub fn label(&self, r: u32) -> Option<Dist> {
-        Labels(&self.recs).get(r)
+        Labels(&self.labels).get(r)
     }
 
     /// Lowers the label of rank `r` to `d` after a search has ended —
     /// for a client that carries on by hand, as range does down the
     /// hierarchy. Returns whether the label changed. `r` must not be
     /// queued.
+    #[inline]
     pub fn lower(&mut self, r: u32, d: Dist) -> bool {
-        let rec = &mut self.recs[r as usize];
-        debug_assert_eq!(rec.heap_pos, 0, "rank {r} is still queued");
-        if rec.reached != 0 && rec.dist <= d {
+        debug_assert_eq!(self.slots[r as usize], 0, "rank {r} is still queued");
+        let stored = &mut self.labels[r as usize];
+        if !*stored <= d {
             return false;
         }
-        if rec.reached == 0 {
-            rec.reached = 1;
+        if *stored == 0 {
             self.touched.push(r);
         }
-        rec.dist = d;
+        *stored = !d;
         true
     }
 
     /// Records `r` as reached at `d` and queues or re-keys it.
     #[inline]
     fn reach(&mut self, r: u32, d: Dist) {
-        let rec = &mut self.recs[r as usize];
-        rec.dist = d;
-        rec.reached = 1;
-        self.heap.push_or_decrease(&mut Positions(&mut self.recs), r, d);
+        self.labels[r as usize] = !d;
+        self.heap.push_or_decrease(&mut self.slots[..], r, d);
     }
 
-    /// Sizes the records on first use, and zeroes the ones the last
-    /// search touched: every rank it reached was settled or lowered
-    /// (`touched`) or is still queued.
+    /// Sizes the arrays on first use, and zeroes what the last search
+    /// touched: every rank it reached was settled or lowered (`touched`)
+    /// or is still queued.
     fn reset(&mut self) {
         let n = self.sg.num_nodes();
-        if self.recs.len() < n {
+        if self.labels.len() < n {
             let capacity = 1024.min(n);
-            self.recs = vec![Rec::default(); n];
+            self.labels = vec![0; n];
+            self.slots = vec![0; n];
             self.touched = Vec::with_capacity(capacity);
             self.heap = SlotHeap::with_capacity(capacity);
             return;
         }
         for &r in &self.touched {
-            self.recs[r as usize] = Rec::default();
+            self.labels[r as usize] = 0;
         }
         for r in self.heap.nodes() {
-            self.recs[r as usize] = Rec::default();
+            self.labels[r as usize] = 0;
+            self.slots[r as usize] = 0;
         }
         self.touched.clear();
         self.heap.clear();
@@ -250,7 +232,8 @@ mod tests {
         let g = grid_graph(4, 4);
         let ch = ContractionHierarchy::build(&g);
         let search = UpwardSearch::new(ch.search_graph());
-        assert_eq!(search.recs.capacity(), 0);
+        assert_eq!(search.labels.capacity(), 0);
+        assert_eq!(search.slots.capacity(), 0);
         assert_eq!(search.touched.capacity(), 0);
         assert_eq!(search.heap.len(), 0);
     }
@@ -316,7 +299,10 @@ mod tests {
         // Fewer entries queued can change the order among equal keys.
         seen.sort_unstable();
         within.sort_unstable();
-        assert_eq!(seen, within, "a bound prunes relaxations, not settled labels");
+        assert_eq!(
+            seen, within,
+            "a bound prunes relaxations, not settled labels"
+        );
         assert!(
             labelled(&search)
                 .iter()
@@ -376,7 +362,10 @@ mod tests {
                 assert_eq!(space(&mut search, next), reference(sg, next));
                 assert_eq!(
                     labelled(&search),
-                    reference(sg, next).iter().map(|&(r, _)| r).collect::<Vec<_>>(),
+                    reference(sg, next)
+                        .iter()
+                        .map(|&(r, _)| r)
+                        .collect::<Vec<_>>(),
                     "root {root} cut {cut}: a stale label survived"
                 );
             }

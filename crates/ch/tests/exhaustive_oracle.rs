@@ -33,7 +33,9 @@ fn check_all_graphs(n: u32) -> usize {
         let matrix: Vec<Dist> = (0..n)
             .flat_map(|s| {
                 oracle.run(g, s);
-                (0..n).map(|t| oracle.distance(t).unwrap_or(INFINITY)).collect::<Vec<_>>()
+                (0..n)
+                    .map(|t| oracle.distance(t).unwrap_or(INFINITY))
+                    .collect::<Vec<_>>()
             })
             .collect();
         for ch in [

@@ -176,7 +176,9 @@ mod tests {
 
     #[test]
     fn small_graph_counts_match_the_known_sequence() {
-        let counts: Vec<usize> = (1..=4).map(|n| every_small_graph(n, |_, _, _| {})).collect();
+        let counts: Vec<usize> = (1..=4)
+            .map(|n| every_small_graph(n, |_, _, _| {}))
+            .collect();
         assert_eq!(counts, [1, 2, 20, 624]);
     }
 }

@@ -240,11 +240,7 @@ impl HubLabels {
         };
         for w in bounds.windows(2) {
             let wave = &order[w[0]..w[1]];
-            let labels = par::par_map(
-                wave,
-                || Labeler::new(sg),
-                |ws, &r| ws.label(r, &done),
-            );
+            let labels = par::par_map(wave, || Labeler::new(sg), |ws, &r| ws.label(r, &done));
             for (&r, label) in wave.iter().zip(&labels) {
                 done.push(r, label);
             }

@@ -587,7 +587,11 @@ mod tests {
         let mut o2m = OneToMany::new(&ch);
         let everyone: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
         for s in 0..g.num_nodes() as NodeId {
-            assert_eq!(row(&mut o2m, s, &everyone), oracle_row(g, s, &everyone), "source {s}");
+            assert_eq!(
+                row(&mut o2m, s, &everyone),
+                oracle_row(g, s, &everyone),
+                "source {s}"
+            );
         }
         assert_eq!(o2m.selections_built(), 1);
     }
@@ -834,7 +838,10 @@ mod tests {
         let everyone: Vec<NodeId> = (0..100).collect();
         let mut out = Vec::new();
         o2m.set_budget(&QueryBudget::unlimited().with_node_cap(5));
-        assert!(!o2m.table(&[0], &everyone, &mut out), "5 charges cannot select 100 ranks");
+        assert!(
+            !o2m.table(&[0], &everyone, &mut out),
+            "5 charges cannot select 100 ranks"
+        );
         assert!(o2m.interrupted());
         assert!(out.is_empty());
         assert_eq!(o2m.selections_built(), 0);

@@ -36,7 +36,9 @@ fn check_all_graphs(n: u32) -> usize {
         let rows: Vec<Vec<Dist>> = (0..n)
             .map(|s| {
                 oracle.run(g, s);
-                (0..n).map(|t| oracle.distance(t).expect("connected")).collect()
+                (0..n)
+                    .map(|t| oracle.distance(t).expect("connected"))
+                    .collect()
             })
             .collect();
         for ch in [
@@ -83,8 +85,10 @@ fn check_hierarchy(ch: &ContractionHierarchy, rows: &[Vec<Dist>], case: &str) {
         // tests), and a pool per tiny set would dominate the run.
         let index = par::with_threads(1, || PoiIndex::build(ch, &set)).expect("same network");
         for s in 0..n {
-            let mut by_distance: Vec<(Dist, NodeId)> =
-                nodes.iter().map(|&p| (rows[s as usize][p as usize], p)).collect();
+            let mut by_distance: Vec<(Dist, NodeId)> = nodes
+                .iter()
+                .map(|&p| (rows[s as usize][p as usize], p))
+                .collect();
             by_distance.sort_unstable();
             for k in 0..=nodes.len() + 1 {
                 assert!(index.knn(o2m.search(), &mut knn, s, k, &mut hits));
