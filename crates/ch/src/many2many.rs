@@ -143,11 +143,11 @@ pub fn par_table(ch: &ContractionHierarchy, sources: &[NodeId], targets: &[NodeI
     let sg = ch.search_graph();
     let spaces: Vec<Vec<(u32, Dist)>> = par::par_map(
         targets,
-        || UpwardSearch::new(sg),
-        |search, &t| {
-            let mut space = Vec::new();
-            search.search_space(sg.rank_of(t), &mut space);
-            space
+        || (UpwardSearch::new(sg), Vec::new()),
+        |(search, space), &t| {
+            search.search_space(sg.rank_of(t), space);
+            // Exact-size copies: all of them are held at once.
+            space.clone()
         },
     );
     let mut buckets = Buckets::new(sg.num_nodes());

@@ -214,11 +214,11 @@ impl PoiIndex {
         set.validate_for(n)?;
         let settled: Vec<Vec<(u32, Dist)>> = par::par_map(
             set.nodes(),
-            || UpwardSearch::new(sg),
-            |search, &p| {
-                let mut space = Vec::new();
-                search.search_space(sg.rank_of(p), &mut space);
-                space
+            || (UpwardSearch::new(sg), Vec::new()),
+            |(search, space), &p| {
+                search.search_space(sg.rank_of(p), space);
+                // Exact-size copies: all of them are held at once.
+                space.clone()
             },
         );
         let mut counts = vec![0u32; n + 1];
