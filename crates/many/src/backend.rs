@@ -115,7 +115,7 @@ impl Backend for ManyBackend {
             pois: &self.pois,
             query: ChQuery::new(&self.ch),
             batch: None,
-            o2m: OneToMany::new(&self.ch),
+            o2m: None,
             flipped: Vec::new(),
             knn_ws: KnnWorkspace::new(),
             budget: QueryBudget::unlimited(),
@@ -128,27 +128,41 @@ impl Backend for ManyBackend {
     }
 }
 
-/// Per-thread workspace bundle. Every engine sizes its arrays on first
-/// use, so a worker only pays for the query shapes it actually serves.
-/// The one-to-many engine's upward search is the session's: tables,
+/// Per-thread workspace bundle. Every engine is created lazily, so a
+/// worker only pays for the query shapes it actually serves. The
+/// one-to-many engine's upward search is the session's: tables,
 /// one-to-many rows, range and kNN all run on it.
 pub struct ManySession<'a> {
     ch: &'a ContractionHierarchy,
     pois: &'a PoiTable,
     query: ChQuery<'a>,
     batch: Option<BatchDistances<'a>>,
-    o2m: OneToMany<'a>,
+    o2m: Option<OneToMany<'a>>,
     /// A swept table before it is transposed into the caller's layout.
     flipped: Vec<Option<Dist>>,
     knn_ws: KnnWorkspace,
     budget: QueryBudget,
 }
 
+/// The session's one-to-many engine, created on first use under the
+/// session's current budget.
+fn engine<'s, 'a>(
+    slot: &'s mut Option<OneToMany<'a>>,
+    ch: &'a ContractionHierarchy,
+    budget: &QueryBudget,
+) -> &'s mut OneToMany<'a> {
+    slot.get_or_insert_with(|| {
+        let mut engine = OneToMany::new(ch);
+        engine.set_budget(budget);
+        engine
+    })
+}
+
 impl ManySession<'_> {
     /// `rows` restricted sweeps over the selection of `cols`, row-major
     /// into `out`.
     fn swept(&mut self, rows: &[NodeId], cols: &[NodeId], out: &mut Vec<Option<Dist>>) {
-        if !self.o2m.table(rows, cols, out) {
+        if !engine(&mut self.o2m, self.ch, &self.budget).table(rows, cols, out) {
             // Interrupted: the caller sees it via `interrupted()` and
             // must discard; fill the table so lengths still line up.
             out.resize(rows.len() * cols.len(), None);
@@ -224,10 +238,8 @@ impl Session for ManySession<'_> {
 
     fn knn(&mut self, s: NodeId, k: usize, poi: PoiRef<'_>, out: &mut Vec<(NodeId, Dist)>) {
         if let Some(entry) = self.pois.get(poi.name) {
-            if !entry
-                .index
-                .knn(self.o2m.search(), &mut self.knn_ws, s, k, out)
-            {
+            let o2m = engine(&mut self.o2m, self.ch, &self.budget);
+            if !entry.index.knn(o2m.search(), &mut self.knn_ws, s, k, out) {
                 out.clear();
             }
             return;
@@ -248,7 +260,7 @@ impl Session for ManySession<'_> {
     }
 
     fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        if !self.o2m.range(s, limit, out) {
+        if !engine(&mut self.o2m, self.ch, &self.budget).range(s, limit, out) {
             out.clear();
         }
         true
@@ -256,7 +268,9 @@ impl Session for ManySession<'_> {
 
     fn set_budget(&mut self, budget: &QueryBudget) {
         self.query.set_budget(budget);
-        self.o2m.set_budget(budget);
+        if let Some(engine) = self.o2m.as_mut() {
+            engine.set_budget(budget);
+        }
         if let Some(batch) = self.batch.as_mut() {
             batch.set_budget(budget);
         }
@@ -266,7 +280,7 @@ impl Session for ManySession<'_> {
 
     fn interrupted(&self) -> bool {
         self.query.budget_exhausted()
-            || self.o2m.interrupted()
+            || self.o2m.as_ref().is_some_and(|e| e.interrupted())
             || self.batch.as_ref().is_some_and(|b| b.budget_exhausted())
             || self.knn_ws.interrupted()
     }
