@@ -20,7 +20,7 @@
 //!   shortest-path queries, the one point kernel.
 //! * [`UpwardSearch`] — the one upward search, driven by a visitor: the
 //!   bucket tables below, and `spq_many`'s sweeps, range, POI buckets
-//!   and kNN, and `spq_hl`'s label build all run on it.
+//!   and kNN all run on it.
 //! * [`ManyToMany`] — bucket-based distance tables between node sets,
 //!   the engine behind TNR's preprocessing (paper §4.1: "we employed CH
 //!   to accelerate the shortest path computation required in the
@@ -59,7 +59,7 @@ pub use contraction::{ContractionHierarchy, ContractionReport};
 pub use many2many::{par_table, ManyToMany};
 pub use query::ChQuery;
 pub use search_graph::{SearchEdge, SearchGraph};
-pub use upward::{Labels, UpwardSearch, Visit};
+pub use upward::{UpwardSearch, Visit};
 
 // Only until the benchmark-only follow-up drops its `ch.legacy.*` rows,
 // which name this type (and now time the one kernel).

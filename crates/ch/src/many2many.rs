@@ -94,7 +94,7 @@ impl<'a> ManyToMany<'a> {
         self.prepared = targets.len();
         for (j, &t) in targets.iter().enumerate() {
             let buckets = &mut self.buckets;
-            self.search.run(self.sg.rank_of(t), |_, r, d| {
+            self.search.run(self.sg.rank_of(t), |r, d| {
                 buckets.deposit(j, r, d);
                 Visit::Expand(INFINITY)
             });
@@ -107,7 +107,7 @@ impl<'a> ManyToMany<'a> {
         assert_eq!(row.len(), self.prepared, "row must match prepare_targets");
         row.fill(INFINITY);
         let buckets = &self.buckets;
-        self.search.run(self.sg.rank_of(source), |_, r, d| {
+        self.search.run(self.sg.rank_of(source), |r, d| {
             buckets.combine(r, d, row);
             Visit::Expand(INFINITY)
         });
@@ -163,7 +163,7 @@ pub fn par_table(ch: &ContractionHierarchy, sources: &[NodeId], targets: &[NodeI
         || UpwardSearch::new(sg),
         |search, &s| {
             let mut row = vec![INFINITY; targets.len()];
-            search.run(sg.rank_of(s), |_, r, d| {
+            search.run(sg.rank_of(s), |r, d| {
                 buckets.combine(r, d, &mut row);
                 Visit::Expand(INFINITY)
             });

@@ -2,15 +2,15 @@
 //! [`SearchGraph::up`], in rank space — the one-direction half of the
 //! §3.2 query, and the search every other CH client runs.
 //!
-//! Bucket tables ([`ManyToMany`](crate::ManyToMany), `par_table`), the
-//! POI buckets and kNN queries of `spq_many`, its restricted sweeps and
-//! range frontier, and the hub-label build of `spq_hl` all drive one
-//! [`UpwardSearch`]. Each passes a visitor that sees every settled
-//! `(rank, dist)` in settle order and answers with a [`Visit`]: expand
-//! the rank's upward edges up to a bound, skip them, or stop. The bound
-//! carries every client's pruning — a kNN query's falling k-th
-//! distance, a range's limit — and the visitor carries the rest: budget
-//! charges, the hub-label build's stall test and what each client
+//! Bucket tables ([`ManyToMany`](crate::ManyToMany), `par_table`), and
+//! the POI buckets, kNN queries, restricted sweeps and range frontier
+//! of `spq_many` all drive one [`UpwardSearch`]. (`spq_hl` builds its
+//! labels from finished labels instead, and runs no search.) Each
+//! client passes a visitor that sees every settled `(rank, dist)` in
+//! settle order and answers with a [`Visit`]: expand the rank's upward
+//! edges up to a bound, or stop. The bound carries every client's
+//! pruning — a kNN query's falling k-th distance, a range's limit — and
+//! the visitor carries the rest: budget charges and what each client
 //! records. The loop itself never asks who is running it.
 //!
 //! The state is two zero-initialised per-rank arrays: the label, stored
@@ -42,24 +42,8 @@ pub enum Visit {
     /// Relax the rank's upward edges, queueing (or lowering) every head
     /// whose new distance is at most the bound.
     Expand(Dist),
-    /// Settle the rank but leave its edges alone.
-    Skip,
     /// End the search here.
     Stop,
-}
-
-/// The labels of the running search, as a visitor reads them.
-#[derive(Clone, Copy)]
-pub struct Labels<'s>(&'s [Dist]);
-
-impl Labels<'_> {
-    /// The distance the search reached rank `r` with, if it did: the
-    /// length of a real path, final once `r` is settled.
-    #[inline]
-    pub fn get(&self, r: u32) -> Option<Dist> {
-        let stored = self.0[r as usize];
-        (stored != 0).then_some(!stored)
-    }
 }
 
 /// A reusable upward-search workspace over one search graph (module
@@ -96,16 +80,15 @@ impl<'a> UpwardSearch<'a> {
     }
 
     /// Searches upward from rank `root`, showing `visit` every rank as
-    /// it is settled, with its final distance and the labels so far.
-    pub fn run(&mut self, root: u32, mut visit: impl FnMut(Labels<'_>, u32, Dist) -> Visit) {
+    /// it is settled, with its final distance.
+    pub fn run(&mut self, root: u32, mut visit: impl FnMut(u32, Dist) -> Visit) {
         self.reset();
         self.reach(root, 0);
         let sg = self.sg;
         while let Some((d, u)) = self.heap.pop_min(&mut self.slots[..]) {
             self.touched.push(u);
-            let bound = match visit(Labels(&self.labels), u, d) {
+            let bound = match visit(u, d) {
                 Visit::Expand(bound) => bound,
-                Visit::Skip => continue,
                 Visit::Stop => break,
             };
             for e in sg.up(u) {
@@ -122,7 +105,7 @@ impl<'a> UpwardSearch<'a> {
     /// `(rank, dist)` it settles, in settle order.
     pub fn search_space(&mut self, root: u32, out: &mut Vec<(u32, Dist)>) {
         out.clear();
-        self.run(root, |_, r, d| {
+        self.run(root, |r, d| {
             out.push((r, d));
             Visit::Expand(INFINITY)
         });
@@ -132,7 +115,8 @@ impl<'a> UpwardSearch<'a> {
     /// rank `r`, if any.
     #[inline]
     pub fn label(&self, r: u32) -> Option<Dist> {
-        Labels(&self.labels).get(r)
+        let stored = self.labels[r as usize];
+        (stored != 0).then_some(!stored)
     }
 
     /// Lowers the label of rank `r` to `d` after a search has ended —
@@ -254,10 +238,9 @@ mod tests {
     }
 
     /// `Stop` ends the search at once, with the rank counted as
-    /// settled; `Skip` settles a rank without queueing anything from it;
-    /// `Expand(bound)` queues only heads within the bound.
+    /// settled; `Expand(bound)` queues only heads within the bound.
     #[test]
-    fn skip_stop_and_bound_mean_what_they_say() {
+    fn stop_and_bound_mean_what_they_say() {
         let g = grid_graph(6, 6);
         let ch = ContractionHierarchy::build(&g);
         let sg = ch.search_graph();
@@ -271,7 +254,7 @@ mod tests {
         assert!(full.len() > 3);
 
         let mut seen = Vec::new();
-        search.run(root, |_, r, d| {
+        search.run(root, |r, d| {
             seen.push((r, d));
             if seen.len() == 3 {
                 Visit::Stop
@@ -281,17 +264,9 @@ mod tests {
         });
         assert_eq!(seen, full[..3], "the same settle order up to the stop");
 
-        let mut seen = Vec::new();
-        search.run(root, |_, r, d| {
-            seen.push((r, d));
-            Visit::Skip
-        });
-        assert_eq!(seen, [(root, 0)], "a skipped root queues nothing");
-        assert_eq!(labelled(&search), [root]);
-
         let limit = full[full.len() / 2].1;
         let mut seen = Vec::new();
-        search.run(root, |_, r, d| {
+        search.run(root, |r, d| {
             seen.push((r, d));
             Visit::Expand(limit)
         });
@@ -311,29 +286,22 @@ mod tests {
         );
     }
 
-    /// The visitor reads the labels reached so far: at the moment a rank
-    /// settles, every label it sees is the length of a real path no
-    /// shorter than the final one.
+    /// The visitor sees every rank once, as it settles: at its final
+    /// distance, in non-decreasing order of distance.
     #[test]
-    fn visitors_read_tentative_labels() {
+    fn visitors_see_final_distances_in_settle_order() {
         let g = grid_graph(6, 5);
         let ch = ContractionHierarchy::build(&g);
         let sg = ch.search_graph();
         let mut search = UpwardSearch::new(sg);
-        let expect = reference(sg, 0);
-        let mut checked = 0;
-        search.run(0, |labels, u, d| {
-            assert_eq!(labels.get(u), Some(d));
-            for e in sg.up(u) {
-                if let Some(x) = labels.get(e.target) {
-                    let exact = expect.iter().find(|&&(r, _)| r == e.target).unwrap().1;
-                    assert!(x >= exact);
-                    checked += 1;
-                }
-            }
+        let mut seen = Vec::new();
+        search.run(0, |u, d| {
+            seen.push((u, d));
             Visit::Expand(INFINITY)
         });
-        assert!(checked > 0);
+        assert!(seen.windows(2).all(|w| w[0].1 <= w[1].1));
+        seen.sort_unstable();
+        assert_eq!(seen, reference(sg, 0));
     }
 
     /// A search stopped at every possible point — by its visitor, as a
@@ -350,7 +318,7 @@ mod tests {
             let settles = space(&mut search, root).len();
             for cut in 0..=settles {
                 let mut seen = 0;
-                search.run(root, |_, _, _| {
+                search.run(root, |_, _| {
                     seen += 1;
                     if seen > cut {
                         Visit::Stop
@@ -376,7 +344,7 @@ mod tests {
             assert!(!search.lower(fresh, 6), "only ever lowers");
             assert!(search.lower(fresh, 4));
             assert_eq!(search.label(fresh), Some(4));
-            search.run(root, |_, _, _| Visit::Stop);
+            search.run(root, |_, _| Visit::Stop);
             assert_eq!(labelled(&search), [root]);
         }
     }

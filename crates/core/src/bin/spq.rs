@@ -257,17 +257,21 @@ fn prep(args: &[String]) -> Result<(), String> {
         }
         "hl" => {
             let (ch, report) = spq_ch::ContractionHierarchy::build_with_report(&net);
+            let contracted = t0.elapsed();
             let hl = spq_hl::Hl::from_ch(ch);
-            let elapsed = t0.elapsed();
+            let labelled = t0.elapsed() - contracted;
             let persisted = persist(out, |w| hl.write_binary(w))?;
             let labels = hl.labels();
             let store_bytes = labels.index_size_bytes();
             println!(
-                "built HL in {:.2?}: {} label entries ({:.1} avg / {} max per vertex) in {} waves, \
+                "built HL in {:.2?} (contraction {:.2?}, labels {:.2?}): {} label entries \
+                 ({:.1} avg / {} max per vertex) in {} waves, \
                  largest stored distance {} -> {out}\n  \
                  label store {:.2} MB ({:.2} bytes per entry) + embedded CH {:.2} MB \
                  = container {:.2} MB",
-                elapsed,
+                contracted + labelled,
+                contracted,
+                labelled,
                 labels.num_entries(),
                 labels.avg_label_len(),
                 labels.max_label_len(),

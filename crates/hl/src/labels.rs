@@ -10,36 +10,39 @@
 //!
 //! # Building, wave by wave
 //!
-//! The label of `v` is its stall-on-demand upward search space over the
-//! flat rank-renumbered [`SearchGraph`](spq_ch::SearchGraph) — `spq_ch`'s
-//! one [`UpwardSearch`], whose visitor skips a stalled vertex and
-//! records the rest, and whose labels the prune step reads — less every
-//! `(h, d)` whose `d` is not the exact distance to `h`. (Stalled
-//! vertices are never recorded: stalling proves a shorter down-up path,
-//! so their entry could not win a merge. Dropping inexact entries is
+//! The label of `v` is its upward search space over the flat
+//! rank-renumbered [`SearchGraph`](spq_ch::SearchGraph) less every
+//! `(h, d)` whose `d` is not the exact distance to `h` (dropping those is
 //! safe because the apex of a shortest path always carries its exact
-//! distance and is therefore never dropped.) Whether `d` is exact is
-//! itself a label query, `min over common hubs of S(v) + L(h)`, and
-//! every hub `v` reaches lies strictly above it in the upward graph.
-//! So vertices are grouped by **upward depth** — 0 for a vertex with no
-//! upward edge, else one more than its deepest upward neighbour — and
-//! labelled one depth (one *wave*) at a time: a worker searches, prunes
-//! against the finished labels of the shallower hubs it reached, and
-//! hands back only the survivors. Raw search spaces never leave the
-//! worker, nothing per-vertex outlives its wave, and — every label
-//! being a pure function of the hierarchy, fanned out through
-//! [`spq_graph::par`] — the store is byte-identical at any thread
-//! count.
+//! distance). No search runs: the label of rank `r` is *merged* from the
+//! finished labels of its upward neighbours. Its candidates are
+//! `(r, 0)` and, for every upward edge `(r → u, w)` and entry `(h, d)`
+//! of `L(u)`, `(h, d + w)`, the minimum kept per hub in one rank-indexed
+//! scratch array per worker. This loses no exact entry: the first edge
+//! `(r, u)` of a shortest upward path to `h` finds `(h, dist(u, h))` in
+//! `L(u)`, because a sub-path of a shortest path is one too. A candidate
+//! `(h, c)` is then dropped when some hub `x` of the finished `L(h)`
+//! gives `c_x + d_h(x) < c` — a label query, `min over common hubs`,
+//! that finds `dist(r, h)` at the apex.
+//!
+//! Both steps read finished labels of vertices strictly above `r` in the
+//! upward graph. So vertices are grouped by **upward depth** — 0 for a
+//! vertex with no upward edge, else one more than its deepest upward
+//! neighbour — and labelled one depth (one *wave*) at a time, depth 0
+//! first: a worker merges, prunes, and hands back only the survivors.
+//! Nothing per-vertex outlives its wave, and — every label being a pure
+//! function of the hierarchy, fanned out through [`spq_graph::par`] —
+//! the store is byte-identical at any thread count.
 //!
 //! Distances are range-checked when an entry is recorded: a hierarchy
 //! with a label distance past `u32::MAX` stops the build, it is never
 //! truncated.
 
-use spq_ch::{ContractionHierarchy, SearchGraph, UpwardSearch, Visit};
+use spq_ch::{ContractionHierarchy, SearchGraph};
 use spq_graph::backend::QueryBudget;
 use spq_graph::par;
 use spq_graph::size::IndexSize;
-use spq_graph::types::{Dist, NodeId, INFINITY};
+use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
 
 /// One label entry: a hub (by contraction rank) and the distance to it.
@@ -85,67 +88,66 @@ pub struct HubLabels {
     entries: Box<[LabelEntry]>,
 }
 
-/// A build worker's scratch: one upward search (the network is
-/// undirected, so forward and backward labels coincide and one search
-/// per vertex suffices) and the raw search space it leaves.
-struct Labeler<'a> {
-    search: UpwardSearch<'a>,
-    /// The unstalled settled vertices of the current search.
-    raw: Vec<(u32, Dist)>,
+/// A build worker's scratch: the candidate distance per rank, stored
+/// as its bitwise complement so that the zeroed array means "no
+/// candidate" and an absent rank reads as `u64::MAX`, and the ranks the
+/// current label has written.
+#[derive(Default)]
+struct Merger {
+    cand: Vec<Dist>,
+    hubs: Vec<u32>,
 }
 
-impl<'a> Labeler<'a> {
-    fn new(sg: &'a SearchGraph) -> Labeler<'a> {
-        Labeler {
-            search: UpwardSearch::new(sg),
-            raw: Vec::new(),
+impl Merger {
+    /// Offers `(h, d)` as a candidate, keeping the smaller distance.
+    #[inline]
+    fn offer(&mut self, h: u32, d: Dist) {
+        let stored = &mut self.cand[h as usize];
+        if *stored == 0 {
+            self.hubs.push(h);
+        } else if !*stored <= d {
+            return;
         }
+        *stored = !d;
     }
 
-    /// Runs the stall-on-demand upward search from rank `root`, leaving
-    /// its raw search space in `self.raw` (in settle order).
-    fn search(&mut self, root: u32) {
-        let sg = self.search.graph();
-        let raw = &mut self.raw;
-        raw.clear();
-        self.search.run(root, |labels, u, d| {
-            // Stall-on-demand: a shorter route back down to u through a
-            // higher-ranked vertex proves u's entry could never win a
-            // merge, so it is neither recorded nor expanded.
-            if sg
-                .up(u)
-                .iter()
-                .any(|e| matches!(labels.get(e.target), Some(x) if x + (e.weight as Dist) < d))
-            {
-                return Visit::Skip;
+    /// The final label of rank `root`, sorted by hub: `(root, 0)` and
+    /// the finished labels of its upward neighbours shifted by the edge
+    /// weights, less every candidate some finished hub label proves
+    /// inexact. `done` must hold the final labels of every rank above
+    /// `root` in the upward graph.
+    fn label(&mut self, sg: &SearchGraph, root: u32, done: &WaveStore) -> Vec<LabelEntry> {
+        if self.cand.is_empty() {
+            self.cand = vec![0; sg.num_nodes()];
+        }
+        self.offer(root, 0);
+        for e in sg.up(root) {
+            for x in done.label(e.target) {
+                self.offer(x.hub, x.dist as Dist + e.weight as Dist);
             }
-            raw.push((u, d));
-            Visit::Expand(INFINITY)
-        });
-    }
-
-    /// The final label of rank `root`: its raw search space less every
-    /// entry some finished hub label proves inexact, sorted by hub.
-    /// `done` must hold the final labels of every rank above `root` in
-    /// the upward graph.
-    fn label(&mut self, root: u32, done: &WaveStore) -> Vec<LabelEntry> {
-        self.search(root);
-        let search = &self.search;
+        }
+        let cand = &self.cand;
         let mut label: Vec<LabelEntry> = self
-            .raw
+            .hubs
             .iter()
-            .filter(|&&(h, d)| {
-                // S(root) ∩ L(h) holds the apex of a shortest root–h
-                // path with both exact distances, and every sum is the
-                // length of a real path: the minimum is dist(root, h).
+            .map(|&h| (h, !cand[h as usize]))
+            .filter(|&(h, c)| {
+                // Every candidate is the length of a real path, and the
+                // apex of a shortest root–h path is a candidate at its
+                // exact distance and a hub of L(h): the minimum is
+                // dist(root, h).
                 h == root
-                    || done.label(h).iter().all(
-                        |e| !matches!(search.label(e.hub), Some(x) if x + (e.dist as Dist) < d),
-                    )
+                    || done
+                        .label(h)
+                        .iter()
+                        .all(|x| (!cand[x.hub as usize]).saturating_add(x.dist as Dist) >= c)
             })
-            .map(|&(h, d)| LabelEntry::new(h, d))
+            .map(|(h, c)| LabelEntry::new(h, c))
             .collect();
-        // Settle order is by distance; labels merge by rank.
+        for &h in &self.hubs {
+            self.cand[h as usize] = 0;
+        }
+        self.hubs.clear();
         label.sort_unstable_by_key(|e| e.hub);
         label
     }
@@ -240,7 +242,7 @@ impl HubLabels {
         };
         for w in bounds.windows(2) {
             let wave = &order[w[0]..w[1]];
-            let labels = par::par_map(wave, || Labeler::new(sg), |ws, &r| ws.label(r, &done));
+            let labels = par::par_map(wave, Merger::default, |ws, &r| ws.label(sg, r, &done));
             for (&r, label) in wave.iter().zip(&labels) {
                 done.push(r, label);
             }
@@ -339,9 +341,10 @@ impl HubLabels {
         self.entries.iter().map(|e| e.dist).max().unwrap_or(0)
     }
 
-    /// The label of vertex `v`.
+    /// The label of vertex `v`: its hubs by rank, strictly ascending,
+    /// headed by `(rank(v), 0)`.
     #[inline]
-    fn label(&self, v: NodeId) -> &[LabelEntry] {
+    pub fn label(&self, v: NodeId) -> &[LabelEntry] {
         let (lo, hi) = (self.first[v as usize], self.first[v as usize + 1]);
         &self.entries[lo as usize..hi as usize]
     }
@@ -503,7 +506,12 @@ impl IndexSize for Hl {
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::reference_labels;
     use super::*;
     use spq_dijkstra::Dijkstra;
     use spq_graph::builder::GraphBuilder;
@@ -523,35 +531,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The two-pass construction the waves replaced, kept as the
-    /// reference: every raw search space is materialised, then `(h, d)`
-    /// survives when the raw-against-raw label query confirms `d`.
-    /// Returns the labels by rank.
-    fn reference_labels(sg: &SearchGraph) -> Vec<Vec<LabelEntry>> {
-        let n = sg.num_nodes();
-        let mut ws = Labeler::new(sg);
-        let raw: Vec<Vec<(u32, Dist)>> = (0..n as u32)
-            .map(|r| {
-                ws.search(r);
-                ws.raw.sort_unstable_by_key(|&(h, _)| h);
-                ws.raw.clone()
-            })
-            .collect();
-        let exact = |a: &[(u32, Dist)], b: &[(u32, Dist)]| {
-            a.iter()
-                .filter_map(|&(h, d)| b.iter().find(|e| e.0 == h).map(|e| d + e.1))
-                .min()
-        };
-        raw.iter()
-            .map(|lv| {
-                lv.iter()
-                    .filter(|&&(h, d)| exact(lv, &raw[h as usize]) >= Some(d))
-                    .map(|&(h, d)| LabelEntry::new(h, d))
-                    .collect()
-            })
-            .collect()
     }
 
     #[test]
@@ -637,10 +616,10 @@ mod tests {
         }
     }
 
-    /// The wave build prunes against *final* hub labels, the reference
-    /// against raw search spaces: both keep exactly the entries whose
-    /// distance is exact, so the stores agree entry for entry — at any
-    /// thread count.
+    /// The wave build merges and prunes against *final* hub labels, the
+    /// reference searches every upward space in full and prunes against
+    /// raw spaces: both keep exactly the entries whose distance is
+    /// exact, so the stores agree entry for entry — at any thread count.
     #[test]
     fn wave_build_equals_the_two_pass_reference() {
         let synth = spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(400, 9));
@@ -651,11 +630,11 @@ mod tests {
             for threads in [1, 2, 4] {
                 let labels = par::with_threads(threads, || HubLabels::build(&ch));
                 for v in 0..g.num_nodes() as NodeId {
-                    assert_eq!(
-                        labels.label(v),
-                        &expect[sg.rank_of(v) as usize][..],
-                        "vertex {v}, {threads} threads"
-                    );
+                    let want: Vec<LabelEntry> = expect[sg.rank_of(v) as usize]
+                        .iter()
+                        .map(|&(h, d)| LabelEntry::new(h, d))
+                        .collect();
+                    assert_eq!(labels.label(v), want, "vertex {v}, {threads} threads");
                 }
             }
         }

@@ -5,8 +5,10 @@
 //! The construction is the canonical "CH search spaces as labels" one
 //! (Abraham et al., *Hierarchical Hub Labelings*): the label of a
 //! vertex `v` is its pruned upward search space in the contraction
-//! hierarchy — every vertex the stall-on-demand upward Dijkstra from
-//! `v` settles, recorded as `(hub_rank, dist)`. For any pair `(s, t)`
+//! hierarchy — every vertex an upward Dijkstra from `v` reaches at its
+//! exact distance, recorded as `(hub_rank, dist)`, and built top-down
+//! from the finished labels of `v`'s upward neighbours rather than by
+//! a search. For any pair `(s, t)`
 //! the highest-ranked vertex of a shortest path appears in both labels
 //! with its exact distance, so
 //!
@@ -26,8 +28,8 @@
 //!
 //! * [`HubLabels`] — the label store, built deterministically in
 //!   parallel from a [`ContractionHierarchy`]'s search graph, one
-//!   upward-depth *wave* at a time so that each search space is pruned
-//!   against finished labels inside the worker that produced it
+//!   upward-depth *wave* at a time so that each label is merged from,
+//!   and pruned against, finished labels inside one worker
 //!   (byte-identical at any thread count, like every other index in
 //!   the workspace; see [`labels`]).
 //! * [`Hl`] — the servable index: the labels plus the hierarchy they

@@ -1,6 +1,6 @@
 //! Binary persistence for the hub-labeling index.
 //!
-//! Label construction dominates HL's cost (one pruned upward search per
+//! Contraction and labelling are HL's cost (one merge and prune per
 //! vertex), so serving restarts load a prebuilt `SPQH` container
 //! instead of re-labeling. Version 2 of the container body is three
 //! length-prefixed sections:

@@ -2,20 +2,24 @@
 //!
 //! Every connected simple graph on n labelled vertices, under every
 //! weight vector in {1, 2}^m ([`every_small_graph`]), contracted in both
-//! the heuristic and the identity order and labelled: for every ordered
-//! pair, `HubLabels::distance` must equal Dijkstra's. Equal-length
-//! alternatives are common at these weights, which is where the stall
-//! test and the pruning against finished labels could drop the one
-//! entry a pair needs.
+//! the heuristic and the identity order and labelled: every label must
+//! equal the definition entry for entry ([`reference_labels`]), and for
+//! every ordered pair `HubLabels::distance` must equal Dijkstra's.
+//! Equal-length alternatives are common at these weights, which is where
+//! merging the upward neighbours' labels and pruning against finished
+//! labels could drop or keep one entry too many.
 //!
 //! The tier-1 test covers n ≤ 4; the ignored one adds n = 5 (55 248
 //! weighted graphs) and runs as a CI step in release.
 
+mod reference;
+
+use reference::reference_labels;
 use spq_ch::ContractionHierarchy;
 use spq_dijkstra::Dijkstra;
 use spq_graph::arbitrary::every_small_graph;
 use spq_graph::par;
-use spq_graph::types::NodeId;
+use spq_graph::types::{Dist, NodeId};
 use spq_hl::HubLabels;
 
 /// Checks every graph on exactly `n` vertices; returns how many
@@ -32,6 +36,20 @@ fn check_all_graphs(n: u32) -> usize {
             // (`wave_build_equals_the_two_pass_reference`), and a pool
             // per wave of a tiny graph would dominate the run.
             let labels = par::with_threads(1, || HubLabels::build(&ch));
+            let sg = ch.search_graph();
+            let expect = reference_labels(sg);
+            for v in 0..n {
+                let got: Vec<(u32, Dist)> = labels
+                    .label(v)
+                    .iter()
+                    .map(|e| (e.hub, e.dist as Dist))
+                    .collect();
+                assert_eq!(
+                    got,
+                    expect[sg.rank_of(v) as usize],
+                    "edges {edges:?} weights {weights:#b}, label of {v}"
+                );
+            }
             for s in 0..n {
                 oracle.run(g, s);
                 for t in 0..n {

@@ -271,7 +271,7 @@ fn sweep(
     budget: &mut QueryBudget,
 ) -> bool {
     let mut ok = true;
-    search.run(search.graph().rank_of(s), |_, _, _| {
+    search.run(search.graph().rank_of(s), |_, _| {
         ok = budget.charge();
         if ok {
             Visit::Expand(INFINITY)
@@ -507,7 +507,7 @@ impl<'a> OneToMany<'a> {
         let sg = self.sg;
         let (marks, budget) = (&mut self.marks, &mut self.budget);
         let mut ok = true;
-        self.search.run(sg.rank_of(s), |_, r, _| {
+        self.search.run(sg.rank_of(s), |r, _| {
             ok = budget.charge();
             if !ok {
                 return Visit::Stop;
@@ -600,7 +600,7 @@ mod tests {
     /// the next one: a search that settles only its root leaves only the
     /// root labelled, whatever was cut, extended or pushed down before.
     fn assert_search_resets(o2m: &mut OneToMany, case: &str) {
-        o2m.search.run(0, |_, _, _| Visit::Stop);
+        o2m.search.run(0, |_, _| Visit::Stop);
         let n = o2m.sg.num_nodes() as u32;
         assert!(
             (1..n).all(|r| o2m.search.label(r).is_none()),

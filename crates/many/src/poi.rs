@@ -303,7 +303,7 @@ impl PoiIndex {
         let mut bound = INFINITY;
         let mut ok = true;
         let root = search.graph().rank_of(s);
-        search.run(root, |_, u, d| {
+        search.run(root, |u, d| {
             if d > bound {
                 return Visit::Stop;
             }
