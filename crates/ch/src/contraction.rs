@@ -816,9 +816,9 @@ mod tests {
     fn index_size_counts_all_arrays() {
         let g = figure1();
         let ch = ContractionHierarchy::build(&g);
-        // Two permutations, two CSR offset arrays, and the 12-byte
-        // interleaved records of both halves.
-        let flat = 2 * 8 * 4 + 2 * 9 * 4 + 2 * ch.num_upward_edges() * 12;
+        // Two permutations, the CSR offsets, and the 12-byte interleaved
+        // upward records.
+        let flat = 2 * 8 * 4 + 9 * 4 + ch.num_upward_edges() * 12;
         assert_eq!(ch.index_size_bytes(), flat);
     }
 }

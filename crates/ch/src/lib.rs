@@ -19,8 +19,8 @@
 //! * [`ChQuery`] — a reusable query workspace for distance and
 //!   shortest-path queries, the one point kernel.
 //! * [`UpwardSearch`] — the one upward search, driven by a visitor: the
-//!   bucket tables below, and `spq_many`'s sweeps, range, POI buckets
-//!   and kNN all run on it.
+//!   bucket tables below, and `spq_many`'s sweeps, POI buckets and kNN
+//!   all run on it.
 //! * [`ManyToMany`] — bucket-based distance tables between node sets,
 //!   the engine behind TNR's preprocessing (paper §4.1: "we employed CH
 //!   to accelerate the shortest path computation required in the

@@ -15,7 +15,8 @@
 //! up         u64 m    · m × (u32 target, u32 weight, u32 middle)
 //! ```
 //!
-//! The inverse permutation and the downward half are derived on load.
+//! The inverse permutation is derived on load; in memory the hierarchy
+//! is these sections plus that array.
 //! Versions 2 and 3 (the upward graph stored in original ids, then a
 //! second and third time flattened) are refused as
 //! [`IndexLoadError::LegacyVersion`], like the pre-checksum version 1:
@@ -46,8 +47,7 @@ pub struct ChSections {
 impl ChSections {
     /// Checks every structural invariant searching and unpacking rely
     /// on (through `SearchGraph::from_sections`, which also derives the
-    /// inverse permutation and the downward half) and assembles the
-    /// hierarchy.
+    /// inverse permutation) and assembles the hierarchy.
     pub fn validate(self) -> Result<ContractionHierarchy, IndexLoadError> {
         let ChSections {
             num_shortcuts,
@@ -165,8 +165,8 @@ mod tests {
         }
     }
 
-    /// The loaded search graph — including the derived `node` array and
-    /// downward half — equals the built one, the reloaded index answers
+    /// The loaded search graph — including the derived `node` array —
+    /// equals the built one, the reloaded index answers
     /// identically, and write → read → write is byte-stable.
     #[test]
     fn roundtrip_restores_the_built_search_graph() {

@@ -18,12 +18,14 @@
 //!   before both endpoints, so both halves are upward edges *of `m`* —
 //!   a scan of one short list, usually one cache line.
 //!
-//! Two more are derived from them by `SearchGraph::from_sections`:
+//! One more is derived from them by `SearchGraph::from_sections`:
 //! `node`, the inverse permutation (original ids appear only at the
 //! boundary — [`SearchGraph::rank_of`] on the way in,
-//! [`SearchGraph::orig_of`] when a path is emitted), and the **downward**
-//! half, the transpose of `up`, which only the range sweep of `spq-many`
-//! reads.
+//! [`SearchGraph::orig_of`] when a path is emitted). Nothing else is
+//! held: in memory the hierarchy is its container's sections plus
+//! `node`, because every client reads upward edges only (a network
+//! range is a bounded Dijkstra over the road network, not a hierarchy
+//! query).
 //!
 //! `from_sections` is the only constructor and the only validator:
 //! contraction and [`read_binary`](crate::ContractionHierarchy::read_binary)
@@ -42,8 +44,7 @@ pub const NO_MIDDLE: u32 = u32::MAX;
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchEdge {
-    /// Rank of the other endpoint (above in the upward half, below in
-    /// the downward half).
+    /// Rank of the upper endpoint.
     pub target: u32,
     /// Edge weight.
     pub weight: Weight,
@@ -95,15 +96,12 @@ pub struct SearchGraph {
     node: Box<[NodeId]>,
     up_first: Box<[u32]>,
     up: Box<[SearchEdge]>,
-    down_first: Box<[u32]>,
-    down: Box<[SearchEdge]>,
 }
 
 impl SearchGraph {
     /// Assembles the graph from its three stored sections — as emitted
     /// by contraction or read from an `SPQC` container — checking every
-    /// invariant the kernels rely on and deriving `node` and the
-    /// downward half:
+    /// invariant the kernels rely on and deriving `node`:
     ///
     /// * `rank` is a permutation and `up_first` a CSR over `up`;
     /// * each list's targets ascend strictly and lie above their source;
@@ -171,42 +169,11 @@ impl SearchGraph {
             }
         }
 
-        // Downward half: the transpose. Filling in ascending source rank
-        // leaves every down list sorted by target (= source rank).
-        let mut down_first = vec![0u32; n + 1];
-        for e in &up {
-            down_first[e.target as usize + 1] += 1;
-        }
-        for r in 0..n {
-            down_first[r + 1] += down_first[r];
-        }
-        let mut cursor: Vec<u32> = down_first[..n].to_vec();
-        let mut down = vec![
-            SearchEdge {
-                target: 0,
-                weight: 0,
-                middle: NO_MIDDLE
-            };
-            up.len()
-        ];
-        for r in 0..n {
-            for e in up_of(r) {
-                let slot = &mut cursor[e.target as usize];
-                down[*slot as usize] = SearchEdge {
-                    target: r as u32,
-                    ..*e
-                };
-                *slot += 1;
-            }
-        }
-
         Ok(SearchGraph {
             rank: rank.into_boxed_slice(),
             node: node.into_boxed_slice(),
             up_first: up_first.into_boxed_slice(),
             up: up.into_boxed_slice(),
-            down_first: down_first.into_boxed_slice(),
-            down: down.into_boxed_slice(),
         })
     }
 
@@ -216,7 +183,7 @@ impl SearchGraph {
         self.node.len()
     }
 
-    /// Number of edges in each half.
+    /// Number of upward edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.up.len()
@@ -241,14 +208,6 @@ impl SearchGraph {
         &self.up[self.up_first[r as usize] as usize..self.up_first[r as usize + 1] as usize]
     }
 
-    /// Downward edges of the vertex at rank `r` (targets ascend, all
-    /// `< r`): the upward edges that point *to* `r`, keyed by their
-    /// source.
-    #[inline]
-    pub fn down(&self, r: u32) -> &[SearchEdge] {
-        &self.down[self.down_first[r as usize] as usize..self.down_first[r as usize + 1] as usize]
-    }
-
     /// The stored sections, as `SearchGraph::from_sections` takes
     /// them: `(rank, up_first, up)`.
     pub(crate) fn sections(&self) -> (&[u32], &[u32], &[SearchEdge]) {
@@ -262,8 +221,6 @@ impl IndexSize for SearchGraph {
             + self.node.len() * 4
             + self.up_first.len() * 4
             + self.up.len() * std::mem::size_of::<SearchEdge>()
-            + self.down_first.len() * 4
-            + self.down.len() * std::mem::size_of::<SearchEdge>()
     }
 }
 
@@ -297,24 +254,18 @@ mod tests {
         }
     }
 
+    /// The resident hierarchy is its container's sections plus the
+    /// inverse permutation: `rank` and the `n + 1` offsets, one 12-byte
+    /// record per upward edge, and `node`.
     #[test]
-    fn down_is_the_exact_transpose() {
-        let g = grid_graph(5, 9);
-        let ch = ContractionHierarchy::build(&g);
-        let sg = ch.search_graph();
-        let mut down_seen = 0usize;
-        for r in 0..sg.num_nodes() as u32 {
-            let mut prev = None;
-            for e in sg.down(r) {
-                assert!(e.target < r);
-                assert!(prev < Some(e.target), "down targets must ascend");
-                prev = Some(e.target);
-                let up = edge_to(sg.up(e.target), r).expect("the matching upward record");
-                assert_eq!((up.weight, up.middle), (e.weight, e.middle));
-                down_seen += 1;
-            }
+    fn resident_hierarchy_is_its_container_plus_node() {
+        for g in [figure1(), grid_graph(5, 9)] {
+            let ch = ContractionHierarchy::build(&g);
+            let sg = ch.search_graph();
+            let (n, m) = (sg.num_nodes(), sg.num_edges());
+            let container = 4 * (2 * n + 1) + 12 * m;
+            assert_eq!(sg.index_size_bytes(), container + 4 * n);
         }
-        assert_eq!(down_seen, sg.num_edges());
     }
 
     /// The shape checks a checksummed container cannot reach one at a

@@ -3,14 +3,14 @@
 //! §3.2 query, and the search every other CH client runs.
 //!
 //! Bucket tables ([`ManyToMany`](crate::ManyToMany), `par_table`), and
-//! the POI buckets, kNN queries, restricted sweeps and range frontier
-//! of `spq_many` all drive one [`UpwardSearch`]. (`spq_hl` builds its
+//! the POI buckets, kNN queries and restricted sweeps of `spq_many` all
+//! drive one [`UpwardSearch`]. (`spq_hl` builds its
 //! labels from finished labels instead, and runs no search.) Each
 //! client passes a visitor that sees every settled `(rank, dist)` in
 //! settle order and answers with a [`Visit`]: expand the rank's upward
 //! edges up to a bound, or stop. The bound carries every client's
-//! pruning — a kNN query's falling k-th distance, a range's limit — and
-//! the visitor carries the rest: budget charges and what each client
+//! pruning — a kNN query's falling k-th distance — and the visitor
+//! carries the rest: budget charges and what each client
 //! records. The loop itself never asks who is running it.
 //!
 //! The state is two zero-initialised per-rank arrays: the label, stored
@@ -20,15 +20,14 @@
 //! There is no version stamp. Labels sit apart from the slots, not in
 //! one record per rank as in the two-direction `ChQuery`, because most
 //! readers read labels only — the restricted sweep one per selection
-//! member, range's push-down one per downward edge — and a label-only
-//! array is half the bytes they pull through the cache.
+//! member — and a label-only array is half the bytes they pull through
+//! the cache.
 //!
 //! The arrays are allocated on the first search — constructing a
 //! workspace allocates nothing — and each search starts by zeroing only
-//! what the previous one touched: the ranks it settled, the ranks
-//! [`UpwardSearch::lower`] wrote, and the entries still queued when its
-//! visitor stopped it. Until then every label stays readable
-//! ([`UpwardSearch::label`]).
+//! what the previous one touched: the ranks it settled and the entries
+//! still queued when its visitor stopped it. Until then every label
+//! stays readable ([`UpwardSearch::label`]).
 
 use spq_graph::heap::SlotHeap;
 use spq_graph::types::{Dist, INFINITY};
@@ -56,8 +55,7 @@ pub struct UpwardSearch<'a> {
     labels: Vec<Dist>,
     /// The queue's slot per rank (see [`spq_graph::heap::Slots`]).
     slots: Vec<u32>,
-    /// Ranks reached since the last reset that are not queued: settled,
-    /// or written by [`UpwardSearch::lower`].
+    /// Ranks settled since the last reset.
     touched: Vec<u32>,
     heap: SlotHeap,
 }
@@ -111,30 +109,11 @@ impl<'a> UpwardSearch<'a> {
         });
     }
 
-    /// The distance the last search (or [`UpwardSearch::lower`]) gave
-    /// rank `r`, if any.
+    /// The distance the last search gave rank `r`, if any.
     #[inline]
     pub fn label(&self, r: u32) -> Option<Dist> {
         let stored = self.labels[r as usize];
         (stored != 0).then_some(!stored)
-    }
-
-    /// Lowers the label of rank `r` to `d` after a search has ended —
-    /// for a client that carries on by hand, as range does down the
-    /// hierarchy. Returns whether the label changed. `r` must not be
-    /// queued.
-    #[inline]
-    pub fn lower(&mut self, r: u32, d: Dist) -> bool {
-        debug_assert_eq!(self.slots[r as usize], 0, "rank {r} is still queued");
-        let stored = &mut self.labels[r as usize];
-        if !*stored <= d {
-            return false;
-        }
-        if *stored == 0 {
-            self.touched.push(r);
-        }
-        *stored = !d;
-        true
     }
 
     /// Records `r` as reached at `d` and queues or re-keys it.
@@ -145,8 +124,8 @@ impl<'a> UpwardSearch<'a> {
     }
 
     /// Sizes the arrays on first use, and zeroes what the last search
-    /// touched: every rank it reached was settled or lowered (`touched`)
-    /// or is still queued.
+    /// touched: every rank it reached was settled (`touched`) or is
+    /// still queued.
     fn reset(&mut self) {
         let n = self.sg.num_nodes();
         if self.labels.len() < n {
@@ -305,10 +284,10 @@ mod tests {
     }
 
     /// A search stopped at every possible point — by its visitor, as a
-    /// budget would — or extended by `lower`, leaves the next search on
-    /// the same workspace exact, with no label of its own left behind.
+    /// budget would — leaves the next search on the same workspace
+    /// exact, with no label of its own left behind.
     #[test]
-    fn a_cut_or_extended_search_leaves_the_next_one_exact() {
+    fn a_cut_search_leaves_the_next_one_exact() {
         let g = grid_graph(9, 8);
         let ch = ContractionHierarchy::build(&g);
         let sg = ch.search_graph();
@@ -337,15 +316,6 @@ mod tests {
                     "root {root} cut {cut}: a stale label survived"
                 );
             }
-            // Labels written by hand after a search are reset too.
-            search.search_space(root, &mut Vec::new());
-            let fresh = (0..n).find(|&r| search.label(r).is_none()).unwrap();
-            assert!(search.lower(fresh, 5));
-            assert!(!search.lower(fresh, 6), "only ever lowers");
-            assert!(search.lower(fresh, 4));
-            assert_eq!(search.label(fresh), Some(4));
-            search.run(root, |_, _| Visit::Stop);
-            assert_eq!(labelled(&search), [root]);
         }
     }
 }

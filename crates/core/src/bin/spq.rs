@@ -251,7 +251,7 @@ fn prep(args: &[String]) -> Result<(), String> {
                 ch.num_upward_edges(),
                 bytes as f64 / 1e6,
                 bytes as f64 / ch.num_upward_edges().max(1) as f64,
-                ch.index_size_mb()
+                ch.index_size_bytes() as f64 / 1e6
             );
             println!("  contraction: {report}\n  {persisted}");
         }

@@ -21,8 +21,8 @@ pub struct BaselineSession<'a> {
     net: &'a RoadNetwork,
     search: BiDijkstra,
     oneall: Option<Dijkstra>,
+    /// The budget the one-to-all searches charge, re-armed by each.
     budget: QueryBudget,
-    aux_interrupted: bool,
 }
 
 impl Backend for Baseline {
@@ -36,7 +36,6 @@ impl Backend for Baseline {
             search: BiDijkstra::new(net.num_nodes()),
             oneall: None,
             budget: QueryBudget::unlimited(),
-            aux_interrupted: false,
         })
     }
 }
@@ -54,7 +53,6 @@ impl Session for BaselineSession<'_> {
     /// searches as soon as the target set is non-trivial; the search
     /// stops as early as the last requested target.
     fn one_to_many(&mut self, s: NodeId, targets: &[NodeId], out: &mut Vec<Option<Dist>>) {
-        self.aux_interrupted = false;
         let d = self
             .oneall
             .get_or_insert_with(|| Dijkstra::new(self.net.num_nodes()));
@@ -62,12 +60,10 @@ impl Session for BaselineSession<'_> {
         sorted.sort_unstable();
         sorted.dedup();
         let mut remaining = sorted.len();
-        let mut budget = self.budget.clone();
+        let budget = &mut self.budget;
         budget.reset();
-        let mut interrupted = false;
         d.run_scoped(self.net, s, SearchScope::Full, |v, _| {
             if !budget.charge() {
-                interrupted = true;
                 return true;
             }
             if sorted.binary_search(&v).is_ok() {
@@ -77,36 +73,17 @@ impl Session for BaselineSession<'_> {
                 false
             }
         });
-        self.aux_interrupted = interrupted;
         out.clear();
         out.extend(targets.iter().map(|&t| d.distance(t)));
     }
 
     /// Truncated one-to-all search: the textbook range oracle.
     fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        self.aux_interrupted = false;
         let d = self
             .oneall
             .get_or_insert_with(|| Dijkstra::new(self.net.num_nodes()));
-        let mut budget = self.budget.clone();
-        budget.reset();
-        let mut interrupted = false;
-        d.run_scoped(self.net, s, SearchScope::Full, |_, dist| {
-            if !budget.charge() {
-                interrupted = true;
-                return true;
-            }
-            dist > limit
-        });
-        self.aux_interrupted = interrupted;
-        out.clear();
-        for v in 0..self.net.num_nodes() as NodeId {
-            if let Some(dist) = d.distance(v) {
-                if dist <= limit {
-                    out.push((v, dist));
-                }
-            }
-        }
+        self.budget.reset();
+        d.range(self.net, s, limit, &mut self.budget, out);
         true
     }
 
@@ -116,7 +93,7 @@ impl Session for BaselineSession<'_> {
     }
 
     fn interrupted(&self) -> bool {
-        self.search.budget_exhausted() || self.aux_interrupted
+        self.search.budget_exhausted() || self.budget.exhausted()
     }
 }
 
@@ -181,5 +158,24 @@ mod tests {
         let mut out = Vec::new();
         assert!(session.range(2, 100, &mut out));
         assert!(session.interrupted(), "node cap must trip mid-search");
+    }
+
+    /// A server installs a fresh budget before every request: a range
+    /// cut short must not mark the next, answered query as interrupted.
+    #[test]
+    fn a_fresh_budget_clears_a_tripped_range() {
+        let g = figure1();
+        let backend = Baseline;
+        let mut session = backend.session(&g);
+        session.set_budget(&QueryBudget::unlimited().with_node_cap(2));
+        let mut out = Vec::new();
+        session.range(2, 100, &mut out);
+        assert!(session.interrupted());
+        session.set_budget(&QueryBudget::unlimited());
+        assert_eq!(session.distance(2, 6), Some(6));
+        assert!(
+            !session.interrupted(),
+            "the range's trip outlived its budget"
+        );
     }
 }

@@ -3,7 +3,9 @@
 //! capability natively — point-to-point through `ChQuery`, one-to-many
 //! and tables with a short side through restricted sweeps, wide tables
 //! through the multi-source batch kernel, kNN through registered POI
-//! buckets, and range through the rank frontier.
+//! buckets, and range through the bounded Dijkstra the baseline serves
+//! it with ([`Dijkstra::range`]): a ball has no target set to select in
+//! advance, and the plain search over the network costs the ball.
 //!
 //! The hierarchy is held behind an `Arc` so the serving engine can keep
 //! one copy visible to this backend, the bench harness, and POI-index
@@ -15,6 +17,7 @@
 use std::sync::{Arc, OnceLock};
 
 use spq_ch::{BatchDistances, ChQuery, ContractionHierarchy};
+use spq_dijkstra::Dijkstra;
 use spq_graph::backend::{Backend, PoiRef, QueryBudget, Session};
 use spq_graph::types::{Dist, NodeId, INFINITY};
 use spq_graph::RoadNetwork;
@@ -109,8 +112,9 @@ impl Backend for ManyBackend {
         "CH"
     }
 
-    fn session<'a>(&'a self, _net: &'a RoadNetwork) -> Box<dyn Session + 'a> {
+    fn session<'a>(&'a self, net: &'a RoadNetwork) -> Box<dyn Session + 'a> {
         Box::new(ManySession {
+            net,
             ch: &self.ch,
             pois: &self.pois,
             query: ChQuery::new(&self.ch),
@@ -118,6 +122,8 @@ impl Backend for ManyBackend {
             o2m: None,
             flipped: Vec::new(),
             knn_ws: KnnWorkspace::new(),
+            range: None,
+            range_budget: QueryBudget::unlimited(),
             budget: QueryBudget::unlimited(),
         })
     }
@@ -131,8 +137,9 @@ impl Backend for ManyBackend {
 /// Per-thread workspace bundle. Every engine is created lazily, so a
 /// worker only pays for the query shapes it actually serves. The
 /// one-to-many engine's upward search is the session's: tables,
-/// one-to-many rows, range and kNN all run on it.
+/// one-to-many rows and kNN all run on it.
 pub struct ManySession<'a> {
+    net: &'a RoadNetwork,
     ch: &'a ContractionHierarchy,
     pois: &'a PoiTable,
     query: ChQuery<'a>,
@@ -141,6 +148,9 @@ pub struct ManySession<'a> {
     /// A swept table before it is transposed into the caller's layout.
     flipped: Vec<Option<Dist>>,
     knn_ws: KnnWorkspace,
+    range: Option<Dijkstra>,
+    /// The budget range charges, re-armed by each range.
+    range_budget: QueryBudget,
     budget: QueryBudget,
 }
 
@@ -260,9 +270,11 @@ impl Session for ManySession<'_> {
     }
 
     fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        if !engine(&mut self.o2m, self.ch, &self.budget).range(s, limit, out) {
-            out.clear();
-        }
+        let d = self
+            .range
+            .get_or_insert_with(|| Dijkstra::new(self.net.num_nodes()));
+        self.range_budget.reset();
+        d.range(self.net, s, limit, &mut self.range_budget, out);
         true
     }
 
@@ -275,6 +287,7 @@ impl Session for ManySession<'_> {
             batch.set_budget(budget);
         }
         self.knn_ws.set_budget(budget);
+        self.range_budget.clone_from(budget);
         self.budget.clone_from(budget);
     }
 
@@ -283,13 +296,13 @@ impl Session for ManySession<'_> {
             || self.o2m.as_ref().is_some_and(|e| e.interrupted())
             || self.batch.as_ref().is_some_and(|b| b.budget_exhausted())
             || self.knn_ws.interrupted()
+            || self.range_budget.exhausted()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spq_dijkstra::Dijkstra;
     use spq_graph::toy::grid_graph;
 
     fn backend_with_pois(g: &RoadNetwork) -> (ManyBackend, PoiSet) {

@@ -1,6 +1,7 @@
 //! Batched query shapes over the flat CH search graph — the repo's
 //! ninth subsystem, extending point-to-point serving with the three
-//! shapes real road-network traffic is dominated by:
+//! shapes real road-network traffic is dominated by: one-to-many rows
+//! and tables, k nearest neighbours, and network range.
 //!
 //! * [`OneToMany`] — target-restricted PHAST: a **selection** (the
 //!   reverse-upward closure of a target set, compacted into its own
@@ -14,15 +15,17 @@
 //!   [`PoiSet`]: per-vertex buckets precomputed from each POI's upward
 //!   search space, sorted by distance, make a kNN query one upward
 //!   search that stops as soon as the k-th best is beaten.
-//! * Network range ("all vertices within `d` of `s`") — a frontier over
-//!   a rank bitset pushed *down* the hierarchy from the pruned upward
-//!   search ([`OneToMany::range`]): work proportional to the ball.
+//! * Network range ("all vertices within `d` of `s`") is not a
+//!   hierarchy query: a ball has no target set to select in advance,
+//!   and a bounded Dijkstra over the network
+//!   ([`Dijkstra::range`](spq_dijkstra::Dijkstra::range)) already costs
+//!   the ball. [`ManySession`] answers it with the same function as the
+//!   index-free baseline.
 //!
 //! Every upward search here is `spq_ch`'s one
-//! [`UpwardSearch`](spq_ch::UpwardSearch): the selections' rows, the range's upward phase
-//! and push-down, the POI bucket build and the kNN query each drive it
-//! with their own visitor. [`phast`] derives the sweep and the range and
-//! says why pruning at the limit stays exact.
+//! [`UpwardSearch`](spq_ch::UpwardSearch): the selections' rows, the POI
+//! bucket build and the kNN query each drive it with their own visitor.
+//! [`phast`] derives the sweep and says why it is exact.
 //!
 //! [`ManyBackend`] packages all of it behind the serving `Backend` /
 //! `Session` traits, so the TCP server answers these shapes under the
@@ -33,18 +36,23 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use spq_ch::ContractionHierarchy;
+//! use spq_graph::backend::Backend;
 //! use spq_graph::toy::figure1;
-//! use spq_many::OneToMany;
+//! use spq_many::{ManyBackend, OneToMany, PoiTable};
 //!
 //! let g = figure1();
-//! let ch = ContractionHierarchy::build(&g);
+//! let ch = Arc::new(ContractionHierarchy::build(&g));
 //! let mut o2m = OneToMany::new(&ch);
 //! let mut row = Vec::new();
 //! assert!(o2m.table(&[2], &[6, 2], &mut row)); // sweeps only {v7, v3}'s closure
 //! assert_eq!(row, [Some(6), Some(0)]); // dist(v3, v7), paper §3.2
+//! let backend = ManyBackend::new(ch.clone(), PoiTable::empty());
+//! let mut session = backend.session(&g);
 //! let mut ball = Vec::new();
-//! assert!(o2m.range(2, 6, &mut ball)); // every vertex within 6 of v3
+//! assert!(session.range(2, 6, &mut ball)); // every vertex within 6 of v3
 //! assert!(ball.contains(&(6, 6)));
 //! ```
 

@@ -1,5 +1,4 @@
-//! Target-restricted PHAST (RPHAST) and frontier-driven range over the
-//! flat CH search graph.
+//! Target-restricted PHAST (RPHAST) over the flat CH search graph.
 //!
 //! A point-to-point CH query explores two tiny upward cones; answering
 //! `dist(s, t)` for *many* targets that way repeats the forward cone and
@@ -48,28 +47,6 @@
 //! workspace in a serving session, and sessions are rebuilt at every
 //! epoch swap, so a selection can never outlive the hierarchy it was
 //! cut from.
-//!
-//! # Range
-//!
-//! [`OneToMany::range`] does not walk the hierarchy top to bottom at
-//! all. After an upward search pruned at `limit`, the settled vertices
-//! are marked in a rank bitset; marked ranks are then processed in
-//! descending order, each *pushing* `dist + w` along its downward edges
-//! into the same search's labels ([`UpwardSearch::lower`]) and marking a
-//! lower vertex only when the pushed value is within `limit`. Every
-//! value ever written is the length of a real path, so every marked
-//! vertex lies in the ball and the work is proportional to the ball,
-//! not to `n`.
-//!
-//! Pruning at `limit` is exact: if `dist(s, v) ≤ limit`, every vertex on
-//! `v`'s shortest up-down path is at most that far from `s` (a prefix of
-//! a shortest path is shortest). The upward leg is therefore settled
-//! with exact labels before the search stops, and by induction down the
-//! other leg each vertex receives its exact distance from a predecessor
-//! that was marked, processed earlier (it outranks its successor) and
-//! pushed a value `≤ limit`. When a rank is popped every in-range head
-//! has already pushed into it, so its value is final and it is emitted
-//! on the spot.
 
 use spq_ch::{ContractionHierarchy, SearchGraph, UpwardSearch, Visit};
 use spq_graph::backend::QueryBudget;
@@ -300,23 +277,21 @@ fn sweep(
     true
 }
 
-/// A reusable one-to-many / table / range workspace bound to one
-/// hierarchy.
+/// A reusable one-to-many / table workspace bound to one hierarchy.
 ///
 /// Like `ChQuery`, construction allocates nothing; the n-sized arrays
 /// appear on the first query and are reused afterwards. A repeated
-/// target set and a repeated range allocate nothing at all. One
-/// workspace per worker thread.
+/// target set allocates nothing at all. One workspace per worker
+/// thread.
 #[derive(Debug)]
 pub struct OneToMany<'a> {
     sg: &'a SearchGraph,
-    /// The upward search of every query; a range also pushes its
-    /// labels down the hierarchy.
+    /// The upward search of every query.
     search: UpwardSearch<'a>,
     /// Slot-indexed results of the last sweep.
     local: Vec<Dist>,
-    /// Closure marks while compacting, frontier while ranging; empty
-    /// between queries.
+    /// Target ranks while a key is formed, closure marks while
+    /// compacting; empty between queries.
     marks: RankSet,
     /// Rank → slot: for every member while a selection is compacted,
     /// for the targets while a table is answered from it; stale
@@ -401,8 +376,7 @@ impl<'a> OneToMany<'a> {
 
     /// Installs the cancellation budget subsequent queries execute
     /// under: one charge per closure member when a selection is built,
-    /// one per settled vertex in the upward phase, one per swept member
-    /// (per vertex of the ball, for a range).
+    /// one per settled vertex in the upward phase, one per swept member.
     pub fn set_budget(&mut self, budget: &QueryBudget) {
         self.budget.clone_from(budget);
     }
@@ -496,47 +470,6 @@ impl<'a> OneToMany<'a> {
         self.memo.trim();
         ok
     }
-
-    /// Network range query: fills `out` with every `(vertex, distance)`
-    /// within `limit` of `s`, ascending by vertex id. Returns `false`
-    /// (with `out` cleared) if the budget tripped. The module docs
-    /// explain the frontier and why pruning at `limit` is exact.
-    pub fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        out.clear();
-        self.begin();
-        let sg = self.sg;
-        let (marks, budget) = (&mut self.marks, &mut self.budget);
-        let mut ok = true;
-        self.search.run(sg.rank_of(s), |r, _| {
-            ok = budget.charge();
-            if !ok {
-                return Visit::Stop;
-            }
-            marks.insert(r);
-            Visit::Expand(limit)
-        });
-        while let Some(r) = self.marks.pop_max() {
-            // Once the budget has tripped the frontier is only drained.
-            ok = ok && self.budget.charge();
-            if !ok {
-                continue;
-            }
-            let d = self.search.label(r).expect("a marked rank is labelled");
-            out.push((sg.orig_of(r), d));
-            for e in sg.down(r) {
-                let pushed = d + e.weight as Dist;
-                if pushed <= limit && self.search.lower(e.target, pushed) {
-                    self.marks.insert(e.target);
-                }
-            }
-        }
-        if !ok {
-            out.clear();
-            return false;
-        }
-        out.sort_unstable_by_key(|&(v, _)| v);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -570,7 +503,7 @@ mod tests {
         while let Some(r) = set.pop_max() {
             popped.push(r);
             if r == 4097 {
-                // Inserting below the cursor mid-drain, as range does.
+                // Inserting below the cursor mid-drain.
                 assert!(set.insert(70));
             }
         }
@@ -598,7 +531,7 @@ mod tests {
 
     /// What a query leaves on the shared upward search must not reach
     /// the next one: a search that settles only its root leaves only the
-    /// root labelled, whatever was cut, extended or pushed down before.
+    /// root labelled, whatever was cut before.
     fn assert_search_resets(o2m: &mut OneToMany, case: &str) {
         o2m.search.run(0, |_, _| Visit::Stop);
         let n = o2m.sg.num_nodes() as u32;
@@ -624,12 +557,9 @@ mod tests {
         let first = row(&mut o2m, 0, &everyone);
         assert_eq!(first, oracle_row(&g, 0, &everyone));
         row(&mut o2m, 35, &everyone);
-        let mut ball = Vec::new();
-        assert!(o2m.range(20, 3, &mut ball));
-        // Nothing of the row from 35 or the range may leak.
+        // Nothing of the row from 35 may leak.
         assert_eq!(row(&mut o2m, 0, &everyone), first);
-        assert!(o2m.range(20, 3, &mut ball));
-        assert_search_resets(&mut o2m, "after a range");
+        assert_search_resets(&mut o2m, "after a row");
     }
 
     #[test]
@@ -749,29 +679,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn range_matches_truncated_dijkstra() {
-        let g = grid_graph(8, 8);
-        let ch = ContractionHierarchy::build(&g);
-        let mut o2m = OneToMany::new(&ch);
-        let mut d = Dijkstra::new(g.num_nodes());
-        for (s, limit) in [
-            (0u32, 0u64),
-            (0, 3),
-            (27, 5),
-            (63, 1_000_000),
-            (9, u64::MAX),
-        ] {
-            let mut got = vec![(0, 0)];
-            assert!(o2m.range(s, limit, &mut got));
-            d.run(&g, s);
-            let expect: Vec<(NodeId, Dist)> = (0..g.num_nodes() as NodeId)
-                .filter_map(|v| d.distance(v).filter(|&x| x <= limit).map(|x| (v, x)))
-                .collect();
-            assert_eq!(got, expect, "source {s} limit {limit}");
-        }
-    }
-
     /// Trips the budget after every possible number of charges: in the
     /// selection build, in the upward search, in the sweep.
     #[test]
@@ -801,26 +708,6 @@ mod tests {
         }
         assert!(cap > 10, "the loop must have tripped inside every phase");
         assert_eq!(out, expect);
-        // Same walk through a range.
-        let mut ball = Vec::new();
-        let mut cap = 0;
-        loop {
-            o2m.set_budget(&QueryBudget::unlimited().with_node_cap(cap));
-            if o2m.range(20, 4, &mut ball) {
-                break;
-            }
-            assert!(
-                ball.is_empty(),
-                "cap {cap}: interrupted range leaked entries"
-            );
-            assert!(
-                o2m.marks.pop_max().is_none(),
-                "cap {cap}: frontier left behind"
-            );
-            assert_search_resets(&mut o2m, &format!("range cap {cap}"));
-            cap += 1;
-        }
-        assert!(cap > 5);
         // The memo still answers exactly, without rebuilding.
         o2m.set_budget(&QueryBudget::unlimited());
         let built = o2m.selections_built();

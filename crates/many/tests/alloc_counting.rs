@@ -1,5 +1,5 @@
-//! Allocation accounting for the restricted sweep and the range
-//! frontier, after `crates/ch/tests/alloc_counting.rs`.
+//! Allocation accounting for the restricted sweep and the serving
+//! session's range, after `crates/ch/tests/alloc_counting.rs`.
 //!
 //! A one-to-many request whose target set is in the memo and a repeated
 //! range are the steady state of a serving session: both must run
@@ -8,10 +8,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use spq_ch::ContractionHierarchy;
+use spq_graph::backend::Backend;
 use spq_graph::toy::grid_graph;
-use spq_many::OneToMany;
+use spq_many::{ManyBackend, OneToMany, PoiTable};
 
 struct CountingAlloc;
 
@@ -43,11 +45,13 @@ fn allocations() -> u64 {
 #[test]
 fn memo_hits_and_repeated_ranges_do_not_allocate() {
     let g = grid_graph(20, 20);
-    let ch = ContractionHierarchy::build(&g);
+    let backend = ManyBackend::new(Arc::new(ContractionHierarchy::build(&g)), PoiTable::empty());
+    let ch = backend.hierarchy();
+    let mut session = backend.session(&g);
     let n = g.num_nodes() as u32;
 
     let before_new = allocations();
-    let mut o2m = OneToMany::new(&ch);
+    let mut o2m = OneToMany::new(ch);
     assert!(
         allocations() - before_new < 8,
         "OneToMany::new allocated {} times — workspace sizing is not lazy",
@@ -62,7 +66,7 @@ fn memo_hits_and_repeated_ranges_do_not_allocate() {
     rotated.push(depots[0]);
     let (mut row, mut ball) = (Vec::new(), Vec::new());
     assert!(o2m.table(&[0], &rotated, &mut row));
-    assert!(o2m.range(n / 2 + 10, 12, &mut ball));
+    assert!(session.range(n / 2 + 10, 12, &mut ball));
 
     let before = allocations();
     let mut acc = 0u64;
@@ -71,7 +75,7 @@ fn memo_hits_and_repeated_ranges_do_not_allocate() {
         let list = if i % 2 == 0 { &depots } else { &rotated };
         assert!(o2m.table(&[s], list, &mut row));
         acc += row.iter().flatten().sum::<u64>();
-        assert!(o2m.range(s, u64::from(i % 12), &mut ball));
+        assert!(session.range(s, u64::from(i % 12), &mut ball));
         acc += ball.len() as u64;
     }
     assert_eq!(

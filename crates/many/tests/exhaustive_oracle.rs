@@ -5,26 +5,31 @@
 //! the heuristic and the identity order, against all-pairs Dijkstra:
 //!
 //! - `OneToMany::table` from every source to every vertex;
-//! - `OneToMany::range` from every source at every distinct radius (a
-//!   distance some vertex has from the source) and one below it;
+//! - `ManySession::range` (the serving session's range) from every
+//!   source at every distinct radius (a distance some vertex has from
+//!   the source) and one below it;
 //! - `PoiIndex::knn` from every source over every non-empty POI subset
 //!   and every k from 0 to one past the subset's size, ties ordered by
 //!   `(distance, vertex)`.
 //!
-//! One `OneToMany` and one kNN workspace answer everything of a
-//! hierarchy, the kNN queries on the `OneToMany`'s own upward search as
-//! a serving session runs them, so state one query leaves behind is in
-//! the way of the next.
+//! One `OneToMany` and one kNN workspace answer every table and kNN
+//! query of a hierarchy, the kNN queries on the `OneToMany`'s own upward
+//! search as a serving session runs them, and one session every range,
+//! so state one query leaves behind is in the way of the next.
 //!
 //! The tier-1 test covers n ≤ 4; the ignored one adds n = 5 (55 248
 //! weighted graphs) and runs as a CI step in release.
 
+use std::sync::Arc;
+
 use spq_ch::ContractionHierarchy;
 use spq_dijkstra::Dijkstra;
 use spq_graph::arbitrary::every_small_graph;
+use spq_graph::backend::Backend;
 use spq_graph::par;
 use spq_graph::types::{Dist, NodeId};
-use spq_many::{KnnWorkspace, OneToMany, PoiIndex, PoiSet};
+use spq_graph::RoadNetwork;
+use spq_many::{KnnWorkspace, ManyBackend, OneToMany, PoiIndex, PoiSet, PoiTable};
 
 /// Checks every graph on exactly `n` vertices; returns how many
 /// weighted graphs it built.
@@ -45,14 +50,17 @@ fn check_all_graphs(n: u32) -> usize {
             ContractionHierarchy::build(g),
             ContractionHierarchy::build_with_order(g, &identity),
         ] {
-            check_hierarchy(&ch, &rows, &case);
+            check_hierarchy(g, ch, &rows, &case);
         }
     })
 }
 
-fn check_hierarchy(ch: &ContractionHierarchy, rows: &[Vec<Dist>], case: &str) {
+fn check_hierarchy(g: &RoadNetwork, ch: ContractionHierarchy, rows: &[Vec<Dist>], case: &str) {
     let n = rows.len() as NodeId;
     let everyone: Vec<NodeId> = (0..n).collect();
+    let backend = ManyBackend::new(Arc::new(ch), PoiTable::empty());
+    let ch = &**backend.hierarchy();
+    let mut session = backend.session(g);
     let mut o2m = OneToMany::new(ch);
     let mut out = Vec::new();
     let mut ball = Vec::new();
@@ -67,7 +75,8 @@ fn check_hierarchy(ch: &ContractionHierarchy, rows: &[Vec<Dist>], case: &str) {
         radii.sort_unstable();
         radii.dedup();
         for limit in radii {
-            assert!(o2m.range(s, limit, &mut ball));
+            assert!(session.range(s, limit, &mut ball));
+            assert!(!session.interrupted());
             let expect: Vec<(NodeId, Dist)> = (0..n)
                 .map(|v| (v, row[v as usize]))
                 .filter(|&(_, d)| d <= limit)

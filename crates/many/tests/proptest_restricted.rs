@@ -1,8 +1,8 @@
 //! Property: restriction is a pure execution-strategy change. On
 //! arbitrary connected networks a restricted sweep, the sweep over
 //! every vertex and a Dijkstra oracle agree for every way of writing a target set down;
-//! range equals a truncated Dijkstra at every radius; early-terminated
-//! kNN equals brute force, ties included.
+//! the serving session's range equals a truncated Dijkstra at every
+//! radius; early-terminated kNN equals brute force, ties included.
 //!
 //! (Unreachable targets cannot be generated: `GraphBuilder::build`
 //! rejects a disconnected network, and nothing public builds a
@@ -100,11 +100,11 @@ proptest! {
     }
 
     /// Limits 0, a fraction of the eccentricity, the eccentricity itself
-    /// and beyond it.
+    /// and beyond it, through the serving session.
     #[test]
     fn range_matches_truncated_dijkstra(net in small_connected_network(), percent in 1u64..100) {
-        let ch = ContractionHierarchy::build(&net);
-        let mut o2m = OneToMany::new(&ch);
+        let backend = ManyBackend::new(Arc::new(ContractionHierarchy::build(&net)), PoiTable::empty());
+        let mut session = backend.session(&net);
         let mut oracle = Dijkstra::new(net.num_nodes());
         let n = net.num_nodes() as NodeId;
         let mut got = Vec::new();
@@ -115,7 +115,7 @@ proptest! {
                 let expect: Vec<(NodeId, Dist)> = (0..n)
                     .filter_map(|v| oracle.distance(v).filter(|&d| d <= limit).map(|d| (v, d)))
                     .collect();
-                prop_assert!(o2m.range(s, limit, &mut got));
+                prop_assert!(session.range(s, limit, &mut got));
                 prop_assert_eq!(&got, &expect, "range({}, {})", s, limit);
             }
         }

@@ -64,9 +64,9 @@ proptest! {
         prop_assert_eq!(&bytes, &rewritten, "CH bytes drift across a round-trip");
 
         // The container stores the upward graph once; the reloaded
-        // search graph — with the inverse permutation and the downward
-        // half derived on load — must be identical to the built one, and
-        // the reloaded index must unpack identical paths.
+        // search graph — with the inverse permutation derived on load —
+        // must be identical to the built one, and the reloaded index
+        // must unpack identical paths.
         prop_assert_eq!(reloaded.search_graph(), ch.search_graph());
         prop_assert_eq!(reloaded.num_shortcuts(), ch.num_shortcuts());
         let mut q1 = spq_ch::ChQuery::new(&ch);

@@ -127,14 +127,17 @@ proptest! {
         }
     }
 
-    /// Range equals a truncated Dijkstra: exactly the vertices within
-    /// the limit, ascending by vertex id, with exact distances. Limits
-    /// are drawn around real eccentricities so both empty-ish and
-    /// all-inclusive ranges occur.
+    /// Range through every backend that serves it equals a truncated
+    /// Dijkstra: exactly the vertices within the limit, ascending by
+    /// vertex id, with exact distances. Limits are drawn around real
+    /// eccentricities so both empty-ish and all-inclusive ranges occur.
     #[test]
     fn range_matches_truncated_dijkstra(net in arb_network(), frac in 0u32..120) {
-        let ch = spq_ch::ContractionHierarchy::build(&net);
-        let mut o2m = spq_many::OneToMany::new(&ch);
+        let built: Vec<_> = [BackendKind::Dijkstra, BackendKind::Ch]
+            .iter()
+            .map(|k| k.build(&net))
+            .collect();
+        let mut sessions: Vec<_> = built.iter().map(|b| b.backend.session(&net)).collect();
         let mut reference = Dijkstra::new(net.num_nodes());
         let n = net.num_nodes() as NodeId;
         let mut out = Vec::new();
@@ -150,8 +153,13 @@ proptest! {
                         .map(|d| (v, d))
                 })
                 .collect();
-            prop_assert!(o2m.range(s, limit, &mut out));
-            prop_assert_eq!(&out, &expect, "range({}, {})", s, limit);
+            for (b, session) in built.iter().zip(&mut sessions) {
+                prop_assert!(session.range(s, limit, &mut out));
+                prop_assert_eq!(
+                    &out, &expect,
+                    "{} range({}, {})", b.backend.backend_name(), s, limit
+                );
+            }
         }
     }
 }
