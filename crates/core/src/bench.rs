@@ -20,8 +20,9 @@
 //! The regression check compares each row's `ratio`: its cost in units
 //! of the same run's bidirectional-Dijkstra distance query on the same
 //! network, so it tolerates absolute machine-speed differences between
-//! the baseline host and the CI runner. Every point-query row is timed
-//! *interleaved* with Dijkstra, in the same windows (`paired_ns`), so
+//! the baseline host and the CI runner. Every point-query row, and every
+//! one-to-many, kNN and range row (of which the gate compares kNN and
+//! range), is timed *interleaved* with Dijkstra, in the same windows (`paired_ns`), so
 //! both sides of a ratio see the same machine; the ratio is the median
 //! over windows, and windows that lost the CPU are left out. The
 //! trade-off: a regression confined to the baseline itself shifts every
@@ -121,9 +122,13 @@ const NOISE_FLOOR_NS: f64 = 500.0;
 
 /// Whether `op`'s rows are timed by [`paired_ns`], in windows shared
 /// with Dijkstra, so that their ratio is a median over windows: the
-/// point queries.
+/// point queries and the one-to-many family ([`ShapeRows`]). Of the
+/// latter, [`check_against`] gates `knn8` and `range`.
 fn windowed(op: &str) -> bool {
-    matches!(op, "distance" | "path")
+    matches!(
+        op,
+        "distance" | "path" | "o2m_64" | "o2m_1024" | "knn8" | "range"
+    )
 }
 
 /// Options for one `spq bench` invocation.
@@ -566,7 +571,21 @@ fn bench_network(
         _ => None,
     };
 
-    // The gated point-query rows, timed together by `paired_ns`.
+    let shapes = match &ch {
+        Some(ch) => ShapeRows::new(
+            &want,
+            mode,
+            dataset,
+            net,
+            ch,
+            &pairs,
+            seed ^ dataset.paper_vertices,
+        )?,
+        None => None,
+    };
+
+    // The gated rows — point queries and the one-to-many family —
+    // timed together by `paired_ns`.
     let mut rows: Vec<GatedRow> = Vec::new();
     for b in &built {
         let mut session = b.backend.session(net);
@@ -605,6 +624,9 @@ fn bench_network(
             Box::new(|s, t| labels.distance(s, t).unwrap_or(0)),
         ));
     }
+    if let Some(shapes) = &shapes {
+        shapes.push_rows(net, &mut rows);
+    }
     let timed = paired_ns(&pairs, &mut unit, &mut rows);
     for ((backend, op, _), (ns, ratio)) in rows.iter().zip(timed) {
         push(backend, op, pairs.len(), ns, Some(ratio));
@@ -632,16 +654,9 @@ fn bench_network(
         if want("ch", "distances_batch_16") {
             bench_batch_distances(&mut push, net, ch, seed ^ dataset.paper_vertices)?;
         }
-        bench_many_ops(
-            &mut push,
-            &want,
-            mode,
-            dataset,
-            net,
-            ch,
-            &pairs,
-            seed ^ dataset.paper_vertices,
-        )?;
+    }
+    if let Some(shapes) = &shapes {
+        shapes.audit(mode, dataset, net, &pairs)?;
     }
 
     Ok(())
@@ -710,8 +725,9 @@ fn bench_batch_distances(
     Ok(())
 }
 
-/// One-to-many target-set sizes; [`check_o2m_beats_ch`] gates both.
-const O2M_SIZES: [usize; 2] = [64, 1024];
+/// One-to-many rows and their target-set sizes; [`check_o2m_beats_ch`]
+/// gates both.
+const O2M_SIZES: [(&str, usize); 2] = [("o2m_64", 64), ("o2m_1024", 1024)];
 
 /// Required full-mode speedup of one restricted sweep over |T|
 /// independent CH point queries, at both [`O2M_SIZES`] (measured:
@@ -721,166 +737,214 @@ const O2M_FULL_SPEEDUP: f64 = 5.0;
 /// Sources audited against the one-to-all Dijkstra oracle per network.
 const ORACLE_SOURCES: usize = 4;
 
-/// Measures the one-to-many family (restricted sweep, bucket-CH kNN,
-/// network range) through the serving session — the entry points the
-/// server calls — and audits all three for exactness against a plain
-/// one-to-all Dijkstra. A fast-but-wrong kernel must not produce a
-/// report, so any mismatch fails the whole run.
+/// The one-to-many family on one network (restricted sweep, bucket-CH
+/// kNN, network range), measured through the serving session — the
+/// entry points the server calls. Its rows are gated point-query rows
+/// like any other: [`paired_ns`] times each against the Dijkstra
+/// denominator in the same windows. Each row runs on a session of its
+/// own, so one row's memo never evicts another's. [`ShapeRows::audit`]
+/// checks all three against a plain one-to-all Dijkstra; a
+/// fast-but-wrong kernel must not produce a report, so any mismatch
+/// fails the whole run.
 ///
 /// Each `o2m_*` row sends one fixed target list from every source, so
 /// it times the memoised selection (upward search + sweep), the
 /// depot-list case; what a never-seen target set costs on top is in
 /// EXPERIMENTS.md ("Restricted sweeps").
-#[allow(clippy::too_many_arguments)]
-fn bench_many_ops(
-    push: &mut impl FnMut(&str, &str, usize, f64, Option<f64>),
-    want: &impl Fn(&str, &str) -> bool,
-    mode: &str,
-    dataset: &Dataset,
-    net: &RoadNetwork,
-    ch: &Arc<ContractionHierarchy>,
-    pairs: &[(NodeId, NodeId)],
-    seed: u64,
-) -> Result<(), String> {
-    let n = net.num_nodes();
-    let measure_o2m = want("ch", "o2m_64");
-    let measure_knn = want("ch", "knn8");
-    let measure_range = want("ch", "range");
-    if !measure_o2m && !measure_knn && !measure_range {
-        return Ok(());
+struct ShapeRows {
+    backend: ManyBackend,
+    set: PoiSet,
+    /// Range limit at roughly the 10th percentile of one source's
+    /// distance profile: a local neighbourhood, the regime the paper's
+    /// range queries target.
+    limit: Dist,
+    /// The measured `o2m_*` rows: op name and target list.
+    o2m: Vec<(&'static str, Vec<NodeId>)>,
+    knn: bool,
+    range: bool,
+}
+
+impl ShapeRows {
+    /// The fixture for whichever of the family's rows the filters
+    /// select; `None` if they select none.
+    fn new(
+        want: &impl Fn(&str, &str) -> bool,
+        mode: &str,
+        dataset: &Dataset,
+        net: &RoadNetwork,
+        ch: &Arc<ContractionHierarchy>,
+        pairs: &[(NodeId, NodeId)],
+        seed: u64,
+    ) -> Result<Option<ShapeRows>, String> {
+        let n = net.num_nodes();
+        let o2m: Vec<(&'static str, Vec<NodeId>)> = if want("ch", "o2m_64") {
+            O2M_SIZES
+                .iter()
+                .map(|&(op, k)| {
+                    let targets = query_pairs(net, k, seed ^ 0x02e0 ^ k as u64)
+                        .iter()
+                        .map(|&(_, t)| t)
+                        .collect();
+                    (op, targets)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let (knn, range) = (want("ch", "knn8"), want("ch", "range"));
+        if o2m.is_empty() && !knn && !range {
+            return Ok(None);
+        }
+        // POI set for kNN: a deterministic sample, sized so buckets stay
+        // non-trivial on the smoke networks without dominating the full
+        // ones.
+        let poi_count = (n / 16).clamp(1, 256).min(n);
+        let set = PoiSet::sample(net, "bench", poi_count, seed ^ 0x9015)
+            .map_err(|e| format!("{mode}/{}: sample POI set: {e}", dataset.name))?;
+        let index =
+            PoiIndex::build(ch, &set).map_err(|e| format!("{mode}/{}: {e}", dataset.name))?;
+        let pois = PoiTable::empty();
+        pois.install(vec![PoiEntry {
+            set: set.clone(),
+            index,
+        }])?;
+        let limit = {
+            let mut truth = Dijkstra::new(n);
+            truth.run(net, pairs[0].0);
+            let mut ds: Vec<Dist> = (0..n as NodeId).filter_map(|v| truth.distance(v)).collect();
+            ds.sort_unstable();
+            ds.get(ds.len() / 10).copied().unwrap_or(0)
+        };
+        Ok(Some(ShapeRows {
+            backend: ManyBackend::new(Arc::clone(ch), pois),
+            set,
+            limit,
+            o2m,
+            knn,
+            range,
+        }))
     }
 
-    // POI set for kNN: a deterministic sample, sized so buckets stay
-    // non-trivial on the smoke networks without dominating the full
-    // ones.
-    let poi_count = (n / 16).clamp(1, 256).min(n);
-    let set = PoiSet::sample(net, "bench", poi_count, seed ^ 0x9015)
-        .map_err(|e| format!("{mode}/{}: sample POI set: {e}", dataset.name))?;
-    let index = PoiIndex::build(ch, &set).map_err(|e| format!("{mode}/{}: {e}", dataset.name))?;
-    let pois = PoiTable::empty();
-    pois.install(vec![PoiEntry {
-        set: set.clone(),
-        index,
-    }])?;
-    let poi = PoiRef {
-        name: set.name(),
-        nodes: set.nodes(),
-    };
-    let backend = ManyBackend::new(Arc::clone(ch), pois);
-    let mut session = backend.session(net);
-    let mut truth = Dijkstra::new(n);
+    fn poi(&self) -> PoiRef<'_> {
+        PoiRef {
+            name: self.set.name(),
+            nodes: self.set.nodes(),
+        }
+    }
 
-    // Range limit at roughly the 10th percentile of one source's
-    // distance profile: a local neighbourhood, the regime the paper's
-    // range queries target.
-    let limit = {
-        truth.run(net, pairs[0].0);
-        let mut ds: Vec<Dist> = (0..n as NodeId).filter_map(|v| truth.distance(v)).collect();
-        ds.sort_unstable();
-        ds.get(ds.len() / 10).copied().unwrap_or(0)
-    };
-
-    if measure_o2m {
-        let mut dists: Vec<Option<Dist>> = Vec::new();
-        for &k in &O2M_SIZES {
-            let targets: Vec<NodeId> = query_pairs(net, k, seed ^ 0x02e0 ^ k as u64)
-                .iter()
-                .map(|&(_, t)| t)
-                .collect();
-            let op = format!("o2m_{k}");
-            push(
+    /// Appends the selected rows, each a closure over its own session.
+    fn push_rows<'a>(&'a self, net: &'a RoadNetwork, rows: &mut Vec<GatedRow<'a>>) {
+        for (op, targets) in &self.o2m {
+            let mut session = self.backend.session(net);
+            let mut dists: Vec<Option<Dist>> = Vec::new();
+            rows.push((
                 "ch",
-                &op,
-                pairs.len(),
-                median_ns(pairs, |s, _| {
-                    session.one_to_many(s, &targets, &mut dists);
+                op,
+                Box::new(move |s, _| {
+                    session.one_to_many(s, targets, &mut dists);
                     dists
                         .iter()
                         .flatten()
                         .copied()
                         .fold(0u64, u64::wrapping_add)
                 }),
-                None,
-            );
+            ));
         }
-    }
-    let mut out: Vec<(NodeId, Dist)> = Vec::new();
-    if measure_knn {
-        push(
-            "ch",
-            "knn8",
-            pairs.len(),
-            median_ns(pairs, |s, _| {
-                session.knn(s, 8, poi, &mut out);
-                out.iter()
-                    .map(|&(v, d)| u64::from(v).wrapping_add(d))
-                    .fold(0u64, u64::wrapping_add)
-            }),
-            None,
-        );
-    }
-    if measure_range {
-        push(
-            "ch",
-            "range",
-            pairs.len(),
-            median_ns(pairs, |s, _| {
-                session.range(s, limit, &mut out);
-                out.len() as u64
-            }),
-            None,
-        );
+        if self.knn {
+            let (mut session, poi) = (self.backend.session(net), self.poi());
+            let mut out = Vec::new();
+            rows.push((
+                "ch",
+                "knn8",
+                Box::new(move |s, _| {
+                    session.knn(s, 8, poi, &mut out);
+                    out.iter()
+                        .map(|&(v, d)| u64::from(v).wrapping_add(d))
+                        .fold(0u64, u64::wrapping_add)
+                }),
+            ));
+        }
+        if self.range {
+            let (mut session, limit) = (self.backend.session(net), self.limit);
+            let mut out = Vec::new();
+            rows.push((
+                "ch",
+                "range",
+                Box::new(move |s, _| {
+                    session.range(s, limit, &mut out);
+                    out.len() as u64
+                }),
+            ));
+        }
     }
 
-    // Exactness audit: a handful of sources against the one-to-all
-    // oracle, across whichever of the three kernels were measured.
-    let everyone: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut row: Vec<Option<Dist>> = Vec::new();
-    let mut mismatches = 0usize;
-    for &(s, _) in pairs.iter().take(ORACLE_SOURCES) {
-        truth.run(net, s);
-        if measure_o2m {
-            session.one_to_many(s, &everyone, &mut row);
-            mismatches += everyone
-                .iter()
-                .filter(|&&v| row[v as usize] != truth.distance(v))
-                .count();
-        }
-        if measure_knn {
-            let mut expect: Vec<(Dist, NodeId)> = set
-                .nodes()
-                .iter()
-                .filter_map(|&p| truth.distance(p).map(|d| (d, p)))
-                .collect();
-            expect.sort_unstable();
-            expect.truncate(8);
-            session.knn(s, 8, poi, &mut out);
-            let got_kv: Vec<(Dist, NodeId)> = out.iter().map(|&(v, d)| (d, v)).collect();
-            if got_kv != expect {
-                mismatches += 1;
+    /// Exactness audit: a handful of sources against the one-to-all
+    /// oracle, across whichever of the three kernels were measured.
+    fn audit(
+        &self,
+        mode: &str,
+        dataset: &Dataset,
+        net: &RoadNetwork,
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<(), String> {
+        let n = net.num_nodes();
+        let mut session = self.backend.session(net);
+        let mut truth = Dijkstra::new(n);
+        let everyone: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut row: Vec<Option<Dist>> = Vec::new();
+        let mut out: Vec<(NodeId, Dist)> = Vec::new();
+        let mut mismatches = 0usize;
+        for &(s, _) in pairs.iter().take(ORACLE_SOURCES) {
+            truth.run(net, s);
+            if !self.o2m.is_empty() {
+                session.one_to_many(s, &everyone, &mut row);
+                mismatches += everyone
+                    .iter()
+                    .filter(|&&v| row[v as usize] != truth.distance(v))
+                    .count();
+            }
+            if self.knn {
+                let mut expect: Vec<(Dist, NodeId)> = self
+                    .set
+                    .nodes()
+                    .iter()
+                    .filter_map(|&p| truth.distance(p).map(|d| (d, p)))
+                    .collect();
+                expect.sort_unstable();
+                expect.truncate(8);
+                session.knn(s, 8, self.poi(), &mut out);
+                let got_kv: Vec<(Dist, NodeId)> = out.iter().map(|&(v, d)| (d, v)).collect();
+                if got_kv != expect {
+                    mismatches += 1;
+                }
+            }
+            if self.range {
+                let expect: Vec<(NodeId, Dist)> = (0..n as NodeId)
+                    .filter_map(|v| {
+                        truth
+                            .distance(v)
+                            .filter(|&d| d <= self.limit)
+                            .map(|d| (v, d))
+                    })
+                    .collect();
+                session.range(s, self.limit, &mut out);
+                if out != expect {
+                    mismatches += 1;
+                }
             }
         }
-        if measure_range {
-            let expect: Vec<(NodeId, Dist)> = (0..n as NodeId)
-                .filter_map(|v| truth.distance(v).filter(|&d| d <= limit).map(|d| (v, d)))
-                .collect();
-            session.range(s, limit, &mut out);
-            if out != expect {
-                mismatches += 1;
-            }
+        if mismatches > 0 {
+            return Err(format!(
+                "{mode}/{}: o2m/knn/range oracle found {mismatches} mismatch(es) — refusing to report",
+                dataset.name
+            ));
         }
-    }
-    if mismatches > 0 {
-        return Err(format!(
-            "{mode}/{}: o2m/knn/range oracle found {mismatches} mismatch(es) — refusing to report",
+        eprintln!(
+            "[bench {mode}/{}] o2m/knn/range oracle: 0 mismatches over {ORACLE_SOURCES} sources",
             dataset.name
-        ));
+        );
+        Ok(())
     }
-    eprintln!(
-        "[bench {mode}/{}] o2m/knn/range oracle: 0 mismatches over {ORACLE_SOURCES} sources",
-        dataset.name
-    );
-    Ok(())
 }
 
 /// Runs the harness: builds each mode's networks, measures every
@@ -1189,15 +1253,14 @@ pub fn check_against(current: &[Entry], baseline: &Path, tolerance: f64) -> Resu
         if b.backend == "dijkstra" && b.op == "distance" {
             continue; // the normalisation unit compares as 1.0 by construction
         }
-        if matches!(
-            op_family(&b.op),
-            "o2m" | "knn" | "range" | "distances_batch"
-        ) {
-            // Batch-shape medians normalised against a *point*-query
-            // unit don't track runner drift at smoke scale; these rows
-            // are gated structurally instead (the sweep must beat its
-            // point-query decomposition within the same run), so only
-            // their presence is enforced here.
+        if matches!(op_family(&b.op), "o2m" | "distances_batch") {
+            // Gated structurally instead (the sweep and the batch must
+            // beat their point-query decomposition within the same run),
+            // so only their presence is enforced here. Batch-table
+            // medians, timed apart from the Dijkstra unit, don't track
+            // runner drift at smoke scale; the `o2m_*` ratios are
+            // windowed but move by up to a third from one process to
+            // the next, whatever the windows agree on.
             continue;
         }
         compared += 1;
@@ -1386,6 +1449,30 @@ mod tests {
         let err = check_against(&cur, &f.0, 0.25).unwrap_err();
         assert!(err.contains("hl distance"), "{err}");
         assert!(!err.contains("m2m"), "{err}");
+    }
+
+    /// The kNN and range rows are gated like the point queries; the
+    /// one-to-many rows only have to be present.
+    #[test]
+    fn check_gates_knn_and_range_but_not_o2m() {
+        let base = vec![
+            gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
+            gated("smoke", "DE", "ch", "range", 4_000.0, 0.4),
+            gated("smoke", "DE", "ch", "knn8", 2_000.0, 0.2),
+            gated("smoke", "DE", "ch", "o2m_64", 5_000.0, 0.5),
+        ];
+        let f = write_baseline(&base);
+        let mut cur = base.clone();
+        cur[3] = gated("smoke", "DE", "ch", "o2m_64", 10_000.0, 1.0);
+        check_against(&cur, &f.0, 0.25).unwrap();
+        cur[1] = gated("smoke", "DE", "ch", "range", 6_000.0, 0.6);
+        cur[2] = gated("smoke", "DE", "ch", "knn8", 3_000.0, 0.3);
+        let err = check_against(&cur, &f.0, 0.25).unwrap_err();
+        assert!(err.contains("ch range") && err.contains("ch knn8"), "{err}");
+        assert!(!err.contains("o2m"), "{err}");
+        assert!(check_against(&cur[..3], &f.0, 0.25)
+            .unwrap_err()
+            .contains("o2m_64: present in baseline but missing"));
     }
 
     #[test]
