@@ -2,12 +2,15 @@
 //!
 //! Bidirectional Dijkstra needs no preprocessing, so the backend is a
 //! unit struct; each session owns one [`BiDijkstra`] workspace sized for
-//! the network, reused across every query the worker serves.
+//! the network, reused across every query the worker serves, and
+//! creates its one-to-all [`Dijkstra`] and its range [`Ball`] on first
+//! use.
 
 use spq_graph::backend::{Backend, QueryBudget, Session};
 use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
 
+use crate::ball::Ball;
 use crate::bidirectional::BiDijkstra;
 use crate::onetoall::{Dijkstra, SearchScope};
 
@@ -15,13 +18,16 @@ use crate::onetoall::{Dijkstra, SearchScope};
 pub struct Baseline;
 
 /// Per-thread baseline workspace: the search state plus the network.
-/// The one-to-all workspace is created lazily — point-to-point-only
-/// workers never pay for it.
+/// The one-to-all workspace is created lazily and the range workspace
+/// allocates on its first search — point-to-point-only workers never
+/// pay for either.
 pub struct BaselineSession<'a> {
     net: &'a RoadNetwork,
     search: BiDijkstra,
     oneall: Option<Dijkstra>,
-    /// The budget the one-to-all searches charge, re-armed by each.
+    ball: Ball,
+    /// The budget the one-to-all searches and ranges charge, re-armed
+    /// by each.
     budget: QueryBudget,
 }
 
@@ -35,6 +41,7 @@ impl Backend for Baseline {
             net,
             search: BiDijkstra::new(net.num_nodes()),
             oneall: None,
+            ball: Ball::new(),
             budget: QueryBudget::unlimited(),
         })
     }
@@ -77,13 +84,10 @@ impl Session for BaselineSession<'_> {
         out.extend(targets.iter().map(|&t| d.distance(t)));
     }
 
-    /// Truncated one-to-all search: the textbook range oracle.
+    /// The bounded search of [`Ball::range`].
     fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        let d = self
-            .oneall
-            .get_or_insert_with(|| Dijkstra::new(self.net.num_nodes()));
         self.budget.reset();
-        d.range(self.net, s, limit, &mut self.budget, out);
+        self.ball.range(self.net, s, limit, &mut self.budget, out);
         true
     }
 

@@ -5,6 +5,8 @@
 //! inside SILC's and PCPD's preprocessing and TNR's access-node
 //! computation. Both searches here keep their state in reusable,
 //! version-stamped workspaces so repeated queries allocate nothing.
+//! [`Ball`] serves the network range query of every backend from a
+//! bounded search with no stamps, parents or first hops.
 //!
 //! # Example
 //!
@@ -22,10 +24,12 @@
 //! ```
 
 pub mod backend;
+pub mod ball;
 pub mod bidirectional;
 pub mod onetoall;
 
 pub use backend::Baseline;
+pub use ball::Ball;
 pub use bidirectional::BiDijkstra;
 pub use onetoall::{Dijkstra, SearchScope};
 

@@ -1,6 +1,8 @@
-//! Reusable one-to-all / one-to-many Dijkstra search.
+//! Reusable one-to-all / one-to-many Dijkstra search: the canonical
+//! shortest-path tree (parents, first hops) that SILC, PCPD, TNR and
+//! the oracles read. A network range needs distances only and is
+//! served by the leaner [`Ball`](crate::Ball).
 
-use spq_graph::backend::QueryBudget;
 use spq_graph::geo::Rect;
 use spq_graph::heap::IndexedHeap;
 use spq_graph::types::{Dist, NodeId, INFINITY, INVALID_NODE};
@@ -114,39 +116,6 @@ impl Dijkstra {
             }
         });
         sorted.len() - remaining
-    }
-
-    /// Network range query — the one range search every backend
-    /// serves: fills `out` with every `(v, dist(source, v))` within
-    /// `limit`, ascending by vertex id. The search charges `budget` once
-    /// per settled vertex and stops at the first settled distance above
-    /// `limit`; the ball is collected as it settles, so the answer costs
-    /// the ball, not `n`. Returns `false` (with `out` cleared) if the
-    /// budget tripped.
-    pub fn range(
-        &mut self,
-        net: &RoadNetwork,
-        source: NodeId,
-        limit: Dist,
-        budget: &mut QueryBudget,
-        out: &mut Vec<(NodeId, Dist)>,
-    ) -> bool {
-        out.clear();
-        let mut ok = true;
-        self.run_scoped(net, source, SearchScope::Full, |v, d| {
-            ok = budget.charge();
-            if !ok || d > limit {
-                return true;
-            }
-            out.push((v, d));
-            false
-        });
-        if !ok {
-            out.clear();
-            return false;
-        }
-        out.sort_unstable_by_key(|&(v, _)| v);
-        true
     }
 
     /// Core loop: settles vertices in distance order, stopping early when
@@ -313,7 +282,7 @@ impl Dijkstra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spq_graph::toy::{figure1, grid_graph, path_graph};
+    use spq_graph::toy::{figure1, path_graph};
 
     #[test]
     fn distances_on_figure1() {
@@ -377,70 +346,6 @@ mod tests {
         assert_eq!(reached, 3); // dedup: {3, 5, 7}
         assert!(d.is_settled(7));
         assert!(!d.is_settled(15));
-    }
-
-    /// The ball of a full run, cut at `limit`, in id order.
-    fn truncated(d: &mut Dijkstra, g: &RoadNetwork, s: NodeId, limit: Dist) -> Vec<(NodeId, Dist)> {
-        d.run(g, s);
-        (0..g.num_nodes() as NodeId)
-            .filter_map(|v| d.distance(v).filter(|&x| x <= limit).map(|x| (v, x)))
-            .collect()
-    }
-
-    #[test]
-    fn range_matches_truncated_dijkstra() {
-        let g = grid_graph(8, 8);
-        let mut d = Dijkstra::new(g.num_nodes());
-        let mut oracle = Dijkstra::new(g.num_nodes());
-        for (s, limit) in [
-            (0u32, 0u64),
-            (0, 3),
-            (27, 5),
-            (63, 1_000_000),
-            (9, u64::MAX),
-        ] {
-            let mut got = vec![(0, 0)];
-            let mut budget = QueryBudget::unlimited();
-            assert!(d.range(&g, s, limit, &mut budget, &mut got));
-            assert_eq!(
-                got,
-                truncated(&mut oracle, &g, s, limit),
-                "source {s} limit {limit}"
-            );
-        }
-    }
-
-    /// Trips the budget after every possible number of charges: the
-    /// answer is cleared, and the next range on the workspace is exact.
-    #[test]
-    fn range_budget_trip_anywhere_clears_out() {
-        let g = grid_graph(10, 10);
-        let mut d = Dijkstra::new(g.num_nodes());
-        let mut oracle = Dijkstra::new(g.num_nodes());
-        let expect = truncated(&mut oracle, &g, 20, 4);
-        let mut ball = Vec::new();
-        let mut cap = 0;
-        loop {
-            let mut budget = QueryBudget::unlimited().with_node_cap(cap);
-            if d.range(&g, 20, 4, &mut budget, &mut ball) {
-                break;
-            }
-            assert!(budget.exhausted());
-            assert!(
-                ball.is_empty(),
-                "cap {cap}: interrupted range leaked entries"
-            );
-            let mut fresh = QueryBudget::unlimited();
-            assert!(d.range(&g, 99, 3, &mut fresh, &mut ball));
-            assert_eq!(ball, truncated(&mut oracle, &g, 99, 3), "after cap {cap}");
-            cap += 1;
-        }
-        assert_eq!(
-            cap as usize,
-            expect.len() + 1,
-            "one charge per settled vertex"
-        );
-        assert_eq!(ball, expect);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! capability natively — point-to-point through `ChQuery`, one-to-many
 //! and tables with a short side through restricted sweeps, wide tables
 //! through the multi-source batch kernel, kNN through registered POI
-//! buckets, and range through the bounded Dijkstra the baseline serves
-//! it with ([`Dijkstra::range`]): a ball has no target set to select in
+//! buckets, and range through the bounded search the baseline serves
+//! it with ([`Ball::range`]): a ball has no target set to select in
 //! advance, and the plain search over the network costs the ball.
 //!
 //! The hierarchy is held behind an `Arc` so the serving engine can keep
@@ -17,7 +17,7 @@
 use std::sync::{Arc, OnceLock};
 
 use spq_ch::{BatchDistances, ChQuery, ContractionHierarchy};
-use spq_dijkstra::Dijkstra;
+use spq_dijkstra::Ball;
 use spq_graph::backend::{Backend, PoiRef, QueryBudget, Session};
 use spq_graph::types::{Dist, NodeId, INFINITY};
 use spq_graph::RoadNetwork;
@@ -122,7 +122,7 @@ impl Backend for ManyBackend {
             o2m: None,
             flipped: Vec::new(),
             knn_ws: KnnWorkspace::new(),
-            range: None,
+            ball: Ball::new(),
             range_budget: QueryBudget::unlimited(),
             budget: QueryBudget::unlimited(),
         })
@@ -148,7 +148,7 @@ pub struct ManySession<'a> {
     /// A swept table before it is transposed into the caller's layout.
     flipped: Vec<Option<Dist>>,
     knn_ws: KnnWorkspace,
-    range: Option<Dijkstra>,
+    ball: Ball,
     /// The budget range charges, re-armed by each range.
     range_budget: QueryBudget,
     budget: QueryBudget,
@@ -270,11 +270,9 @@ impl Session for ManySession<'_> {
     }
 
     fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        let d = self
-            .range
-            .get_or_insert_with(|| Dijkstra::new(self.net.num_nodes()));
         self.range_budget.reset();
-        d.range(self.net, s, limit, &mut self.range_budget, out);
+        self.ball
+            .range(self.net, s, limit, &mut self.range_budget, out);
         true
     }
 
@@ -303,6 +301,7 @@ impl Session for ManySession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spq_dijkstra::Dijkstra;
     use spq_graph::toy::grid_graph;
 
     fn backend_with_pois(g: &RoadNetwork) -> (ManyBackend, PoiSet) {

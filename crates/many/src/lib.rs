@@ -17,9 +17,9 @@
 //!   search that stops as soon as the k-th best is beaten.
 //! * Network range ("all vertices within `d` of `s`") is not a
 //!   hierarchy query: a ball has no target set to select in advance,
-//!   and a bounded Dijkstra over the network
-//!   ([`Dijkstra::range`](spq_dijkstra::Dijkstra::range)) already costs
-//!   the ball. [`ManySession`] answers it with the same function as the
+//!   and a bounded search over the network
+//!   ([`Ball::range`](spq_dijkstra::Ball::range)) already costs the
+//!   ball. [`ManySession`] answers it with the same function as the
 //!   index-free baseline.
 //!
 //! Every upward search here is `spq_ch`'s one

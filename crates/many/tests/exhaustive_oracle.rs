@@ -5,17 +5,18 @@
 //! the heuristic and the identity order, against all-pairs Dijkstra:
 //!
 //! - `OneToMany::table` from every source to every vertex;
-//! - `ManySession::range` (the serving session's range) from every
-//!   source at every distinct radius (a distance some vertex has from
-//!   the source) and one below it;
+//! - `ManySession::range` and `BaselineSession::range` (the CH and the
+//!   Dijkstra serving sessions' range, one `spq_dijkstra::Ball` each)
+//!   from every source at every distinct radius (a distance some vertex
+//!   has from the source) and one below it;
 //! - `PoiIndex::knn` from every source over every non-empty POI subset
 //!   and every k from 0 to one past the subset's size, ties ordered by
 //!   `(distance, vertex)`.
 //!
 //! One `OneToMany` and one kNN workspace answer every table and kNN
 //! query of a hierarchy, the kNN queries on the `OneToMany`'s own upward
-//! search as a serving session runs them, and one session every range,
-//! so state one query leaves behind is in the way of the next.
+//! search as a serving session runs them, and one session of each kind
+//! every range, so state one query leaves behind is in the way of the next.
 //!
 //! The tier-1 test covers n ≤ 4; the ignored one adds n = 5 (55 248
 //! weighted graphs) and runs as a CI step in release.
@@ -23,7 +24,7 @@
 use std::sync::Arc;
 
 use spq_ch::ContractionHierarchy;
-use spq_dijkstra::Dijkstra;
+use spq_dijkstra::{Baseline, Dijkstra};
 use spq_graph::arbitrary::every_small_graph;
 use spq_graph::backend::Backend;
 use spq_graph::par;
@@ -61,6 +62,7 @@ fn check_hierarchy(g: &RoadNetwork, ch: ContractionHierarchy, rows: &[Vec<Dist>]
     let backend = ManyBackend::new(Arc::new(ch), PoiTable::empty());
     let ch = &**backend.hierarchy();
     let mut session = backend.session(g);
+    let mut baseline = Baseline.session(g);
     let mut o2m = OneToMany::new(ch);
     let mut out = Vec::new();
     let mut ball = Vec::new();
@@ -75,13 +77,15 @@ fn check_hierarchy(g: &RoadNetwork, ch: ContractionHierarchy, rows: &[Vec<Dist>]
         radii.sort_unstable();
         radii.dedup();
         for limit in radii {
-            assert!(session.range(s, limit, &mut ball));
-            assert!(!session.interrupted());
             let expect: Vec<(NodeId, Dist)> = (0..n)
                 .map(|v| (v, row[v as usize]))
                 .filter(|&(_, d)| d <= limit)
                 .collect();
-            assert_eq!(ball, expect, "range({s}, {limit}): {case}");
+            for (name, session) in [("CH", &mut session), ("Dijkstra", &mut baseline)] {
+                assert!(session.range(s, limit, &mut ball));
+                assert!(!session.interrupted());
+                assert_eq!(ball, expect, "{name} range({s}, {limit}): {case}");
+            }
         }
     }
 
