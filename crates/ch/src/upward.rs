@@ -283,21 +283,22 @@ mod tests {
         assert_eq!(search.heap.len(), 0);
     }
 
-    /// A small road network on which the upward search stalls (a
-    /// grid of equal weights gives it nothing to stall).
+    /// A small road network on which the upward search stalls (the
+    /// grids of equal weights beside it give it nothing to stall).
     fn road() -> RoadNetwork {
         spq_synth::generate(&spq_synth::SynthParams::with_target_vertices(300, 5))
     }
 
     #[test]
     fn exhaustive_searches_hold_to_the_textbook_from_every_root() {
-        let g = road();
-        let ch = ContractionHierarchy::build(&g);
-        let sg = ch.search_graph();
-        let mut search = UpwardSearch::new(sg);
-        for root in 0..sg.num_nodes() as u32 {
-            let got = space(&mut search, root);
-            check_against_textbook(&search, root, &got);
+        for g in [grid_graph(7, 6), road()] {
+            let ch = ContractionHierarchy::build(&g);
+            let sg = ch.search_graph();
+            let mut search = UpwardSearch::new(sg);
+            for root in 0..sg.num_nodes() as u32 {
+                let got = space(&mut search, root);
+                check_against_textbook(&search, root, &got);
+            }
         }
     }
 
@@ -378,19 +379,20 @@ mod tests {
     /// distance.
     #[test]
     fn visitors_see_final_distances_in_settle_order() {
-        let g = road();
-        let ch = ContractionHierarchy::build(&g);
-        let sg = ch.search_graph();
-        let mut search = UpwardSearch::new(sg);
-        let mut seen = Vec::new();
-        search.run(0, |u, d| {
-            seen.push((u, d));
-            Visit::Expand(INFINITY)
-        });
-        assert!(seen.windows(2).all(|w| w[0].1 <= w[1].1));
-        seen.sort_unstable();
-        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "seen once");
-        check_against_textbook(&search, 0, &seen);
+        for g in [grid_graph(6, 5), road()] {
+            let ch = ContractionHierarchy::build(&g);
+            let sg = ch.search_graph();
+            let mut search = UpwardSearch::new(sg);
+            let mut seen = Vec::new();
+            search.run(0, |u, d| {
+                seen.push((u, d));
+                Visit::Expand(INFINITY)
+            });
+            assert!(seen.windows(2).all(|w| w[0].1 <= w[1].1));
+            seen.sort_unstable();
+            assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "seen once");
+            check_against_textbook(&search, 0, &seen);
+        }
     }
 
     /// A search stopped at every possible point — by its visitor, as a
@@ -399,33 +401,34 @@ mod tests {
     /// behind.
     #[test]
     fn a_cut_search_leaves_the_next_one_exact() {
-        let g = road();
-        let ch = ContractionHierarchy::build(&g);
-        let sg = ch.search_graph();
-        let n = sg.num_nodes() as u32;
-        let mut search = UpwardSearch::new(sg);
-        for root in [0, n / 2, n - 1, 17] {
-            let settles = space(&mut search, root).len();
-            for cut in 0..=settles {
-                let mut seen = 0;
-                search.run(root, |_, _| {
-                    seen += 1;
-                    if seen > cut {
-                        Visit::Stop
-                    } else {
-                        Visit::Expand(INFINITY)
-                    }
-                });
-                let next = (root * 7 + cut as u32) % n;
-                let mut fresh = UpwardSearch::new(sg);
-                let got = space(&mut search, next);
-                assert_eq!(got, space(&mut fresh, next));
-                check_against_textbook(&search, next, &got);
-                assert_eq!(
-                    labelled(&search),
-                    labelled(&fresh),
-                    "root {root} cut {cut}: a stale label survived"
-                );
+        for g in [grid_graph(9, 8), road()] {
+            let ch = ContractionHierarchy::build(&g);
+            let sg = ch.search_graph();
+            let n = sg.num_nodes() as u32;
+            let mut search = UpwardSearch::new(sg);
+            for root in [0, n / 2, n - 1, 17] {
+                let settles = space(&mut search, root).len();
+                for cut in 0..=settles {
+                    let mut seen = 0;
+                    search.run(root, |_, _| {
+                        seen += 1;
+                        if seen > cut {
+                            Visit::Stop
+                        } else {
+                            Visit::Expand(INFINITY)
+                        }
+                    });
+                    let next = (root * 7 + cut as u32) % n;
+                    let mut fresh = UpwardSearch::new(sg);
+                    let got = space(&mut search, next);
+                    assert_eq!(got, space(&mut fresh, next));
+                    check_against_textbook(&search, next, &got);
+                    assert_eq!(
+                        labelled(&search),
+                        labelled(&fresh),
+                        "root {root} cut {cut}: a stale label survived"
+                    );
+                }
             }
         }
     }

@@ -26,7 +26,7 @@ use spq_graph::RoadNetwork;
 
 /// A reusable range-query workspace (module docs). One per worker
 /// thread.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Ball {
     /// `!dist` per vertex, 0 where not reached; empty until the first
     /// search.
