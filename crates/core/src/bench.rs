@@ -8,7 +8,7 @@
 //! a JSON report with one entry per line:
 //!
 //! ```text
-//! {"mode":"smoke","network":"DE","vertices":122,"backend":"ch","op":"distance","queries":512,"median_ns":850.2,"ratio":0.2284},
+//! {"mode":"smoke","network":"DE","vertices":122,"backend":"ch","op":"distance","queries":512,"median_ns":850.2,"ratio":0.228400},
 //! ```
 //!
 //! Two modes live in one file: `full` (Table-1 proxies at 1/40 scale,
@@ -21,8 +21,9 @@
 //! of the same run's bidirectional-Dijkstra distance query on the same
 //! network, so it tolerates absolute machine-speed differences between
 //! the baseline host and the CI runner. Every point-query row, and every
-//! one-to-many, kNN and range row (of which the gate compares kNN and
-//! range), is timed *interleaved* with Dijkstra, in the same windows (`paired_ns`), so
+//! one-to-many, kNN, range and many-to-many row (of which the gate
+//! compares `o2m_set`, kNN and range), is timed *interleaved* with
+//! Dijkstra, in the same windows (`paired_ns`), so
 //! both sides of a ratio see the same machine; the ratio is the median
 //! over windows, and windows that lost the CPU are left out. The
 //! trade-off: a regression confined to the baseline itself shifts every
@@ -94,9 +95,6 @@ const SPAN: Duration = Duration::from_secs(3);
 /// Many-to-many table side (sources × targets per `table` call).
 const M2M_SIDE: usize = 24;
 
-/// Repetitions of the many-to-many table, median taken across them.
-const M2M_REPS: usize = 9;
-
 /// Batched-distances table sizes (total entries); each is measured as
 /// a square `√K × √K` table, the shape the serving path's DISTANCES
 /// op produces. Per-entry ns is the reported median, so the row is
@@ -111,25 +109,6 @@ const BATCH_REPS: usize = 9;
 /// smoke proxies a plain win suffices: at 1/400 scale one upward
 /// sweep has almost nothing to amortise.
 const BATCH_FULL_SPEEDUP: f64 = 2.0;
-
-/// Medians below this are excluded from the regression gate, unless
-/// the row's ratio is windowed ([`windowed`]): a single-pass median in
-/// the tens of nanoseconds (the smoke `ch m2m` cells, per table entry)
-/// is dominated by timer granularity and branch-predictor state. A
-/// windowed row runs over the whole pair set in every window, so even a
-/// 100 ns row fills a window of 100 µs and its ratio holds still.
-const NOISE_FLOOR_NS: f64 = 500.0;
-
-/// Whether `op`'s rows are timed by [`paired_ns`], in windows shared
-/// with Dijkstra, so that their ratio is a median over windows: the
-/// point queries and the one-to-many family ([`ShapeRows`]). Of the
-/// latter, [`check_against`] gates `knn8` and `range`.
-fn windowed(op: &str) -> bool {
-    matches!(
-        op,
-        "distance" | "path" | "o2m_64" | "o2m_1024" | "knn8" | "range"
-    )
-}
 
 /// Options for one `spq bench` invocation.
 #[derive(Debug, Clone)]
@@ -218,9 +197,11 @@ pub struct Entry {
     /// Median nanoseconds per query.
     pub median_ns: f64,
     /// Cost in units of the same run's Dijkstra distance query on the
-    /// same network: for the point-query rows the median over
-    /// `paired_ns`'s windows, for the rest `median_ns` over the
-    /// Dijkstra row's. What [`check_against`] compares.
+    /// same network: for the rows timed by `paired_ns` the median over
+    /// its windows, for the batch rows `median_ns` over the Dijkstra
+    /// row's. Written to six decimals, since a many-to-many entry costs
+    /// under a thousandth of a full-mode Dijkstra query. What
+    /// [`check_against`] compares.
     pub ratio: f64,
 }
 
@@ -237,7 +218,7 @@ impl Entry {
 
     fn to_json_line(&self) -> String {
         format!(
-            "{{\"mode\":\"{}\",\"network\":\"{}\",\"vertices\":{},\"backend\":\"{}\",\"op\":\"{}\",\"queries\":{},\"median_ns\":{:.1},\"ratio\":{:.4}}}",
+            "{{\"mode\":\"{}\",\"network\":\"{}\",\"vertices\":{},\"backend\":\"{}\",\"op\":\"{}\",\"queries\":{},\"median_ns\":{:.1},\"ratio\":{:.6}}}",
             self.mode,
             self.network,
             self.vertices,
@@ -627,30 +608,42 @@ fn bench_network(
     if let Some(shapes) = &shapes {
         shapes.push_rows(net, &mut rows);
     }
+    // The bucket many-to-many: one fixed `side × side` table per call,
+    // whatever the pair; its row reports the cost per table entry.
+    let side = M2M_SIDE.min(n);
+    if let Some(ch) = ch.as_deref().filter(|_| want("ch", "m2m")) {
+        let sources: Vec<NodeId> = pairs.iter().take(side).map(|&(s, _)| s).collect();
+        let targets: Vec<NodeId> = pairs.iter().take(side).map(|&(_, t)| t).collect();
+        let mut m2m = ManyToMany::new(ch);
+        rows.push((
+            "ch",
+            "m2m",
+            Box::new(move |_, _| {
+                m2m.table(&sources, &targets)
+                    .iter()
+                    .copied()
+                    .fold(0u64, u64::wrapping_add)
+            }),
+        ));
+    }
     let timed = paired_ns(&pairs, &mut unit, &mut rows);
     for ((backend, op, _), (ns, ratio)) in rows.iter().zip(timed) {
-        push(backend, op, pairs.len(), ns, Some(ratio));
+        if *op == "m2m" {
+            let cells = side * side;
+            push(
+                backend,
+                op,
+                cells,
+                ns / cells as f64,
+                Some(ratio / cells as f64),
+            );
+        } else {
+            push(backend, op, pairs.len(), ns, Some(ratio));
+        }
     }
     drop(rows);
 
     if let Some(ch) = &ch {
-        if want("ch", "m2m") {
-            let side = M2M_SIDE.min(n);
-            let sources: Vec<NodeId> = pairs.iter().take(side).map(|&(s, _)| s).collect();
-            let targets: Vec<NodeId> = pairs.iter().take(side).map(|&(_, t)| t).collect();
-            let mut m2m = ManyToMany::new(ch);
-            let mut sink = 0u64;
-            let mut reps: Vec<f64> = Vec::with_capacity(M2M_REPS);
-            sink = sink.wrapping_add(m2m.table(&sources, &targets).len() as u64); // warm-up
-            for _ in 0..M2M_REPS {
-                let t0 = Instant::now();
-                let table = m2m.table(&sources, &targets);
-                reps.push(t0.elapsed().as_nanos() as f64 / table.len() as f64);
-                sink = sink.wrapping_add(table.iter().copied().fold(0u64, u64::wrapping_add));
-            }
-            std::hint::black_box(sink);
-            push("ch", "m2m", side * side, median(&mut reps), None);
-        }
         if want("ch", "distances_batch_16") {
             bench_batch_distances(&mut push, net, ch, seed ^ dataset.paper_vertices)?;
         }
@@ -729,6 +722,11 @@ fn bench_batch_distances(
 /// gates both.
 const O2M_SIZES: [(&str, usize); 2] = [("o2m_64", 64), ("o2m_1024", 1024)];
 
+/// Whether `op` is one of the restricted-sweep rows ([`O2M_SIZES`]).
+fn is_sweep_row(op: &str) -> bool {
+    O2M_SIZES.iter().any(|&(name, _)| name == op)
+}
+
 /// Required full-mode speedup of one restricted sweep over |T|
 /// independent CH point queries, at both [`O2M_SIZES`] (measured:
 /// 20–50x at 64, 100x and more at 1024).
@@ -737,20 +735,22 @@ const O2M_FULL_SPEEDUP: f64 = 5.0;
 /// Sources audited against the one-to-all Dijkstra oracle per network.
 const ORACLE_SOURCES: usize = 4;
 
-/// The one-to-many family on one network (restricted sweep, bucket-CH
-/// kNN, network range), measured through the serving session — the
-/// entry points the server calls. Its rows are gated point-query rows
-/// like any other: [`paired_ns`] times each against the Dijkstra
-/// denominator in the same windows. Each row runs on a session of its
-/// own, so one row's memo never evicts another's. [`ShapeRows::audit`]
-/// checks all three against a plain one-to-all Dijkstra; a
-/// fast-but-wrong kernel must not produce a report, so any mismatch
-/// fails the whole run.
+/// The one-to-many family on one network (restricted sweep, a row
+/// against a whole registered POI set, bucket-CH kNN, network range),
+/// measured through the serving session — the entry points the server
+/// calls. Its rows are gated point-query rows like any other:
+/// [`paired_ns`] times each against the Dijkstra denominator in the
+/// same windows. Each row runs on a session of its own, so one row's
+/// memo never evicts another's. [`ShapeRows::audit`] checks every
+/// kernel against a plain one-to-all Dijkstra; a fast-but-wrong kernel
+/// must not produce a report, so any mismatch fails the whole run.
 ///
 /// Each `o2m_*` row sends one fixed target list from every source, so
 /// it times the memoised selection (upward search + sweep), the
 /// depot-list case; what a never-seen target set costs on top is in
-/// EXPERIMENTS.md ("Restricted sweeps").
+/// EXPERIMENTS.md ("Restricted sweeps"). `o2m_set` sends the registered
+/// set's own vertex list, which the session answers from the set's
+/// kNN buckets.
 struct ShapeRows {
     backend: ManyBackend,
     set: PoiSet,
@@ -760,6 +760,7 @@ struct ShapeRows {
     limit: Dist,
     /// The measured `o2m_*` rows: op name and target list.
     o2m: Vec<(&'static str, Vec<NodeId>)>,
+    o2m_set: bool,
     knn: bool,
     range: bool,
 }
@@ -791,13 +792,14 @@ impl ShapeRows {
         } else {
             Vec::new()
         };
+        let o2m_set = want("ch", "o2m_set");
         let (knn, range) = (want("ch", "knn8"), want("ch", "range"));
-        if o2m.is_empty() && !knn && !range {
+        if o2m.is_empty() && !o2m_set && !knn && !range {
             return Ok(None);
         }
-        // POI set for kNN: a deterministic sample, sized so buckets stay
-        // non-trivial on the smoke networks without dominating the full
-        // ones.
+        // POI set for kNN and `o2m_set`: a deterministic sample, sized
+        // so buckets stay non-trivial on the smoke networks without
+        // dominating the full ones.
         let poi_count = (n / 16).clamp(1, 256).min(n);
         let set = PoiSet::sample(net, "bench", poi_count, seed ^ 0x9015)
             .map_err(|e| format!("{mode}/{}: sample POI set: {e}", dataset.name))?;
@@ -820,6 +822,7 @@ impl ShapeRows {
             set,
             limit,
             o2m,
+            o2m_set,
             knn,
             range,
         }))
@@ -834,7 +837,9 @@ impl ShapeRows {
 
     /// Appends the selected rows, each a closure over its own session.
     fn push_rows<'a>(&'a self, net: &'a RoadNetwork, rows: &mut Vec<GatedRow<'a>>) {
-        for (op, targets) in &self.o2m {
+        let set_row = self.o2m_set.then_some(("o2m_set", self.set.nodes()));
+        let lists = self.o2m.iter().map(|(op, targets)| (*op, &targets[..]));
+        for (op, targets) in lists.chain(set_row) {
             let mut session = self.backend.session(net);
             let mut dists: Vec<Option<Dist>> = Vec::new();
             rows.push((
@@ -903,6 +908,16 @@ impl ShapeRows {
                     .filter(|&&v| row[v as usize] != truth.distance(v))
                     .count();
             }
+            if self.o2m_set {
+                session.one_to_many(s, self.set.nodes(), &mut row);
+                mismatches += self
+                    .set
+                    .nodes()
+                    .iter()
+                    .zip(&row)
+                    .filter(|&(&p, &d)| d != truth.distance(p))
+                    .count();
+            }
             if self.knn {
                 let mut expect: Vec<(Dist, NodeId)> = self
                     .set
@@ -935,12 +950,12 @@ impl ShapeRows {
         }
         if mismatches > 0 {
             return Err(format!(
-                "{mode}/{}: o2m/knn/range oracle found {mismatches} mismatch(es) — refusing to report",
+                "{mode}/{}: o2m/o2m_set/knn/range oracle found {mismatches} mismatch(es) — refusing to report",
                 dataset.name
             ));
         }
         eprintln!(
-            "[bench {mode}/{}] o2m/knn/range oracle: 0 mismatches over {ORACLE_SOURCES} sources",
+            "[bench {mode}/{}] o2m/o2m_set/knn/range oracle: 0 mismatches over {ORACLE_SOURCES} sources",
             dataset.name
         );
         Ok(())
@@ -1034,7 +1049,7 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<Entry>, String> {
     if has_ch_distance && entries.iter().any(|e| e.backend == "hl") {
         check_hl_beats_ch(&entries)?;
     }
-    if has_ch_distance && entries.iter().any(|e| e.op.starts_with("o2m_")) {
+    if has_ch_distance && entries.iter().any(|e| is_sweep_row(&e.op)) {
         check_o2m_beats_ch(&entries)?;
     }
     if has_ch_distance && entries.iter().any(|e| e.op.starts_with("distances_batch_")) {
@@ -1114,7 +1129,7 @@ pub fn check_o2m_beats_ch(entries: &[Entry]) -> Result<(), String> {
     let mut checked = 0usize;
     for e in entries
         .iter()
-        .filter(|e| e.backend == "ch" && e.op.starts_with("o2m_"))
+        .filter(|e| e.backend == "ch" && is_sweep_row(&e.op))
     {
         let k: f64 = e.op["o2m_".len()..]
             .parse()
@@ -1223,10 +1238,9 @@ pub fn check_batch_beats_pointwise(entries: &[Entry]) -> Result<(), String> {
 /// distance query on the same network) exceeds the baseline's by more
 /// than `tolerance`. Baseline entries missing from the current run
 /// (for the modes that ran) also fail — a backend silently dropping out
-/// of the bench must not pass the gate. Cells of a row without a
-/// windowed ratio whose median is under [`NOISE_FLOOR_NS`] on either
-/// side are reported but not gated; they still fail when missing
-/// entirely.
+/// of the bench must not pass the gate. Every gated row's ratio is a
+/// median over [`paired_ns`] windows, so a row is gated however fast it
+/// is.
 pub fn check_against(current: &[Entry], baseline: &Path, tolerance: f64) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline)
         .map_err(|e| format!("read baseline {}: {e}", baseline.display()))?;
@@ -1241,7 +1255,6 @@ pub fn check_against(current: &[Entry], baseline: &Path, tolerance: f64) -> Resu
 
     let mut failures = Vec::new();
     let mut compared = 0usize;
-    let mut floored = 0usize;
     for b in base.iter().filter(|b| modes_run.contains(&b.mode)) {
         let Some(c) = current.iter().find(|c| c.key() == b.key()) else {
             failures.push(format!(
@@ -1253,29 +1266,22 @@ pub fn check_against(current: &[Entry], baseline: &Path, tolerance: f64) -> Resu
         if b.backend == "dijkstra" && b.op == "distance" {
             continue; // the normalisation unit compares as 1.0 by construction
         }
-        if matches!(op_family(&b.op), "o2m" | "distances_batch") {
-            // Gated structurally instead (the sweep and the batch must
-            // beat their point-query decomposition within the same run),
-            // so only their presence is enforced here. Batch-table
+        if is_sweep_row(&b.op) || b.op == "m2m" || op_family(&b.op) == "distances_batch" {
+            // Only their presence is enforced here. The sweep and the
+            // batch are gated structurally instead (they must beat their
+            // point-query decomposition within the same run); batch-table
             // medians, timed apart from the Dijkstra unit, don't track
-            // runner drift at smoke scale; the `o2m_*` ratios are
-            // windowed but move by up to a third from one process to
-            // the next, whatever the windows agree on.
+            // runner drift at smoke scale. The sweep and many-to-many
+            // ratios are windowed but move by up to a third with the
+            // machine's state, in episodes of seconds that slow them
+            // more than the Dijkstra unit, whatever the windows agree on.
             continue;
         }
         compared += 1;
-        if !windowed(&b.op) && (b.median_ns < NOISE_FLOOR_NS || c.median_ns < NOISE_FLOOR_NS) {
-            eprintln!(
-                "[bench] {}/{} {} {}: under the {NOISE_FLOOR_NS:.0} ns noise floor ({:.1} ns), not gated",
-                b.mode, b.network, b.backend, b.op, c.median_ns
-            );
-            floored += 1;
-            continue;
-        }
         let (base_ratio, cur_ratio) = (b.ratio, c.ratio);
         if cur_ratio > base_ratio * (1.0 + tolerance) {
             failures.push(format!(
-                "{}/{} {} {}: {:.4}x dijkstra vs {:.4}x in baseline (+{:.0}% > {:.0}% tolerance)",
+                "{}/{} {} {}: {:.6}x dijkstra vs {:.6}x in baseline (+{:.0}% > {:.0}% tolerance)",
                 b.mode,
                 b.network,
                 b.backend,
@@ -1292,9 +1298,7 @@ pub fn check_against(current: &[Entry], baseline: &Path, tolerance: f64) -> Resu
     }
     if failures.is_empty() {
         eprintln!(
-            "[bench] regression check passed: {} entries within {:.0}% of {} \
-             ({floored} under the noise floor, not gated)",
-            compared - floored,
+            "[bench] regression check passed: {compared} entries within {:.0}% of {}",
             tolerance * 100.0,
             baseline.display()
         );
@@ -1430,47 +1434,50 @@ mod tests {
         assert!(check_against(&cur, &f.0, 0.25).is_err());
     }
 
-    /// A windowed row is gated however fast it is; the floor spares
-    /// only a row without a windowed ratio (`ch m2m`).
+    /// Every gated ratio is windowed, so a row is gated however fast it
+    /// is: a 120 ns HL query as much as a microsecond one.
     #[test]
-    fn check_gates_sub_noise_floor_windowed_rows_only() {
+    fn check_gates_rows_however_fast() {
         let base = vec![
             gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
             gated("smoke", "DE", "hl", "distance", 120.0, 0.012),
-            gated("smoke", "DE", "ch", "m2m", 25.0, 0.0025),
         ];
         let f = write_baseline(&base);
-        // `m2m` 3x slower, but 75 ns is under the floor: not gated.
+        check_against(&base, &f.0, 0.25).unwrap();
         let mut cur = base.clone();
-        cur[2] = gated("smoke", "DE", "ch", "m2m", 75.0, 0.0075);
-        check_against(&cur, &f.0, 0.25).unwrap();
-        // HL 1.5x slower at 180 ns: gated.
         cur[1] = gated("smoke", "DE", "hl", "distance", 180.0, 0.018);
         let err = check_against(&cur, &f.0, 0.25).unwrap_err();
         assert!(err.contains("hl distance"), "{err}");
-        assert!(!err.contains("m2m"), "{err}");
     }
 
-    /// The kNN and range rows are gated like the point queries; the
-    /// one-to-many rows only have to be present.
+    /// The kNN, range and whole-set rows are gated like the point
+    /// queries; the restricted-sweep and many-to-many rows only have to
+    /// be present.
     #[test]
-    fn check_gates_knn_and_range_but_not_o2m() {
+    fn check_gates_knn_range_and_o2m_set_but_not_the_sweeps() {
         let base = vec![
             gated("smoke", "DE", "dijkstra", "distance", 10_000.0, 1.0),
             gated("smoke", "DE", "ch", "range", 4_000.0, 0.4),
             gated("smoke", "DE", "ch", "knn8", 2_000.0, 0.2),
+            gated("smoke", "DE", "ch", "o2m_set", 3_000.0, 0.3),
             gated("smoke", "DE", "ch", "o2m_64", 5_000.0, 0.5),
+            gated("smoke", "DE", "ch", "m2m", 25.0, 0.0025),
         ];
         let f = write_baseline(&base);
         let mut cur = base.clone();
-        cur[3] = gated("smoke", "DE", "ch", "o2m_64", 10_000.0, 1.0);
+        cur[4] = gated("smoke", "DE", "ch", "o2m_64", 10_000.0, 1.0);
+        cur[5] = gated("smoke", "DE", "ch", "m2m", 50.0, 0.005);
         check_against(&cur, &f.0, 0.25).unwrap();
         cur[1] = gated("smoke", "DE", "ch", "range", 6_000.0, 0.6);
         cur[2] = gated("smoke", "DE", "ch", "knn8", 3_000.0, 0.3);
+        cur[3] = gated("smoke", "DE", "ch", "o2m_set", 4_500.0, 0.45);
         let err = check_against(&cur, &f.0, 0.25).unwrap_err();
-        assert!(err.contains("ch range") && err.contains("ch knn8"), "{err}");
-        assert!(!err.contains("o2m"), "{err}");
-        assert!(check_against(&cur[..3], &f.0, 0.25)
+        assert!(
+            err.contains("ch range") && err.contains("ch knn8") && err.contains("ch o2m_set"),
+            "{err}"
+        );
+        assert!(!err.contains("o2m_64") && !err.contains("m2m"), "{err}");
+        assert!(check_against(&cur[..4], &f.0, 0.25)
             .unwrap_err()
             .contains("o2m_64: present in baseline but missing"));
     }
@@ -1605,11 +1612,12 @@ mod tests {
         assert_eq!(entries.iter().filter(|e| e.op == "path").count(), 1);
         assert_eq!(entries.iter().filter(|e| e.op == "m2m").count(), 1);
         // The one-to-many family rides the ch backend: one row per
-        // target-set size plus the kNN and range rows, all
-        // oracle-audited inside bench_network.
+        // target-set size, the whole-set row, the kNN and range rows,
+        // all oracle-audited inside bench_network.
         for op in [
             "o2m_64",
             "o2m_1024",
+            "o2m_set",
             "knn8",
             "range",
             "distances_batch_16",
@@ -1628,7 +1636,7 @@ mod tests {
         assert!(entries.iter().all(|e| e.median_ns > 0.0 && e.ratio > 0.0));
         // And the rendered report must parse back to the same entries
         // (medians are serialised at 0.1 ns precision and ratios at
-        // 1e-4 — derive the expectation through the same formatter,
+        // 1e-6 — derive the expectation through the same formatter,
         // since `{:.1}` rounds ties to even while `f64::round` rounds
         // them away from zero, and chunk medians land on exact .25/.75
         // ties).
@@ -1637,7 +1645,7 @@ mod tests {
             .cloned()
             .map(|mut e| {
                 e.median_ns = format!("{:.1}", e.median_ns).parse().unwrap();
-                e.ratio = format!("{:.4}", e.ratio).parse().unwrap();
+                e.ratio = format!("{:.6}", e.ratio).parse().unwrap();
                 e
             })
             .collect();
@@ -1695,6 +1703,6 @@ mod tests {
             .filter(|e| e.backend == "ch")
             .map(|e| e.op.as_str())
             .collect();
-        assert_eq!(ops, vec!["o2m_64", "o2m_1024"]);
+        assert_eq!(ops, vec!["o2m_64", "o2m_1024", "o2m_set"]);
     }
 }

@@ -1,11 +1,23 @@
 //! The serving face of the batched-query engines: a [`Backend`] that
 //! wraps a shared contraction hierarchy and answers every [`Session`]
-//! capability natively — point-to-point through `ChQuery`, one-to-many
-//! and tables with a short side through restricted sweeps, wide tables
-//! through the multi-source batch kernel, kNN through registered POI
-//! buckets, and range through the bounded search the baseline serves
-//! it with ([`Ball::range`]): a ball has no target set to select in
-//! advance, and the plain search over the network costs the ball.
+//! capability natively — point-to-point through `ChQuery`; one-to-many
+//! and tables with a side that names every member of a registered POI
+//! set (once each, in any order) through that set's kNN buckets, one
+//! bucket row per vertex of the other side ([`PoiIndex::row`]); other
+//! one-to-many and tables with a short side through restricted sweeps,
+//! wide tables through the multi-source batch kernel; kNN through
+//! registered POI buckets; and range through the bounded search the
+//! baseline serves it with ([`Ball::range`]): a ball has no target set
+//! to select in advance, and the plain search over the network costs
+//! the ball.
+//!
+//! The whole-set route costs no index data and no registration work:
+//! the buckets kNN merges already hold every member's upward distance,
+//! so a row is the source's upward search plus one merge, where a
+//! restricted sweep adds a pass over the set's whole selection. A
+//! request whose side has no registered set's size is passed over at
+//! once; one of that size is checked by binary search in the set's
+//! sorted vertex list.
 //!
 //! The hierarchy is held behind an `Arc` so the serving engine can keep
 //! one copy visible to this backend, the bench harness, and POI-index
@@ -103,6 +115,25 @@ impl ManyBackend {
     pub fn hierarchy(&self) -> &Arc<ContractionHierarchy> {
         &self.ch
     }
+
+    fn many_session<'a>(&'a self, net: &'a RoadNetwork) -> ManySession<'a> {
+        ManySession {
+            net,
+            ch: &self.ch,
+            pois: &self.pois,
+            query: ChQuery::new(&self.ch),
+            batch: None,
+            o2m: None,
+            flipped: Vec::new(),
+            knn_ws: KnnWorkspace::new(),
+            ball: Ball::new(),
+            set_row: Vec::new(),
+            set_pos: Vec::new(),
+            set_seen: Vec::new(),
+            own_budget: QueryBudget::unlimited(),
+            budget: QueryBudget::unlimited(),
+        }
+    }
 }
 
 impl Backend for ManyBackend {
@@ -113,19 +144,7 @@ impl Backend for ManyBackend {
     }
 
     fn session<'a>(&'a self, net: &'a RoadNetwork) -> Box<dyn Session + 'a> {
-        Box::new(ManySession {
-            net,
-            ch: &self.ch,
-            pois: &self.pois,
-            query: ChQuery::new(&self.ch),
-            batch: None,
-            o2m: None,
-            flipped: Vec::new(),
-            knn_ws: KnnWorkspace::new(),
-            ball: Ball::new(),
-            range_budget: QueryBudget::unlimited(),
-            budget: QueryBudget::unlimited(),
-        })
+        Box::new(self.many_session(net))
     }
 
     /// `DISTANCE` and `PATH` are the plain CH backend's `ChQuery`.
@@ -149,8 +168,16 @@ pub struct ManySession<'a> {
     flipped: Vec<Option<Dist>>,
     knn_ws: KnnWorkspace,
     ball: Ball,
-    /// The budget range charges, re-armed by each range.
-    range_budget: QueryBudget,
+    /// One source's whole-set row, in the set's vertex order.
+    set_row: Vec<Dist>,
+    /// Where each vertex of the request's whole-set side sits in the
+    /// set's vertex list.
+    set_pos: Vec<u32>,
+    /// The set members the request has named so far.
+    set_seen: Vec<bool>,
+    /// The budget range and the whole-set rows charge, re-armed by each
+    /// request that runs them.
+    own_budget: QueryBudget,
     budget: QueryBudget,
 }
 
@@ -168,7 +195,83 @@ fn engine<'s, 'a>(
     })
 }
 
+/// The index of the registered set that `list` names member for member
+/// — each exactly once, in any order — with every entry's position in
+/// the set's sorted vertex list in `pos`. A set of another size is
+/// passed over without reading `list`.
+fn whole_set<'p>(
+    pois: &'p PoiTable,
+    list: &[NodeId],
+    pos: &mut Vec<u32>,
+    seen: &mut Vec<bool>,
+) -> Option<&'p PoiIndex> {
+    pois.entries()
+        .iter()
+        .map(|e| &e.index)
+        .filter(|index| index.nodes().len() == list.len())
+        .find(|index| {
+            let nodes = index.nodes();
+            pos.clear();
+            seen.clear();
+            seen.resize(nodes.len(), false);
+            list.iter().all(|v| match nodes.binary_search(v) {
+                Ok(j) if !std::mem::replace(&mut seen[j], true) => {
+                    pos.push(j as u32);
+                    true
+                }
+                _ => false,
+            })
+        })
+}
+
 impl ManySession<'_> {
+    /// Answers the table from a registered set's buckets when one side
+    /// names the whole set ([`whole_set`]; the targets are tried
+    /// first): one bucket row per vertex of the other side, written
+    /// row-major, transposed when the set is the source side. `false`
+    /// if neither side is a whole set, with `out` untouched.
+    fn whole_set_table(
+        &mut self,
+        sources: &[NodeId],
+        targets: &[NodeId],
+        out: &mut Vec<Option<Dist>>,
+    ) -> bool {
+        let pois = self.pois;
+        let (pos, seen) = (&mut self.set_pos, &mut self.set_seen);
+        let (index, others, set_is_targets) = match whole_set(pois, targets, pos, seen) {
+            Some(index) => (index, sources, true),
+            None => match whole_set(pois, sources, pos, seen) {
+                Some(index) => (index, targets, false),
+                None => return false,
+            },
+        };
+        self.own_budget.reset();
+        let search = engine(&mut self.o2m, self.ch, &self.budget).search();
+        out.clear();
+        if !set_is_targets {
+            out.resize(sources.len() * targets.len(), None);
+        }
+        let cell = |d: Dist| (d < INFINITY).then_some(d);
+        for (i, &s) in others.iter().enumerate() {
+            if !index.row(search, s, &mut self.own_budget, &mut self.set_row) {
+                // Interrupted: the caller sees it via `interrupted()`
+                // and must discard; the cells line up all the same.
+                out.clear();
+                out.resize(sources.len() * targets.len(), None);
+                break;
+            }
+            let row = &self.set_row;
+            if set_is_targets {
+                out.extend(self.set_pos.iter().map(|&j| cell(row[j as usize])));
+            } else {
+                for (k, &j) in self.set_pos.iter().enumerate() {
+                    out[k * others.len() + i] = cell(row[j as usize]);
+                }
+            }
+        }
+        true
+    }
+
     /// `rows` restricted sweeps over the selection of `cols`, row-major
     /// into `out`.
     fn swept(&mut self, rows: &[NodeId], cols: &[NodeId], out: &mut Vec<Option<Dist>>) {
@@ -189,11 +292,16 @@ impl Session for ManySession<'_> {
         self.query.shortest_path(s, t)
     }
 
-    /// Sweeps from the shorter side of the table over the selection of
+    /// A side that names a whole registered POI set is answered from
+    /// the set's buckets, one row per vertex of the other side. Any
+    /// other table is swept from its shorter side over the selection of
     /// the longer one (the network is undirected, so a column is its
     /// target's row); tables wider than [`TABLE_SWEEP_SIDE`] both ways
     /// ride the multi-source SoA batch kernel.
     fn distances(&mut self, sources: &[NodeId], targets: &[NodeId], out: &mut Vec<Option<Dist>>) {
+        if self.whole_set_table(sources, targets, out) {
+            return;
+        }
         let flip = targets.len() < sources.len();
         let (rows, cols) = if flip {
             (targets, sources)
@@ -270,9 +378,9 @@ impl Session for ManySession<'_> {
     }
 
     fn range(&mut self, s: NodeId, limit: Dist, out: &mut Vec<(NodeId, Dist)>) -> bool {
-        self.range_budget.reset();
+        self.own_budget.reset();
         self.ball
-            .range(self.net, s, limit, &mut self.range_budget, out);
+            .range(self.net, s, limit, &mut self.own_budget, out);
         true
     }
 
@@ -285,7 +393,7 @@ impl Session for ManySession<'_> {
             batch.set_budget(budget);
         }
         self.knn_ws.set_budget(budget);
-        self.range_budget.clone_from(budget);
+        self.own_budget.clone_from(budget);
         self.budget.clone_from(budget);
     }
 
@@ -294,7 +402,7 @@ impl Session for ManySession<'_> {
             || self.o2m.as_ref().is_some_and(|e| e.interrupted())
             || self.batch.as_ref().is_some_and(|b| b.budget_exhausted())
             || self.knn_ws.interrupted()
-            || self.range_budget.exhausted()
+            || self.own_budget.exhausted()
     }
 }
 
@@ -510,6 +618,146 @@ mod tests {
         session.one_to_many(0, &targets, &mut row);
         assert!(!session.interrupted());
         assert_eq!(row[0], Some(0));
+    }
+
+    /// Every cell of a `sources × targets` table against the oracle.
+    fn assert_exact(
+        g: &RoadNetwork,
+        d: &mut Dijkstra,
+        sources: &[NodeId],
+        targets: &[NodeId],
+        out: &[Option<Dist>],
+        case: &str,
+    ) {
+        assert_eq!(out.len(), sources.len() * targets.len(), "{case}");
+        for (i, &s) in sources.iter().enumerate() {
+            d.run(g, s);
+            for (j, &t) in targets.iter().enumerate() {
+                assert_eq!(
+                    out[i * targets.len() + j],
+                    d.distance(t),
+                    "{case} ({s},{t})"
+                );
+            }
+        }
+    }
+
+    /// A side that names the whole registered set, in any order, is
+    /// answered from the buckets (no selection is built); the set plus
+    /// or minus a vertex, or with a member repeated, takes the old
+    /// routes. Every answer is the oracle's.
+    #[test]
+    fn whole_set_tables_ride_the_buckets_and_stay_exact() {
+        let g = grid_graph(12, 12);
+        let ch = Arc::new(ContractionHierarchy::build(&g));
+        let set = PoiSet::sample(&g, "depots", 30, 5).unwrap();
+        let pois = PoiTable::empty();
+        pois.install(vec![PoiEntry {
+            index: PoiIndex::build(&ch, &set).unwrap(),
+            set: set.clone(),
+        }])
+        .unwrap();
+        let backend = ManyBackend::new(ch, pois);
+        let mut session = backend.many_session(&g);
+        let mut d = Dijkstra::new(g.num_nodes());
+        let built =
+            |session: &ManySession| session.o2m.as_ref().map_or(0, |e| e.selections_built());
+
+        let mut shuffled = set.nodes().to_vec();
+        shuffled.reverse();
+        shuffled.swap(3, 17);
+        shuffled.rotate_left(11);
+        let outsider = (0..144)
+            .find(|v| set.nodes().binary_search(v).is_err())
+            .unwrap();
+        let mut out = vec![Some(1)];
+        for (sources, case) in [(vec![5], "row"), (vec![0, 77, 143], "3 rows")] {
+            session.distances(&sources, &shuffled, &mut out);
+            assert_exact(&g, &mut d, &sources, &shuffled, &out, case);
+            session.distances(&shuffled, &sources, &mut out);
+            assert_exact(
+                &g,
+                &mut d,
+                &shuffled,
+                &sources,
+                &out,
+                &format!("flipped {case}"),
+            );
+        }
+        session.one_to_many(outsider, &shuffled, &mut out);
+        assert_exact(&g, &mut d, &[outsider], &shuffled, &out, "one_to_many");
+        session.distances(&shuffled, &shuffled, &mut out);
+        assert_exact(&g, &mut d, &shuffled, &shuffled, &out, "set x set");
+        assert!(!session.interrupted());
+        assert_eq!(built(&session), 0, "a whole set needs no selection");
+
+        let mut plus = shuffled.clone();
+        plus.push(outsider);
+        let minus = shuffled[1..].to_vec();
+        let mut repeated = shuffled.clone();
+        repeated.push(shuffled[4]);
+        let mut swapped = shuffled.clone();
+        swapped[0] = shuffled[1];
+        for (list, case) in [
+            (plus, "plus one"),
+            (minus, "minus one"),
+            (repeated, "repeated member"),
+            (swapped, "a member for another"),
+        ] {
+            let mut session = backend.many_session(&g);
+            session.distances(&[9], &list, &mut out);
+            assert_exact(&g, &mut d, &[9], &list, &out, case);
+            assert_eq!(built(&session), 1, "{case} must take the sweep");
+            session.distances(&list, &[9, 70], &mut out);
+            assert_exact(
+                &g,
+                &mut d,
+                &list,
+                &[9, 70],
+                &out,
+                &format!("flipped {case}"),
+            );
+            assert!(!session.interrupted());
+        }
+    }
+
+    /// A whole-set table cut after any number of budget charges is all
+    /// `None` and reported as interrupted; the next request is exact.
+    #[test]
+    fn a_whole_set_table_cut_anywhere_leaves_the_next_exact() {
+        let g = grid_graph(9, 9);
+        let (backend, set) = backend_with_pois(&g);
+        let mut session = backend.many_session(&g);
+        let mut d = Dijkstra::new(g.num_nodes());
+        let set = set.nodes().to_vec();
+        for (sources, targets) in [(vec![40, 3], set.clone()), (set.clone(), vec![40, 3])] {
+            let mut out = Vec::new();
+            session.distances(&sources, &targets, &mut out);
+            let charges = session.own_budget.spent();
+            assert!(charges > 2, "one charge per settled rank");
+            for cap in 0..charges {
+                session.set_budget(&QueryBudget::unlimited().with_node_cap(cap));
+                out = vec![Some(1)];
+                session.distances(&sources, &targets, &mut out);
+                assert!(session.interrupted(), "cap {cap}");
+                assert_eq!(out, vec![None; sources.len() * targets.len()], "cap {cap}");
+                session.set_budget(&QueryBudget::unlimited());
+                session.distances(&sources, &targets, &mut out);
+                assert!(!session.interrupted());
+                assert_exact(
+                    &g,
+                    &mut d,
+                    &sources,
+                    &targets,
+                    &out,
+                    &format!("after cap {cap}"),
+                );
+            }
+            session.set_budget(&QueryBudget::unlimited().with_node_cap(charges));
+            session.distances(&sources, &targets, &mut out);
+            assert!(!session.interrupted(), "exactly enough budget");
+            session.set_budget(&QueryBudget::unlimited());
+        }
     }
 
     #[test]

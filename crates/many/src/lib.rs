@@ -14,7 +14,10 @@
 //! * [`PoiIndex`] — bucket-CH k-nearest-neighbour over a registered
 //!   [`PoiSet`]: per-vertex buckets precomputed from each POI's upward
 //!   search space, sorted by distance, make a kNN query one upward
-//!   search that stops as soon as the k-th best is beaten.
+//!   search that stops as soon as the k-th best is beaten. The same
+//!   merge without the bound ([`PoiIndex::row`]) is one source's row
+//!   against the whole set, which [`ManySession`] serves any
+//!   one-to-many or table with a side naming exactly that set.
 //! * Network range ("all vertices within `d` of `s`") is not a
 //!   hierarchy query: a ball has no target set to select in advance,
 //!   and a bounded search over the network
@@ -24,7 +27,8 @@
 //!
 //! Every upward search here is `spq_ch`'s one
 //! [`UpwardSearch`](spq_ch::UpwardSearch): the selections' rows, the POI
-//! bucket build and the kNN query each drive it with their own visitor.
+//! bucket build, the kNN query and the whole-set row each drive it with
+//! their own visitor.
 //! [`phast`] derives the sweep and says why it is exact.
 //!
 //! [`ManyBackend`] packages all of it behind the serving `Backend` /

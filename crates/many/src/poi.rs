@@ -25,6 +25,13 @@
 //! and a bucket entry there whose total is that distance, which is not
 //! skipped.
 //!
+//! Without the bound the same merge is one source's exact row against
+//! the whole set ([`PoiIndex::row`]): every settled rank's bucket is
+//! merged in full, and each POI keeps its smallest total. Every total
+//! is the length of a real path, and the apex of a shortest path is
+//! settled from the source at its exact upward distance and holds the
+//! POI's entry at its own, so the smallest total is the distance.
+//!
 //! Persistence stores only the set itself (`SPQP` container): buckets
 //! depend on the serving hierarchy, so they are rebuilt at registration
 //! time against whatever CH the epoch publishes — this is what makes a
@@ -274,11 +281,6 @@ impl PoiIndex {
         &self.nodes
     }
 
-    /// Total bucket entries (index-size accounting).
-    pub fn num_bucket_entries(&self) -> usize {
-        self.bucket_poi.len()
-    }
-
     /// k nearest POIs from `s`: up to `k` `(poi_vertex, distance)` pairs
     /// ascending by `(distance, vertex id)`, found by one upward search
     /// from `s` on `search` (a workspace over the hierarchy the index
@@ -355,6 +357,45 @@ impl PoiIndex {
         out.sort_unstable_by_key(|&(p, d)| (d, p));
         out.truncate(k);
         true
+    }
+
+    /// One source's exact distance to every POI: `out[j]` is
+    /// `dist(s, nodes()[j])`, `INFINITY` where unreachable. kNN's merge
+    /// without the bound — one upward search from `s` on `search`, every
+    /// settled rank's whole bucket merged, one `budget` charge per
+    /// settled rank (the caller re-arms it). Returns `false` (with `out`
+    /// cleared) if the budget tripped.
+    pub fn row(
+        &self,
+        search: &mut UpwardSearch,
+        s: NodeId,
+        budget: &mut QueryBudget,
+        out: &mut Vec<Dist>,
+    ) -> bool {
+        out.clear();
+        out.resize(self.nodes.len(), INFINITY);
+        let mut ok = true;
+        let root = search.graph().rank_of(s);
+        search.run(root, |u, d| {
+            if !budget.charge() {
+                ok = false;
+                return Visit::Stop;
+            }
+            let span =
+                self.bucket_first[u as usize] as usize..self.bucket_first[u as usize + 1] as usize;
+            for (&j, &up) in self.bucket_poi[span.clone()]
+                .iter()
+                .zip(&self.bucket_dist[span])
+            {
+                let best = &mut out[j as usize];
+                *best = (*best).min(d + up);
+            }
+            Visit::Expand(INFINITY)
+        });
+        if !ok {
+            out.clear();
+        }
+        ok
     }
 }
 
@@ -454,6 +495,32 @@ mod tests {
                 assert_eq!(got, brute_knn(&g, &mut d, s, k, set.nodes()), "s={s} k={k}");
             }
         }
+    }
+
+    #[test]
+    fn row_matches_dijkstra_and_clears_on_a_trip() {
+        let g = grid_graph(9, 9);
+        let ch = ContractionHierarchy::build(&g);
+        let set = PoiSet::new("poi", g.num_nodes(), vec![0, 8, 40, 72, 80, 13]).unwrap();
+        let idx = PoiIndex::build(&ch, &set).unwrap();
+        let mut search = UpwardSearch::new(ch.search_graph());
+        let mut d = Dijkstra::new(g.num_nodes());
+        let mut budget = QueryBudget::unlimited();
+        let mut row = Vec::new();
+        for s in 0..g.num_nodes() as NodeId {
+            budget.reset();
+            assert!(idx.row(&mut search, s, &mut budget, &mut row));
+            d.run(&g, s);
+            let expect: Vec<Dist> = set
+                .nodes()
+                .iter()
+                .map(|&p| d.distance(p).unwrap())
+                .collect();
+            assert_eq!(row, expect, "s={s}");
+        }
+        let mut budget = QueryBudget::unlimited().with_node_cap(1);
+        assert!(!idx.row(&mut search, 30, &mut budget, &mut row));
+        assert!(row.is_empty(), "interrupted row must not leak results");
     }
 
     #[test]

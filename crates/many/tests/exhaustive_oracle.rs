@@ -11,12 +11,17 @@
 //!   has from the source) and one below it;
 //! - `PoiIndex::knn` from every source over every non-empty POI subset
 //!   and every k from 0 to one past the subset's size, ties ordered by
-//!   `(distance, vertex)`.
+//!   `(distance, vertex)`;
+//! - `ManySession` requests that name a whole registered set, every
+//!   non-empty subset registered at once: one-to-many from every source
+//!   to the set in reverse order, and the flipped table from the set to
+//!   two vertices.
 //!
 //! One `OneToMany` and one kNN workspace answer every table and kNN
 //! query of a hierarchy, the kNN queries on the `OneToMany`'s own upward
 //! search as a serving session runs them, and one session of each kind
-//! every range, so state one query leaves behind is in the way of the next.
+//! every range and registered-set request, so state one query leaves
+//! behind is in the way of the next.
 //!
 //! The tier-1 test covers n ≤ 4; the ignored one adds n = 5 (55 248
 //! weighted graphs) and runs as a CI step in release.
@@ -30,7 +35,7 @@ use spq_graph::backend::Backend;
 use spq_graph::par;
 use spq_graph::types::{Dist, NodeId};
 use spq_graph::RoadNetwork;
-use spq_many::{KnnWorkspace, ManyBackend, OneToMany, PoiIndex, PoiSet, PoiTable};
+use spq_many::{KnnWorkspace, ManyBackend, OneToMany, PoiEntry, PoiIndex, PoiSet, PoiTable};
 
 /// Checks every graph on exactly `n` vertices; returns how many
 /// weighted graphs it built.
@@ -59,7 +64,24 @@ fn check_all_graphs(n: u32) -> usize {
 fn check_hierarchy(g: &RoadNetwork, ch: ContractionHierarchy, rows: &[Vec<Dist>], case: &str) {
     let n = rows.len() as NodeId;
     let everyone: Vec<NodeId> = (0..n).collect();
-    let backend = ManyBackend::new(Arc::new(ch), PoiTable::empty());
+    let pois = PoiTable::empty();
+    pois.install(
+        (1u32..1 << n)
+            .map(|subset| {
+                let nodes = (0..n).filter(|&v| subset >> v & 1 == 1).collect();
+                let set =
+                    PoiSet::new(&format!("p{subset}"), n as usize, nodes).expect("valid subset");
+                // One worker: the build is the same at any thread count
+                // (its own tests), and a pool per tiny set would
+                // dominate the run.
+                let index =
+                    par::with_threads(1, || PoiIndex::build(&ch, &set)).expect("same network");
+                PoiEntry { set, index }
+            })
+            .collect(),
+    )
+    .expect("fresh table");
+    let backend = ManyBackend::new(Arc::new(ch), Arc::clone(&pois));
     let ch = &**backend.hierarchy();
     let mut session = backend.session(g);
     let mut baseline = Baseline.session(g);
@@ -91,12 +113,26 @@ fn check_hierarchy(g: &RoadNetwork, ch: ContractionHierarchy, rows: &[Vec<Dist>]
 
     let mut knn = KnnWorkspace::new();
     let mut hits = Vec::new();
-    for subset in 1u32..1 << n {
-        let nodes: Vec<NodeId> = (0..n).filter(|&v| subset >> v & 1 == 1).collect();
-        let set = PoiSet::new("p", n as usize, nodes.clone()).expect("valid subset");
-        // One worker: the build is the same at any thread count (its own
-        // tests), and a pool per tiny set would dominate the run.
-        let index = par::with_threads(1, || PoiIndex::build(ch, &set)).expect("same network");
+    let mut cells = Vec::new();
+    for PoiEntry { set, index } in pois.entries() {
+        let nodes = set.nodes();
+        let reversed: Vec<NodeId> = nodes.iter().rev().copied().collect();
+        for s in 0..n {
+            session.one_to_many(s, &reversed, &mut cells);
+            let expect: Vec<Option<Dist>> = reversed
+                .iter()
+                .map(|&p| Some(rows[s as usize][p as usize]))
+                .collect();
+            assert_eq!(cells, expect, "one_to_many({s}) to {reversed:?}: {case}");
+            let others = [s, (s + 1) % n];
+            session.distances(&reversed, &others, &mut cells);
+            let expect: Vec<Option<Dist>> = reversed
+                .iter()
+                .flat_map(|&p| others.map(|t| Some(rows[p as usize][t as usize])))
+                .collect();
+            assert_eq!(cells, expect, "table {reversed:?} x {others:?}: {case}");
+            assert!(!session.interrupted());
+        }
         for s in 0..n {
             let mut by_distance: Vec<(Dist, NodeId)> = nodes
                 .iter()
